@@ -3,10 +3,9 @@
 //! frontiers and an offload recommendation table, and timed.
 //!
 //! Prints a single line of JSON to stdout. Run with
-//! `cargo run --release -p ipipe-bench --bin dse`; commit the output as
-//! `BENCH_dse.json` to refresh the perf-gate baseline
-//! (`scripts/perf_gate.sh` fails a run whose cells/s drops more than 30%
-//! below it).
+//! `cargo run --release -p ipipe-bench --bin dse`. The wall-clock fields
+//! are one sample on this machine; the grid's host-time performance is
+//! measured by `benchmark/run.sh` (workload `dse-grid`).
 //!
 //! Flags:
 //! * `--smoke`      CI-sized 16-design grid (same JSON shape);

@@ -6,9 +6,10 @@
 //!
 //! Targets: `table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //! fig10 fig13 fig14 fig15 fig16 fig17 fig18 floem nf ycsb ablate-ewma
-//! ablate-quantum ablate-offpath characterization evaluation all`.
+//! ablate-quantum ablate-offpath scenarios characterization evaluation all`.
 //! `--quick` shrinks the Fig 16 sweeps for smoke runs.
 
+use ipipe_bench::scenario::render_scenarios;
 use ipipe_bench::{characterization as ch, evaluation as ev};
 use ipipe_nicsim::{CN2350, CN2360, STINGRAY_PS225};
 
@@ -96,6 +97,7 @@ fn main() {
         "ablate-ewma" => print!("{}", ev::render_ablate_ewma(fig16_requests)),
         "ablate-offpath" => print!("{}", ev::render_ablate_offpath(fig16_requests)),
         "ablate-quantum" => print!("{}", ev::render_ablate_quantum(fig16_requests)),
+        "scenarios" => print!("{}", render_scenarios()),
         "characterization" => characterization(),
         "evaluation" => evaluation(),
         "all" => {
@@ -108,6 +110,8 @@ fn main() {
             print!("{}", ev::render_ablate_offpath(fig16_requests));
             println!();
             print!("{}", ev::render_ycsb());
+            println!();
+            print!("{}", render_scenarios());
         }
         other => {
             eprintln!("unknown target '{other}'; see the doc comment for the list");

@@ -1,44 +1,39 @@
 //! Run a traced scenario and summarize its observability output.
 //!
 //! ```text
-//! cargo run --release --bin traceview -- [--scenario rkv|rkv-fault|rkv-scale|rkv-overload|tcp-offload|fig16] \
-//!     [--seed N] [--shards N] [--groups N] [--users N] [--verbose] [--out DIR]
+//! cargo run --release --bin traceview -- [--scenario NAME] [--seed N] \
+//!     [--shards N] [--smoke] [--verbose] [--out DIR]
 //! ```
+//!
+//! `NAME` is any scenario of [`ipipe_bench::scenario::REGISTRY`]
+//! (`--help` lists them; default: the first, `rkv`) or `fig16`, a cluster-free
+//! scheduler cell. Scenarios run at their full size — the one
+//! `figures scenarios` reports — unless `--smoke` asks for the CI size.
 //!
 //! With `--out DIR` the run's metrics (`metrics.jsonl`) and Chrome trace
 //! (`chrome.json`, openable in Perfetto / `chrome://tracing`) are written
-//! there. Both files are byte-identical across same-seed runs — the CI
-//! determinism job runs this binary twice and diffs the directories.
+//! there. Both files are byte-identical across same-seed runs —
+//! `scripts/scenario_smoke.sh` runs this binary twice and diffs the
+//! directories.
 //!
-//! `--shards N` partitions the cluster scenarios (`rkv`, `rkv-fault`,
-//! `rkv-scale`, `rkv-overload`) across N event shards. Cluster scenarios summarize and
-//! export through the cluster's canonical merged view ((ts, node)-ordered
-//! trace), whatever the shard count. Metrics are byte-identical to the
-//! serial run always; trace records are too unless the ring overflows
-//! (capacity is per shard, so sharded runs of overflowing scenarios retain
-//! more records). `fig16` is cluster-free and only accepts the default
-//! `--shards 1`.
-//!
-//! `rkv-scale` is the planetary multi-group scenario (`--groups`, default
-//! 64, Paxos groups serving `--users`, default 1048576, modeled users from
-//! aggregated open-loop generators, with hotspot rebalancing). It always
-//! runs metrics-only — at this event volume the per-shard trace ring would
-//! overflow and break the byte-identity of sharded exports — so `--verbose`
-//! does not apply and the trace table is empty by construction.
+//! `--shards N` partitions a scenario's cluster across N event shards
+//! (epochs run on OS threads when the scenario declares itself `Rc`-free).
+//! Scenarios summarize and export through the cluster's canonical merged
+//! view ((ts, node)-ordered trace), whatever the shard count. Metrics are
+//! byte-identical to the serial run always; trace records are too unless
+//! the ring overflows (capacity is per shard, so sharded runs of
+//! overflowing scenarios retain more records). Most scenarios run
+//! metrics-only for that reason — `--verbose` does not apply to them and
+//! their trace table is empty by construction. `fig16` only accepts the
+//! default `--shards 1`.
 
-use ipipe::rt::{ClientReq, Cluster, RuntimeMode};
 use ipipe::sched::Discipline;
-use ipipe_apps::rkv::actors::{deploy_rkv, RkvMsg};
 use ipipe_baseline::fig16::run_fig16_obs;
-use ipipe_bench::fault::run_rkv_fault_traced;
-use ipipe_bench::overload::{run_rkv_overload, OverloadSpec};
 use ipipe_bench::render_table;
-use ipipe_bench::scale::{run_rkv_scale, ScaleSpec};
-use ipipe_bench::tcp::{run_tcp_offload, TcpOffloadSpec};
+use ipipe_bench::scenario::{self, Size};
 use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::{Obs, TraceKind, TraceLevel};
 use ipipe_sim::SimTime;
-use ipipe_workload::kv::KvWorkload;
 use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
 use std::collections::BTreeMap;
 
@@ -46,19 +41,17 @@ struct Opts {
     scenario: String,
     seed: u64,
     shards: usize,
-    groups: usize,
-    users: u64,
+    size: Size,
     verbose: bool,
     out: Option<String>,
 }
 
 fn parse_opts() -> Opts {
     let mut opts = Opts {
-        scenario: "rkv".into(),
+        scenario: scenario::REGISTRY[0].name().into(),
         seed: 2,
         shards: 1,
-        groups: 64,
-        users: 1 << 20,
+        size: Size::Full,
         verbose: false,
         out: None,
     };
@@ -78,23 +71,14 @@ fn parse_opts() -> Opts {
                     .and_then(|s| s.parse().ok())
                     .expect("--shards needs an integer >= 1")
             }
-            "--groups" => {
-                opts.groups = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--groups needs an integer >= 1")
-            }
-            "--users" => {
-                opts.users = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--users needs an integer >= 1")
-            }
+            "--smoke" => opts.size = Size::Smoke,
             "--verbose" => opts.verbose = true,
             "--out" => opts.out = Some(args.next().expect("--out needs a directory")),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: traceview [--scenario rkv|rkv-fault|rkv-scale|rkv-overload|tcp-offload|fig16] [--seed N] [--shards N] [--groups N] [--users N] [--verbose] [--out DIR]"
+                    "usage: traceview [--scenario NAME] [--seed N] [--shards N] [--smoke] \
+                     [--verbose] [--out DIR]\nscenarios: {}, fig16",
+                    scenario::names()
                 );
                 std::process::exit(0);
             }
@@ -103,39 +87,6 @@ fn parse_opts() -> Opts {
     }
     assert!(opts.shards >= 1, "--shards needs an integer >= 1");
     opts
-}
-
-/// The replicated-KV cluster of `examples/replicated_kv.rs`, traced.
-fn run_rkv(seed: u64, obs: &Obs, shards: usize) -> Cluster {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .obs(obs.clone())
-        .shards(shards)
-        .build();
-    let dep = deploy_rkv(&mut c, &[0, 1, 2], 8 << 20);
-    let leader = dep.consensus[0];
-    let mut wl = KvWorkload::paper_default(512, 1);
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let op = wl.next_op();
-            ClientReq {
-                dst: leader,
-                wire_size: 512u32.min(43 + op.wire_size()).max(64),
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RkvMsg::Client(op))),
-            }
-        }),
-        64,
-    );
-    c.run_for(SimTime::from_ms(2));
-    // Exercise the migration machinery so its spans show up in the trace.
-    c.force_migrate(dep.memtable[0]);
-    c.run_for(SimTime::from_ms(4));
-    c
 }
 
 /// One Fig 16 hybrid cell at load 0.6 (the determinism-test scenario).
@@ -155,105 +106,25 @@ fn main() {
         TraceLevel::Spans
     };
     let obs = Obs::with_level(level);
-    let cluster = match opts.scenario.as_str() {
-        "rkv" => Some(run_rkv(opts.seed, &obs, opts.shards)),
-        // The fault-injected cluster: 1% seeded loss + a forced leader
-        // crash, recovered by heartbeat election and client retransmission.
-        // The CI determinism job diffs two same-seed runs of this scenario.
-        "rkv-fault" => {
-            let (stats, c) = run_rkv_fault_traced(opts.seed, &obs, opts.shards);
-            println!(
-                "rkv-fault: {} writes committed ({} before the leader crash, {} issued)",
-                stats.done, stats.before_crash, stats.issued
-            );
-            Some(c)
-        }
-        // The planetary multi-group scenario: `--groups` Paxos groups,
-        // `--users` modeled users behind aggregated open-loop generators,
-        // hotspot rebalancing mid-run, audited to exactly-once at quiesce.
-        // Always metrics-only (the cluster builds its own disabled-trace
-        // obs) so sharded exports stay byte-identical at this event volume.
-        "rkv-scale" => {
-            let spec = ScaleSpec::custom(opts.seed, opts.shards, opts.groups, opts.users);
-            let (stats, c) = run_rkv_scale(&spec);
-            println!(
-                "rkv-scale: {} groups, {} users: {} requests committed of {} issued, \
-                 {:.0} req/s, p50 {:.1}us p99 {:.1}us, {} hot-shard migrations",
-                stats.groups,
-                stats.users,
-                stats.done,
-                stats.issued,
-                stats.throughput_rps,
-                stats.p50_us,
-                stats.p99_us,
-                stats.migrations
-            );
-            Some(c)
-        }
-        // The overload scenario: the multi-group keyspace under a 10x
-        // open-loop spike plus a compaction storm, survived by NIC-ingress
-        // admission control. Audited for shed conservation at quiesce;
-        // metrics-only like rkv-scale so sharded exports stay byte-identical.
-        "rkv-overload" => {
-            let spec = OverloadSpec::custom(opts.seed, opts.shards, opts.groups, opts.users);
-            let (stats, c) = run_rkv_overload(&spec);
-            println!(
-                "rkv-overload: {} groups, {} users spiking 10x: {} committed of {} issued, \
-                 {} shed ({} at ingress), goodput {:.0} -> {:.0} req/s through the spike, \
-                 p99 {:.1}us against a {:.0}us SLO ({})",
-                stats.groups,
-                stats.users,
-                stats.done,
-                stats.issued,
-                stats.shed,
-                stats.ingress_shed,
-                stats.pre_goodput_rps,
-                stats.spike_goodput_rps,
-                stats.p99_us,
-                stats.slo_us,
-                if stats.slo_met() { "met" } else { "BLOWN" }
-            );
-            Some(c)
-        }
-        // The TCP-offload scenario: stateful connections over the shim
-        // nstack recovering from seeded loss via RTO retransmission, with
-        // endpoints on NIC cores. Audited for byte conservation
-        // (sent == acked + in-flight + lost-pending-RTO) and exactly-once
-        // in-order delivery at quiesce; metrics-only like rkv-scale so
-        // sharded exports stay byte-identical.
-        "tcp-offload" => {
-            let spec = TcpOffloadSpec::smoke(opts.seed, opts.shards);
-            let (stats, c) = run_tcp_offload(&spec);
-            println!(
-                "tcp-offload: {} conns x {} bytes at {:.0}% loss ({} placement): \
-                 {} bytes delivered in {:.2}ms ({:.2} Gbit/s), {} segments retransmitted \
-                 over {} RTOs, {:.3} host cores vs {:.3} NIC cores",
-                stats.conns,
-                stats.bytes_per_conn,
-                stats.loss * 100.0,
-                stats.placement,
-                stats.delivered,
-                stats.fct_ms,
-                stats.goodput_gbps,
-                stats.retx_segs,
-                stats.rto_fired,
-                stats.host_cores,
-                stats.nic_cores
-            );
-            Some(c)
-        }
-        "fig16" => {
-            assert!(
-                opts.shards == 1,
-                "fig16 is cluster-free; --shards applies to the rkv scenarios"
-            );
-            run_fig16_cell(opts.seed, &obs);
-            None
-        }
-        other => panic!(
-            "unknown scenario {other:?} (want rkv, rkv-fault, rkv-scale, rkv-overload, \
-             tcp-offload or fig16)"
-        ),
+    let cluster = if opts.scenario == "fig16" {
+        assert!(
+            opts.shards == 1,
+            "fig16 is cluster-free; --shards applies to the cluster scenarios"
+        );
+        run_fig16_cell(opts.seed, &obs);
+        None
+    } else {
+        let s = scenario::find(&opts.scenario).unwrap_or_else(|| {
+            panic!(
+                "unknown scenario {:?} (want one of {}, or fig16)",
+                opts.scenario,
+                scenario::names()
+            )
+        });
+        let threaded = s.rc_free() && opts.shards > 1;
+        let (headline, c) = s.run(opts.size, opts.seed, opts.shards, threaded, &obs);
+        println!("{}: {}", s.name(), scenario::render_headline(&headline));
+        Some(c)
     };
     // Cluster scenarios always summarize and export through the cluster's
     // canonical merged view ((ts, node)-ordered trace): under `--shards N`

@@ -2,32 +2,28 @@
 //! that must not change a single observable result, and byte-diff the
 //! exported metric snapshots.
 //!
-//! Three pure-mechanism axes exist in the DES, each introduced as a
+//! Two pure-mechanism axes exist in the DES, each introduced as a
 //! performance optimisation with an explicit "semantically invisible"
 //! contract:
 //!
-//! * the timing-wheel event queue vs the reference binary heap
-//!   ([`QueueKind`]),
-//! * batched event dispatch vs one-at-a-time dispatch,
 //! * the parallel sweep runner vs a serial sweep
-//!   ([`ipipe_sim::sweep::parallel_sweep`] with `workers = 1`).
+//!   ([`ipipe_sim::sweep::parallel_sweep`] with `workers = 1`),
+//! * the sharded engine vs the serial one, for every registered
+//!   [`Scenario`] under each shard count it declares.
 //!
 //! The unit/property suites already pin these at the data-structure level;
 //! the oracle closes the remaining gap by diffing *whole scenarios* — every
 //! counter, gauge and histogram the run exports — so a divergence anywhere
 //! in the stack (scheduler, rings, faults, Paxos) surfaces as a one-line
-//! mismatch instead of a subtly wrong figure.
+//! mismatch instead of a subtly wrong figure. (The timing wheel is checked
+//! against its heap reference by `tests/properties.rs` and the `event.rs`
+//! unit tests.)
 
-use crate::fault::{run_rkv_fault_sharded, run_rkv_fault_with};
-use crate::overload::run_rkv_overload_sharded;
-use crate::scale::run_rkv_scale_sharded;
-use crate::sharded::run_fig16_grid;
-use crate::tcp::run_tcp_offload_sharded;
+use crate::scenario::{render_headline, run_export, Scenario, Size};
 use ipipe_baseline::fig16::run_fig16_obs;
 use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::Obs;
 use ipipe_sim::sweep::{default_workers, parallel_sweep};
-use ipipe_sim::QueueKind;
 use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
 
 /// One scenario run per mechanism variant: a label and the full metric
@@ -92,29 +88,6 @@ impl DiffOutcome {
     }
 }
 
-/// Re-run the rkv-fault scenario (crash + restart + 1% loss + retries)
-/// under every {event queue} × {dispatch} combination and diff the metric
-/// snapshots. Each variant gets a fresh [`Obs`]; only the mechanism knobs
-/// vary.
-pub fn diff_rkv_fault(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("wheel+batched", QueueKind::Wheel, false),
-        ("heap+batched", QueueKind::Heap, false),
-        ("wheel+unbatched", QueueKind::Wheel, true),
-        ("heap+unbatched", QueueKind::Heap, true),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, kind, unbatched)| {
-                let obs = Obs::default();
-                run_rkv_fault_with(seed, &obs, kind, unbatched);
-                (label.to_string(), obs.registry().snapshot().to_jsonl())
-            })
-            .collect(),
-    }
-}
-
 /// Run a small Fig 16 grid through [`parallel_sweep`] serially and with the
 /// machine's worker count, and diff the per-cell snapshots. Each cell builds
 /// its own [`Obs`] inside the worker, so the only thing that changes between
@@ -158,114 +131,27 @@ pub fn diff_fig16_parallel(requests: u64, seed: u64) -> DiffOutcome {
     }
 }
 
-/// Re-run the rkv-fault scenario under every shard count in {1, 2, 4, 8}
-/// (plus a threaded 4-shard epoch run) and diff the *canonical* cluster
-/// exports — merged metric snapshot, merged trace and meta line. The
-/// 1-shard serial engine is the reference; sharding is a pure execution
-/// mechanism and must not move a single byte.
-pub fn diff_sharded_rkv_fault(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1, false),
-        ("2-shard", 2, false),
-        ("4-shard", 4, false),
-        ("8-shard", 8, false),
-        ("4-shard-parallel", 4, true),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards, parallel)| {
-                let (_, export) = run_rkv_fault_sharded(seed, shards, parallel);
-                (label.to_string(), export)
-            })
-            .collect(),
+/// The sharding axis: run `s` at smoke size under every shard count it
+/// declares — plus threaded epochs at the largest count when the scenario
+/// is `Rc`-free — and diff headline + *canonical* cluster export (merged
+/// metric snapshot, merged trace and meta line). The 1-shard serial engine
+/// is the reference; sharding is a pure execution mechanism and must not
+/// move a single byte.
+pub fn diff_sharded(s: &dyn Scenario, seed: u64) -> DiffOutcome {
+    let mut variants: Vec<(String, usize, bool)> = s
+        .shard_counts()
+        .iter()
+        .map(|&n| (format!("{n}-shard"), n, false))
+        .collect();
+    if let (true, Some(&n)) = (s.rc_free(), s.shard_counts().last()) {
+        variants.push((format!("{n}-shard-threaded"), n, true));
     }
-}
-
-/// The sharding axis over the multi-group scale scenario at the CI smoke
-/// size (16 Paxos groups, 10^5 modeled users behind aggregated open-loop
-/// generators, hotspot rebalancing mid-run): every shard count in
-/// {1, 2, 4, 8} must reproduce the serial run's canonical export and
-/// headline counts byte-for-byte. No threaded variant: the multi-group
-/// wiring shares per-group `Rc` state across a group's replica nodes, so
-/// sharding is exercised single-threaded.
-pub fn diff_sharded_rkv_scale(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1),
-        ("2-shard", 2),
-        ("4-shard", 4),
-        ("8-shard", 8),
-    ];
     DiffOutcome {
         variants: variants
-            .iter()
-            .map(|&(label, shards)| {
-                let (stats, export) = run_rkv_scale_sharded(seed, shards, true);
-                (
-                    label.to_string(),
-                    format!(
-                        "issued {} done {} migrations {}\n{export}",
-                        stats.issued, stats.done, stats.migrations
-                    ),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// The sharding axis over the overload scenario at the CI smoke size (16
-/// Paxos groups under a 10x open-loop spike and a per-node compaction
-/// storm, with NIC-ingress admission shedding): every shard count in
-/// {1, 2, 4, 8} must reproduce the serial run's canonical export and
-/// shed ledger byte-for-byte. Admission buckets are ingress-local state
-/// touched only by the owning shard's Deliver events, so sharding must be
-/// invisible here too. Single-threaded for the same `Rc`-sharing reason as
-/// [`diff_sharded_rkv_scale`].
-pub fn diff_sharded_rkv_overload(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1),
-        ("2-shard", 2),
-        ("4-shard", 4),
-        ("8-shard", 8),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards)| {
-                let (stats, export) = run_rkv_overload_sharded(seed, shards, true);
-                (
-                    label.to_string(),
-                    format!(
-                        "issued {} done {} shed {} ingress {}\n{export}",
-                        stats.issued, stats.done, stats.shed, stats.ingress_shed
-                    ),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// The sharding axis over the TCP-offload scenario: four lossy connections
-/// (2% seeded frame loss, RTO-driven retransmission, out-of-order
-/// reassembly) at the CI smoke size must reproduce the serial run's
-/// canonical export and headline delivery/retransmit counts byte-for-byte
-/// under every shard count in {1, 2, 4}. Single-threaded like the other
-/// `Rc`-holding scenarios: the deployment keeps cloned metric handles for
-/// the quiesce audit.
-pub fn diff_sharded_tcp(seed: u64) -> DiffOutcome {
-    let variants = [("1-shard", 1), ("2-shard", 2), ("4-shard", 4)];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards)| {
-                let (stats, export) = run_tcp_offload_sharded(seed, shards, true);
-                (
-                    label.to_string(),
-                    format!(
-                        "delivered {} retx {} rto {}\n{export}",
-                        stats.delivered, stats.retx_segs, stats.rto_fired
-                    ),
-                )
+            .into_iter()
+            .map(|(label, shards, threaded)| {
+                let (headline, export) = run_export(s, Size::Smoke, seed, shards, threaded);
+                (label, format!("{}\n{export}", render_headline(&headline)))
             })
             .collect(),
     }
@@ -299,49 +185,10 @@ pub fn diff_dse_grid(seed: u64) -> DiffOutcome {
     }
 }
 
-/// The same sharding axis over the fig16-style whole-cluster grid (16
-/// servers + 4 clients, racked, bimodal service times, mid-run audit):
-/// every shard count must reproduce the serial run's canonical export and
-/// completion count byte-for-byte.
-pub fn diff_sharded_fig16_grid(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1, false),
-        ("2-shard", 2, false),
-        ("4-shard", 4, false),
-        ("8-shard", 8, false),
-        ("8-shard-parallel", 8, true),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards, parallel)| {
-                let (done, export) = run_fig16_grid(seed, shards, parallel);
-                (label.to_string(), format!("done {done}\n{export}"))
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The acceptance gate: the full fault scenario — crash, failover,
-    /// retries, redirects — exports byte-identical metrics whichever event
-    /// queue backs the DES and however dispatch is chunked.
-    #[test]
-    fn rkv_fault_is_mechanism_invariant() {
-        let out = diff_rkv_fault(7);
-        assert_eq!(out.variants.len(), 4);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
-        // The snapshots carry real content, not trivially empty strings.
-        assert!(out.variants[0].1.lines().count() > 20);
-    }
+    use crate::scenario::value;
 
     /// Scenario-level pin of the sweep runner's determinism claim:
     /// `workers = 1` and `workers = N` produce identical per-cell metric
@@ -357,95 +204,37 @@ mod tests {
         );
     }
 
-    /// The sharded engine's acceptance gate on the hardest scenario we have:
-    /// crash, failover, per-link faults and thousands of retransmissions
-    /// export byte-identical canonical results under 1/2/4/8 shards and
-    /// threaded epochs.
+    /// The sharded engine's acceptance gate, one row per registered
+    /// scenario: crash + failover + retransmissions, rebalancer-driven
+    /// shard moves, a 10x spike with admission sheds, lossy TCP with RTO
+    /// timers, and the racked grid with its mid-run audit all export
+    /// byte-identical canonical results under every declared shard count
+    /// (and threaded epochs where the scenario allows them).
     #[test]
-    fn rkv_fault_is_shard_invariant() {
-        let out = diff_sharded_rkv_fault(7);
-        assert_eq!(out.variants.len(), 5);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
-        assert!(out.variants[0].1.lines().count() > 20);
-    }
-
-    /// Sharding invariance at multi-group scale: 16 Paxos groups, 10^5
-    /// aggregated users, rebalancer-driven shard moves mid-run — the
-    /// canonical export may not move a byte under 1/2/4/8 shards.
-    #[test]
-    fn rkv_scale_is_shard_invariant() {
-        let out = diff_sharded_rkv_scale(21);
-        assert_eq!(out.variants.len(), 4);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
-        assert!(out.variants[0].1.lines().count() > 20);
-    }
-
-    /// Sharding invariance under overload: a 10x spike, compaction storms
-    /// and thousands of admission sheds — the canonical export may not
-    /// move a byte under 1/2/4/8 shards.
-    #[test]
-    fn rkv_overload_is_shard_invariant() {
-        let out = diff_sharded_rkv_overload(31);
-        assert_eq!(out.variants.len(), 4);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
-        assert!(out.variants[0].1.lines().count() > 20);
-        // The diff is only meaningful if the scenario actually shed work.
-        assert!(
-            out.variants[0].1.starts_with("issued")
-                && !out.variants[0].1.contains("shed 0 ingress"),
-            "overload run shed nothing: {}",
-            out.variants[0].1.lines().next().unwrap_or_default()
-        );
-    }
-
-    /// Sharding invariance for the TCP-offload scenario: lossy stateful
-    /// transport with retransmission timers may not move a byte of the
-    /// canonical export under 1/2/4 shards.
-    #[test]
-    fn tcp_offload_is_shard_invariant() {
-        let out = diff_sharded_tcp(43);
-        assert_eq!(out.variants.len(), 3);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
-        // The diff is only meaningful if loss actually bit: the headline
-        // line must show nonzero retransmissions.
-        assert!(
-            out.variants[0].1.starts_with("delivered") && !out.variants[0].1.contains("retx 0 "),
-            "tcp run retransmitted nothing: {}",
-            out.variants[0].1.lines().next().unwrap_or_default()
-        );
-    }
-
-    /// Sharding invariance at fan-out: the 20-node racked grid with bimodal
-    /// service times and a mid-run audit sweep.
-    #[test]
-    fn fig16_grid_is_shard_invariant() {
-        let out = diff_sharded_fig16_grid(3);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
+    fn every_scenario_is_shard_invariant() {
+        for s in crate::scenario::REGISTRY {
+            let out = diff_sharded(s, 21);
+            let name = s.name();
+            assert_eq!(
+                out.variants.len(),
+                s.shard_counts().len() + usize::from(s.rc_free()),
+                "{name}"
+            );
+            assert!(
+                out.identical(),
+                "{name}: {}\nfirst divergence: {}",
+                out.render(),
+                out.first_divergence().unwrap_or_default()
+            );
+            let reference = &out.variants[0].1;
+            assert!(reference.lines().count() > 20, "{name}: trivial export");
+            // The diff is only meaningful if the scenario did what it exists
+            // to do (shed, retransmit, migrate).
+            let (headline, _) = run_export(s, Size::Smoke, 21, 1, false);
+            for key in s.must_be_nonzero() {
+                assert_ne!(value(&headline, key), "0", "{name}: {headline:?}");
+            }
+        }
     }
 
     /// The DSE acceptance gate: the tiny exploration grid — cluster cells,

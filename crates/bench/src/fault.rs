@@ -15,15 +15,16 @@
 //!
 //! [`DetRng`]: ipipe_sim::DetRng
 
-use ipipe::rt::{ClientReq, Cluster, RetryPolicy, RuntimeMode};
+use ipipe::rt::{ClientReq, Cluster, RetryPolicy};
 use ipipe_apps::rkv::actors::{deploy_rkv_with, HeartbeatCfg, RkvMsg};
 use ipipe_apps::rkv::lsm::KEY_LEN;
 use ipipe_netsim::FaultPlan;
-use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::Obs;
-use ipipe_sim::QueueKind;
 use ipipe_sim::SimTime;
 use ipipe_workload::kv::KvOp;
+
+use crate::rkv::build_rkv_cluster;
+use crate::scenario::{Headline, Scenario, Size};
 
 /// Requests the closed-loop client keeps in flight.
 pub const OUTSTANDING: u32 = 32;
@@ -59,72 +60,19 @@ fn put_for(token: u64) -> KvOp {
     }
 }
 
-/// Run the scenario; metrics and traces accumulate into `obs`.
-pub fn run_rkv_fault(seed: u64, obs: &Obs) -> FaultRunStats {
-    run_rkv_fault_with(seed, obs, QueueKind::default(), false)
-}
-
-/// [`run_rkv_fault`] with the pure-mechanism knobs exposed: which event-queue
-/// implementation backs the DES and whether dispatch is batched. Neither may
-/// change a single observable — the differential oracle re-runs the scenario
-/// across all combinations and byte-diffs the metric snapshots.
-pub fn run_rkv_fault_with(
-    seed: u64,
-    obs: &Obs,
-    queue_kind: QueueKind,
-    unbatched: bool,
-) -> FaultRunStats {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .obs(obs.clone())
-        .queue_kind(queue_kind)
-        .unbatched_dispatch(unbatched)
-        .build();
-    drive_rkv_fault(&mut c, seed)
-}
-
-/// [`run_rkv_fault`] partitioned across `shards` event shards (clamped to the
-/// 4-node topology), optionally executing each epoch's shard slices on OS
-/// threads. Returns the headline stats plus the cluster's canonical merged
-/// export — metrics, trace and meta line — which must be byte-identical
-/// whatever the shard count or execution mode.
-pub fn run_rkv_fault_sharded(seed: u64, shards: usize, parallel: bool) -> (FaultRunStats, String) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .shards(shards)
-        .parallel(parallel)
-        .build();
-    let stats = drive_rkv_fault(&mut c, seed);
-    (stats, c.export_canonical_jsonl())
-}
-
-/// [`run_rkv_fault`] with the cluster handed back so callers (traceview's
-/// `--shards` path) can pull canonical merged exports; `obs` receives shard
-/// 0's records as usual.
-pub fn run_rkv_fault_traced(seed: u64, obs: &Obs, shards: usize) -> (FaultRunStats, Cluster) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .obs(obs.clone())
-        .shards(shards)
-        .build();
-    let stats = drive_rkv_fault(&mut c, seed);
-    (stats, c)
-}
-
-/// Everything after cluster construction: deploy the 3-replica RKV group,
-/// wire the retrying client, inject the fault plan, run through crash and
-/// recovery, and audit at quiesce.
-fn drive_rkv_fault(c: &mut Cluster, seed: u64) -> FaultRunStats {
-    let dep = deploy_rkv_with(c, &[0, 1, 2], 8 << 20, Some(HeartbeatCfg::lan_default()));
+/// Run the scenario across `shards` event shards (clamped to the 4-node
+/// topology): deploy the 3-replica RKV group, wire the retrying client,
+/// inject the fault plan, run through crash and recovery, and audit at
+/// quiesce. Metrics and traces accumulate into `obs` (shard 0's records
+/// when sharded — the cluster's canonical exports carry the merged view).
+pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Cluster) {
+    let mut c = build_rkv_cluster(seed, shards, obs);
+    let dep = deploy_rkv_with(
+        &mut c,
+        &[0, 1, 2],
+        8 << 20,
+        Some(HeartbeatCfg::lan_default()),
+    );
     // The client only ever targets the boot-time leader; after the crash it
     // must be steered to the replacement by Redirect replies alone.
     let leader = dep.consensus[0];
@@ -168,9 +116,42 @@ fn drive_rkv_fault(c: &mut Cluster, seed: u64) -> FaultRunStats {
     // Quiesce-time conservation sweep: a crash, a restart and thousands of
     // retransmissions must still leave every ledger balanced.
     c.audit().assert_clean();
-    FaultRunStats {
+    let stats = FaultRunStats {
         before_crash,
         done: c.completions().count(),
         issued: c.completions().issued(),
+    };
+    (stats, c)
+}
+
+/// Registry entry for this scenario; it has one size.
+pub struct RkvFault;
+
+impl Scenario for RkvFault {
+    fn name(&self) -> &'static str {
+        "rkv-fault"
+    }
+
+    fn figure_seed(&self) -> u64 {
+        7
+    }
+
+    fn shard_counts(&self) -> &'static [usize] {
+        &[1, 2, 4, 8]
+    }
+
+    fn must_be_nonzero(&self) -> &'static [&'static str] {
+        &["before_crash"]
+    }
+
+    fn run(&self, _: Size, seed: u64, shards: usize, _: bool, obs: &Obs) -> (Headline, Cluster) {
+        let (stats, c) = run_rkv_fault(seed, shards, obs);
+        let headline = vec![
+            ("issued", stats.issued.to_string()),
+            ("done", stats.done.to_string()),
+            ("before_crash", stats.before_crash.to_string()),
+            ("events", c.shard_events().iter().sum::<u64>().to_string()),
+        ];
+        (headline, c)
     }
 }

@@ -13,7 +13,9 @@ pub mod evaluation;
 pub mod fault;
 pub mod overload;
 pub mod pareto;
+pub mod rkv;
 pub mod scale;
+pub mod scenario;
 pub mod sharded;
 pub mod tcp;
 

@@ -1,5 +1,4 @@
-//! The SLO-aware overload scenario behind `traceview --scenario
-//! rkv-overload`, the `shedbench` figure and the CI `overload-smoke` lane:
+//! The SLO-aware overload scenario (`traceview --scenario rkv-overload`):
 //! the multi-group RKV keyspace under a 10x open-loop traffic spike while
 //! an LSM-compaction storm competes for the wimpy cores, survived by the
 //! NIC-ingress admission controller.
@@ -31,18 +30,16 @@
 //! [`Cluster::set_client_open_loop_rate`]: ipipe::rt::Cluster::set_client_open_loop_rate
 
 use ipipe::admission::{AdmissionCfg, ClassCfg};
-use ipipe::rt::{ClientReq, Cluster, OpenLoopCfg, Placement, RetryPolicy, RuntimeMode};
-use ipipe_apps::rkv::actors::RkvMsg;
-use ipipe_apps::rkv::multi::{audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkvCfg};
+use ipipe::rt::{Cluster, Placement};
 use ipipe_apps::rkv::storm::{CompactionStorm, StormCfg};
-use ipipe_nicsim::CN2350;
-use ipipe_sim::audit::AuditReport;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
-use ipipe_workload::agg::{aggregate_rate, AggKvStream};
-use std::cell::RefCell;
-use std::rc::Rc;
+use ipipe_workload::agg::aggregate_rate;
 
-use crate::scale::ScaleSpec;
+use crate::scale::{
+    build_keyspace_cluster, deploy_keyspace, drain_and_audit, install_agg_clients, ScaleSpec,
+};
+use crate::scenario::{Headline, Scenario, Size};
 
 /// Full parameterization of one overload run: the base keyspace/workload
 /// shape plus the spike window, admission envelope and declared SLO.
@@ -96,7 +93,7 @@ impl OverloadSpec {
         OverloadSpec::custom(seed, shards, 32, 1 << 19)
     }
 
-    /// The CI `overload-smoke` size: 16 groups, 10^5 modeled users.
+    /// The CI size: 16 groups, 10^5 modeled users.
     pub fn smoke(seed: u64, shards: usize) -> OverloadSpec {
         OverloadSpec::custom(seed, shards, 16, 100_000)
     }
@@ -157,48 +154,13 @@ impl OverloadStats {
     }
 }
 
-/// Run the overload scenario described by `spec`; hand back the cluster so
-/// callers can pull canonical merged exports.
+/// Run the overload scenario described by `spec`: deploy the groups,
+/// install admission and the compaction storms, run pre-spike / spike /
+/// recovery windows, drain, and audit — shed conservation included. Hands
+/// back the cluster so callers can pull canonical merged exports.
 pub fn run_rkv_overload(spec: &OverloadSpec) -> (OverloadStats, Cluster) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(spec.base.servers)
-        .clients(spec.base.clients)
-        .mode(RuntimeMode::IPipe)
-        .seed(spec.base.seed)
-        .shards(spec.base.shards)
-        .build();
-    let stats = drive_rkv_overload(&mut c, spec);
-    (stats, c)
-}
-
-/// [`run_rkv_overload`] returning the canonical merged export — the byte
-/// string that must be identical whatever the shard count.
-pub fn run_rkv_overload_sharded(seed: u64, shards: usize, smoke: bool) -> (OverloadStats, String) {
-    let spec = if smoke {
-        OverloadSpec::smoke(seed, shards)
-    } else {
-        OverloadSpec::full(seed, shards)
-    };
-    let (stats, c) = run_rkv_overload(&spec);
-    (stats, c.export_canonical_jsonl())
-}
-
-/// Everything after cluster construction: deploy the groups, install
-/// admission and the compaction storms, run pre-spike / spike / recovery
-/// windows, drain, and audit — shed conservation included.
-pub fn drive_rkv_overload(c: &mut Cluster, spec: &OverloadSpec) -> OverloadStats {
-    let dep = deploy_multi_rkv(
-        c,
-        &MultiRkvCfg {
-            groups: spec.base.groups,
-            replicas: spec.base.replicas,
-            server_nodes: spec.base.servers,
-            buckets: spec.base.buckets,
-            memtable_flush: 8 << 20,
-            heartbeat: None,
-            seed: spec.base.seed,
-        },
-    );
+    let mut c = build_keyspace_cluster(&spec.base);
+    let dep = deploy_keyspace(&mut c, &spec.base);
     c.set_admission(spec.admission());
     // One compaction storm per server node, NIC-placed so its merge work
     // competes with request serving; it erupts 10x inside the spike window.
@@ -213,63 +175,13 @@ pub fn drive_rkv_overload(c: &mut Cluster, spec: &OverloadSpec) -> OverloadStats
             Placement::Nic,
         );
     }
-    let stream = AggKvStream::new(
-        spec.base.seed ^ 0xA66,
-        spec.base.users_per_client,
-        spec.base.keys,
-        spec.base.skew,
-        spec.base.read_ratio,
-        spec.base.value_len,
-    );
-    let base_rate = aggregate_rate(spec.base.users_per_client, spec.base.per_user_rps);
-    let mut ledgers: Vec<Rc<RefCell<Vec<u64>>>> = Vec::new();
+    let ledgers = install_agg_clients(&mut c, &spec.base, &dep);
+    // Alternate best-effort / premium so pressure shedding has both a
+    // victim and a protected class on every ingress.
     for cl in 0..spec.base.clients {
-        let table = Rc::new(RefCell::new(dep.table.clone()));
-        let ledger = Rc::new(RefCell::new(vec![0u64; spec.base.groups]));
-        ledgers.push(ledger.clone());
-        let gen_table = table.clone();
-        c.set_client_open_loop(
-            cl,
-            Box::new(move |rng, token| {
-                let op = stream.op_for(token);
-                let t = gen_table.borrow();
-                let g = t.group_of(op.key());
-                if !op.is_read() {
-                    ledger.borrow_mut()[g as usize] += 1;
-                }
-                ClientReq {
-                    dst: t.leader_of(g),
-                    wire_size: 42 + op.wire_size(),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RkvMsg::Client(op))),
-                }
-            }),
-            OpenLoopCfg {
-                rate_rps: base_rate,
-                until: spec.base.run,
-            },
-        );
-        c.set_client_retry(
-            cl,
-            RetryPolicy {
-                timeout: SimTime::from_us(500),
-                cap: SimTime::from_ms(2),
-                max_tries: 64,
-            },
-            Some(Box::new(move |token| {
-                Some(Box::new(RkvMsg::Client(stream.op_for(token))))
-            })),
-        );
-        c.set_client_route_refresh(
-            cl,
-            Box::new(move |old, new| {
-                table.borrow_mut().refresh(old, new);
-            }),
-        );
-        // Alternate best-effort / premium so pressure shedding has both a
-        // victim and a protected class on every ingress.
         c.set_client_class(cl, (cl % 2) as u8);
     }
+    let base_rate = aggregate_rate(spec.base.users_per_client, spec.base.per_user_rps);
     // Pre-spike window at the base rate.
     c.run_for(spec.spike_at);
     let pre = c.completions().completed();
@@ -288,68 +200,73 @@ pub fn drive_rkv_overload(c: &mut Cluster, spec: &OverloadSpec) -> OverloadStats
         c.set_client_open_loop_rate(cl, base_rate);
     }
     c.run_for(spec.base.run.saturating_sub(spec.spike_until));
-    // Drain the in-flight tail: the ledger balances when every issued
-    // request is completed, shed, or abandoned. The loop reads
-    // shard-invariant counts at `run_for` barriers only.
-    c.run_for(spec.base.drain);
-    for _ in 0..16 {
-        let s = c.completions();
-        let abandoned = c.counter_total("client.retry.abandoned");
-        if s.issued() == s.completed() + s.shed() + abandoned {
-            break;
-        }
-        c.run_for(spec.base.drain);
-    }
-    // Quiesce-time checks: the cluster audit (shed conservation and the
-    // per-ingress admit ledgers included), a fully drained tail, and
-    // per-group at-most-once. Full apply *coverage* is deliberately not
-    // asserted: remote-shed writes bump the client ledgers but never apply,
-    // so `applies <= issued writes` is the exact post-shedding invariant.
-    let mut report = c.audit();
-    let stats = c.completions();
-    let abandoned = c.counter_total("client.retry.abandoned");
-    let drained = stats.issued() == stats.completed() + stats.shed() + abandoned;
-    report.check(
-        "overload.drained",
-        ipipe_sim::audit::CLUSTER_WIDE,
-        drained,
-        || {
-            format!(
-                "issued {} != completed {} + shed {} + abandoned {}: the tail must drain",
-                stats.issued(),
-                stats.completed(),
-                stats.shed(),
-                abandoned
-            )
-        },
-    );
-    let mut writes = vec![0u64; spec.base.groups];
-    for l in &ledgers {
-        for (g, n) in l.borrow().iter().enumerate() {
-            writes[g] += n;
-        }
-    }
-    let mut rkv_report = AuditReport::new(c.now());
-    audit_multi_rkv_exactly_once(c.obs().registry(), &dep, &writes, false, &mut rkv_report);
-    report.merge(rkv_report);
-    report.assert_clean();
+    // The cluster audit inside covers shed conservation and the
+    // per-ingress admit ledgers.
+    let stats = drain_and_audit(&mut c, &spec.base, &dep, &ledgers, true);
     let ingress_shed: u64 = (0..spec.base.servers as u16)
         .map(|n| c.counter_on_total("admit.shed", n))
         .sum();
-    OverloadStats {
+    let stats = OverloadStats {
         groups: spec.base.groups,
         users: spec.base.users(),
         issued: stats.issued(),
         done: stats.count(),
         shed: stats.shed(),
         ingress_shed,
-        abandoned,
+        abandoned: c.counter_total("client.retry.abandoned"),
         pre_goodput_rps: pre_goodput,
         spike_goodput_rps: spike_goodput,
         p50_us: stats.p50().as_us_f64(),
         p99_us: stats.p99().as_us_f64(),
         slo_us: spec.slo_p99.as_us_f64(),
         events: c.shard_events().iter().sum(),
+    };
+    (stats, c)
+}
+
+/// Registry entry for this scenario.
+pub struct RkvOverload;
+
+impl Scenario for RkvOverload {
+    fn name(&self) -> &'static str {
+        "rkv-overload"
+    }
+
+    fn figure_seed(&self) -> u64 {
+        88
+    }
+
+    fn shard_counts(&self) -> &'static [usize] {
+        &[1, 2, 4, 8]
+    }
+
+    fn must_be_nonzero(&self) -> &'static [&'static str] {
+        &["shed", "ingress_shed"]
+    }
+
+    fn run(&self, size: Size, seed: u64, shards: usize, _: bool, _: &Obs) -> (Headline, Cluster) {
+        let spec = match size {
+            Size::Smoke => OverloadSpec::smoke(seed, shards),
+            Size::Full => OverloadSpec::full(seed, shards),
+        };
+        let (s, c) = run_rkv_overload(&spec);
+        let headline = vec![
+            ("groups", s.groups.to_string()),
+            ("users", s.users.to_string()),
+            ("issued", s.issued.to_string()),
+            ("done", s.done.to_string()),
+            ("shed", s.shed.to_string()),
+            ("ingress_shed", s.ingress_shed.to_string()),
+            ("abandoned", s.abandoned.to_string()),
+            ("pre_goodput_rps", format!("{:.0}", s.pre_goodput_rps)),
+            ("spike_goodput_rps", format!("{:.0}", s.spike_goodput_rps)),
+            ("p50_us", format!("{:.1}", s.p50_us)),
+            ("p99_us", format!("{:.1}", s.p99_us)),
+            ("slo_us", format!("{:.0}", s.slo_us)),
+            ("slo", if s.slo_met() { "met" } else { "BLOWN" }.to_string()),
+            ("events", s.events.to_string()),
+        ];
+        (headline, c)
     }
 }
 
@@ -382,15 +299,5 @@ mod tests {
             stats.pre_goodput_rps,
             stats.spike_goodput_rps
         );
-    }
-
-    #[test]
-    fn smoke_exports_are_byte_identical_across_shard_counts() {
-        let (s1, e1) = run_rkv_overload_sharded(31, 1, true);
-        let (s2, e2) = run_rkv_overload_sharded(31, 2, true);
-        assert_eq!(s1.issued, s2.issued);
-        assert_eq!(s1.shed, s2.shed);
-        assert_eq!(s1.ingress_shed, s2.ingress_shed);
-        assert_eq!(e1, e2, "sharded export diverged from serial");
     }
 }

@@ -1,6 +1,5 @@
-//! The planetary-scale scenario behind `traceview --scenario rkv-scale`,
-//! the `scalebench` figure and the CI `scale-smoke` lane: a ≥64-group
-//! multi-Paxos keyspace serving the aggregated open-loop traffic of a
+//! The planetary-scale scenario (`traceview --scenario rkv-scale`): a
+//! ≥64-group multi-Paxos keyspace serving the aggregated open-loop traffic of a
 //! million-plus modeled users, with hotspot-driven rebalancing.
 //!
 //! Everything the multi-group layer claims is checked here end to end:
@@ -25,17 +24,20 @@
 //! [`Rebalancer`]: ipipe_apps::rkv::multi::Rebalancer
 //! [`audit_multi_rkv_exactly_once`]: ipipe_apps::rkv::multi::audit_multi_rkv_exactly_once
 
-use ipipe::rt::{ClientReq, Cluster, OpenLoopCfg, RetryPolicy, RuntimeMode};
+use ipipe::rt::{ClientReq, Cluster, CompletionStats, OpenLoopCfg, RetryPolicy, RuntimeMode};
 use ipipe_apps::rkv::actors::RkvMsg;
 use ipipe_apps::rkv::multi::{
-    audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkvCfg, RebalanceCfg, Rebalancer,
+    audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkv, MultiRkvCfg, RebalanceCfg, Rebalancer,
 };
 use ipipe_nicsim::CN2350;
 use ipipe_sim::audit::AuditReport;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
 use ipipe_workload::agg::{aggregate_rate, AggKvStream};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use crate::scenario::{Headline, Scenario, Size};
 
 /// Full parameterization of one scale run.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +111,7 @@ impl ScaleSpec {
         ScaleSpec::custom(seed, shards, 64, 1 << 20)
     }
 
-    /// The CI `scale-smoke` size: 16 groups, 10^5 modeled users.
+    /// The CI size: 16 groups, 10^5 modeled users.
     pub fn smoke(seed: u64, shards: usize) -> ScaleSpec {
         ScaleSpec::custom(seed, shards, 16, 100_000)
     }
@@ -143,37 +145,21 @@ pub struct ScaleStats {
     pub events: u64,
 }
 
-/// Run the scale scenario described by `spec`; hand back the cluster so
-/// callers can pull canonical merged exports.
-pub fn run_rkv_scale(spec: &ScaleSpec) -> (ScaleStats, Cluster) {
-    let mut c = Cluster::builder(CN2350)
+/// Build the spec's cluster: the keyspace scenarios run metrics-only (the
+/// per-shard trace ring would retain more records under sharding).
+pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
+    Cluster::builder(CN2350)
         .servers(spec.servers)
         .clients(spec.clients)
         .mode(RuntimeMode::IPipe)
         .seed(spec.seed)
         .shards(spec.shards)
-        .build();
-    let stats = drive_rkv_scale(&mut c, spec);
-    (stats, c)
+        .build()
 }
 
-/// [`run_rkv_scale`] returning the canonical merged export — the byte
-/// string that must be identical whatever the shard count.
-pub fn run_rkv_scale_sharded(seed: u64, shards: usize, smoke: bool) -> (ScaleStats, String) {
-    let spec = if smoke {
-        ScaleSpec::smoke(seed, shards)
-    } else {
-        ScaleSpec::planetary(seed, shards)
-    };
-    let (stats, c) = run_rkv_scale(&spec);
-    (stats, c.export_canonical_jsonl())
-}
-
-/// Everything after cluster construction: deploy the groups, install the
-/// aggregated open-loop clients, rebalance on a fixed cadence, drain, and
-/// audit.
-pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
-    let dep = deploy_multi_rkv(
+/// Deploy the spec's Paxos groups over its server nodes.
+pub(crate) fn deploy_keyspace(c: &mut Cluster, spec: &ScaleSpec) -> MultiRkv {
+    deploy_multi_rkv(
         c,
         &MultiRkvCfg {
             groups: spec.groups,
@@ -184,7 +170,21 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
             heartbeat: None,
             seed: spec.seed,
         },
-    );
+    )
+}
+
+/// Per-group count of the writes one source node issued.
+pub(crate) type WriteLedger = Rc<RefCell<Vec<u64>>>;
+
+/// Install one aggregated open-loop generator per source node at the spec's
+/// base rate, each routing through its own copy of the routing table
+/// (refreshed from Redirects) and keeping a per-group write ledger (summed
+/// for the exactly-once audit).
+pub(crate) fn install_agg_clients(
+    c: &mut Cluster,
+    spec: &ScaleSpec,
+    dep: &MultiRkv,
+) -> Vec<WriteLedger> {
     let stream = AggKvStream::new(
         spec.seed ^ 0xA66,
         spec.users_per_client,
@@ -193,9 +193,7 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
         spec.read_ratio,
         spec.value_len,
     );
-    // Per-client routing-table copies (refreshed from Redirects) and
-    // per-group write ledgers (summed for the exactly-once audit).
-    let mut ledgers: Vec<Rc<RefCell<Vec<u64>>>> = Vec::new();
+    let mut ledgers = Vec::new();
     for cl in 0..spec.clients {
         let table = Rc::new(RefCell::new(dep.table.clone()));
         let ledger = Rc::new(RefCell::new(vec![0u64; spec.groups]));
@@ -242,6 +240,84 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
             }),
         );
     }
+    ledgers
+}
+
+/// Drain the in-flight tail, then run the quiesce-time checks: the
+/// cluster-wide conservation audit, a balanced completion ledger, and the
+/// per-group apply reconciliation.
+///
+/// With `sheds == false` every issued request must complete and every
+/// issued write must apply exactly once. With `sheds == true` a request
+/// may also end shed or abandoned, and only at-most-once is asserted:
+/// remote-shed writes bump the client ledgers but never apply, so
+/// `applies <= issued writes` is the exact post-shedding invariant.
+pub(crate) fn drain_and_audit(
+    c: &mut Cluster,
+    spec: &ScaleSpec,
+    dep: &MultiRkv,
+    ledgers: &[WriteLedger],
+    sheds: bool,
+) -> CompletionStats {
+    // (issued, settled): the ledger balances when the two are equal.
+    let ledger = |c: &Cluster| {
+        let s = c.completions();
+        let settled = if sheds {
+            s.completed() + s.shed() + c.counter_total("client.retry.abandoned")
+        } else {
+            s.completed()
+        };
+        (s.issued(), settled)
+    };
+    // A straggler can sit behind several capped retry backoffs, so grant
+    // extra windows until the ledger balances — the loop condition reads
+    // shard-invariant counts at `run_for` barriers, so the total duration
+    // (and with it the event stream) is identical at any shard count.
+    c.run_for(spec.drain);
+    for _ in 0..16 {
+        let (issued, settled) = ledger(c);
+        if issued == settled {
+            break;
+        }
+        c.run_for(spec.drain);
+    }
+    let mut report = c.audit();
+    let (issued, settled) = ledger(c);
+    let drained = issued == settled;
+    report.check(
+        "keyspace.drained",
+        ipipe_sim::audit::CLUSTER_WIDE,
+        drained,
+        || format!("issued {issued} != settled {settled}: the tail must drain"),
+    );
+    let mut writes = vec![0u64; spec.groups];
+    for l in ledgers {
+        for (g, n) in l.borrow().iter().enumerate() {
+            writes[g] += n;
+        }
+    }
+    let mut rkv_report = AuditReport::new(c.now());
+    let full_coverage = !sheds && drained;
+    audit_multi_rkv_exactly_once(
+        c.obs().registry(),
+        dep,
+        &writes,
+        full_coverage,
+        &mut rkv_report,
+    );
+    report.merge(rkv_report);
+    report.assert_clean();
+    c.completions()
+}
+
+/// Run the scale scenario described by `spec`: deploy the groups, install
+/// the aggregated open-loop clients, rebalance on a fixed cadence, drain,
+/// and audit. Hands back the cluster so callers can pull canonical merged
+/// exports.
+pub fn run_rkv_scale(spec: &ScaleSpec) -> (ScaleStats, Cluster) {
+    let mut c = build_keyspace_cluster(spec);
+    let dep = deploy_keyspace(&mut c, spec);
+    let ledgers = install_agg_clients(&mut c, spec, &dep);
     // Arrival window, with rebalance observations on a fixed cadence. The
     // ops counters are shard-invariant at run_for boundaries, so the move
     // decisions — and therefore the whole event stream — replay identically
@@ -252,50 +328,11 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
         let step = spec.rebalance_every.min(spec.run.saturating_sub(elapsed));
         c.run_for(step);
         elapsed += step;
-        reb.step(c, &dep);
+        reb.step(&mut c, &dep);
     }
-    // Drain the in-flight tail. A straggler can sit behind several capped
-    // retry backoffs, so grant extra windows until the completion ledger
-    // balances — the loop condition reads shard-invariant counts at
-    // `run_for` barriers, so the total duration (and with it the event
-    // stream) is identical at any shard count.
-    c.run_for(spec.drain);
-    for _ in 0..16 {
-        let s = c.completions();
-        if s.issued() == s.completed() {
-            break;
-        }
-        c.run_for(spec.drain);
-    }
-    // Quiesce-time checks: cluster-wide conservation, a fully drained tail,
-    // and per-group exactly-once across every shard move.
-    let mut report = c.audit();
-    let stats = c.completions();
-    let drained = stats.issued() == stats.completed();
-    report.check(
-        "scale.drained",
-        ipipe_sim::audit::CLUSTER_WIDE,
-        drained,
-        || {
-            format!(
-                "issued {} != completed {}: the tail must drain",
-                stats.issued(),
-                stats.completed()
-            )
-        },
-    );
-    let mut writes = vec![0u64; spec.groups];
-    for l in &ledgers {
-        for (g, n) in l.borrow().iter().enumerate() {
-            writes[g] += n;
-        }
-    }
-    let mut rkv_report = AuditReport::new(c.now());
-    audit_multi_rkv_exactly_once(c.obs().registry(), &dep, &writes, drained, &mut rkv_report);
-    report.merge(rkv_report);
-    report.assert_clean();
+    let stats = drain_and_audit(&mut c, spec, &dep, &ledgers, false);
     let wall = c.now().as_secs_f64();
-    ScaleStats {
+    let stats = ScaleStats {
         groups: spec.groups,
         users: spec.users(),
         issued: stats.issued(),
@@ -305,6 +342,48 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
         p99_us: stats.p99().as_us_f64(),
         migrations: reb.moves,
         events: c.shard_events().iter().sum(),
+    };
+    (stats, c)
+}
+
+/// Registry entry for this scenario.
+pub struct RkvScale;
+
+impl Scenario for RkvScale {
+    fn name(&self) -> &'static str {
+        "rkv-scale"
+    }
+
+    fn figure_seed(&self) -> u64 {
+        64
+    }
+
+    fn shard_counts(&self) -> &'static [usize] {
+        &[1, 2, 4, 8]
+    }
+
+    fn must_be_nonzero(&self) -> &'static [&'static str] {
+        &["migrations"]
+    }
+
+    fn run(&self, size: Size, seed: u64, shards: usize, _: bool, _: &Obs) -> (Headline, Cluster) {
+        let spec = match size {
+            Size::Smoke => ScaleSpec::smoke(seed, shards),
+            Size::Full => ScaleSpec::planetary(seed, shards),
+        };
+        let (s, c) = run_rkv_scale(&spec);
+        let headline = vec![
+            ("groups", s.groups.to_string()),
+            ("users", s.users.to_string()),
+            ("issued", s.issued.to_string()),
+            ("done", s.done.to_string()),
+            ("migrations", s.migrations.to_string()),
+            ("throughput_rps", format!("{:.0}", s.throughput_rps)),
+            ("p50_us", format!("{:.1}", s.p50_us)),
+            ("p99_us", format!("{:.1}", s.p99_us)),
+            ("events", s.events.to_string()),
+        ];
+        (headline, c)
     }
 }
 
@@ -329,15 +408,5 @@ mod tests {
         // the rebalancer must start at least one shard move.
         let (stats, _c) = run_rkv_scale(&ScaleSpec::smoke(7, 1));
         assert!(stats.migrations > 0, "no hot shard moved");
-    }
-
-    #[test]
-    fn smoke_exports_are_byte_identical_across_shard_counts() {
-        let (s1, e1) = run_rkv_scale_sharded(21, 1, true);
-        let (s2, e2) = run_rkv_scale_sharded(21, 2, true);
-        assert_eq!(s1.issued, s2.issued);
-        assert_eq!(s1.done, s2.done);
-        assert_eq!(s1.migrations, s2.migrations);
-        assert_eq!(e1, e2, "sharded export diverged from serial");
     }
 }

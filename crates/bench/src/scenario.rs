@@ -1,0 +1,252 @@
+//! One recipe for every whole-cluster scenario (DESIGN.md §11): a
+//! [`Scenario`] knows how to build, drive and audit itself at two sizes
+//! for any `(seed, shards)`, and hands back its headline numbers plus the
+//! cluster. Everything that used to be copied per scenario — the trace
+//! viewer's arms, the shard-axis differential cases, the committed figure,
+//! the CI smoke lanes — goes through [`REGISTRY`] and never names a
+//! scenario. Adding one costs its own file plus one registry line.
+
+use ipipe::rt::Cluster;
+use ipipe_sim::obs::Obs;
+
+use crate::render_table;
+
+/// The two sizes every scenario runs at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// CI size: well under a second of host time.
+    Smoke,
+    /// The size the committed figure (`figures scenarios`) uses.
+    Full,
+}
+
+/// Headline numbers of one run: ordered `(key, formatted value)` pairs.
+/// Every entry is a function of simulated state only, so a headline is
+/// identical for any shard count (shard-dependent numbers are read from
+/// [`Cluster::epoch_stats`] instead).
+pub type Headline = Vec<(&'static str, String)>;
+
+/// A whole-cluster scenario the registry can run.
+pub trait Scenario: Sync {
+    /// Registry key (`traceview --scenario <name>`).
+    fn name(&self) -> &'static str;
+
+    /// Seed of this scenario's row in the committed figure.
+    fn figure_seed(&self) -> u64;
+
+    /// Shard counts the differential oracle sweeps; index 0 is the serial
+    /// reference. (Any `--shards` value runs; the builder clamps it to the
+    /// topology.)
+    fn shard_counts(&self) -> &'static [usize];
+
+    /// True when no actor or client closure shares `Rc` state across nodes,
+    /// so epochs may execute on OS threads. Only such scenarios are ever
+    /// handed `threaded = true`; the others never forward the flag to their
+    /// cluster. This declaration goes away when ROADMAP item 2 makes
+    /// `ShardState: Send` a compile-time fact.
+    fn rc_free(&self) -> bool {
+        false
+    }
+
+    /// Headline keys that must read non-zero for a run to have exercised
+    /// what the scenario exists to exercise (sheds, retransmissions).
+    fn must_be_nonzero(&self) -> &'static [&'static str] {
+        &[]
+    }
+
+    /// Build, drive and audit one run (panicking on a dirty audit).
+    /// Scenarios that record traces publish into `obs`; the metrics-only
+    /// ones ignore it.
+    fn run(
+        &self,
+        size: Size,
+        seed: u64,
+        shards: usize,
+        threaded: bool,
+        obs: &Obs,
+    ) -> (Headline, Cluster);
+}
+
+/// Every scenario, in the order figures and help texts list them.
+pub static REGISTRY: [&dyn Scenario; 6] = [
+    &crate::rkv::Rkv,
+    &crate::fault::RkvFault,
+    &crate::scale::RkvScale,
+    &crate::overload::RkvOverload,
+    &crate::tcp::TcpOffload,
+    &crate::sharded::Pod,
+];
+
+/// Look a scenario up by name.
+pub fn find(name: &str) -> Option<&'static dyn Scenario> {
+    REGISTRY.iter().copied().find(|s| s.name() == name)
+}
+
+/// The registered names, comma-separated (help texts and error messages).
+pub fn names() -> String {
+    let names: Vec<&str> = REGISTRY.iter().map(|s| s.name()).collect();
+    names.join(", ")
+}
+
+/// Run metrics-only and return the headline plus the canonical merged
+/// export — the byte string that must not depend on the shard count.
+pub fn run_export(
+    s: &dyn Scenario,
+    size: Size,
+    seed: u64,
+    shards: usize,
+    threaded: bool,
+) -> (Headline, String) {
+    let (headline, c) = s.run(size, seed, shards, threaded, &Obs::disabled());
+    (headline, c.export_canonical_jsonl())
+}
+
+/// The value a headline holds for `key`; panics when it has none.
+pub fn value<'a>(headline: &'a Headline, key: &str) -> &'a str {
+    let cell = headline.iter().find(|(k, _)| *k == key);
+    &cell
+        .unwrap_or_else(|| panic!("headline has no {key}: {headline:?}"))
+        .1
+}
+
+/// `key=value key=value …` on one line.
+pub fn render_headline(headline: &Headline) -> String {
+    let cells: Vec<String> = headline.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    cells.join(" ")
+}
+
+/// The committed scenario figure: every registered scenario at full size
+/// under its figure seed and its largest declared shard count — the epoch
+/// count and critical-path speedup that sharding exposed, then one headline
+/// line each — followed by the TCP placement × loss table.
+pub fn render_scenarios() -> String {
+    let mut rows = Vec::new();
+    let mut headlines = String::new();
+    for s in REGISTRY {
+        let shards = *s.shard_counts().last().expect("at least the serial count");
+        let (headline, c) = s.run(Size::Full, s.figure_seed(), shards, false, &Obs::disabled());
+        let epochs = c.epoch_stats();
+        rows.push(vec![
+            s.name().to_string(),
+            s.figure_seed().to_string(),
+            shards.to_string(),
+            epochs.epochs.to_string(),
+            format!("{:.2}", epochs.speedup()),
+        ]);
+        headlines.push_str(&format!("{}: {}\n", s.name(), render_headline(&headline)));
+    }
+    let mut out = render_table(
+        "scenarios — full size, simulated values only",
+        &["scenario", "seed", "shards", "epochs", "crit-path speedup"],
+        &rows,
+    );
+    out.push_str(&headlines);
+    out.push('\n');
+    out.push_str(&crate::tcp::render_placement_loss());
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Registry conformance: what every consumer relies on, checked for
+    /// every scenario at smoke size. Byte-identity across the declared
+    /// shard counts, and that each run exercised what it exists to
+    /// exercise, is `differential::tests::every_scenario_is_shard_invariant`.
+    #[test]
+    fn registry_conformance() {
+        let names: BTreeSet<&str> = REGISTRY.iter().map(|s| s.name()).collect();
+        assert_eq!(names.len(), REGISTRY.len(), "duplicate scenario name");
+        assert!(find("no-such-scenario").is_none());
+        for s in REGISTRY {
+            let name = s.name();
+            assert_eq!(find(name).map(|f| f.name()), Some(name));
+            assert_eq!(s.shard_counts().first(), Some(&1), "{name}: serial first");
+            let (headline, mut c) = s.run(Size::Smoke, 11, 1, false, &Obs::disabled());
+            let export = c.export_canonical_jsonl();
+            assert!(export.lines().count() > 20, "{name}: trivial export");
+            c.audit().assert_clean();
+            assert_eq!(
+                (headline, export),
+                run_export(s, Size::Smoke, 11, 1, false),
+                "{name}: same-seed runs diverged"
+            );
+        }
+    }
+
+    /// The simulated values of the retired `BENCH_{scale,overload,tcp,
+    /// pardes}.json` files, held exactly.
+    #[test]
+    fn full_size_headlines_are_pinned() {
+        let full = |name: &str, shards: usize| {
+            let s = find(name).expect("registered");
+            s.run(Size::Full, s.figure_seed(), shards, false, &Obs::disabled())
+        };
+        let pin = |h: &Headline, want: &[(&str, &str)]| {
+            for (k, v) in want {
+                assert_eq!(value(h, k), *v, "{k}");
+            }
+        };
+        let (h, _) = full("rkv-scale", 1);
+        pin(
+            &h,
+            &[
+                ("issued", "20801"),
+                ("done", "20801"),
+                ("migrations", "8"),
+                ("throughput_rps", "1300062"),
+                ("p50_us", "12.0"),
+                ("p99_us", "2621.4"),
+                ("events", "257676"),
+            ],
+        );
+        let (h, _) = full("rkv-overload", 1);
+        pin(
+            &h,
+            &[
+                ("issued", "31487"),
+                ("done", "8799"),
+                ("shed", "22688"),
+                ("ingress_shed", "1516"),
+                ("abandoned", "0"),
+                ("pre_goodput_rps", "1209500"),
+                ("spike_goodput_rps", "2224000"),
+                ("p99_us", "13.1"),
+                ("events", "123324"),
+            ],
+        );
+        let cells = crate::tcp::placement_loss_cells(find("tcp-offload").unwrap().figure_seed());
+        let want = [
+            ("host", "0.01", "0.0050", "6.2399", "4.000", "93", "62"),
+            ("nic", "0.01", "0.0000", "7.5949", "2.500", "62", "52"),
+            ("host", "0.05", "0.0038", "3.4913", "10.000", "470", "280"),
+            ("nic", "0.05", "0.0000", "4.0558", "8.000", "448", "267"),
+        ];
+        assert_eq!(cells.len(), want.len());
+        for (h, (placement, loss, host, nic, fct, retx, rto)) in cells.iter().zip(want) {
+            pin(
+                h,
+                &[
+                    ("placement", placement),
+                    ("loss", loss),
+                    ("host_cores", host),
+                    ("nic_cores", nic),
+                    ("fct_ms", fct),
+                    ("retx_segs", retx),
+                    ("rto_fired", rto),
+                    ("delivered", "8388608"),
+                ],
+            );
+        }
+        pin(&cells[1], &[("events", "44395")]);
+        for (shards, speedup) in [(2, "1.66"), (4, "3.03"), (8, "5.36")] {
+            let (h, c) = full("pod", shards);
+            pin(&h, &[("events", "535890"), ("completed", "73955")]);
+            let e = c.epoch_stats();
+            assert_eq!(e.epochs, 1545, "{shards} shards");
+            assert_eq!(format!("{:.2}", e.speedup()), speedup, "{shards} shards");
+        }
+    }
+}

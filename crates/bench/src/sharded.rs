@@ -1,6 +1,7 @@
-//! Whole-cluster scenarios for the sharded (conservative-lookahead) DES:
-//! the fig16-style grid behind the sharded differential cases and the
-//! `pardesbench` microbenchmark topology.
+//! The `pod` scenario for the sharded (conservative-lookahead) DES: the
+//! fig16-style grid behind the shard-axis differential (smoke size) and the
+//! 64-node pod whose critical-path speedup `figures scenarios` reports
+//! (full size).
 //!
 //! The grid is deliberately closer to a datacenter pod than the 4-node RKV
 //! scenario: tens of server nodes grouped into racks, several closed-loop
@@ -13,9 +14,12 @@
 use ipipe::prelude::*;
 use ipipe::rt::ClientReq;
 use ipipe_nicsim::CN2350;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::rng::ServiceDist;
 use ipipe_sim::DetRng;
 use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
+
+use crate::scenario::{Headline, Scenario, Size};
 
 /// Server actor whose handler cost is drawn per-request from a service-time
 /// distribution via an actor-owned deterministic stream. The stream is
@@ -71,7 +75,7 @@ impl GridSpec {
         }
     }
 
-    /// The `pardesbench` topology: a 64-node pod (32 servers + 32 clients)
+    /// The full-size topology: a 64-node pod (32 servers + 32 clients)
     /// in eight 8-node racks with a 10 µs cross-rack extra (a mid-range
     /// inter-rack one-way delay). Splitting nodes evenly between server and
     /// client racks matters for the parallelism claim: node ids are
@@ -134,16 +138,58 @@ pub fn build_grid(spec: &GridSpec) -> Cluster {
     c
 }
 
-/// Run the fig16-style grid for the differential oracle: drive it through a
-/// mid-run audit (the sweep must stay invisible under sharding too), finish
-/// the run, and return the completion count plus the canonical merged
-/// export.
-pub fn run_fig16_grid(seed: u64, shards: usize, parallel: bool) -> (u64, String) {
-    let mut c = build_grid(&GridSpec::fig16(seed, shards, parallel));
-    c.run_for(SimTime::from_ms(3));
-    c.audit().assert_clean();
-    c.run_for(SimTime::from_ms(2));
-    (c.completions().count(), c.export_canonical_jsonl())
+/// Registry entry for this scenario. Its actors own everything they touch
+/// (one [`DistWorker`] per node, clients holding a cloned target list), so
+/// it is the scenario that may run its epochs on OS threads.
+pub struct Pod;
+
+impl Scenario for Pod {
+    fn name(&self) -> &'static str {
+        "pod"
+    }
+
+    fn figure_seed(&self) -> u64 {
+        64
+    }
+
+    fn shard_counts(&self) -> &'static [usize] {
+        &[1, 2, 4, 8]
+    }
+
+    fn rc_free(&self) -> bool {
+        true
+    }
+
+    fn run(
+        &self,
+        size: Size,
+        seed: u64,
+        shards: usize,
+        threaded: bool,
+        _: &Obs,
+    ) -> (Headline, Cluster) {
+        let c = match size {
+            // The fig16-style grid, driven through a mid-run audit: the
+            // sweep must stay invisible under sharding too.
+            Size::Smoke => {
+                let mut c = build_grid(&GridSpec::fig16(seed, shards, threaded));
+                c.run_for(SimTime::from_ms(3));
+                c.audit().assert_clean();
+                c.run_for(SimTime::from_ms(2));
+                c
+            }
+            Size::Full => {
+                let mut c = build_grid(&GridSpec::pod64(seed, shards, threaded));
+                c.run_for(SimTime::from_ms(20));
+                c
+            }
+        };
+        let headline = vec![
+            ("completed", c.completions().count().to_string()),
+            ("events", c.shard_events().iter().sum::<u64>().to_string()),
+        ];
+        (headline, c)
+    }
 }
 
 #[cfg(test)]
@@ -152,9 +198,10 @@ mod tests {
 
     #[test]
     fn grid_runs_and_completes_work() {
-        let (done, export) = run_fig16_grid(11, 1, false);
+        let (_, c) = Pod.run(Size::Smoke, 11, 1, false, &Obs::disabled());
+        let done = c.completions().count();
         assert!(done > 500, "done={done}");
-        assert!(export.lines().count() > 50);
+        assert!(c.export_canonical_jsonl().lines().count() > 50);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! and is exposed to loss. The single knob that matters is
 //! [`TcpOffloadSpec::placement`]: `Placement::Host` runs the protocol work
 //! on big host cores (the status quo the paper argues against),
-//! `Placement::Nic` moves it onto the wimpy NIC cores. `tcpbench` sweeps
-//! both against ≥2 loss rates and reports the host-cores-freed vs
-//! NIC-cores-burned tradeoff (`BENCH_tcp.json`).
+//! `Placement::Nic` moves it onto the wimpy NIC cores.
+//! [`placement_loss_cells`] sweeps both against two loss rates and reports
+//! the host-cores-freed vs NIC-cores-burned tradeoff (`figures scenarios`).
 //!
 //! Like every scenario, the run is byte-identical for any shard count: the
 //! drive loop reads only shard-invariant counters at `run_for` barriers,
-//! and `diff_sharded_tcp` pins serial vs sharded canonical exports.
+//! and the shard-axis differential pins serial vs sharded canonical exports.
 //! Quiesce merges the cluster-wide conservation audit with the per-
 //! connection TCP slice (`bytes_sent == bytes_acked + bytes_in_flight +
 //! bytes_dropped_pending_rto`, exactly-once in-order delivery).
@@ -23,7 +23,11 @@ use ipipe::rt::{Cluster, Placement, RuntimeMode};
 use ipipe::tcp::{audit_tcp_into, deploy_tcp_pair, TcpCfg, TcpEndpoints};
 use ipipe_netsim::FaultPlan;
 use ipipe_nicsim::CN2350;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
+
+use crate::render_table;
+use crate::scenario::{Headline, Scenario, Size};
 
 /// Parameters of one TCP-offload run.
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +128,28 @@ pub struct TcpOffloadStats {
     pub events: u64,
 }
 
-/// Run the scenario; hand back the cluster for canonical exports.
+impl TcpOffloadStats {
+    fn headline(&self) -> Headline {
+        vec![
+            ("conns", self.conns.to_string()),
+            ("bytes_per_conn", self.bytes_per_conn.to_string()),
+            ("placement", self.placement.to_string()),
+            ("loss", self.loss.to_string()),
+            ("delivered", self.delivered.to_string()),
+            ("fct_ms", format!("{:.3}", self.fct_ms)),
+            ("goodput_gbps", format!("{:.3}", self.goodput_gbps)),
+            ("retx_segs", self.retx_segs.to_string()),
+            ("rto_fired", self.rto_fired.to_string()),
+            ("host_cores", format!("{:.4}", self.host_cores)),
+            ("nic_cores", format!("{:.4}", self.nic_cores)),
+            ("events", self.events.to_string()),
+        ]
+    }
+}
+
+/// Run the scenario: install the loss plan, deploy the connection pairs,
+/// run to completion (or budget), and audit — the TCP conservation slice
+/// included. Hands back the cluster for canonical exports.
 pub fn run_tcp_offload(spec: &TcpOffloadSpec) -> (TcpOffloadStats, Cluster) {
     let mut c = Cluster::builder(CN2350)
         .servers(spec.servers())
@@ -133,33 +158,13 @@ pub fn run_tcp_offload(spec: &TcpOffloadSpec) -> (TcpOffloadStats, Cluster) {
         .seed(spec.seed)
         .shards(spec.shards)
         .build();
-    let stats = drive_tcp_offload(&mut c, spec);
-    (stats, c)
-}
-
-/// [`run_tcp_offload`] returning the canonical merged export — the byte
-/// string that must be identical whatever the shard count.
-pub fn run_tcp_offload_sharded(seed: u64, shards: usize, smoke: bool) -> (TcpOffloadStats, String) {
-    let spec = if smoke {
-        TcpOffloadSpec::smoke(seed, shards)
-    } else {
-        TcpOffloadSpec::full(seed, shards)
-    };
-    let (stats, c) = run_tcp_offload(&spec);
-    (stats, c.export_canonical_jsonl())
-}
-
-/// Everything after cluster construction: install the loss plan, deploy
-/// the connection pairs, run to completion (or budget), and audit —
-/// the TCP conservation slice included.
-pub fn drive_tcp_offload(c: &mut Cluster, spec: &TcpOffloadSpec) -> TcpOffloadStats {
     if spec.loss > 0.0 {
         c.set_fault_plan(FaultPlan::new(spec.seed ^ 0x7C9_F00D).with_loss(spec.loss));
     }
     let eps: Vec<TcpEndpoints> = (0..spec.conns)
         .map(|i| {
             deploy_tcp_pair(
-                c,
+                &mut c,
                 spec.conn_cfg(i),
                 i,
                 spec.conns + i,
@@ -197,7 +202,7 @@ pub fn drive_tcp_offload(c: &mut Cluster, spec: &TcpOffloadSpec) -> TcpOffloadSt
     };
     let host_cores: f64 = (0..spec.servers()).map(|n| c.host_cores_used(n)).sum();
     let nic_cores: f64 = (0..spec.servers()).map(|n| c.nic_cores_used(n)).sum();
-    TcpOffloadStats {
+    let stats = TcpOffloadStats {
         conns: spec.conns,
         bytes_per_conn: spec.bytes_per_conn,
         loss: spec.loss,
@@ -213,7 +218,72 @@ pub fn drive_tcp_offload(c: &mut Cluster, spec: &TcpOffloadSpec) -> TcpOffloadSt
         host_cores,
         nic_cores,
         events: c.shard_events().iter().sum(),
+    };
+    (stats, c)
+}
+
+/// Registry entry for this scenario.
+pub struct TcpOffload;
+
+impl Scenario for TcpOffload {
+    fn name(&self) -> &'static str {
+        "tcp-offload"
     }
+
+    fn figure_seed(&self) -> u64 {
+        77
+    }
+
+    fn shard_counts(&self) -> &'static [usize] {
+        &[1, 2, 4]
+    }
+
+    fn must_be_nonzero(&self) -> &'static [&'static str] {
+        &["retx_segs"]
+    }
+
+    fn run(&self, size: Size, seed: u64, shards: usize, _: bool, _: &Obs) -> (Headline, Cluster) {
+        let spec = match size {
+            Size::Smoke => TcpOffloadSpec::smoke(seed, shards),
+            Size::Full => TcpOffloadSpec::full(seed, shards),
+        };
+        let (stats, c) = run_tcp_offload(&spec);
+        (stats.headline(), c)
+    }
+}
+
+/// The placement × loss grid at full size — host-cores-freed vs
+/// NIC-cores-burned for the same delivered streams at 1% and 5% loss — as
+/// one headline per cell, host before NIC within each loss rate. Every cell
+/// must deliver in full.
+pub fn placement_loss_cells(seed: u64) -> Vec<Headline> {
+    let mut cells = Vec::new();
+    for loss in [0.01, 0.05] {
+        for placement in [Placement::Host, Placement::Nic] {
+            let mut spec = TcpOffloadSpec::full(seed, 1);
+            spec.loss = loss;
+            spec.placement = placement;
+            let (stats, _) = run_tcp_offload(&spec);
+            assert_eq!(
+                stats.delivered,
+                stats.conns as u64 * stats.bytes_per_conn,
+                "every cell must deliver its full streams"
+            );
+            cells.push(stats.headline());
+        }
+    }
+    cells
+}
+
+/// [`placement_loss_cells`] under the figure seed, as a table.
+pub fn render_placement_loss() -> String {
+    let cells = placement_loss_cells(TcpOffload.figure_seed());
+    let header: Vec<&str> = cells[0].iter().map(|(k, _)| *k).collect();
+    let rows: Vec<Vec<String>> = cells
+        .iter()
+        .map(|h| h.iter().map(|(_, v)| v.clone()).collect())
+        .collect();
+    render_table("tcp offload — placement x loss, full size", &header, &rows)
 }
 
 #[cfg(test)]
@@ -260,12 +330,5 @@ mod tests {
         assert_eq!(stats.retx_segs, 0);
         assert_eq!(stats.rto_fired, 0);
         assert_eq!(stats.delivered, 4 * (192 << 10));
-    }
-
-    #[test]
-    fn sharded_smoke_is_byte_identical() {
-        let (_, serial) = run_tcp_offload_sharded(11, 1, true);
-        let (_, sharded) = run_tcp_offload_sharded(11, 2, true);
-        assert_eq!(serial, sharded, "2-shard run must merge byte-identically");
     }
 }

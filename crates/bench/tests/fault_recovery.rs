@@ -8,14 +8,14 @@ use ipipe_sim::obs::{Obs, TraceLevel};
 
 fn faulted_run(seed: u64) -> (FaultRunStats, String, String) {
     let obs = Obs::with_level(TraceLevel::Spans);
-    let stats = run_rkv_fault(seed, &obs);
+    let (stats, _) = run_rkv_fault(seed, 1, &obs);
     (stats, obs.export_jsonl(), obs.export_chrome())
 }
 
 #[test]
 fn rkv_recovers_from_leader_crash_without_operator_signal() {
     let obs = Obs::with_level(TraceLevel::Spans);
-    let stats = run_rkv_fault(7, &obs);
+    let (stats, _) = run_rkv_fault(7, 1, &obs);
     assert!(
         stats.before_crash > 500,
         "pre-crash throughput with 1% loss: {}",

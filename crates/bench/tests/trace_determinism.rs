@@ -5,14 +5,12 @@
 //! rendered from. Any wall-clock read, unordered-map iteration, or
 //! float-formatting drift in the obs layer shows up here as a byte diff.
 
-use ipipe::rt::{ClientReq, Cluster, RuntimeMode};
 use ipipe::sched::Discipline;
-use ipipe_apps::rkv::actors::{deploy_rkv, RkvMsg};
 use ipipe_baseline::fig16::run_fig16_obs;
+use ipipe_bench::rkv::Rkv;
+use ipipe_bench::scenario::{Scenario, Size};
 use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::{Obs, TraceLevel};
-use ipipe_sim::SimTime;
-use ipipe_workload::kv::KvWorkload;
 use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
 
 /// One Fig 16 cell, traced: scheduler metrics + per-execution spans.
@@ -26,35 +24,10 @@ fn fig16_exports(seed: u64) -> (String, String) {
     (obs.export_jsonl(), obs.export_chrome())
 }
 
-/// The replicated-KV cluster (rt + net + migration spans), traced.
+/// The replicated-KV scenario (rt + net + migration spans), traced.
 fn rkv_exports(seed: u64) -> (String, String) {
     let obs = Obs::with_level(TraceLevel::Spans);
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .obs(obs.clone())
-        .build();
-    let dep = deploy_rkv(&mut c, &[0, 1, 2], 8 << 20);
-    let leader = dep.consensus[0];
-    let mut wl = KvWorkload::paper_default(512, 1);
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let op = wl.next_op();
-            ClientReq {
-                dst: leader,
-                wire_size: 512u32.min(43 + op.wire_size()).max(64),
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RkvMsg::Client(op))),
-            }
-        }),
-        64,
-    );
-    c.run_for(SimTime::from_ms(1));
-    c.force_migrate(dep.memtable[0]); // migration spans land on lane 999
-    c.run_for(SimTime::from_ms(3));
+    Rkv.run(Size::Full, seed, 1, false, &obs);
     (obs.export_jsonl(), obs.export_chrome())
 }
 

@@ -28,7 +28,7 @@ use ipipe_nicsim::spec::{HostSpec, NicSpec, HOST_XEON};
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::export as obs_export;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, Snapshot, TraceEvent, TraceLevel};
-use ipipe_sim::{AnyEventQueue, DetRng, EpochStats, Histogram, MergePool, QueueKind, SimTime};
+use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, MergePool, SimTime};
 use std::collections::HashMap;
 
 /// Chrome-trace lane (`tid`) offset for host cores, so NIC cores and host
@@ -376,8 +376,6 @@ pub struct ClusterBuilder {
     seed: u64,
     region_bytes: u64,
     obs: Option<Obs>,
-    queue: QueueKind,
-    unbatched: bool,
     shards: usize,
     parallel: bool,
     racks: Option<(usize, SimTime)>,
@@ -431,22 +429,6 @@ impl ClusterBuilder {
     /// to its trace ring. Defaults to a metrics-only private handle.
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Which event-queue implementation drives the simulation (defaults to
-    /// the timing wheel). The heap reference exists for the differential
-    /// oracle: results must be byte-identical under either kind.
-    pub fn queue_kind(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
-    }
-
-    /// Dispatch events one at a time instead of per-timestamp batches
-    /// (defaults to batched). Another differential-oracle axis: batching is
-    /// a mechanism optimization that must not change results.
-    pub fn unbatched_dispatch(mut self, unbatched: bool) -> Self {
-        self.unbatched = unbatched;
         self
     }
 
@@ -578,8 +560,7 @@ impl ClusterBuilder {
                     nodes,
                     n_servers: self.servers,
                     net: snet,
-                    events: AnyEventQueue::new(self.queue),
-                    unbatched: self.unbatched,
+                    events: EventQueue::new(),
                     clients: (0..self.clients).map(|_| None).collect(),
                     client_class: vec![0; self.clients],
                     completions: CompletionStats {
@@ -745,9 +726,7 @@ struct ShardState {
     /// Cluster-wide server count (client node ids start here).
     n_servers: usize,
     net: NetModel,
-    events: AnyEventQueue<Ev>,
-    /// Dispatch one event per pop instead of per-timestamp batches.
-    unbatched: bool,
+    events: EventQueue<Ev>,
     /// Full-length client table; only slots this shard owns are populated.
     clients: Vec<Option<ClientState>>,
     /// Full-length client → admission-class map, replicated in every shard
@@ -852,8 +831,6 @@ impl Cluster {
             seed: 0xA11CE,
             region_bytes: 64 << 20,
             obs: None,
-            queue: QueueKind::Wheel,
-            unbatched: false,
             shards: 1,
             parallel: false,
             racks: None,
@@ -1622,24 +1599,14 @@ impl ShardState {
                 self.resolve_arrivals(next);
                 continue;
             }
-            if self.unbatched {
-                // Differential-oracle twin: pop one event at a time. Events
-                // in a same-instant burst are handled in identical
-                // (time, seq) order, so results must match the batched loop
-                // byte-for-byte.
-                let (now, ev) = self.events.pop().expect("peeked");
-                self.processed += 1;
+            // Dispatch is batched per distinct timestamp: one traversal of
+            // the event queue serves every simultaneous event, and handlers
+            // scheduling at the current instant form a follow-up batch with
+            // larger sequence numbers.
+            let now = self.events.pop_batch(&mut batch).expect("peeked");
+            self.processed += batch.len() as u64;
+            for ev in batch.drain(..) {
                 self.handle(now, ev);
-            } else {
-                // Dispatch is batched per distinct timestamp: one traversal
-                // of the event queue serves every simultaneous event, and
-                // handlers scheduling at the current instant form a
-                // follow-up batch with larger sequence numbers.
-                let now = self.events.pop_batch(&mut batch).expect("peeked");
-                self.processed += batch.len() as u64;
-                for ev in batch.drain(..) {
-                    self.handle(now, ev);
-                }
             }
         }
         self.ev_batch = batch;

@@ -475,8 +475,7 @@ impl<E> EventQueue<E> {
 
 /// The previous `BinaryHeap`-backed event queue, kept as a **reference
 /// implementation**: differential property tests replay arbitrary operation
-/// sequences against it, and `desbench` uses it as the baseline the timing
-/// wheel is measured against. Semantics are identical to [`EventQueue`].
+/// sequences against it. Semantics are identical to [`EventQueue`].
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<SpillEntry<E>>,
     seq: u64,
@@ -570,8 +569,7 @@ impl<E> HeapEventQueue<E> {
 
     /// Pop every event sharing the next pending timestamp into `out`
     /// (cleared first, refilled in FIFO order). Semantics match
-    /// [`EventQueue::pop_batch`] exactly, so the two queues are drop-in
-    /// interchangeable behind [`AnyEventQueue`].
+    /// [`EventQueue::pop_batch`] exactly.
     pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
         let (t, first) = self.pop()?;
@@ -596,147 +594,6 @@ impl<E> HeapEventQueue<E> {
         self.now = saved_now;
         self.popped = saved_popped;
         out
-    }
-}
-
-/// Which event-queue implementation backs a simulation run.
-///
-/// The differential oracle (see DESIGN.md §11) re-runs scenarios under both
-/// kinds and diffs the observability exports byte-for-byte: the queue is a
-/// mechanism choice that must never change results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// The hierarchical timing wheel ([`EventQueue`]) — the production queue.
-    #[default]
-    Wheel,
-    /// The `BinaryHeap` reference implementation ([`HeapEventQueue`]).
-    Heap,
-}
-
-/// An event queue that is either the timing wheel or the heap reference,
-/// selected at construction. The match in each method is predictable and
-/// branch-free in practice (the discriminant never changes after
-/// construction), so the wheel path stays within measurement noise of using
-/// [`EventQueue`] directly.
-pub enum AnyEventQueue<E> {
-    /// Timing-wheel backed.
-    Wheel(EventQueue<E>),
-    /// Binary-heap backed (reference implementation).
-    Heap(HeapEventQueue<E>),
-}
-
-impl<E> AnyEventQueue<E> {
-    /// An empty queue of the given kind at time zero.
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Wheel => AnyEventQueue::Wheel(EventQueue::new()),
-            QueueKind::Heap => AnyEventQueue::Heap(HeapEventQueue::new()),
-        }
-    }
-
-    /// Which implementation backs this queue.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            AnyEventQueue::Wheel(_) => QueueKind::Wheel,
-            AnyEventQueue::Heap(_) => QueueKind::Heap,
-        }
-    }
-
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        match self {
-            AnyEventQueue::Wheel(q) => q.now(),
-            AnyEventQueue::Heap(q) => q.now(),
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            AnyEventQueue::Wheel(q) => q.len(),
-            AnyEventQueue::Heap(q) => q.len(),
-        }
-    }
-
-    /// True when no events remain.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events fired so far.
-    #[inline]
-    pub fn fired(&self) -> u64 {
-        match self {
-            AnyEventQueue::Wheel(q) => q.fired(),
-            AnyEventQueue::Heap(q) => q.fired(),
-        }
-    }
-
-    /// Schedule `event` at absolute time `at`. Panics if `at < now`.
-    #[inline]
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        match self {
-            AnyEventQueue::Wheel(q) => q.schedule_at(at, event),
-            AnyEventQueue::Heap(q) => q.schedule_at(at, event),
-        }
-    }
-
-    /// Schedule `event` after a delay relative to `now`.
-    #[inline]
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        match self {
-            AnyEventQueue::Wheel(q) => q.schedule_after(delay, event),
-            AnyEventQueue::Heap(q) => q.schedule_after(delay, event),
-        }
-    }
-
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.peek_time(),
-            AnyEventQueue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Advance `now` to `t` without firing anything; no-op when `t <= now`.
-    /// Panics if an event is pending before `t`.
-    #[inline]
-    pub fn advance_to(&mut self, t: SimTime) {
-        match self {
-            AnyEventQueue::Wheel(q) => q.advance_to(t),
-            AnyEventQueue::Heap(q) => q.advance_to(t),
-        }
-    }
-
-    /// Pop the next event, advancing `now` to its timestamp.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.pop(),
-            AnyEventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Pop every event sharing the next pending timestamp into `out`.
-    #[inline]
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.pop_batch(out),
-            AnyEventQueue::Heap(q) => q.pop_batch(out),
-        }
-    }
-
-    /// Remove and return every pending event in firing order without
-    /// advancing `now` (see [`EventQueue::drain_pending`]).
-    pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.drain_pending(),
-            AnyEventQueue::Heap(q) => q.drain_pending(),
-        }
     }
 }
 
@@ -1162,29 +1019,6 @@ mod tests {
         assert_eq!(w.drain_pending(), h.drain_pending());
         assert_eq!(h.now(), SimTime::from_us(7), "drain must not advance time");
         assert_eq!(h.fired(), 3, "drained events are not fired events");
-    }
-
-    #[test]
-    fn any_event_queue_dispatches_to_both_backends() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = AnyEventQueue::new(kind);
-            assert_eq!(q.kind(), kind);
-            assert!(q.is_empty());
-            q.schedule_at(SimTime::from_us(5), "b");
-            q.schedule_after(SimTime::from_us(1), "a");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
-            assert_eq!(q.pop(), Some((SimTime::from_us(1), "a")));
-            let mut batch = Vec::new();
-            assert_eq!(q.pop_batch(&mut batch), Some(SimTime::from_us(5)));
-            assert_eq!(batch, vec!["b"]);
-            q.advance_to(SimTime::from_us(9));
-            assert_eq!(q.now(), SimTime::from_us(9));
-            assert_eq!(q.fired(), 2);
-            q.schedule_at(SimTime::from_us(11), "c");
-            assert_eq!(q.drain_pending(), vec![(SimTime::from_us(11), "c")]);
-            assert!(q.is_empty());
-        }
     }
 
     #[test]

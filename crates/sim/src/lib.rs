@@ -29,7 +29,7 @@ pub mod sweep;
 pub mod time;
 
 pub use audit::{AuditReport, Violation};
-pub use event::{AnyEventQueue, EpochStats, EventQueue, HeapEventQueue, MergePool, QueueKind};
+pub use event::{EpochStats, EventQueue, HeapEventQueue, MergePool};
 pub use obs::{Obs, ObsConfig, TraceLevel};
 pub use rng::{DetRng, PoissonArrivals};
 pub use stats::{Ewma, Histogram, TailEstimator, Welford};
