@@ -1,0 +1,293 @@
+//! The conservation audit sweep (DESIGN.md §11): cluster-wide ledgers in
+//! [`Cluster::audit`], the per-shard quiesce sweep and per-node checks in
+//! `audit_local`, and the test-only leak hook that proves the checker bites.
+
+use super::*;
+use ipipe_sim::audit::CLUSTER_WIDE;
+
+impl Cluster {
+    /// Run the conservation audit: every ledger the cluster keeps is checked
+    /// against ground truth reconstructed from the pending event queue.
+    ///
+    /// The pass is semantically invisible — pending events are drained
+    /// (without advancing time) for tallying and re-scheduled in firing
+    /// order, so a run behaves identically whether or not it was audited
+    /// mid-flight. Scenario tests call this at quiesce;
+    /// [`AuditReport::assert_clean`] turns any violation into a panic with
+    /// the full rendered report.
+    ///
+    /// Invariants checked (see DESIGN.md §11 for the catalog):
+    /// * `client.conservation` — issued == completed + abandoned + in-flight
+    /// * `net.frames` — frames the network accounted as sent are processed,
+    ///   still pending delivery, or dropped with a reason counter
+    /// * `ring.depth` — per-node NIC→host ring occupancy equals the pending
+    ///   `RingToHost` crossings
+    /// * `core.token.{nic,host}` — a busy core holds exactly one pending
+    ///   free event; an idle core holds none
+    /// * `migrate.*` — phase legality, exactly one step event per active
+    ///   migration, location consistency, buffered-request ownership, and an
+    ///   empty dispatcher stash at event boundaries
+    /// * scheduler ledgers via [`NicScheduler::audit_into`]
+    pub fn audit(&mut self) -> AuditReport {
+        let mut r = AuditReport::new(self.now());
+        let pending_frames: u64 = self.shards.iter_mut().map(|s| s.audit_local(&mut r)).sum();
+        let total = |f: fn(&ShardState) -> u64| self.shards.iter().map(f).sum::<u64>();
+        let rx_frames = total(|s| s.rx_frames);
+        let issued = total(|s| s.completions.issued);
+        let completed = total(|s| s.completions.completed);
+        let shed = total(|s| s.completions.shed);
+        let inflight = total(|s| {
+            s.clients
+                .iter()
+                .flatten()
+                .map(|c| c.inflight.len() as u64)
+                .sum()
+        });
+        let abandoned = total(|s| s.fault_metrics.abandoned.get());
+        let loss = self.counter_total("fault.drop.loss");
+        let sent = total(|s| s.net.packets_sent());
+        let bytes_sent = total(|s| s.net.bytes_sent());
+        let reg_packets = self.counter_total("net.packets");
+        let reg_bytes = self.counter_total("net.bytes");
+        let shed_remote = total(|s| s.fault_metrics.shed_remote.get());
+        let shed_source = total(|s| s.fault_metrics.shed_source.get());
+        let shed_backoff = total(|s| s.fault_metrics.shed_backoff.get());
+        // Zero when no admission control is installed.
+        let ingress_shed = total(|s| {
+            s.nodes
+                .iter()
+                .flat_map(|n| &n.admission)
+                .map(|a| a.shed())
+                .sum()
+        });
+
+        r.check(
+            "client.conservation",
+            CLUSTER_WIDE,
+            issued == completed + abandoned + shed + inflight,
+            || {
+                format!(
+                    "issued {issued} != completed {completed} + abandoned {abandoned} \
+                     + shed {shed} + in-flight {inflight}"
+                )
+            },
+        );
+
+        // Shed ledger: the client-side shed total must agree with its two
+        // registry counters (remote drops + source suppressions), and every
+        // shed the clients observed (remote drops plus parked retry timers)
+        // must trace back to an ingress refusal — `≤` because a shed reply
+        // can still be on the wire, or ignored as stale after the request
+        // completed via another path. Emitted whether or not admission is
+        // installed so the audit's check count is scenario-stable.
+        r.check(
+            "client.shed.counter",
+            CLUSTER_WIDE,
+            shed == shed_remote + shed_source,
+            || {
+                format!(
+                    "client shed ledger {shed} != remote {shed_remote} \
+                     + source {shed_source}"
+                )
+            },
+        );
+        r.check_le(
+            "shed.reconcile",
+            CLUSTER_WIDE,
+            ("client-observed sheds", shed_remote + shed_backoff),
+            ("ingress sheds", ingress_shed),
+        );
+
+        // Measurement consistency: `reset_measurements` stamps every shard
+        // with one instant; throughput math assumes they never drift.
+        let start0 = self.shards[0].measure_start;
+        r.check(
+            "measure.start",
+            CLUSTER_WIDE,
+            self.shards.iter().all(|s| s.measure_start == start0),
+            || {
+                let starts: Vec<String> = self
+                    .shards
+                    .iter()
+                    .map(|s| s.measure_start.to_string())
+                    .collect();
+                format!("per-shard measure_start diverged: [{}]", starts.join(", "))
+            },
+        );
+
+        // Frame ledger: every frame the network accounted (`net.packets`
+        // counts serialized frames, including lossy and corrupted ones, but
+        // not link/node-down drops) was either processed at an ingress,
+        // is still pending delivery (queued, pooled, or outboxed), or was
+        // dropped by the loss fault.
+        r.check(
+            "net.frames",
+            CLUSTER_WIDE,
+            rx_frames + pending_frames + loss == sent,
+            || {
+                format!(
+                    "processed {rx_frames} + pending {pending_frames} + lost {loss} \
+                     != sent {sent}"
+                )
+            },
+        );
+
+        // Internal-vs-registry cross-check of the link-layer counters,
+        // aggregated across shards so the audit emits the same number of
+        // checks for every shard count.
+        r.check(
+            "net.counter.packets",
+            CLUSTER_WIDE,
+            reg_packets == sent,
+            || format!("registry net.packets {reg_packets} != model {sent}"),
+        );
+        r.check(
+            "net.counter.bytes",
+            CLUSTER_WIDE,
+            reg_bytes == bytes_sent,
+            || format!("registry net.bytes {reg_bytes} != model {bytes_sent}"),
+        );
+
+        r.record_to(&self.shards[0].obs);
+        r
+    }
+
+    /// Test-only leak hook: silently discard one in-flight client request,
+    /// bypassing every ledger. The audit must flag the imbalance — the
+    /// proptest suite uses this to prove the checker detects real leaks.
+    /// Returns false when the client has nothing in flight.
+    #[doc(hidden)]
+    pub fn debug_drop_inflight(&mut self, client: usize) -> bool {
+        if client >= self.n_clients {
+            return false;
+        }
+        let node = (self.n_servers + client) as u16;
+        let shard = self.shard_for_mut(node);
+        let Some(Some(state)) = shard.clients.get_mut(client) else {
+            return false;
+        };
+        // Smallest token for determinism across runs.
+        let Some(token) = state.inflight.keys().min().copied() else {
+            return false;
+        };
+        state.inflight.remove(&token);
+        if let Some(retry) = state.retry.as_mut() {
+            retry.slots.remove(&token);
+        }
+        true
+    }
+}
+
+impl ShardState {
+    /// Per-shard slice of the conservation audit: quiesce-sweep this
+    /// shard's event queue (drain + re-schedule preserves the firing
+    /// order), run the per-node checks, and return how many frames are
+    /// still pending delivery here (queued, pooled, or outboxed).
+    pub(super) fn audit_local(&mut self, r: &mut AuditReport) -> u64 {
+        let n_nodes = self.nodes.len();
+        let mut ring_to_host = vec![0u64; n_nodes];
+        let mut mig_steps = vec![0u64; n_nodes];
+        let mut nic_free: Vec<Vec<u64>> = self
+            .nodes
+            .iter()
+            .map(|n| vec![0u64; n.nic_inflight.len()])
+            .collect();
+        let mut host_free: Vec<Vec<u64>> = self
+            .nodes
+            .iter()
+            .map(|n| vec![0u64; n.host_inflight.len()])
+            .collect();
+        let mut pending_frames = 0u64;
+        let base = self.base;
+        let idx = |node: &u16| (*node - base) as usize;
+        for (at, ev) in self.events.drain_pending() {
+            match &ev {
+                Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
+                Ev::NicFree { node, core } => nic_free[idx(node)][*core as usize] += 1,
+                Ev::HostFree { node, core } => host_free[idx(node)][*core as usize] += 1,
+                Ev::MigStep { node } => mig_steps[idx(node)] += 1,
+                Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
+                _ => {}
+            }
+            // Fresh sequence numbers preserve the drain's firing order, so
+            // the re-scheduled queue pops identically — and because every
+            // shard sweeps only its own queue, the order across shard
+            // boundaries is untouched for any shard count.
+            self.events.schedule_at(at, ev);
+        }
+        pending_frames += self.pool.len() as u64 + self.outbox.len() as u64;
+
+        for (i, n) in self.nodes.iter().enumerate() {
+            let node = n.id;
+            r.check("ring.depth", node, n.ring_depth == ring_to_host[i], || {
+                format!(
+                    "ring_depth {} != pending RingToHost {}",
+                    n.ring_depth, ring_to_host[i]
+                )
+            });
+            // A busy core holds exactly one pending free event; an idle one none.
+            let cores = [
+                ("core.token.nic", "NicFree", &n.nic_inflight, &nic_free[i]),
+                (
+                    "core.token.host",
+                    "HostFree",
+                    &n.host_inflight,
+                    &host_free[i],
+                ),
+            ];
+            for (invariant, ev, inflight, pending) in cores {
+                for (core, slot) in inflight.iter().enumerate() {
+                    let busy = slot.is_some();
+                    r.check(invariant, node, pending[core] == u64::from(busy), || {
+                        format!(
+                            "core {core}: busy={busy} but {} pending {ev}",
+                            pending[core]
+                        )
+                    });
+                }
+            }
+            match &n.active_migration {
+                Some(m) => {
+                    m.audit_into(r, node);
+                    r.check("migrate.step", node, mig_steps[i] == 1, || {
+                        format!(
+                            "active migration of actor {} has {} pending MigStep events",
+                            m.actor, mig_steps[i]
+                        )
+                    });
+                    r.check(
+                        "migrate.location",
+                        node,
+                        n.sched.location(m.actor) == Some(Loc::Migrating),
+                        || {
+                            format!(
+                                "migrating actor {} has scheduler location {:?}",
+                                m.actor,
+                                n.sched.location(m.actor)
+                            )
+                        },
+                    );
+                }
+                None => {
+                    r.check("migrate.step", node, mig_steps[i] == 0, || {
+                        format!(
+                            "{} stale MigStep events with no active migration",
+                            mig_steps[i]
+                        )
+                    });
+                }
+            }
+            r.check("migrate.stash", node, n.pending_buffered.is_empty(), || {
+                format!(
+                    "{} requests stranded in the dispatcher's migration stash",
+                    n.pending_buffered.len()
+                )
+            });
+            if let Some(a) = &n.admission {
+                a.audit_into(r, node);
+            }
+            n.sched.audit_into(r, node);
+        }
+        pending_frames
+    }
+}
