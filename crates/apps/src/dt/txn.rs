@@ -12,7 +12,7 @@
 //! tests.
 
 use super::store::ExtHashTable;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Key type (matches the workload generator).
 pub const KEY_LEN: usize = 16;
@@ -238,14 +238,17 @@ impl Coordinator {
         reads: Vec<Key>,
         writes: Vec<(Key, Vec<u8>)>,
     ) -> Vec<(PartIdx, DtMsg)> {
-        let mut by_part_r: HashMap<PartIdx, Vec<Key>> = HashMap::new();
+        // Every per-partition fan-out (read-lock, validate, commit, abort) is
+        // emitted in partition order: message order reaches the simulated
+        // event order, so it must not depend on `HashMap`'s per-process seed.
+        let mut by_part_r: BTreeMap<PartIdx, Vec<Key>> = BTreeMap::new();
         for k in reads {
             by_part_r
                 .entry(partition(&k, self.parts))
                 .or_default()
                 .push(k);
         }
-        let mut by_part_w: HashMap<PartIdx, Vec<(Key, Vec<u8>)>> = HashMap::new();
+        let mut by_part_w: BTreeMap<PartIdx, Vec<(Key, Vec<u8>)>> = BTreeMap::new();
         for (k, v) in writes {
             by_part_w
                 .entry(partition(&k, self.parts))
@@ -329,7 +332,7 @@ impl Coordinator {
                 }
                 // Phase 2: validate read versions with a second read.
                 st.phase = TxnPhase::Validate;
-                let mut by_part: HashMap<PartIdx, Vec<(Key, u64)>> = HashMap::new();
+                let mut by_part: BTreeMap<PartIdx, Vec<(Key, u64)>> = BTreeMap::new();
                 for (k, _, ver) in &st.read_results {
                     by_part
                         .entry(partition(k, self.parts))

@@ -3,7 +3,7 @@
 
 use super::regex::Regex;
 use ipipe_workload::rta::Tuple;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The filter worker: "applies a pattern matching module to discard
 /// uninteresting data tuples". Stateless (paper: "Filter actor is a
@@ -109,7 +109,10 @@ impl Counter {
 /// under load).
 pub struct Ranker {
     n: usize,
-    entries: HashMap<u32, u64>,
+    /// Ordered by topic, so the quicksort's input — and with it how equal
+    /// counts tie-break and which entries a trim keeps — is a function of
+    /// the keys, not of `HashMap`'s per-process seed.
+    entries: BTreeMap<u32, u64>,
 }
 
 /// In-place quicksort by descending count (the paper names the algorithm,
@@ -146,7 +149,7 @@ impl Ranker {
         assert!(n >= 1);
         Ranker {
             n,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
@@ -158,12 +161,7 @@ impl Ranker {
         if self.entries.len() > self.n * 4 {
             let top = self.top();
             let keep: std::collections::HashSet<u32> = top.iter().map(|(t, _)| *t).collect();
-            let mut trimmed: HashMap<u32, u64> = self
-                .entries
-                .drain()
-                .filter(|(t, _)| keep.contains(t))
-                .collect();
-            std::mem::swap(&mut self.entries, &mut trimmed);
+            self.entries.retain(|t, _| keep.contains(t));
         }
         self.entries.len()
     }
