@@ -363,17 +363,47 @@ fn determinism_same_seed_same_result() {
     assert_eq!(run(), run());
 }
 
+fn echo_gen(a: Address) -> ClientGenFn {
+    Box::new(move |rng, _| ClientReq {
+        dst: a,
+        wire_size: 512,
+        flow: rng.below(1 << 30),
+        payload: None,
+    })
+}
+
 fn echo_client(c: &mut Cluster, a: Address, outstanding: u32) {
-    c.set_client(
+    c.set_client(0, echo_gen(a), outstanding);
+}
+
+/// `install_client` carries the ledger across a closed→open-loop swap the
+/// way `mid_run_generator_swap_conserves_inflight_requests` pins it for
+/// closed→closed.
+#[test]
+fn closed_to_open_loop_swap_carries_inflight_tokens_and_retry() {
+    let (mut c, a) = echo_cluster(2);
+    c.set_fault_plan(FaultPlan::new(3).with_loss(0.1));
+    echo_client(&mut c, a, 96);
+    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    // Swap while tokens 0..96 are all still live, a tenth of them lost.
+    c.run_for(SimTime::from_us(3));
+    assert_eq!(c.completions().completed(), 0);
+    let until = c.now() + SimTime::from_ms(2);
+    c.set_client_open_loop(
         0,
-        Box::new(move |rng, _| ClientReq {
-            dst: a,
-            wire_size: 512,
-            flow: rng.below(1 << 30),
-            payload: None,
-        }),
-        outstanding,
+        echo_gen(a),
+        OpenLoopCfg {
+            rate_rps: 1e6,
+            until,
+        },
     );
+    c.run_for(SimTime::from_ms(40));
+    // `next_token` carried: ~2,000 new tokens, none reusing a live one.
+    // `inflight` carried: the old requests complete through the ledger.
+    // `retry` carried: the lost ones are retransmitted, so everything drains.
+    c.audit().assert_clean();
+    assert!(c.completions().issued() > 1_000);
+    assert_eq!(c.completions().issued(), c.completions().completed());
 }
 
 #[test]
@@ -736,6 +766,16 @@ fn audit_stays_clean_across_forced_migration() {
         .sched(cfg)
         .seed(7)
         .build();
+    // A host-placed ticker: its self-sends are local emits to a host actor,
+    // the third caller of `push_to_host_ring` beside the NIC forward and the
+    // phase-4 forward below. The short period keeps a crossing pending at
+    // every audit instant, where a missed increment cannot hide.
+    let ticks = std::rc::Rc::new(std::cell::Cell::new(0u32));
+    let ticker = Box::new(Ticker {
+        ticks: ticks.clone(),
+        period: SimTime::from_us(1),
+    });
+    c.register_actor(0, "ticker", ticker, Placement::Host);
     let a = c.register_actor(
         0,
         "stateful-echo",
@@ -756,6 +796,10 @@ fn audit_stays_clean_across_forced_migration() {
     assert_eq!(c.actor_location(a), Some(Loc::Host));
     assert!(c.completions().count() > 0);
     c.audit().assert_clean();
+    // All three ring-crossing callers ran.
+    assert!(ticks.get() > 0, "local emits to a host actor");
+    assert!(c.migration_reports(0)[0].requests_forwarded > 0, "phase 4");
+    assert!(c.counter_on_total("rt.forward.nic", 0) > 0, "NIC forward");
 }
 
 #[test]
