@@ -60,8 +60,10 @@ pub struct Migration {
     pub phase: u8,
     /// Requests buffered while the actor was unavailable.
     pub buffered: Vec<Request>,
-    /// Recorded per-phase durations.
+    /// Elapsed time of each completed phase.
     pub phase_times: [SimTime; 4],
+    /// When the current phase began.
+    phase_began: SimTime,
 }
 
 impl Migration {
@@ -74,6 +76,7 @@ impl Migration {
             phase: 1,
             buffered: Vec::new(),
             phase_times: [SimTime::ZERO; 4],
+            phase_began: now,
         }
     }
 
@@ -98,10 +101,13 @@ impl Migration {
         PHASE4_BASE + PHASE4_PER_REQUEST * buffered as u64
     }
 
-    /// Record the just-finished phase's duration and advance.
-    pub fn complete_phase(&mut self, duration: SimTime) {
+    /// The current phase ended at `now`: record the time it actually took
+    /// (the `phaseN_duration` formulas only schedule the step events — the
+    /// report shows what the simulation spent) and advance.
+    pub fn complete_phase(&mut self, now: SimTime) {
         assert!((1..=4).contains(&self.phase), "phase out of range");
-        self.phase_times[self.phase as usize - 1] = duration;
+        self.phase_times[self.phase as usize - 1] = now.saturating_sub(self.phase_began);
+        self.phase_began = now;
         self.phase += 1;
     }
 
@@ -245,14 +251,21 @@ mod tests {
 
     #[test]
     fn phase_progression_and_report() {
-        let mut m = Migration::start(5, MigrationDir::Push, SimTime::from_ms(1));
+        let mut now = SimTime::from_ms(1);
+        let mut m = Migration::start(5, MigrationDir::Push, now);
         assert_eq!(m.phase, 1);
-        m.complete_phase(Migration::phase1_duration());
-        m.complete_phase(Migration::phase2_duration(4, SimTime::from_us(10)));
-        m.complete_phase(Migration::phase3_duration(100, 32 << 20));
-        assert!(!m.done());
-        m.complete_phase(Migration::phase4_duration(2000));
+        for phase in [
+            Migration::phase1_duration(),
+            Migration::phase2_duration(4, SimTime::from_us(10)),
+            Migration::phase3_duration(100, 32 << 20),
+            Migration::phase4_duration(2000),
+        ] {
+            assert!(!m.done());
+            now += phase;
+            m.complete_phase(now);
+        }
         assert!(m.done());
+        assert_eq!(m.phase_times[1], SimTime::from_us(640));
         let r = m.report("lsm-memtable", 32 << 20);
         assert_eq!(r.actor, 5);
         assert!(r.total() > SimTime::from_ms(30));

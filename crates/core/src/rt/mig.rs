@@ -127,11 +127,14 @@ impl ShardState {
         let Some(m) = n.active_migration.as_mut() else {
             return;
         };
-        // Each arm closes the phase that just ran and returns how long the
-        // next one takes (computed as it starts).
+        if m.phase == 4 {
+            self.finish_migration(now, node);
+            return;
+        }
+        m.complete_phase(now);
+        // How long the phase now starting takes.
         let next = match m.phase {
-            1 => {
-                m.complete_phase(Migration::phase1_duration());
+            2 => {
                 // Phase 2: drain the actor's mailbox (requests already
                 // dispatched into it get executed before the move). The
                 // drain goes through the scheduler so the requests are
@@ -147,27 +150,20 @@ impl ShardState {
                 m.buffered.splice(0..0, drained);
                 Migration::phase2_duration(queued, mean)
             }
-            2 => {
-                m.complete_phase(Migration::phase2_duration(0, SimTime::ZERO));
+            3 => {
                 // Phase 3: move the DMOs.
                 let objs = n.dmo.objects_of(m.actor);
                 let bytes: u64 = objs.iter().map(|(_, s)| *s).sum();
                 Migration::phase3_duration(objs.len(), bytes)
             }
-            3 => {
+            _ => {
                 let to = match m.dir {
                     MigrationDir::Push => Side::Host,
                     MigrationDir::Pull => Side::Nic,
                 };
-                let moved = n.dmo.migrate_actor(m.actor, to);
-                let objs = n.dmo.objects_of(m.actor).len();
-                m.complete_phase(Migration::phase3_duration(objs, moved));
-                // Phase 4: forward buffered requests.
+                n.dmo.migrate_actor(m.actor, to);
+                // Phase 4: forward the requests buffered so far.
                 Migration::phase4_duration(m.buffered.len())
-            }
-            _ => {
-                self.finish_migration(now, node);
-                return;
             }
         };
         self.events.schedule_after(next, Ev::MigStep { node });
@@ -211,7 +207,7 @@ impl ShardState {
         let Some(mut mig) = n.active_migration.take() else {
             return;
         };
-        mig.complete_phase(Migration::phase4_duration(mig.buffered.len()));
+        mig.complete_phase(now);
         let actor = mig.actor;
         let dest = match mig.dir {
             MigrationDir::Push => Loc::Host,

@@ -802,6 +802,51 @@ fn audit_stays_clean_across_forced_migration() {
     assert!(c.counter_on_total("rt.forward.nic", 0) > 0, "NIC forward");
 }
 
+/// Pinned regression: Fig 18 reported time the simulation never spent.
+/// Phase 2 was always recorded as `PHASE2_BASE` (the mailbox drain that was
+/// actually waited was dropped) and phase 4 was recomputed at finish from a
+/// buffer that kept growing during phase 4, so `total()` ran past the real
+/// finish. Phases now record elapsed simulated time.
+#[test]
+fn migration_report_covers_exactly_the_time_the_migration_took() {
+    // A DRR actor pushed with a backlog in its mailbox, under open-loop
+    // load that keeps arriving through phase 4.
+    let migrating = || {
+        let cfg = SchedConfig::for_nic(&CN2350)
+            .with_discipline(crate::sched::Discipline::DrrOnly)
+            .no_migration();
+        let mut c = Cluster::builder(CN2350)
+            .servers(1)
+            .clients(1)
+            .sched(cfg)
+            .seed(7)
+            .build();
+        let cost = SimTime::from_us(10);
+        let logic = Box::new(StatefulEcho { cost });
+        let a = c.register_actor(0, "stateful-echo", logic, Placement::Nic);
+        let open = OpenLoopCfg {
+            rate_rps: 1e6,
+            until: SimTime::from_secs(1),
+        };
+        c.set_client_open_loop(0, echo_gen(a), open);
+        c.run_for(SimTime::from_ms(1));
+        assert!(c.force_migrate(a));
+        c
+    };
+    let mut c = migrating();
+    c.run_for(SimTime::from_ms(30));
+    let report = c.migration_reports(0)[0].clone();
+    assert!(report.phase_times[1] > crate::migrate::PHASE2_BASE);
+    assert!(report.requests_forwarded > 1_000);
+    // Same seed again: the migration finishes exactly `total()` after it
+    // started — not a nanosecond earlier or later.
+    let mut c = migrating();
+    c.run_for(report.total().saturating_sub(SimTime::from_ns(1)));
+    assert!(c.migration_reports(0).is_empty(), "total() overshoots");
+    c.run_for(SimTime::from_ns(1));
+    assert_eq!(c.migration_reports(0).len(), 1, "total() falls short");
+}
+
 #[test]
 fn audit_stays_clean_after_watchdog_kill_with_queued_work() {
     // Regression: a watchdog kill with work still queued used to leak
