@@ -40,7 +40,7 @@ impl ActorLogic for DistWorker {
 /// Topology and engine knobs for one grid run.
 #[derive(Debug, Clone, Copy)]
 pub struct GridSpec {
-    /// Server nodes (one [`DistWorker`] actor each).
+    /// Server nodes (one `DistWorker` actor each).
     pub servers: usize,
     /// Closed-loop client nodes.
     pub clients: usize,
@@ -139,7 +139,7 @@ pub fn build_grid(spec: &GridSpec) -> Cluster {
 }
 
 /// Registry entry for this scenario. Its actors own everything they touch
-/// (one [`DistWorker`] per node, clients holding a cloned target list), so
+/// (one `DistWorker` per node, clients holding a cloned target list), so
 /// it is the scenario that may run its epochs on OS threads.
 pub struct Pod;
 

@@ -38,7 +38,7 @@
 //! fails the epoch check, and dies without re-arming. The conservation
 //! invariant audited at quiesce is
 //! `bytes_sent == bytes_acked + bytes_in_flight + bytes_dropped_pending_rto`
-//! ([`audit_tcp_conservation`]), maintained exactly by construction:
+//! ([`audit_tcp_into`]), maintained exactly by construction:
 //! every first-transmission moves bytes into in-flight, every cumulative
 //! ACK moves them to acked, every timeout moves in-flight to lost, every
 //! retransmission moves lost back to in-flight.

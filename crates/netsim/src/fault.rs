@@ -155,7 +155,7 @@ impl FaultPlan {
 
     /// Split the plan's single RNG stream into one independent stream per
     /// source node (forked in node order, so the split itself is
-    /// deterministic). After the split, [`FaultPlan::judge`] draws from the
+    /// deterministic). After the split, `FaultPlan::judge` draws from the
     /// *sender's* stream, making each node's fault verdicts a pure function
     /// of that node's own send sequence — independent of how sends from
     /// different nodes interleave globally. The sharded cluster runtime

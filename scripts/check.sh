@@ -16,6 +16,9 @@ cargo test -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+
 # The benchmark at smoke size: every workload's audits, export digests and
 # same-seed determinism checks; no wall-clock threshold.
 echo "==> benchmark/run.sh --smoke"
