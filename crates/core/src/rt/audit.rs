@@ -246,36 +246,20 @@ impl ShardState {
                     });
                 }
             }
-            match &n.active_migration {
-                Some(m) => {
-                    m.audit_into(r, node);
-                    r.check("migrate.step", node, mig_steps[i] == 1, || {
-                        format!(
-                            "active migration of actor {} has {} pending MigStep events",
-                            m.actor, mig_steps[i]
-                        )
-                    });
-                    r.check(
-                        "migrate.location",
-                        node,
-                        n.sched.location(m.actor) == Some(Loc::Migrating),
-                        || {
-                            format!(
-                                "migrating actor {} has scheduler location {:?}",
-                                m.actor,
-                                n.sched.location(m.actor)
-                            )
-                        },
-                    );
-                }
-                None => {
-                    r.check("migrate.step", node, mig_steps[i] == 0, || {
-                        format!(
-                            "{} stale MigStep events with no active migration",
-                            mig_steps[i]
-                        )
-                    });
-                }
+            // Exactly one step event per active migration, none without one.
+            let want = u64::from(n.active_migration.is_some());
+            r.check("migrate.step", node, mig_steps[i] == want, || {
+                format!("{} pending MigStep events, expected {want}", mig_steps[i])
+            });
+            if let Some(m) = &n.active_migration {
+                m.audit_into(r, node);
+                let loc = n.sched.location(m.actor);
+                r.check(
+                    "migrate.location",
+                    node,
+                    loc == Some(Loc::Migrating),
+                    || format!("migrating actor {} has scheduler location {loc:?}", m.actor),
+                );
             }
             r.check("migrate.stash", node, n.pending_buffered.is_empty(), || {
                 format!(

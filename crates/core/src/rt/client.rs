@@ -168,40 +168,49 @@ impl Cluster {
     }
 }
 
+/// The reply's payload, when it is one of the runtime's own control types.
+fn reply_as<T: Copy + 'static>(req: &Request) -> Option<T> {
+    req.payload.as_ref()?.downcast_ref::<T>().copied()
+}
+
+impl ClientRetry {
+    /// Rebuild the request behind `token` from its retry slot (the
+    /// application's `payload_fn` reconstructs the payload).
+    fn rebuild(&mut self, token: u64) -> Option<ClientReq> {
+        let slot = self.slots.get(&token)?;
+        Some(ClientReq {
+            dst: slot.dst,
+            wire_size: slot.wire_size,
+            flow: slot.flow,
+            payload: self.payload_fn.as_mut().and_then(|f| f(token)),
+        })
+    }
+}
+
 impl ShardState {
     /// Send a client request frame over the (possibly faulted) network. A
     /// delivered frame becomes a `Deliver` event; a corrupted frame becomes
     /// a `DeliverCorrupt` (payload lost on the wire); a dropped frame
     /// vanishes — only the retransmission timer can recover it.
-    #[allow(clippy::too_many_arguments)]
-    fn client_send(
-        &mut self,
-        now: SimTime,
-        client_node: u16,
-        dst: Address,
-        flow: u64,
-        wire_size: u32,
-        token: u64,
-        payload: Payload,
-    ) {
+    fn client_send(&mut self, now: SimTime, client_node: u16, token: u64, creq: ClientReq) {
         let req = Request {
-            actor: dst.actor,
-            flow,
-            wire_size,
+            actor: creq.dst.actor,
+            flow: creq.flow,
+            wire_size: creq.wire_size,
             arrived: now,
             reply_to: Some(Address {
                 node: client_node,
                 actor: 0,
             }),
             token,
-            payload,
+            payload: creq.payload,
         };
-        self.send_frame(now, client_node, dst.node, PacketKind::Request, req);
+        self.send_frame(now, client_node, creq.dst.node, PacketKind::Request, req);
     }
 
     pub(super) fn handle_retry_check(&mut self, now: SimTime, client: u16, token: u64) {
         let client_node = (self.n_servers + client as usize) as u16;
-        let (dst, flow, wire_size, payload, next_wait) = {
+        let (creq, next_wait) = {
             let Some(state) = self.clients[client as usize].as_mut() else {
                 return;
             };
@@ -239,11 +248,11 @@ impl ShardState {
             }
             slot.tries += 1;
             slot.backoff = (slot.backoff * 2).min(retry.policy.cap);
-            let payload = retry.payload_fn.as_mut().and_then(|f| f(token));
-            (slot.dst, slot.flow, slot.wire_size, payload, slot.backoff)
+            let next_wait = slot.backoff;
+            (retry.rebuild(token).expect("slot exists"), next_wait)
         };
         self.fault_metrics.retries.inc();
-        self.client_send(now, client_node, dst, flow, wire_size, token, payload);
+        self.client_send(now, client_node, token, creq);
         self.events
             .schedule_after(next_wait, Ev::RetryCheck { client, token });
     }
@@ -281,30 +290,19 @@ impl ShardState {
         let creq = (state.gen)(&mut state.rng, token);
         state.inflight.insert(token, now);
         self.completions.issued += 1;
-        let mut retry_wait = None;
-        if let Some(retry) = state.retry.as_mut() {
-            retry.slots.insert(
-                token,
-                RetrySlot {
-                    dst: creq.dst,
-                    wire_size: creq.wire_size,
-                    flow: creq.flow,
-                    tries: 1,
-                    backoff: retry.policy.timeout,
-                    hold_until: SimTime::ZERO,
-                },
-            );
-            retry_wait = Some(retry.policy.timeout);
-        }
-        self.client_send(
-            now,
-            client_node,
-            creq.dst,
-            creq.flow,
-            creq.wire_size,
-            token,
-            creq.payload,
-        );
+        let retry_wait = state.retry.as_mut().map(|retry| {
+            let slot = RetrySlot {
+                dst: creq.dst,
+                wire_size: creq.wire_size,
+                flow: creq.flow,
+                tries: 1,
+                backoff: retry.policy.timeout,
+                hold_until: SimTime::ZERO,
+            };
+            retry.slots.insert(token, slot);
+            retry.policy.timeout
+        });
+        self.client_send(now, client_node, token, creq);
         if let Some(wait) = retry_wait {
             self.events
                 .schedule_after(wait, Ev::RetryCheck { client, token });
@@ -318,12 +316,7 @@ impl ShardState {
         // A redirect reply bounces the request toward another address
         // instead of completing it (when retransmission is enabled —
         // otherwise it terminates the request like any reply).
-        let redirect = req
-            .payload
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<Redirect>())
-            .map(|r| r.0);
-        if let Some(new_dst) = redirect {
+        if let Some(Redirect(new_dst)) = reply_as::<Redirect>(&req) {
             let resend = {
                 let state = self.clients[client as usize].as_mut();
                 state.and_then(|s| {
@@ -349,8 +342,7 @@ impl ShardState {
                             }
                         }
                     }
-                    let payload = retry.payload_fn.as_mut().and_then(|f| f(req.token));
-                    let slot = retry.slots.get(&req.token)?;
+                    let resend = retry.rebuild(req.token)?;
                     if old_dst != new_dst {
                         // Let the application refresh its routing table
                         // so *future* issues steer to the new home too.
@@ -358,15 +350,15 @@ impl ShardState {
                             cb(old_dst, new_dst);
                         }
                     }
-                    Some((slot.flow, slot.wire_size, payload, refreshed))
+                    Some((resend, refreshed))
                 })
             };
-            if let Some((flow, wire_size, payload, refreshed)) = resend {
+            if let Some((creq, refreshed)) = resend {
                 self.fault_metrics.redirects.inc();
                 if refreshed > 0 {
                     self.fault_metrics.route_refreshed.add(refreshed);
                 }
-                self.client_send(now, node, new_dst, flow, wire_size, req.token, payload);
+                self.client_send(now, node, req.token, creq);
                 return;
             }
         }
@@ -375,37 +367,33 @@ impl ShardState {
         // request in flight and park its retry timer; everyone else
         // terminates the request as shed (and open-loop clients also
         // suppress new arrivals at the source until the hint expires).
-        let shed_hint = req
-            .payload
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<Shed>())
-            .map(|s| s.retry_after);
-        if let Some(retry_after) = shed_hint {
-            if let Some(state) = self.clients[client as usize].as_mut() {
-                if state.inflight.contains_key(&req.token) {
-                    if state.open.is_none() {
-                        if let Some(retry) = state.retry.as_mut() {
-                            if let Some(slot) = retry.slots.get_mut(&req.token) {
-                                slot.hold_until = slot.hold_until.max(now + retry_after);
-                                self.fault_metrics.shed_backoff.inc();
-                                return;
-                            }
-                        }
-                    }
-                    state.inflight.remove(&req.token);
-                    if let Some(retry) = state.retry.as_mut() {
-                        retry.slots.remove(&req.token);
-                    }
-                    self.completions.shed += 1;
-                    self.fault_metrics.shed_remote.inc();
-                    if state.open.is_some() {
-                        state.shed_src_until = state.shed_src_until.max(now + retry_after);
-                    } else {
-                        // Retry-less closed loop: the shed frees a slot.
-                        self.events
-                            .schedule_after(SimTime::ZERO, Ev::Issue { client });
-                    }
-                }
+        if let Some(Shed { retry_after }) = reply_as::<Shed>(&req) {
+            let Some(state) = self.clients[client as usize].as_mut() else {
+                return;
+            };
+            if !state.inflight.contains_key(&req.token) {
+                return;
+            }
+            // Closed loop with retransmission: park the retry timer.
+            let slot = state.retry.as_mut();
+            let slot = slot.and_then(|r| r.slots.get_mut(&req.token));
+            if let (None, Some(slot)) = (&state.open, slot) {
+                slot.hold_until = slot.hold_until.max(now + retry_after);
+                self.fault_metrics.shed_backoff.inc();
+                return;
+            }
+            state.inflight.remove(&req.token);
+            if let Some(retry) = state.retry.as_mut() {
+                retry.slots.remove(&req.token);
+            }
+            self.completions.shed += 1;
+            self.fault_metrics.shed_remote.inc();
+            if state.open.is_some() {
+                state.shed_src_until = state.shed_src_until.max(now + retry_after);
+            } else {
+                // Retry-less closed loop: the shed frees a slot.
+                self.events
+                    .schedule_after(SimTime::ZERO, Ev::Issue { client });
             }
             return;
         }

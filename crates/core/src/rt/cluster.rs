@@ -12,7 +12,6 @@ use ipipe_sim::MergePool;
 /// Builder for a [`Cluster`].
 pub struct ClusterBuilder {
     spec: &'static NicSpec,
-    host: &'static HostSpec,
     servers: usize,
     clients: usize,
     host_cores: u32,
@@ -193,7 +192,7 @@ impl ClusterBuilder {
                     shard_id: s as u16,
                     base,
                     spec: self.spec,
-                    host: self.host,
+                    host: &HOST_XEON,
                     mode: self.mode,
                     region_bytes: self.region_bytes,
                     nodes,
@@ -275,7 +274,6 @@ impl Cluster {
     pub fn builder_for(spec: &'static NicSpec) -> ClusterBuilder {
         ClusterBuilder {
             spec,
-            host: &HOST_XEON,
             servers: 1,
             clients: 1,
             host_cores: HOST_XEON.cores,
@@ -506,10 +504,7 @@ impl Cluster {
     /// cluster-wide totals of per-shard counters such as
     /// `client.retry.abandoned` must fold over all of them.
     pub fn counter_total(&self, name: &'static str) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.obs.registry().counter(name).get())
-            .sum()
+        self.counter_on_total(name, 0)
     }
 
     /// Sum a per-node registry counter across every shard. Only the owning

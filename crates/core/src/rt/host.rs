@@ -43,11 +43,10 @@ impl ShardState {
         let n = self.node_mut(node);
         let core = (req.flow % n.host_queues.len() as u64) as usize;
         n.host_queues[core].push_back(req);
-        if n.host_inflight[core].is_none() {
-            self.start_host_work(now, node, core as u32);
-        }
+        self.start_host_work(now, node, core as u32);
     }
 
+    /// Pull the next request onto host `core` unless it is already busy.
     fn start_host_work(&mut self, now: SimTime, node: u16, core: u32) {
         let (mode, host) = (self.mode, self.host);
         let n = self.node_mut(node);
@@ -55,15 +54,16 @@ impl ShardState {
             return;
         }
         let (run, actor, arrived, wire) = loop {
-            let mut queue_core = core as usize;
-            if n.host_queues[queue_core].is_empty() {
-                // Work stealing (ZygOS-style, §3.2.6): scan other queues.
-                match (0..n.host_queues.len()).find(|&c| !n.host_queues[c].is_empty()) {
-                    Some(c) => queue_core = c,
+            // Own queue first, then work stealing (ZygOS-style, §3.2.6):
+            // scan the other queues.
+            let queues = &mut n.host_queues;
+            let req = match queues[core as usize].pop_front() {
+                Some(req) => req,
+                None => match queues.iter_mut().find_map(|q| q.pop_front()) {
+                    Some(req) => req,
                     None => return,
-                }
-            }
-            let req = n.host_queues[queue_core].pop_front().expect("checked");
+                },
+            };
             let (actor, arrived, wire) = (req.actor, req.arrived, req.wire_size);
             // A queued request whose actor no longer exists (watchdog kill,
             // deregistration) is dropped *with accounting* by `run_actor`;
@@ -131,8 +131,6 @@ impl ShardState {
         }
         let via_nic = self.mode == RuntimeMode::IPipe;
         self.route_emits(now, node, inflight.emits, !via_nic);
-        if self.node(node).host_inflight[core as usize].is_none() {
-            self.start_host_work(now, node, core);
-        }
+        self.start_host_work(now, node, core);
     }
 }

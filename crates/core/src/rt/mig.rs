@@ -101,7 +101,9 @@ impl ShardState {
                     .min_by(|(a_id, _), (b_id, _)| {
                         let la = n.sched.actor(**a_id).map(|x| x.stats.load()).unwrap_or(0.0);
                         let lb = n.sched.actor(**b_id).map(|x| x.stats.load()).unwrap_or(0.0);
-                        la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
+                        // Equal loads tie-break on the id, not on hash order.
+                        let by_load = la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal);
+                        by_load.then(a_id.cmp(b_id))
                     })
                     .map(|(&id, _)| id);
                 let Some(victim) = victim else { return };

@@ -14,7 +14,25 @@ impl ShardState {
         from_nic: bool,
     ) {
         let (mode, spec) = (self.mode, self.spec);
-        for e in emits {
+        for mut e in emits {
+            if let Emit::ToActor { after, .. } = &mut e {
+                let delay = std::mem::replace(after, SimTime::ZERO);
+                if delay > SimTime::ZERO {
+                    // Timer message: park it until the delay expires, then
+                    // re-enter routing (port occupancy and faults are
+                    // evaluated at fire time, not arm time).
+                    let emit = e;
+                    self.events.schedule_after(
+                        delay,
+                        Ev::DelayedEmit {
+                            node,
+                            emit,
+                            from_nic,
+                        },
+                    );
+                    continue;
+                }
+            }
             match e {
                 Emit::ToActor {
                     dst,
@@ -22,29 +40,8 @@ impl ShardState {
                     wire_size,
                     payload,
                     token,
-                    after,
+                    ..
                 } => {
-                    if after > SimTime::ZERO {
-                        // Timer message: park it until the delay expires,
-                        // then re-enter routing (port occupancy and faults
-                        // are evaluated at fire time, not arm time).
-                        self.events.schedule_after(
-                            after,
-                            Ev::DelayedEmit {
-                                node,
-                                emit: Emit::ToActor {
-                                    dst,
-                                    flow,
-                                    wire_size,
-                                    payload,
-                                    token,
-                                    after: SimTime::ZERO,
-                                },
-                                from_nic,
-                            },
-                        );
-                        continue;
-                    }
                     let req = Request {
                         actor: dst.actor,
                         flow,

@@ -184,14 +184,11 @@ impl ShardState {
         let (spec, region_bytes, now) = (self.spec, self.region_bytes, self.events.now());
         let n = self.node_mut(node);
         n.dmo.register_region(id, region_bytes);
-        let init_emits = {
-            let mut ctx = ActorCtx::new(now, id, node, &mut n.dmo, &mut n.rng);
-            logic.init(&mut ctx);
-            // Init cost is setup-time, not measured; init *messages* are
-            // routed below (timers armed in init must fire).
-            let (_, emits) = ctx.finish();
-            emits
-        };
+        let mut ctx = ActorCtx::new(now, id, node, &mut n.dmo, &mut n.rng);
+        logic.init(&mut ctx);
+        // Init cost is setup-time, not measured; init *messages* are routed
+        // below (timers armed in init must fire).
+        let (_, init_emits) = ctx.finish();
         let speedup = logic.host_speedup().max(0.1);
         let hint = logic.state_hint_bytes();
         n.sched

@@ -388,15 +388,11 @@ fn closed_to_open_loop_swap_carries_inflight_tokens_and_retry() {
     // Swap while tokens 0..96 are all still live, a tenth of them lost.
     c.run_for(SimTime::from_us(3));
     assert_eq!(c.completions().completed(), 0);
-    let until = c.now() + SimTime::from_ms(2);
-    c.set_client_open_loop(
-        0,
-        echo_gen(a),
-        OpenLoopCfg {
-            rate_rps: 1e6,
-            until,
-        },
-    );
+    let open = OpenLoopCfg {
+        rate_rps: 1e6,
+        until: c.now() + SimTime::from_ms(2),
+    };
+    c.set_client_open_loop(0, echo_gen(a), open);
     c.run_for(SimTime::from_ms(40));
     // `next_token` carried: ~2,000 new tokens, none reusing a live one.
     // `inflight` carried: the old requests complete through the ledger.
