@@ -192,7 +192,6 @@ impl ClusterBuilder {
                     shard_id: s as u16,
                     base,
                     spec: self.spec,
-                    host: &HOST_XEON,
                     mode: self.mode,
                     region_bytes: self.region_bytes,
                     nodes,

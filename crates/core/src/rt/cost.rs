@@ -65,8 +65,10 @@ pub(super) fn egress_delay(
     from_nic: bool,
     size: u32,
 ) -> SimTime {
+    if from_nic {
+        return SimTime::ZERO;
+    }
     match mode {
-        _ if from_nic => SimTime::ZERO,
         RuntimeMode::HostDpdk | RuntimeMode::HostIPipe => SimTime::from_ns(300),
         RuntimeMode::IPipe => ring_to_nic_latency(spec, size),
     }

@@ -7,6 +7,7 @@ use super::cost::{
     BOOKKEEP_COST, MSG_HANDLE_COST, RING_PUSH_COST,
 };
 use super::*;
+use ipipe_nicsim::spec::HOST_XEON;
 
 /// Chrome-trace lane (`tid`) offset for host cores, so NIC cores and host
 /// cores render as separate row groups under one node (`pid`).
@@ -48,7 +49,7 @@ impl ShardState {
 
     /// Pull the next request onto host `core` unless it is already busy.
     fn start_host_work(&mut self, now: SimTime, node: u16, core: u32) {
-        let (mode, host) = (self.mode, self.host);
+        let (mode, host) = (self.mode, &HOST_XEON);
         let n = self.node_mut(node);
         if n.host_inflight[core as usize].is_some() {
             return;

@@ -52,7 +52,7 @@ use crate::migrate::{Migration, MigrationReport};
 use crate::sched::{Action, Loc, NicScheduler, SchedConfig};
 use ipipe_netsim::{FaultPlan, NetModel, PacketKind};
 use ipipe_nicsim::host::HostCpuAccounting;
-use ipipe_nicsim::spec::{HostSpec, NicSpec};
+use ipipe_nicsim::spec::NicSpec;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
 use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, MergePool, SimTime};
@@ -458,7 +458,6 @@ struct ShardState {
     /// First global node id this shard owns (nodes are contiguous).
     base: u16,
     spec: &'static NicSpec,
-    host: &'static HostSpec,
     mode: RuntimeMode,
     region_bytes: u64,
     /// Runtime state for the *server* nodes this shard owns; index is

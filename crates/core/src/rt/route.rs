@@ -16,20 +16,17 @@ impl ShardState {
         let (mode, spec) = (self.mode, self.spec);
         for mut e in emits {
             if let Emit::ToActor { after, .. } = &mut e {
-                let delay = std::mem::replace(after, SimTime::ZERO);
+                let delay = std::mem::take(after);
                 if delay > SimTime::ZERO {
                     // Timer message: park it until the delay expires, then
                     // re-enter routing (port occupancy and faults are
                     // evaluated at fire time, not arm time).
-                    let emit = e;
-                    self.events.schedule_after(
-                        delay,
-                        Ev::DelayedEmit {
-                            node,
-                            emit,
-                            from_nic,
-                        },
-                    );
+                    let timer = Ev::DelayedEmit {
+                        node,
+                        emit: e,
+                        from_nic,
+                    };
+                    self.events.schedule_after(delay, timer);
                     continue;
                 }
             }
