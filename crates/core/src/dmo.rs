@@ -550,6 +550,222 @@ mod tests {
         assert_eq!(t.take_traffic(), DmoTraffic::default());
     }
 
+    /// Naive reference for [`DmoTable`]: a sorted map, with the rules of the
+    /// modelled accounting written out. One lookup per access to an object
+    /// the actor owns, counted before the bounds check; bytes only on
+    /// success; nothing for `malloc`, `free` and `size_of`.
+    struct Model {
+        objects: std::collections::BTreeMap<u64, (ActorId, Vec<u8>)>,
+        used: std::collections::BTreeMap<ActorId, u64>,
+        capacity: u64,
+        next_id: u64,
+        traffic: DmoTraffic,
+    }
+
+    impl Model {
+        fn owned(&self, actor: ActorId, obj: ObjectId) -> Result<(), DmoError> {
+            match self.objects.get(&obj.0) {
+                None => Err(DmoError::NoSuchObject(obj)),
+                Some((owner, _)) if *owner != actor => Err(DmoError::Protection {
+                    actor,
+                    object: obj,
+                }),
+                Some(_) => Ok(()),
+            }
+        }
+
+        fn access(
+            &mut self,
+            actor: ActorId,
+            obj: ObjectId,
+            offset: u64,
+            len: u64,
+        ) -> Result<&mut [u8], DmoError> {
+            self.owned(actor, obj)?;
+            self.traffic.lookups += 1;
+            let data = &mut self.objects.get_mut(&obj.0).unwrap().1;
+            if offset + len > data.len() as u64 {
+                return Err(DmoError::OutOfBounds {
+                    object: obj,
+                    offset,
+                    len,
+                });
+            }
+            self.traffic.bytes += len;
+            Ok(&mut data[offset as usize..(offset + len) as usize])
+        }
+
+        fn malloc(&mut self, actor: ActorId, size: u64) -> Result<ObjectId, DmoError> {
+            let used = self
+                .used
+                .get_mut(&actor)
+                .ok_or(DmoError::OutOfMemory { actor })?;
+            if *used + size > self.capacity {
+                return Err(DmoError::OutOfMemory { actor });
+            }
+            *used += size;
+            let id = self.next_id;
+            self.next_id += 1;
+            self.objects.insert(id, (actor, vec![0; size as usize]));
+            Ok(ObjectId(id))
+        }
+
+        fn free(&mut self, actor: ActorId, obj: ObjectId) -> Result<(), DmoError> {
+            self.owned(actor, obj)?;
+            let (_, data) = self.objects.remove(&obj.0).unwrap();
+            *self.used.get_mut(&actor).unwrap() -= data.len() as u64;
+            Ok(())
+        }
+
+        fn size_of(&self, actor: ActorId, obj: ObjectId) -> Result<u64, DmoError> {
+            self.owned(actor, obj)?;
+            Ok(self.objects[&obj.0].1.len() as u64)
+        }
+    }
+
+    #[test]
+    fn random_ops_match_the_model_in_results_and_traffic() {
+        use ipipe_sim::DetRng;
+        const CAP: u64 = 1536;
+        let mut t = table_with(1, CAP);
+        t.register_region(2, CAP);
+        let mut m = Model {
+            objects: Default::default(),
+            used: [(1, 0), (2, 0)].into(),
+            capacity: CAP,
+            next_id: 1,
+            traffic: DmoTraffic::default(),
+        };
+        let mut rng = DetRng::new(0xD30);
+        let mut errors = [0u32; 4];
+        for step in 0..20_000u32 {
+            // Actor 3 has no region; ids range over null, freed, live and
+            // never-allocated objects; offsets and lengths overshoot often.
+            let actors = if rng.chance(0.02) { 3 } else { 2 };
+            let actor = 1 + rng.below(actors) as ActorId;
+            let obj = ObjectId(rng.below(m.next_id + 2));
+            let other = ObjectId(rng.below(m.next_id + 2));
+            let (off, len) = (rng.below(72), rng.below(72));
+            let fill = rng.below(256) as u8;
+            // Every result is compared as bytes: ids and sizes little-endian,
+            // unit results empty.
+            let done = |()| Vec::new();
+            let (got, want) = match rng.below(8) {
+                0 | 1 => {
+                    let size = 1 + rng.below(64);
+                    let id = |o: ObjectId| o.0.to_le_bytes().to_vec();
+                    (t.malloc(actor, size).map(id), m.malloc(actor, size).map(id))
+                }
+                2 => (t.free(actor, obj).map(done), m.free(actor, obj).map(done)),
+                3 => (
+                    t.read(actor, obj, off, len).map(|b| b.to_vec()),
+                    m.access(actor, obj, off, len).map(|b| b.to_vec()),
+                ),
+                4 => {
+                    let bytes = vec![fill; len as usize];
+                    (
+                        t.write(actor, obj, off, &bytes).map(done),
+                        m.access(actor, obj, off, len)
+                            .map(|b| b.copy_from_slice(&bytes))
+                            .map(done),
+                    )
+                }
+                5 => (
+                    t.memset(actor, obj, off, fill, len).map(done),
+                    m.access(actor, obj, off, len)
+                        .map(|b| b.fill(fill))
+                        .map(done),
+                ),
+                6 => {
+                    let dst_off = rng.below(72);
+                    let src = m.access(actor, obj, off, len).map(|b| b.to_vec());
+                    (
+                        t.memcpy(actor, obj, off, other, dst_off, len).map(done),
+                        src.and_then(|src| {
+                            m.access(actor, other, dst_off, len)
+                                .map(|dst| dst.copy_from_slice(&src))
+                                .map(done)
+                        }),
+                    )
+                }
+                _ => {
+                    let size = |n: u64| n.to_le_bytes().to_vec();
+                    (
+                        t.size_of(actor, obj).map(size),
+                        m.size_of(actor, obj).map(size),
+                    )
+                }
+            };
+            assert_eq!(got, want, "step {step}");
+            assert_eq!(
+                t.take_traffic(),
+                std::mem::take(&mut m.traffic),
+                "step {step}: {got:?}"
+            );
+            match got {
+                Err(DmoError::OutOfMemory { .. }) => errors[0] += 1,
+                Err(DmoError::Protection { .. }) => errors[1] += 1,
+                Err(DmoError::NoSuchObject(_)) => errors[2] += 1,
+                Err(DmoError::OutOfBounds { .. }) => errors[3] += 1,
+                Ok(_) => {}
+            }
+        }
+        // Every error path was taken often enough to mean something.
+        assert!(errors.iter().all(|&n| n > 100), "{errors:?}");
+        for actor in [1, 2] {
+            assert_eq!(t.region_usage(actor), Some((m.used[&actor], CAP)));
+            let want: Vec<_> = m
+                .objects
+                .iter()
+                .filter(|(_, (owner, _))| *owner == actor)
+                .map(|(&id, (_, data))| (ObjectId(id), data.len() as u64))
+                .collect();
+            assert_eq!(t.objects_of(actor), want);
+        }
+    }
+
+    #[test]
+    fn failed_accesses_are_charged_by_how_far_they_got() {
+        let mut t = table_with(1, 4096);
+        t.register_region(2, 4096);
+        let o = t.malloc(1, 64).unwrap();
+        let gone = t.malloc(1, 8).unwrap();
+        t.free(1, gone).unwrap();
+        // Unknown object or foreign owner: the modelled lookup never happens.
+        assert!(t.read(1, gone, 0, 1).is_err());
+        assert!(t.write(1, ObjectId::NULL, 0, b"x").is_err());
+        assert!(t.memset(2, o, 0, 0, 8).is_err());
+        assert!(t.memcpy(2, o, 0, o, 8, 8).is_err());
+        assert!(t.size_of(2, o).is_err());
+        assert!(t.free(2, o).is_err());
+        assert_eq!(t.take_traffic(), DmoTraffic::default());
+        // Out of bounds: the object was found (one lookup), no byte moved.
+        let one_lookup = DmoTraffic {
+            lookups: 1,
+            bytes: 0,
+        };
+        assert!(t.read(1, o, 60, 8).is_err());
+        assert_eq!(t.take_traffic(), one_lookup);
+        assert!(t.write(1, o, 64, b"y").is_err());
+        assert_eq!(t.take_traffic(), one_lookup);
+        assert!(t.memset(1, o, 1, 0, 64).is_err());
+        assert_eq!(t.take_traffic(), one_lookup);
+        // memcpy is a read then a write: a bad destination still pays for
+        // the source.
+        assert!(t.memcpy(1, o, 0, o, 60, 8).is_err());
+        assert_eq!(
+            t.take_traffic(),
+            DmoTraffic {
+                lookups: 2,
+                bytes: 8
+            }
+        );
+        // size_of and free are bookkeeping, not accesses.
+        assert_eq!(t.size_of(1, o), Ok(64));
+        t.free(1, o).unwrap();
+        assert_eq!(t.take_traffic(), DmoTraffic::default());
+    }
+
     #[test]
     fn scoped_view_binds_actor() {
         let mut t = table_with(7, 4096);

@@ -256,7 +256,7 @@ impl DmoSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dmo::{DmoTable, Side};
+    use crate::dmo::{DmoTable, DmoTraffic, Side};
 
     fn setup() -> (DmoTable, DetRng) {
         let mut t = DmoTable::new(Side::Nic, 0);
@@ -385,6 +385,38 @@ mod tests {
         let mut dmo = t.scoped(1);
         sl.insert(&mut dmo, &mut rng, &key(7), b"again").unwrap();
         assert_eq!(sl.get(&mut dmo, &key(7)).unwrap().unwrap(), b"again");
+    }
+
+    /// The modelled cost of a fixed run. `DmoTraffic` feeds simulated time
+    /// (`nic_mem_time`, `dmo_translate_cost`), so these totals may only move
+    /// with the list's algorithm, never with how the table finds an object.
+    #[test]
+    fn modelled_traffic_of_a_fixed_run_is_pinned() {
+        let (mut t, mut rng) = setup();
+        let mut dmo = t.scoped(1);
+        let mut sl = DmoSkipList::create(&mut dmo).unwrap();
+        let mut op_rng = DetRng::new(17);
+        for step in 0..1000u64 {
+            let k = key(op_rng.below(600));
+            sl.insert(&mut dmo, &mut rng, &k, &step.to_le_bytes())
+                .unwrap();
+        }
+        let mut hits = 0;
+        for _ in 0..1000 {
+            hits += sl.get(&mut dmo, &key(op_rng.below(600))).unwrap().is_some() as u32;
+        }
+        let mut removed = 0;
+        for _ in 0..100 {
+            removed += sl.remove(&mut dmo, &key(op_rng.below(600))).unwrap() as u32;
+        }
+        assert_eq!((sl.len(), hits, removed), (425, 831, 76));
+        assert_eq!(
+            t.take_traffic(),
+            DmoTraffic {
+                lookups: 80_625,
+                bytes: 918_056
+            }
+        );
     }
 
     #[test]
