@@ -13,8 +13,8 @@
 //! on the LiquidIO firmware).
 
 use crate::actor::ActorId;
-use ipipe_sim::SimTime;
-use std::collections::HashMap;
+use ipipe_sim::{IdMap, SimTime};
+use std::collections::hash_map::Entry;
 
 /// Which side of the PCIe bus an object currently lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,6 +79,20 @@ struct Region {
     used: u64,
 }
 
+/// The owner check on the result of a table probe: `found` is `actor`'s
+/// object `obj`, or the access traps.
+fn owned<E: std::ops::Deref<Target = DmoEntry>>(
+    found: Option<E>,
+    actor: ActorId,
+    obj: ObjectId,
+) -> Result<E, DmoError> {
+    match found {
+        None => Err(DmoError::NoSuchObject(obj)),
+        Some(e) if e.owner != actor => Err(DmoError::Protection { actor, object: obj }),
+        Some(e) => Ok(e),
+    }
+}
+
 /// Counters of DMO traffic since the last drain — the runtime converts these
 /// into modeled memory time (and they are the source of the framework's
 /// "DMO address translation" overhead in Fig 17).
@@ -93,8 +107,8 @@ pub struct DmoTraffic {
 /// The per-node object table.
 pub struct DmoTable {
     default_side: Side,
-    objects: HashMap<u64, DmoEntry>,
-    regions: HashMap<ActorId, Region>,
+    objects: IdMap<u64, DmoEntry>,
+    regions: IdMap<ActorId, Region>,
     next_id: u64,
     traffic: DmoTraffic,
 }
@@ -105,8 +119,8 @@ impl DmoTable {
     pub fn new(default_side: Side, _default_region: u64) -> DmoTable {
         DmoTable {
             default_side,
-            objects: HashMap::new(),
-            regions: HashMap::new(),
+            objects: IdMap::default(),
+            regions: IdMap::default(),
             next_id: 1,
             traffic: DmoTraffic::default(),
         }
@@ -151,26 +165,42 @@ impl DmoTable {
 
     /// Free a DMO.
     pub fn free(&mut self, actor: ActorId, obj: ObjectId) -> Result<(), DmoError> {
-        self.check_owner(actor, obj)?;
-        let entry = self.objects.remove(&obj.0).expect("checked");
+        let Entry::Occupied(slot) = self.objects.entry(obj.0) else {
+            return Err(DmoError::NoSuchObject(obj));
+        };
+        if slot.get().owner != actor {
+            return Err(DmoError::Protection { actor, object: obj });
+        }
+        let freed = slot.remove().data.len() as u64;
         if let Some(r) = self.regions.get_mut(&actor) {
-            r.used = r.used.saturating_sub(entry.data.len() as u64);
+            r.used = r.used.saturating_sub(freed);
         }
         Ok(())
     }
 
-    fn check_owner(&self, actor: ActorId, obj: ObjectId) -> Result<(), DmoError> {
-        match self.objects.get(&obj.0) {
-            None => Err(DmoError::NoSuchObject(obj)),
-            Some(e) if e.owner != actor => Err(DmoError::Protection { actor, object: obj }),
-            Some(_) => Ok(()),
-        }
-    }
-
-    fn entry(&mut self, actor: ActorId, obj: ObjectId) -> Result<&mut DmoEntry, DmoError> {
-        self.check_owner(actor, obj)?;
+    /// The `len` bytes at `offset` of an object `actor` owns, charged as one
+    /// access: one *modelled* lookup once the object is found (so never on
+    /// `NoSuchObject`/`Protection`), then `len` bytes if the range fits. The
+    /// host-side table is probed once, whatever the model charges.
+    fn access(
+        &mut self,
+        actor: ActorId,
+        obj: ObjectId,
+        offset: u64,
+        len: u64,
+    ) -> Result<&mut [u8], DmoError> {
+        let entry = owned(self.objects.get_mut(&obj.0), actor, obj)?;
         self.traffic.lookups += 1;
-        Ok(self.objects.get_mut(&obj.0).expect("checked"))
+        let end = offset + len;
+        if end > entry.data.len() as u64 {
+            return Err(DmoError::OutOfBounds {
+                object: obj,
+                offset,
+                len,
+            });
+        }
+        self.traffic.bytes += len;
+        Ok(&mut entry.data[offset as usize..end as usize])
     }
 
     /// Read `len` bytes at `offset`.
@@ -181,18 +211,7 @@ impl DmoTable {
         offset: u64,
         len: u64,
     ) -> Result<&[u8], DmoError> {
-        let entry = self.entry(actor, obj)?;
-        let end = offset + len;
-        if end > entry.data.len() as u64 {
-            return Err(DmoError::OutOfBounds {
-                object: obj,
-                offset,
-                len,
-            });
-        }
-        self.traffic.bytes += len;
-        let entry = self.objects.get(&obj.0).expect("checked");
-        Ok(&entry.data[offset as usize..end as usize])
+        self.access(actor, obj, offset, len).map(|b| &*b)
     }
 
     /// Write `bytes` at `offset`.
@@ -203,17 +222,8 @@ impl DmoTable {
         offset: u64,
         bytes: &[u8],
     ) -> Result<(), DmoError> {
-        let entry = self.entry(actor, obj)?;
-        let end = offset + bytes.len() as u64;
-        if end > entry.data.len() as u64 {
-            return Err(DmoError::OutOfBounds {
-                object: obj,
-                offset,
-                len: bytes.len() as u64,
-            });
-        }
-        entry.data[offset as usize..end as usize].copy_from_slice(bytes);
-        self.traffic.bytes += bytes.len() as u64;
+        self.access(actor, obj, offset, bytes.len() as u64)?
+            .copy_from_slice(bytes);
         Ok(())
     }
 
@@ -226,17 +236,7 @@ impl DmoTable {
         value: u8,
         len: u64,
     ) -> Result<(), DmoError> {
-        let entry = self.entry(actor, obj)?;
-        let end = offset + len;
-        if end > entry.data.len() as u64 {
-            return Err(DmoError::OutOfBounds {
-                object: obj,
-                offset,
-                len,
-            });
-        }
-        entry.data[offset as usize..end as usize].fill(value);
-        self.traffic.bytes += len;
+        self.access(actor, obj, offset, len)?.fill(value);
         Ok(())
     }
 
@@ -269,8 +269,7 @@ impl DmoTable {
 
     /// Size of an object.
     pub fn size_of(&self, actor: ActorId, obj: ObjectId) -> Result<u64, DmoError> {
-        self.check_owner(actor, obj)?;
-        Ok(self.objects[&obj.0].data.len() as u64)
+        owned(self.objects.get(&obj.0), actor, obj).map(|e| e.data.len() as u64)
     }
 
     /// Which side an object currently lives on.
@@ -355,10 +354,20 @@ impl ActorDmo<'_> {
             .map(|s| s.to_vec())
     }
 
+    /// Read exactly `N` bytes into an array: one access like [`Self::read`],
+    /// without the heap copy.
+    pub fn read_array<const N: usize>(
+        &mut self,
+        obj: ObjectId,
+        offset: u64,
+    ) -> Result<[u8; N], DmoError> {
+        let b = self.table.read(self.actor, obj, offset, N as u64)?;
+        Ok(b.try_into().expect("N bytes"))
+    }
+
     /// Read a little-endian u64.
     pub fn read_u64(&mut self, obj: ObjectId, offset: u64) -> Result<u64, DmoError> {
-        let b = self.table.read(self.actor, obj, offset, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.read_array(obj, offset)?))
     }
 
     /// Write bytes.
@@ -566,10 +575,9 @@ mod tests {
         fn owned(&self, actor: ActorId, obj: ObjectId) -> Result<(), DmoError> {
             match self.objects.get(&obj.0) {
                 None => Err(DmoError::NoSuchObject(obj)),
-                Some((owner, _)) if *owner != actor => Err(DmoError::Protection {
-                    actor,
-                    object: obj,
-                }),
+                Some((owner, _)) if *owner != actor => {
+                    Err(DmoError::Protection { actor, object: obj })
+                }
                 Some(_) => Ok(()),
             }
         }

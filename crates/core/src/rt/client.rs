@@ -55,7 +55,7 @@ impl Cluster {
             gen,
             outstanding,
             next_token: 0,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             rng,
             retry: None,
             open,
@@ -147,7 +147,7 @@ impl Cluster {
         self.client_mut(client).retry = Some(ClientRetry {
             policy,
             payload_fn,
-            slots: HashMap::new(),
+            slots: IdMap::default(),
         });
     }
 

@@ -171,7 +171,7 @@ impl ClusterBuilder {
                         nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
                         host_queues: (0..self.host_cores).map(|_| Default::default()).collect(),
                         host_inflight: (0..self.host_cores).map(|_| None).collect(),
-                        actors: HashMap::new(),
+                        actors: IdMap::default(),
                         dmo: DmoTable::new(Side::Nic, self.region_bytes),
                         rng: std::mem::replace(&mut node_rngs[i], DetRng::new(0)),
                         host_acct: HostCpuAccounting::new(),

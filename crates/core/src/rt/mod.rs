@@ -55,9 +55,8 @@ use ipipe_nicsim::host::HostCpuAccounting;
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
-use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, MergePool, SimTime};
+use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
 use shard::PoolEntry;
-use std::collections::HashMap;
 
 /// Initial placement of an actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,7 +189,7 @@ struct RetrySlot {
 struct ClientRetry {
     policy: RetryPolicy,
     payload_fn: Option<PayloadFn>,
-    slots: HashMap<u64, RetrySlot>,
+    slots: IdMap<u64, RetrySlot>,
 }
 
 /// Completion statistics observed at the clients. The latency histogram
@@ -325,7 +324,7 @@ struct NodeRt {
     nic_inflight: Vec<Option<InFlight>>,
     host_queues: Vec<std::collections::VecDeque<Request>>,
     host_inflight: Vec<Option<InFlight>>,
-    actors: HashMap<ActorId, ActorSlot>,
+    actors: IdMap<ActorId, ActorSlot>,
     dmo: DmoTable,
     rng: DetRng,
     host_acct: HostCpuAccounting,
@@ -390,7 +389,7 @@ struct ClientState {
     gen: ClientGenFn,
     outstanding: u32,
     next_token: u64,
-    inflight: HashMap<u64, SimTime>,
+    inflight: IdMap<u64, SimTime>,
     rng: DetRng,
     retry: Option<ClientRetry>,
     /// Open-loop pacing: when set, issues arrive on a seeded Poisson

@@ -26,8 +26,9 @@ use ipipe_nicsim::spec::NicSpec;
 use ipipe_nicsim::traffic;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs};
-use ipipe_sim::SimTime;
-use std::collections::{HashMap, VecDeque};
+use ipipe_sim::{IdMap, SimTime};
+use std::cmp::{Ordering, Reverse};
+use std::collections::VecDeque;
 
 /// Registry handles for every scheduler-owned metric. Resolved once at
 /// construction; updating any of them on the hot path is a plain `Cell`
@@ -265,7 +266,7 @@ pub struct NicScheduler {
     /// maintained incrementally so the DRR idle check and the core
     /// rebalancer don't rescan every actor on the hot path.
     drr_backlog: usize,
-    actors: HashMap<ActorId, ActorSched>,
+    actors: IdMap<ActorId, ActorSched>,
     /// FCFS group latency statistics.
     fcfs_group: GroupStats,
     /// Core modes; core 0 is the management core and always FCFS.
@@ -309,7 +310,7 @@ impl NicScheduler {
             fcfs_queue: VecDeque::new(),
             drr_runnable: VecDeque::new(),
             drr_backlog: 0,
-            actors: HashMap::new(),
+            actors: IdMap::default(),
             fcfs_group: GroupStats::new(cfg.ewma_alpha),
             modes,
             util: vec![CoreUtil::new(cfg.util_window, cfg.ewma_alpha); cores],
@@ -679,24 +680,15 @@ impl NicScheduler {
         } else {
             self.fcfs_group.tail()
         };
+        // Both branches test the cheap per-actor predicates first and pay
+        // for the median scan only once some candidate has passed them: this
+        // runs on every completion and almost never finds one.
         if tail > self.cfg.tail_thresh {
             // Downgrade the FCFS actor with the highest dispersion — but
             // only when that actor genuinely stands out. When every actor
             // looks alike (a homogeneous overload), moving one to DRR cannot
             // reduce the tail and merely fragments the core pool.
-            let mut dispersions: Vec<u64> = self
-                .actors
-                .values()
-                .filter(|a| a.loc == Loc::Nic && a.stats.observed())
-                .map(|a| a.stats.dispersion().as_ns())
-                .collect();
-            dispersions.sort_unstable();
-            let median = dispersions
-                .get(dispersions.len().saturating_sub(1) / 2)
-                .copied()
-                .unwrap_or(0)
-                .max(1);
-            let victim = self
+            let mut candidates = self
                 .actors
                 .iter()
                 .filter(|(_, a)| {
@@ -704,10 +696,17 @@ impl NicScheduler {
                         && !a.is_drr
                         && a.stats.observed()
                         && a.stats.dispersion() > self.cfg.mean_thresh
-                        && a.stats.dispersion().as_ns() > 3 * median
                         && now.saturating_sub(a.last_regroup) > REGROUP_COOLDOWN
                 })
-                .max_by_key(|(_, a)| a.stats.dispersion())
+                .peekable();
+            if candidates.peek().is_none() {
+                return;
+            }
+            let median = self.median_dispersion();
+            // Equal dispersions tie-break on the id, not on map order.
+            let victim = candidates
+                .filter(|(_, a)| a.stats.dispersion().as_ns() > 3 * median)
+                .max_by_key(|(&id, a)| (a.stats.dispersion(), Reverse(id)))
                 .map(|(&id, _)| id);
             if let Some(id) = victim {
                 let a = self.actors.get_mut(&id).expect("exists");
@@ -727,20 +726,8 @@ impl NicScheduler {
             // Upgrade the DRR actor with the lowest dispersion — but never
             // one that still disperses far beyond its peers (it would drag
             // the FCFS tail right back up), and respect the hysteresis
-            // cooldown.
-            let mut dispersions: Vec<u64> = self
-                .actors
-                .values()
-                .filter(|a| a.loc == Loc::Nic && a.stats.observed())
-                .map(|a| a.stats.dispersion().as_ns())
-                .collect();
-            dispersions.sort_unstable();
-            let median = dispersions
-                .get(dispersions.len().saturating_sub(1) / 2)
-                .copied()
-                .unwrap_or(0)
-                .max(1);
-            let victim = self
+            // cooldown. With nothing in DRR there is nothing to scan.
+            let mut candidates = self
                 .drr_runnable
                 .iter()
                 .filter(|id| {
@@ -751,9 +738,15 @@ impl NicScheduler {
                     // pure noise before a single request has run.
                     a.stats.observed()
                         && a.mailbox.is_empty()
-                        && a.stats.dispersion().as_ns() <= 3 * median
                         && now.saturating_sub(a.last_regroup) > REGROUP_COOLDOWN
                 })
+                .peekable();
+            if candidates.peek().is_none() {
+                return;
+            }
+            let median = self.median_dispersion();
+            let victim = candidates
+                .filter(|id| self.actors[id].stats.dispersion().as_ns() <= 3 * median)
                 .min_by_key(|id| self.actors[id].stats.dispersion())
                 .copied();
             if let Some(id) = victim {
@@ -768,6 +761,23 @@ impl NicScheduler {
                 });
             }
         }
+    }
+
+    /// Median dispersion (ns, at least 1) over the observed actors on the
+    /// NIC: what "stands out from its peers" is measured against.
+    fn median_dispersion(&self) -> u64 {
+        let mut dispersions: Vec<u64> = self
+            .actors
+            .values()
+            .filter(|a| a.loc == Loc::Nic && a.stats.observed())
+            .map(|a| a.stats.dispersion().as_ns())
+            .collect();
+        dispersions.sort_unstable();
+        dispersions
+            .get(dispersions.len().saturating_sub(1) / 2)
+            .copied()
+            .unwrap_or(0)
+            .max(1)
     }
 
     /// ALG 1 lines 17–23: push/pull migration from the management core.
@@ -787,11 +797,10 @@ impl NicScheduler {
                 .actors
                 .iter()
                 .filter(|(_, a)| a.loc == Loc::Nic && a.stats.observed())
-                .max_by(|(_, x), (_, y)| {
-                    x.stats
-                        .load()
-                        .partial_cmp(&y.stats.load())
-                        .unwrap_or(std::cmp::Ordering::Equal)
+                .max_by(|(x_id, x), (y_id, y)| {
+                    // Equal loads tie-break on the id, not on map order.
+                    let by_load = x.stats.load().partial_cmp(&y.stats.load());
+                    by_load.unwrap_or(Ordering::Equal).then(y_id.cmp(x_id))
                 })
                 .map(|(&id, _)| id);
             if let Some(id) = victim {
@@ -1306,6 +1315,51 @@ mod tests {
         );
         assert_eq!(s.location(2), Some(Loc::Migrating));
         assert!(s.migrations_started() >= 1);
+    }
+
+    /// Two actors with identical statistics tie in both victim scans. The
+    /// lower id must win whichever was registered first and wherever the
+    /// table happens to put them (the pairs cover both bucket orders).
+    #[test]
+    fn tied_victims_are_chosen_by_id_not_by_table_order() {
+        for (lo, hi) in [(10, 11), (11, 12), (3, 40), (7, 900), (64, 128), (5, 6)] {
+            for tied in [[lo, hi], [hi, lo]] {
+                let mut s = NicScheduler::new(&CN2350, cfg());
+                // Two calm peers hold the median dispersion down.
+                for id in [tied[0], 1, 2, tied[1]] {
+                    s.register(id, 512, Loc::Nic);
+                }
+                for i in 0..50 {
+                    let at = SimTime::from_us(i * 10);
+                    for id in [1, 2] {
+                        let stats = &mut s.actor_mut(id).unwrap().stats;
+                        stats.on_complete_busy(SimTime::from_us(10), SimTime::from_us(5));
+                    }
+                    let lat = SimTime::from_us(if i % 2 == 0 { 5 } else { 300 });
+                    for id in tied {
+                        let stats = &mut s.actor_mut(id).unwrap().stats;
+                        stats.on_arrival(at, 512);
+                        stats.on_complete_busy(lat, SimTime::from_us(25));
+                    }
+                    s.fcfs_group.observe(SimTime::from_us(300));
+                }
+                let now = SimTime::from_ms(10);
+                s.last_fcfs_obs = now;
+                s.evaluate_regrouping(now);
+                s.evaluate_migration();
+                assert_eq!(
+                    s.take_actions(),
+                    vec![
+                        Action::Regrouped {
+                            actor: lo,
+                            to_drr: true
+                        },
+                        Action::PushMigrate(lo)
+                    ],
+                    "tied {tied:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl DmoSkipList {
     }
 
     fn key_of(dmo: &mut ActorDmo<'_>, node: ObjectId) -> Result<[u8; KEY_LEN], DmoError> {
-        let b = dmo.read(node, OFF_KEY, KEY_LEN as u64)?;
-        Ok(b.try_into().expect("KEY_LEN bytes"))
+        dmo.read_array(node, OFF_KEY)
     }
 
     fn random_level(rng: &mut DetRng) -> usize {

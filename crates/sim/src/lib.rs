@@ -22,6 +22,7 @@
 
 pub mod audit;
 pub mod event;
+pub mod idmap;
 pub mod obs;
 pub mod rng;
 pub mod stats;
@@ -30,7 +31,8 @@ pub mod time;
 
 pub use audit::{AuditReport, Violation};
 pub use event::{EpochStats, EventQueue, HeapEventQueue, MergePool};
+pub use idmap::IdMap;
 pub use obs::{Obs, ObsConfig, TraceLevel};
-pub use rng::{DetRng, PoissonArrivals};
+pub use rng::{DetRng, PoissonArrivals, ZipfKeys};
 pub use stats::{Ewma, Histogram, TailEstimator, Welford};
 pub use time::SimTime;

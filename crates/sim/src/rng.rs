@@ -83,13 +83,10 @@ impl DetRng {
     }
 
     /// Zipf-distributed key in [0, n) with exponent `s` (paper uses s = 0.99,
-    /// n = 1e6 for the KV workloads, §5.1).
+    /// n = 1e6 for the KV workloads, §5.1). One-off draws only: a generator
+    /// that draws per request keeps a [`ZipfKeys`] instead.
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        let d = Zipf::new(n as f64, s).expect("valid zipf parameters");
-        // rand_distr's Zipf yields values in [1, n].
-        (d.sample(&mut self.inner) as u64)
-            .saturating_sub(1)
-            .min(n - 1)
+        ZipfKeys::new(n, s).sample(self)
     }
 
     /// Access to the underlying `rand` RNG for use with `rand_distr`.
@@ -100,6 +97,31 @@ impl DetRng {
     /// Fill a byte buffer with random data.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         self.inner.fill_bytes(buf);
+    }
+}
+
+/// Zipf popularity over the keys `[0, n)` with the sampler's constants built
+/// once: `Zipf::new` costs five `ln` and five `exp`, more than a draw.
+/// Sampling consumes the RNG exactly as [`DetRng::zipf`] does.
+#[derive(Debug, Clone, Copy)]
+pub struct ZipfKeys {
+    n: u64,
+    dist: Zipf,
+}
+
+impl ZipfKeys {
+    /// Popularity law over `n > 0` keys with exponent `s`.
+    pub fn new(n: u64, s: f64) -> ZipfKeys {
+        let dist = Zipf::new(n as f64, s).expect("valid zipf parameters");
+        ZipfKeys { n, dist }
+    }
+
+    /// Draw a key.
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        // rand_distr's Zipf yields values in [1, n].
+        (self.dist.sample(&mut rng.inner) as u64)
+            .saturating_sub(1)
+            .min(self.n - 1)
     }
 }
 
@@ -234,6 +256,18 @@ mod tests {
         }
         // Key 0 should be far more popular than key 500.
         assert!(counts[0] > counts[500] * 10);
+    }
+
+    #[test]
+    fn a_reused_zipf_draws_what_a_fresh_one_draws() {
+        let (mut a, mut b) = (DetRng::new(9), DetRng::new(9));
+        for (n, s) in [(1_000_000, 0.99), (64, 1.0), (500, 1.3), (1, 0.5)] {
+            let keys = ZipfKeys::new(n, s);
+            for _ in 0..200 {
+                assert_eq!(keys.sample(&mut a), b.zipf(n, s));
+            }
+        }
+        assert_eq!(a.below(1 << 40), b.below(1 << 40));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! is shared, so no cross-shard event interleaving can perturb it.
 
 use crate::kv::{encode_key, KvOp};
-use ipipe_sim::DetRng;
+use ipipe_sim::{DetRng, ZipfKeys};
 
 /// SplitMix64-style mixing of (seed, token) into an independent RNG seed.
 fn mix(seed: u64, token: u64) -> u64 {
@@ -44,10 +44,8 @@ pub struct AggKvStream {
     seed: u64,
     /// Modeled user population behind this source node.
     pub users: u64,
-    /// Key population shared by all users.
-    pub keys: u64,
-    /// Zipf skew of the key popularity law.
-    pub skew: f64,
+    /// Key popularity law shared by all users, built once per stream.
+    zipf: ZipfKeys,
     /// Fraction of operations that are reads.
     pub read_ratio: f64,
     /// Value bytes carried by each write.
@@ -69,8 +67,7 @@ impl AggKvStream {
         AggKvStream {
             seed,
             users,
-            keys,
-            skew,
+            zipf: ZipfKeys::new(keys, skew),
             read_ratio,
             value_len,
         }
@@ -95,7 +92,7 @@ impl AggKvStream {
         // Burn the user draw so `user_of` and `op_for` agree on the stream
         // prefix and stay individually stable.
         let _user = rng.below(self.users);
-        let key = encode_key(rng.zipf(self.keys, self.skew));
+        let key = encode_key(self.zipf.sample(&mut rng));
         if rng.chance(self.read_ratio) {
             KvOp::Get { key }
         } else {

@@ -3,7 +3,7 @@
 //! settings in prior work [MICA, Memcache])"; value size grows with packet
 //! size.
 
-use ipipe_sim::DetRng;
+use ipipe_sim::{DetRng, ZipfKeys};
 
 /// Default key population.
 pub const DEFAULT_KEYS: u64 = 1_000_000;
@@ -57,8 +57,7 @@ pub fn encode_key(id: u64) -> [u8; KEY_LEN] {
 
 /// The KV workload generator.
 pub struct KvWorkload {
-    keys: u64,
-    skew: f64,
+    zipf: ZipfKeys,
     read_ratio: f64,
     value_len: usize,
     rng: DetRng,
@@ -71,8 +70,7 @@ impl KvWorkload {
     pub fn paper_default(packet_size: u32, seed: u64) -> KvWorkload {
         let overhead = 1 + KEY_LEN as u32 + 42; // opcode + key + net headers
         KvWorkload {
-            keys: DEFAULT_KEYS,
-            skew: DEFAULT_SKEW,
+            zipf: ZipfKeys::new(DEFAULT_KEYS, DEFAULT_SKEW),
             read_ratio: DEFAULT_READ_RATIO,
             value_len: packet_size.saturating_sub(overhead).max(8) as usize,
             rng: DetRng::new(seed),
@@ -84,8 +82,7 @@ impl KvWorkload {
         assert!(keys > 0);
         assert!((0.0..=1.0).contains(&read_ratio));
         KvWorkload {
-            keys,
-            skew,
+            zipf: ZipfKeys::new(keys, skew),
             read_ratio,
             value_len,
             rng: DetRng::new(seed),
@@ -99,8 +96,7 @@ impl KvWorkload {
 
     /// Draw the next operation.
     pub fn next_op(&mut self) -> KvOp {
-        let id = self.rng.zipf(self.keys, self.skew);
-        let key = encode_key(id);
+        let key = encode_key(self.zipf.sample(&mut self.rng));
         if self.rng.chance(self.read_ratio) {
             KvOp::Get { key }
         } else {

@@ -8,7 +8,7 @@
 //! (so the counter/ranker stages see realistic heavy hitters) and a tunable
 //! fraction of tuples matching the filter's pattern set (see DESIGN.md §1).
 
-use ipipe_sim::DetRng;
+use ipipe_sim::{DetRng, ZipfKeys};
 
 /// One data tuple flowing through filter → counter → ranker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub fn tuples_per_packet(packet_size: u32) -> u32 {
 
 /// Synthetic Twitter-like tuple stream.
 pub struct RtaWorkload {
-    topics: u64,
+    topics: ZipfKeys,
     match_fraction: f64,
     rng: DetRng,
 }
@@ -46,7 +46,7 @@ impl RtaWorkload {
     pub fn new(topics: u64, match_fraction: f64, seed: u64) -> RtaWorkload {
         assert!(topics > 0);
         RtaWorkload {
-            topics,
+            topics: ZipfKeys::new(topics, 1.0),
             match_fraction: match_fraction.clamp(0.0, 1.0),
             rng: DetRng::new(seed),
         }
@@ -59,7 +59,7 @@ impl RtaWorkload {
 
     /// Draw the next tuple.
     pub fn next_tuple(&mut self) -> Tuple {
-        let topic = self.rng.zipf(self.topics, 1.0) as u32;
+        let topic = self.topics.sample(&mut self.rng) as u32;
         let interesting = self.rng.chance(self.match_fraction);
         let word = if interesting {
             INTERESTING_WORDS[self.rng.index(INTERESTING_WORDS.len())]

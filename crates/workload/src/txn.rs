@@ -3,7 +3,7 @@
 //! prior work, FaSST)"; value size grows with packet size.
 
 use crate::kv::{encode_key, KEY_LEN};
-use ipipe_sim::DetRng;
+use ipipe_sim::{DetRng, ZipfKeys};
 
 /// A generated transaction request: read set + write set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +34,7 @@ impl TxnRequest {
 
 /// Transaction workload generator.
 pub struct TxnWorkload {
-    keys: u64,
-    skew: f64,
+    zipf: ZipfKeys,
     n_reads: usize,
     n_writes: usize,
     value_len: usize,
@@ -47,8 +46,7 @@ impl TxnWorkload {
     pub fn paper_default(packet_size: u32, seed: u64) -> TxnWorkload {
         let overhead = 4 + 3 * KEY_LEN as u32 + 42;
         TxnWorkload {
-            keys: 1_000_000,
-            skew: 0.99,
+            zipf: ZipfKeys::new(1_000_000, 0.99),
             n_reads: 2,
             n_writes: 1,
             value_len: packet_size.saturating_sub(overhead).max(8) as usize,
@@ -67,8 +65,7 @@ impl TxnWorkload {
     ) -> TxnWorkload {
         assert!(keys as usize >= n_reads + n_writes);
         TxnWorkload {
-            keys,
-            skew,
+            zipf: ZipfKeys::new(keys, skew),
             n_reads,
             n_writes,
             value_len,
@@ -80,7 +77,7 @@ impl TxnWorkload {
     pub fn next_txn(&mut self) -> TxnRequest {
         let mut ids = Vec::with_capacity(self.n_reads + self.n_writes);
         while ids.len() < self.n_reads + self.n_writes {
-            let id = self.rng.zipf(self.keys, self.skew);
+            let id = self.zipf.sample(&mut self.rng);
             if !ids.contains(&id) {
                 ids.push(id);
             }

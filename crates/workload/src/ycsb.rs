@@ -4,7 +4,7 @@
 //! beyond the paper's single operating point.
 
 use crate::kv::{encode_key, KvOp, KEY_LEN};
-use ipipe_sim::DetRng;
+use ipipe_sim::{DetRng, ZipfKeys};
 
 /// The six core YCSB workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,12 +94,15 @@ impl YcsbOp {
     }
 }
 
+/// Zipf skew of every mix.
+const SKEW: f64 = 0.99;
+
 /// YCSB workload generator.
 pub struct YcsbWorkload {
     mix: YcsbMix,
-    keys: u64,
+    /// Popularity over the pre-loaded records.
+    zipf: ZipfKeys,
     inserted: u64,
-    skew: f64,
     value_len: usize,
     rng: DetRng,
 }
@@ -110,21 +113,21 @@ impl YcsbWorkload {
         assert!(keys > 0);
         YcsbWorkload {
             mix,
-            keys,
+            zipf: ZipfKeys::new(keys, SKEW),
             inserted: keys,
-            skew: 0.99,
             value_len,
             rng: DetRng::new(seed),
         }
     }
 
     fn zipf_key(&mut self) -> [u8; KEY_LEN] {
-        encode_key(self.rng.zipf(self.keys, self.skew))
+        encode_key(self.zipf.sample(&mut self.rng))
     }
 
     fn latest_key(&mut self) -> [u8; KEY_LEN] {
-        // "Read latest": zipf over recency rank.
-        let back = self.rng.zipf(self.inserted, self.skew);
+        // "Read latest": zipf over recency rank, a population that grows
+        // with every insert.
+        let back = self.rng.zipf(self.inserted, SKEW);
         encode_key(self.inserted - 1 - back.min(self.inserted - 1))
     }
 
