@@ -4,19 +4,22 @@
 # backtrace() on every ITIMER_PROF tick of a benchmark repetition; the
 # addresses are symbolised with addr2line (inlined frames included) and
 # reduced to three tables over the samples under Cluster::run_for.
-#   ./scripts/sample_profile.sh <workload> [seed] [reps]
+#   ./scripts/sample_profile.sh <workload> [seed] [reps] [cut]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
 # dse-grid), run at the size of `--seconds 20`. The kernel ticks ITIMER_PROF
 # every 4 ms here, about 230 samples per repetition, hence 8 repetitions.
 # The third table charges each sample to the innermost frame whose demangled
-# name contains an entry of the cut list; CUT="a,b,..." replaces the list.
+# name contains an entry of the cut list; [cut] = "a,b,..." replaces the list.
 # Needs cc, addr2line and python3; everything it writes goes under
 # target/sample-profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=${1:?usage: sample_profile.sh <workload> [seed] [reps]}
+workload=${1:?usage: sample_profile.sh <workload> [seed] [reps] [cut]}
 seed=${2:-11}
 reps=${3:-8}
+# Layers of the request path, plus two that cut across them: hash-table
+# probes, and "??", code outside the executable (libc's malloc, free, memcpy).
+cut=${4:-DmoSkipList::,DmoTable::,NicScheduler::evaluate_regrouping,NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,Histogram::,obs::,hashbrown::,??}
 dir=target/sample-profile
 mkdir -p "$dir"
 
@@ -91,10 +94,10 @@ for rep in $(seq "$reps"); do
         --child rep --workload "$workload" --seed "$seed" --scale 0.083333 > /dev/null
 done
 
-python3 - "$bin" "$dir"/samples.* <<'EOF'
-import collections, os, re, subprocess, sys
+python3 - "$bin" "$cut" "$dir"/samples.* <<'EOF'
+import collections, re, subprocess, sys
 
-binary, files = sys.argv[1], sys.argv[2:]
+binary, cut, files = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
 samples = [l.split() for f in files for l in open(f) if l.strip()]
 # The interrupted pc is exact; every outer frame is a return address, which
 # belongs to the call one byte earlier.
@@ -136,11 +139,6 @@ table("self (innermost frame, inlined functions counted as themselves)",
       collections.Counter(s[0] if s else "Cluster::run_for" for s in stacks))
 table("inclusive (function anywhere in the stack, once per sample)",
       collections.Counter(n for s in stacks for n in set(s)), rows=40)
-# Layers of the request path, plus two that cut across them: hash-table
-# probes, and "??", code outside the executable (libc's malloc, free, memcpy).
-cut = os.environ.get("CUT", "DmoSkipList::,DmoTable::,NicScheduler::evaluate_regrouping,"
-                     "NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,"
-                     "Histogram::,obs::,hashbrown::,??").split(",")
 by_cut = collections.Counter()
 for s in stacks:
     hit = next((c for n in s for c in cut if c in n), "(none of the cut list)")
