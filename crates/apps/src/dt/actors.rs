@@ -5,9 +5,7 @@ use super::txn::{Coordinator, DtMsg, LogRecord, PartIdx, Participant, Step, TxId
 use ipipe::prelude::*;
 use ipipe::rt::Cluster;
 use ipipe_workload::txn::TxnRequest;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Actor-level messages.
 pub enum DtActorMsg {
@@ -26,24 +24,22 @@ pub enum DtActorMsg {
     Checkpoint(Vec<LogRecord>),
 }
 
-/// Post-registration wiring.
-#[derive(Default)]
+/// The addresses of a DT deployment, reserved before any actor exists.
+#[derive(Debug, Clone)]
 pub struct DtWiring {
     /// Coordinator address.
-    pub coordinator: Option<Address>,
+    pub coordinator: Address,
     /// Participant addresses by index.
     pub participants: Vec<Address>,
     /// Host-pinned logging actor.
-    pub logger: Option<Address>,
+    pub logger: Address,
 }
-
-/// Shared wiring handle.
-pub type Wiring = Rc<RefCell<DtWiring>>;
 
 /// The coordinator actor.
 pub struct CoordinatorActor {
     coord: Coordinator,
-    wiring: Wiring,
+    participants: Vec<Address>,
+    logger: Address,
     clients: HashMap<TxId, Address>,
     /// Checkpoint threshold for the coordinator log.
     pub log_limit: u64,
@@ -53,11 +49,12 @@ pub struct CoordinatorActor {
 }
 
 impl CoordinatorActor {
-    /// Coordinator over `parts` participants.
-    pub fn new(parts: u32, wiring: Wiring, log_limit: u64) -> CoordinatorActor {
+    /// Coordinator over `participants`, checkpointing its log to `logger`.
+    pub fn new(participants: Vec<Address>, logger: Address, log_limit: u64) -> CoordinatorActor {
         CoordinatorActor {
-            coord: Coordinator::new(parts),
-            wiring,
+            coord: Coordinator::new(participants.len() as u32),
+            participants,
+            logger,
             clients: HashMap::new(),
             log_limit,
             resp_cache: HashMap::new(),
@@ -84,11 +81,10 @@ impl CoordinatorActor {
     }
 
     fn ship(&self, ctx: &mut ActorCtx<'_>, token: u64, outs: Vec<(PartIdx, DtMsg)>) {
-        let wiring = self.wiring.borrow();
         for (p, m) in outs {
             let size = Self::msg_size(&m);
             ctx.send(
-                wiring.participants[p as usize],
+                self.participants[p as usize],
                 token,
                 size,
                 token,
@@ -110,15 +106,13 @@ impl CoordinatorActor {
             let records = self.coord.log.checkpoint();
             let bytes: u64 = records.iter().map(LogRecord::bytes).sum();
             ctx.charge_work(600);
-            if let Some(logger) = self.wiring.borrow().logger {
-                ctx.send(
-                    logger,
-                    txid,
-                    (bytes as u32).min(60_000),
-                    txid,
-                    Some(Box::new(DtActorMsg::Checkpoint(records))),
-                );
-            }
+            ctx.send(
+                self.logger,
+                txid,
+                (bytes as u32).min(60_000),
+                txid,
+                Some(Box::new(DtActorMsg::Checkpoint(records))),
+            );
         }
     }
 }
@@ -169,16 +163,16 @@ impl ActorLogic for CoordinatorActor {
 pub struct ParticipantActor {
     part: Participant,
     index: PartIdx,
-    wiring: Wiring,
+    coordinator: Address,
 }
 
 impl ParticipantActor {
-    /// Participant `index`.
-    pub fn new(index: PartIdx, wiring: Wiring) -> ParticipantActor {
+    /// Participant `index`, replying to `coordinator`.
+    pub fn new(index: PartIdx, coordinator: Address) -> ParticipantActor {
         ParticipantActor {
             part: Participant::new(),
             index,
-            wiring,
+            coordinator,
         }
     }
 }
@@ -204,9 +198,8 @@ impl ActorLogic for ParticipantActor {
             ctx.charge_work(400 + 350 * keys as u64);
             let reply = self.part.handle(m);
             let size = CoordinatorActor::msg_size(&reply);
-            let coord = self.wiring.borrow().coordinator.expect("wired");
             ctx.send(
-                coord,
+                self.coordinator,
                 token,
                 size,
                 token,
@@ -263,8 +256,8 @@ pub struct DtDeployment {
     pub coordinator: Address,
     /// Participants.
     pub participants: Vec<Address>,
-    /// Shared wiring.
-    pub wiring: Wiring,
+    /// Every address of the deployment.
+    pub wiring: DtWiring,
 }
 
 /// Deploy DT: coordinator on `coord_node`, one participant per entry of
@@ -275,44 +268,39 @@ pub fn deploy_dt(
     part_nodes: &[usize],
     log_limit: u64,
 ) -> DtDeployment {
-    let wiring: Wiring = Rc::new(RefCell::new(DtWiring::default()));
-    let coordinator = c.register_actor(
-        coord_node,
+    // Addresses before actors, in registration order.
+    let wiring = DtWiring {
+        coordinator: c.reserve_actor(coord_node),
+        participants: part_nodes.iter().map(|&n| c.reserve_actor(n)).collect(),
+        logger: c.reserve_actor(coord_node),
+    };
+    c.register_reserved(
+        wiring.coordinator,
         "dt-coordinator",
         Box::new(CoordinatorActor::new(
-            part_nodes.len() as u32,
-            wiring.clone(),
+            wiring.participants.clone(),
+            wiring.logger,
             log_limit,
         )),
         Placement::Nic,
     );
-    let participants: Vec<Address> = part_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| {
-            c.register_actor(
-                node,
-                &format!("dt-participant-{i}"),
-                Box::new(ParticipantActor::new(i as PartIdx, wiring.clone())),
-                Placement::Nic,
-            )
-        })
-        .collect();
-    let logger = c.register_actor(
-        coord_node,
+    for (i, &addr) in wiring.participants.iter().enumerate() {
+        c.register_reserved(
+            addr,
+            &format!("dt-participant-{i}"),
+            Box::new(ParticipantActor::new(i as PartIdx, wiring.coordinator)),
+            Placement::Nic,
+        );
+    }
+    c.register_reserved(
+        wiring.logger,
         "dt-logger",
         Box::new(LoggingActor::default()),
         Placement::Host,
     );
-    {
-        let mut w = wiring.borrow_mut();
-        w.coordinator = Some(coordinator);
-        w.participants = participants.clone();
-        w.logger = Some(logger);
-    }
     DtDeployment {
-        coordinator,
-        participants,
+        coordinator: wiring.coordinator,
+        participants: wiring.participants.clone(),
         wiring,
     }
 }

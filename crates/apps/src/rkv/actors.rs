@@ -95,22 +95,20 @@ pub enum RkvMsg {
     StartElection,
 }
 
-/// Addresses of one replica's actors plus its peers — filled in after
-/// registration (actors read it lazily through a shared cell).
-#[derive(Default)]
+/// The addresses of one replicated group, every list indexed by replica. A
+/// deployment reserves them before any actor exists and hands each actor
+/// the few it sends to.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RkvWiring {
-    /// Consensus actors indexed by replica.
+    /// Consensus actors.
     pub consensus: Vec<Address>,
-    /// This replica's Memtable actor (index by replica).
+    /// Memtable actors.
     pub memtable: Vec<Address>,
-    /// This replica's SSTable read actor.
+    /// SSTable read actors.
     pub sst_read: Vec<Address>,
-    /// This replica's compaction actor.
+    /// Compaction actors.
     pub compaction: Vec<Address>,
 }
-
-/// Shared wiring handle.
-pub type Wiring = Rc<RefCell<RkvWiring>>;
 
 // --------------------------------------------------------------------
 // Consensus actor
@@ -154,7 +152,10 @@ fn decode_cmd(b: &[u8]) -> Option<(u64, Address, Key, Option<Vec<u8>>)> {
 pub struct ConsensusActor {
     paxos: PaxosNode,
     replica: NodeIdx,
-    wiring: Wiring,
+    /// The group's consensus actors by replica index, this one included.
+    peers: Vec<Address>,
+    /// This replica's Memtable actor.
+    memtable: Address,
     /// Client writes that arrived while this replica was not the leader —
     /// proposed as soon as leadership is won (the failover window). Bounded
     /// by [`PENDING_CAP`]; overflow is shed with a [`Redirect`].
@@ -182,12 +183,14 @@ pub struct ConsensusActor {
 }
 
 impl ConsensusActor {
-    /// Replica `replica` of `n`.
-    pub fn new(replica: NodeIdx, n: u32, wiring: Wiring) -> ConsensusActor {
+    /// Replica `replica` of the group whose consensus actors are `peers`
+    /// (indexed by replica), applying to `memtable`.
+    pub fn new(replica: NodeIdx, peers: Vec<Address>, memtable: Address) -> ConsensusActor {
         ConsensusActor {
-            paxos: PaxosNode::new(replica, n),
+            paxos: PaxosNode::new(replica, peers.len() as u32),
             replica,
-            wiring,
+            peers,
+            memtable,
             pending: Vec::new(),
             heartbeat: None,
             last_heard: SimTime::ZERO,
@@ -273,7 +276,6 @@ impl ConsensusActor {
     }
 
     fn ship(&self, ctx: &mut ActorCtx<'_>, token: u64, outs: Vec<(NodeIdx, PaxosMsg)>) {
-        let wiring = self.wiring.borrow();
         for (peer, msg) in outs {
             let size = 48
                 + match &msg {
@@ -286,7 +288,7 @@ impl ConsensusActor {
                     _ => 0,
                 };
             ctx.send(
-                wiring.consensus[peer as usize],
+                self.peers[peer as usize],
                 token,
                 size,
                 token,
@@ -301,7 +303,6 @@ impl ConsensusActor {
     fn apply_committed(&mut self, ctx: &mut ActorCtx<'_>) {
         let committed = self.paxos.drain_committed();
         let leader = self.paxos.role() == Role::Leader;
-        let memtable = self.wiring.borrow().memtable[self.replica as usize];
         for (_slot, cmd) in committed {
             if cmd.is_empty() {
                 continue; // gap-filling no-op
@@ -324,7 +325,7 @@ impl ConsensusActor {
                 continue;
             }
             ctx.send(
-                memtable,
+                self.memtable,
                 token,
                 64,
                 token,
@@ -364,9 +365,8 @@ impl ActorLogic for ConsensusActor {
                     KvOp::Get { key } => {
                         // Fast-path reads go straight to the Memtable actor.
                         let client = req.reply_to.expect("client read carries reply address");
-                        let memtable = self.wiring.borrow().memtable[self.replica as usize];
                         ctx.send(
-                            memtable,
+                            self.memtable,
                             token,
                             64,
                             token,
@@ -401,8 +401,7 @@ impl ActorLogic for ConsensusActor {
                         } else if self.pending.len() >= PENDING_CAP {
                             // Buffer full: shed with a redirect toward the
                             // best-known leader instead of queueing forever.
-                            let hint = self.paxos.leader_hint();
-                            let target = self.wiring.borrow().consensus[hint as usize];
+                            let target = self.peers[self.paxos.leader_hint() as usize];
                             ctx.reply_to(client, 64, token, Some(Box::new(Redirect(target))));
                         } else {
                             // Not the leader (failover window): buffer and
@@ -445,8 +444,7 @@ impl ActorLogic for ConsensusActor {
                 if self.paxos.role() == Role::Leader {
                     ctx.charge_work(150);
                     let frontier = self.paxos.commit_frontier();
-                    let peers = self.wiring.borrow().consensus.clone();
-                    for (peer, addr) in peers.into_iter().enumerate() {
+                    for (peer, &addr) in self.peers.iter().enumerate() {
                         if peer as NodeIdx != self.replica {
                             ctx.send(
                                 addr,
@@ -505,8 +503,10 @@ pub struct MemtableActor {
     /// Flush threshold (paper: Memtable objects of tens of MB; tests shrink
     /// this).
     pub flush_threshold: u64,
-    replica: usize,
-    wiring: Wiring,
+    /// This replica's SSTable read actor (Memtable misses go there).
+    sst_read: Address,
+    /// This replica's compaction actor (frozen Memtables go there).
+    compaction: Address,
     /// Minor compactions triggered.
     pub flushes: u64,
     /// `rkv.applies`: commands applied to this memtable. With the consensus
@@ -516,14 +516,14 @@ pub struct MemtableActor {
 }
 
 impl MemtableActor {
-    /// Memtable for `replica`.
-    pub fn new(replica: usize, wiring: Wiring, flush_threshold: u64) -> MemtableActor {
+    /// Memtable in front of the replica's `sst_read` and `compaction` actors.
+    pub fn new(sst_read: Address, compaction: Address, flush_threshold: u64) -> MemtableActor {
         MemtableActor {
             list: None,
             bytes: 0,
             flush_threshold,
-            replica,
-            wiring,
+            sst_read,
+            compaction,
             flushes: 0,
             applies: None,
         }
@@ -598,9 +598,8 @@ impl ActorLogic for MemtableActor {
                             KEY_LEN as u64 + v.as_ref().map(|v| v.len() as u64).unwrap_or(1)
                         })
                         .sum();
-                    let compaction = self.wiring.borrow().compaction[self.replica];
                     ctx.send(
-                        compaction,
+                        self.compaction,
                         req.token,
                         (total as u32).min(60_000),
                         req.token,
@@ -622,9 +621,8 @@ impl ActorLogic for MemtableActor {
                         }
                     }
                     None => {
-                        let sst = self.wiring.borrow().sst_read[self.replica];
                         ctx.send(
-                            sst,
+                            self.sst_read,
                             token,
                             64,
                             token,
@@ -736,8 +734,23 @@ pub struct RkvDeployment {
     pub consensus: Vec<Address>,
     /// Memtable actors (diagnostics).
     pub memtable: Vec<Address>,
-    /// Shared wiring (tests can inspect).
-    pub wiring: Wiring,
+    /// Every address of the group.
+    pub wiring: RkvWiring,
+}
+
+/// What tells one group's deployment from another's: a label inside its
+/// actor names and the metric names its actors publish under.
+pub(super) struct GroupNames<'a> {
+    /// Follows `rkv-` in every actor name: empty, or `g007-`.
+    pub label: &'a str,
+    /// Commands applied per Memtable.
+    pub applies: &'static str,
+    /// Re-committed retransmissions absorbed at apply time.
+    pub dup_commits: &'static str,
+    /// Writes buffered during a leaderless window.
+    pub buffered_writes: &'static str,
+    /// Client operations per replica, where a rebalancer reads them.
+    pub ops: Option<&'static str>,
 }
 
 /// Deploy a replicated KV group over `replicas` server nodes.
@@ -759,70 +772,78 @@ pub fn deploy_rkv_with(
     memtable_flush: u64,
     heartbeat: Option<HeartbeatCfg>,
 ) -> RkvDeployment {
-    let n = replicas.len() as u32;
-    let wiring: Wiring = Rc::new(RefCell::new(RkvWiring::default()));
-    let mut consensus = Vec::new();
-    let mut memtable = Vec::new();
-    let mut sst_read = Vec::new();
-    let mut compaction = Vec::new();
+    let names = GroupNames {
+        label: "",
+        applies: "rkv.applies",
+        dup_commits: "rkv.dup.commits",
+        buffered_writes: "rkv.buffered_writes",
+        ops: None,
+    };
+    deploy_group(c, replicas, memtable_flush, heartbeat, &names)
+}
+
+/// Deploy one group, replica `ri` on `replicas[ri]`: consensus and Memtable
+/// on the NIC, SSTable reader and compaction host-pinned over the LSM
+/// levels they share.
+pub(super) fn deploy_group(
+    c: &mut Cluster,
+    replicas: &[usize],
+    memtable_flush: u64,
+    heartbeat: Option<HeartbeatCfg>,
+    names: &GroupNames<'_>,
+) -> RkvDeployment {
+    // Addresses before actors, in registration order.
+    let mut wiring = RkvWiring::default();
+    for &node in replicas {
+        wiring.consensus.push(c.reserve_actor(node));
+        wiring.memtable.push(c.reserve_actor(node));
+        wiring.sst_read.push(c.reserve_actor(node));
+        wiring.compaction.push(c.reserve_actor(node));
+    }
+    let label = names.label;
     for (ri, &node) in replicas.iter().enumerate() {
         let levels: SharedLevels = Rc::new(RefCell::new(Levels::leveldb_default()));
-        let gauge = c
-            .obs()
-            .registry()
-            .gauge_on("rkv.buffered_writes", node as u16);
-        let dups = c
-            .obs()
-            .registry()
-            .counter_on("rkv.dup.commits", node as u16);
-        let applies = c.obs().registry().counter_on("rkv.applies", node as u16);
-        consensus.push(
-            c.register_actor(
-                node,
-                &format!("rkv-consensus-{ri}"),
-                Box::new(
-                    ConsensusActor::new(ri as u32, n, wiring.clone())
-                        .with_heartbeat(heartbeat)
-                        .with_buffered_gauge(gauge)
-                        .with_dup_counter(dups),
-                ),
-                Placement::Nic,
-            ),
+        let reg = c.obs().registry();
+        let node = node as u16;
+        let mut consensus =
+            ConsensusActor::new(ri as u32, wiring.consensus.clone(), wiring.memtable[ri])
+                .with_heartbeat(heartbeat)
+                .with_buffered_gauge(reg.gauge_on(names.buffered_writes, node))
+                .with_dup_counter(reg.counter_on(names.dup_commits, node));
+        if let Some(ops) = names.ops {
+            consensus = consensus.with_ops_counter(reg.counter_on(ops, node));
+        }
+        let memtable =
+            MemtableActor::new(wiring.sst_read[ri], wiring.compaction[ri], memtable_flush)
+                .with_applies_counter(reg.counter_on(names.applies, node));
+        c.register_reserved(
+            wiring.consensus[ri],
+            &format!("rkv-{label}consensus-{ri}"),
+            Box::new(consensus),
+            Placement::Nic,
         );
-        memtable.push(
-            c.register_actor(
-                node,
-                &format!("rkv-memtable-{ri}"),
-                Box::new(
-                    MemtableActor::new(ri, wiring.clone(), memtable_flush)
-                        .with_applies_counter(applies),
-                ),
-                Placement::Nic,
-            ),
+        c.register_reserved(
+            wiring.memtable[ri],
+            &format!("rkv-{label}memtable-{ri}"),
+            Box::new(memtable),
+            Placement::Nic,
         );
-        sst_read.push(c.register_actor(
-            node,
-            &format!("rkv-sst-read-{ri}"),
+        c.register_reserved(
+            wiring.sst_read[ri],
+            &format!("rkv-{label}sst-read-{ri}"),
             Box::new(SstReadActor::new(levels.clone())),
             Placement::Host,
-        ));
-        compaction.push(c.register_actor(
-            node,
-            &format!("rkv-compaction-{ri}"),
+        );
+        c.register_reserved(
+            wiring.compaction[ri],
+            &format!("rkv-{label}compaction-{ri}"),
             Box::new(CompactionActor::new(levels)),
             Placement::Host,
-        ));
-    }
-    {
-        let mut w = wiring.borrow_mut();
-        w.consensus = consensus.clone();
-        w.memtable = memtable.clone();
-        w.sst_read = sst_read;
-        w.compaction = compaction;
+        );
     }
     RkvDeployment {
-        consensus,
-        memtable,
+        consensus: wiring.consensus.clone(),
+        memtable: wiring.memtable.clone(),
         wiring,
     }
 }
@@ -1078,20 +1099,15 @@ mod tests {
         }
     }
 
-    /// Standalone wiring for driving a `ConsensusActor` outside a cluster.
-    fn test_wiring(n: usize) -> Wiring {
-        let w: Wiring = Rc::new(RefCell::new(RkvWiring::default()));
-        {
-            let mut wm = w.borrow_mut();
-            for i in 0..n {
-                let node = i as u16;
-                wm.consensus.push(Address { node, actor: 0 });
-                wm.memtable.push(Address { node, actor: 1 });
-                wm.sst_read.push(Address { node, actor: 2 });
-                wm.compaction.push(Address { node, actor: 3 });
-            }
-        }
-        w
+    /// A `ConsensusActor` outside a cluster: replica `replica` of `n`, with
+    /// replica `i`'s consensus actor at node `i` and the Memtable beside it.
+    fn test_consensus(replica: NodeIdx, n: u16) -> ConsensusActor {
+        let peers = (0..n).map(|node| Address { node, actor: 0 }).collect();
+        let memtable = Address {
+            node: replica as u16,
+            actor: 1,
+        };
+        ConsensusActor::new(replica, peers, memtable)
     }
 
     /// Run one message through the actor and return what it emitted.
@@ -1117,7 +1133,7 @@ mod tests {
     #[test]
     fn retransmitted_write_applies_once_but_replies_each_time() {
         // Single-replica group: proposals commit within the same exec.
-        let mut a = ConsensusActor::new(0, 1, test_wiring(1));
+        let mut a = test_consensus(0, 1);
         let first = exec_once(&mut a, 7, RkvMsg::Client(put_for(7)));
         let count = |emits: &[Emit]| {
             (
@@ -1144,7 +1160,7 @@ mod tests {
         let obs = ipipe_sim::Obs::disabled();
         let g = obs.registry().gauge_on("rkv.buffered_writes", 1);
         // Replica 1 of 3 boots as a follower; leader hint is replica 0.
-        let mut a = ConsensusActor::new(1, 3, test_wiring(3)).with_buffered_gauge(g.clone());
+        let mut a = test_consensus(1, 3).with_buffered_gauge(g.clone());
         for t in 0..PENDING_CAP as u64 {
             let out = exec_once(&mut a, t, RkvMsg::Client(put_for(t)));
             assert!(out.is_empty(), "writes below the cap buffer silently");

@@ -19,19 +19,13 @@
 //! [`audit_multi_rkv_exactly_once`] reconciliation and the cluster-wide
 //! conservation audit both hold across it.
 
-use super::actors::{
-    CompactionActor, ConsensusActor, HeartbeatCfg, MemtableActor, RkvDeployment, RkvWiring,
-    SstReadActor, Wiring,
-};
-use super::lsm::Levels;
+use super::actors::{deploy_group, GroupNames, HeartbeatCfg, RkvDeployment};
 use super::placement::RoutingTable;
 use ipipe::prelude::*;
 use ipipe::rt::Cluster;
 use ipipe::sched::Loc;
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::Registry;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Intern a dynamically built metric name. The obs registry keys metrics by
 /// `&'static str`; per-group names are built at deploy time, so they are
@@ -127,70 +121,20 @@ pub fn deploy_multi_rkv(c: &mut Cluster, cfg: &MultiRkvCfg) -> MultiRkv {
             .collect();
         let ops_name = intern(format!("rkv.ops.g{g:03}"));
         let applies_name = intern(format!("rkv.applies.g{g:03}"));
-        let dups_name = intern(format!("rkv.dup.commits.g{g:03}"));
-        let buffered_name = intern(format!("rkv.buffered_writes.g{g:03}"));
-        let wiring: Wiring = Rc::new(RefCell::new(RkvWiring::default()));
-        let mut consensus = Vec::new();
-        let mut memtable = Vec::new();
-        let mut sst_read = Vec::new();
-        let mut compaction = Vec::new();
-        for (ri, &node) in nodes.iter().enumerate() {
-            let levels = Rc::new(RefCell::new(Levels::leveldb_default()));
-            let reg = c.obs().registry();
-            let gauge = reg.gauge_on(buffered_name, node as u16);
-            let dups = reg.counter_on(dups_name, node as u16);
-            let ops = reg.counter_on(ops_name, node as u16);
-            let applies = reg.counter_on(applies_name, node as u16);
-            consensus.push(
-                c.register_actor(
-                    node,
-                    &format!("rkv-g{g:03}-consensus-{ri}"),
-                    Box::new(
-                        ConsensusActor::new(ri as u32, cfg.replicas as u32, wiring.clone())
-                            .with_heartbeat(cfg.heartbeat)
-                            .with_buffered_gauge(gauge)
-                            .with_dup_counter(dups)
-                            .with_ops_counter(ops),
-                    ),
-                    Placement::Nic,
-                ),
-            );
-            memtable.push(
-                c.register_actor(
-                    node,
-                    &format!("rkv-g{g:03}-memtable-{ri}"),
-                    Box::new(
-                        MemtableActor::new(ri, wiring.clone(), cfg.memtable_flush)
-                            .with_applies_counter(applies),
-                    ),
-                    Placement::Nic,
-                ),
-            );
-            sst_read.push(c.register_actor(
-                node,
-                &format!("rkv-g{g:03}-sst-read-{ri}"),
-                Box::new(SstReadActor::new(levels.clone())),
-                Placement::Host,
-            ));
-            compaction.push(c.register_actor(
-                node,
-                &format!("rkv-g{g:03}-compaction-{ri}"),
-                Box::new(CompactionActor::new(levels)),
-                Placement::Host,
-            ));
-        }
-        {
-            let mut w = wiring.borrow_mut();
-            w.consensus = consensus.clone();
-            w.memtable = memtable.clone();
-            w.sst_read = sst_read;
-            w.compaction = compaction;
-        }
-        groups.push(RkvDeployment {
-            consensus,
-            memtable,
-            wiring,
-        });
+        let names = GroupNames {
+            label: &format!("g{g:03}-"),
+            applies: applies_name,
+            dup_commits: intern(format!("rkv.dup.commits.g{g:03}")),
+            buffered_writes: intern(format!("rkv.buffered_writes.g{g:03}")),
+            ops: Some(ops_name),
+        };
+        groups.push(deploy_group(
+            c,
+            &nodes,
+            cfg.memtable_flush,
+            cfg.heartbeat,
+            &names,
+        ));
         group_nodes.push(nodes.into_iter().map(|n| n as u16).collect());
         ops_names.push(ops_name);
         applies_names.push(applies_name);
@@ -342,6 +286,8 @@ mod tests {
     use ipipe::rt::ClientReq;
     use ipipe_nicsim::CN2350;
     use ipipe_workload::agg::AggKvStream;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn small_cfg(groups: usize) -> MultiRkvCfg {
         MultiRkvCfg {
@@ -376,6 +322,38 @@ mod tests {
             let key = ipipe_workload::kv::encode_key(id);
             let leader = t.route(&key);
             assert!(dep.groups.iter().any(|d| d.consensus[0] == leader));
+        }
+    }
+
+    #[test]
+    fn one_group_keyspace_registers_what_the_single_group_deployment_does() {
+        use super::super::actors::deploy_rkv_with;
+        let build = || {
+            Cluster::builder(CN2350)
+                .servers(3)
+                .clients(1)
+                .seed(5)
+                .build()
+        };
+        let (mut single, mut multi) = (build(), build());
+        let one = deploy_rkv_with(&mut single, &[0, 1, 2], 8 << 20, None);
+        let cfg = MultiRkvCfg {
+            server_nodes: 3,
+            ..small_cfg(1)
+        };
+        let many = deploy_multi_rkv(&mut multi, &cfg);
+        assert_eq!(many.group_nodes, [[0, 1, 2]]);
+        // The same ids on the same nodes, role by role...
+        let w = &many.groups[0].wiring;
+        assert_eq!(&one.wiring, w);
+        let roles = [&w.consensus, &w.memtable, &w.sst_read, &w.compaction];
+        for &addr in roles.into_iter().flatten() {
+            // ...placed alike, and named alike but for the group label.
+            assert!(single.actor_location(addr).is_some());
+            assert_eq!(single.actor_location(addr), multi.actor_location(addr));
+            let name = multi.actor_name(addr).expect("registered");
+            assert!(name.starts_with("rkv-g000-"), "{name}");
+            assert_eq!(single.actor_name(addr), Some(&*name.replace("g000-", "")));
         }
     }
 

@@ -6,8 +6,6 @@ use super::pipeline::{Counter, Filter, Ranker};
 use ipipe::prelude::*;
 use ipipe::rt::Cluster;
 use ipipe_workload::rta::{Tuple, INTERESTING_WORDS, TUPLE_WIRE_BYTES};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Messages between RTA actors.
 pub enum RtaMsg {
@@ -24,26 +22,24 @@ pub enum RtaMsg {
     TopN(Vec<(u32, u64)>),
 }
 
-/// The topology mapping table: where each stage forwards its results.
-#[derive(Default)]
+/// The topology mapping table: where each stage forwards its results. A
+/// deployment reserves the addresses before any actor exists and hands each
+/// worker its own next hop.
+#[derive(Debug, Clone)]
 pub struct Topology {
     /// Counter stage address per worker node.
     pub counter: Vec<Address>,
     /// Ranker stage address per worker node.
     pub ranker: Vec<Address>,
     /// The aggregated ranker (one per deployment).
-    pub aggregator: Option<Address>,
+    pub aggregator: Address,
 }
-
-/// Shared topology handle.
-pub type Topo = Rc<RefCell<Topology>>;
 
 /// The filter actor (stateless).
 pub struct FilterActor {
     filter: Filter,
-    /// Which worker index this filter belongs to.
-    worker: usize,
-    topo: Topo,
+    /// This worker's counter stage.
+    counter: Address,
     /// Tuples kept / dropped (diagnostics).
     pub kept: u64,
     /// Dropped tuples.
@@ -51,12 +47,12 @@ pub struct FilterActor {
 }
 
 impl FilterActor {
-    /// Filter for `worker` with the default interesting-word patterns.
-    pub fn new(worker: usize, topo: Topo) -> FilterActor {
+    /// Filter with the default interesting-word patterns, forwarding what
+    /// it keeps to `counter`.
+    pub fn new(counter: Address) -> FilterActor {
         FilterActor {
             filter: Filter::new(&INTERESTING_WORDS),
-            worker,
-            topo,
+            counter,
             kept: 0,
             dropped: 0,
         }
@@ -91,10 +87,9 @@ impl ActorLogic for FilterActor {
                 })
                 .collect();
             if !kept.is_empty() {
-                let counter = self.topo.borrow().counter[self.worker];
                 let size = (kept.len() as u32 * TUPLE_WIRE_BYTES).min(1400);
                 ctx.send(
-                    counter,
+                    self.counter,
                     token,
                     size,
                     token,
@@ -122,18 +117,17 @@ impl ActorLogic for FilterActor {
 /// cache".
 pub struct CounterActor {
     counter: Counter,
-    worker: usize,
-    topo: Topo,
+    /// This worker's ranker stage.
+    ranker: Address,
 }
 
 impl CounterActor {
-    /// Counter for `worker`.
-    pub fn new(worker: usize, topo: Topo) -> CounterActor {
+    /// Counter emitting to `ranker`.
+    pub fn new(ranker: Address) -> CounterActor {
         CounterActor {
             // 16 slots of 256 tuples, emitting every 8 tuples.
             counter: Counter::new(16, 256, 8),
-            worker,
-            topo,
+            ranker,
         }
     }
 }
@@ -149,11 +143,10 @@ impl ActorLogic for CounterActor {
         let msg = req.payload_as::<RtaMsg>();
         if let RtaMsg::Batch(tuples) = *msg {
             ctx.charge_work(300 + 260 * tuples.len() as u64);
-            let ranker = self.topo.borrow().ranker[self.worker];
             for t in &tuples {
                 for (topic, count) in self.counter.ingest(t) {
                     ctx.send(
-                        ranker,
+                        self.ranker,
                         token,
                         48,
                         token,
@@ -179,20 +172,18 @@ impl ActorLogic for CounterActor {
 /// to receive new data tuples").
 pub struct RankerActor {
     ranker: Ranker,
-    is_aggregator: bool,
-    topo: Topo,
+    /// Where top-n updates go; `None` makes this the aggregated ranker.
+    aggregator: Option<Address>,
     /// Top-n emissions produced.
     pub emissions: u64,
 }
 
 impl RankerActor {
-    /// Per-worker ranker (forwards to the aggregator).
-    pub fn new(topo: Topo) -> RankerActor {
+    /// Per-worker ranker, forwarding its top-n to `aggregator`.
+    pub fn new(aggregator: Address) -> RankerActor {
         RankerActor {
-            ranker: Ranker::new(10),
-            is_aggregator: false,
-            topo,
-            emissions: 0,
+            aggregator: Some(aggregator),
+            ..RankerActor::aggregator()
         }
     }
 
@@ -200,8 +191,7 @@ impl RankerActor {
     pub fn aggregator() -> RankerActor {
         RankerActor {
             ranker: Ranker::new(10),
-            is_aggregator: true,
-            topo: Rc::new(RefCell::new(Topology::default())),
+            aggregator: None,
             emissions: 0,
         }
     }
@@ -223,18 +213,16 @@ impl ActorLogic for RankerActor {
                 // Quicksort cost: n log n comparisons at ~6ns each.
                 let n = sorted.max(2) as u64;
                 ctx.charge_work(500 + 6 * n * n.ilog2() as u64);
-                if !self.is_aggregator {
-                    if let Some(agg) = self.topo.borrow().aggregator {
-                        self.emissions += 1;
-                        let top = self.ranker.top();
-                        ctx.send(
-                            agg,
-                            token,
-                            (top.len() as u32) * 12 + 32,
-                            token,
-                            Some(Box::new(RtaMsg::TopN(top))),
-                        );
-                    }
+                if let Some(agg) = self.aggregator {
+                    self.emissions += 1;
+                    let top = self.ranker.top();
+                    ctx.send(
+                        agg,
+                        token,
+                        (top.len() as u32) * 12 + 32,
+                        token,
+                        Some(Box::new(RtaMsg::TopN(top))),
+                    );
                 }
             }
             RtaMsg::TopN(entries) => {
@@ -264,53 +252,86 @@ pub struct RtaDeployment {
     pub filters: Vec<Address>,
     /// The aggregated ranker.
     pub aggregator: Address,
-    /// Shared topology.
-    pub topo: Topo,
+    /// The topology mapping table.
+    pub topo: Topology,
+}
+
+/// A stage of the pipeline, for the choices a deployment makes per stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Pattern-matching filter (the ingress).
+    Filter,
+    /// Sliding-window counter.
+    Counter,
+    /// Per-worker top-n ranker.
+    Ranker,
+    /// The deployment-wide aggregated ranker.
+    Aggregator,
 }
 
 /// Deploy the RTA pipeline: one filter/counter/ranker chain per worker node
 /// (the paper runs "an RTA worker on each server"), plus one aggregated
-/// ranker on the first node.
+/// ranker on the first node, every stage starting on the NIC.
 pub fn deploy_rta(c: &mut Cluster, worker_nodes: &[usize]) -> RtaDeployment {
-    let topo: Topo = Rc::new(RefCell::new(Topology::default()));
+    deploy_pipeline(c, worker_nodes, "rta", |_, logic| (logic, Placement::Nic))
+}
+
+/// Deploy the pipeline with actors named `{prefix}-{stage}-{worker}`.
+/// `install` is asked once per actor what to register for its stage (the
+/// stage's logic as it is, or wrapped) and where it starts.
+pub fn deploy_pipeline(
+    c: &mut Cluster,
+    worker_nodes: &[usize],
+    prefix: &str,
+    install: impl Fn(Stage, Box<dyn ActorLogic>) -> (Box<dyn ActorLogic>, Placement),
+) -> RtaDeployment {
+    // Addresses before actors, in registration order.
     let mut filters = Vec::new();
-    let mut counters = Vec::new();
-    let mut rankers = Vec::new();
-    for (w, &node) in worker_nodes.iter().enumerate() {
-        filters.push(c.register_actor(
-            node,
-            &format!("rta-filter-{w}"),
-            Box::new(FilterActor::new(w, topo.clone())),
-            Placement::Nic,
-        ));
-        counters.push(c.register_actor(
-            node,
-            &format!("rta-counter-{w}"),
-            Box::new(CounterActor::new(w, topo.clone())),
-            Placement::Nic,
-        ));
-        rankers.push(c.register_actor(
-            node,
-            &format!("rta-ranker-{w}"),
-            Box::new(RankerActor::new(topo.clone())),
-            Placement::Nic,
-        ));
+    let mut counter = Vec::new();
+    let mut ranker = Vec::new();
+    for &node in worker_nodes {
+        filters.push(c.reserve_actor(node));
+        counter.push(c.reserve_actor(node));
+        ranker.push(c.reserve_actor(node));
     }
-    let aggregator = c.register_actor(
-        worker_nodes[0],
-        "rta-aggregator",
+    let topo = Topology {
+        counter,
+        ranker,
+        aggregator: c.reserve_actor(worker_nodes[0]),
+    };
+    let mut register = |addr: Address, name: String, stage: Stage, logic: Box<dyn ActorLogic>| {
+        let (logic, placement) = install(stage, logic);
+        c.register_reserved(addr, &name, logic, placement);
+    };
+    for (w, &filter) in filters.iter().enumerate() {
+        register(
+            filter,
+            format!("{prefix}-filter-{w}"),
+            Stage::Filter,
+            Box::new(FilterActor::new(topo.counter[w])),
+        );
+        register(
+            topo.counter[w],
+            format!("{prefix}-counter-{w}"),
+            Stage::Counter,
+            Box::new(CounterActor::new(topo.ranker[w])),
+        );
+        register(
+            topo.ranker[w],
+            format!("{prefix}-ranker-{w}"),
+            Stage::Ranker,
+            Box::new(RankerActor::new(topo.aggregator)),
+        );
+    }
+    register(
+        topo.aggregator,
+        format!("{prefix}-aggregator"),
+        Stage::Aggregator,
         Box::new(RankerActor::aggregator()),
-        Placement::Nic,
     );
-    {
-        let mut t = topo.borrow_mut();
-        t.counter = counters;
-        t.ranker = rankers;
-        t.aggregator = Some(aggregator);
-    }
     RtaDeployment {
         filters,
-        aggregator,
+        aggregator: topo.aggregator,
         topo,
     }
 }

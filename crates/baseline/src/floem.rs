@@ -17,11 +17,7 @@
 use ipipe::actor::{ActorCtx, ActorLogic, Request};
 use ipipe::prelude::*;
 use ipipe::rt::Cluster;
-use ipipe_apps::rta::actors::{
-    CounterActor, FilterActor, RankerActor, RtaDeployment, Topo, Topology,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
+use ipipe_apps::rta::actors::{deploy_pipeline, RtaDeployment, Stage};
 
 /// Per-packet NIC-side bypass-queue multiplexing overhead (§5.6: "Floem
 /// utilizes a NIC-side bypass queue to mitigate the multiplexing overhead" —
@@ -30,18 +26,18 @@ pub const BYPASS_QUEUE_COST: SimTime = SimTime::from_ns(650);
 
 /// Wrap an element so it is *stationary on the NIC* and pays the bypass
 /// multiplexing cost.
-pub struct NicElement<L: ActorLogic> {
-    inner: L,
+pub struct NicElement {
+    inner: Box<dyn ActorLogic>,
 }
 
-impl<L: ActorLogic> NicElement<L> {
+impl NicElement {
     /// Pin `inner` to the NIC.
-    pub fn new(inner: L) -> Self {
+    pub fn new(inner: Box<dyn ActorLogic>) -> Self {
         NicElement { inner }
     }
 }
 
-impl<L: ActorLogic> ActorLogic for NicElement<L> {
+impl ActorLogic for NicElement {
     fn init(&mut self, ctx: &mut ActorCtx<'_>) {
         self.inner.init(ctx);
     }
@@ -61,18 +57,18 @@ impl<L: ActorLogic> ActorLogic for NicElement<L> {
 }
 
 /// Wrap an element so it is *stationary on the host*.
-pub struct HostElement<L: ActorLogic> {
-    inner: L,
+pub struct HostElement {
+    inner: Box<dyn ActorLogic>,
 }
 
-impl<L: ActorLogic> HostElement<L> {
+impl HostElement {
     /// Pin `inner` to the host.
-    pub fn new(inner: L) -> Self {
+    pub fn new(inner: Box<dyn ActorLogic>) -> Self {
         HostElement { inner }
     }
 }
 
-impl<L: ActorLogic> ActorLogic for HostElement<L> {
+impl ActorLogic for HostElement {
     fn init(&mut self, ctx: &mut ActorCtx<'_>) {
         self.inner.init(ctx);
     }
@@ -97,47 +93,10 @@ impl<L: ActorLogic> ActorLogic for HostElement<L> {
 /// Deploy the RTA pipeline Floem-style: filters stationary on the NIC,
 /// counters/rankers stationary on the host, no migration ever.
 pub fn deploy_floem_rta(c: &mut Cluster, worker_nodes: &[usize]) -> RtaDeployment {
-    let topo: Topo = Rc::new(RefCell::new(Topology::default()));
-    let mut filters = Vec::new();
-    let mut counters = Vec::new();
-    let mut rankers = Vec::new();
-    for (w, &node) in worker_nodes.iter().enumerate() {
-        filters.push(c.register_actor(
-            node,
-            &format!("floem-filter-{w}"),
-            Box::new(NicElement::new(FilterActor::new(w, topo.clone()))),
-            Placement::Nic,
-        ));
-        counters.push(c.register_actor(
-            node,
-            &format!("floem-counter-{w}"),
-            Box::new(HostElement::new(CounterActor::new(w, topo.clone()))),
-            Placement::Host,
-        ));
-        rankers.push(c.register_actor(
-            node,
-            &format!("floem-ranker-{w}"),
-            Box::new(HostElement::new(RankerActor::new(topo.clone()))),
-            Placement::Host,
-        ));
-    }
-    let aggregator = c.register_actor(
-        worker_nodes[0],
-        "floem-aggregator",
-        Box::new(HostElement::new(RankerActor::aggregator())),
-        Placement::Host,
-    );
-    {
-        let mut t = topo.borrow_mut();
-        t.counter = counters;
-        t.ranker = rankers;
-        t.aggregator = Some(aggregator);
-    }
-    RtaDeployment {
-        filters,
-        aggregator,
-        topo,
-    }
+    deploy_pipeline(c, worker_nodes, "floem", |stage, logic| match stage {
+        Stage::Filter => (Box::new(NicElement::new(logic)), Placement::Nic),
+        _ => (Box::new(HostElement::new(logic)), Placement::Host),
+    })
 }
 
 #[cfg(test)]

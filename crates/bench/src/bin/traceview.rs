@@ -16,8 +16,8 @@
 //! `scripts/scenario_smoke.sh` runs this binary twice and diffs the
 //! directories.
 //!
-//! `--shards N` partitions a scenario's cluster across N event shards
-//! (epochs run on OS threads when the scenario declares itself `Rc`-free).
+//! `--shards N` partitions a scenario's cluster across N event shards, whose
+//! epochs run on OS threads when N > 1.
 //! Scenarios summarize and export through the cluster's canonical merged
 //! view ((ts, node)-ordered trace), whatever the shard count. Metrics are
 //! byte-identical to the serial run always; trace records are too unless
@@ -121,7 +121,7 @@ fn main() {
                 scenario::names()
             )
         });
-        let threaded = s.rc_free() && opts.shards > 1;
+        let threaded = opts.shards > 1;
         let (headline, c) = s.run(opts.size, opts.seed, opts.shards, threaded, &obs);
         println!("{}: {}", s.name(), scenario::render_headline(&headline));
         Some(c)

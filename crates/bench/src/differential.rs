@@ -132,20 +132,18 @@ pub fn diff_fig16_parallel(requests: u64, seed: u64) -> DiffOutcome {
 }
 
 /// The sharding axis: run `s` at smoke size under every shard count it
-/// declares — plus threaded epochs at the largest count when the scenario
-/// is `Rc`-free — and diff headline + *canonical* cluster export (merged
-/// metric snapshot, merged trace and meta line). The 1-shard serial engine
-/// is the reference; sharding is a pure execution mechanism and must not
-/// move a single byte.
+/// declares, plus threaded epochs at the largest count, and diff headline +
+/// *canonical* cluster export (merged metric snapshot, merged trace and
+/// meta line). The 1-shard serial engine is the reference; sharding and
+/// threading are pure execution mechanisms and must not move a single byte.
 pub fn diff_sharded(s: &dyn Scenario, seed: u64) -> DiffOutcome {
     let mut variants: Vec<(String, usize, bool)> = s
         .shard_counts()
         .iter()
         .map(|&n| (format!("{n}-shard"), n, false))
         .collect();
-    if let (true, Some(&n)) = (s.rc_free(), s.shard_counts().last()) {
-        variants.push((format!("{n}-shard-threaded"), n, true));
-    }
+    let n = *s.shard_counts().last().expect("at least the serial count");
+    variants.push((format!("{n}-shard-threaded"), n, true));
     DiffOutcome {
         variants: variants
             .into_iter()
@@ -208,18 +206,14 @@ mod tests {
     /// scenario: crash + failover + retransmissions, rebalancer-driven
     /// shard moves, a 10x spike with admission sheds, lossy TCP with RTO
     /// timers, and the racked grid with its mid-run audit all export
-    /// byte-identical canonical results under every declared shard count
-    /// (and threaded epochs where the scenario allows them).
+    /// byte-identical canonical results under every declared shard count,
+    /// and with threaded epochs at the largest.
     #[test]
     fn every_scenario_is_shard_invariant() {
         for s in crate::scenario::REGISTRY {
             let out = diff_sharded(s, 21);
             let name = s.name();
-            assert_eq!(
-                out.variants.len(),
-                s.shard_counts().len() + usize::from(s.rc_free()),
-                "{name}"
-            );
+            assert_eq!(out.variants.len(), s.shard_counts().len() + 1, "{name}");
             assert!(
                 out.identical(),
                 "{name}: {}\nfirst divergence: {}",

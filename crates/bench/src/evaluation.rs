@@ -282,14 +282,8 @@ pub fn render_fig18() -> String {
     c.run_for(SimTime::from_ms(5)); // warm up (paper: 5s; scaled down)
     let targets: Vec<(String, Address)> = vec![
         ("Filter".into(), rta.filters[0]),
-        ("Count".into(), {
-            let t = rta.topo.borrow();
-            t.counter[0]
-        }),
-        ("Rank".into(), {
-            let t = rta.topo.borrow();
-            t.ranker[0]
-        }),
+        ("Count".into(), rta.topo.counter[0]),
+        ("Rank".into(), rta.topo.ranker[0]),
         ("Coord.".into(), dt.coordinator),
         ("Parti.".into(), dt.participants[0]),
         ("Consensus".into(), rkv.consensus[0]),

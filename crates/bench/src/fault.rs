@@ -61,12 +61,17 @@ fn put_for(token: u64) -> KvOp {
 }
 
 /// Run the scenario across `shards` event shards (clamped to the 4-node
-/// topology): deploy the 3-replica RKV group, wire the retrying client,
-/// inject the fault plan, run through crash and recovery, and audit at
-/// quiesce. Metrics and traces accumulate into `obs` (shard 0's records
-/// when sharded — the cluster's canonical exports carry the merged view).
+/// topology), one after the other: deploy the 3-replica RKV group, wire the
+/// retrying client, inject the fault plan, run through crash and recovery,
+/// and audit at quiesce. Metrics and traces accumulate into `obs` (shard 0's
+/// records when sharded — the cluster's canonical exports carry the merged
+/// view).
 pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Cluster) {
-    let mut c = build_rkv_cluster(seed, shards, obs);
+    run_with(seed, shards, false, obs)
+}
+
+fn run_with(seed: u64, shards: usize, threaded: bool, obs: &Obs) -> (FaultRunStats, Cluster) {
+    let mut c = build_rkv_cluster(seed, shards, threaded, obs);
     let dep = deploy_rkv_with(
         &mut c,
         &[0, 1, 2],
@@ -144,8 +149,15 @@ impl Scenario for RkvFault {
         &["before_crash"]
     }
 
-    fn run(&self, _: Size, seed: u64, shards: usize, _: bool, obs: &Obs) -> (Headline, Cluster) {
-        let (stats, c) = run_rkv_fault(seed, shards, obs);
+    fn run(
+        &self,
+        _: Size,
+        seed: u64,
+        shards: usize,
+        threaded: bool,
+        obs: &Obs,
+    ) -> (Headline, Cluster) {
+        let (stats, c) = run_with(seed, shards, threaded, obs);
         let headline = vec![
             ("issued", stats.issued.to_string()),
             ("done", stats.done.to_string()),

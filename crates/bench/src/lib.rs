@@ -2,8 +2,8 @@
 //! evaluation. The `figures` binary renders them as text tables;
 //! EXPERIMENTS.md records paper-vs-measured values.
 //!
-//! Each `figN` function returns plain data so the Criterion benches, the
-//! binary and the integration tests can share one implementation.
+//! Each `figN` function returns plain data so the binary and the
+//! integration tests can share one implementation.
 
 pub mod apps_harness;
 pub mod characterization;

@@ -156,10 +156,15 @@ impl OverloadStats {
 
 /// Run the overload scenario described by `spec`: deploy the groups,
 /// install admission and the compaction storms, run pre-spike / spike /
-/// recovery windows, drain, and audit — shed conservation included. Hands
-/// back the cluster so callers can pull canonical merged exports.
+/// recovery windows, drain, and audit — shed conservation included — its
+/// shards one after the other. Hands back the cluster so callers can pull
+/// canonical merged exports.
 pub fn run_rkv_overload(spec: &OverloadSpec) -> (OverloadStats, Cluster) {
-    let mut c = build_keyspace_cluster(&spec.base);
+    run_with(spec, false)
+}
+
+fn run_with(spec: &OverloadSpec, threaded: bool) -> (OverloadStats, Cluster) {
+    let mut c = build_keyspace_cluster(&spec.base, threaded);
     let dep = deploy_keyspace(&mut c, &spec.base);
     c.set_admission(spec.admission());
     // One compaction storm per server node, NIC-placed so its merge work
@@ -244,12 +249,19 @@ impl Scenario for RkvOverload {
         &["shed", "ingress_shed"]
     }
 
-    fn run(&self, size: Size, seed: u64, shards: usize, _: bool, _: &Obs) -> (Headline, Cluster) {
+    fn run(
+        &self,
+        size: Size,
+        seed: u64,
+        shards: usize,
+        threaded: bool,
+        _: &Obs,
+    ) -> (Headline, Cluster) {
         let spec = match size {
             Size::Smoke => OverloadSpec::smoke(seed, shards),
             Size::Full => OverloadSpec::full(seed, shards),
         };
-        let (s, c) = run_rkv_overload(&spec);
+        let (s, c) = run_with(&spec, threaded);
         let headline = vec![
             ("groups", s.groups.to_string()),
             ("users", s.users.to_string()),

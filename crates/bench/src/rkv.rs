@@ -14,7 +14,7 @@ use ipipe_workload::kv::KvWorkload;
 use crate::scenario::{Headline, Scenario, Size};
 
 /// Three servers and one client on CN2350 cards, publishing into `obs`.
-pub(crate) fn build_rkv_cluster(seed: u64, shards: usize, obs: &Obs) -> Cluster {
+pub(crate) fn build_rkv_cluster(seed: u64, shards: usize, threaded: bool, obs: &Obs) -> Cluster {
     Cluster::builder(CN2350)
         .servers(3)
         .clients(1)
@@ -22,6 +22,7 @@ pub(crate) fn build_rkv_cluster(seed: u64, shards: usize, obs: &Obs) -> Cluster 
         .seed(seed)
         .obs(obs.clone())
         .shards(shards)
+        .parallel(threaded)
         .build()
 }
 
@@ -41,8 +42,15 @@ impl Scenario for Rkv {
         &[1, 2, 4]
     }
 
-    fn run(&self, _: Size, seed: u64, shards: usize, _: bool, obs: &Obs) -> (Headline, Cluster) {
-        let mut c = build_rkv_cluster(seed, shards, obs);
+    fn run(
+        &self,
+        _: Size,
+        seed: u64,
+        shards: usize,
+        threaded: bool,
+        obs: &Obs,
+    ) -> (Headline, Cluster) {
+        let mut c = build_rkv_cluster(seed, shards, threaded, obs);
         let dep = deploy_rkv(&mut c, &[0, 1, 2], 8 << 20);
         let leader = dep.consensus[0];
         let mut wl = KvWorkload::paper_default(512, 1);

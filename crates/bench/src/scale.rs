@@ -147,13 +147,14 @@ pub struct ScaleStats {
 
 /// Build the spec's cluster: the keyspace scenarios run metrics-only (the
 /// per-shard trace ring would retain more records under sharding).
-pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
+pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec, threaded: bool) -> Cluster {
     Cluster::builder(CN2350)
         .servers(spec.servers)
         .clients(spec.clients)
         .mode(RuntimeMode::IPipe)
         .seed(spec.seed)
         .shards(spec.shards)
+        .parallel(threaded)
         .build()
 }
 
@@ -310,12 +311,16 @@ pub(crate) fn drain_and_audit(
     c.completions()
 }
 
-/// Run the scale scenario described by `spec`: deploy the groups, install
-/// the aggregated open-loop clients, rebalance on a fixed cadence, drain,
-/// and audit. Hands back the cluster so callers can pull canonical merged
-/// exports.
+/// Run the scale scenario described by `spec`, its shards one after the
+/// other: deploy the groups, install the aggregated open-loop clients,
+/// rebalance on a fixed cadence, drain, and audit. Hands back the cluster so
+/// callers can pull canonical merged exports.
 pub fn run_rkv_scale(spec: &ScaleSpec) -> (ScaleStats, Cluster) {
-    let mut c = build_keyspace_cluster(spec);
+    run_with(spec, false)
+}
+
+fn run_with(spec: &ScaleSpec, threaded: bool) -> (ScaleStats, Cluster) {
+    let mut c = build_keyspace_cluster(spec, threaded);
     let dep = deploy_keyspace(&mut c, spec);
     let ledgers = install_agg_clients(&mut c, spec, &dep);
     // Arrival window, with rebalance observations on a fixed cadence. The
@@ -366,12 +371,19 @@ impl Scenario for RkvScale {
         &["migrations"]
     }
 
-    fn run(&self, size: Size, seed: u64, shards: usize, _: bool, _: &Obs) -> (Headline, Cluster) {
+    fn run(
+        &self,
+        size: Size,
+        seed: u64,
+        shards: usize,
+        threaded: bool,
+        _: &Obs,
+    ) -> (Headline, Cluster) {
         let spec = match size {
             Size::Smoke => ScaleSpec::smoke(seed, shards),
             Size::Full => ScaleSpec::planetary(seed, shards),
         };
-        let (s, c) = run_rkv_scale(&spec);
+        let (s, c) = run_with(&spec, threaded);
         let headline = vec![
             ("groups", s.groups.to_string()),
             ("users", s.users.to_string()),

@@ -39,22 +39,15 @@ pub trait Scenario: Sync {
     /// topology.)
     fn shard_counts(&self) -> &'static [usize];
 
-    /// True when no actor or client closure shares `Rc` state across nodes,
-    /// so epochs may execute on OS threads. Only such scenarios are ever
-    /// handed `threaded = true`; the others never forward the flag to their
-    /// cluster. This declaration goes away when ROADMAP item 2 makes
-    /// `ShardState: Send` a compile-time fact.
-    fn rc_free(&self) -> bool {
-        false
-    }
-
     /// Headline keys that must read non-zero for a run to have exercised
     /// what the scenario exists to exercise (sheds, retransmissions).
     fn must_be_nonzero(&self) -> &'static [&'static str] {
         &[]
     }
 
-    /// Build, drive and audit one run (panicking on a dirty audit).
+    /// Build, drive and audit one run (panicking on a dirty audit), its
+    /// epochs on OS threads when `threaded` (see
+    /// [`ClusterBuilder::parallel`](ipipe::rt::ClusterBuilder::parallel)).
     /// Scenarios that record traces publish into `obs`; the metrics-only
     /// ones ignore it.
     fn run(

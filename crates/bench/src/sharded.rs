@@ -138,9 +138,7 @@ pub fn build_grid(spec: &GridSpec) -> Cluster {
     c
 }
 
-/// Registry entry for this scenario. Its actors own everything they touch
-/// (one `DistWorker` per node, clients holding a cloned target list), so
-/// it is the scenario that may run its epochs on OS threads.
+/// Registry entry for this scenario.
 pub struct Pod;
 
 impl Scenario for Pod {
@@ -154,10 +152,6 @@ impl Scenario for Pod {
 
     fn shard_counts(&self) -> &'static [usize] {
         &[1, 2, 4, 8]
-    }
-
-    fn rc_free(&self) -> bool {
-        true
     }
 
     fn run(

@@ -7,39 +7,37 @@
 //!
 //! | Table 4 | here |
 //! |---|---|
-//! | `actor_create` / `actor_register` | [`actor_create`] |
+//! | `actor_create` | [`actor_create`]: the actor's address, before it exists |
+//! | `actor_register` | [`actor_register`]: install its handlers at that address |
 //! | `actor_init` | runs automatically at registration |
-//! | `actor_delete` | [`actor_delete`] |
+//! | `actor_delete` | no call: the isolation watchdog deletes an actor (§3.4) |
 //! | `actor_migrate` | [`actor_migrate`] |
 //! | `dmo_malloc` / `dmo_free` | [`dmo_malloc`] / [`dmo_free`] |
 //! | `dmo_mmset` / `dmo_mmcpy` / `dmo_mmmove` | [`dmo_mmset`] / [`dmo_mmcpy`] / [`dmo_mmmove`] |
 //! | `msg_init` / `msg_read` / `msg_write` | [`msg_init`] / [`msg_read`] / [`msg_write`] |
 //! | `nstack_hdr_cap` / `nstack_get_wqe` | [`nstack_hdr_cap`] / [`nstack_get_wqe`] |
 
-use crate::actor::{ActorId, ActorLogic, Address};
+use crate::actor::{ActorLogic, Address};
 use crate::dmo::{ActorDmo, DmoError, ObjectId};
 use crate::ring::{IoChannel, RingBuffer, RingError};
 use crate::rt::{Cluster, Placement};
 
-/// `actor_create` + `actor_register`: install an actor on `node` and return
-/// its address. The actor's `init_handler` runs immediately (Table 4's
-/// `actor_init`).
-pub fn actor_create(
+/// `actor_create`: allocate an actor on `node` and return its address, so
+/// that peers created alongside it can be built knowing it.
+pub fn actor_create(cluster: &mut Cluster, node: usize) -> Address {
+    cluster.reserve_actor(node)
+}
+
+/// `actor_register`: install the handlers of a created actor into the
+/// runtime. Its `init_handler` runs immediately (Table 4's `actor_init`).
+pub fn actor_register(
     cluster: &mut Cluster,
-    node: usize,
+    addr: Address,
     name: &str,
     logic: Box<dyn ActorLogic>,
     placement: Placement,
-) -> Address {
-    cluster.register_actor(node, name, logic, placement)
-}
-
-/// `actor_delete`: currently actors are deleted by the isolation watchdog or
-/// at cluster teardown; the paper's explicit path maps to deregistration at
-/// the scheduler, which [`Cluster`] performs internally. Provided for API
-/// parity; returns whether the actor was known.
-pub fn actor_delete(cluster: &mut Cluster, addr: Address) -> bool {
-    cluster.actor_location(addr).is_some()
+) {
+    cluster.register_reserved(addr, name, logic, placement);
 }
 
 /// `actor_migrate`: begin a push migration of `addr` to the host.
@@ -127,13 +125,6 @@ pub fn nstack_get_wqe(frame: &[u8]) -> Option<crate::nstack::WqeHeader> {
     crate::nstack::parse_headers(frame)
 }
 
-/// Deregister an actor id directly at a node's scheduler (the DoS/teardown
-/// path of §3.4) — exposed for tests and harnesses.
-pub fn actor_deregister_id(_cluster: &mut Cluster, _node: usize, _actor: ActorId) {
-    // Deliberately a no-op facade: the runtime performs deregistration via
-    // the watchdog; external deregistration would race with in-flight work.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,8 +149,8 @@ mod tests {
             .clients(1)
             .seed(1)
             .build();
-        let echo = actor_create(&mut cluster, 0, "echo", Box::new(Echo), Placement::Nic);
-        assert!(actor_delete(&mut cluster, echo)); // known
+        let echo = actor_create(&mut cluster, 0);
+        actor_register(&mut cluster, echo, "echo", Box::new(Echo), Placement::Nic);
         cluster.run_closed_loop(echo, 8, 256, SimTime::from_ms(2));
         assert!(cluster.completions().count() > 100);
         assert!(actor_migrate(&mut cluster, echo));

@@ -28,9 +28,14 @@ impl Cluster {
     ///   migration, location consistency, buffered-request ownership, and an
     ///   empty dispatcher stash at event boundaries
     /// * scheduler ledgers via [`NicScheduler::audit_into`]
+    /// * `actor.reserved` — no address is reserved and left without an actor
     pub fn audit(&mut self) -> AuditReport {
         let mut r = AuditReport::new(self.now());
         let pending_frames: u64 = self.shards.iter_mut().map(|s| s.audit_local(&mut r)).sum();
+        for addr in &self.reserved {
+            let detail = format!("{addr:?} was reserved but never registered");
+            r.violation("actor.reserved", addr.node, detail);
+        }
         let total = |f: fn(&ShardState) -> u64| self.shards.iter().map(f).sum::<u64>();
         let rx_frames = total(|s| s.rx_frames);
         let issued = total(|s| s.completions.issued);

@@ -92,9 +92,15 @@ impl ClusterBuilder {
     /// Only meaningful with `shards(n > 1)`. The output is byte-identical
     /// either way; this only changes who executes each shard's epoch slice.
     ///
-    /// Safety contract: actor logic must not share interior-mutable state
-    /// (`Rc`/`RefCell`) across nodes that land in different shards — shard
-    /// state is moved across threads at epoch boundaries.
+    /// Contract: during [`Cluster::run_for`], everything an actor or a
+    /// client closure can reach is touched by its own shard's thread only.
+    /// Two actors or closures may share `Rc` state when they live on one
+    /// node; handles the caller keeps (metric cells, ledgers a closure
+    /// fills) are read between `run_for` calls, never during one. Every
+    /// deployment in this workspace builds its actors from plain addresses
+    /// and keeps this rule; it is not yet checked by the compiler — that
+    /// waits on per-shard `Obs` handles and on `Send` client closures (see
+    /// `ShardSendPtr`).
     pub fn parallel(mut self, on: bool) -> Self {
         self.parallel = on;
         self
@@ -231,16 +237,31 @@ impl ClusterBuilder {
             shard_events: vec![0; n_shards],
             rng,
             next_actor: 1,
+            reserved: Vec::new(),
         }
     }
 }
 
 /// Raw-pointer envelope that lets disjoint `&mut ShardState`s cross the
-/// scoped-thread boundary. Safety: pointers come from `iter_mut()` (so they
-/// never alias), the scope joins every thread before returning (so they
-/// never dangle), and the documented [`ClusterBuilder::parallel`] contract
-/// forbids actors from sharing `Rc` state across shard boundaries.
+/// scoped-thread boundary.
 struct ShardSendPtr(*mut ShardState);
+// SAFETY: the pointers come from one `iter_mut()` (so they never alias) and
+// the scope joins every thread before `run_for` goes on (so they never
+// dangle, and no shard is touched by two threads at once). `ShardState` is
+// not `Send` for two of its fields' sake: `obs` and the metric handles cut
+// from it are `Rc` cells, and `clients` / `nodes[..].actors` hold boxed
+// closures and actors that may own `Rc`s. Moving them to another thread is
+// sound as long as nothing else reaches those cells meanwhile, which is the
+// [`ClusterBuilder::parallel`] contract: a shard's actors and closures share
+// state only among themselves, and the caller's clones (shard 0's `Obs`,
+// metric handles, client ledgers) are only read between `run_for` calls.
+// Reference counts, which every owner of a cell writes, change at setup and
+// teardown on the caller's thread; during a run a shard clones handles out
+// of its own registry only, and a watchdog kill drops an actor's handles on
+// the thread of the shard that owns the actor, where no other thread looks
+// those cells up. The proof by types — `ShardState: Send` with no `unsafe`
+// — needs `Obs` owned per shard and `Send` bounds on `ActorLogic` and the
+// client closures, which `benchmark/` installs as `Rc` closures today.
 unsafe impl Send for ShardSendPtr {}
 
 impl ShardSendPtr {
@@ -345,8 +366,47 @@ impl Cluster {
         self.shard_for_mut(node).node_mut(node)
     }
 
+    /// Reserve the next actor id on server `node` and return the address the
+    /// actor will have, before the actor exists: a deployment reserves the
+    /// addresses of a whole group first and then builds each actor around
+    /// the few it sends to (its `actor_tbl`, §3.1). Ids are handed out in
+    /// call order. Every reservation must be taken up by
+    /// [`Cluster::register_reserved`] before the cluster next runs.
+    pub fn reserve_actor(&mut self, node: usize) -> Address {
+        assert!(node < self.n_servers, "not a server node");
+        let addr = Address {
+            node: node as u16,
+            actor: self.next_actor,
+        };
+        self.next_actor += 1;
+        self.reserved.push(addr);
+        addr
+    }
+
+    /// Install an actor at an address [`Cluster::reserve_actor`] handed out.
+    /// The actor's `init` handler runs immediately. Panics when `addr` is not
+    /// an outstanding reservation: never reserved, reserved on another node,
+    /// or registered already.
+    pub fn register_reserved(
+        &mut self,
+        addr: Address,
+        name: &str,
+        logic: Box<dyn ActorLogic>,
+        placement: Placement,
+    ) {
+        let Some(slot) = self.reserved.iter().position(|r| r.actor == addr.actor) else {
+            panic!("{addr:?} is not reserved, or is registered already");
+        };
+        let reserved = self.reserved.swap_remove(slot);
+        assert!(reserved == addr, "{addr:?} was reserved as {reserved:?}");
+        self.shard_for_mut(addr.node)
+            .register_actor_local(addr, name, logic, placement);
+    }
+
     /// Register an actor on server `node`; returns its cluster address.
-    /// The actor's `init` handler runs immediately.
+    /// The actor's `init` handler runs immediately. This is
+    /// [`Cluster::reserve_actor`] and [`Cluster::register_reserved`] in
+    /// sequence, for actors nobody needs to address before they exist.
     pub fn register_actor(
         &mut self,
         node: usize,
@@ -354,16 +414,9 @@ impl Cluster {
         logic: Box<dyn ActorLogic>,
         placement: Placement,
     ) -> Address {
-        assert!(node < self.n_servers, "not a server node");
-        let id = self.next_actor;
-        self.next_actor += 1;
-        self.shard_for_mut(node as u16).register_actor_local(
-            node as u16,
-            id,
-            name,
-            logic,
-            placement,
-        )
+        let addr = self.reserve_actor(node);
+        self.register_reserved(addr, name, logic, placement);
+        addr
     }
 
     /// Install ingress admission control (see [`crate::admission`]) on
@@ -382,11 +435,10 @@ impl Cluster {
 
     /// Attach a seeded fault schedule to the cluster's network. Call before
     /// running; the plan's own RNG keeps faulted runs seed-deterministic.
-    /// The plan is split into per-source-node streams so that fault verdicts
-    /// are identical for every shard count (each shard judges only the
-    /// frames its own nodes send).
-    pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
-        plan.split_per_source(self.shard_of.len());
+    /// Every shard judges the frames its own nodes send against its own
+    /// copy, and the plan draws per source node, so fault verdicts are
+    /// identical for every shard count.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         for s in &mut self.shards {
             s.net.set_fault_plan(plan.clone());
         }
@@ -409,6 +461,11 @@ impl Cluster {
     /// one. With one shard the horizon is unbounded and the loop degrades
     /// to the classic serial sweep.
     pub fn run_for(&mut self, dur: SimTime) {
+        assert!(
+            self.reserved.is_empty(),
+            "reserved but never registered: {:?}",
+            self.reserved
+        );
         let end = self.now() + dur;
         // Setup-time sends (actor init emits) may be parked in outboxes.
         self.flush_outboxes();
@@ -426,6 +483,9 @@ impl Cluster {
                 std::thread::scope(|scope| {
                     for p in ptrs {
                         scope.spawn(move || {
+                            // SAFETY: see `ShardSendPtr`: this thread is
+                            // the only one holding this shard until the
+                            // scope joins it.
                             let shard = unsafe { &mut *p.get() };
                             shard.run_slice(end, horizon);
                         });
@@ -607,6 +667,12 @@ impl Cluster {
     /// Where an actor currently lives.
     pub fn actor_location(&self, addr: Address) -> Option<Loc> {
         self.node(addr.node).sched.location(addr.actor)
+    }
+
+    /// The name an actor was registered under.
+    pub fn actor_name(&self, addr: Address) -> Option<&str> {
+        let slot = self.node(addr.node).actors.get(&addr.actor)?;
+        Some(&slot.name)
     }
 
     /// Force a push migration of an actor (Fig 18 methodology: "we force

@@ -521,4 +521,6 @@ pub struct Cluster {
     shard_events: Vec<u64>,
     rng: DetRng,
     next_actor: ActorId,
+    /// Addresses handed out by `reserve_actor` and not yet registered.
+    reserved: Vec<Address>,
 }

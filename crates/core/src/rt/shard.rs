@@ -168,16 +168,16 @@ impl ShardState {
         }
     }
 
-    /// Register an actor on server `node` (owned by this shard) with a
-    /// pre-allocated cluster-wide actor id.
+    /// Install an actor at `addr`, a node this shard owns and a
+    /// cluster-wide actor id the caller allocated.
     pub(super) fn register_actor_local(
         &mut self,
-        node: u16,
-        id: ActorId,
+        addr: Address,
         name: &str,
         mut logic: Box<dyn ActorLogic>,
         placement: Placement,
-    ) -> Address {
+    ) {
+        let Address { node, actor: id } = addr;
         let pinned = logic.host_pinned();
         let host_only = self.mode != RuntimeMode::IPipe;
         let on_host = host_only || pinned || placement == Placement::Host;
@@ -207,7 +207,6 @@ impl ShardState {
         if !init_emits.is_empty() {
             self.route_emits(now, node, init_emits, !on_host);
         }
-        Address { node, actor: id }
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {

@@ -554,6 +554,134 @@ fn send_after_drives_a_periodic_tick_from_init() {
     assert!((9..=11).contains(&n), "ticks={n}");
 }
 
+/// Five tickers over two nodes, through whatever `deploy` does with the
+/// node list; returns the cluster and each ticker's counter.
+fn ticker_cluster(
+    deploy: impl FnOnce(&mut Cluster, &[usize], &mut dyn FnMut(usize) -> Box<dyn ActorLogic>),
+) -> (Cluster, Vec<std::rc::Rc<std::cell::Cell<u32>>>) {
+    let mut c = Cluster::builder(CN2350)
+        .servers(2)
+        .clients(1)
+        .seed(9)
+        .build();
+    let nodes = [0, 1, 0, 1, 0];
+    let ticks: Vec<_> = nodes.iter().map(|_| Default::default()).collect();
+    let mut logic = |i: usize| -> Box<dyn ActorLogic> {
+        Box::new(Ticker {
+            ticks: std::rc::Rc::clone(&ticks[i]),
+            period: SimTime::from_us(50 + 10 * i as u64),
+        })
+    };
+    deploy(&mut c, &nodes, &mut logic);
+    (c, ticks)
+}
+
+#[test]
+fn reserved_registration_matches_register_actor() {
+    let run = |mut c: Cluster, ticks: Vec<std::rc::Rc<std::cell::Cell<u32>>>| {
+        c.run_for(SimTime::from_ms(1));
+        c.audit().assert_clean();
+        let ticks: Vec<u32> = ticks.iter().map(|t| t.get()).collect();
+        (ticks, c.export_canonical_jsonl())
+    };
+    let mut want = Vec::new();
+    let (c, ticks) = ticker_cluster(|c, nodes, logic| {
+        for (i, &node) in nodes.iter().enumerate() {
+            want.push(c.register_actor(node, "ticker", logic(i), Placement::Nic));
+        }
+    });
+    let (want_ticks, want_export) = run(c, ticks);
+    assert!(want_ticks.iter().all(|&n| n >= 9), "{want_ticks:?}");
+
+    // Every address first, then the actors in the same order: the ids, the
+    // `init` timers and every exported byte are those of `register_actor`.
+    let (c, ticks) = ticker_cluster(|c, nodes, logic| {
+        let addrs: Vec<Address> = nodes.iter().map(|&n| c.reserve_actor(n)).collect();
+        assert_eq!(addrs, want);
+        for (i, &addr) in addrs.iter().enumerate() {
+            c.register_reserved(addr, "ticker", logic(i), Placement::Nic);
+        }
+    });
+    assert_eq!(run(c, ticks), (want_ticks.clone(), want_export));
+
+    // Any interleaving of reserving and registering: ids follow the order
+    // of the reservations alone, and every `init` timer still fires.
+    for seed in 0..16 {
+        let mut rng = DetRng::new(seed);
+        let (c, ticks) = ticker_cluster(|c, nodes, logic| {
+            let mut pending: Vec<(usize, Address)> = Vec::new();
+            let mut next = 0;
+            while next < nodes.len() || !pending.is_empty() {
+                if next < nodes.len() && (pending.is_empty() || rng.chance(0.5)) {
+                    let addr = c.reserve_actor(nodes[next]);
+                    assert_eq!(addr, want[next], "seed {seed}");
+                    pending.push((next, addr));
+                    next += 1;
+                } else {
+                    let (i, addr) = pending.swap_remove(rng.index(pending.len()));
+                    c.register_reserved(addr, "ticker", logic(i), Placement::Nic);
+                    assert_eq!(c.actor_name(addr), Some("ticker"));
+                }
+            }
+        });
+        assert_eq!(run(c, ticks).0, want_ticks, "seed {seed}");
+    }
+}
+
+#[test]
+#[should_panic(
+    expected = "Address { node: 0, actor: 1 } is not reserved, or is registered already"
+)]
+fn registering_an_address_twice_panics() {
+    let (mut c, a) = echo_cluster(1);
+    let again = Box::new(Echo {
+        cost: SimTime::from_us(1),
+    });
+    c.register_reserved(a, "echo", again, Placement::Nic);
+}
+
+#[test]
+#[should_panic(
+    expected = "Address { node: 1, actor: 1 } was reserved as Address { node: 0, actor: 1 }"
+)]
+fn registering_on_another_node_than_reserved_panics() {
+    let mut c = Cluster::builder(CN2350).servers(2).build();
+    let reserved = c.reserve_actor(0);
+    let elsewhere = Address {
+        node: 1,
+        ..reserved
+    };
+    let echo = Box::new(Echo {
+        cost: SimTime::from_us(1),
+    });
+    c.register_reserved(elsewhere, "echo", echo, Placement::Nic);
+}
+
+#[test]
+#[should_panic(expected = "reserved but never registered: [Address { node: 0, actor: 2 }]")]
+fn running_with_an_unregistered_reservation_panics() {
+    let (mut c, _) = echo_cluster(1);
+    c.reserve_actor(0);
+    c.run_for(SimTime::from_us(1));
+}
+
+#[test]
+fn audit_flags_an_unregistered_reservation() {
+    let (mut c, _) = echo_cluster(1);
+    assert!(c.audit().is_clean());
+    c.reserve_actor(0);
+    let report = c.audit();
+    let [v] = report.violations() else {
+        panic!("one violation expected: {}", report.render());
+    };
+    assert_eq!((v.invariant, v.node), ("actor.reserved", 0));
+    assert!(
+        v.detail.contains("Address { node: 0, actor: 2 }"),
+        "{}",
+        v.detail
+    );
+}
+
 struct Bouncer {
     to: Address,
 }

@@ -1,12 +1,13 @@
 //! Deterministic fault injection for the network substrate.
 //!
-//! A [`FaultPlan`] layers failures over [`crate::NetModel::transfer`]: seeded
-//! per-link packet loss, frame corruption (the receiver's shim stack must
-//! reject the frame through its real header codec), link-down windows, and
-//! node crash/restart intervals. All randomness comes from one
-//! [`DetRng`] stream owned by the plan, so a cluster built with the same
-//! seed and the same plan replays every drop, flip and outage byte-for-byte
-//! — the determinism guarantee the traceview CI gate pins.
+//! A [`FaultPlan`] layers failures over [`crate::NetModel::begin_transfer`]:
+//! seeded per-link packet loss, frame corruption (the receiver's shim stack
+//! must reject the frame through its real header codec), link-down windows,
+//! and node crash/restart intervals. All randomness comes from the plan's
+//! seed, one [`DetRng`] stream per sending node, so a cluster built with the
+//! same seed and the same plan replays every drop, flip and outage
+//! byte-for-byte — the determinism guarantee the traceview CI gate pins —
+//! however its nodes are spread over event shards.
 //!
 //! The fault model is a *connectivity* model: a crashed node loses every
 //! frame to and from it for the window but keeps its local state, i.e. the
@@ -28,30 +29,6 @@ pub enum DropReason {
     LinkDown,
     /// One endpoint was inside a crash window.
     NodeDown,
-}
-
-/// Outcome of a fault-checked transfer (see `NetModel::transfer_checked`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Frame arrives intact at `at`.
-    Delivered {
-        /// Arrival time of the last byte.
-        at: SimTime,
-    },
-    /// Frame arrives at `at` with header byte `flip` (offset into the
-    /// 20-byte IPv4 header) damaged; the receiver must run it through
-    /// `parse_headers` and drop it when validation fails.
-    Corrupted {
-        /// Arrival time of the last byte.
-        at: SimTime,
-        /// Damaged byte offset within the IPv4 header (0..20).
-        flip: u8,
-    },
-    /// Frame never arrives.
-    Dropped {
-        /// Why it was lost.
-        reason: DropReason,
-    },
 }
 
 /// A window during which a node's access link is down (both directions).
@@ -81,14 +58,18 @@ pub(crate) enum Verdict {
 /// A seeded schedule of network faults.
 ///
 /// Built once, attached to a `NetModel` via `set_fault_plan`, consulted on
-/// every `transfer_checked`. Probabilistic faults (loss, corruption) draw
-/// from the plan's own RNG; scheduled faults (link-down, crash) are pure
-/// time-window lookups.
+/// every `begin_transfer`. Probabilistic faults (loss, corruption) draw from
+/// the sending node's stream, so a node's verdicts are a function of its
+/// own send sequence alone, however sends from different nodes interleave
+/// — which is what keeps them identical across shard counts, each shard
+/// judging only the frames its own nodes send. Scheduled faults (link-down,
+/// crash) are pure time-window lookups.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
+    /// The seed stream; only ever forked, one stream per node.
     rng: DetRng,
-    /// Per-source-node RNG streams (see [`FaultPlan::split_per_source`]).
-    /// Empty until split: the legacy single-stream `rng` is used then.
+    /// Per-source-node streams, forked off `rng` in node-index order the
+    /// first time a node that far up sends.
     streams: Vec<DetRng>,
     /// Default per-frame loss probability on every link.
     loss: f64,
@@ -153,29 +134,6 @@ impl FaultPlan {
         self
     }
 
-    /// Split the plan's single RNG stream into one independent stream per
-    /// source node (forked in node order, so the split itself is
-    /// deterministic). After the split, `FaultPlan::judge` draws from the
-    /// *sender's* stream, making each node's fault verdicts a pure function
-    /// of that node's own send sequence — independent of how sends from
-    /// different nodes interleave globally. The sharded cluster runtime
-    /// relies on this: it is what keeps fault draws identical across shard
-    /// counts. Call once, before any `judge` draws; a repeat call with the
-    /// same or smaller `nodes` is a no-op.
-    pub fn split_per_source(&mut self, nodes: usize) {
-        if self.streams.len() >= nodes {
-            return;
-        }
-        let mut base = self.rng.clone();
-        let streams: Vec<DetRng> = (0..nodes).map(|_| base.fork()).collect();
-        self.streams = streams;
-    }
-
-    /// True when the plan has been split into per-source streams.
-    pub fn is_split(&self) -> bool {
-        !self.streams.is_empty()
-    }
-
     /// True when `node` is inside a crash window at `at`.
     pub fn node_down(&self, node: u16, at: SimTime) -> bool {
         self.crashes
@@ -222,10 +180,10 @@ impl FaultPlan {
             return Verdict::Drop(DropReason::LinkDown);
         }
         let loss_p = self.loss_for(s, d);
-        let rng = match self.streams.get_mut(s as usize) {
-            Some(stream) => stream,
-            None => &mut self.rng,
-        };
+        while self.streams.len() <= s as usize {
+            self.streams.push(self.rng.fork());
+        }
+        let rng = &mut self.streams[s as usize];
         if rng.chance(loss_p) {
             return Verdict::Drop(DropReason::Loss);
         }
@@ -337,14 +295,10 @@ mod tests {
 
     #[test]
     fn per_source_streams_are_interleaving_invariant() {
-        // After `split_per_source`, a node's verdicts depend only on its own
-        // send sequence, not on how sends from different nodes interleave —
-        // the property the sharded cluster runtime builds on.
-        let mk = || {
-            let mut p = FaultPlan::new(42).with_loss(0.3).with_corruption(0.1);
-            p.split_per_source(4);
-            p
-        };
+        // A node's verdicts depend only on its own send sequence, not on how
+        // sends from different nodes interleave or on which node sent first
+        // — the property the sharded cluster runtime builds on.
+        let mk = || FaultPlan::new(42).with_loss(0.3).with_corruption(0.1);
         let (mut a, mut b) = (mk(), mk());
         // a: node 0 sends 32 frames back to back, then node 1 sends 32.
         let a0: Vec<_> = (0..32)
@@ -353,22 +307,16 @@ mod tests {
         let a1: Vec<_> = (0..32)
             .map(|_| a.judge(SimTime::ZERO, &pkt(1, 2)))
             .collect();
-        // b: the same sends, interleaved frame by frame.
+        // b: the same sends, interleaved frame by frame, node 1 first.
         let mut b0 = Vec::new();
         let mut b1 = Vec::new();
         for _ in 0..32 {
-            b0.push(b.judge(SimTime::ZERO, &pkt(0, 2)));
             b1.push(b.judge(SimTime::ZERO, &pkt(1, 2)));
+            b0.push(b.judge(SimTime::ZERO, &pkt(0, 2)));
         }
         assert_eq!(a0, b0);
         assert_eq!(a1, b1);
-        // Unsplit plans keep the legacy shared stream (order-dependent).
-        let mut c = FaultPlan::new(42).with_loss(0.3).with_corruption(0.1);
-        assert!(!c.is_split());
-        let c0: Vec<_> = (0..32)
-            .map(|_| c.judge(SimTime::ZERO, &pkt(0, 2)))
-            .collect();
-        assert_ne!(a0, c0, "split streams intentionally differ from legacy");
+        assert_ne!(a0, a1, "each node draws from a stream of its own");
     }
 
     #[test]

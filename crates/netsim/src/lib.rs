@@ -4,9 +4,9 @@
 //! flows between nodes.
 //!
 //! The model is a *timing oracle*: experiments own the event loop and ask
-//! [`NetModel::transfer`] when a packet would arrive; the oracle accounts for
-//! egress/ingress port occupancy, serialization, switch latency and
-//! propagation. This mirrors how the paper's testbed behaves at the level
+//! [`NetModel::begin_transfer`] and [`NetModel::finish_transfer`] when a
+//! packet would arrive; the oracle accounts for egress/ingress port
+//! occupancy, serialization, switch latency and propagation. This mirrors how the paper's testbed behaves at the level
 //! that matters for the evaluation (packet-rate arithmetic and queueing),
 //! without simulating individual symbols.
 
@@ -14,6 +14,6 @@ pub mod fault;
 pub mod net;
 pub mod packet;
 
-pub use fault::{Delivery, DropReason, FaultPlan};
+pub use fault::{DropReason, FaultPlan};
 pub use net::{NetModel, TxPhase};
 pub use packet::{NodeId, Packet, PacketKind};

@@ -1,6 +1,6 @@
 //! The link/switch timing oracle.
 
-use crate::fault::{Delivery, DropReason, FaultPlan, Verdict};
+use crate::fault::{DropReason, FaultPlan, Verdict};
 #[cfg(test)]
 use crate::packet::NodeId;
 use crate::packet::Packet;
@@ -35,13 +35,13 @@ pub struct NetModel {
     /// Bytes moved, for throughput accounting.
     bytes_sent: u64,
     packets_sent: u64,
-    /// Optional fault schedule consulted by [`NetModel::transfer_checked`].
+    /// Optional fault schedule consulted by [`NetModel::begin_transfer`].
     fault: Option<FaultPlan>,
     /// Optional registry handles (see [`NetModel::attach_obs`]).
     obs: Option<NetMetrics>,
 }
 
-/// Outcome of the egress half of a two-phase transfer
+/// Outcome of the egress half of a transfer
 /// (see [`NetModel::begin_transfer`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxPhase {
@@ -101,7 +101,7 @@ impl NetModel {
 
     /// Publish link metrics into `reg`: `net.packets`, `net.bytes`, the
     /// `net.tx_wait` histogram of egress head-of-line blocking time, and the
-    /// `fault.*` counters fed by [`NetModel::transfer_checked`].
+    /// `fault.*` counters fed by [`NetModel::begin_transfer`].
     pub fn attach_obs(&mut self, reg: &Registry) {
         self.obs = Some(NetMetrics {
             packets: reg.counter("net.packets"),
@@ -115,7 +115,7 @@ impl NetModel {
     }
 
     /// Attach a seeded fault schedule; subsequent
-    /// [`NetModel::transfer_checked`] calls consult it.
+    /// [`NetModel::begin_transfer`] calls consult it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
     }
@@ -174,29 +174,13 @@ impl NetModel {
         SimTime::from_secs_f64(bits / (self.link_gbps * 1e9))
     }
 
-    /// Account a packet handed to the source NIC at `now`; returns when its
-    /// last byte arrives at the destination NIC.
-    ///
-    /// Serialization happens on the egress link, the cut-through switch adds
-    /// its fixed forwarding latency, and the destination's ingress link is
-    /// occupied for another serialization period — so concurrent senders to
-    /// one receiver serialize on `rx_free` (egress-port head-of-line
-    /// blocking at the ToR, charged at the receiving link).
-    pub fn transfer(&mut self, now: SimTime, pkt: &Packet) -> SimTime {
-        let (s, d) = (pkt.src.0 as usize, pkt.dst.0 as usize);
-        assert!(s < self.nodes() && d < self.nodes(), "unknown node");
-        assert_ne!(s, d, "loopback packets never reach the wire");
-        let wire = self.wire_time(pkt.size);
-
+    /// Charge `pkt`'s serialization to its sender's egress port from `now`
+    /// and account the frame; returns when its last bit leaves the sender.
+    fn charge_egress(&mut self, now: SimTime, pkt: &Packet) -> SimTime {
+        let s = pkt.src.0 as usize;
         let tx_start = now.max(self.tx_free[s]);
-        let tx_end = tx_start + wire;
+        let tx_end = tx_start + self.wire_time(pkt.size);
         self.tx_free[s] = tx_end;
-
-        let rx_start = (tx_end + self.switch_latency + self.propagation + self.path_extra(s, d))
-            .max(self.rx_free[d]);
-        let rx_end = rx_start + wire;
-        self.rx_free[d] = rx_end;
-
         self.bytes_sent += (pkt.size + WIRE_OVERHEAD_BYTES) as u64;
         self.packets_sent += 1;
         if let Some(m) = &self.obs {
@@ -204,89 +188,33 @@ impl NetModel {
             m.bytes.add((pkt.size + WIRE_OVERHEAD_BYTES) as u64);
             m.tx_wait.record(tx_start.saturating_sub(now));
         }
-        rx_end
+        tx_end
     }
 
-    /// Like [`NetModel::transfer`], but consult the attached [`FaultPlan`]
-    /// first. Without a plan this is exactly `transfer` (zero RNG draws),
-    /// so fault-free runs keep their byte-identical timelines.
-    ///
-    /// Occupancy policy: a lost frame was still serialized by the sender, so
-    /// it occupies the egress port (and counts toward `bytes_sent`) but
-    /// never touches the receiver. A corrupted frame takes the full path —
-    /// the receiver's shim stack burns the ingress occupancy before its
-    /// header validation rejects it. Link-down and node-down frames never
-    /// reach the wire: no occupancy, no byte accounting.
-    pub fn transfer_checked(&mut self, now: SimTime, pkt: &Packet) -> Delivery {
-        let verdict = match &mut self.fault {
-            None => {
-                return Delivery::Delivered {
-                    at: self.transfer(now, pkt),
-                }
-            }
-            Some(plan) => plan.judge(now, pkt),
-        };
-        match verdict {
-            Verdict::Deliver => Delivery::Delivered {
-                at: self.transfer(now, pkt),
-            },
-            Verdict::Corrupt { flip } => {
-                let at = self.transfer(now, pkt);
-                if let Some(m) = &self.obs {
-                    m.corrupt.inc();
-                }
-                Delivery::Corrupted { at, flip }
-            }
-            Verdict::Drop(reason) => {
-                match reason {
-                    DropReason::Loss => {
-                        // The sender serialized the frame before the wire ate
-                        // it: charge egress occupancy and byte accounting.
-                        let s = pkt.src.0 as usize;
-                        assert!(s < self.nodes(), "unknown node");
-                        let wire = self.wire_time(pkt.size);
-                        let tx_start = now.max(self.tx_free[s]);
-                        self.tx_free[s] = tx_start + wire;
-                        self.bytes_sent += (pkt.size + WIRE_OVERHEAD_BYTES) as u64;
-                        self.packets_sent += 1;
-                        if let Some(m) = &self.obs {
-                            m.packets.inc();
-                            m.bytes.add((pkt.size + WIRE_OVERHEAD_BYTES) as u64);
-                            m.tx_wait.record(tx_start.saturating_sub(now));
-                            m.drop_loss.inc();
-                        }
-                    }
-                    DropReason::LinkDown => {
-                        if let Some(m) = &self.obs {
-                            m.drop_link.inc();
-                        }
-                    }
-                    DropReason::NodeDown => {
-                        if let Some(m) = &self.obs {
-                            m.drop_node.inc();
-                        }
-                    }
-                }
-                Delivery::Dropped { reason }
-            }
-        }
-    }
-
-    /// Egress half of a two-phase transfer: judge faults, charge the
-    /// sender's egress port and byte accounting, and report when the frame
-    /// is at the destination's ingress port (`port_ready`). Ingress
-    /// contention is *not* resolved here — the caller must invoke
+    /// Egress half of a transfer: judge faults, charge the sender's egress
+    /// port and byte accounting, and report when the frame is at the
+    /// destination's ingress port (`port_ready`). Ingress contention is
+    /// *not* resolved here — the caller must invoke
     /// [`NetModel::finish_transfer`] once simulation time reaches
     /// `port_ready`, resolving arrivals at each port in timestamp order.
     ///
-    /// Splitting the transfer this way makes ingress resolution independent
-    /// of the *call* order of sends: the sharded cluster runtime buffers
-    /// `TxPhase` results in per-destination pools ordered by
-    /// `(port_ready, src, seq)` and drains them at each instant, so any
-    /// shard count resolves contention identically. Occupancy and fault
-    /// accounting match [`NetModel::transfer_checked`] exactly: lost frames
-    /// charge egress only, corrupt frames take the full path, down
-    /// endpoints leave no trace.
+    /// Serialization happens on the egress link and the cut-through switch
+    /// adds its fixed forwarding latency; the destination's ingress link is
+    /// then occupied for another serialization period, so concurrent senders
+    /// to one receiver serialize there (egress-port head-of-line blocking at
+    /// the ToR, charged at the receiving link). Splitting the transfer makes
+    /// that ingress resolution independent of the *call* order of sends: the
+    /// sharded cluster runtime buffers `TxPhase` results in per-destination
+    /// pools ordered by `(port_ready, src, seq)` and drains them at each
+    /// instant, so any shard count resolves contention identically.
+    ///
+    /// Occupancy policy under faults: a lost frame was still serialized by
+    /// the sender, so it occupies the egress port (and counts toward
+    /// `bytes_sent`) but never touches the receiver. A corrupted frame takes
+    /// the full path — the receiver's shim stack burns the ingress occupancy
+    /// before its header validation rejects it. Link-down and node-down
+    /// frames never reach the wire: no occupancy, no byte accounting.
+    /// Without a plan no random draw is made.
     pub fn begin_transfer(&mut self, now: SimTime, pkt: &Packet) -> TxPhase {
         let (s, d) = (pkt.src.0 as usize, pkt.dst.0 as usize);
         assert!(s < self.nodes() && d < self.nodes(), "unknown node");
@@ -295,62 +223,34 @@ impl NetModel {
             None => Verdict::Deliver,
             Some(plan) => plan.judge(now, pkt),
         };
-        let wire = self.wire_time(pkt.size);
-        match verdict {
-            Verdict::Deliver | Verdict::Corrupt { .. } => {
-                let tx_start = now.max(self.tx_free[s]);
-                let tx_end = tx_start + wire;
-                self.tx_free[s] = tx_end;
-                self.bytes_sent += (pkt.size + WIRE_OVERHEAD_BYTES) as u64;
-                self.packets_sent += 1;
-                let port_ready =
-                    tx_end + self.switch_latency + self.propagation + self.path_extra(s, d);
-                if let Some(m) = &self.obs {
-                    m.packets.inc();
-                    m.bytes.add((pkt.size + WIRE_OVERHEAD_BYTES) as u64);
-                    m.tx_wait.record(tx_start.saturating_sub(now));
-                    if let Verdict::Corrupt { .. } = verdict {
-                        m.corrupt.inc();
-                    }
-                }
-                match verdict {
-                    Verdict::Corrupt { flip } => TxPhase::SentCorrupt { port_ready, flip },
-                    _ => TxPhase::Sent { port_ready },
-                }
+        if let Verdict::Drop(reason) = verdict {
+            if reason == DropReason::Loss {
+                self.charge_egress(now, pkt);
             }
-            Verdict::Drop(reason) => {
+            if let Some(m) = &self.obs {
                 match reason {
-                    DropReason::Loss => {
-                        // Serialized, then eaten by the wire: egress + bytes.
-                        let tx_start = now.max(self.tx_free[s]);
-                        self.tx_free[s] = tx_start + wire;
-                        self.bytes_sent += (pkt.size + WIRE_OVERHEAD_BYTES) as u64;
-                        self.packets_sent += 1;
-                        if let Some(m) = &self.obs {
-                            m.packets.inc();
-                            m.bytes.add((pkt.size + WIRE_OVERHEAD_BYTES) as u64);
-                            m.tx_wait.record(tx_start.saturating_sub(now));
-                            m.drop_loss.inc();
-                        }
-                    }
-                    DropReason::LinkDown => {
-                        if let Some(m) = &self.obs {
-                            m.drop_link.inc();
-                        }
-                    }
-                    DropReason::NodeDown => {
-                        if let Some(m) = &self.obs {
-                            m.drop_node.inc();
-                        }
-                    }
+                    DropReason::Loss => m.drop_loss.inc(),
+                    DropReason::LinkDown => m.drop_link.inc(),
+                    DropReason::NodeDown => m.drop_node.inc(),
                 }
-                TxPhase::Dropped { reason }
             }
+            return TxPhase::Dropped { reason };
+        }
+        let tx_end = self.charge_egress(now, pkt);
+        let port_ready = tx_end + self.switch_latency + self.propagation + self.path_extra(s, d);
+        match verdict {
+            Verdict::Corrupt { flip } => {
+                if let Some(m) = &self.obs {
+                    m.corrupt.inc();
+                }
+                TxPhase::SentCorrupt { port_ready, flip }
+            }
+            _ => TxPhase::Sent { port_ready },
         }
     }
 
-    /// Ingress half of a two-phase transfer: the frame is at `dst`'s port
-    /// at `port_ready`; resolve ingress-port contention and return when its
+    /// Ingress half of a transfer: the frame is at `dst`'s port at
+    /// `port_ready`; resolve ingress-port contention and return when its
     /// last byte lands. Call in `(port_ready, …)` order per destination.
     pub fn finish_transfer(&mut self, port_ready: SimTime, dst: u16, size: u32) -> SimTime {
         let d = dst as usize;
@@ -462,6 +362,18 @@ mod tests {
         Packet::new(NodeId(src), NodeId(dst), 1, size, PacketKind::Request)
     }
 
+    /// Both halves of a transfer back to back: send at `now` and resolve the
+    /// arrival at once — in order as long as a test sends its frames to one
+    /// destination in `port_ready` order. Returns when the last byte lands.
+    fn deliver(n: &mut NetModel, now: SimTime, p: &Packet) -> SimTime {
+        match n.begin_transfer(now, p) {
+            TxPhase::Sent { port_ready } | TxPhase::SentCorrupt { port_ready, .. } => {
+                n.finish_transfer(port_ready, p.dst.0, p.size)
+            }
+            TxPhase::Dropped { reason } => panic!("frame dropped: {reason:?}"),
+        }
+    }
+
     #[test]
     fn wire_time_matches_line_rate_math() {
         let n = NetModel::new(2, 10.0);
@@ -476,16 +388,16 @@ mod tests {
     #[test]
     fn unloaded_transfer_hits_base_latency() {
         let mut n = NetModel::new(2, 10.0);
-        let arrival = n.transfer(SimTime::from_us(10), &pkt(0, 1, 512));
+        let arrival = deliver(&mut n, SimTime::from_us(10), &pkt(0, 1, 512));
         assert_eq!(arrival, SimTime::from_us(10) + n.base_latency(512),);
     }
 
     #[test]
     fn egress_serialization_backs_up() {
         let mut n = NetModel::new(2, 10.0);
-        let a1 = n.transfer(SimTime::ZERO, &pkt(0, 1, 1500));
-        let a2 = n.transfer(SimTime::ZERO, &pkt(0, 1, 1500));
-        let a3 = n.transfer(SimTime::ZERO, &pkt(0, 1, 1500));
+        let a1 = deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1500));
+        let a2 = deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1500));
+        let a3 = deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1500));
         let w = n.wire_time(1500);
         assert_eq!(a2, a1 + w);
         assert_eq!(a3, a2 + w);
@@ -494,8 +406,8 @@ mod tests {
     #[test]
     fn ingress_contention_from_two_senders() {
         let mut n = NetModel::new(3, 10.0);
-        let a1 = n.transfer(SimTime::ZERO, &pkt(0, 2, 1500));
-        let a2 = n.transfer(SimTime::ZERO, &pkt(1, 2, 1500));
+        let a1 = deliver(&mut n, SimTime::ZERO, &pkt(0, 2, 1500));
+        let a2 = deliver(&mut n, SimTime::ZERO, &pkt(1, 2, 1500));
         // Both serialize in parallel on their own egress links but collide on
         // node 2's ingress port.
         assert_eq!(a2, a1 + n.wire_time(1500));
@@ -504,17 +416,17 @@ mod tests {
     #[test]
     fn distinct_destinations_do_not_contend() {
         let mut n = NetModel::new(3, 10.0);
-        let a1 = n.transfer(SimTime::ZERO, &pkt(0, 1, 1500));
+        let a1 = deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1500));
         let mut n2 = NetModel::new(3, 10.0);
-        let a1_alone = n2.transfer(SimTime::ZERO, &pkt(0, 1, 1500));
+        let a1_alone = deliver(&mut n2, SimTime::ZERO, &pkt(0, 1, 1500));
         assert_eq!(a1, a1_alone);
     }
 
     #[test]
     fn accounting() {
         let mut n = NetModel::new(2, 10.0);
-        n.transfer(SimTime::ZERO, &pkt(0, 1, 1000));
-        n.transfer(SimTime::ZERO, &pkt(0, 1, 1000));
+        deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000));
+        deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000));
         assert_eq!(n.packets_sent(), 2);
         assert_eq!(n.bytes_sent(), 2 * 1024);
         let g = n.offered_gbps(SimTime::from_us(2));
@@ -526,7 +438,7 @@ mod tests {
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
         let mut n = NetModel::new(2, 10.0);
-        n.transfer(SimTime::ZERO, &pkt(0, 0, 64));
+        n.begin_transfer(SimTime::ZERO, &pkt(0, 0, 64));
     }
 
     #[test]
@@ -546,9 +458,9 @@ mod tests {
     fn three_senders_serialize_on_one_ingress_port() {
         let mut n = NetModel::new(4, 10.0);
         let w = n.wire_time(1500);
-        let a1 = n.transfer(SimTime::ZERO, &pkt(0, 3, 1500));
-        let a2 = n.transfer(SimTime::ZERO, &pkt(1, 3, 1500));
-        let a3 = n.transfer(SimTime::ZERO, &pkt(2, 3, 1500));
+        let a1 = deliver(&mut n, SimTime::ZERO, &pkt(0, 3, 1500));
+        let a2 = deliver(&mut n, SimTime::ZERO, &pkt(1, 3, 1500));
+        let a3 = deliver(&mut n, SimTime::ZERO, &pkt(2, 3, 1500));
         // Egress links are independent, so all three frames reach the switch
         // together; node 3's ingress port then drains them back to back.
         assert_eq!(a2, a1 + w);
@@ -556,23 +468,32 @@ mod tests {
         // A later-injected frame to a different receiver is unaffected.
         let mut fresh = NetModel::new(4, 10.0);
         assert_eq!(
-            n.transfer(SimTime::ZERO, &pkt(0, 2, 64)),
-            fresh.transfer(SimTime::ZERO, &pkt(0, 2, 64)) + w
+            deliver(&mut n, SimTime::ZERO, &pkt(0, 2, 64)),
+            deliver(&mut fresh, SimTime::ZERO, &pkt(0, 2, 64)) + w
         );
     }
 
     #[test]
-    fn checked_transfer_without_plan_matches_transfer() {
-        let mut a = NetModel::new(2, 10.0);
-        let mut b = NetModel::new(2, 10.0);
-        for i in 0..32 {
-            let p = pkt(0, 1, 200 + i);
-            let plain = a.transfer(SimTime::from_us(i as u64), &p);
-            let checked = b.transfer_checked(SimTime::from_us(i as u64), &p);
-            assert_eq!(checked, Delivery::Delivered { at: plain });
-        }
-        assert_eq!(a.bytes_sent(), b.bytes_sent());
-        assert_eq!(a.packets_sent(), b.packets_sent());
+    fn ingress_resolution_follows_port_ready_not_call_order() {
+        // A short frame sent second reaches the port first. Resolved in
+        // `port_ready` order neither waits for the other; in call order the
+        // short one would have queued behind the long one's reception.
+        let mut n = NetModel::new(3, 10.0);
+        let (long, short) = (pkt(0, 2, 1500), pkt(1, 2, 64));
+        let TxPhase::Sent { port_ready: late } = n.begin_transfer(SimTime::ZERO, &long) else {
+            panic!("no plan attached");
+        };
+        let TxPhase::Sent { port_ready: early } = n.begin_transfer(SimTime::ZERO, &short) else {
+            panic!("no plan attached");
+        };
+        assert!(early < late);
+        let first = n.finish_transfer(early, 2, short.size);
+        assert_eq!(first, n.base_latency(short.size));
+        assert!(first < late);
+        assert_eq!(
+            n.finish_transfer(late, 2, long.size),
+            n.base_latency(long.size)
+        );
     }
 
     #[test]
@@ -581,21 +502,21 @@ mod tests {
         n.set_fault_plan(FaultPlan::new(1).with_link_loss(0, 2, 1.0));
         let w = n.wire_time(1500);
         assert_eq!(
-            n.transfer_checked(SimTime::ZERO, &pkt(0, 2, 1500)),
-            Delivery::Dropped {
+            n.begin_transfer(SimTime::ZERO, &pkt(0, 2, 1500)),
+            TxPhase::Dropped {
                 reason: DropReason::Loss
             }
         );
         // Sender 0's next frame queues behind the lost one on egress...
-        let next = n.transfer_checked(SimTime::ZERO, &pkt(0, 1, 1500));
+        let next = deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1500));
         let mut clean = NetModel::new(3, 10.0);
-        let unqueued = clean.transfer(SimTime::ZERO, &pkt(0, 1, 1500));
-        assert_eq!(next, Delivery::Delivered { at: unqueued + w });
+        let unqueued = deliver(&mut clean, SimTime::ZERO, &pkt(0, 1, 1500));
+        assert_eq!(next, unqueued + w);
         // ...but receiver 2's ingress port never saw the lost frame.
-        let from_other = n.transfer_checked(SimTime::ZERO, &pkt(1, 2, 1500));
+        let from_other = deliver(&mut n, SimTime::ZERO, &pkt(1, 2, 1500));
         let mut clean2 = NetModel::new(3, 10.0);
-        let direct = clean2.transfer(SimTime::ZERO, &pkt(1, 2, 1500));
-        assert_eq!(from_other, Delivery::Delivered { at: direct });
+        let direct = deliver(&mut clean2, SimTime::ZERO, &pkt(1, 2, 1500));
+        assert_eq!(from_other, direct);
     }
 
     #[test]
@@ -605,16 +526,16 @@ mod tests {
         assert!(n.node_down(1, SimTime::ZERO));
         assert_eq!(n.down_until(1, SimTime::ZERO), Some(SimTime::from_ms(1)));
         assert_eq!(
-            n.transfer_checked(SimTime::from_us(3), &pkt(0, 1, 1500)),
-            Delivery::Dropped {
+            n.begin_transfer(SimTime::from_us(3), &pkt(0, 1, 1500)),
+            TxPhase::Dropped {
                 reason: DropReason::NodeDown
             }
         );
         assert_eq!(n.packets_sent(), 0);
         assert_eq!(n.bytes_sent(), 0);
         // After restart, traffic flows again.
-        let after = n.transfer_checked(SimTime::from_ms(1), &pkt(0, 1, 1500));
-        assert!(matches!(after, Delivery::Delivered { .. }));
+        let after = n.begin_transfer(SimTime::from_ms(1), &pkt(0, 1, 1500));
+        assert!(matches!(after, TxPhase::Sent { .. }));
     }
 
     #[test]
@@ -629,7 +550,7 @@ mod tests {
             );
             (0..500)
                 .map(|i| {
-                    n.transfer_checked(SimTime::from_ns(40 * i), &pkt(0, (1 + i % 2) as u16, 800))
+                    n.begin_transfer(SimTime::from_ns(40 * i), &pkt(0, (1 + i % 2) as u16, 800))
                 })
                 .collect::<Vec<_>>()
         };
@@ -642,12 +563,12 @@ mod tests {
         let mut n = NetModel::new(2, 10.0);
         n.attach_obs(&reg);
         n.set_fault_plan(FaultPlan::new(4).with_corruption(1.0));
-        let d = n.transfer_checked(SimTime::ZERO, &pkt(0, 1, 256));
-        assert!(matches!(d, Delivery::Corrupted { .. }));
+        let d = n.begin_transfer(SimTime::ZERO, &pkt(0, 1, 256));
+        assert!(matches!(d, TxPhase::SentCorrupt { .. }));
         assert_eq!(reg.counter("fault.corrupt").get(), 1);
         assert_eq!(reg.counter("net.packets").get(), 1, "corrupt frames fly");
         n.set_fault_plan(FaultPlan::new(4).with_loss(1.0));
-        n.transfer_checked(SimTime::ZERO, &pkt(0, 1, 256));
+        n.begin_transfer(SimTime::ZERO, &pkt(0, 1, 256));
         assert_eq!(reg.counter("fault.drop.loss").get(), 1);
     }
 
@@ -656,82 +577,13 @@ mod tests {
         let reg = Registry::new();
         let mut n = NetModel::new(2, 10.0);
         n.attach_obs(&reg);
-        n.transfer(SimTime::ZERO, &pkt(0, 1, 1000));
-        n.transfer(SimTime::ZERO, &pkt(0, 1, 1000)); // backs up on egress
+        deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000));
+        deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000)); // backs up on egress
         assert_eq!(reg.counter("net.packets").get(), 2);
         assert_eq!(reg.counter("net.bytes").get(), n.bytes_sent());
         let wait = reg.hist("net.tx_wait");
         assert_eq!(wait.count(), 2);
         assert!(wait.max() >= n.wire_time(1000), "second frame waited");
-    }
-
-    #[test]
-    fn two_phase_transfer_matches_one_shot_transfer() {
-        // begin_transfer + finish_transfer at port_ready reproduces the
-        // classic transfer timeline exactly — including egress backpressure
-        // and ingress contention — when arrivals are resolved in
-        // port_ready order.
-        let mut one = NetModel::new(4, 10.0);
-        let mut two = NetModel::new(4, 10.0);
-        let frames = [
-            (0u16, 3u16, 1500u32, 0u64),
-            (1, 3, 1500, 0),
-            (2, 3, 900, 1),
-            (0, 2, 64, 2),
-            (1, 2, 64, 2),
-        ];
-        let mut pending: Vec<(SimTime, u16, u32, SimTime)> = Vec::new();
-        for &(s, d, sz, us) in &frames {
-            let now = SimTime::from_us(us);
-            let at = one.transfer(now, &pkt(s, d, sz));
-            match two.begin_transfer(now, &pkt(s, d, sz)) {
-                TxPhase::Sent { port_ready } => pending.push((port_ready, d, sz, at)),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        // Resolve arrivals in (port_ready, src-order-preserving) order.
-        pending.sort_by_key(|&(pr, d, _, _)| (pr, d));
-        for (pr, d, sz, want) in pending {
-            assert_eq!(two.finish_transfer(pr, d, sz), want);
-        }
-        assert_eq!(one.bytes_sent(), two.bytes_sent());
-        assert_eq!(one.packets_sent(), two.packets_sent());
-    }
-
-    #[test]
-    fn two_phase_faults_match_checked_occupancy() {
-        let plan = || FaultPlan::new(6).with_loss(0.4).with_corruption(0.2);
-        let mut a = NetModel::new(3, 10.0);
-        a.set_fault_plan(plan());
-        let mut b = NetModel::new(3, 10.0);
-        b.set_fault_plan(plan());
-        for i in 0..200u64 {
-            let p = pkt(0, 1 + (i % 2) as u16, 600);
-            let now = SimTime::from_ns(100 * i);
-            let checked = a.transfer_checked(now, &p);
-            let phase = b.begin_transfer(now, &p);
-            match (checked, phase) {
-                (Delivery::Delivered { at }, TxPhase::Sent { port_ready }) => {
-                    assert_eq!(b.finish_transfer(port_ready, p.dst.0, p.size), at);
-                }
-                (
-                    Delivery::Corrupted { at, flip },
-                    TxPhase::SentCorrupt {
-                        port_ready,
-                        flip: f,
-                    },
-                ) => {
-                    assert_eq!(flip, f);
-                    assert_eq!(b.finish_transfer(port_ready, p.dst.0, p.size), at);
-                }
-                (Delivery::Dropped { reason }, TxPhase::Dropped { reason: r }) => {
-                    assert_eq!(reason, r);
-                }
-                (c, p) => panic!("diverged: {c:?} vs {p:?}"),
-            }
-        }
-        assert_eq!(a.bytes_sent(), b.bytes_sent());
-        assert_eq!(a.packets_sent(), b.packets_sent());
     }
 
     #[test]
@@ -760,7 +612,7 @@ mod tests {
         n.attach_obs(&reg);
         n.set_fault_plan(FaultPlan::new(4).with_loss(0.5));
         for i in 0..20 {
-            n.transfer_checked(SimTime::from_us(i), &pkt(0, 1, 512));
+            n.begin_transfer(SimTime::from_us(i), &pkt(0, 1, 512));
         }
         let mut r = AuditReport::new(SimTime::ZERO);
         n.audit_into(&mut r);

@@ -25,10 +25,7 @@ fn main() {
         .build();
     let dep = deploy_rta(&mut c, &[0, 1, 2]);
     let filters = dep.filters.clone();
-    let ranker0 = {
-        let t = dep.topo.borrow();
-        t.ranker[0]
-    };
+    let ranker0 = dep.topo.ranker[0];
 
     let mut wl = RtaWorkload::paper_default(4);
     let mut rr = 0usize;

@@ -42,6 +42,12 @@ for run in 1 2 3; do
     done > "$figs/$run.txt"
 done
 cmp "$figs/1.txt" "$figs/2.txt" && cmp "$figs/2.txt" "$figs/3.txt"
+
+# The committed copy of every table and figure is what the code prints now
+# (~2 min; regenerate it with the same command when a figure moves on purpose).
+echo "==> figures all vs figures_output.txt"
+./target/release/figures all > "$figs/all.txt"
+cmp "$figs/all.txt" figures_output.txt
 rm -rf "$figs"
 
 # DSE smoke (mirrors the CI dse-smoke job): the 16-design smoke grid's

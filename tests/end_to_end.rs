@@ -113,10 +113,7 @@ fn rta_pipeline_with_forced_ranker_migration() {
         .build();
     let dep = deploy_rta(&mut c, &[0, 1, 2]);
     let filters = dep.filters.clone();
-    let ranker = {
-        let t = dep.topo.borrow();
-        t.ranker[0]
-    };
+    let ranker = dep.topo.ranker[0];
     let mut wl = RtaWorkload::paper_default(4);
     let mut rr = 0usize;
     c.set_client(
