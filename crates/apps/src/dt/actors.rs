@@ -3,8 +3,8 @@
 
 use super::txn::{Coordinator, DtMsg, LogRecord, PartIdx, Participant, Step, TxId, KEY_LEN};
 use ipipe::prelude::*;
-use ipipe::rt::Cluster;
-use ipipe_workload::txn::TxnRequest;
+use ipipe::rt::{ClientGenFn, ClientReq, Cluster};
+use ipipe_workload::txn::{TxnRequest, TxnWorkload};
 use std::collections::HashMap;
 
 /// Actor-level messages.
@@ -22,6 +22,22 @@ pub enum DtActorMsg {
     },
     /// Coordinator-log checkpoint bound for the logging actor.
     Checkpoint(Vec<LogRecord>),
+}
+
+/// The closed-loop client of every DT figure and example: the next
+/// transaction of `wl` aimed at the coordinator, in a packet of `packet`
+/// bytes or the transaction's own wire size when that is smaller (64-byte
+/// floor).
+pub fn client_gen(coordinator: Address, packet: u32, mut wl: TxnWorkload) -> ClientGenFn {
+    Box::new(move |rng, _| {
+        let txn = wl.next_txn();
+        ClientReq {
+            dst: coordinator,
+            wire_size: packet.min(42 + txn.wire_size()).max(64),
+            flow: rng.below(1 << 20),
+            payload: Some(Box::new(DtActorMsg::Client(txn))),
+        }
+    })
 }
 
 /// The addresses of a DT deployment, reserved before any actor exists.

@@ -4,11 +4,11 @@
 use super::lsm::{Key, Levels, KEY_LEN};
 use super::paxos::{NodeIdx, PaxosMsg, PaxosNode, Role, Slot};
 use ipipe::prelude::*;
-use ipipe::rt::{Cluster, Redirect};
+use ipipe::rt::{ClientGenFn, ClientReq, Cluster, Redirect};
 use ipipe::skiplist::DmoSkipList;
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::{Counter, Gauge, Registry};
-use ipipe_workload::kv::KvOp;
+use ipipe_workload::kv::{KvOp, KvWorkload};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -93,6 +93,21 @@ pub enum RkvMsg {
     /// Operator/failure-detector signal: campaign to become leader (the
     /// two-phase Paxos leader election of §4).
     StartElection,
+}
+
+/// The closed-loop client of every RKV figure, scenario and example: the
+/// next operation of `wl` aimed at `leader`, in a packet of `packet` bytes
+/// or the operation's own wire size when that is smaller (64-byte floor).
+pub fn client_gen(leader: Address, packet: u32, mut wl: KvWorkload) -> ClientGenFn {
+    Box::new(move |rng, _| {
+        let op = wl.next_op();
+        ClientReq {
+            dst: leader,
+            wire_size: packet.min(43 + op.wire_size()).max(64),
+            flow: rng.below(1 << 20),
+            payload: Some(Box::new(RkvMsg::Client(op))),
+        }
+    })
 }
 
 /// The addresses of one replicated group, every list indexed by replica. A

@@ -4,8 +4,8 @@
 
 use super::pipeline::{Counter, Filter, Ranker};
 use ipipe::prelude::*;
-use ipipe::rt::Cluster;
-use ipipe_workload::rta::{Tuple, INTERESTING_WORDS, TUPLE_WIRE_BYTES};
+use ipipe::rt::{ClientGenFn, ClientReq, Cluster};
+use ipipe_workload::rta::{RtaWorkload, Tuple, INTERESTING_WORDS, TUPLE_WIRE_BYTES};
 
 /// Messages between RTA actors.
 pub enum RtaMsg {
@@ -20,6 +20,22 @@ pub enum RtaMsg {
     },
     /// Top-n update from a ranker to the aggregated ranker.
     TopN(Vec<(u32, u64)>),
+}
+
+/// The closed-loop client of every RTA figure and example: `packet`-byte
+/// tuple batches from `wl`, dealt round-robin over `filters`.
+pub fn client_gen(filters: Vec<Address>, packet: u32, mut wl: RtaWorkload) -> ClientGenFn {
+    let mut next = 0usize;
+    Box::new(move |rng, _| {
+        let dst = filters[next % filters.len()];
+        next += 1;
+        ClientReq {
+            dst,
+            wire_size: packet,
+            flow: rng.below(1 << 20),
+            payload: Some(Box::new(RtaMsg::Batch(wl.next_request(packet)))),
+        }
+    })
 }
 
 /// The topology mapping table: where each stage forwards its results. A
@@ -339,9 +355,7 @@ pub fn deploy_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipipe::rt::ClientReq;
     use ipipe_nicsim::CN2350;
-    use ipipe_workload::rta::RtaWorkload;
 
     #[test]
     fn pipeline_processes_tuple_batches() {
@@ -351,24 +365,8 @@ mod tests {
             .seed(0x27A)
             .build();
         let dep = deploy_rta(&mut c, &[0, 1, 2]);
-        let mut wl = RtaWorkload::paper_default(6);
-        let filters = dep.filters.clone();
-        let mut next = 0usize;
-        c.set_client(
-            0,
-            Box::new(move |rng, _| {
-                let batch = wl.next_request(512);
-                let dst = filters[next % filters.len()];
-                next += 1;
-                ClientReq {
-                    dst,
-                    wire_size: 512,
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RtaMsg::Batch(batch))),
-                }
-            }),
-            16,
-        );
+        let wl = RtaWorkload::paper_default(6);
+        c.set_client(0, client_gen(dep.filters, 512, wl), 16);
         c.run_for(SimTime::from_ms(10));
         let done = c.completions().count();
         assert!(done > 1_000, "done={done}");

@@ -71,35 +71,15 @@ pub fn run_fig16(
     let cfg = SchedConfig::for_nic(spec)
         .with_discipline(discipline)
         .no_migration();
-    run_fig16_with(spec, dist, cfg, load, actors, requests, seed)
+    let obs = Obs::disabled();
+    run_fig16_obs(spec, dist, cfg, load, actors, requests, seed, &obs)
 }
 
-/// [`run_fig16`] with an explicit scheduler configuration (ablations).
-pub fn run_fig16_with(
-    spec: &'static NicSpec,
-    dist: ipipe_sim::rng::ServiceDist,
-    cfg: SchedConfig,
-    load: f64,
-    actors: u32,
-    requests: u64,
-    seed: u64,
-) -> Fig16Point {
-    run_fig16_obs(
-        spec,
-        dist,
-        cfg,
-        load,
-        actors,
-        requests,
-        seed,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_fig16_with`] sharing an observability handle: the sojourn
-/// histogram lives in the registry (`fig16.sojourn` — the returned
-/// [`Fig16Point`] is rendered from it), scheduler metrics land under the
-/// same registry, and per-execution spans go to the trace ring.
+/// [`run_fig16`] under an explicit scheduler configuration, sharing an
+/// observability handle: the sojourn histogram lives in the registry
+/// (`fig16.sojourn` — the returned [`Fig16Point`] is rendered from it),
+/// scheduler metrics land under the same registry, and per-execution spans
+/// go to the trace ring.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fig16_obs(
     spec: &'static NicSpec,

@@ -98,59 +98,3 @@ pub fn deploy_floem_rta(c: &mut Cluster, worker_nodes: &[usize]) -> RtaDeploymen
         _ => (Box::new(HostElement::new(logic)), Placement::Host),
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ipipe::rt::ClientReq;
-    use ipipe_apps::rta::actors::RtaMsg;
-    use ipipe_nicsim::CN2350;
-    use ipipe_workload::rta::RtaWorkload;
-
-    fn drive(
-        deploy: impl Fn(&mut Cluster, &[usize]) -> RtaDeployment,
-        packet: u32,
-        dur_ms: u64,
-    ) -> (u64, f64, f64) {
-        let mut c = Cluster::builder(CN2350)
-            .servers(1)
-            .clients(1)
-            .seed(77)
-            .build();
-        let dep = deploy(&mut c, &[0]);
-        let dst = dep.filters[0];
-        let mut wl = RtaWorkload::paper_default(11);
-        c.set_client(
-            0,
-            Box::new(move |rng, _| ClientReq {
-                dst,
-                wire_size: packet,
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RtaMsg::Batch(wl.next_request(packet)))),
-            }),
-            32,
-        );
-        c.run_for(SimTime::from_ms(2));
-        c.reset_measurements();
-        c.run_for(SimTime::from_ms(dur_ms));
-        let done = c.completions().count();
-        let host_cores = c.host_cores_used(0);
-        let gbps = done as f64 * packet as f64 * 8.0 / c.measured_wall().as_secs_f64() / 1e9;
-        (done, host_cores, gbps)
-    }
-
-    /// §5.6: iPipe's dynamic offloading beats Floem's static placement in
-    /// per-core throughput.
-    #[test]
-    fn ipipe_beats_floem_on_per_core_throughput() {
-        let (done_f, cores_f, gbps_f) = drive(deploy_floem_rta, 512, 8);
-        let (done_i, cores_i, gbps_i) = drive(ipipe_apps::rta::actors::deploy_rta, 512, 8);
-        assert!(done_f > 500 && done_i > 500);
-        let per_core_f = gbps_f / cores_f.max(0.05);
-        let per_core_i = gbps_i / cores_i.max(0.05);
-        assert!(
-            per_core_i > per_core_f,
-            "iPipe {per_core_i:.2} Gbps/core vs Floem {per_core_f:.2}"
-        );
-    }
-}

@@ -3,10 +3,10 @@
 //! Fig 13–15/17 measurements.
 
 use ipipe::prelude::*;
-use ipipe::rt::{ClientReq, Cluster, RuntimeMode};
-use ipipe_apps::dt::actors::{deploy_dt, DtActorMsg};
-use ipipe_apps::rkv::actors::{deploy_rkv, RkvMsg};
-use ipipe_apps::rta::actors::{deploy_rta, RtaMsg};
+use ipipe::rt::{Cluster, RuntimeMode};
+use ipipe_apps::dt::actors::{client_gen as dt_client, deploy_dt};
+use ipipe_apps::rkv::actors::{client_gen as rkv_client, deploy_rkv};
+use ipipe_apps::rta::actors::{client_gen as rta_client, deploy_rta};
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_workload::kv::KvWorkload;
 use ipipe_workload::rta::RtaWorkload;
@@ -65,12 +65,17 @@ impl AppRun {
         let cores = self.host_cores[0].max(0.5);
         self.throughput_rps / cores / 1e6
     }
+
+    /// Goodput in Gbit/s when every request carries `packet` bytes.
+    pub fn gbps(&self, packet: u32) -> f64 {
+        self.throughput_rps * f64::from(packet) * 8.0 / 1e9
+    }
 }
 
 /// Run one application on a 3-server + 1-client testbed.
 ///
 /// `outstanding` controls the offered load (closed loop); `packet` is the
-/// request size. Warm-up runs first, then `measure` of measured time.
+/// request size. Warm-up runs first, then `window` of measured time.
 #[allow(clippy::too_many_arguments)] // flat experiment knobs, mirrored by every figure driver
 pub fn run_app(
     app: App,
@@ -79,7 +84,7 @@ pub fn run_app(
     packet: u32,
     outstanding: u32,
     warmup: SimTime,
-    measure: SimTime,
+    window: SimTime,
     seed: u64,
 ) -> AppRun {
     let mut c = Cluster::builder(spec)
@@ -89,85 +94,47 @@ pub fn run_app(
         .seed(seed)
         .build();
     install_app(&mut c, app, packet, outstanding, seed);
-    c.run_for(warmup);
-    c.reset_measurements();
-    c.run_for(measure);
-    collect(&mut c)
+    measure(&mut c, warmup, window)
 }
 
 /// Install `app`'s actors and client generator into an existing cluster.
 pub fn install_app(c: &mut Cluster, app: App, packet: u32, outstanding: u32, seed: u64) {
-    match app {
-        App::Rta => {
-            let dep = deploy_rta(c, &[0, 1, 2]);
-            let filters = dep.filters.clone();
-            let mut wl = RtaWorkload::paper_default(seed);
-            let mut next = 0usize;
-            c.set_client(
-                0,
-                Box::new(move |rng, _| {
-                    let dst = filters[next % filters.len()];
-                    next += 1;
-                    ClientReq {
-                        dst,
-                        wire_size: packet,
-                        flow: rng.below(1 << 20),
-                        payload: Some(Box::new(RtaMsg::Batch(wl.next_request(packet)))),
-                    }
-                }),
-                outstanding,
-            );
-        }
-        App::Dt => {
-            let dep = deploy_dt(c, 0, &[1, 2], 1 << 20);
-            let coord = dep.coordinator;
-            let mut wl = TxnWorkload::paper_default(packet, seed);
-            c.set_client(
-                0,
-                Box::new(move |rng, _| {
-                    let txn = wl.next_txn();
-                    ClientReq {
-                        dst: coord,
-                        wire_size: packet.min(42 + txn.wire_size()).max(64),
-                        flow: rng.below(1 << 20),
-                        payload: Some(Box::new(DtActorMsg::Client(txn))),
-                    }
-                }),
-                outstanding,
-            );
-        }
-        App::Rkv => {
-            let dep = deploy_rkv(c, &[0, 1, 2], 8 << 20);
-            let leader = dep.consensus[0];
-            let mut wl = KvWorkload::paper_default(packet, seed);
-            c.set_client(
-                0,
-                Box::new(move |rng, _| {
-                    let op = wl.next_op();
-                    ClientReq {
-                        dst: leader,
-                        wire_size: packet.min(43 + op.wire_size()).max(64),
-                        flow: rng.below(1 << 20),
-                        payload: Some(Box::new(RkvMsg::Client(op))),
-                    }
-                }),
-                outstanding,
-            );
-        }
-    }
+    let gen = match app {
+        App::Rta => rta_client(
+            deploy_rta(c, &[0, 1, 2]).filters,
+            packet,
+            RtaWorkload::paper_default(seed),
+        ),
+        App::Dt => dt_client(
+            deploy_dt(c, 0, &[1, 2], 1 << 20).coordinator,
+            packet,
+            TxnWorkload::paper_default(packet, seed),
+        ),
+        App::Rkv => rkv_client(
+            deploy_rkv(c, &[0, 1, 2], 8 << 20).consensus[0],
+            packet,
+            KvWorkload::paper_default(packet, seed),
+        ),
+    };
+    c.set_client(0, gen, outstanding);
 }
 
-fn collect(c: &mut Cluster) -> AppRun {
-    let host_cores: Vec<f64> = (0..3).map(|n| c.host_cores_used(n)).collect();
-    let nic_cores: Vec<f64> = (0..3).map(|n| c.nic_cores_used(n)).collect();
+/// The one measured closed loop every figure and DSE cell shares: the
+/// installed clients run for `warmup`, the measurements are cleared, and
+/// what `window` more of simulated time leaves on every server is read.
+pub fn measure(c: &mut Cluster, warmup: SimTime, window: SimTime) -> AppRun {
+    c.run_for(warmup);
+    c.reset_measurements();
+    c.run_for(window);
+    let servers = c.servers();
     let s = c.completions();
     AppRun {
         throughput_rps: c.throughput_rps(),
         mean: s.mean(),
         p50: s.p50(),
         p99: s.p99(),
-        host_cores,
-        nic_cores,
+        host_cores: (0..servers).map(|n| c.host_cores_used(n)).collect(),
+        nic_cores: (0..servers).map(|n| c.nic_cores_used(n)).collect(),
         completed: s.count(),
     }
 }
@@ -184,29 +151,19 @@ pub const FIG13_ROLES: [(&str, App, usize); 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluation::{fig13_run, fig1415_run};
     use ipipe_nicsim::CN2350;
 
-    fn quick(app: App, mode: RuntimeMode) -> AppRun {
-        run_app(
-            app,
-            CN2350,
-            mode,
-            512,
-            24,
-            SimTime::from_ms(2),
-            SimTime::from_ms(8),
-            42,
-        )
-    }
-
+    /// Fig 13's claim on the 10GbE card's 1024B rows, where it shows for
+    /// every lead role (below that the RKV leader's host cores saturate
+    /// under iPipe too, at 2.5x the throughput).
     #[test]
     fn all_apps_run_under_both_modes() {
         for app in [App::Rta, App::Dt, App::Rkv] {
-            let ipipe = quick(app, RuntimeMode::IPipe);
-            let dpdk = quick(app, RuntimeMode::HostDpdk);
+            let ipipe = fig13_run(CN2350, app, RuntimeMode::IPipe, 1024);
+            let dpdk = fig13_run(CN2350, app, RuntimeMode::HostDpdk, 1024);
             assert!(ipipe.completed > 300, "{app:?} iPipe {:?}", ipipe.completed);
             assert!(dpdk.completed > 300, "{app:?} DPDK {:?}", dpdk.completed);
-            // Fig 13's claim: iPipe saves host cores on the lead node.
             assert!(
                 ipipe.host_cores[0] < dpdk.host_cores[0],
                 "{app:?}: iPipe {:.2} !< dpdk {:.2}",
@@ -216,11 +173,11 @@ mod tests {
         }
     }
 
+    /// Fig 14's claim, on its RKV rows at 64 outstanding.
     #[test]
     fn per_core_throughput_favors_ipipe() {
-        // Fig 14's claim at 512B.
-        let ipipe = quick(App::Rkv, RuntimeMode::IPipe);
-        let dpdk = quick(App::Rkv, RuntimeMode::HostDpdk);
+        let ipipe = fig1415_run(CN2350, App::Rkv, RuntimeMode::IPipe, 64);
+        let dpdk = fig1415_run(CN2350, App::Rkv, RuntimeMode::HostDpdk, 64);
         assert!(
             ipipe.per_core_mops() > dpdk.per_core_mops(),
             "iPipe {:.3} !> dpdk {:.3}",

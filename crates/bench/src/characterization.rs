@@ -1,6 +1,6 @@
 //! The §2.2 characterization experiments: Figs 2–10 and Tables 1–3.
 
-use crate::render_table;
+use crate::figure::{bytes, num, text, Cell, Table};
 use ipipe_apps::micro::{all_workloads, profile_workload};
 use ipipe_nicsim::accel::ALL_ACCELERATORS;
 use ipipe_nicsim::cpu::CoreModel;
@@ -15,51 +15,39 @@ pub const FIG2_SIZES: [u32; 6] = [64, 128, 256, 512, 1024, 1500];
 /// Payload sizes used by the DMA/RDMA/messaging figures.
 pub const PAYLOAD_SIZES: [u32; 10] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 
-/// Fig 2/3: achieved bandwidth (Gbps) per (packet size, core count).
-pub fn fig2_bandwidth_vs_cores(spec: &NicSpec) -> Vec<(u32, Vec<f64>)> {
-    FIG2_SIZES
+/// Fig 2 (CN2350) or Fig 3 (Stingray): achieved bandwidth per (packet size,
+/// core count); the note is the core count that first reaches line rate,
+/// one cell per size in [`FIG2_SIZES`] order.
+pub fn fig23(spec: &NicSpec, fig: &str) -> Table {
+    let header =
+        std::iter::once("size".to_string()).chain((1..=spec.cores).map(|c| format!("{c}c")));
+    let rows = FIG2_SIZES
         .iter()
         .map(|&size| {
-            let per_core: Vec<f64> = (1..=spec.cores)
-                .map(|c| traffic::achievable_gbps(spec, size, c, SimTime::ZERO))
-                .collect();
-            (size, per_core)
-        })
-        .collect()
-}
-
-/// Render Fig 2 (CN2350) or Fig 3 (Stingray).
-pub fn render_fig23(spec: &NicSpec, fig: &str) -> String {
-    let data = fig2_bandwidth_vs_cores(spec);
-    let mut header = vec!["size".to_string()];
-    header.extend((1..=spec.cores).map(|c| format!("{c}c")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|(size, bw)| {
-            let mut r = vec![format!("{size}B")];
-            r.extend(bw.iter().map(|g| format!("{g:.2}")));
-            r
+            let bw = |c| traffic::achievable_gbps(spec, size, c, SimTime::ZERO);
+            std::iter::once(bytes(size))
+                .chain((1..=spec.cores).map(|c| num(bw(c), 2)))
+                .collect()
         })
         .collect();
-    let mut s = render_table(
-        &format!("{fig}: bandwidth (Gbps) vs NIC cores — {}", spec.name),
-        &header_refs,
-        &rows,
-    );
-    let mut needed = vec![];
-    for &size in &FIG2_SIZES {
-        match traffic::cores_for_line_rate(spec, size) {
-            Some(c) => needed.push(format!("{size}B:{c}")),
-            None => needed.push(format!("{size}B:unreachable")),
-        }
-    }
-    s.push_str(&format!("cores for line rate: {}\n", needed.join("  ")));
-    s
+    let needed = FIG2_SIZES
+        .iter()
+        .map(|&size| match traffic::cores_for_line_rate(spec, size) {
+            Some(c) => Cell {
+                text: format!("{size}B:{c}"),
+                value: Some(f64::from(c)),
+            },
+            None => text(format!("{size}B:unreachable")),
+        })
+        .collect();
+    let title = format!("{fig}: bandwidth (Gbps) vs NIC cores — {}", spec.name);
+    let mut table = Table::new(title, header, rows);
+    table.notes.push(("cores for line rate".into(), needed));
+    table
 }
 
 /// Fig 4: bandwidth as per-packet processing latency grows (all cores).
-pub fn render_fig4() -> String {
+pub fn fig4() -> Table {
     let lats_us = [0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
     let configs: [(&NicSpec, u32, &str); 4] = [
         (&CN2350, 256, "256B-10GbE"),
@@ -67,78 +55,81 @@ pub fn render_fig4() -> String {
         (&STINGRAY_PS225, 256, "256B-25GbE"),
         (&STINGRAY_PS225, 1024, "1024B-25GbE"),
     ];
-    let mut header = vec!["proc(us)".to_string()];
-    header.extend(configs.iter().map(|(_, _, n)| n.to_string()));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = lats_us
+    let header = std::iter::once("proc(us)").chain(configs.iter().map(|(_, _, n)| *n));
+    let rows = lats_us
         .iter()
         .map(|&l| {
-            let mut r = vec![format!("{l}")];
-            for (spec, size, _) in &configs {
-                let g = traffic::achievable_gbps(spec, *size, spec.cores, SimTime::from_us_f64(l));
-                r.push(format!("{g:.2}"));
-            }
-            r
+            let bw = |spec: &NicSpec, size| {
+                traffic::achievable_gbps(spec, size, spec.cores, SimTime::from_us_f64(l))
+            };
+            std::iter::once(text(format!("{l}")))
+                .chain(
+                    configs
+                        .iter()
+                        .map(|(spec, size, _)| num(bw(spec, *size), 2)),
+                )
+                .collect()
         })
         .collect();
-    let mut s = render_table(
+    let mut table = Table::new(
         "Fig 4: bandwidth (Gbps) vs per-packet processing latency",
-        &header_refs,
-        &rows,
+        header,
+        rows,
     );
     for (spec, size, name) in &configs {
-        let h = traffic::compute_headroom(spec, *size)
-            .map(|t| format!("{:.2}us", t.as_us_f64()))
-            .unwrap_or_else(|| "n/a".into());
-        s.push_str(&format!("tolerated latency {name}: {h}\n"));
+        let tolerated = match traffic::compute_headroom(spec, *size) {
+            Some(lat) => num(lat.as_us_f64(), 2).unit("us"),
+            None => text("n/a"),
+        };
+        let label = format!("tolerated latency {name}");
+        table.notes.push((label, vec![tolerated]));
     }
-    s
+    table
 }
 
 /// Fig 5: avg/p99 latency at the max-throughput operating point, 6 vs 12
 /// cores on the CN2350.
-pub fn render_fig5() -> String {
-    let sizes = [64u32, 512, 1024, 1500];
-    let rows: Vec<Vec<String>> = sizes
+pub fn fig5() -> Table {
+    let rows = [64u32, 512, 1024, 1500]
         .iter()
         .map(|&size| {
             let six = traffic::simulate_echo_latency(&CN2350, size, 6, 0.95, 60_000, 0x55);
             let twelve = traffic::simulate_echo_latency(&CN2350, size, 12, 0.95, 60_000, 0x55);
             vec![
-                format!("{size}B"),
-                format!("{:.1}", six.avg.as_us_f64()),
-                format!("{:.1}", twelve.avg.as_us_f64()),
-                format!("{:.1}", six.p99.as_us_f64()),
-                format!("{:.1}", twelve.p99.as_us_f64()),
+                bytes(size),
+                num(six.avg.as_us_f64(), 1),
+                num(twelve.avg.as_us_f64(), 1),
+                num(six.p99.as_us_f64(), 1),
+                num(twelve.p99.as_us_f64(), 1),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Fig 5: echo latency at max throughput, CN2350 (us)",
-        &["size", "6c-avg", "12c-avg", "6c-p99", "12c-p99"],
-        &rows,
+        ["size", "6c-avg", "12c-avg", "6c-p99", "12c-p99"],
+        rows,
     )
 }
 
 /// Fig 6: send/recv latency — SmartNIC hardware messaging vs host DPDK/RDMA.
-pub fn render_fig6() -> String {
-    let rows: Vec<Vec<String>> = PAYLOAD_SIZES[..9]
+pub fn fig6() -> Table {
+    let rows = PAYLOAD_SIZES[..9]
         .iter()
         .map(|&s| {
             vec![
-                format!("{s}B"),
-                format!("{:.2}", CN2350.hw_send(s).as_us_f64()),
-                format!("{:.2}", CN2350.hw_recv(s).as_us_f64()),
-                format!("{:.2}", HOST_XEON.dpdk_send(s).as_us_f64()),
-                format!("{:.2}", HOST_XEON.dpdk_recv(s).as_us_f64()),
-                format!("{:.2}", HOST_XEON.rdma_send(s).as_us_f64()),
-                format!("{:.2}", HOST_XEON.rdma_recv(s).as_us_f64()),
+                bytes(s),
+                num(CN2350.hw_send(s).as_us_f64(), 2),
+                num(CN2350.hw_recv(s).as_us_f64(), 2),
+                num(HOST_XEON.dpdk_send(s).as_us_f64(), 2),
+                num(HOST_XEON.dpdk_recv(s).as_us_f64(), 2),
+                num(HOST_XEON.rdma_send(s).as_us_f64(), 2),
+                num(HOST_XEON.rdma_recv(s).as_us_f64(), 2),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Fig 6: send/recv latency (us) — SmartNIC vs DPDK vs RDMA",
-        &[
+        [
             "size",
             "NIC-send",
             "NIC-recv",
@@ -147,31 +138,31 @@ pub fn render_fig6() -> String {
             "RDMA-send",
             "RDMA-recv",
         ],
-        &rows,
+        rows,
     )
 }
 
 /// Figs 7/8: DMA latency and throughput on the CN2350.
-pub fn render_fig78() -> String {
+pub fn fig78() -> Table {
     let e = DmaEngine::new(&CN2350);
-    let rows: Vec<Vec<String>> = PAYLOAD_SIZES
+    let rows = PAYLOAD_SIZES
         .iter()
         .map(|&s| {
             vec![
-                format!("{s}B"),
-                format!("{:.2}", e.blocking_latency(DmaOp::Read, s).as_us_f64()),
-                format!("{:.2}", e.blocking_latency(DmaOp::Write, s).as_us_f64()),
-                format!("{:.2}", e.nonblocking_latency().as_us_f64()),
-                format!("{:.2}", e.blocking_throughput_ops(DmaOp::Read, s) / 1e6),
-                format!("{:.2}", e.blocking_throughput_ops(DmaOp::Write, s) / 1e6),
-                format!("{:.2}", e.nonblocking_throughput_ops(DmaOp::Read, s) / 1e6),
-                format!("{:.2}", e.nonblocking_throughput_ops(DmaOp::Write, s) / 1e6),
+                bytes(s),
+                num(e.blocking_latency(DmaOp::Read, s).as_us_f64(), 2),
+                num(e.blocking_latency(DmaOp::Write, s).as_us_f64(), 2),
+                num(e.nonblocking_latency().as_us_f64(), 2),
+                num(e.blocking_throughput_ops(DmaOp::Read, s) / 1e6, 2),
+                num(e.blocking_throughput_ops(DmaOp::Write, s) / 1e6, 2),
+                num(e.nonblocking_throughput_ops(DmaOp::Read, s) / 1e6, 2),
+                num(e.nonblocking_throughput_ops(DmaOp::Write, s) / 1e6, 2),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Figs 7+8: DMA latency (us) and throughput (Mops), CN2350",
-        &[
+        [
             "size",
             "blkR-lat",
             "blkW-lat",
@@ -181,53 +172,53 @@ pub fn render_fig78() -> String {
             "nbR-Mops",
             "nbW-Mops",
         ],
-        &rows,
+        rows,
     )
 }
 
 /// Figs 9/10: RDMA one-sided verbs on the BlueField.
-pub fn render_fig910() -> String {
+pub fn fig910() -> Table {
     let r = RdmaModel::new(&BLUEFIELD_1M332A);
-    let rows: Vec<Vec<String>> = PAYLOAD_SIZES
+    let rows = PAYLOAD_SIZES
         .iter()
         .map(|&s| {
             vec![
-                format!("{s}B"),
-                format!("{:.2}", r.read_latency(s).as_us_f64()),
-                format!("{:.2}", r.write_latency(s).as_us_f64()),
-                format!("{:.2}", r.read_throughput_ops(s) / 1e6),
-                format!("{:.2}", r.write_throughput_ops(s) / 1e6),
+                bytes(s),
+                num(r.read_latency(s).as_us_f64(), 2),
+                num(r.write_latency(s).as_us_f64(), 2),
+                num(r.read_throughput_ops(s) / 1e6, 2),
+                num(r.write_throughput_ops(s) / 1e6, 2),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Figs 9+10: RDMA one-sided read/write, BlueField 1M332A",
-        &["size", "rd-lat(us)", "wr-lat(us)", "rd-Mops", "wr-Mops"],
-        &rows,
+        ["size", "rd-lat(us)", "wr-lat(us)", "rd-Mops", "wr-Mops"],
+        rows,
     )
 }
 
 /// Table 1: card specifications.
-pub fn render_table1() -> String {
-    let rows: Vec<Vec<String>> = ALL_NICS
+pub fn table1() -> Table {
+    let rows = ALL_NICS
         .iter()
         .map(|n| {
             vec![
-                n.name.to_string(),
-                n.vendor.to_string(),
-                n.processor.to_string(),
-                format!("2x{}GbE", n.link_gbps),
-                format!("{}KB", n.cache.l1_bytes / 1024),
-                format!("{}MB", n.cache.l2_bytes / (1024 * 1024)),
-                format!("{}GB", n.dram_gb),
-                n.deployed_sw.to_string(),
-                n.nstack.to_string(),
+                text(n.name),
+                text(n.vendor),
+                text(n.processor),
+                text(format!("2x{}GbE", n.link_gbps)),
+                num(f64::from(n.cache.l1_bytes / 1024), 0).unit("KB"),
+                num(f64::from(n.cache.l2_bytes / (1024 * 1024)), 0).unit("MB"),
+                num(f64::from(n.dram_gb), 0).unit("GB"),
+                text(n.deployed_sw),
+                text(n.nstack),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Table 1: SmartNIC specifications",
-        &[
+        [
             "model",
             "vendor",
             "processor",
@@ -238,124 +229,105 @@ pub fn render_table1() -> String {
             "SW",
             "Nstack",
         ],
-        &rows,
+        rows,
     )
 }
 
 /// Table 2: pointer-chasing memory latencies, measured on the cache
 /// simulator with L1/L2/DRAM-resident working sets.
-pub fn render_table2() -> String {
-    let mut rows = Vec::new();
-    for spec in ALL_NICS
-        .iter()
-        .take(3)
-        .chain(std::iter::once(&&STINGRAY_PS225))
-        .take(3)
-    {
-        let _ = spec;
-    }
+pub fn table2() -> Table {
+    let chase = |cache, mem, bytes: u64, hops| {
+        let r = pointer_chase(cache, mem, bytes, hops, 1);
+        num(r.avg_latency.as_ns() as f64, 1)
+    };
     let cards: [(&str, &NicSpec); 3] = [
         ("LiquidIOII CNXX", &CN2350),
         ("BlueField 1M332A", &BLUEFIELD_1M332A),
         ("Stingray PS225", &STINGRAY_PS225),
     ];
-    for (name, spec) in cards {
-        let l1 = pointer_chase(spec.cache, spec.mem, 16 * 1024, 40_000, 1);
-        let l2 = pointer_chase(
-            spec.cache,
-            spec.mem,
-            spec.cache.l2_bytes as u64 / 2,
-            40_000,
-            1,
-        );
-        let dram = pointer_chase(
-            spec.cache,
-            spec.mem,
-            4 * spec.cache.l2_bytes as u64,
-            20_000,
-            1,
-        );
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.1}", l1.avg_latency.as_ns() as f64),
-            format!("{:.1}", l2.avg_latency.as_ns() as f64),
-            "N/A".to_string(),
-            format!("{:.1}", dram.avg_latency.as_ns() as f64),
-        ]);
-    }
+    let mut rows: Vec<Vec<Cell>> = cards
+        .iter()
+        .map(|(name, spec)| {
+            let l2 = spec.cache.l2_bytes as u64;
+            vec![
+                text(*name),
+                chase(spec.cache, spec.mem, 16 * 1024, 40_000),
+                chase(spec.cache, spec.mem, l2 / 2, 40_000),
+                text("N/A"),
+                chase(spec.cache, spec.mem, 4 * l2, 20_000),
+            ]
+        })
+        .collect();
     // Host: use its three levels (L3 via the l2 slot of the 2-level sim).
-    let l1 = pointer_chase(HOST_XEON.cache, HOST_XEON.mem, 16 * 1024, 40_000, 1);
-    let dram = pointer_chase(HOST_XEON.cache, HOST_XEON.mem, 64 << 20, 20_000, 1);
     rows.push(vec![
-        "Host Intel server".to_string(),
-        format!("{:.1}", l1.avg_latency.as_ns() as f64),
-        format!("{:.1}", HOST_XEON.mem.l2.as_ns() as f64),
-        format!("{:.1}", HOST_XEON.mem.l3.unwrap().as_ns() as f64),
-        format!("{:.1}", dram.avg_latency.as_ns() as f64),
+        text("Host Intel server"),
+        chase(HOST_XEON.cache, HOST_XEON.mem, 16 * 1024, 40_000),
+        num(HOST_XEON.mem.l2.as_ns() as f64, 1),
+        num(HOST_XEON.mem.l3.unwrap().as_ns() as f64, 1),
+        chase(HOST_XEON.cache, HOST_XEON.mem, 64 << 20, 20_000),
     ]);
-    render_table(
+    Table::new(
         "Table 2: memory access latency (ns), pointer chasing",
-        &["platform", "L1", "L2", "L3", "DRAM"],
-        &rows,
+        ["platform", "L1", "L2", "L3", "DRAM"],
+        rows,
     )
 }
 
 /// Table 3 (left): the eleven offloaded workloads profiled on the CN2350.
-pub fn render_table3_workloads() -> String {
+pub fn table3_workloads() -> Table {
     let core = CoreModel::for_nic(&CN2350);
-    let rows: Vec<Vec<String>> = all_workloads()
+    let rows = all_workloads()
         .iter_mut()
         .map(|w| {
             let paper = w.paper_row();
             let prof = profile_workload(w.as_mut(), &CN2350, 1024, 256, 0x7AB1E3);
             let r = prof.evaluate(&core);
             vec![
-                w.name().to_string(),
-                format!("{:.1}", r.latency.as_us_f64()),
-                format!("{:.1}", paper.lat_us),
-                format!("{:.2}", r.ipc),
-                format!("{:.1}", paper.ipc),
-                format!("{:.1}", r.mpki),
-                format!("{:.1}", paper.mpki),
+                text(w.name()),
+                num(r.latency.as_us_f64(), 1),
+                num(paper.lat_us, 1),
+                num(r.ipc, 2),
+                num(paper.ipc, 1),
+                num(r.mpki, 1),
+                num(paper.mpki, 1),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Table 3 (workloads): measured vs paper on CN2350, 1KB requests",
-        &[
+        [
             "workload", "lat(us)", "paper", "IPC", "paper", "MPKI", "paper",
         ],
-        &rows,
+        rows,
     )
 }
 
 /// Table 3 (right): the accelerator catalogue.
-pub fn render_table3_accels() -> String {
-    let rows: Vec<Vec<String>> = ALL_ACCELERATORS
+pub fn table3_accels() -> Table {
+    let rows = ALL_ACCELERATORS
         .iter()
         .map(|a| {
+            let batched = |n| {
+                if a.batchable() {
+                    num(a.latency(n).as_us_f64(), 1)
+                } else {
+                    text("N/A")
+                }
+            };
             vec![
-                a.name.to_string(),
-                format!("{:.1}", a.ipc),
-                format!("{:.1}", a.mpki),
-                format!("{:.1}", a.latency(1).as_us_f64()),
-                if a.batchable() {
-                    format!("{:.1}", a.latency(8).as_us_f64())
-                } else {
-                    "N/A".into()
-                },
-                if a.batchable() {
-                    format!("{:.1}", a.latency(32).as_us_f64())
-                } else {
-                    "N/A".into()
-                },
-                format!("{:.1}x", a.host_speedup),
+                text(a.name),
+                num(a.ipc, 1),
+                num(a.mpki, 1),
+                num(a.latency(1).as_us_f64(), 1),
+                batched(8),
+                batched(32),
+                num(a.host_speedup, 1).unit("x"),
             ]
         })
         .collect();
-    render_table(
+    Table::new(
         "Table 3 (accelerators): invocation latency by batch size",
-        &[
+        [
             "engine",
             "IPC",
             "MPKI",
@@ -364,55 +336,68 @@ pub fn render_table3_accels() -> String {
             "bsz=32",
             "vs host",
         ],
-        &rows,
+        rows,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure::{Group, FIGURES};
+
+    /// The note's cells in [`FIG2_SIZES`] order; `None` is "unreachable".
+    fn cores_for_line_rate(t: &Table) -> Vec<Option<f64>> {
+        let cells = t.note("cores for line rate");
+        cells.iter().map(|c| c.value).collect()
+    }
 
     #[test]
     fn fig2_matches_paper_core_counts() {
-        let s = render_fig23(&CN2350, "Fig 2");
-        assert!(s.contains("256B:10"));
-        assert!(s.contains("512B:6"));
-        assert!(s.contains("1024B:4"));
-        assert!(s.contains("1500B:3"));
-        assert!(s.contains("64B:unreachable"));
+        let t = fig23(&CN2350, "Fig 2");
+        assert_eq!(
+            cores_for_line_rate(&t),
+            [None, None, Some(10.0), Some(6.0), Some(4.0), Some(3.0)]
+        );
+        // The count is where the row's bandwidth stops growing.
+        let bw = |col| t.cell("256B", col).value.unwrap();
+        assert!(bw("9c") < bw("10c") && bw("10c") == bw("12c"));
     }
 
     #[test]
     fn fig3_matches_paper_core_counts() {
-        let s = render_fig23(&STINGRAY_PS225, "Fig 3");
-        assert!(s.contains("256B:3"));
-        assert!(s.contains("1024B:1"));
+        let t = fig23(&STINGRAY_PS225, "Fig 3");
+        assert_eq!(
+            cores_for_line_rate(&t),
+            [None, None, Some(3.0), Some(2.0), Some(1.0), Some(1.0)]
+        );
     }
 
+    /// Every characterization entry of the registry builds at least one
+    /// table with rows as wide as its header.
     #[test]
     fn all_characterization_tables_render() {
-        for s in [
-            render_fig4(),
-            render_fig5(),
-            render_fig6(),
-            render_fig78(),
-            render_fig910(),
-            render_table1(),
-            render_table2(),
-            render_table3_workloads(),
-            render_table3_accels(),
-        ] {
-            assert!(s.lines().count() >= 4, "short table: {s}");
+        for f in FIGURES
+            .iter()
+            .filter(|f| f.group == Group::Characterization)
+        {
+            let tables = (f.build)(true);
+            assert!(!tables.is_empty(), "{}: no table", f.name);
+            for t in tables {
+                assert!(!t.rows.is_empty(), "{}: no rows", t.title);
+                for r in &t.rows {
+                    assert_eq!(r.len(), t.header.len(), "{}: ragged row", t.title);
+                }
+            }
         }
     }
 
     #[test]
     fn table2_reproduces_paper_hierarchy() {
-        let s = render_table2();
-        // LiquidIO row: ~8 / ~56 / ~115 ns.
-        let li = s.lines().find(|l| l.contains("LiquidIOII")).unwrap();
-        assert!(li.contains("8.0") && li.contains("56.0"), "{li}");
-        let host = s.lines().find(|l| l.contains("Host")).unwrap();
-        assert!(host.contains("22.4") || host.contains("22.0"), "{host}");
+        let t = table2();
+        let ns = |row, col| t.cell(row, col).value;
+        assert_eq!(ns("LiquidIOII CNXX", "L1"), Some(8.0));
+        assert_eq!(ns("LiquidIOII CNXX", "L2"), Some(56.0));
+        assert_eq!(ns("LiquidIOII CNXX", "L3"), None, "the cards have no L3");
+        assert_eq!(ns("Host Intel server", "L3"), Some(22.0));
     }
 }

@@ -19,7 +19,7 @@
 //! therefore byte-identical between serial and parallel sweep execution and
 //! across shard counts, which `differential::diff_dse_grid` pins.
 
-use crate::apps_harness::{install_app, App};
+use crate::apps_harness::{install_app, measure, App};
 use crate::pareto::{frontier_indices, Sense};
 use crate::render_table;
 use ipipe::prelude::*;
@@ -381,15 +381,12 @@ fn run_cluster_mode(
         }
         Workload::Fig16 => unreachable!("fig16 runs through the scheduler harness"),
     };
-    c.run_for(spec.warmup);
-    c.reset_measurements();
-    c.run_for(spec.measure);
-    let stats = c.completions();
+    let run = measure(&mut c, spec.warmup, spec.measure);
     (
-        c.throughput_rps(),
-        stats.p99().as_us_f64(),
-        stats.count(),
-        c.host_cores_used(0),
+        run.throughput_rps,
+        run.p99.as_us_f64(),
+        run.completed,
+        run.host_cores[0],
         c.snapshot(),
     )
 }

@@ -1,9 +1,10 @@
 //! Experiment implementations for every table and figure in the paper's
-//! evaluation. The `figures` binary renders them as text tables;
-//! EXPERIMENTS.md records paper-vs-measured values.
+//! evaluation. [`figure::FIGURES`] lists them; the `figures` binary prints
+//! them as text tables; EXPERIMENTS.md records paper-vs-measured values.
 //!
-//! Each `figN` function returns plain data so the binary and the
-//! integration tests can share one implementation.
+//! Each figure function returns plain data — [`figure::Table`]s whose
+//! cells keep the number beside the text — so the binary and the tests
+//! share one implementation.
 
 pub mod apps_harness;
 pub mod characterization;
@@ -11,6 +12,7 @@ pub mod differential;
 pub mod dse;
 pub mod evaluation;
 pub mod fault;
+pub mod figure;
 pub mod overload;
 pub mod pareto;
 pub mod rkv;
@@ -62,8 +64,9 @@ mod tests {
             &["a", "long-header"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
-        assert!(s.contains("== t =="));
-        assert!(s.contains("long-header"));
-        assert_eq!(s.lines().count(), 4);
+        assert_eq!(
+            s,
+            "== t ==\n  a  long-header\n  1            2\n333            4\n"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! memtable migration mid-run so the migration spans show up. It has one
 //! size; [`fault`](crate::fault) builds on the same cluster.
 
-use ipipe::rt::{ClientReq, Cluster, RuntimeMode};
-use ipipe_apps::rkv::actors::{deploy_rkv, RkvMsg};
+use ipipe::rt::{Cluster, RuntimeMode};
+use ipipe_apps::rkv::actors::{client_gen, deploy_rkv};
 use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
@@ -52,21 +52,8 @@ impl Scenario for Rkv {
     ) -> (Headline, Cluster) {
         let mut c = build_rkv_cluster(seed, shards, threaded, obs);
         let dep = deploy_rkv(&mut c, &[0, 1, 2], 8 << 20);
-        let leader = dep.consensus[0];
-        let mut wl = KvWorkload::paper_default(512, 1);
-        c.set_client(
-            0,
-            Box::new(move |rng, _| {
-                let op = wl.next_op();
-                ClientReq {
-                    dst: leader,
-                    wire_size: 512u32.min(43 + op.wire_size()).max(64),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RkvMsg::Client(op))),
-                }
-            }),
-            64,
-        );
+        let wl = KvWorkload::paper_default(512, 1);
+        c.set_client(0, client_gen(dep.consensus[0], 512, wl), 64);
         c.run_for(SimTime::from_ms(2));
         // Exercise the migration machinery so its spans show up in the trace.
         c.force_migrate(dep.memtable[0]);

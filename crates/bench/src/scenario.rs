@@ -9,7 +9,7 @@
 use ipipe::rt::Cluster;
 use ipipe_sim::obs::Obs;
 
-use crate::render_table;
+use crate::figure::{num, text, Table};
 
 /// The two sizes every scenario runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,33 +110,29 @@ pub fn render_headline(headline: &Headline) -> String {
 
 /// The committed scenario figure: every registered scenario at full size
 /// under its figure seed and its largest declared shard count — the epoch
-/// count and critical-path speedup that sharding exposed, then one headline
-/// line each — followed by the TCP placement × loss table.
-pub fn render_scenarios() -> String {
-    let mut rows = Vec::new();
-    let mut headlines = String::new();
+/// count and critical-path speedup that sharding exposed, one headline
+/// note each — then the TCP placement × loss table.
+pub fn scenarios() -> Vec<Table> {
+    let mut table = Table::new(
+        "scenarios — full size, simulated values only",
+        ["scenario", "seed", "shards", "epochs", "crit-path speedup"],
+        Vec::new(),
+    );
     for s in REGISTRY {
         let shards = *s.shard_counts().last().expect("at least the serial count");
         let (headline, c) = s.run(Size::Full, s.figure_seed(), shards, false, &Obs::disabled());
         let epochs = c.epoch_stats();
-        rows.push(vec![
-            s.name().to_string(),
-            s.figure_seed().to_string(),
-            shards.to_string(),
-            epochs.epochs.to_string(),
-            format!("{:.2}", epochs.speedup()),
+        table.rows.push(vec![
+            text(s.name()),
+            num(s.figure_seed() as f64, 0),
+            num(shards as f64, 0),
+            num(epochs.epochs as f64, 0),
+            num(epochs.speedup(), 2),
         ]);
-        headlines.push_str(&format!("{}: {}\n", s.name(), render_headline(&headline)));
+        let headline = vec![text(render_headline(&headline))];
+        table.notes.push((s.name().to_string(), headline));
     }
-    let mut out = render_table(
-        "scenarios — full size, simulated values only",
-        &["scenario", "seed", "shards", "epochs", "crit-path speedup"],
-        &rows,
-    );
-    out.push_str(&headlines);
-    out.push('\n');
-    out.push_str(&crate::tcp::render_placement_loss());
-    out
+    vec![table, crate::tcp::placement_loss()]
 }
 
 #[cfg(test)]

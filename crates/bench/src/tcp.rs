@@ -26,7 +26,7 @@ use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
 
-use crate::render_table;
+use crate::figure::{Cell, Table};
 use crate::scenario::{Headline, Scenario, Size};
 
 /// Parameters of one TCP-offload run.
@@ -289,14 +289,18 @@ pub fn placement_loss_cells(seed: u64) -> Vec<Headline> {
 }
 
 /// [`placement_loss_cells`] under the figure seed, as a table.
-pub fn render_placement_loss() -> String {
+pub fn placement_loss() -> Table {
     let cells = placement_loss_cells(TcpOffload.figure_seed());
     let header: Vec<&str> = cells[0].iter().map(|(k, _)| *k).collect();
-    let rows: Vec<Vec<String>> = cells
+    let cell = |v: &String| Cell {
+        text: v.clone(),
+        value: v.parse().ok(),
+    };
+    let rows = cells
         .iter()
-        .map(|h| h.iter().map(|(_, v)| v.clone()).collect())
+        .map(|h| h.iter().map(|(_, v)| cell(v)).collect())
         .collect();
-    render_table("tcp offload — placement x loss, full size", &header, &rows)
+    Table::new("tcp offload — placement x loss, full size", header, rows)
 }
 
 #[cfg(test)]

@@ -337,21 +337,6 @@ impl Mailbox {
     }
 }
 
-/// Actor lifecycle during migration (§3.2.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActorState {
-    /// Normal operation.
-    Running,
-    /// Phase 1: removed from the dispatcher, buffering requests.
-    Prepare,
-    /// Phase 2: current tasks finished, ready to move state.
-    Ready,
-    /// Phase 3 complete: state moved, the old side only forwards.
-    Gone,
-    /// Phase 4 complete: buffered requests forwarded; slot reclaimable.
-    Clean,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

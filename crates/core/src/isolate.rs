@@ -70,22 +70,6 @@ impl Watchdog {
     }
 }
 
-/// Outcome of sandboxing checks for one execution — what the runtime does
-/// with a misbehaving actor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Violation {
-    /// DMO protection trap: attempted access to another actor's state.
-    Protection {
-        /// Offender.
-        actor: ActorId,
-    },
-    /// Watchdog timeout: held a core longer than the budget.
-    Timeout {
-        /// Offender.
-        actor: ActorId,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

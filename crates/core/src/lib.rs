@@ -17,7 +17,6 @@
 //! | [`dmo`] — distributed memory objects + object tables | §3.3, Fig 12 |
 //! | [`skiplist`] — object-ID-indexed Skip List over DMOs | Fig 12b |
 //! | [`ring`] — host/NIC message rings with lazy pointer sync | §3.5 |
-//! | [`host_exec`] — real-thread host runtime (polling + worker pool) | §5.1 |
 //! | [`isolate`] — state protection and DoS watchdog | §3.4 |
 //! | [`nstack`] — shim networking stack over the traffic manager | App. B.1 |
 //! | [`api`] — the Table 4 C-style API facade | App. B.1, Table 4 |
@@ -51,7 +50,6 @@ pub mod admission;
 pub mod api;
 pub mod bookkeep;
 pub mod dmo;
-pub mod host_exec;
 pub mod isolate;
 pub mod migrate;
 pub mod nstack;

@@ -329,6 +329,11 @@ impl Cluster {
         self.shards[0].spec
     }
 
+    /// Number of server nodes (clients are numbered after them).
+    pub fn servers(&self) -> usize {
+        self.n_servers
+    }
+
     /// Number of event shards driving the simulation.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -441,11 +441,6 @@ impl NicScheduler {
         (self.modes.len() as u32 - drr, drr)
     }
 
-    /// Mode of a core.
-    pub fn core_mode(&self, core: u32) -> CoreMode {
-        self.modes[core as usize]
-    }
-
     /// DRR quantum for an actor: the maximum tolerated forwarding latency
     /// for the actor's average request size (§3.2.2).
     fn quantum(&self, actor: &ActorSched) -> f64 {
@@ -944,27 +939,6 @@ impl NicScheduler {
     /// Mutable access to an actor's mailbox (migration drains it).
     pub fn actor_mut(&mut self, id: ActorId) -> Option<&mut ActorSched> {
         self.actors.get_mut(&id)
-    }
-
-    /// Actors currently located on the NIC with observed stats, and their
-    /// loads — the pull-migration candidate list comes from the host side.
-    pub fn nic_actor_loads(&self) -> Vec<(ActorId, f64)> {
-        let mut v = Vec::new();
-        self.nic_actor_loads_into(&mut v);
-        v
-    }
-
-    /// [`NicScheduler::nic_actor_loads`] into a caller-owned buffer
-    /// (cleared first) for callers that poll this on every decision tick.
-    pub fn nic_actor_loads_into(&self, out: &mut Vec<(ActorId, f64)>) {
-        out.clear();
-        out.extend(
-            self.actors
-                .iter()
-                .filter(|(_, a)| a.loc == Loc::Nic)
-                .map(|(&id, a)| (id, a.stats.load())),
-        );
-        out.sort_by_key(|&(id, _)| id);
     }
 
     /// Total push migrations initiated.

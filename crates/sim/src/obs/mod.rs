@@ -249,11 +249,6 @@ impl Obs {
         self.inner.trace.borrow().to_vec()
     }
 
-    /// Clear the trace ring (e.g. after a warmup window).
-    pub fn clear_trace(&self) {
-        self.inner.trace.borrow_mut().clear();
-    }
-
     /// Freeze the registry into a mergeable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         self.inner.registry.snapshot()

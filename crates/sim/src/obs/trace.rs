@@ -118,13 +118,6 @@ impl TraceRing {
     pub fn to_vec(&self) -> Vec<TraceEvent> {
         self.events.iter().copied().collect()
     }
-
-    /// Discard all records and counters.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.recorded = 0;
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]

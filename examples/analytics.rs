@@ -7,9 +7,9 @@
 //! cargo run --release --example analytics
 //! ```
 
-use ipipe_repro::apps::rta::actors::{deploy_rta, RtaMsg};
+use ipipe_repro::apps::rta::actors::{client_gen, deploy_rta};
 use ipipe_repro::ipipe::prelude::*;
-use ipipe_repro::ipipe::rt::{ClientReq, Cluster};
+use ipipe_repro::ipipe::rt::Cluster;
 use ipipe_repro::nicsim::CN2350;
 use ipipe_repro::workload::rta::RtaWorkload;
 
@@ -24,25 +24,10 @@ fn main() {
         .seed(8)
         .build();
     let dep = deploy_rta(&mut c, &[0, 1, 2]);
-    let filters = dep.filters.clone();
     let ranker0 = dep.topo.ranker[0];
 
-    let mut wl = RtaWorkload::paper_default(4);
-    let mut rr = 0usize;
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let dst = filters[rr % filters.len()];
-            rr += 1;
-            ClientReq {
-                dst,
-                wire_size: 512,
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RtaMsg::Batch(wl.next_request(512)))),
-            }
-        }),
-        48,
-    );
+    let wl = RtaWorkload::paper_default(4);
+    c.set_client(0, client_gen(dep.filters, 512, wl), 48);
 
     c.run_for(SimTime::from_ms(5));
     c.reset_measurements();

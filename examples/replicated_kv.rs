@@ -5,9 +5,9 @@
 //! cargo run --release --example replicated_kv
 //! ```
 
-use ipipe_repro::apps::rkv::actors::{deploy_rkv, RkvMsg};
+use ipipe_repro::apps::rkv::actors::{client_gen, deploy_rkv};
 use ipipe_repro::ipipe::prelude::*;
-use ipipe_repro::ipipe::rt::{ClientReq, Cluster, RuntimeMode};
+use ipipe_repro::ipipe::rt::{Cluster, RuntimeMode};
 use ipipe_repro::nicsim::CN2350;
 use ipipe_repro::workload::kv::KvWorkload;
 
@@ -19,21 +19,8 @@ fn drive(mode: RuntimeMode, label: &str) {
         .seed(99)
         .build();
     let dep = deploy_rkv(&mut c, &[0, 1, 2], 8 << 20);
-    let leader = dep.consensus[0];
-    let mut wl = KvWorkload::paper_default(512, 1);
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let op = wl.next_op();
-            ClientReq {
-                dst: leader,
-                wire_size: 512u32.min(43 + op.wire_size()).max(64),
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RkvMsg::Client(op))),
-            }
-        }),
-        64,
-    );
+    let wl = KvWorkload::paper_default(512, 1);
+    c.set_client(0, client_gen(dep.consensus[0], 512, wl), 64);
     c.run_for(SimTime::from_ms(4)); // warm up
     c.reset_measurements();
     c.run_for(SimTime::from_ms(15));

