@@ -1,5 +1,4 @@
-//! Transparent TCP-stack offload over the shim nstack (ROADMAP item 4a,
-//! PnO-TCP-style).
+//! Transparent TCP-stack offload over the shim nstack (PnO-TCP-style).
 //!
 //! The shim stack ([`crate::nstack`]) stops at UDP encapsulation; this
 //! module grows it into a real, stateful transport built from two actors —
@@ -25,7 +24,8 @@
 //! * **in-order exactly-once delivery** — the receiver reassembles
 //!   out-of-order segments in a BTreeMap and advances `rcv_nxt` over
 //!   contiguous bytes exactly once, verifying each delivered byte against
-//!   the deterministic [`stream_byte`] generator.
+//!   the seeded reference stream ([`stream_word`]), eight bytes per compare
+//!   ([`stream_mismatches`]).
 //!
 //! Both endpoints are plain [`ActorLogic`] implementations, so the same
 //! connection runs on host cores or NIC cores by flipping
@@ -51,7 +51,8 @@ use ipipe_sim::SimTime;
 
 use crate::actor::{ActorCtx, ActorLogic, Address, Request};
 use crate::nstack::{
-    build_tcp_headers, parse_tcp_headers, TcpHeader, TCP_ACK, TCP_FIN, TCP_HEADER_BYTES, TCP_SYN,
+    build_tcp_headers, parse_tcp_headers, TcpHeader, MAX_TCP_PAYLOAD, TCP_ACK, TCP_FIN,
+    TCP_HEADER_BYTES, TCP_SYN,
 };
 use crate::rt::{Cluster, Placement};
 
@@ -74,7 +75,7 @@ pub struct TcpCfg {
     pub rto_max: SimTime,
     /// Total stream bytes the sender pushes before FIN.
     pub total_bytes: u64,
-    /// Seed of the deterministic payload stream ([`stream_byte`]).
+    /// Seed of the deterministic payload stream ([`stream_word`]).
     pub stream_seed: u64,
     /// Modeled protocol-processing cost per segment, ns on a nominal core.
     pub work_per_seg_ns: u64,
@@ -99,7 +100,18 @@ impl TcpCfg {
 
     fn validate(&self) {
         assert!(self.mss > 0, "mss must be nonzero");
+        // The header's `payload_len` and `window` fields are 16 bits.
+        assert!(
+            self.mss as usize <= MAX_TCP_PAYLOAD,
+            "mss {} exceeds the codec's largest TCP payload ({MAX_TCP_PAYLOAD})",
+            self.mss
+        );
         assert!(self.init_cwnd_segs > 0 && self.cwnd_cap_segs >= self.init_cwnd_segs);
+        assert!(
+            self.cwnd_cap_segs <= u16::MAX as u32,
+            "cwnd_cap_segs {} does not fit the 16-bit window field",
+            self.cwnd_cap_segs
+        );
         // Sequence numbers are 32-bit and must cover SYN + data + FIN
         // without wrapping.
         assert!(
@@ -109,19 +121,78 @@ impl TcpCfg {
     }
 }
 
-/// Deterministic payload stream: byte at offset `off` of the connection
-/// seeded with `seed`. The receiver regenerates it to verify in-order
-/// delivery byte-for-byte without shipping a reference copy out-of-band.
-pub fn stream_byte(seed: u64, off: u64) -> u8 {
-    let x = (off ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((x >> 56) ^ (x >> 29)) as u8
+/// Deterministic payload stream, defined a word at a time: stream bytes
+/// `8w .. 8w + 8` of the connection seeded with `seed` are this word's bytes,
+/// little-endian. One round of a SplitMix-style finaliser over `w ^ seed` — a
+/// multiply by the 64-bit golden ratio, the high half folded onto the low —
+/// which is a bijection of `w`, so no two words of a stream are equal. Both
+/// ends derive the stream from the seed, so the receiver verifies in-order
+/// delivery without a reference copy shipped out-of-band.
+pub fn stream_word(seed: u64, w: u64) -> u64 {
+    let x = (w ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
 }
 
-/// Materialize `len` stream bytes starting at `off`.
+/// Stream byte at offset `off`: the per-byte specification of
+/// [`stream_chunk`] and [`stream_mismatches`], which tests compare them
+/// against. Nothing on the data path calls it.
+pub fn stream_byte(seed: u64, off: u64) -> u8 {
+    stream_word(seed, off >> 3).to_le_bytes()[(off & 7) as usize]
+}
+
+/// Bytes of a `len`-byte range starting at stream offset `off` that come
+/// before the first word boundary (all of them, if the range ends first).
+fn head_len(off: u64, len: usize) -> usize {
+    (off.wrapping_neg() & 7).min(len as u64) as usize
+}
+
+/// Materialize `len` stream bytes starting at `off`: the end of a word, whole
+/// words, the start of a word — one mix per eight bytes.
 pub fn stream_chunk(seed: u64, off: u64, len: usize) -> Vec<u8> {
-    (0..len as u64)
-        .map(|i| stream_byte(seed, off + i))
-        .collect()
+    let mut out = vec![0u8; len];
+    let mut w = off >> 3;
+    let (head, rest) = out.split_at_mut(head_len(off, len));
+    if !head.is_empty() {
+        let word = stream_word(seed, w).to_le_bytes();
+        head.copy_from_slice(&word[(off & 7) as usize..][..head.len()]);
+        w += 1;
+    }
+    let mut words = rest.chunks_exact_mut(8);
+    for dst in &mut words {
+        dst.copy_from_slice(&stream_word(seed, w).to_le_bytes());
+        w += 1;
+    }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&stream_word(seed, w).to_le_bytes()[..tail.len()]);
+    out
+}
+
+/// How many bytes of `got` disagree with the stream bytes at `off ..
+/// off + got.len()`. Whole words are XORed against [`stream_word`]; bytes are
+/// counted only inside a word that differs, so a clean payload costs one mix
+/// and one compare per eight bytes.
+pub fn stream_mismatches(seed: u64, off: u64, got: &[u8]) -> u64 {
+    fn differing(got: &[u8], want: &[u8]) -> u64 {
+        got.iter().zip(want).filter(|(g, w)| g != w).count() as u64
+    }
+    let mut bad = 0;
+    let mut w = off >> 3;
+    let (head, rest) = got.split_at(head_len(off, got.len()));
+    if !head.is_empty() {
+        let word = stream_word(seed, w).to_le_bytes();
+        bad += differing(head, &word[(off & 7) as usize..]);
+        w += 1;
+    }
+    let mut words = rest.chunks_exact(8);
+    for src in &mut words {
+        let want = stream_word(seed, w);
+        let have = u64::from_le_bytes(src.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        if have != want {
+            bad += differing(src, &want.to_le_bytes());
+        }
+        w += 1;
+    }
+    bad + differing(words.remainder(), &stream_word(seed, w).to_le_bytes())
 }
 
 /// Slow-start / AIMD window growth on a new cumulative ACK, pure for
@@ -369,28 +440,34 @@ impl TcpSender {
         self.arm(ctx);
     }
 
+    /// One data segment: `len` stream bytes from offset `off`.
+    fn send_data(&self, ctx: &mut ActorCtx<'_>, off: u64, len: u32) {
+        let payload_len = u16::try_from(len).expect("TcpCfg::validate bounds the MSS");
+        let h = self.header(ctx, (1 + off) as u32, TCP_ACK, payload_len);
+        let body = stream_chunk(self.cfg.stream_seed, off, len as usize);
+        ctx.charge_work(self.cfg.work_per_seg_ns + len as u64 / 8);
+        self.emit_seg(ctx, h, body);
+    }
+
     /// Transmit as much as the window allows: lost segments first (in
     /// sequence order), then fresh stream bytes.
     fn pump(&mut self, ctx: &mut ActorCtx<'_>) {
-        loop {
-            if self.inflight >= self.cwnd {
-                break;
-            }
-            // Retransmit the lowest-offset lost segment first.
-            if let Some((&off, &(len, _))) = self
-                .segs
-                .iter()
-                .find(|(_, (_, track))| *track == SegTrack::Lost)
-            {
-                self.segs.insert(off, (len, SegTrack::InFlight));
+        while self.inflight < self.cwnd {
+            // Retransmit the lowest-offset lost segment first. Segments are
+            // never empty, so `lost > 0` exactly when a `Lost` entry exists.
+            if self.lost > 0 {
+                let (&off, entry) = self
+                    .segs
+                    .iter_mut()
+                    .find(|(_, (_, track))| *track == SegTrack::Lost)
+                    .expect("lost bytes belong to a Lost segment");
+                entry.1 = SegTrack::InFlight;
+                let len = entry.0;
                 self.lost -= len as u64;
                 self.inflight += len as u64;
                 self.m.retx_segs.inc();
                 self.m.retx_bytes.add(len as u64);
-                let h = self.header(ctx, (1 + off) as u32, TCP_ACK, len as u16);
-                let body = stream_chunk(self.cfg.stream_seed, off, len as usize);
-                ctx.charge_work(self.cfg.work_per_seg_ns + len as u64 / 8);
-                self.emit_seg(ctx, h, body);
+                self.send_data(ctx, off, len);
                 continue;
             }
             // Fresh data.
@@ -404,10 +481,7 @@ impl TcpSender {
             self.inflight += len as u64;
             self.m.tx_segs.inc();
             self.m.tx_bytes.add(len as u64);
-            let h = self.header(ctx, (1 + off) as u32, TCP_ACK, len as u16);
-            let body = stream_chunk(self.cfg.stream_seed, off, len as usize);
-            ctx.charge_work(self.cfg.work_per_seg_ns + len as u64 / 8);
-            self.emit_seg(ctx, h, body);
+            self.send_data(ctx, off, len);
         }
         self.sync_gauges();
     }
@@ -619,12 +693,7 @@ impl TcpReceiver {
 
     /// Verify and deliver `payload` at contiguous offset `rcv_nxt`.
     fn deliver(&mut self, payload: &[u8]) {
-        let mut bad = 0u64;
-        for (i, b) in payload.iter().enumerate() {
-            if *b != stream_byte(self.cfg.stream_seed, self.rcv_nxt + i as u64) {
-                bad += 1;
-            }
-        }
+        let bad = stream_mismatches(self.cfg.stream_seed, self.rcv_nxt, payload);
         if bad > 0 {
             self.m.mismatched_bytes.add(bad);
         }
@@ -650,8 +719,7 @@ impl TcpReceiver {
                     continue; // fully duplicate buffered copy
                 }
                 let skip = (self.rcv_nxt - o) as usize;
-                let tail = seg[skip..].to_vec();
-                self.deliver(&tail);
+                self.deliver(&seg[skip..]);
             }
         } else {
             // Out of order: buffer at most one copy per offset.
@@ -890,6 +958,95 @@ mod tests {
         assert_eq!(stream_chunk(7, 10, 6)[0], stream_byte(7, 10));
     }
 
+    #[test]
+    fn chunk_and_mismatches_match_the_byte_spec_at_every_alignment() {
+        let mss = TcpCfg::lan(0, 0).mss as u64;
+        for seed in [0, 7, u64::MAX] {
+            for off in 0..24u64 {
+                for len in 0..40usize {
+                    let chunk = stream_chunk(seed, off, len);
+                    let spec: Vec<u8> = (0..len as u64)
+                        .map(|i| stream_byte(seed, off + i))
+                        .collect();
+                    assert_eq!(chunk, spec, "seed {seed} off {off} len {len}");
+                    assert_eq!(stream_mismatches(seed, off, &chunk), 0);
+                    for i in 0..len {
+                        let mut flipped = chunk.clone();
+                        flipped[i] ^= 0x40;
+                        assert_eq!(
+                            stream_mismatches(seed, off, &flipped),
+                            1,
+                            "seed {seed} off {off} len {len} byte {i}"
+                        );
+                    }
+                    // The right bytes at the wrong offset: a lane shift, a
+                    // word shift, a segment shift.
+                    if len >= 16 {
+                        for shift in [1, 8, mss] {
+                            assert!(
+                                stream_mismatches(seed, off + shift, &chunk) > 0,
+                                "seed {seed} off {off} len {len} shift {shift}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_lane_of_the_stream_varies_and_depends_on_the_seed() {
+        use std::collections::BTreeSet;
+        let mut seen: [BTreeSet<u8>; 8] = Default::default();
+        let mut differs = [false; 8];
+        for w in 0..4096u64 {
+            let a = stream_word(7, w).to_le_bytes();
+            let b = stream_word(8, w).to_le_bytes();
+            for lane in 0..8 {
+                seen[lane].insert(a[lane]);
+                differs[lane] |= a[lane] != b[lane];
+            }
+        }
+        for lane in 0..8 {
+            assert!(
+                seen[lane].len() >= 200,
+                "lane {lane} takes only {} values",
+                seen[lane].len()
+            );
+            assert!(differs[lane], "lane {lane} ignores the seed");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mss 65496 exceeds")]
+    fn validate_rejects_an_mss_the_header_cannot_declare() {
+        TcpCfg {
+            mss: MAX_TCP_PAYLOAD as u32,
+            ..TcpCfg::lan(1, 1)
+        }
+        .validate();
+        TcpCfg {
+            mss: MAX_TCP_PAYLOAD as u32 + 1,
+            ..TcpCfg::lan(1, 1)
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "cwnd_cap_segs 65536 does not fit")]
+    fn validate_rejects_a_window_cap_the_header_cannot_declare() {
+        TcpCfg {
+            cwnd_cap_segs: 65_535,
+            ..TcpCfg::lan(1, 1)
+        }
+        .validate();
+        TcpCfg {
+            cwnd_cap_segs: 65_536,
+            ..TcpCfg::lan(1, 1)
+        }
+        .validate();
+    }
+
     fn run_one(
         loss: f64,
         total: u64,
@@ -925,6 +1082,65 @@ mod tests {
         assert_eq!(ep.rx.delivered_bytes.get(), 100_000);
         assert_eq!(ep.tx.retx_segs.get(), 0, "no loss, no retransmissions");
         assert_eq!(ep.rx.mismatched_bytes.get(), 0);
+    }
+
+    #[test]
+    fn wrong_stream_is_delivered_acked_and_flagged_in_order_only() {
+        // Endpoints that disagree on the seed: every delivered byte is
+        // checked against the wrong stream, and nothing else goes wrong.
+        let total = 100_000;
+        let mut c = Cluster::builder(CN2350)
+            .servers(2)
+            .clients(1)
+            .seed(11)
+            .build();
+        let (rx, tx) = {
+            let reg = c.obs().registry();
+            (
+                TcpReceiverMetrics::register(reg, 1),
+                TcpSenderMetrics::register(reg, 0),
+            )
+        };
+        let cfg = TcpCfg::lan(total, 11);
+        let rx_cfg = TcpCfg {
+            stream_seed: 12,
+            ..cfg
+        };
+        let receiver = c.register_actor(
+            1,
+            "tcp.receiver",
+            Box::new(TcpReceiver::new(rx_cfg, 1, rx.clone())),
+            Placement::Nic,
+        );
+        let sender = c.register_actor(
+            0,
+            "tcp.sender",
+            Box::new(TcpSender::new(cfg, receiver, 1, tx.clone())),
+            Placement::Nic,
+        );
+        let ep = TcpEndpoints {
+            sender,
+            receiver,
+            tx,
+            rx,
+            cfg,
+        };
+        c.run_for(SimTime::from_ms(20));
+        assert_eq!(ep.tx.closed.get(), 1);
+        assert_eq!(ep.tx.acked_bytes.get(), total);
+        assert_eq!(ep.rx.delivered_bytes.get(), total);
+        assert_eq!(ep.tx.retx_segs.get(), 0);
+        // Two unrelated streams agree on one byte in 256.
+        let bad = ep.rx.mismatched_bytes.get();
+        let expect = total * 255 / 256;
+        assert!(
+            bad.abs_diff(expect) < total / 200,
+            "{bad} mismatched bytes, expected about {expect}"
+        );
+        let mut r = c.audit();
+        audit_tcp_into(&mut r, &ep);
+        let flagged: Vec<&str> = r.violations().iter().map(|v| v.invariant).collect();
+        assert_eq!(flagged, ["tcp.in_order"]);
     }
 
     #[test]

@@ -17,9 +17,10 @@ cd "$(dirname "$0")/.."
 workload=${1:?usage: sample_profile.sh <workload> [seed] [reps] [cut]}
 seed=${2:-11}
 reps=${3:-8}
-# Layers of the request path, plus two that cut across them: hash-table
-# probes, and "??", code outside the executable (libc's malloc, free, memcpy).
-cut=${4:-DmoSkipList::,DmoTable::,NicScheduler::evaluate_regrouping,NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,Histogram::,obs::,hashbrown::,??}
+# Layers of the request path and of the TCP transport (neither's names occur
+# in the other's workloads), plus two that cut across them: hash-table probes,
+# and "??", code outside the executable (libc's malloc, free, memcpy).
+cut=${4:-DmoSkipList::,DmoTable::,NicScheduler::evaluate_regrouping,NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,tcp::stream,TcpSender::,TcpReceiver::,nstack::,FaultPlan::,Histogram::,obs::,hashbrown::,??}
 dir=target/sample-profile
 mkdir -p "$dir"
 
