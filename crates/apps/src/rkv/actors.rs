@@ -264,7 +264,7 @@ impl ConsensusActor {
     }
 
     /// Propose everything buffered during a leaderless window.
-    fn drain_pending(&mut self, ctx: &mut ActorCtx<'_>) {
+    fn propose_buffered(&mut self, ctx: &mut ActorCtx<'_>) {
         if self.paxos.role() != Role::Leader || self.pending.is_empty() {
             return;
         }
@@ -432,7 +432,7 @@ impl ActorLogic for ConsensusActor {
                 self.last_heard = ctx.now(); // any peer traffic is liveness
                 let outs = self.paxos.handle(from, msg);
                 self.ship(ctx, token, outs);
-                self.drain_pending(ctx);
+                self.propose_buffered(ctx);
                 self.apply_committed(ctx);
             }
             RkvMsg::Heartbeat { from, frontier } => {
@@ -482,7 +482,7 @@ impl ActorLogic for ConsensusActor {
                     self.last_heard = ctx.now(); // restart the silence clock
                     let outs = self.paxos.start_election();
                     self.ship(ctx, token, outs);
-                    self.drain_pending(ctx);
+                    self.propose_buffered(ctx);
                     self.apply_committed(ctx);
                 }
             }
@@ -490,7 +490,7 @@ impl ActorLogic for ConsensusActor {
                 ctx.charge_work(1200);
                 let outs = self.paxos.start_election();
                 self.ship(ctx, token, outs);
-                self.drain_pending(ctx);
+                self.propose_buffered(ctx);
                 self.apply_committed(ctx);
             }
             _ => {}
@@ -753,21 +753,6 @@ pub struct RkvDeployment {
     pub wiring: RkvWiring,
 }
 
-/// What tells one group's deployment from another's: a label inside its
-/// actor names and the metric names its actors publish under.
-pub(super) struct GroupNames<'a> {
-    /// Follows `rkv-` in every actor name: empty, or `g007-`.
-    pub label: &'a str,
-    /// Commands applied per Memtable.
-    pub applies: &'static str,
-    /// Re-committed retransmissions absorbed at apply time.
-    pub dup_commits: &'static str,
-    /// Writes buffered during a leaderless window.
-    pub buffered_writes: &'static str,
-    /// Client operations per replica, where a rebalancer reads them.
-    pub ops: Option<&'static str>,
-}
-
 /// Deploy a replicated KV group over `replicas` server nodes.
 /// `memtable_flush` is the Memtable size threshold in bytes.
 ///
@@ -787,25 +772,21 @@ pub fn deploy_rkv_with(
     memtable_flush: u64,
     heartbeat: Option<HeartbeatCfg>,
 ) -> RkvDeployment {
-    let names = GroupNames {
-        label: "",
-        applies: "rkv.applies",
-        dup_commits: "rkv.dup.commits",
-        buffered_writes: "rkv.buffered_writes",
-        ops: None,
-    };
-    deploy_group(c, replicas, memtable_flush, heartbeat, &names)
+    deploy_group(c, replicas, memtable_flush, heartbeat, None)
 }
 
 /// Deploy one group, replica `ri` on `replicas[ri]`: consensus and Memtable
 /// on the NIC, SSTable reader and compaction host-pinned over the LSM
-/// levels they share.
+/// levels they share. What tells one group from another is its id: group 7
+/// names its actors `rkv-g007-…`, publishes `rkv.applies.g007` and the other
+/// per-group streams, and counts client operations per replica, where a
+/// rebalancer reads them. `None` is the lone group under the plain names.
 pub(super) fn deploy_group(
     c: &mut Cluster,
     replicas: &[usize],
     memtable_flush: u64,
     heartbeat: Option<HeartbeatCfg>,
-    names: &GroupNames<'_>,
+    group: Option<u16>,
 ) -> RkvDeployment {
     // Addresses before actors, in registration order.
     let mut wiring = RkvWiring::default();
@@ -815,7 +796,7 @@ pub(super) fn deploy_group(
         wiring.sst_read.push(c.reserve_actor(node));
         wiring.compaction.push(c.reserve_actor(node));
     }
-    let label = names.label;
+    let label = group.map(|g| format!("g{g:03}-")).unwrap_or_default();
     for (ri, &node) in replicas.iter().enumerate() {
         let levels: SharedLevels = Rc::new(RefCell::new(Levels::leveldb_default()));
         let reg = c.obs().registry();
@@ -823,14 +804,14 @@ pub(super) fn deploy_group(
         let mut consensus =
             ConsensusActor::new(ri as u32, wiring.consensus.clone(), wiring.memtable[ri])
                 .with_heartbeat(heartbeat)
-                .with_buffered_gauge(reg.gauge_on(names.buffered_writes, node))
-                .with_dup_counter(reg.counter_on(names.dup_commits, node));
-        if let Some(ops) = names.ops {
-            consensus = consensus.with_ops_counter(reg.counter_on(ops, node));
+                .with_buffered_gauge(reg.gauge_in("rkv.buffered_writes", group, node))
+                .with_dup_counter(reg.counter_in("rkv.dup.commits", group, node));
+        if group.is_some() {
+            consensus = consensus.with_ops_counter(reg.counter_in("rkv.ops", group, node));
         }
         let memtable =
             MemtableActor::new(wiring.sst_read[ri], wiring.compaction[ri], memtable_flush)
-                .with_applies_counter(reg.counter_on(names.applies, node));
+                .with_applies_counter(reg.counter_in("rkv.applies", group, node));
         c.register_reserved(
             wiring.consensus[ri],
             &format!("rkv-{label}consensus-{ri}"),

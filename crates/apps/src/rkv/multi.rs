@@ -19,32 +19,13 @@
 //! [`audit_multi_rkv_exactly_once`] reconciliation and the cluster-wide
 //! conservation audit both hold across it.
 
-use super::actors::{deploy_group, GroupNames, HeartbeatCfg, RkvDeployment};
+use super::actors::{deploy_group, HeartbeatCfg, RkvDeployment};
 use super::placement::RoutingTable;
 use ipipe::prelude::*;
 use ipipe::rt::Cluster;
 use ipipe::sched::Loc;
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::Registry;
-
-/// Intern a dynamically built metric name. The obs registry keys metrics by
-/// `&'static str`; per-group names are built at deploy time, so they are
-/// leaked exactly once into a process-wide pool — repeated deployments of
-/// the same topology (differential runs, proptests) reuse the pooled name
-/// instead of leaking again.
-fn intern(name: String) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut p = pool.lock().unwrap();
-    if let Some(&existing) = p.get(name.as_str()) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    p.insert(leaked);
-    leaked
-}
 
 /// Topology of a multi-group deployment.
 #[derive(Debug, Clone, Copy)]
@@ -75,27 +56,16 @@ pub struct MultiRkv {
     pub table: RoutingTable,
     /// Server nodes hosting each group's replicas.
     pub group_nodes: Vec<Vec<u16>>,
-    ops_names: Vec<&'static str>,
-    applies_names: Vec<&'static str>,
 }
 
 impl MultiRkv {
-    /// `rkv.ops.gNNN` — the hotspot signal counter of group `g`.
-    pub fn ops_name(&self, g: usize) -> &'static str {
-        self.ops_names[g]
-    }
-
-    /// `rkv.applies.gNNN` — the exactly-once apply counter of group `g`.
-    pub fn applies_name(&self, g: usize) -> &'static str {
-        self.applies_names[g]
-    }
-
-    /// Total client operations that entered group `g` (summed over its
-    /// replicas — ops land on whichever replica the client addressed).
+    /// Total client operations that entered group `g` — its `rkv.ops.gNNN`
+    /// hotspot signal, summed over its replicas (ops land on whichever
+    /// replica the client addressed).
     pub fn group_ops(&self, reg: &Registry, g: usize) -> u64 {
         self.group_nodes[g]
             .iter()
-            .map(|&n| reg.counter_on(self.ops_names[g], n).get())
+            .map(|&n| reg.counter_in("rkv.ops", Some(g as u16), n).get())
             .sum()
     }
 }
@@ -111,33 +81,25 @@ pub fn deploy_multi_rkv(c: &mut Cluster, cfg: &MultiRkvCfg) -> MultiRkv {
         cfg.server_nodes >= cfg.replicas,
         "a group's replicas must land on distinct nodes"
     );
+    assert!(
+        cfg.groups <= usize::from(u16::MAX) + 1,
+        "{} groups do not fit the u16 group id of a metric key",
+        cfg.groups
+    );
     let mut groups = Vec::with_capacity(cfg.groups);
     let mut group_nodes = Vec::with_capacity(cfg.groups);
-    let mut ops_names = Vec::with_capacity(cfg.groups);
-    let mut applies_names = Vec::with_capacity(cfg.groups);
     for g in 0..cfg.groups {
         let nodes: Vec<usize> = (0..cfg.replicas)
             .map(|r| (g * cfg.replicas + r) % cfg.server_nodes)
             .collect();
-        let ops_name = intern(format!("rkv.ops.g{g:03}"));
-        let applies_name = intern(format!("rkv.applies.g{g:03}"));
-        let names = GroupNames {
-            label: &format!("g{g:03}-"),
-            applies: applies_name,
-            dup_commits: intern(format!("rkv.dup.commits.g{g:03}")),
-            buffered_writes: intern(format!("rkv.buffered_writes.g{g:03}")),
-            ops: Some(ops_name),
-        };
         groups.push(deploy_group(
             c,
             &nodes,
             cfg.memtable_flush,
             cfg.heartbeat,
-            &names,
+            Some(g as u16),
         ));
         group_nodes.push(nodes.into_iter().map(|n| n as u16).collect());
-        ops_names.push(ops_name);
-        applies_names.push(applies_name);
     }
     let leaders: Vec<Address> = groups.iter().map(|d| d.consensus[0]).collect();
     let table = RoutingTable::build(cfg.seed, cfg.buckets, leaders);
@@ -145,8 +107,6 @@ pub fn deploy_multi_rkv(c: &mut Cluster, cfg: &MultiRkvCfg) -> MultiRkv {
         groups,
         table,
         group_nodes,
-        ops_names,
-        applies_names,
     }
 }
 
@@ -260,7 +220,7 @@ pub fn audit_multi_rkv_exactly_once(
         let issued = writes_issued[g];
         let mut max_applies = 0u64;
         for &node in nodes {
-            let applies = reg.counter_on(dep.applies_name(g), node).get();
+            let applies = reg.counter_in("rkv.applies", Some(g as u16), node).get();
             max_applies = max_applies.max(applies);
             r.check_le(
                 "rkv.exactly.once",
@@ -425,7 +385,7 @@ mod tests {
         let reg = c.obs().registry();
         for g in 0..4usize {
             let n = dep.group_nodes[g][0];
-            reg.counter_on(dep.ops_name(g), n)
+            reg.counter_in("rkv.ops", Some(g as u16), n)
                 .add(if g == 2 { 10_000 } else { 1_000 });
         }
         assert_eq!(reb.step(&mut c, &dep), 1);

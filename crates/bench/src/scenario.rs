@@ -153,7 +153,7 @@ mod tests {
             let name = s.name();
             assert_eq!(find(name).map(|f| f.name()), Some(name));
             assert_eq!(s.shard_counts().first(), Some(&1), "{name}: serial first");
-            let (headline, mut c) = s.run(Size::Smoke, 11, 1, false, &Obs::disabled());
+            let (headline, c) = s.run(Size::Smoke, 11, 1, false, &Obs::disabled());
             let export = c.export_canonical_jsonl();
             assert!(export.lines().count() > 20, "{name}: trivial export");
             c.audit().assert_clean();

@@ -782,6 +782,13 @@ mod tests {
         view.write_u64(o, 0, 0xDEADBEEF).unwrap();
         assert_eq!(view.read_u64(o, 0).unwrap(), 0xDEADBEEF);
         assert_eq!(view.actor(), 7);
+        // Table 4's dmo_mmset / dmo_mmcpy / dmo_free through the same view.
+        let p = view.malloc(16).unwrap();
+        view.memset(o, 0, 0x42, 16).unwrap();
+        view.memcpy(o, 0, p, 8, 8).unwrap();
+        assert_eq!(view.read(p, 0, 16).unwrap(), [[0; 8], [0x42; 8]].concat());
+        view.free(o).unwrap();
+        assert!(view.read(o, 0, 1).is_err());
     }
 
     #[test]

@@ -19,8 +19,25 @@
 //! | [`ring`] — host/NIC message rings with lazy pointer sync | §3.5 |
 //! | [`isolate`] — state protection and DoS watchdog | §3.4 |
 //! | [`nstack`] — shim networking stack over the traffic manager | App. B.1 |
-//! | [`api`] — the Table 4 C-style API facade | App. B.1, Table 4 |
 //! | [`rt`] — the runtime binding actors, scheduler and hardware | §3 |
+//!
+//! ## Table 4 in Rust
+//!
+//! Appendix B.1's C-style runtime API, call by call:
+//!
+//! | Table 4 | here |
+//! |---|---|
+//! | `actor_create` | [`rt::Cluster::reserve_actor`]: the actor's address, before it exists |
+//! | `actor_register` | [`rt::Cluster::register_reserved`] (both at once: [`rt::Cluster::register_actor`]) |
+//! | `actor_init` | [`actor::ActorLogic::init`], run at registration |
+//! | `actor_delete` | no call: the isolation watchdog deletes an actor (§3.4) |
+//! | `actor_migrate` | [`rt::Cluster::force_migrate`] |
+//! | `dmo_malloc` / `dmo_free` | [`dmo::ActorDmo::malloc`] / [`dmo::ActorDmo::free`] |
+//! | `dmo_mmset` / `dmo_mmcpy` | [`dmo::ActorDmo::memset`] / [`dmo::ActorDmo::memcpy`] |
+//! | `dmo_mmmove` | [`dmo::DmoTable::memmove`] (overlap only arises within one object) |
+//! | `msg_init` | [`ring::IoChannel::new`] |
+//! | `msg_read` / `msg_write` | [`ring::RingBuffer::pop`] / [`ring::RingBuffer::push`] |
+//! | `nstack_hdr_cap` / `nstack_get_wqe` | [`nstack::build_headers`] / [`nstack::parse_headers`] |
 //!
 //! ## Quick example
 //!
@@ -47,7 +64,6 @@
 
 pub mod actor;
 pub mod admission;
-pub mod api;
 pub mod bookkeep;
 pub mod dmo;
 pub mod isolate;

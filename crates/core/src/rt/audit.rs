@@ -9,12 +9,11 @@ impl Cluster {
     /// Run the conservation audit: every ledger the cluster keeps is checked
     /// against ground truth reconstructed from the pending event queue.
     ///
-    /// The pass is semantically invisible — pending events are drained
-    /// (without advancing time) for tallying and re-scheduled in firing
-    /// order, so a run behaves identically whether or not it was audited
-    /// mid-flight. Scenario tests call this at quiesce;
-    /// [`AuditReport::assert_clean`] turns any violation into a panic with
-    /// the full rendered report.
+    /// The pass borrows the cluster: pending events are tallied in place
+    /// ([`EventQueue::for_each_pending`]), so a run cannot behave
+    /// differently for having been audited mid-flight. Scenario tests call
+    /// this at quiesce; [`AuditReport::assert_clean`] turns any violation
+    /// into a panic with the full rendered report.
     ///
     /// Invariants checked (see DESIGN.md §11 for the catalog):
     /// * `client.conservation` — issued == completed + abandoned + in-flight
@@ -29,9 +28,9 @@ impl Cluster {
     ///   empty dispatcher stash at event boundaries
     /// * scheduler ledgers via [`NicScheduler::audit_into`]
     /// * `actor.reserved` — no address is reserved and left without an actor
-    pub fn audit(&mut self) -> AuditReport {
+    pub fn audit(&self) -> AuditReport {
         let mut r = AuditReport::new(self.now());
-        let pending_frames: u64 = self.shards.iter_mut().map(|s| s.audit_local(&mut r)).sum();
+        let pending_frames: u64 = self.shards.iter().map(|s| s.audit_local(&mut r)).sum();
         for addr in &self.reserved {
             let detail = format!("{addr:?} was reserved but never registered");
             r.violation("actor.reserved", addr.node, detail);
@@ -176,19 +175,15 @@ impl Cluster {
             return false;
         };
         state.inflight.remove(&token);
-        if let Some(retry) = state.retry.as_mut() {
-            retry.slots.remove(&token);
-        }
         true
     }
 }
 
 impl ShardState {
-    /// Per-shard slice of the conservation audit: quiesce-sweep this
-    /// shard's event queue (drain + re-schedule preserves the firing
-    /// order), run the per-node checks, and return how many frames are
-    /// still pending delivery here (queued, pooled, or outboxed).
-    pub(super) fn audit_local(&mut self, r: &mut AuditReport) -> u64 {
+    /// Per-shard slice of the conservation audit: tally this shard's
+    /// pending events, run the per-node checks, and return how many frames
+    /// are still pending delivery here (queued, pooled, or outboxed).
+    pub(super) fn audit_local(&self, r: &mut AuditReport) -> u64 {
         let n_nodes = self.nodes.len();
         let mut ring_to_host = vec![0u64; n_nodes];
         let mut mig_steps = vec![0u64; n_nodes];
@@ -205,21 +200,14 @@ impl ShardState {
         let mut pending_frames = 0u64;
         let base = self.base;
         let idx = |node: &u16| (*node - base) as usize;
-        for (at, ev) in self.events.drain_pending() {
-            match &ev {
-                Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
-                Ev::NicFree { node, core } => nic_free[idx(node)][*core as usize] += 1,
-                Ev::HostFree { node, core } => host_free[idx(node)][*core as usize] += 1,
-                Ev::MigStep { node } => mig_steps[idx(node)] += 1,
-                Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
-                _ => {}
-            }
-            // Fresh sequence numbers preserve the drain's firing order, so
-            // the re-scheduled queue pops identically — and because every
-            // shard sweeps only its own queue, the order across shard
-            // boundaries is untouched for any shard count.
-            self.events.schedule_at(at, ev);
-        }
+        self.events.for_each_pending(|_, ev| match ev {
+            Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
+            Ev::NicFree { node, core } => nic_free[idx(node)][*core as usize] += 1,
+            Ev::HostFree { node, core } => host_free[idx(node)][*core as usize] += 1,
+            Ev::MigStep { node } => mig_steps[idx(node)] += 1,
+            Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
+            _ => {}
+        });
         pending_frames += self.pool.len() as u64 + self.outbox.len() as u64;
 
         for (i, n) in self.nodes.iter().enumerate() {

@@ -125,7 +125,7 @@ impl Cluster {
 
     /// Install a routing-refresh observer on client `client` (which must
     /// already have a generator): whenever a [`Redirect`] reply moves an
-    /// address, the runtime retargets every queued retry slot still aimed at
+    /// address, the runtime retargets every outstanding request still aimed at
     /// the old address and then invokes `cb(old, new)` so the application's
     /// routing table steers *future* issues the same way.
     pub fn set_client_route_refresh(&mut self, client: usize, cb: RouteRefreshFn) {
@@ -144,11 +144,7 @@ impl Cluster {
         payload_fn: Option<PayloadFn>,
     ) {
         assert!(policy.max_tries >= 1 && policy.timeout > SimTime::ZERO);
-        self.client_mut(client).retry = Some(ClientRetry {
-            policy,
-            payload_fn,
-            slots: IdMap::default(),
-        });
+        self.client_mut(client).retry = Some(ClientRetry { policy, payload_fn });
     }
 
     /// Convenience: fixed-size empty-payload closed loop against one actor,
@@ -174,16 +170,15 @@ fn reply_as<T: Copy + 'static>(req: &Request) -> Option<T> {
 }
 
 impl ClientRetry {
-    /// Rebuild the request behind `token` from its retry slot (the
+    /// Rebuild the request behind `token` from its ledger entry (the
     /// application's `payload_fn` reconstructs the payload).
-    fn rebuild(&mut self, token: u64) -> Option<ClientReq> {
-        let slot = self.slots.get(&token)?;
-        Some(ClientReq {
-            dst: slot.dst,
-            wire_size: slot.wire_size,
-            flow: slot.flow,
+    fn rebuild(&mut self, token: u64, out: &Outstanding) -> ClientReq {
+        ClientReq {
+            dst: out.dst,
+            wire_size: out.wire_size,
+            flow: out.flow,
             payload: self.payload_fn.as_mut().and_then(|f| f(token)),
-        })
+        }
     }
 }
 
@@ -217,28 +212,22 @@ impl ShardState {
             let Some(retry) = state.retry.as_mut() else {
                 return;
             };
-            if !state.inflight.contains_key(&token) {
-                // Completed in the meantime; drop the slot if still present.
-                retry.slots.remove(&token);
-                return;
-            }
-            let Some(slot) = retry.slots.get_mut(&token) else {
-                return;
+            let Some(out) = state.inflight.get_mut(&token) else {
+                return; // completed in the meantime
             };
-            if now < slot.hold_until {
+            if now < out.hold_until {
                 // A shed reply parked this request: honor the server's
                 // backoff hint without consuming a try, then re-check.
-                let wait = slot.hold_until.saturating_sub(now);
+                let wait = out.hold_until.saturating_sub(now);
                 self.events
                     .schedule_after(wait, Ev::RetryCheck { client, token });
                 return;
             }
-            if slot.tries >= retry.policy.max_tries {
+            if out.tries >= retry.policy.max_tries {
                 // Give up so the closed loop keeps breathing. Open-loop
                 // arrivals are purely time-driven — never re-armed by an
                 // abandonment — so a paced client skips the re-issue.
                 state.inflight.remove(&token);
-                retry.slots.remove(&token);
                 self.fault_metrics.abandoned.inc();
                 if state.open.is_none() {
                     self.events
@@ -246,10 +235,9 @@ impl ShardState {
                 }
                 return;
             }
-            slot.tries += 1;
-            slot.backoff = (slot.backoff * 2).min(retry.policy.cap);
-            let next_wait = slot.backoff;
-            (retry.rebuild(token).expect("slot exists"), next_wait)
+            out.tries += 1;
+            out.backoff = (out.backoff * 2).min(retry.policy.cap);
+            (retry.rebuild(token, out), out.backoff)
         };
         self.fault_metrics.retries.inc();
         self.client_send(now, client_node, token, creq);
@@ -274,7 +262,7 @@ impl ShardState {
             if now < state.shed_src_until {
                 // A live backoff hint: shed this arrival at the source.
                 // The request is counted (issued + shed) but never built —
-                // no token, no in-flight entry, no retry slot — so the
+                // no token, no in-flight entry — so the
                 // ledgers stay bounded under sustained saturation instead
                 // of growing with every refused arrival.
                 self.completions.issued += 1;
@@ -288,20 +276,18 @@ impl ShardState {
         let token = (client as u64) << 40 | state.next_token;
         state.next_token += 1;
         let creq = (state.gen)(&mut state.rng, token);
-        state.inflight.insert(token, now);
+        let retry_wait = state.retry.as_ref().map(|retry| retry.policy.timeout);
+        let out = Outstanding {
+            issued: now,
+            dst: creq.dst,
+            wire_size: creq.wire_size,
+            flow: creq.flow,
+            tries: u32::from(retry_wait.is_some()),
+            backoff: retry_wait.unwrap_or(SimTime::ZERO),
+            hold_until: SimTime::ZERO,
+        };
+        state.inflight.insert(token, out);
         self.completions.issued += 1;
-        let retry_wait = state.retry.as_mut().map(|retry| {
-            let slot = RetrySlot {
-                dst: creq.dst,
-                wire_size: creq.wire_size,
-                flow: creq.flow,
-                tries: 1,
-                backoff: retry.policy.timeout,
-                hold_until: SimTime::ZERO,
-            };
-            retry.slots.insert(token, slot);
-            retry.policy.timeout
-        });
         self.client_send(now, client_node, token, creq);
         if let Some(wait) = retry_wait {
             self.events
@@ -320,11 +306,8 @@ impl ShardState {
             let resend = {
                 let state = self.clients[client as usize].as_mut();
                 state.and_then(|s| {
-                    if !s.inflight.contains_key(&req.token) {
-                        return None;
-                    }
                     let retry = s.retry.as_mut()?;
-                    let old_dst = retry.slots.get(&req.token)?.dst;
+                    let old_dst = s.inflight.get(&req.token).filter(|o| o.armed())?.dst;
                     // Routing refresh: one Redirect means the *address*
                     // moved, not just this request. Retarget every queued
                     // request still aimed at the old address in place —
@@ -334,15 +317,15 @@ impl ShardState {
                     // after every rebalance). Only this request resends
                     // immediately.
                     let mut refreshed = 0u64;
-                    for (t, slot) in retry.slots.iter_mut() {
-                        if slot.dst == old_dst {
-                            slot.dst = new_dst;
+                    for (t, out) in s.inflight.iter_mut() {
+                        if out.armed() && out.dst == old_dst {
+                            out.dst = new_dst;
                             if *t != req.token {
                                 refreshed += 1;
                             }
                         }
                     }
-                    let resend = retry.rebuild(req.token)?;
+                    let resend = retry.rebuild(req.token, &s.inflight[&req.token]);
                     if old_dst != new_dst {
                         // Let the application refresh its routing table
                         // so *future* issues steer to the new home too.
@@ -371,21 +354,16 @@ impl ShardState {
             let Some(state) = self.clients[client as usize].as_mut() else {
                 return;
             };
-            if !state.inflight.contains_key(&req.token) {
+            let Some(out) = state.inflight.get_mut(&req.token) else {
                 return;
-            }
+            };
             // Closed loop with retransmission: park the retry timer.
-            let slot = state.retry.as_mut();
-            let slot = slot.and_then(|r| r.slots.get_mut(&req.token));
-            if let (None, Some(slot)) = (&state.open, slot) {
-                slot.hold_until = slot.hold_until.max(now + retry_after);
+            if state.open.is_none() && out.armed() {
+                out.hold_until = out.hold_until.max(now + retry_after);
                 self.fault_metrics.shed_backoff.inc();
                 return;
             }
             state.inflight.remove(&req.token);
-            if let Some(retry) = state.retry.as_mut() {
-                retry.slots.remove(&req.token);
-            }
             self.completions.shed += 1;
             self.fault_metrics.shed_remote.inc();
             if state.open.is_some() {
@@ -398,11 +376,8 @@ impl ShardState {
             return;
         }
         if let Some(state) = self.clients[client as usize].as_mut() {
-            if let Some(issued) = state.inflight.remove(&req.token) {
+            if let Some(Outstanding { issued, .. }) = state.inflight.remove(&req.token) {
                 self.completions.completed += 1;
-                if let Some(retry) = state.retry.as_mut() {
-                    retry.slots.remove(&req.token);
-                }
                 if issued >= self.measure_start {
                     self.completions.done += 1;
                     self.completions.hist.record(now.saturating_sub(issued));

@@ -120,6 +120,13 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         assert!(self.servers >= 1 && self.clients >= 1);
         let total = self.servers + self.clients;
+        // Node ids are `u16` everywhere below (and in `Address`).
+        assert!(
+            total <= u16::MAX as usize,
+            "{} servers + {} clients do not fit u16 node ids",
+            self.servers,
+            self.clients
+        );
         let n_shards = self.shards.min(total);
         let mut rng = DetRng::new(self.seed);
         let cfg = self

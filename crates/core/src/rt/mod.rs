@@ -104,7 +104,7 @@ pub type PayloadFn = Box<dyn FnMut(u64) -> Payload>;
 /// with `(old, new)` whenever a [`Redirect`] reply moves the client's view of
 /// an address. The application layer (e.g. a sharded KV's versioned routing
 /// table) uses it to retarget *future* issues; the runtime itself retargets
-/// every already-queued retry slot still aimed at `old`.
+/// every outstanding request still aimed at `old`.
 pub type RouteRefreshFn = Box<dyn FnMut(Address, Address)>;
 
 /// Open-loop pacing for an aggregated client generator: requests arrive as a
@@ -172,11 +172,18 @@ impl RetryPolicy {
     }
 }
 
-/// Per-token retransmission state.
-struct RetrySlot {
+/// One request a client has issued and not seen the end of: the only
+/// per-token record there is. The conservation audit counts these, latency
+/// is measured from `issued`, and the retry timer works on the rest.
+struct Outstanding {
+    /// First transmission; retransmissions do not move it.
+    issued: SimTime,
     dst: Address,
     wire_size: u32,
     flow: u64,
+    /// Transmissions so far. Zero when the request went out with no retry
+    /// policy installed: no `RetryCheck` timer runs for it, so redirect and
+    /// shed replies end it like any other reply.
     tries: u32,
     backoff: SimTime,
     /// Server-requested hold: a [`Shed`] reply parks the retry timer until
@@ -185,11 +192,18 @@ struct RetrySlot {
     hold_until: SimTime,
 }
 
-/// Retransmission machinery of one client.
+impl Outstanding {
+    /// True when a `RetryCheck` timer is running for this request.
+    fn armed(&self) -> bool {
+        self.tries > 0
+    }
+}
+
+/// Retransmission machinery of one client (the per-token state lives in
+/// [`ClientState::inflight`]).
 struct ClientRetry {
     policy: RetryPolicy,
     payload_fn: Option<PayloadFn>,
-    slots: IdMap<u64, RetrySlot>,
 }
 
 /// Completion statistics observed at the clients. The latency histogram
@@ -389,7 +403,7 @@ struct ClientState {
     gen: ClientGenFn,
     outstanding: u32,
     next_token: u64,
-    inflight: IdMap<u64, SimTime>,
+    inflight: IdMap<u64, Outstanding>,
     rng: DetRng,
     retry: Option<ClientRetry>,
     /// Open-loop pacing: when set, issues arrive on a seeded Poisson
@@ -409,7 +423,7 @@ struct FaultMetrics {
     retries: Counter,
     abandoned: Counter,
     redirects: Counter,
-    /// Queued retry slots retargeted in place because a redirect refreshed
+    /// Outstanding requests retargeted in place because a redirect refreshed
     /// the client's view of a moved address (one redirect re-aims the whole
     /// queue instead of each request bouncing individually).
     route_refreshed: Counter,

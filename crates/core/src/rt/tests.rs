@@ -42,6 +42,18 @@ fn closed_loop_echo_completes_requests() {
     assert_eq!(c.actor_location(a), Some(Loc::Nic));
 }
 
+/// Node ids are `u16`: 65,535 nodes is the largest cluster that builds (ids
+/// 0..=65,534), and one more used to wrap `shard_starts` and `NodeRt::id`
+/// silently instead of being refused.
+#[test]
+#[should_panic(expected = "1 servers + 65535 clients do not fit u16 node ids")]
+fn cluster_size_is_bounded_by_u16_node_ids() {
+    let sized = |clients| Cluster::builder(CN2350).servers(1).clients(clients).build();
+    let largest = sized(65_534);
+    assert_eq!(largest.shards[0].clients.len(), 65_534);
+    sized(65_535);
+}
+
 /// Pinned regression (found by `Cluster::audit`): replacing a client
 /// generator mid-run used to reset the in-flight ledger and the token
 /// allocator, leaking every request still on the wire — `issued` ran

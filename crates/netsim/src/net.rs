@@ -277,6 +277,10 @@ impl NetModel {
     /// additional lookahead.
     pub fn min_cross_latency(&self, shard_of: &[u16]) -> Option<SimTime> {
         assert_eq!(shard_of.len(), self.nodes(), "one shard id per node");
+        // The pair scan is quadratic; one shard has no pair to find.
+        if shard_of.iter().all(|&s| s == shard_of[0]) {
+            return None;
+        }
         let base = self.min_latency();
         let mut best: Option<SimTime> = None;
         for s in 0..self.nodes() {

@@ -44,8 +44,8 @@
 //! batch's own timestamp while it drains are inserted at level 0 and picked
 //! up by the next refill of the same instant — their sequence numbers exceed
 //! everything already in the batch, so overall order is still `(time, seq)`.
-//! Replays are therefore bit-for-bit identical to the reference
-//! [`HeapEventQueue`], which property tests assert under arbitrary
+//! Replays are therefore bit-for-bit identical to a plain binary heap on
+//! `(time, seq)`, which `tests/queue_ref.rs` asserts under arbitrary
 //! interleavings.
 
 use crate::time::SimTime;
@@ -282,95 +282,27 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Batched twin of [`EventQueue::run_until`]: invokes
-    /// `f(queue, state, time, batch)` once per distinct timestamp with every
-    /// event at that instant, in scheduling order. End-boundary semantics
-    /// match `run_until` exactly — batches strictly after `end` stay pending
-    /// and `now` clamps to `end`. The batch vector is recycled between
-    /// calls; handlers normally consume it with `drain(..)`, but anything
-    /// left over is discarded.
-    ///
-    /// A handler may schedule new events at the batch's own timestamp; they
-    /// form a *subsequent* batch at the same instant (their sequence numbers
-    /// are larger, so FIFO order is preserved) rather than extending the
-    /// batch being processed — which also means self-rescheduling handlers
-    /// terminate as long as they stop emitting events.
-    pub fn run_until_batched<S>(
-        &mut self,
-        state: &mut S,
-        end: SimTime,
-        mut f: impl FnMut(&mut Self, &mut S, SimTime, &mut Vec<E>),
-    ) {
-        let mut batch = Vec::new();
-        while let Some(at) = self.peek_time() {
-            if at > end {
-                self.now = self.now.max(end.as_ns());
-                return;
-            }
-            let t = self.pop_batch(&mut batch).expect("peeked entry must pop");
-            f(self, state, t, &mut batch);
+    /// Visit every pending `(time, event)` without moving anything: the
+    /// ready batch, each occupied wheel slot and the spill heap. The order
+    /// is storage order, not firing order — callers tally, they do not
+    /// replay. Taking `&self`, a visit cannot reorder or renumber events.
+    pub fn for_each_pending(&self, mut f: impl FnMut(SimTime, &E)) {
+        for event in &self.ready {
+            f(SimTime::from_ns(self.ready_time), event);
         }
-        if self.now < end.as_ns() {
-            self.now = end.as_ns();
-        }
-    }
-
-    /// Remove and return every pending event in firing order, without
-    /// advancing `now` or counting the events as fired.
-    ///
-    /// Useful to inspect or hand off stragglers after an early-exited
-    /// [`EventQueue::run_until`]:
-    ///
-    /// ```
-    /// use ipipe_sim::{EventQueue, SimTime};
-    ///
-    /// let mut q = EventQueue::new();
-    /// q.schedule_at(SimTime::from_us(1), "on-time");
-    /// q.schedule_at(SimTime::from_us(5), "straggler");
-    /// q.run_until(&mut (), SimTime::from_us(2), |_, _, _, _| {});
-    /// assert_eq!(q.drain_pending(), vec![(SimTime::from_us(5), "straggler")]);
-    /// assert!(q.is_empty());
-    /// assert_eq!(q.now(), SimTime::from_us(2)); // unchanged by the drain
-    /// ```
-    pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
-        let saved_now = self.now;
-        let saved_popped = self.popped;
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(pair) = self.pop() {
-            out.push(pair);
-        }
-        self.now = saved_now;
-        self.popped = saved_popped;
-        out
-    }
-
-    /// Discard every pending event. `now`, the fired-event counter, and the
-    /// sequence counter are unchanged.
-    ///
-    /// ```
-    /// use ipipe_sim::{EventQueue, SimTime};
-    ///
-    /// let mut q = EventQueue::new();
-    /// q.schedule_at(SimTime::from_us(3), 1u32);
-    /// q.schedule_at(SimTime::from_ms(900), 2u32);
-    /// q.clear();
-    /// assert!(q.is_empty());
-    /// assert_eq!(q.pop(), None);
-    /// ```
-    pub fn clear(&mut self) {
-        for (level, occ) in self.occupied.iter_mut().enumerate() {
-            let mut bits = *occ;
+        for (level, &occ) in self.occupied.iter().enumerate() {
+            let mut bits = occ;
             while bits != 0 {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.slots[level * SLOTS + slot].clear();
-                self.slot_min[level * SLOTS + slot] = u64::MAX;
+                for entry in &self.slots[level * SLOTS + slot] {
+                    f(SimTime::from_ns(entry.at), &entry.event);
+                }
             }
-            *occ = 0;
         }
-        self.spill.clear();
-        self.ready.clear();
-        self.len = 0;
+        for SpillEntry(entry) in &self.spill {
+            f(SimTime::from_ns(entry.at), &entry.event);
+        }
     }
 
     /// Insert an entry into the wheel level (or spill heap) dictated by its
@@ -473,130 +405,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The previous `BinaryHeap`-backed event queue, kept as a **reference
-/// implementation**: differential property tests replay arbitrary operation
-/// sequences against it. Semantics are identical to [`EventQueue`].
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<SpillEntry<E>>,
-    seq: u64,
-    now: SimTime,
-    popped: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events fired so far.
-    pub fn fired(&self) -> u64 {
-        self.popped
-    }
-
-    /// Schedule `event` at absolute time `at`. Panics if `at < now`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduled event in the past: at={at} now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(SpillEntry(Entry {
-            at: at.as_ns(),
-            seq,
-            event,
-        }));
-    }
-
-    /// Schedule `event` after a delay relative to `now`.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| SimTime::from_ns(e.0.at))
-    }
-
-    /// Advance `now` to `t` without firing anything; no-op when `t <= now`.
-    /// Panics if an event is pending before `t`.
-    pub fn advance_to(&mut self, t: SimTime) {
-        if t <= self.now {
-            return;
-        }
-        if let Some(at) = self.peek_time() {
-            assert!(at >= t, "advance_to({t}) would skip event at {at}");
-        }
-        self.now = t;
-    }
-
-    /// Pop the next event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let SpillEntry(entry) = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now.as_ns());
-        self.now = SimTime::from_ns(entry.at);
-        self.popped += 1;
-        Some((self.now, entry.event))
-    }
-
-    /// Pop every event sharing the next pending timestamp into `out`
-    /// (cleared first, refilled in FIFO order). Semantics match
-    /// [`EventQueue::pop_batch`] exactly.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        out.clear();
-        let (t, first) = self.pop()?;
-        out.push(first);
-        while self.peek_time() == Some(t) {
-            let (_, e) = self.pop().expect("peeked entry must pop");
-            out.push(e);
-        }
-        Some(t)
-    }
-
-    /// Remove and return every pending event in firing order, without
-    /// advancing `now` or counting the events as fired. Semantics match
-    /// [`EventQueue::drain_pending`].
-    pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
-        let saved_now = self.now;
-        let saved_popped = self.popped;
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(pair) = self.pop() {
-            out.push(pair);
-        }
-        self.now = saved_now;
-        self.popped = saved_popped;
-        out
-    }
-}
-
 /// A deterministic merge buffer: a min-heap of totally ordered entries.
 ///
 /// The sharded cluster runtime parks in-flight cross-shard arrivals here,
@@ -652,20 +460,6 @@ impl<T: Ord> MergePool<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Remove every entry.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Drain all entries in ascending order.
-    pub fn drain_sorted(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
 }
 
 /// Work/span accounting for an epoch-synchronized sharded run.
@@ -711,6 +505,7 @@ impl EpochStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -734,8 +529,9 @@ mod tests {
         }
         assert_eq!(p.len(), 5);
         assert_eq!(p.peek(), Some(&(3, 0, 1)));
+        let drained: Vec<_> = std::iter::from_fn(|| p.pop()).collect();
         assert_eq!(
-            p.drain_sorted(),
+            drained,
             vec![(3, 0, 1), (3, 0, 2), (3, 1, 0), (5, 1, 0), (9, 0, 0)]
         );
         assert!(p.is_empty());
@@ -906,41 +702,14 @@ mod tests {
     }
 
     #[test]
-    fn run_until_batched_matches_run_until_boundary_semantics() {
-        // Mirror of run_until_respects_end_and_allows_rescheduling: events
-        // strictly after `end` stay pending and `now` clamps to `end`.
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_us(1), ());
-        let mut count = 0u32;
-        q.run_until_batched(&mut count, SimTime::from_us(10), |q, count, _t, batch| {
-            for () in batch.drain(..) {
-                *count += 1;
-                if *count < 100 {
-                    q.schedule_after(SimTime::from_us(2), ());
-                }
-            }
-        });
-        assert_eq!(count, 5);
-        assert_eq!(q.now(), SimTime::from_us(10));
-        assert_eq!(q.len(), 1);
-
-        // Drained queue: now clamps to end, like run_until.
-        let mut empty: EventQueue<()> = EventQueue::new();
-        let mut st = ();
-        empty.run_until_batched(&mut st, SimTime::from_ms(1), |_, _, _, _| {});
-        assert_eq!(empty.now(), SimTime::from_ms(1));
-    }
-
-    #[test]
-    fn run_until_batched_self_reschedule_same_instant_terminates() {
-        // A handler scheduling into its own timestamp forms a follow-up
-        // batch at the same instant instead of livelocking.
+    fn pop_batch_same_instant_reschedule_forms_a_follow_up_batch() {
+        // A handler scheduling into its own timestamp gets a later batch at
+        // the same instant; the batch being served is never extended.
         let mut q = EventQueue::new();
         let t = SimTime::from_us(3);
         q.schedule_at(t, 0u32);
-        let mut seen = Vec::new();
-        let mut batches = 0u32;
-        q.run_until_batched(&mut (), SimTime::from_us(5), |q, _, at, batch| {
+        let (mut seen, mut batches, mut batch) = (Vec::new(), 0u32, Vec::new());
+        while let Some(at) = q.pop_batch(&mut batch) {
             batches += 1;
             for gen in batch.drain(..) {
                 seen.push(gen);
@@ -948,10 +717,10 @@ mod tests {
                     q.schedule_at(at, gen + 1); // zero-delay self-reschedule
                 }
             }
-        });
+        }
         assert_eq!(seen, vec![0, 1, 2, 3]);
         assert_eq!(batches, 4, "each same-instant reschedule is its own batch");
-        assert_eq!(q.now(), SimTime::from_us(5));
+        assert_eq!(q.now(), t);
     }
 
     #[test]
@@ -968,74 +737,86 @@ mod tests {
         assert_eq!(order, vec![1, 2, 3]);
     }
 
-    #[test]
-    fn clear_discards_everything_but_keeps_time() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_us(1), 1);
-        q.schedule_at(SimTime::from_ns(1 << 52), 2); // spill
-        q.pop();
-        q.schedule_at(SimTime::from_us(4), 3);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.now(), SimTime::from_us(1));
-        assert_eq!(q.fired(), 1);
-        // Still usable afterwards.
-        q.schedule_after(SimTime::from_us(1), 9);
-        assert_eq!(q.pop(), Some((SimTime::from_us(2), 9)));
+    /// Everything `for_each_pending` visits, as a sorted multiset.
+    fn visited(q: &EventQueue<u64>) -> Vec<(SimTime, u64)> {
+        let mut seen = Vec::new();
+        q.for_each_pending(|t, &id| seen.push((t, id)));
+        seen.sort_unstable();
+        seen
     }
 
-    #[test]
-    fn drain_pending_returns_stragglers_in_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_us(5), "b");
-        q.schedule_at(SimTime::from_us(1), "a");
-        q.schedule_at(SimTime::from_ns(1 << 50), "z"); // spill
-        q.pop();
-        let pending = q.drain_pending();
-        assert_eq!(
-            pending,
-            vec![(SimTime::from_us(5), "b"), (SimTime::from_ns(1 << 50), "z"),]
-        );
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_us(1), "drain must not advance time");
-        assert_eq!(q.fired(), 1, "drained events are not fired events");
-    }
-
-    #[test]
-    fn heap_pop_batch_and_drain_match_wheel_semantics() {
-        let mut w = EventQueue::new();
-        let mut h = HeapEventQueue::new();
-        for (at, e) in [(7u64, 0u32), (7, 1), (7, 2), (9, 3), (12, 4)] {
-            w.schedule_at(SimTime::from_us(at), e);
-            h.schedule_at(SimTime::from_us(at), e);
+    proptest! {
+        /// After every step the borrowing visit sees exactly the pending
+        /// multiset (checked against a model), and at the end exactly what
+        /// popping to exhaustion returns. The fixed prologue puts one event
+        /// past the spill horizon and schedules one at `now` while a batch
+        /// is half served, so all three stores are populated at once.
+        #[test]
+        fn for_each_pending_visits_exactly_what_pops(
+            ops in prop::collection::vec((0u8..6, 0u64..4096, 0u64..200_000), 1..200)
+        ) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let mut next_id = 0u64;
+            let mut schedule = |q: &mut EventQueue<u64>, model: &mut Vec<_>, at: SimTime| {
+                q.schedule_at(at, next_id);
+                model.push((at, next_id));
+                next_id += 1;
+            };
+            let forget = |model: &mut Vec<(SimTime, u64)>, t: SimTime, id: u64| {
+                let i = model.iter().position(|&e| e == (t, id)).expect("popped a pending event");
+                model.swap_remove(i);
+            };
+            let t0 = SimTime::from_ns(640);
+            for _ in 0..3 {
+                schedule(&mut q, &mut model, t0);
+            }
+            schedule(&mut q, &mut model, SimTime::from_ns((1 << 49) + 5));
+            let (t, id) = q.pop().expect("three events at t0");
+            forget(&mut model, t, id);
+            schedule(&mut q, &mut model, t); // `now`, with the batch at t0 half served
+            let mut batch = Vec::new();
+            for (op, small, big) in ops {
+                match op {
+                    0..=1 => {
+                        let at = q.now() + SimTime::from_ns((small / 64) * 64);
+                        schedule(&mut q, &mut model, at);
+                    }
+                    2 => {
+                        let at = q.now() + SimTime::from_ns((1 << 49) + big);
+                        schedule(&mut q, &mut model, at);
+                    }
+                    3 => {
+                        if let Some((t, id)) = q.pop() {
+                            forget(&mut model, t, id);
+                            if id % 3 == 0 {
+                                schedule(&mut q, &mut model, t);
+                            }
+                        }
+                    }
+                    4 => {
+                        if let Some(t) = q.pop_batch(&mut batch) {
+                            for id in batch.drain(..) {
+                                forget(&mut model, t, id);
+                            }
+                        }
+                    }
+                    _ => {
+                        let mut t = q.now() + SimTime::from_ns(big);
+                        if let Some(at) = q.peek_time() {
+                            t = t.min(at);
+                        }
+                        q.advance_to(t);
+                    }
+                }
+                model.sort_unstable();
+                prop_assert_eq!(&visited(&q), &model);
+                prop_assert_eq!(q.len(), model.len());
+            }
+            let seen = visited(&q);
+            let mut popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            popped.sort_unstable();
+            prop_assert_eq!(seen, popped);
         }
-        let (mut wb, mut hb) = (Vec::new(), Vec::new());
-        assert_eq!(w.pop_batch(&mut wb), h.pop_batch(&mut hb));
-        assert_eq!(wb, hb);
-        assert_eq!(wb, vec![0, 1, 2]);
-        assert_eq!(w.fired(), h.fired());
-        assert_eq!(w.drain_pending(), h.drain_pending());
-        assert_eq!(h.now(), SimTime::from_us(7), "drain must not advance time");
-        assert_eq!(h.fired(), 3, "drained events are not fired events");
-    }
-
-    #[test]
-    fn heap_reference_queue_matches_basic_semantics() {
-        let mut q = HeapEventQueue::new();
-        q.schedule_at(SimTime::from_us(30), "c");
-        q.schedule_at(SimTime::from_us(10), "a");
-        q.schedule_after(SimTime::from_us(20), "b");
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(10)));
-        assert_eq!(q.pop(), Some((SimTime::from_us(10), "a")));
-        q.advance_to(SimTime::from_us(15));
-        assert_eq!(q.now(), SimTime::from_us(15));
-        q.advance_to(SimTime::from_us(2)); // no-op
-        assert_eq!(q.now(), SimTime::from_us(15));
-        assert_eq!(q.pop(), Some((SimTime::from_us(20), "b")));
-        assert_eq!(q.pop(), Some((SimTime::from_us(30), "c")));
-        assert_eq!(q.fired(), 3);
-        assert!(q.is_empty());
     }
 }

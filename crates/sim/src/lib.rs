@@ -30,7 +30,7 @@ pub mod sweep;
 pub mod time;
 
 pub use audit::{AuditReport, Violation};
-pub use event::{EpochStats, EventQueue, HeapEventQueue, MergePool};
+pub use event::{EpochStats, EventQueue, MergePool};
 pub use idmap::IdMap;
 pub use obs::{Obs, ObsConfig, TraceLevel};
 pub use rng::{DetRng, PoissonArrivals, ZipfKeys};

@@ -60,15 +60,8 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        // The `trace-verbose` cargo feature raises the default verbosity so
-        // debug builds can capture per-request detail without code changes.
-        let level = if cfg!(feature = "trace-verbose") {
-            TraceLevel::Verbose
-        } else {
-            TraceLevel::Spans
-        };
         ObsConfig {
-            level,
+            level: TraceLevel::Spans,
             trace_capacity: 1 << 16,
         }
     }

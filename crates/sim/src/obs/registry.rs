@@ -1,5 +1,5 @@
 //! The metrics registry: counters, gauges and latency histograms keyed by
-//! `&'static str` names plus a node tag.
+//! `&'static str` names plus a node tag and an optional group id.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`HistHandle`]) are `Rc`-backed cells:
 //! registering a metric allocates once, after which every update on the hot
@@ -18,14 +18,29 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Identity of a metric: a static name plus the node (server) it belongs
-/// to. Single-node harnesses use node 0 throughout.
+/// Identity of a metric: a static name, optionally one of many numbered
+/// groups publishing under it, plus the node (server) it belongs to.
+/// Single-node harnesses use node 0 throughout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Dotted metric name, e.g. `"sched.exec.fcfs"`.
     pub name: &'static str,
+    /// Group the metric is split by: a [`Snapshot`] names group 7 of
+    /// `rkv.ops` `rkv.ops.g007`. Names are `&'static str`, so a stream per
+    /// run-time group cannot be told apart by name without leaking one.
+    pub group: Option<u16>,
     /// Owning server node (0 when there is only one).
     pub node: u16,
+}
+
+impl MetricKey {
+    /// The name a [`Snapshot`] files this metric under.
+    fn rendered(&self) -> String {
+        match self.group {
+            Some(g) => format!("{}.g{g:03}", self.name),
+            None => self.name.to_string(),
+        }
+    }
 }
 
 /// Monotonic event counter. Saturates at `u64::MAX` instead of wrapping, so
@@ -180,11 +195,13 @@ impl Registry {
 
     /// Counter `name` on `node`, registering it on first use.
     pub fn counter_on(&self, name: &'static str, node: u16) -> Counter {
-        self.counters
-            .borrow_mut()
-            .entry(MetricKey { name, node })
-            .or_default()
-            .clone()
+        self.counter_in(name, None, node)
+    }
+
+    /// Counter `name` of `group` (see [`MetricKey::group`]) on `node`.
+    pub fn counter_in(&self, name: &'static str, group: Option<u16>, node: u16) -> Counter {
+        let key = MetricKey { name, group, node };
+        self.counters.borrow_mut().entry(key).or_default().clone()
     }
 
     /// Gauge `name` on node 0.
@@ -194,11 +211,13 @@ impl Registry {
 
     /// Gauge `name` on `node`, registering it on first use.
     pub fn gauge_on(&self, name: &'static str, node: u16) -> Gauge {
-        self.gauges
-            .borrow_mut()
-            .entry(MetricKey { name, node })
-            .or_default()
-            .clone()
+        self.gauge_in(name, None, node)
+    }
+
+    /// Gauge `name` of `group` (see [`MetricKey::group`]) on `node`.
+    pub fn gauge_in(&self, name: &'static str, group: Option<u16>, node: u16) -> Gauge {
+        let key = MetricKey { name, group, node };
+        self.gauges.borrow_mut().entry(key).or_default().clone()
     }
 
     /// Histogram `name` on node 0.
@@ -210,7 +229,11 @@ impl Registry {
     pub fn hist_on(&self, name: &'static str, node: u16) -> HistHandle {
         self.hists
             .borrow_mut()
-            .entry(MetricKey { name, node })
+            .entry(MetricKey {
+                name,
+                group: None,
+                node,
+            })
             .or_default()
             .clone()
     }
@@ -222,19 +245,19 @@ impl Registry {
                 .counters
                 .borrow()
                 .iter()
-                .map(|(k, v)| ((k.name.to_string(), k.node), v.get()))
+                .map(|(k, v)| ((k.rendered(), k.node), v.get()))
                 .collect(),
             gauges: self
                 .gauges
                 .borrow()
                 .iter()
-                .map(|(k, v)| ((k.name.to_string(), k.node), v.get()))
+                .map(|(k, v)| ((k.rendered(), k.node), v.get()))
                 .collect(),
             hists: self
                 .hists
                 .borrow()
                 .iter()
-                .map(|(k, v)| ((k.name.to_string(), k.node), v.to_histogram()))
+                .map(|(k, v)| ((k.rendered(), k.node), v.to_histogram()))
                 .collect(),
         }
     }
@@ -414,6 +437,32 @@ mod tests {
         let mut rev = b.prefixed("dse.c12-f1200-onp-m115-acc.rkv");
         rev.merge(&a.prefixed("dse.c04-f1200-onp-m115-acc.rkv"));
         assert_eq!(rev.to_jsonl(), merged.to_jsonl());
+    }
+
+    #[test]
+    fn grouped_metrics_render_as_dot_g_names() {
+        let reg = Registry::new();
+        reg.counter_in("rkv.ops", Some(7), 2).add(5);
+        reg.counter_in("rkv.ops", Some(1000), 2).inc();
+        reg.counter_on("rkv.ops.flushed", 2).inc();
+        reg.gauge_in("rkv.buffered_writes", Some(0), 1).set(-2);
+        // One slot per (name, group, node); the plain name is the `None` group.
+        assert_eq!(reg.counter_in("rkv.ops", Some(7), 2).get(), 5);
+        assert_eq!(reg.counter_in("rkv.ops", Some(8), 2).get(), 0);
+        assert_eq!(reg.counter_on("rkv.ops", 2).get(), 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("rkv.ops.g007", 2), 5);
+        assert_eq!(snap.gauge("rkv.buffered_writes.g000", 1), -2);
+        // Exported in the order of the rendered strings, not of the keys.
+        let names: Vec<&str> = snap.counters.keys().map(|(n, _)| n.as_str()).collect();
+        let want = [
+            "rkv.ops",
+            "rkv.ops.flushed",
+            "rkv.ops.g007",
+            "rkv.ops.g008",
+            "rkv.ops.g1000",
+        ];
+        assert_eq!(names, want);
     }
 
     #[test]

@@ -1,63 +1,75 @@
 #!/usr/bin/env bash
-# Full local gate: everything CI would require before merging.
-#   ./scripts/check.sh
+# The gates, one definition each: CI jobs call them by stage name, and with
+# no argument this is the full local gate, everything CI would require.
+#   ./scripts/check.sh [stage ...]
+#   stages: fmt build test clippy doc bench-smoke scenarios figures dse
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --all --check"
-cargo fmt --all --check
+figures() { cargo run --release -q -p ipipe-bench --bin figures -- "$@"; }
+dse() { cargo run --release -q -p ipipe-bench --bin dse -- "$@"; }
 
-echo "==> cargo build --release"
-cargo build --release
+stage_fmt() { cargo fmt --all --check; }
+stage_build() { cargo build --release --workspace; }
+stage_test() { cargo test --workspace -q; }
+stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo doc --no-deps (broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+# Intra-doc links (`[`Cluster::set_client`]`, ...) are checked by nothing
+# else; a moved or renamed item must not leave one dangling.
+stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
 
 # The benchmark at smoke size: every workload's audits, export digests and
-# same-seed determinism checks; no wall-clock threshold.
-echo "==> benchmark/run.sh --smoke"
-bash benchmark/run.sh --smoke
+# same-seed determinism checks; no wall-clock threshold — performance
+# claims come from full `benchmark/run.sh` runs.
+stage_bench-smoke() { bash benchmark/run.sh --smoke; }
 
-# Every registered scenario (mirrors the CI scenarios matrix): same seed
-# twice and 1 vs 4 shards must export byte-identically, at both sizes.
-for scenario in rkv rkv-fault rkv-scale rkv-overload tcp-offload pod; do
-    echo "==> scenario smoke: $scenario"
-    ./scripts/scenario_smoke.sh "$scenario"
+# Every registered scenario, at both sizes: the run asserts its own audits,
+# the same seed twice at 4 shards (epochs on OS threads) and 1 vs 4 shards
+# must export byte-identically.
+stage_scenarios() {
+    for scenario in rkv rkv-fault rkv-scale rkv-overload tcp-offload pod; do
+        echo "==> scenario smoke: $scenario"
+        ./scripts/scenario_smoke.sh "$scenario"
+    done
+}
+
+stage_figures() {
+    # The RTA/DT figures once differed between runs of one binary (HashMap
+    # order reached the simulation): three fresh processes, each with its
+    # own hasher seed, must print the same bytes.
+    local figs
+    figs=$(mktemp -d)
+    for run in 1 2 3; do
+        figures fig13 fig14 fig15 fig18 > "$figs/$run.txt"
+    done
+    cmp "$figs/1.txt" "$figs/2.txt" && cmp "$figs/2.txt" "$figs/3.txt"
+    rm -rf "$figs"
+    # The committed copy of every table and figure is what the code prints
+    # now: a deployment or model change that moves a figure shows up here,
+    # not two PRs later (regenerate the file with this command when a
+    # figure moves on purpose).
+    figures all | cmp - figures_output.txt
+}
+
+# The 16-design smoke grid's canonical export must be byte-identical between
+# a serial run and a parallel sweep with the same seed: per-cell seeds are
+# spec-pure, so sweep order must never fingerprint the results. (Its
+# property and unit suites, like every scenario's, run under `test`.)
+stage_dse() {
+    local out
+    out=$(mktemp -d)
+    dse --smoke --seed 17 --serial --export "$out/serial.txt" > /dev/null
+    dse --smoke --seed 17 --export "$out/parallel.txt" > /dev/null
+    diff "$out/serial.txt" "$out/parallel.txt"
+    rm -rf "$out"
+}
+
+[ $# -gt 0 ] || set -- fmt build test clippy doc bench-smoke scenarios figures dse
+for stage in "$@"; do
+    declare -F "stage_$stage" > /dev/null || { echo "unknown stage: $stage" >&2; exit 2; }
 done
-
-# The RTA/DT figures once differed between runs of one binary (HashMap
-# order reached the simulation): three fresh processes, each with its own
-# hasher seed, must print the same bytes.
-echo "==> figures fig13 fig14 fig15 fig18: three fresh-process runs, byte-identical"
-figs=$(mktemp -d)
-for run in 1 2 3; do
-    ./target/release/figures fig13 fig14 fig15 fig18 > "$figs/$run.txt"
+for stage in "$@"; do
+    echo "==> $stage"
+    "stage_$stage"
 done
-cmp "$figs/1.txt" "$figs/2.txt" && cmp "$figs/2.txt" "$figs/3.txt"
-rm -rf "$figs"
-
-# The committed copy of every table and figure is what the code prints now
-# (the CI determinism job's command; regenerate the file with it when a
-# figure moves on purpose).
-echo "==> figures all vs figures_output.txt"
-cargo run --release -q -p ipipe-bench --bin figures -- all | cmp - figures_output.txt
-
-# DSE smoke (mirrors the CI dse-smoke job): the 16-design smoke grid's
-# canonical export must be byte-identical between a serial run and a
-# parallel run with the same seed. (Its property and unit suites, like
-# every scenario's, already ran under `cargo test -q` above.)
-echo "==> dse smoke (16-design grid; serial vs parallel byte-diff)"
-cargo run --release -q -p ipipe-bench --bin dse -- \
-    --smoke --seed 17 --serial --export /tmp/dse_serial.txt > /dev/null
-cargo run --release -q -p ipipe-bench --bin dse -- \
-    --smoke --seed 17 --export /tmp/dse_parallel.txt > /dev/null
-diff /tmp/dse_serial.txt /tmp/dse_parallel.txt
-echo "dse smoke exports are byte-identical (serial vs parallel)"
-
 echo "==> all checks passed"
