@@ -508,15 +508,12 @@ impl Cluster {
                     s.run_slice(end, horizon);
                 }
             }
-            let per_shard: Vec<u64> = self
-                .shards
-                .iter_mut()
-                .map(|s| std::mem::take(&mut s.processed))
-                .collect();
-            for (total, delta) in self.shard_events.iter_mut().zip(&per_shard) {
+            let deltas = self.shards.iter_mut().zip(&mut self.shard_events);
+            self.epoch_stats.note(deltas.map(|(s, total)| {
+                let delta = std::mem::take(&mut s.processed);
                 *total += delta;
-            }
-            self.epoch_stats.note(&per_shard);
+                delta
+            }));
             self.flush_outboxes();
             if horizon.is_none() {
                 break; // single shard: the slice ran straight to `end`
@@ -529,17 +526,19 @@ impl Cluster {
 
     /// Move cross-shard frames from every outbox into the destination
     /// shard's merge pool. Transfer order is irrelevant — the pool orders
-    /// entries by `(port_ready, dst, src, seq)`.
+    /// entries by `(port_ready, dst, src, seq)`. The emptied buffer goes
+    /// back to its shard, so an outbox grows once, not once per epoch.
     fn flush_outboxes(&mut self) {
         for s in 0..self.shards.len() {
             if self.shards[s].outbox.is_empty() {
                 continue;
             }
-            let moved = std::mem::take(&mut self.shards[s].outbox);
-            for e in moved {
-                let dst = self.shard_of[e.dst as usize] as usize;
-                self.shards[dst].pool.push(e);
+            let mut moved = std::mem::take(&mut self.shards[s].outbox);
+            for (key, kind) in moved.drain(..) {
+                let dst = self.shard_of[key.1 as usize] as usize;
+                self.shards[dst].pool.push(key, kind);
             }
+            self.shards[s].outbox = moved;
         }
     }
 

@@ -56,7 +56,7 @@ use ipipe_nicsim::spec::NicSpec;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
 use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
-use shard::PoolEntry;
+use shard::{ArrivalKind, PoolKey};
 
 /// Initial placement of an actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,10 +502,10 @@ struct ShardState {
     /// Full-length node-id → shard-id map (same in every shard).
     shard_of: Vec<u16>,
     /// In-flight frames addressed to nodes this shard owns.
-    pool: MergePool<PoolEntry>,
+    pool: MergePool<PoolKey, ArrivalKind>,
     /// In-flight frames addressed to other shards; drained into their pools
     /// at the next epoch barrier.
-    outbox: Vec<PoolEntry>,
+    outbox: Vec<(PoolKey, ArrivalKind)>,
     /// Per-source-node monotonic frame sequence numbers (full length; a
     /// node's counter is only ever bumped by its owning shard).
     send_seq: Vec<u64>,

@@ -8,47 +8,19 @@ use crate::actor::{ActorCtx, ActorLogic};
 use ipipe_netsim::{NodeId, Packet, TxPhase};
 
 /// What a transferred frame becomes once its last bit clears the switch
-/// egress port: a deliverable request or a corrupted carcass.
-enum ArrivalKind {
+/// egress port: a deliverable request or a corrupted carcass. This is what
+/// waits in the merge pool's slab — the payload is `Box<dyn Any>` and takes
+/// no part in the order.
+pub(super) enum ArrivalKind {
     Deliver { req: Request },
     Corrupt { wire_size: u32, flip: u8 },
 }
 
-/// A frame parked at the destination's ingress merge pool, waiting for the
-/// port to drain. Ordered by `(port_ready, dst, src, seq)` — `seq` is a
+/// The order of frames parked at a destination's ingress merge pool, waiting
+/// for the port to drain: `(port_ready, dst, src, seq)`. `seq` is a
 /// per-source-node monotonic counter, so the order is total and identical
-/// for every shard count. The payload is deliberately excluded from the
-/// ordering key (it is `Box<dyn Any>` and not comparable).
-pub(super) struct PoolEntry {
-    port_ready: SimTime,
-    pub(super) dst: u16,
-    src: u16,
-    seq: u64,
-    kind: ArrivalKind,
-}
-
-impl PoolEntry {
-    fn key(&self) -> (SimTime, u16, u16, u64) {
-        (self.port_ready, self.dst, self.src, self.seq)
-    }
-}
-
-impl PartialEq for PoolEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for PoolEntry {}
-impl PartialOrd for PoolEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PoolEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
+/// for every shard count.
+pub(super) type PoolKey = (SimTime, u16, u16, u64);
 
 impl ShardState {
     /// Runtime state of server `node`, which this shard must own.
@@ -64,7 +36,7 @@ impl ShardState {
     /// head of the ingress merge pool.
     pub(super) fn next_time(&self) -> Option<SimTime> {
         let q = self.events.peek_time();
-        let p = self.pool.peek().map(|e| e.port_ready);
+        let p = self.pool.peek().map(|&(port_ready, ..)| port_ready);
         match (q, p) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, None) => a,
@@ -85,7 +57,7 @@ impl ShardState {
             if horizon.is_some_and(|h| next >= h) {
                 break;
             }
-            if self.pool.peek().is_some_and(|e| e.port_ready == next) {
+            if self.pool.peek().is_some_and(|key| key.0 == next) {
                 self.resolve_arrivals(next);
                 continue;
             }
@@ -106,11 +78,10 @@ impl ShardState {
     /// `(port_ready, dst, src, seq)` order — charge the receive queue, and
     /// schedule the ingress event at the receive completion time.
     fn resolve_arrivals(&mut self, t: SimTime) {
-        while self.pool.peek().is_some_and(|e| e.port_ready == t) {
-            let e = self.pool.pop().expect("peeked");
+        while self.pool.peek().is_some_and(|key| key.0 == t) {
+            let ((_, node, src, _), kind) = self.pool.pop().expect("peeked");
             self.processed += 1;
-            let (node, src) = (e.dst, e.src);
-            let (wire_size, ev) = match e.kind {
+            let (wire_size, ev) = match kind {
                 ArrivalKind::Deliver { req } => (req.wire_size, Ev::Deliver { node, req }),
                 ArrivalKind::Corrupt { wire_size, flip } => {
                     let ev = Ev::DeliverCorrupt {
@@ -154,17 +125,11 @@ impl ShardState {
         };
         // Per-source-node monotonic sequence: the pool's total-order tiebreak.
         self.send_seq[src as usize] += 1;
-        let entry = PoolEntry {
-            port_ready,
-            dst,
-            src,
-            seq: self.send_seq[src as usize],
-            kind,
-        };
+        let key = (port_ready, dst, src, self.send_seq[src as usize]);
         if self.shard_of[dst as usize] == self.shard_id {
-            self.pool.push(entry);
+            self.pool.push(key, kind);
         } else {
-            self.outbox.push(entry);
+            self.outbox.push((key, kind));
         }
     }
 

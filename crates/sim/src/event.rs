@@ -36,6 +36,16 @@
 //! `now` is provably smaller, so total cascade work per event is bounded by
 //! the number of levels over its lifetime).
 //!
+//! **Keys in the wheel, bodies in a slab.** What the wheel orders is a
+//! 24-byte `Copy` key — `(at, seq, body)` — whatever the event type: slots,
+//! the spill heap, both scratch vectors and the ready batch hold keys only.
+//! The event itself is written once, by `schedule_at`, into a per-queue slab
+//! (`Vec<Option<E>>` plus a LIFO free list of vacated indices) and read
+//! once, by `pop` / `pop_batch`; every placement, cascade and sort in between
+//! moves three words. [`MergePool`] is built the same way: a heap of
+//! `(key, index)` over a slab of values. The contract below is unchanged by
+//! where the bodies live.
+//!
 //! **Determinism argument.** The wheel reproduces the heap's
 //! `(time, seq)` order exactly: the refill collects *all* entries at `T`
 //! (anything at `T` stored at level `l` must sit in slot `index_l(T)`),
@@ -49,7 +59,7 @@
 //! interleavings.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Slot-index width in bits; each level has `2^SLOT_BITS` slots.
@@ -61,32 +71,54 @@ const LEVELS: usize = 8;
 /// Timestamps whose XOR with `now` needs more than this many bits spill.
 const TOP_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
-struct Entry<E> {
+/// What the wheel orders: a timestamp, the global schedule counter and the
+/// slab index of the event's body. The derived order is `(at, seq)` — `seq`
+/// is unique, so `body` never decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
     at: u64,
     seq: u64,
-    event: E,
+    body: u32,
 }
 
-/// Spill-heap wrapper ordering entries as a min-heap on `(at, seq)`.
-struct SpillEntry<E>(Entry<E>);
+/// Where the values wait while their keys are ordered: a vector of slots and
+/// a LIFO free list, so a steady state reuses the slots it has (and the most
+/// recently vacated, likeliest cached, first). A vacated slot is `None`: a
+/// stale index panics instead of serving another entry's value.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
 
-impl<E> PartialEq for SpillEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
     }
-}
-impl<E> Eq for SpillEntry<E> {}
 
-impl<E> PartialOrd for SpillEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn insert(&mut self, value: T) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.slots[i as usize] = Some(value);
+            return i;
+        }
+        let i = u32::try_from(self.slots.len()).expect("more than 2^32 pending events");
+        self.slots.push(Some(value));
+        i
     }
-}
 
-impl<E> Ord for SpillEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (at, seq) pops first.
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
+    /// The index is freed before the value is read so that nothing that can
+    /// call out (the free list growing) sits between the read and the
+    /// caller's write: the value moves once, slot to destination.
+    fn take(&mut self, i: u32) -> T {
+        self.free.push(i);
+        self.slots[i as usize].take().expect("live body")
+    }
+
+    fn get(&self, i: u32) -> &T {
+        self.slots[i as usize].as_ref().expect("live body")
     }
 }
 
@@ -99,7 +131,7 @@ impl<E> Ord for SpillEntry<E> {
 pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` buckets, flattened; slot vectors keep their capacity
     /// across drains so steady-state scheduling does not allocate.
-    slots: Box<[Vec<Entry<E>>]>,
+    slots: Box<[Vec<Entry>]>,
     /// One occupancy bitmap per level; bit `s` set iff slot `s` is nonempty.
     occupied: [u64; LEVELS],
     /// Cached minimum timestamp per slot (`u64::MAX` when empty). Exact by
@@ -109,14 +141,16 @@ pub struct EventQueue<E> {
     /// high-level slot parks tens of thousands of far-future entries.
     slot_min: Box<[u64]>,
     /// Far-future events (more than `2^TOP_BITS` ns ahead of `now`).
-    spill: BinaryHeap<SpillEntry<E>>,
-    /// Events at `ready_time`, in seq order, currently being served.
-    ready: VecDeque<E>,
+    spill: BinaryHeap<Reverse<Entry>>,
+    /// Bodies of the events at `ready_time`, in seq order, being served.
+    ready: VecDeque<u32>,
     ready_time: u64,
     /// Scratch for cascading a drained slot (kept to reuse its capacity).
-    cascade_scratch: Vec<Entry<E>>,
+    cascade_scratch: Vec<Entry>,
     /// Scratch for assembling a same-instant batch before sorting by seq.
-    batch_scratch: Vec<Entry<E>>,
+    batch_scratch: Vec<Entry>,
+    /// Every pending event, at the index its [`Entry::body`] names.
+    bodies: Slab<E>,
     seq: u64,
     now: u64,
     popped: u64,
@@ -141,6 +175,7 @@ impl<E> EventQueue<E> {
             ready_time: 0,
             cascade_scratch: Vec::new(),
             batch_scratch: Vec::new(),
+            bodies: Slab::new(),
             seq: 0,
             now: 0,
             popped: 0,
@@ -181,10 +216,11 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
+        let body = self.bodies.insert(event);
         self.place(Entry {
             at: at.as_ns(),
             seq,
-            event,
+            body,
         });
     }
 
@@ -233,10 +269,10 @@ impl<E> EventQueue<E> {
         if self.ready.is_empty() && !self.refill_ready() {
             return None;
         }
-        let event = self.ready.pop_front().expect("refilled ready batch");
+        let body = self.ready.pop_front().expect("refilled ready batch");
         self.popped += 1;
         self.len -= 1;
-        Some((SimTime::from_ns(self.ready_time), event))
+        Some((SimTime::from_ns(self.ready_time), self.bodies.take(body)))
     }
 
     /// Pop **every** event sharing the next pending timestamp into `out`
@@ -256,7 +292,8 @@ impl<E> EventQueue<E> {
         }
         self.popped += self.ready.len() as u64;
         self.len -= self.ready.len();
-        out.extend(self.ready.drain(..));
+        let bodies = &mut self.bodies;
+        out.extend(self.ready.drain(..).map(|body| bodies.take(body)));
         Some(SimTime::from_ns(self.ready_time))
     }
 
@@ -287,8 +324,8 @@ impl<E> EventQueue<E> {
     /// is storage order, not firing order — callers tally, they do not
     /// replay. Taking `&self`, a visit cannot reorder or renumber events.
     pub fn for_each_pending(&self, mut f: impl FnMut(SimTime, &E)) {
-        for event in &self.ready {
-            f(SimTime::from_ns(self.ready_time), event);
+        for &body in &self.ready {
+            f(SimTime::from_ns(self.ready_time), self.bodies.get(body));
         }
         for (level, &occ) in self.occupied.iter().enumerate() {
             let mut bits = occ;
@@ -296,22 +333,28 @@ impl<E> EventQueue<E> {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 for entry in &self.slots[level * SLOTS + slot] {
-                    f(SimTime::from_ns(entry.at), &entry.event);
+                    f(SimTime::from_ns(entry.at), self.bodies.get(entry.body));
                 }
             }
         }
-        for SpillEntry(entry) in &self.spill {
-            f(SimTime::from_ns(entry.at), &entry.event);
+        for Reverse(entry) in &self.spill {
+            f(SimTime::from_ns(entry.at), self.bodies.get(entry.body));
         }
     }
 
     /// Insert an entry into the wheel level (or spill heap) dictated by its
     /// distance from `now`. The caller accounts for `len`.
-    fn place(&mut self, entry: Entry<E>) {
+    ///
+    /// Always inlined, so a freshly built key stays in registers: out of
+    /// line it goes through the stack as two 8-byte stores and comes back
+    /// as one 16-byte load, which cannot be store-forwarded (on the
+    /// `sim.event` probe that stall doubled the samples on the `push`).
+    #[inline(always)]
+    fn place(&mut self, entry: Entry) {
         let diff = entry.at ^ self.now;
         let bitlen = u64::BITS - diff.leading_zeros();
         if bitlen > TOP_BITS {
-            self.spill.push(SpillEntry(entry));
+            self.spill.push(Reverse(entry));
             return;
         }
         let level = if bitlen <= SLOT_BITS {
@@ -397,7 +440,7 @@ impl<E> EventQueue<E> {
         // Cascading interleaves arrival orders across levels; restore FIFO.
         batch.sort_unstable_by_key(|e| e.seq);
         self.ready_time = t_min;
-        self.ready.extend(batch.drain(..).map(|e| e.event));
+        self.ready.extend(batch.drain(..).map(|e| e.body));
         self.batch_scratch = batch;
         self.cascade_scratch = scratch;
         debug_assert!(!self.ready.is_empty());
@@ -405,50 +448,55 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A deterministic merge buffer: a min-heap of totally ordered entries.
+/// A deterministic merge buffer: a min-heap of totally ordered keys, each
+/// carrying a value that takes no part in the order.
 ///
 /// The sharded cluster runtime parks in-flight cross-shard arrivals here,
 /// keyed by a total order (arrival time, destination, source, per-source
 /// sequence) so that draining the pool at each simulated instant resolves
-/// arrivals identically for every shard count. It is a thin
-/// `BinaryHeap<Reverse<T>>` wrapper; the determinism comes from `T`'s `Ord`
-/// being total over all entries ever co-resident (give every entry a unique
-/// tiebreak sequence).
+/// arrivals identically for every shard count. The heap sifts `(key, index)`
+/// pairs; the values wait in a slab, as [`EventQueue`]'s events do. The
+/// determinism comes from `K`'s `Ord` being total over all keys ever
+/// co-resident (give every key a unique tiebreak sequence).
 #[derive(Debug)]
-pub struct MergePool<T: Ord> {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<T>>,
+pub struct MergePool<K: Ord + Copy, V> {
+    heap: BinaryHeap<Reverse<(K, u32)>>,
+    values: Slab<V>,
 }
 
-impl<T: Ord> Default for MergePool<T> {
+impl<K: Ord + Copy, V> Default for MergePool<K, V> {
     fn default() -> Self {
         MergePool::new()
     }
 }
 
-impl<T: Ord> MergePool<T> {
+impl<K: Ord + Copy, V> MergePool<K, V> {
     /// An empty pool.
-    pub fn new() -> MergePool<T> {
+    pub fn new() -> Self {
         MergePool {
-            heap: std::collections::BinaryHeap::new(),
+            heap: BinaryHeap::new(),
+            values: Slab::new(),
         }
     }
 
-    /// Insert an entry.
+    /// Park `value` under `key`.
     #[inline]
-    pub fn push(&mut self, entry: T) {
-        self.heap.push(std::cmp::Reverse(entry));
+    pub fn push(&mut self, key: K, value: V) {
+        let i = self.values.insert(value);
+        self.heap.push(Reverse((key, i)));
     }
 
-    /// The smallest entry, if any.
+    /// The smallest key, if any.
     #[inline]
-    pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|r| &r.0)
+    pub fn peek(&self) -> Option<&K> {
+        self.heap.peek().map(|Reverse((key, _))| key)
     }
 
-    /// Remove and return the smallest entry.
+    /// Remove and return the smallest key and its value.
     #[inline]
-    pub fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|r| r.0)
+    pub fn pop(&mut self) -> Option<(K, V)> {
+        let Reverse((key, i)) = self.heap.pop()?;
+        Some((key, self.values.take(i)))
     }
 
     /// Number of parked entries.
@@ -482,14 +530,18 @@ pub struct EpochStats {
 
 impl EpochStats {
     /// Record one epoch given each shard's processed-event delta.
-    pub fn note(&mut self, per_shard: &[u64]) {
-        let total: u64 = per_shard.iter().sum();
+    pub fn note(&mut self, per_shard: impl IntoIterator<Item = u64>) {
+        let (mut total, mut busiest) = (0, 0);
+        for delta in per_shard {
+            total += delta;
+            busiest = busiest.max(delta);
+        }
         if total == 0 {
             return;
         }
         self.epochs += 1;
         self.events += total;
-        self.critical_path += per_shard.iter().copied().max().unwrap_or(0);
+        self.critical_path += busiest;
     }
 
     /// Ideal speedup exposed by the sharding: total work over critical
@@ -521,29 +573,109 @@ mod tests {
 
     #[test]
     fn merge_pool_drains_in_total_order() {
-        let mut p: MergePool<(u64, u16, u64)> = MergePool::new();
+        let mut p: MergePool<(u64, u16, u64), (u64, u16, u64)> = MergePool::new();
         assert!(p.is_empty());
         // Push in scrambled order; drain must be ascending by the full key.
         for e in [(5, 1, 0), (3, 0, 2), (3, 0, 1), (3, 1, 0), (9, 0, 0)] {
-            p.push(e);
+            p.push(e, e);
         }
         assert_eq!(p.len(), 5);
         assert_eq!(p.peek(), Some(&(3, 0, 1)));
         let drained: Vec<_> = std::iter::from_fn(|| p.pop()).collect();
-        assert_eq!(
-            drained,
-            vec![(3, 0, 1), (3, 0, 2), (3, 1, 0), (5, 1, 0), (9, 0, 0)]
-        );
+        let order = [(3, 0, 1), (3, 0, 2), (3, 1, 0), (5, 1, 0), (9, 0, 0)];
+        assert_eq!(drained, order.map(|e| (e, e)));
         assert!(p.is_empty());
+    }
+
+    /// The wheel and the pool order small keys, whatever they carry: the
+    /// pool's element is measured with the runtime's key, `(port_ready, dst,
+    /// src, seq)`.
+    #[test]
+    fn ordered_elements_stay_small() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Entry>(), 24);
+        assert!(size_of::<Reverse<((SimTime, u16, u16, u64), u32)>>() <= 32);
+    }
+
+    /// The slab reuses vacated slots: a million events through a queue that
+    /// never holds more than a thousand leave a thousand body slots, and no
+    /// wheel slot's vector grows past what a thousand entries need.
+    #[test]
+    fn slab_and_slots_stay_bounded_over_a_million_cycles() {
+        const PENDING: u64 = 1_000;
+        let mut q = EventQueue::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..PENDING {
+            q.schedule_at(SimTime::from_ns(i * 37), i);
+        }
+        for i in PENDING..1_000_000 {
+            let (t, _) = q.pop().expect("a thousand pending");
+            // xorshift delays from 0 ns to ~1 ms: every level up to 3.
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            q.schedule_at(t + SimTime::from_ns(rng % (1 << (rng % 21))), i);
+            assert!(q.len() as u64 <= PENDING);
+        }
+        assert!(q.bodies.slots.len() as u64 <= PENDING);
+        assert!(q.bodies.free.capacity() as u64 <= 2 * PENDING);
+        for slot in q.slots.iter() {
+            assert!(slot.capacity() as u64 <= 2 * PENDING, "{}", slot.capacity());
+        }
+        for scratch in [&q.cascade_scratch, &q.batch_scratch] {
+            assert!(scratch.capacity() as u64 <= 2 * PENDING);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "live body")]
+    fn a_stale_body_index_panics() {
+        let mut slab = Slab::new();
+        let i = slab.insert("event");
+        assert_eq!(slab.take(i), "event");
+        slab.get(i);
+    }
+
+    /// The queue owns an event from `schedule_at` until it hands it out:
+    /// a popped event is the caller's to drop, once; an event still pending
+    /// when the queue goes is dropped with it, once.
+    #[test]
+    fn every_event_is_dropped_exactly_once() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Counted(Rc<Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops = Rc::new(Cell::new(0));
+        let mut q = EventQueue::new();
+        for at in [5, 5, 5, 70, 5_000, 1 << 50] {
+            q.schedule_at(SimTime::from_ns(at), Counted(drops.clone()));
+        }
+        let popped = q.pop().expect("six pending");
+        assert_eq!(drops.get(), 0, "the caller holds the popped event");
+        drop(popped);
+        assert_eq!(drops.get(), 1);
+        let mut batch = Vec::new();
+        q.pop_batch(&mut batch); // the other two at 5 ns
+        assert_eq!((batch.len(), drops.get()), (2, 1));
+        batch.clear();
+        assert_eq!(drops.get(), 3);
+        q.schedule_at(SimTime::from_ns(70), Counted(drops.clone())); // a reused slot
+        assert_eq!(q.len(), 4); // ready batch empty; wheel and spill are not
+        drop(q);
+        assert_eq!(drops.get(), 7);
     }
 
     #[test]
     fn epoch_stats_track_work_and_span() {
         let mut s = EpochStats::default();
         assert_eq!(s.speedup(), 1.0);
-        s.note(&[10, 30, 20, 0]); // busiest shard: 30
-        s.note(&[0, 0, 0, 0]); // empty epochs don't count
-        s.note(&[25, 25, 25, 25]); // busiest shard: 25
+        s.note([10, 30, 20, 0]); // busiest shard: 30
+        s.note([0, 0, 0, 0]); // empty epochs don't count
+        s.note([25, 25, 25, 25]); // busiest shard: 25
         assert_eq!(s.epochs, 2);
         assert_eq!(s.events, 160);
         assert_eq!(s.critical_path, 55);
@@ -746,6 +878,39 @@ mod tests {
     }
 
     proptest! {
+        /// Any interleaving of pushes and pops over distinct keys: pops
+        /// ascend, each value comes back under the key it was pushed with,
+        /// and `len` / `is_empty` / `peek` agree with a `BTreeMap`.
+        #[test]
+        fn merge_pool_matches_a_btreemap(
+            ops in prop::collection::vec((0u8..3, 0u64..50, 0u16..4), 1..400)
+        ) {
+            type Key = (u64, u16, u64);
+            let mut pool: MergePool<Key, Key> = MergePool::new();
+            let mut model = std::collections::BTreeMap::new();
+            let mut seq = 0u64;
+            for (op, at, dst) in ops {
+                if op < 2 {
+                    seq += 1; // the unique tiebreak: keys never repeat
+                    let key = (at, dst, seq);
+                    pool.push(key, key);
+                    model.insert(key, key);
+                } else {
+                    let popped = pool.pop();
+                    prop_assert_eq!(popped, model.pop_first());
+                    if let Some((key, value)) = popped {
+                        prop_assert_eq!(key, value);
+                    }
+                }
+                prop_assert_eq!(pool.len(), model.len());
+                prop_assert_eq!(pool.is_empty(), model.is_empty());
+                prop_assert_eq!(pool.peek(), model.keys().next());
+            }
+            let drained: Vec<Key> = std::iter::from_fn(|| pool.pop()).map(|(k, _)| k).collect();
+            prop_assert!(drained.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(drained, model.into_keys().collect::<Vec<_>>());
+        }
+
         /// After every step the borrowing visit sees exactly the pending
         /// multiset (checked against a model), and at the end exactly what
         /// popping to exhaustion returns. The fixed prologue puts one event

@@ -13,6 +13,10 @@ struct HeapEventQueue {
     seq: u64,
     now: SimTime,
     popped: u64,
+    /// The batch being served: its instant, and the schedule counter when
+    /// it formed. An event scheduled at that instant afterwards waits for
+    /// the follow-up batch (the contract's second sentence, DESIGN.md §8).
+    batch: (SimTime, u64),
 }
 
 impl HeapEventQueue {
@@ -22,7 +26,15 @@ impl HeapEventQueue {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
+            batch: (SimTime::ZERO, 0),
         }
+    }
+
+    /// True when the head of the heap belongs to the batch being served.
+    fn head_in_batch(&self) -> bool {
+        let (at, formed) = self.batch;
+        let head = self.heap.peek();
+        head.is_some_and(|e| e.0 .0 == at && e.0 .1 < formed)
     }
 
     fn schedule_at(&mut self, at: SimTime, event: u64) {
@@ -49,22 +61,41 @@ impl HeapEventQueue {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64)> {
+        if !self.head_in_batch() {
+            self.batch = (self.peek_time()?, self.seq);
+        }
         let Reverse((at, _, event)) = self.heap.pop()?;
         self.now = at;
         self.popped += 1;
         Some((at, event))
     }
 
-    /// Every event sharing the next pending timestamp, in FIFO order.
+    /// The rest of the batch being served, or all of the next one, in FIFO
+    /// order.
     fn pop_batch(&mut self, out: &mut Vec<u64>) -> Option<SimTime> {
         out.clear();
         let (t, first) = self.pop()?;
         out.push(first);
-        while self.peek_time() == Some(t) {
+        while self.head_in_batch() {
             out.push(self.pop().expect("peeked entry must pop").1);
         }
         Some(t)
     }
+
+    /// Everything pending, as a sorted multiset of `(time, event)`.
+    fn pending(&self) -> Vec<(SimTime, u64)> {
+        let mut all: Vec<_> = self.heap.iter().map(|e| (e.0 .0, e.0 .2)).collect();
+        all.sort_unstable();
+        all
+    }
+}
+
+/// Everything `for_each_pending` shows, as a sorted multiset.
+fn visited(q: &EventQueue<u64>) -> Vec<(SimTime, u64)> {
+    let mut seen = Vec::new();
+    q.for_each_pending(|t, &id| seen.push((t, id)));
+    seen.sort_unstable();
+    seen
 }
 
 #[test]
@@ -107,15 +138,18 @@ proptest! {
     /// The timing-wheel event queue replays bit-for-bit identically to the
     /// reference BinaryHeap queue under arbitrary interleavings of
     /// scheduling (quantized delays force same-instant bursts, plus a
-    /// far-future spill path), pops with zero-delay self-reschedules, and
-    /// advance_to jumps.
+    /// far-future spill path), pops with zero-delay self-reschedules,
+    /// whole-batch pops and advance_to jumps. After every step the borrowing
+    /// visit shows exactly the reference's contents: each key in the wheel,
+    /// the ready batch and the spill heap still names its own body.
     #[test]
     fn timing_wheel_matches_heap_reference(
-        ops in prop::collection::vec((0u8..8, 0u64..4096, 0u64..200_000), 1..300)
+        ops in prop::collection::vec((0u8..10, 0u64..4096, 0u64..200_000), 1..300)
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let mut next_id = 0u64;
+        let (mut wheel_batch, mut heap_batch) = (Vec::new(), Vec::new());
         for (op, small, big) in ops {
             match op {
                 // Schedule after a coarsely quantized delay (collisions
@@ -156,6 +190,15 @@ proptest! {
                         next_id += 1;
                     }
                 }
+                // Pop a whole same-instant batch (often the rest of one a
+                // single pop began) and compare.
+                7 => {
+                    let t = wheel.pop_batch(&mut wheel_batch);
+                    prop_assert_eq!(t, heap.pop_batch(&mut heap_batch));
+                    prop_assert_eq!(&wheel_batch, &heap_batch);
+                    prop_assert_eq!(wheel.now(), heap.now);
+                    prop_assert_eq!(wheel.fired(), heap.popped);
+                }
                 // advance_to, clamped to the next pending event so it never
                 // skips one; big == 0 also exercises the t <= now no-op.
                 _ => {
@@ -170,6 +213,7 @@ proptest! {
             }
             prop_assert_eq!(wheel.len(), heap.heap.len());
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            prop_assert_eq!(visited(&wheel), heap.pending());
         }
         // Full drain: the remaining (time, event) streams must be identical.
         loop {
