@@ -221,7 +221,6 @@ impl ClusterBuilder {
                     obs,
                     measure_start: SimTime::ZERO,
                     kills: Vec::new(),
-                    ev_batch: Vec::new(),
                     action_scratch: Vec::new(),
                     rx_frames: 0,
                     shard_of: shard_of.clone(),

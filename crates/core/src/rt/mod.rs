@@ -491,8 +491,6 @@ struct ShardState {
     measure_start: SimTime,
     /// Watchdog kills with their firing time, for a cross-shard total order.
     kills: Vec<(SimTime, u16, ActorId)>,
-    /// Reusable same-timestamp event batch for the dispatch loop.
-    ev_batch: Vec<Ev>,
     /// Reusable scheduler-action buffer drained after each NIC completion.
     action_scratch: Vec<Action>,
     /// Frames processed off the wire (`Deliver` + `DeliverCorrupt` events

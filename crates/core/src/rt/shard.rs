@@ -49,7 +49,6 @@ impl ShardState {
     /// *before* queued handlers run — the rule that makes arrival order
     /// independent of the shard count.
     pub(super) fn run_slice(&mut self, end: SimTime, horizon: Option<SimTime>) {
-        let mut batch = std::mem::take(&mut self.ev_batch);
         while let Some(next) = self.next_time() {
             if next > end {
                 break;
@@ -62,16 +61,16 @@ impl ShardState {
                 continue;
             }
             // Dispatch is batched per distinct timestamp: one traversal of
-            // the event queue serves every simultaneous event, and handlers
+            // the event queue serves every simultaneous event, each taken
+            // from the queue's slab straight into its handler, and handlers
             // scheduling at the current instant form a follow-up batch with
             // larger sequence numbers.
-            let now = self.events.pop_batch(&mut batch).expect("peeked");
-            self.processed += batch.len() as u64;
-            for ev in batch.drain(..) {
+            let now = self.events.next_batch().expect("peeked");
+            while let Some(ev) = self.events.pop_ready() {
+                self.processed += 1;
                 self.handle(now, ev);
             }
         }
-        self.ev_batch = batch;
     }
 
     /// Pop every pool entry whose egress port drains at instant `t` — in

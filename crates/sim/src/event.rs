@@ -29,22 +29,36 @@
 //! * a level-0 slot holds exactly one timestamp, so draining it yields a
 //!   complete same-instant batch.
 //!
-//! A pop refills the internal *ready batch*: find the minimum pending
-//! timestamp `T` across levels, advance `now` to `T`, then drain slot
+//! [`EventQueue::next_batch`] refills the internal *ready batch*: take the
+//! minimum pending timestamp `T`, advance `now` to `T`, then drain slot
 //! `index_l(T)` at every level — entries equal to `T` fire, later entries
 //! cascade to strictly lower levels (their placement level w.r.t. the new
 //! `now` is provably smaller, so total cascade work per event is bounded by
-//! the number of levels over its lifetime).
+//! the number of levels over its lifetime). The level-0 slot is appended to
+//! the batch whole, with no cascade pass: it holds exactly one timestamp.
+//!
+//! **The minimum is cached, not scanned.** The queue keeps `next_at`, the
+//! exact earliest timestamp in the wheel and the spill heap together.
+//! `schedule_at` lowers it; the refill, the only operation that removes
+//! timestamps from the wheel and the heap, takes `T = next_at` and ends with
+//! one scan (each level's lowest occupied slot, via its cached slot minimum,
+//! and the spill head) that sets it again. Nothing else can make it stale:
+//! cascades and spill migration move entries between levels and out of the
+//! heap but never change the set of pending timestamps, and
+//! [`EventQueue::advance_to`] moves `now`, not an entry. So
+//! [`EventQueue::peek_time`] is O(1), and the refill scans once instead of
+//! twice.
 //!
 //! **Keys in the wheel, bodies in a slab.** What the wheel orders is a
 //! 24-byte `Copy` key — `(at, seq, body)` — whatever the event type: slots,
-//! the spill heap, both scratch vectors and the ready batch hold keys only.
-//! The event itself is written once, by `schedule_at`, into a per-queue slab
-//! (`Vec<Option<E>>` plus a LIFO free list of vacated indices) and read
-//! once, by `pop` / `pop_batch`; every placement, cascade and sort in between
-//! moves three words. [`MergePool`] is built the same way: a heap of
-//! `(key, index)` over a slab of values. The contract below is unchanged by
-//! where the bodies live.
+//! the spill heap, the cascade scratch vector and the ready batch hold keys
+//! only. The event itself is written once, by `schedule_at`, into a
+//! per-queue slab (`Vec<Option<E>>` plus a LIFO free list of vacated
+//! indices) and read once, by [`EventQueue::pop_ready`], straight into the
+//! caller's hands; every placement, cascade and sort in between moves three
+//! words. [`MergePool`] is built the same way: a heap of `(key, index)` over
+//! a slab of values. The contract below is unchanged by where the bodies
+//! live.
 //!
 //! **Determinism argument.** The wheel reproduces the heap's
 //! `(time, seq)` order exactly: the refill collects *all* entries at `T`
@@ -52,15 +66,16 @@
 //! sorts them by sequence number (cascading can interleave arrival orders
 //! across levels), and serves them FIFO. Events scheduled *at* the ready
 //! batch's own timestamp while it drains are inserted at level 0 and picked
-//! up by the next refill of the same instant — their sequence numbers exceed
-//! everything already in the batch, so overall order is still `(time, seq)`.
+//! up by the next refill of the same instant — `pop_ready` never starts one,
+//! only `next_batch` does — and their sequence numbers exceed everything
+//! already in the batch, so overall order is still `(time, seq)`.
 //! Replays are therefore bit-for-bit identical to a plain binary heap on
 //! `(time, seq)`, which `tests/queue_ref.rs` asserts under arbitrary
 //! interleavings.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Slot-index width in bits; each level has `2^SLOT_BITS` slots.
 const SLOT_BITS: u32 = 6;
@@ -137,18 +152,22 @@ pub struct EventQueue<E> {
     /// Cached minimum timestamp per slot (`u64::MAX` when empty). Exact by
     /// construction: slots gain entries only through `place` (which
     /// min-updates) and empty only through whole-slot drains (which reset) —
-    /// so `peek_time` and the refill minimum scan stay O(levels) even when a
+    /// so the refill's scan for `next_at` stays O(levels) even when a
     /// high-level slot parks tens of thousands of far-future entries.
     slot_min: Box<[u64]>,
     /// Far-future events (more than `2^TOP_BITS` ns ahead of `now`).
     spill: BinaryHeap<Reverse<Entry>>,
-    /// Bodies of the events at `ready_time`, in seq order, being served.
-    ready: VecDeque<u32>,
+    /// Exact earliest timestamp in the wheel and the spill heap (the ready
+    /// batch is not counted), `u64::MAX` while both are empty. See the
+    /// module docs for why it stays exact.
+    next_at: u64,
+    /// Keys of the events at `ready_time`, in seq order; `ready[served..]`
+    /// are still to be served. Kept across refills to reuse its capacity.
+    ready: Vec<Entry>,
+    served: usize,
     ready_time: u64,
     /// Scratch for cascading a drained slot (kept to reuse its capacity).
     cascade_scratch: Vec<Entry>,
-    /// Scratch for assembling a same-instant batch before sorting by seq.
-    batch_scratch: Vec<Entry>,
     /// Every pending event, at the index its [`Entry::body`] names.
     bodies: Slab<E>,
     seq: u64,
@@ -171,10 +190,11 @@ impl<E> EventQueue<E> {
             occupied: [0; LEVELS],
             slot_min: vec![u64::MAX; LEVELS * SLOTS].into_boxed_slice(),
             spill: BinaryHeap::new(),
-            ready: VecDeque::new(),
+            next_at: u64::MAX,
+            ready: Vec::new(),
+            served: 0,
             ready_time: 0,
             cascade_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
             bodies: Slab::new(),
             seq: 0,
             now: 0,
@@ -215,6 +235,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
+        self.next_at = self.next_at.min(at.as_ns());
         self.len += 1;
         let body = self.bodies.insert(event);
         self.place(Entry {
@@ -229,26 +250,13 @@ impl<E> EventQueue<E> {
         self.schedule_at(SimTime::from_ns(self.now) + delay, event);
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Timestamp of the next pending event, if any. O(1): the rest of the
+    /// ready batch, else the cached minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.ready.is_empty() {
+        if self.served < self.ready.len() {
             return Some(SimTime::from_ns(self.ready_time));
         }
-        if self.len == 0 {
-            return None;
-        }
-        let mut best = u64::MAX;
-        for (level, &occ) in self.occupied.iter().enumerate() {
-            if occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                best = best.min(self.slot_min[level * SLOTS + slot]);
-            }
-        }
-        if let Some(head) = self.spill.peek() {
-            best = best.min(head.0.at);
-        }
-        debug_assert_ne!(best, u64::MAX);
-        Some(SimTime::from_ns(best))
+        (self.len > 0).then(|| SimTime::from_ns(self.next_at))
     }
 
     /// Advance `now` to `t` without firing anything. A no-op when `t` is not
@@ -264,37 +272,53 @@ impl<E> EventQueue<E> {
         self.now = t.as_ns();
     }
 
-    /// Pop the next event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.ready.is_empty() && !self.refill_ready() {
-            return None;
+    /// Make the next same-instant batch current, advancing `now` to its
+    /// timestamp, and return that timestamp (`None` when nothing is
+    /// pending). While a batch is still being served this is a no-op that
+    /// returns the batch's timestamp.
+    ///
+    /// One traversal of the wheel serves the whole same-instant burst, so a
+    /// caller dispatching simultaneous events (a common pattern in
+    /// packet-level simulations) touches it once per distinct timestamp
+    /// rather than once per event. Events scheduled at the batch's own
+    /// instant while it is served wait for the next call.
+    pub fn next_batch(&mut self) -> Option<SimTime> {
+        if self.served == self.ready.len() {
+            if self.len == 0 {
+                return None;
+            }
+            self.refill_ready();
         }
-        let body = self.ready.pop_front().expect("refilled ready batch");
-        self.popped += 1;
-        self.len -= 1;
-        Some((SimTime::from_ns(self.ready_time), self.bodies.take(body)))
+        Some(SimTime::from_ns(self.ready_time))
     }
 
-    /// Pop **every** event sharing the next pending timestamp into `out`
-    /// (cleared first, refilled in FIFO order), advancing `now` to that
-    /// timestamp. Returns the batch's timestamp, or `None` when the queue is
-    /// empty.
-    ///
-    /// This is the batched twin of [`EventQueue::pop`]: one traversal of the
-    /// priority structure serves the whole same-instant burst, so callers
-    /// dispatching simultaneous events (a common pattern in packet-level
-    /// simulations) touch the wheel once per distinct timestamp rather than
-    /// once per event.
+    /// Take the next event of the current batch, in FIFO order, straight
+    /// from the slab. `None` once the batch is exhausted: this never starts
+    /// a new batch, [`EventQueue::next_batch`] does.
+    #[inline]
+    pub fn pop_ready(&mut self) -> Option<E> {
+        let body = self.ready.get(self.served)?.body;
+        self.served += 1;
+        self.popped += 1;
+        self.len -= 1;
+        Some(self.bodies.take(body))
+    }
+
+    /// Pop the next event, advancing `now` to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let at = self.next_batch()?;
+        let event = self.pop_ready().expect("a current batch is never empty");
+        Some((at, event))
+    }
+
+    /// Pop the rest of the current batch, or **every** event of the next
+    /// one, into `out` (cleared first, refilled in FIFO order). Returns the
+    /// batch's timestamp, or `None` when the queue is empty.
     pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
-        if self.ready.is_empty() && !self.refill_ready() {
-            return None;
-        }
-        self.popped += self.ready.len() as u64;
-        self.len -= self.ready.len();
-        let bodies = &mut self.bodies;
-        out.extend(self.ready.drain(..).map(|body| bodies.take(body)));
-        Some(SimTime::from_ns(self.ready_time))
+        let at = self.next_batch()?;
+        out.extend(std::iter::from_fn(|| self.pop_ready()));
+        Some(at)
     }
 
     /// Run the event loop until the queue drains or `end` is passed, invoking
@@ -324,8 +348,9 @@ impl<E> EventQueue<E> {
     /// is storage order, not firing order — callers tally, they do not
     /// replay. Taking `&self`, a visit cannot reorder or renumber events.
     pub fn for_each_pending(&self, mut f: impl FnMut(SimTime, &E)) {
-        for &body in &self.ready {
-            f(SimTime::from_ns(self.ready_time), self.bodies.get(body));
+        let ready_time = SimTime::from_ns(self.ready_time);
+        for entry in &self.ready[self.served..] {
+            f(ready_time, self.bodies.get(entry.body));
         }
         for (level, &occ) in self.occupied.iter().enumerate() {
             let mut bits = occ;
@@ -371,80 +396,72 @@ impl<E> EventQueue<E> {
         self.slots[idx].push(entry);
     }
 
-    /// True when every wheel level is empty (the spill heap may not be).
-    fn wheel_is_empty(&self) -> bool {
-        self.occupied.iter().all(|&occ| occ == 0)
+    /// Empty the slot of `level` that timestamp `t` falls in, appending its
+    /// entries to `into`.
+    fn drain_slot(&mut self, level: usize, t: u64, into: &mut Vec<Entry>) {
+        let slot = ((t >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
+        if self.occupied[level] & (1 << slot) != 0 {
+            self.occupied[level] &= !(1 << slot);
+            self.slot_min[level * SLOTS + slot] = u64::MAX;
+            into.append(&mut self.slots[level * SLOTS + slot]);
+        }
     }
 
-    /// Rebuild the ready batch from the earliest pending timestamp.
-    /// Returns false when nothing is pending. On success `now` has advanced
-    /// to the batch timestamp and `ready` holds its events in seq order.
-    fn refill_ready(&mut self) -> bool {
-        debug_assert!(self.ready.is_empty());
-        if self.len == 0 {
-            return false;
-        }
-        // An empty wheel means the next event sits in the spill heap: jump
-        // to its window so the migration below picks it up.
-        if self.wheel_is_empty() {
-            let head_at = self.spill.peek().expect("len > 0 with empty wheel").0.at;
-            debug_assert!(head_at >= self.now);
-            self.now = head_at;
-        }
-        // Migrate spill entries whose top-level window the clock has reached.
-        // Afterwards every spill entry is provably later than the entire
-        // wheel, so the minimum scan below can ignore the spill.
-        while let Some(head) = self.spill.peek() {
-            if head.0.at >> TOP_BITS == self.now >> TOP_BITS {
-                let entry = self.spill.pop().expect("peeked head").0;
-                self.place(entry);
-            } else {
-                break;
-            }
-        }
-        // Earliest pending timestamp: each level's candidate is its lowest
-        // occupied slot (slot index orders time within a level).
-        let mut t_min = u64::MAX;
-        for (level, &occ) in self.occupied.iter().enumerate() {
-            if occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                t_min = t_min.min(self.slot_min[level * SLOTS + slot]);
-            }
-        }
-        debug_assert_ne!(t_min, u64::MAX);
+    /// Rebuild the ready batch from the earliest pending timestamp, which
+    /// `next_at` holds: `now` advances to it and `ready` holds its events in
+    /// seq order. The caller checks that the old batch is served and that
+    /// something is pending.
+    fn refill_ready(&mut self) {
+        debug_assert!(self.served == self.ready.len() && self.len > 0);
+        let t_min = self.next_at;
         debug_assert!(t_min >= self.now);
         self.now = t_min;
+        // Migrate spill entries whose top-level window the clock has reached
+        // (the minimum may be one of them).
+        while let Some(head) = self.spill.peek() {
+            if head.0.at >> TOP_BITS != t_min >> TOP_BITS {
+                break;
+            }
+            let entry = self.spill.pop().expect("peeked head").0;
+            self.place(entry);
+        }
         // Collect the batch: anything at t_min stored at level l must sit in
         // slot index_l(t_min). Drain that slot at every level; entries after
         // t_min cascade to strictly lower levels relative to the new `now`.
-        let mut batch = std::mem::take(&mut self.batch_scratch);
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        self.served = 0;
         let mut scratch = std::mem::take(&mut self.cascade_scratch);
-        debug_assert!(batch.is_empty() && scratch.is_empty());
-        for level in (0..LEVELS).rev() {
-            let slot = ((t_min >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-            if self.occupied[level] & (1 << slot) == 0 {
-                continue;
-            }
-            self.occupied[level] &= !(1 << slot);
-            self.slot_min[level * SLOTS + slot] = u64::MAX;
-            scratch.append(&mut self.slots[level * SLOTS + slot]);
+        for level in (1..LEVELS).rev() {
+            self.drain_slot(level, t_min, &mut scratch);
             for entry in scratch.drain(..) {
                 if entry.at == t_min {
-                    batch.push(entry);
+                    ready.push(entry);
                 } else {
                     debug_assert!(entry.at > t_min);
                     self.place(entry);
                 }
             }
         }
+        // A level-0 slot holds exactly one timestamp: it joins the batch whole.
+        self.drain_slot(0, t_min, &mut ready);
+        debug_assert!(ready.iter().all(|e| e.at == t_min));
         // Cascading interleaves arrival orders across levels; restore FIFO.
-        batch.sort_unstable_by_key(|e| e.seq);
+        ready.sort_unstable_by_key(|e| e.seq);
+        self.ready = ready;
         self.ready_time = t_min;
-        self.ready.extend(batch.drain(..).map(|e| e.body));
-        self.batch_scratch = batch;
         self.cascade_scratch = scratch;
         debug_assert!(!self.ready.is_empty());
-        true
+        // The one scan per batch: each level's candidate is its lowest
+        // occupied slot (slot index orders time within a level).
+        let mut next = self.spill.peek().map_or(u64::MAX, |head| head.0.at);
+        for (level, &occ) in self.occupied.iter().enumerate() {
+            if occ != 0 {
+                let slot = occ.trailing_zeros() as usize;
+                next = next.min(self.slot_min[level * SLOTS + slot]);
+            }
+        }
+        self.next_at = next;
     }
 }
 
@@ -622,7 +639,7 @@ mod tests {
         for slot in q.slots.iter() {
             assert!(slot.capacity() as u64 <= 2 * PENDING, "{}", slot.capacity());
         }
-        for scratch in [&q.cascade_scratch, &q.batch_scratch] {
+        for scratch in [&q.cascade_scratch, &q.ready] {
             assert!(scratch.capacity() as u64 <= 2 * PENDING);
         }
     }
@@ -867,6 +884,53 @@ mod tests {
         q.schedule_at(t, 3);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    /// `peek_time` reads the cached minimum; it must equal a full scan of
+    /// what is pending through a spill-only queue, spill migration, a
+    /// schedule below the cached value while a batch is half served, and a
+    /// drain to `None` followed by new schedules.
+    #[test]
+    fn peek_time_is_exact_without_a_scan() {
+        fn scanned(q: &EventQueue<&str>) -> Option<SimTime> {
+            let mut min = None;
+            q.for_each_pending(|t, _| min = Some(min.map_or(t, |m: SimTime| m.min(t))));
+            min
+        }
+        let at = |ns: u64| SimTime::from_ns((1 << 50) + ns);
+        let mut q = EventQueue::new();
+        q.schedule_at(at(500), "a");
+        q.schedule_at(at(9), "b");
+        assert!(q.occupied.iter().all(|&occ| occ == 0), "both spilled");
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(9)), Some(at(9))));
+        assert_eq!(q.pop(), Some((at(9), "b"))); // migrates "a" into the wheel
+        assert!(q.spill.is_empty());
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(500)), Some(at(500))));
+        for e in ["c0", "c1", "c2"] {
+            q.schedule_at(at(200), e);
+        }
+        assert_eq!(q.peek_time(), Some(at(200)));
+        assert_eq!(q.next_batch(), Some(at(200)));
+        assert_eq!(q.pop_ready(), Some("c0"));
+        assert_eq!(q.next_at, at(500).as_ns(), "the cache skips the batch");
+        q.schedule_at(at(300), "d"); // below the cached minimum, batch half served
+        q.schedule_at(at(200), "e"); // the batch's own instant: a follow-up batch
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(200)), Some(at(200))));
+        assert_eq!(q.pop_ready(), Some("c1"));
+        assert_eq!(q.pop_ready(), Some("c2"));
+        assert_eq!(q.pop_ready(), None, "pop_ready never starts a batch");
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(200)), Some(at(200))));
+        assert_eq!(q.pop(), Some((at(200), "e")));
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(300)), Some(at(300))));
+        assert_eq!(q.pop(), Some((at(300), "d")));
+        assert_eq!(q.pop(), Some((at(500), "a")));
+        assert_eq!((q.peek_time(), scanned(&q), q.pop()), (None, None, None));
+        let far = at(1 << 49);
+        q.schedule_at(far, "far"); // spills again
+        q.schedule_at(at(600), "near");
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(600)), Some(at(600))));
+        assert_eq!(q.pop(), Some((at(600), "near")));
+        assert_eq!((q.peek_time(), scanned(&q)), (Some(far), Some(far)));
     }
 
     /// Everything `for_each_pending` visits, as a sorted multiset.

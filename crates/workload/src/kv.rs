@@ -46,12 +46,24 @@ impl KvOp {
     }
 }
 
-/// Encode a numeric key id as a fixed 16-byte key ("k" + zero-padded id).
+/// Encode a numeric key id as a fixed 16-byte key ("k" + the id in 15
+/// zero-padded decimal digits), written into the array from the right.
+///
+/// # Panics
+/// Panics if `id` needs more than 15 digits (`id >= 10^15`).
 pub fn encode_key(id: u64) -> [u8; KEY_LEN] {
+    assert!(
+        id < 10u64.pow(KEY_LEN as u32 - 1),
+        "key id {id} does not fit a key's 15 decimal digits (ids must be below 10^15)"
+    );
     let mut k = [b'0'; KEY_LEN];
     k[0] = b'k';
-    let s = format!("{id:015}");
-    k[1..].copy_from_slice(s.as_bytes());
+    let (mut rest, mut i) = (id, KEY_LEN);
+    while rest != 0 {
+        i -= 1;
+        k[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
     k
 }
 
@@ -122,6 +134,37 @@ mod tests {
         assert_eq!(&encode_key(7)[..], b"k000000000000007");
         assert_ne!(encode_key(1), encode_key(10));
         assert_ne!(encode_key(999_999), encode_key(999_998));
+    }
+
+    /// Byte-identical to the `format!` it replaced, at every digit-count
+    /// boundary up to the 15-digit limit and at 10,000 seeded ids.
+    #[test]
+    fn key_encoding_matches_format() {
+        let old = |id: u64| {
+            let mut k = [b'0'; KEY_LEN];
+            k[0] = b'k';
+            k[1..].copy_from_slice(format!("{id:015}").as_bytes());
+            k
+        };
+        let mut ids = vec![0, 9, 10, 999_999_999_999_999];
+        for p in (1..15).map(|k| 10u64.pow(k)) {
+            ids.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = DetRng::new(0x6b6579);
+        // Uniform over 1..=15 digit counts, then uniform within one.
+        ids.extend((0..10_000).map(|_| {
+            let digits = 1 + rng.below(15) as u32;
+            rng.below(10u64.pow(digits))
+        }));
+        for id in ids {
+            assert_eq!(encode_key(id), old(id), "id {id}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key id 1000000000000000 does not fit a key's 15 decimal digits")]
+    fn key_ids_past_fifteen_digits_panic() {
+        encode_key(10u64.pow(15));
     }
 
     #[test]

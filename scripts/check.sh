@@ -2,7 +2,7 @@
 # The gates, one definition each: CI jobs call them by stage name, and with
 # no argument this is the full local gate, everything CI would require.
 #   ./scripts/check.sh [stage ...]
-#   stages: fmt build test clippy doc bench-smoke scenarios figures dse
+#   stages: fmt build test clippy doc queue-deep bench-smoke scenarios figures dse
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +17,10 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # Intra-doc links (`[`Cluster::set_client`]`, ...) are checked by nothing
 # else; a moved or renamed item must not leave one dangling.
 stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
+
+# The timing wheel against its BinaryHeap reference at 4,000 cases, in
+# release mode: the same differential `test` runs at 64 (one shared body).
+stage_queue-deep() { cargo test --release -p ipipe-sim --test queue_ref -- --ignored; }
 
 # The benchmark at smoke size: every workload's audits, export digests and
 # same-seed determinism checks; no wall-clock threshold — performance
@@ -64,7 +68,7 @@ stage_dse() {
     rm -rf "$out"
 }
 
-[ $# -gt 0 ] || set -- fmt build test clippy doc bench-smoke scenarios figures dse
+[ $# -gt 0 ] || set -- fmt build test clippy doc queue-deep bench-smoke scenarios figures dse
 for stage in "$@"; do
     declare -F "stage_$stage" > /dev/null || { echo "unknown stage: $stage" >&2; exit 2; }
 done

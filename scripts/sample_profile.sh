@@ -3,24 +3,29 @@
 # with no PMU, perf, valgrind or gdb. An LD_PRELOAD library takes a
 # backtrace() on every ITIMER_PROF tick of a benchmark repetition; the
 # addresses are symbolised with addr2line (inlined frames included) and
-# reduced to three tables over the samples under Cluster::run_for.
-#   ./scripts/sample_profile.sh <workload> [seed] [reps] [cut]
+# reduced to three tables over the samples under one root function.
+#   ./scripts/sample_profile.sh <workload> [seed] [reps] [cut] [root]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
 # dse-grid), run at the size of `--seconds 20`. The kernel ticks ITIMER_PROF
 # every 4 ms here, about 230 samples per repetition, hence 8 repetitions.
 # The third table charges each sample to the innermost frame whose demangled
-# name contains an entry of the cut list; [cut] = "a,b,..." replaces the list.
+# name contains an entry of the cut list; [cut] = "a,b,..." replaces the list
+# ("" keeps the default). [root] (default Cluster::run_for) keeps the samples
+# with a frame whose name ends in it and cuts each stack there; "-" keeps
+# every sample whole, set-up and work outside the cluster loop included (the
+# fig16 cells of dse-grid run under EventQueue::run_until, not run_for).
 # Needs cc, addr2line and python3; everything it writes goes under
 # target/sample-profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=${1:?usage: sample_profile.sh <workload> [seed] [reps] [cut]}
+workload=${1:?usage: sample_profile.sh <workload> [seed] [reps] [cut] [root]}
 seed=${2:-11}
 reps=${3:-8}
 # Layers of the request path and of the TCP transport (neither's names occur
 # in the other's workloads), plus two that cut across them: hash-table probes,
 # and "??", code outside the executable (libc's malloc, free, memcpy).
 cut=${4:-DmoSkipList::,DmoTable::,NicScheduler::evaluate_regrouping,NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,tcp::stream,TcpSender::,TcpReceiver::,nstack::,FaultPlan::,Histogram::,obs::,hashbrown::,??}
+root=${5:-Cluster::run_for}
 dir=target/sample-profile
 mkdir -p "$dir"
 
@@ -95,10 +100,10 @@ for rep in $(seq "$reps"); do
         --child rep --workload "$workload" --seed "$seed" --scale 0.083333 > /dev/null
 done
 
-python3 - "$bin" "$cut" "$dir"/samples.* <<'EOF'
+python3 - "$bin" "$cut" "$root" "$dir"/samples.* <<'EOF'
 import collections, re, subprocess, sys
 
-binary, cut, files = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
+binary, cut, root, files = sys.argv[1], sys.argv[2].split(","), sys.argv[3], sys.argv[4:]
 samples = [l.split() for f in files for l in open(f) if l.strip()]
 # The interrupted pc is exact; every outer frame is a return address, which
 # belongs to the call one byte earlier.
@@ -122,13 +127,17 @@ def short(name):  # rt::shard::<impl rt::ShardState>::run_slice -> rt::ShardStat
 stacks = []
 for s in samples:
     stack = [short(n) for a in s for n in names.get(a, ["??"])]
-    roots = [i for i, n in enumerate(stack) if n.endswith("Cluster::run_for")]
+    if root == "-":  # libc's thread and process start frames are "??" too
+        stacks.append(stack[:1] + [n for n in stack[1:] if n != "??"])
+        continue
+    roots = [i for i, n in enumerate(stack) if n.endswith(root)]
     if roots:
         stacks.append(stack[:roots[0]])
 total = len(stacks)
-print(f"{len(samples)} samples in {len(files)} repetitions, {total} under Cluster::run_for\n")
+under = "in the whole process" if root == "-" else f"under {root}"
+print(f"{len(samples)} samples in {len(files)} repetitions, {total} {under}\n")
 if not total:
-    sys.exit("no sample under Cluster::run_for: is this a cluster workload?")
+    sys.exit(f"no sample under {root}: is this a cluster workload? (root - keeps every sample)")
 
 def table(title, counts, rows=30):
     print(title)
@@ -137,7 +146,7 @@ def table(title, counts, rows=30):
     print()
 
 table("self (innermost frame, inlined functions counted as themselves)",
-      collections.Counter(s[0] if s else "Cluster::run_for" for s in stacks))
+      collections.Counter(s[0] if s else root for s in stacks))
 table("inclusive (function anywhere in the stack, once per sample)",
       collections.Counter(n for s in stacks for n in set(s)), rows=40)
 by_cut = collections.Counter()

@@ -333,14 +333,14 @@ proptest! {
             }
         });
         // The runtime's loop (`ShardState::run_slice`): peek, stop past the
-        // end, pop the whole instant. What a handler schedules at `t` must
-        // come back as a follow-up batch at `t`, never be lost or reordered.
+        // end, make the instant's batch current and take its events one at a
+        // time. What a handler schedules at `t` must come back as a
+        // follow-up batch at `t`, never be lost or reordered.
         let mut batched = (Vec::new(), delays.len() as u64);
         let mut q2 = build();
-        let mut batch = Vec::new();
         while q2.peek_time().is_some_and(|at| at <= end) {
-            let t = q2.pop_batch(&mut batch).expect("peeked");
-            for id in batch.drain(..) {
+            let t = q2.next_batch().expect("peeked");
+            while let Some(id) = q2.pop_ready() {
                 batched.0.push((t, id));
                 if id % 7 == 0 && batched.1 < 2 * delays.len() as u64 {
                     q2.schedule_at(t, batched.1);
