@@ -343,7 +343,6 @@ pub fn table3_accels() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figure::{Group, FIGURES};
 
     /// The note's cells in [`FIG2_SIZES`] order; `None` is "unreachable".
     fn cores_for_line_rate(t: &Table) -> Vec<Option<f64>> {
@@ -370,25 +369,6 @@ mod tests {
             cores_for_line_rate(&t),
             [None, None, Some(3.0), Some(2.0), Some(1.0), Some(1.0)]
         );
-    }
-
-    /// Every characterization entry of the registry builds at least one
-    /// table with rows as wide as its header.
-    #[test]
-    fn all_characterization_tables_render() {
-        for f in FIGURES
-            .iter()
-            .filter(|f| f.group == Group::Characterization)
-        {
-            let tables = (f.build)(true);
-            assert!(!tables.is_empty(), "{}: no table", f.name);
-            for t in tables {
-                assert!(!t.rows.is_empty(), "{}: no rows", t.title);
-                for r in &t.rows {
-                    assert_eq!(r.len(), t.header.len(), "{}: ragged row", t.title);
-                }
-            }
-        }
     }
 
     #[test]

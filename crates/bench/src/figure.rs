@@ -7,6 +7,7 @@
 use crate::{characterization as ch, evaluation as ev, render_table, scenario};
 use ipipe_nicsim::{CN2350, CN2360, STINGRAY_PS225};
 use ipipe_sim::sweep::{default_workers, parallel_sweep};
+use std::collections::BTreeSet;
 
 /// One printed cell: the text, and the number it was formatted from.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +78,9 @@ impl Table {
     /// The cell of the row labelled `row` under the first column named `col`.
     pub fn cell(&self, row: &str, col: &str) -> &Cell {
         let c = self.header.iter().position(|h| h == col);
-        let c = c.unwrap_or_else(|| panic!("{}: no column {col:?}", self.title));
         let r = self.rows.iter().find(|r| r[0].text == row);
-        &r.unwrap_or_else(|| panic!("{}: no row {row:?}", self.title))[c]
+        let cell = r.zip(c).and_then(|(r, c)| r.get(c));
+        cell.unwrap_or_else(|| panic!("{}: no cell in row {row:?}, column {col:?}", self.title))
     }
 
     /// The cells of the note labelled `label`.
@@ -89,8 +90,13 @@ impl Table {
             .1
     }
 
-    /// The table as text, through [`render_table`].
+    /// The table as text, through [`render_table`]. Panics on a row that is
+    /// not header-wide: [`ledger_diff`] names each cell by its column.
     pub fn render(&self) -> String {
+        if let Some(r) = self.rows.iter().find(|r| r.len() != self.header.len()) {
+            let label = r.first().map(|c| &c.text);
+            panic!("{}: row {label:?} is not header-wide", self.title);
+        }
         let texts = |cells: &[Cell]| cells.iter().map(|c| c.text.clone()).collect::<Vec<_>>();
         let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
         let rows: Vec<Vec<String>> = self.rows.iter().map(|r| texts(r)).collect();
@@ -354,10 +360,131 @@ pub fn help() -> String {
     out
 }
 
+/// What moved from `old` (the committed ledger) to `new`, two [`render`]ed
+/// outputs; empty when they agree. Each moved number reads `section / row
+/// / column: old → new (±x.x%)`, largest relative change first; other
+/// changed texts follow, then added and removed rows, notes and sections.
+/// Sections match by title; rows, notes and cells by position. A line
+/// whose runs between two or more spaces are as many as the header's is a
+/// row, named by its fewest leading cells no other row shares; any other
+/// is a note, `label: tokens`, a `key=value` token named by its key.
+pub fn ledger_diff(old: &str, new: &str) -> String {
+    let (old, new) = (sections(old), sections(new));
+    let mut out = Vec::new();
+    for (title, o) in &old {
+        let Some((_, n)) = new.iter().find(|(t, _)| t == title) else {
+            out.push((-2.0, format!("removed section: {title}")));
+            continue;
+        };
+        for (kind, ol, nl) in [("row", &o[0], &n[0]), ("note", &o[1], &n[1])] {
+            for (a, b) in ol.iter().zip(nl) {
+                line_diff(title, a, b, &mut out);
+            }
+            let gone = ol.iter().skip(nl.len()).map(|l| ("removed", l));
+            for (what, l) in gone.chain(nl.iter().skip(ol.len()).map(|l| ("added", l))) {
+                out.push((-2.0, format!("{what} {kind}: {title} / {}", l.name)));
+            }
+        }
+    }
+    let is_new = |(title, _): &&Section| old.iter().all(|(t, _)| t != title);
+    for (title, _) in new.iter().filter(is_new) {
+        out.push((-2.0, format!("added section: {title}")));
+    }
+    // Stable: numbers by |relative change|, then texts (-1), then shape (-2).
+    out.sort_by(|a: &(f64, String), b| b.0.total_cmp(&a.0));
+    out.into_iter().map(|(_, line)| line + "\n").collect()
+}
+
+/// A line's name (`header`, a row's key cells, a note's label), text and named cells.
+struct Line<'a> {
+    name: String,
+    text: String,
+    cells: Vec<(String, &'a str)>,
+}
+
+fn cells(line: &str) -> Vec<&str> {
+    let cells = line.split("  ").map(str::trim);
+    cells.filter(|c| !c.is_empty()).collect()
+}
+
+/// Each `== title ==` block: its title, then its header and rows, and its notes.
+fn sections(text: &str) -> Vec<Section<'_>> {
+    let blocks = text.split("\n\n").filter(|b| !b.trim().is_empty());
+    blocks.map(section).collect()
+}
+
+type Section<'a> = (&'a str, [Vec<Line<'a>>; 2]);
+
+fn section<'a>(block: &'a str) -> Section<'a> {
+    let mut lines = block.lines();
+    let title = lines.next().unwrap_or_default();
+    let title = title.trim_start_matches("== ").trim_end_matches(" ==");
+    let header = cells(lines.next().unwrap_or_default());
+    let (rows, notes): (Vec<_>, Vec<_>) = lines.partition(|l| cells(l).len() == header.len());
+    let rows: Vec<Vec<&str>> = rows.into_iter().map(cells).collect();
+    let prefixes = |k: &usize| rows.iter().map(|r| &r[..*k]).collect::<BTreeSet<_>>();
+    let key = (1..header.len()).find(|k| prefixes(k).len() == rows.len());
+    let key = key.unwrap_or(header.len());
+    let columns: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    let line = |name: String, cells: &[&'a str]| Line {
+        name,
+        text: cells.join("  "),
+        cells: columns.iter().cloned().zip(cells.to_vec()).collect(),
+    };
+    let mut lines = vec![line("header".into(), &header)];
+    lines.extend(rows.iter().map(|r| line(r[..key].join(" "), r)));
+    (title, [lines, notes.into_iter().map(note).collect()])
+}
+
+fn note<'a>(raw: &'a str) -> Line<'a> {
+    let (label, tokens) = raw.split_once(": ").unwrap_or((raw, ""));
+    let named = |(i, t): (usize, &'a str)| match t.split_once('=') {
+        Some((key, value)) => (key.to_string(), value),
+        None => (format!("#{}", i + 1), t),
+    };
+    let cells = tokens.split_whitespace().enumerate().map(named).collect();
+    let (name, text) = (label.to_string(), raw.to_string());
+    Line { name, text, cells }
+}
+
+/// Each cell that differs between two lines matched by position, or the
+/// whole line when its cells do not pair up or it differs outside them.
+fn line_diff(title: &str, old: &Line, new: &Line, out: &mut Vec<(f64, String)>) {
+    let before = out.len();
+    if old.cells.len() == new.cells.len() {
+        let pairs = old.cells.iter().zip(&new.cells).filter(|(o, n)| o.1 != n.1);
+        for ((column, o), (_, n)) in pairs {
+            out.push(moved(format!("{title} / {} / {column}", old.name), o, n));
+        }
+    }
+    if out.len() == before && old.text != new.text {
+        let at = format!("{title} / {}", old.name);
+        out.push(moved(at, &old.text, &new.text));
+    }
+}
+
+/// `at: old → new`, ranked by the relative change when both texts are a
+/// number with the same unit after it, else below every number.
+fn moved(at: String, old: &str, new: &str) -> (f64, String) {
+    match (number(old), number(new)) {
+        (Some((a, unit)), Some((b, same))) if unit == same => {
+            let rel = if a == b { 0.0 } else { (b - a) / a.abs() };
+            let text = format!("{at}: {old} → {new} ({:+.1}%)", 100.0 * rel);
+            (rel.abs(), text)
+        }
+        _ => (-1.0, format!("{at}: {old} → {new}")),
+    }
+}
+
+/// A cell's leading number and the text after it: `2.69us` → `(2.69, "us")`.
+fn number(cell: &str) -> Option<(f64, &str)> {
+    let unit = cell.trim_start_matches(|c: char| c.is_ascii_digit() || "+-.".contains(c));
+    Some((cell[..cell.len() - unit.len()].parse().ok()?, unit))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
     fn registry_conformance() {
@@ -393,12 +520,12 @@ mod tests {
             ["size", "long-header", "x"],
             vec![
                 vec![num(64.0, 0).unit("B"), num(-0.001, 2), text("N/A")],
-                vec![num(1500.0, 0).unit("B"), num(12.345, 1).unit("%")],
+                vec![bytes(1500), num(12.345, 1).unit("%"), num(7.0, 0)],
             ],
         );
         let rows = vec![
             vec!["64B".to_string(), "-0.00".into(), "N/A".into()],
-            vec!["1500B".to_string(), "12.3%".into()],
+            vec!["1500B".to_string(), "12.3%".into(), "7".into()],
         ];
         let plain = render_table("t", &["size", "long-header", "x"], &rows);
         assert_eq!(t.render(), plain);
@@ -410,6 +537,56 @@ mod tests {
         assert_eq!(noted.cell("1500B", "long-header").value, Some(12.345));
         assert_eq!(noted.cell("64B", "x").value, None);
         assert_eq!(noted.note("needs")[0].value, Some(3.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "t: row Some(\"1500B\") is not header-wide")]
+    fn render_rejects_a_ragged_row() {
+        Table::new("t", ["size", "x"], vec![vec![bytes(1500)]]).render();
+    }
+
+    /// Moved cells and `key=value` tokens, one ranking; then text, rows, sections.
+    #[test]
+    fn ledger_diff_names_every_moved_number_largest_first() {
+        let old = "== Fig 1 ==\napp  size  mean  p99\nRTA   64B   1.0  100\nRTA  128B   2.0  200\n\
+                   RTA  256B   3.0  300\nrkv: issued=10 done=9 p99_us=75.8\n\n== Fig 0 ==\nx\n1\n";
+        assert_eq!(ledger_diff(old, old), "");
+        let new = "== Fig 1 ==\napp  size  mean  p99\nRTA   64B   1.1  N/A\nRTA  128B   2.0  150\n\
+                   rkv: issued=10 done=8 p99_us=80.0\n\n== Fig 2 ==\nx\n1\n";
+        assert_eq!(
+            ledger_diff(old, new),
+            "Fig 1 / RTA 128B / p99: 200 → 150 (-25.0%)\nFig 1 / rkv / done: 9 → 8 (-11.1%)\n\
+             Fig 1 / RTA 64B / mean: 1.0 → 1.1 (+10.0%)\nFig 1 / rkv / p99_us: 75.8 → 80.0 (+5.5%)\n\
+             Fig 1 / RTA 64B / p99: 100 → N/A\nremoved row: Fig 1 / RTA 256B\n\
+             removed section: Fig 0\nadded section: Fig 2\n"
+        );
+    }
+
+    /// `figures` on `targets` against the ledger's sections they print, or all of
+    /// it for the whole registry, so a section nothing prints is caught too.
+    fn assert_matches_ledger(targets: &[&str]) {
+        let ledger = include_str!("../../../figures_output.txt");
+        let figures: Vec<&Figure> = targets.iter().flat_map(|t| select(t).unwrap()).collect();
+        let fresh = render(&build(&figures, false));
+        let whole = figures.len() == FIGURES.len();
+        let title = |s: &str| s.lines().next().unwrap_or_default().to_string();
+        let printed: Vec<String> = fresh.split("\n\n").map(title).collect();
+        let keep = |s: &&str| whole || printed.contains(&title(s));
+        let scoped: Vec<&str> = ledger.split("\n\n").filter(keep).collect();
+        let report = ledger_diff(&scoped.join("\n\n"), &fresh);
+        assert!(report.is_empty(), "moved against the ledger:\n{report}");
+    }
+
+    /// The groups that build in seconds, at the size `figures all` prints.
+    #[test]
+    fn characterization_and_extensions_match_the_ledger() {
+        assert_matches_ledger(&["characterization", "extensions"]);
+    }
+
+    #[test]
+    #[ignore = "every figure, ~90 s in release: scripts/check.sh figures"]
+    fn every_figure_matches_the_ledger() {
+        assert_matches_ledger(&["all"]);
     }
 
     /// A group target prints its members' tables in registry order, one

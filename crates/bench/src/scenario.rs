@@ -94,14 +94,6 @@ pub fn run_export(
     (headline, c.export_canonical_jsonl())
 }
 
-/// The value a headline holds for `key`; panics when it has none.
-pub fn value<'a>(headline: &'a Headline, key: &str) -> &'a str {
-    let cell = headline.iter().find(|(k, _)| *k == key);
-    &cell
-        .unwrap_or_else(|| panic!("headline has no {key}: {headline:?}"))
-        .1
-}
-
 /// `key=value key=value …` on one line.
 pub fn render_headline(headline: &Headline) -> String {
     let cells: Vec<String> = headline.iter().map(|(k, v)| format!("{k}={v}")).collect();
@@ -162,80 +154,6 @@ mod tests {
                 run_export(s, Size::Smoke, 11, 1, false),
                 "{name}: same-seed runs diverged"
             );
-        }
-    }
-
-    /// The simulated values of the retired `BENCH_{scale,overload,tcp,
-    /// pardes}.json` files, held exactly.
-    #[test]
-    fn full_size_headlines_are_pinned() {
-        let full = |name: &str, shards: usize| {
-            let s = find(name).expect("registered");
-            s.run(Size::Full, s.figure_seed(), shards, false, &Obs::disabled())
-        };
-        let pin = |h: &Headline, want: &[(&str, &str)]| {
-            for (k, v) in want {
-                assert_eq!(value(h, k), *v, "{k}");
-            }
-        };
-        let (h, _) = full("rkv-scale", 1);
-        pin(
-            &h,
-            &[
-                ("issued", "20801"),
-                ("done", "20801"),
-                ("migrations", "8"),
-                ("throughput_rps", "1300062"),
-                ("p50_us", "12.0"),
-                ("p99_us", "2621.4"),
-                ("events", "257676"),
-            ],
-        );
-        let (h, _) = full("rkv-overload", 1);
-        pin(
-            &h,
-            &[
-                ("issued", "31487"),
-                ("done", "8799"),
-                ("shed", "22688"),
-                ("ingress_shed", "1516"),
-                ("abandoned", "0"),
-                ("pre_goodput_rps", "1209500"),
-                ("spike_goodput_rps", "2224000"),
-                ("p99_us", "13.1"),
-                ("events", "123324"),
-            ],
-        );
-        let cells = crate::tcp::placement_loss_cells(find("tcp-offload").unwrap().figure_seed());
-        let want = [
-            ("host", "0.01", "0.0050", "6.2399", "4.000", "93", "62"),
-            ("nic", "0.01", "0.0000", "7.5949", "2.500", "62", "52"),
-            ("host", "0.05", "0.0038", "3.4913", "10.000", "470", "280"),
-            ("nic", "0.05", "0.0000", "4.0558", "8.000", "448", "267"),
-        ];
-        assert_eq!(cells.len(), want.len());
-        for (h, (placement, loss, host, nic, fct, retx, rto)) in cells.iter().zip(want) {
-            pin(
-                h,
-                &[
-                    ("placement", placement),
-                    ("loss", loss),
-                    ("host_cores", host),
-                    ("nic_cores", nic),
-                    ("fct_ms", fct),
-                    ("retx_segs", retx),
-                    ("rto_fired", rto),
-                    ("delivered", "8388608"),
-                ],
-            );
-        }
-        pin(&cells[1], &[("events", "44395")]);
-        for (shards, speedup) in [(2, "1.66"), (4, "3.03"), (8, "5.36")] {
-            let (h, c) = full("pod", shards);
-            pin(&h, &[("events", "535890"), ("completed", "73955")]);
-            let e = c.epoch_stats();
-            assert_eq!(e.epochs, 1545, "{shards} shards");
-            assert_eq!(format!("{:.2}", e.speedup()), speedup, "{shards} shards");
         }
     }
 }

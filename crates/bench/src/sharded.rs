@@ -198,6 +198,19 @@ mod tests {
         assert!(c.export_canonical_jsonl().lines().count() > 50);
     }
 
+    /// The ledger holds only the 8-shard pod; above one shard, equal epochs, rising speedup.
+    #[test]
+    fn pod_speedup_grows_with_the_shard_count() {
+        let (obs, seed) = (Obs::disabled(), Pod.figure_seed());
+        let counts = Pod.shard_counts().iter().filter(|&&s| s > 1);
+        let run = |&shards| Pod.run(Size::Full, seed, shards, false, &obs).1;
+        let stats: Vec<_> = counts.map(|s| run(s).epoch_stats()).collect();
+        for w in stats.windows(2) {
+            let grows = w[0].epochs == w[1].epochs && w[0].speedup() < w[1].speedup();
+            assert!(grows, "{stats:?}");
+        }
+    }
+
     #[test]
     fn pod64_lookahead_spans_the_cross_rack_extra() {
         let c = build_grid(&GridSpec::pod64(1, 8, false));

@@ -9,7 +9,7 @@
 //! [`TcpOffloadSpec::placement`]: `Placement::Host` runs the protocol work
 //! on big host cores (the status quo the paper argues against),
 //! `Placement::Nic` moves it onto the wimpy NIC cores.
-//! [`placement_loss_cells`] sweeps both against two loss rates and reports
+//! [`placement_loss`] sweeps both against two loss rates and reports
 //! the host-cores-freed vs NIC-cores-burned tradeoff (`figures scenarios`).
 //!
 //! Like every scenario, the run is byte-identical for any shard count: the
@@ -265,15 +265,15 @@ impl Scenario for TcpOffload {
     }
 }
 
-/// The placement × loss grid at full size — host-cores-freed vs
-/// NIC-cores-burned for the same delivered streams at 1% and 5% loss — as
-/// one headline per cell, host before NIC within each loss rate. Every cell
-/// must deliver in full.
-pub fn placement_loss_cells(seed: u64) -> Vec<Headline> {
+/// The placement × loss grid at full size under the figure seed —
+/// host-cores-freed vs NIC-cores-burned for the same delivered streams at
+/// 1% and 5% loss — one row per cell, host before NIC within each loss
+/// rate. Every cell must deliver in full.
+pub fn placement_loss() -> Table {
     let mut cells = Vec::new();
     for loss in [0.01, 0.05] {
         for placement in [Placement::Host, Placement::Nic] {
-            let mut spec = TcpOffloadSpec::full(seed, 1);
+            let mut spec = TcpOffloadSpec::full(TcpOffload.figure_seed(), 1);
             spec.loss = loss;
             spec.placement = placement;
             let (stats, _) = run_tcp_offload(&spec);
@@ -285,12 +285,6 @@ pub fn placement_loss_cells(seed: u64) -> Vec<Headline> {
             cells.push(stats.headline());
         }
     }
-    cells
-}
-
-/// [`placement_loss_cells`] under the figure seed, as a table.
-pub fn placement_loss() -> Table {
-    let cells = placement_loss_cells(TcpOffload.figure_seed());
     let header: Vec<&str> = cells[0].iter().map(|(k, _)| *k).collect();
     let cell = |v: &String| Cell {
         text: v.clone(),

@@ -1,8 +1,8 @@
 //! Same-seed runs must produce byte-identical observability exports — both
 //! the JSONL (metrics + trace records) and the Chrome `trace_event` JSON.
-//! This is the trace-layer companion of `determinism.rs`: that test pins
-//! simulation *results*, this one pins the *exports* the results are
-//! rendered from. Any wall-clock read, unordered-map iteration, or
+//! This is the trace-layer companion of the figures ledger: that pins
+//! simulation *results*, this pins the *exports* the results are rendered
+//! from. Any wall-clock read, unordered-map iteration, or
 //! float-formatting drift in the obs layer shows up here as a byte diff.
 
 use ipipe::sched::Discipline;

@@ -2,7 +2,7 @@
 # The gates, one definition each: CI jobs call them by stage name, and with
 # no argument this is the full local gate, everything CI would require.
 #   ./scripts/check.sh [stage ...]
-#   stages: fmt build test clippy doc queue-deep bench-smoke scenarios figures dse
+#   stages: fmt build test clippy doc queue-deep bench-smoke scenarios figures dse (default), repin
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,12 +48,12 @@ stage_figures() {
     done
     cmp "$figs/1.txt" "$figs/2.txt" && cmp "$figs/2.txt" "$figs/3.txt"
     rm -rf "$figs"
-    # The committed copy of every table and figure is what the code prints
-    # now: a deployment or model change that moves a figure shows up here,
-    # not two PRs later (regenerate the file with this command when a
-    # figure moves on purpose).
-    figures all | cmp - figures_output.txt
+    # Every figure against the committed ledger, naming each moved number.
+    cargo test --release -q -p ipipe-bench --lib every_figure_matches_the_ledger -- --ignored
 }
+
+# After a deliberate behaviour change, once `figures` has said what moved.
+stage_repin() { figures all > figures_output.txt; }
 
 # The 16-design smoke grid's canonical export must be byte-identical between
 # a serial run and a parallel sweep with the same seed: per-cell seeds are
