@@ -189,7 +189,7 @@ fn run_with(spec: &TcpOffloadSpec, threaded: bool) -> (TcpOffloadStats, Cluster)
         elapsed += spec.step;
     }
     let fct = c.now();
-    // Let stale RTO timers burn off so quiesce is genuinely quiet.
+    // Let each closed sender's last RTO timer fire so quiesce is quiet.
     let drain = eps
         .first()
         .map(|ep| ep.cfg.rto_max)

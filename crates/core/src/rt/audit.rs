@@ -17,6 +17,9 @@ impl Cluster {
     ///
     /// Invariants checked (see DESIGN.md §11 for the catalog):
     /// * `client.conservation` — issued == completed + abandoned + in-flight
+    /// * `client.retry.timer` — one deadline per armed request, and one
+    ///   pending `RetryDue` at the armed instant, which is no later than the
+    ///   earliest live deadline
     /// * `net.frames` — frames the network accounted as sent are processed,
     ///   still pending delivery, or dropped with a reason counter
     /// * `ring.depth` — per-node NIC→host ring occupancy equals the pending
@@ -177,6 +180,34 @@ impl Cluster {
         state.inflight.remove(&token);
         true
     }
+
+    /// Test-only hook: silently discard the retry deadline of one in-flight
+    /// request, so its retransmission timer can never judge it. The audit
+    /// must flag it as `client.retry.timer`. Returns false when the client
+    /// has no armed request in flight.
+    #[doc(hidden)]
+    pub fn debug_drop_retry_deadline(&mut self, client: usize) -> bool {
+        if client >= self.n_clients {
+            return false;
+        }
+        let node = (self.n_servers + client) as u16;
+        let shard = self.shard_for_mut(node);
+        let Some(Some(state)) = shard.clients.get_mut(client) else {
+            return false;
+        };
+        let Some(retry) = state.retry.as_mut() else {
+            return false;
+        };
+        // Smallest token for determinism across runs.
+        let armed = state.inflight.iter().filter(|(_, out)| out.armed());
+        let Some(token) = armed.map(|(&token, _)| token).min() else {
+            return false;
+        };
+        let d = &mut retry.deadlines;
+        d.fifo.retain(|&(_, t)| t != token);
+        d.late.retain(|&Reverse((_, t))| t != token);
+        true
+    }
 }
 
 impl ShardState {
@@ -197,18 +228,26 @@ impl ShardState {
             .iter()
             .map(|n| vec![0u64; n.host_inflight.len()])
             .collect();
+        let mut retry_due: Vec<Vec<SimTime>> = vec![Vec::new(); self.clients.len()];
         let mut pending_frames = 0u64;
         let base = self.base;
         let idx = |node: &u16| (*node - base) as usize;
-        self.events.for_each_pending(|_, ev| match ev {
+        self.events.for_each_pending(|at, ev| match ev {
             Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
             Ev::NicFree { node, core } => nic_free[idx(node)][*core as usize] += 1,
             Ev::HostFree { node, core } => host_free[idx(node)][*core as usize] += 1,
             Ev::MigStep { node } => mig_steps[idx(node)] += 1,
             Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
+            Ev::RetryDue { client } => retry_due[*client as usize].push(at),
             _ => {}
         });
         pending_frames += self.pool.len() as u64 + self.outbox.len() as u64;
+        for (client, state) in self.clients.iter().enumerate() {
+            if let Some(state) = state {
+                let node = (self.n_servers + client) as u16;
+                audit_retry_timer(r, node, state, &retry_due[client]);
+            }
+        }
 
         for (i, n) in self.nodes.iter().enumerate() {
             let node = n.id;
@@ -266,5 +305,55 @@ impl ShardState {
             n.sched.audit_into(r, node);
         }
         pending_frames
+    }
+}
+
+/// `client.retry.timer` for one client: every armed in-flight request has
+/// exactly one deadline, and while any deadline is live one pending
+/// `RetryDue` sits at `armed`, no later than the earliest of them. Every
+/// other pending `RetryDue` is parked. Reported only as a violation, so a
+/// clean audit's check count does not depend on which clients retry.
+fn audit_retry_timer(r: &mut AuditReport, node: u16, state: &ClientState, pending: &[SimTime]) {
+    let Some(retry) = &state.retry else {
+        return;
+    };
+    let d = &retry.deadlines;
+    let entries = || d.fifo.iter().chain(d.late.iter().map(|Reverse(e)| e));
+    let mut per_token: IdMap<u64, u32> = IdMap::default();
+    for &(_, token) in entries() {
+        *per_token.entry(token).or_default() += 1;
+    }
+    let unmatched = state
+        .inflight
+        .iter()
+        .filter(|(token, out)| out.armed() && per_token.get(token) != Some(&1))
+        .map(|(&token, _)| token);
+    if let Some(token) = unmatched.min() {
+        let n = per_token.get(&token).copied().unwrap_or(0);
+        let detail = format!("in-flight token {token} has {n} retry deadlines, not 1");
+        r.violation("client.retry.timer", node, detail);
+    }
+    let live = entries().filter(|(_, token)| state.inflight.contains_key(token));
+    let at_armed = d
+        .armed
+        .map_or(0, |a| pending.iter().filter(|&&p| p == a).count());
+    if let Some(earliest) = live.map(|&(at, _)| at).min() {
+        if at_armed != 1 || d.armed.is_none_or(|a| a > earliest) {
+            let detail = format!(
+                "earliest live deadline {earliest}, timer armed for {:?} with {at_armed} \
+                 pending RetryDue there",
+                d.armed
+            );
+            r.violation("client.retry.timer", node, detail);
+        }
+    }
+    if pending.len() != usize::from(d.armed.is_some()) + d.parked.len() {
+        let detail = format!(
+            "{} pending RetryDue, timer armed for {:?} with {} parked",
+            pending.len(),
+            d.armed,
+            d.parked.len()
+        );
+        r.violation("client.retry.timer", node, detail);
     }
 }

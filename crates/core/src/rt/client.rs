@@ -136,7 +136,8 @@ impl Cluster {
     /// generator installed). `payload_fn` rebuilds the payload of a request
     /// from its token on each retransmission; pass `None` for payload-less
     /// workloads. Without a retry policy a lost request simply never
-    /// completes — the pre-fault behaviour.
+    /// completes — the pre-fault behaviour. Replacing a policy keeps the
+    /// client's deadlines and its armed timer.
     pub fn set_client_retry(
         &mut self,
         client: usize,
@@ -144,7 +145,20 @@ impl Cluster {
         payload_fn: Option<PayloadFn>,
     ) {
         assert!(policy.max_tries >= 1 && policy.timeout > SimTime::ZERO);
-        self.client_mut(client).retry = Some(ClientRetry { policy, payload_fn });
+        let state = self.client_mut(client);
+        match state.retry.as_mut() {
+            Some(retry) => {
+                retry.policy = policy;
+                retry.payload_fn = payload_fn;
+            }
+            None => {
+                state.retry = Some(ClientRetry {
+                    policy,
+                    payload_fn,
+                    deadlines: RetryDeadlines::default(),
+                })
+            }
+        }
     }
 
     /// Convenience: fixed-size empty-payload closed loop against one actor,
@@ -182,6 +196,87 @@ impl ClientRetry {
     }
 }
 
+impl RetryDeadlines {
+    /// Add `token`'s deadline `at`: to the FIFO when it keeps the FIFO in
+    /// `(deadline, token)` order, to the heap otherwise.
+    pub(super) fn push(&mut self, at: SimTime, token: u64) {
+        let entry = (at, token);
+        if self.fifo.back().is_none_or(|&last| last <= entry) {
+            self.fifo.push_back(entry);
+        } else {
+            self.late.push(Reverse(entry));
+        }
+    }
+
+    /// The earliest entry, completed or not.
+    fn head(&self) -> Option<(SimTime, u64)> {
+        let late = self.late.peek().map(|&Reverse(entry)| entry);
+        self.fifo.front().copied().into_iter().chain(late).min()
+    }
+
+    /// Remove the earliest entry.
+    fn pop_head(&mut self) {
+        if self.late.peek().map(|&Reverse(entry)| entry) == self.head() {
+            self.late.pop();
+        } else {
+            self.fifo.pop_front();
+        }
+    }
+
+    /// Remove and return the token of the earliest entry due by `now`, in
+    /// `(deadline, token)` order; completed tokens included.
+    pub(super) fn pop_due(&mut self, now: SimTime) -> Option<u64> {
+        let (at, token) = self.head()?;
+        if at > now {
+            return None;
+        }
+        self.pop_head();
+        Some(token)
+    }
+
+    /// The earliest deadline of a token still `live`, after dropping the
+    /// entries of completed tokens in front of it.
+    pub(super) fn next_live(&mut self, live: impl Fn(u64) -> bool) -> Option<SimTime> {
+        while let Some((at, token)) = self.head() {
+            if live(token) {
+                return Some(at);
+            }
+            self.pop_head();
+        }
+        None
+    }
+
+    /// Arm the timer for `at` unless it already fires no later. True when
+    /// the caller must schedule a `RetryDue` at `at`; false when one is
+    /// already pending there.
+    pub(super) fn arm(&mut self, at: SimTime) -> bool {
+        if self.armed.is_some_and(|armed| armed <= at) {
+            return false;
+        }
+        self.parked.extend(self.armed.replace(at));
+        match self.parked.iter().position(|&p| p == at) {
+            Some(i) => {
+                self.parked.swap_remove(i);
+                false
+            }
+            None => true,
+        }
+    }
+
+    /// A `RetryDue` fired at `now`. True when it is the live one, which is
+    /// then spent; false when an earlier deadline superseded it.
+    pub(super) fn fire(&mut self, now: SimTime) -> bool {
+        if self.armed == Some(now) {
+            self.armed = None;
+            return true;
+        }
+        let i = self.parked.iter().position(|&p| p == now);
+        self.parked
+            .swap_remove(i.expect("every pending RetryDue is armed or parked"));
+        false
+    }
+}
+
 impl ShardState {
     /// Send a client request frame over the (possibly faulted) network. A
     /// delivered frame becomes a `Deliver` event; a corrupted frame becomes
@@ -203,25 +298,33 @@ impl ShardState {
         self.send_frame(now, client_node, creq.dst.node, PacketKind::Request, req);
     }
 
-    pub(super) fn handle_retry_check(&mut self, now: SimTime, client: u16, token: u64) {
+    /// Client `client`'s retransmission timer fired. The live timer judges
+    /// every deadline due by `now`, in `(deadline, token)` order, then
+    /// re-arms for the earliest deadline still in flight; a superseded one
+    /// does nothing.
+    pub(super) fn handle_retry_due(&mut self, now: SimTime, client: u16) {
         let client_node = (self.n_servers + client as usize) as u16;
-        let (creq, next_wait) = {
-            let Some(state) = self.clients[client as usize].as_mut() else {
-                return;
-            };
-            let Some(retry) = state.retry.as_mut() else {
-                return;
+        let state = self.clients[client as usize].as_mut();
+        let retry = state
+            .and_then(|s| s.retry.as_mut())
+            .expect("armed by a retry policy");
+        if !retry.deadlines.fire(now) {
+            return;
+        }
+        loop {
+            let state = self.clients[client as usize].as_mut().expect("fired");
+            let retry = state.retry.as_mut().expect("fired");
+            let Some(token) = retry.deadlines.pop_due(now) else {
+                break;
             };
             let Some(out) = state.inflight.get_mut(&token) else {
-                return; // completed in the meantime
+                continue; // completed in the meantime
             };
             if now < out.hold_until {
                 // A shed reply parked this request: honor the server's
-                // backoff hint without consuming a try, then re-check.
-                let wait = out.hold_until.saturating_sub(now);
-                self.events
-                    .schedule_after(wait, Ev::RetryCheck { client, token });
-                return;
+                // backoff hint without consuming a try, then judge again.
+                retry.deadlines.push(out.hold_until, token);
+                continue;
             }
             if out.tries >= retry.policy.max_tries {
                 // Give up so the closed loop keeps breathing. Open-loop
@@ -233,16 +336,22 @@ impl ShardState {
                     self.events
                         .schedule_after(SimTime::ZERO, Ev::Issue { client });
                 }
-                return;
+                continue;
             }
             out.tries += 1;
             out.backoff = (out.backoff * 2).min(retry.policy.cap);
-            (retry.rebuild(token, out), out.backoff)
-        };
-        self.fault_metrics.retries.inc();
-        self.client_send(now, client_node, token, creq);
-        self.events
-            .schedule_after(next_wait, Ev::RetryCheck { client, token });
+            retry.deadlines.push(now + out.backoff, token);
+            let creq = retry.rebuild(token, out);
+            self.fault_metrics.retries.inc();
+            self.client_send(now, client_node, token, creq);
+        }
+        let state = self.clients[client as usize].as_mut().expect("fired");
+        let deadlines = &mut state.retry.as_mut().expect("fired").deadlines;
+        if let Some(at) = deadlines.next_live(|token| state.inflight.contains_key(&token)) {
+            if deadlines.arm(at) {
+                self.events.schedule_at(at, Ev::RetryDue { client });
+            }
+        }
     }
 
     pub(super) fn handle_issue(&mut self, now: SimTime, client: u16) {
@@ -287,12 +396,15 @@ impl ShardState {
             hold_until: SimTime::ZERO,
         };
         state.inflight.insert(token, out);
+        if let Some(retry) = state.retry.as_mut() {
+            let at = now + retry.policy.timeout;
+            retry.deadlines.push(at, token);
+            if retry.deadlines.arm(at) {
+                self.events.schedule_at(at, Ev::RetryDue { client });
+            }
+        }
         self.completions.issued += 1;
         self.client_send(now, client_node, token, creq);
-        if let Some(wait) = retry_wait {
-            self.events
-                .schedule_after(wait, Ev::RetryCheck { client, token });
-        }
     }
 
     /// A response reached client node `node`: a redirect bounces the
@@ -311,11 +423,11 @@ impl ShardState {
                     // Routing refresh: one Redirect means the *address*
                     // moved, not just this request. Retarget every queued
                     // request still aimed at the old address in place —
-                    // each pending RetryCheck timer then transmits to the
-                    // new home — instead of letting each one bounce off
-                    // the old address individually (a redirect storm
-                    // after every rebalance). Only this request resends
-                    // immediately.
+                    // each one's next retransmission deadline then sends
+                    // to the new home — instead of letting each one
+                    // bounce off the old address individually (a redirect
+                    // storm after every rebalance). Only this request
+                    // resends immediately.
                     let mut refreshed = 0u64;
                     for (t, out) in s.inflight.iter_mut() {
                         if out.armed() && out.dst == old_dst {

@@ -57,6 +57,8 @@ use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
 use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
 use shard::{ArrivalKind, PoolKey};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Initial placement of an actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,18 +184,20 @@ struct Outstanding {
     wire_size: u32,
     flow: u64,
     /// Transmissions so far. Zero when the request went out with no retry
-    /// policy installed: no `RetryCheck` timer runs for it, so redirect and
-    /// shed replies end it like any other reply.
+    /// policy installed: it has no deadline in the client's
+    /// [`RetryDeadlines`], so redirect and shed replies end it like any
+    /// other reply.
     tries: u32,
     backoff: SimTime,
-    /// Server-requested hold: a [`Shed`] reply parks the retry timer until
+    /// Server-requested hold: a [`Shed`] reply holds the retransmission until
     /// this instant without consuming a try, so shed requests retry after
     /// the hinted backoff instead of hammering a saturated ingress.
     hold_until: SimTime,
 }
 
 impl Outstanding {
-    /// True when a `RetryCheck` timer is running for this request.
+    /// True when the request holds exactly one deadline in its client's
+    /// [`RetryDeadlines`].
     fn armed(&self) -> bool {
         self.tries > 0
     }
@@ -204,6 +208,27 @@ impl Outstanding {
 struct ClientRetry {
     policy: RetryPolicy,
     payload_fn: Option<PayloadFn>,
+    deadlines: RetryDeadlines,
+}
+
+/// One client's retransmission deadlines, `(deadline, token)`, served by a
+/// single timer: at most one live [`Ev::RetryDue`], armed for the earliest
+/// deadline still in flight. A completion leaves its entry behind; the
+/// timer drops it when it comes due or reaches the head.
+#[derive(Default)]
+struct RetryDeadlines {
+    /// First-transmission deadlines (`issued + timeout`), which arrive in
+    /// nondecreasing order.
+    fifo: VecDeque<(SimTime, u64)>,
+    /// Re-armed deadlines (backoff resends, shed holds) that would have
+    /// broken the FIFO's order.
+    late: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// When the live `RetryDue` fires.
+    armed: Option<SimTime>,
+    /// Instants of pending `RetryDue` events an earlier deadline
+    /// superseded. Each fires and is ignored, unless the timer is armed for
+    /// its instant again first.
+    parked: Vec<SimTime>,
 }
 
 /// Completion statistics observed at the clients. The latency histogram
@@ -336,7 +361,7 @@ struct NodeRt {
     sched: NicScheduler,
     metrics: RtMetrics,
     nic_inflight: Vec<Option<InFlight>>,
-    host_queues: Vec<std::collections::VecDeque<Request>>,
+    host_queues: Vec<VecDeque<Request>>,
     host_inflight: Vec<Option<InFlight>>,
     actors: IdMap<ActorId, ActorSlot>,
     dmo: DmoTable,
@@ -388,8 +413,8 @@ enum Ev {
         wire_size: u32,
         flip: u8,
     },
-    /// A client's retransmission timer fired for `token`.
-    RetryCheck { client: u16, token: u64 },
+    /// A client's one retransmission timer fired (see [`RetryDeadlines`]).
+    RetryDue { client: u16 },
     /// A delay-sent actor message (`ActorCtx::send_after`) comes due and
     /// enters the normal routing path.
     DelayedEmit {

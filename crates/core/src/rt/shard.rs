@@ -191,7 +191,7 @@ impl ShardState {
                 wire_size,
                 flip,
             } => self.handle_deliver_corrupt(node, src, wire_size, flip),
-            Ev::RetryCheck { client, token } => self.handle_retry_check(now, client, token),
+            Ev::RetryDue { client } => self.handle_retry_due(now, client),
             Ev::DelayedEmit {
                 node,
                 emit,

@@ -2,6 +2,8 @@ use super::*;
 use crate::actor::ActorCtx;
 use crate::admission::ClassCfg;
 use ipipe_nicsim::CN2350;
+use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError};
+use std::collections::{BTreeMap, BTreeSet};
 
 struct Echo {
     cost: SimTime,
@@ -1024,6 +1026,138 @@ fn audit_detects_injected_client_leak() {
         "expected a client.conservation violation, got: {}",
         report.render()
     );
+}
+
+#[test]
+fn audit_detects_a_lost_retry_deadline() {
+    let (mut c, a) = echo_cluster(2);
+    echo_client(&mut c, a, 8);
+    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.run_for(SimTime::from_us(30));
+    c.audit().assert_clean();
+    assert!(c.debug_drop_retry_deadline(0), "a request must be armed");
+    let report = c.audit();
+    let flagged: Vec<&str> = report.violations().iter().map(|v| v.invariant).collect();
+    assert_eq!(flagged, ["client.retry.timer"], "{}", report.render());
+}
+
+#[test]
+fn retry_timer_reuses_a_superseded_event() {
+    let us = SimTime::from_us;
+    let mut d = RetryDeadlines::default();
+    assert!(d.arm(us(100)), "the first deadline schedules a RetryDue");
+    assert!(!d.arm(us(150)), "a later one waits for the armed timer");
+    assert!(d.arm(us(50)), "an earlier one schedules and parks 100");
+    assert!(d.fire(us(50)));
+    assert!(!d.arm(us(100)), "re-arming at a parked instant reuses it");
+    assert!(d.fire(us(100)));
+    assert!(d.arm(us(300)));
+    assert!(d.arm(us(200)));
+    assert!(d.fire(us(200)));
+    assert!(!d.fire(us(300)), "a parked RetryDue fires and is ignored");
+    assert!(d.armed.is_none() && d.parked.is_empty());
+}
+
+/// Operation sequences for the deadline-set differential: `(op, a, b)`.
+fn deadline_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    prop::collection::vec((0u8..5, 0u64..64, 0u64..1024), 1..200)
+}
+
+/// [`RetryDeadlines`] against a `BTreeSet<(SimTime, u64)>` of live
+/// deadlines, driven the way a client drives it: in-order pushes of fresh
+/// tokens (first transmissions), out-of-order pushes of tokens the timer
+/// judged and kept in flight (resends, shed holds), completions, which
+/// leave their entry behind, and `pop_due(now)` with `now` advancing. After
+/// every step the popped live tokens, their order and the next live
+/// deadline must equal the reference's.
+fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError> {
+    let ns = SimTime::from_ns;
+    let mut set = RetryDeadlines::default();
+    let mut reference: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+    // Tokens in flight, with their deadline unless the timer judged them
+    // and they wait for a re-push.
+    let mut live: BTreeMap<u64, Option<SimTime>> = BTreeMap::new();
+    let (mut now, mut last_first, mut next_token) = (SimTime::ZERO, SimTime::ZERO, 0u64);
+    for (op, a, b) in ops {
+        match op {
+            // First transmission: a fresh token, deadlines nondecreasing
+            // (equal ones included).
+            0 | 1 => {
+                last_first = last_first.max(now) + ns(a / 8 * 8);
+                set.push(last_first, next_token);
+                reference.insert((last_first, next_token));
+                live.insert(next_token, Some(last_first));
+                next_token += 1;
+            }
+            // Re-armed deadline of a judged token; a fresh token when
+            // there is none. Usually out of order.
+            2 => {
+                let at = now + ns(b / 4 * 4);
+                let judged = live.iter().filter(|(_, d)| d.is_none()).map(|(&t, _)| t);
+                let token = judged.min().unwrap_or_else(|| {
+                    next_token += 1;
+                    next_token - 1
+                });
+                set.push(at, token);
+                reference.insert((at, token));
+                live.insert(token, Some(at));
+            }
+            // Completion: the reference forgets the entry, the set keeps it.
+            3 => {
+                if let Some(&token) = live.keys().nth(b as usize % live.len().max(1)) {
+                    if let Some(Some(at)) = live.remove(&token) {
+                        reference.remove(&(at, token));
+                    }
+                }
+            }
+            // The timer fires at `now`: everything due, in order.
+            _ => {
+                now += ns(a * b / 16);
+                let mut popped = Vec::new();
+                while let Some(token) = set.pop_due(now) {
+                    if live.contains_key(&token) {
+                        popped.push(token);
+                        live.insert(token, None);
+                    }
+                }
+                let due: Vec<(SimTime, u64)> = reference
+                    .iter()
+                    .take_while(|&&(at, _)| at <= now)
+                    .copied()
+                    .collect();
+                for entry in &due {
+                    reference.remove(entry);
+                }
+                let want: Vec<u64> = due.iter().map(|&(_, token)| token).collect();
+                prop_assert_eq!(popped, want);
+            }
+        }
+        let next = set.next_live(|token| live.contains_key(&token));
+        prop_assert_eq!(next, reference.first().map(|&(at, _)| at));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// [`deadlines_match_reference`] at tier-1 depth.
+    #[test]
+    fn retry_deadlines_match_btreeset_reference(ops in deadline_ops()) {
+        deadlines_match_reference(ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+    /// The same differential at 4,000 cases, in release mode:
+    /// `scripts/check.sh queue-deep`.
+    #[test]
+    #[ignore = "deep run: cargo test --release -p ipipe --lib retry_deadlines -- --ignored"]
+    fn retry_deadlines_match_btreeset_reference_deep(ops in deadline_ops()) {
+        deadlines_match_reference(ops)?;
+    }
 }
 
 #[test]

@@ -33,10 +33,15 @@
 //! `tcp-offload` bench scenario measures host-cores-freed vs
 //! NIC-cores-burned under configurable loss.
 //!
-//! Timers are epoch-tagged delayed self-sends (the actor timer facility):
-//! bumping `epoch` invalidates every armed timer, so a stale RTO fires,
-//! fails the epoch check, and dies without re-arming. The conservation
-//! invariant audited at quiesce is
+//! The sender keeps one retransmission timer: a deadline (the arming
+//! execution's instant plus `rto`) and one live delayed self-send (the actor
+//! timer facility), tagged with `epoch`. Re-arming on a new ACK only moves
+//! the deadline. The live self-send, firing before it, re-sends itself for
+//! the remainder; firing at or after it, it runs the RTO. A new self-send
+//! goes out only when none is live or the deadline moved earlier (the `rto`
+//! reset after a backoff), and bumps `epoch`, so the superseded one fails
+//! its epoch check and dies. The conservation invariant audited at quiesce
+//! is
 //! `bytes_sent == bytes_acked + bytes_in_flight + bytes_dropped_pending_rto`
 //! ([`audit_tcp_into`]), maintained exactly by construction:
 //! every first-transmission moves bytes into in-flight, every cumulative
@@ -217,7 +222,7 @@ pub fn cwnd_on_timeout(inflight: u64, mss: u64) -> (u64, u64) {
 
 /// Messages exchanged between the endpoints. Every wire frame carries the
 /// real 54-byte header block built by the nstack codec; `Rto` is the
-/// epoch-tagged timer self-send, which never touches the network.
+/// sender's epoch-tagged timer self-send, which never touches the network.
 #[derive(Debug)]
 pub enum TcpMsg {
     /// One TCP segment: header bytes + payload bytes.
@@ -227,9 +232,9 @@ pub enum TcpMsg {
         /// Payload bytes (empty for pure ACK/SYN/FIN frames).
         payload: Vec<u8>,
     },
-    /// Retransmission-timer fire; stale if `epoch` lags the endpoint's.
+    /// Retransmission-timer fire; superseded if `epoch` lags the sender's.
     Rto {
-        /// Timer generation at arm time.
+        /// Timer generation at send time.
         epoch: u64,
     },
 }
@@ -352,7 +357,11 @@ pub struct TcpSender {
     cwnd: u64,
     ssthresh: u64,
     rto: SimTime,
-    /// Timer generation; bumping it invalidates every armed timer.
+    /// When the retransmission timeout expires; `None` once closed.
+    deadline: Option<SimTime>,
+    /// The deadline the live timer self-send was sent for, if one is live.
+    timer: Option<SimTime>,
+    /// Generation of the live timer self-send; bumped by each new one.
     epoch: u64,
     m: TcpSenderMetrics,
 }
@@ -375,6 +384,8 @@ impl TcpSender {
             cwnd: cfg.init_cwnd_segs as u64 * mss,
             ssthresh: cfg.cwnd_cap_segs as u64 * mss,
             rto: cfg.rto_init,
+            deadline: None,
+            timer: None,
             epoch: 0,
             m,
         }
@@ -413,12 +424,25 @@ impl TcpSender {
         );
     }
 
-    /// Arm the retransmission timer under a fresh epoch.
+    /// Move the retransmission deadline to `rto` from now. The live timer
+    /// stays unless it would fire late: a new one is sent only when none is
+    /// live or the deadline moved earlier.
     fn arm(&mut self, ctx: &mut ActorCtx<'_>) {
+        let at = ctx.now() + self.rto;
+        self.deadline = Some(at);
+        if self.timer.is_none_or(|live| at < live) {
+            self.send_timer(ctx, at);
+        }
+    }
+
+    /// Send the timer self-send for `at` under a fresh epoch, superseding
+    /// any live one.
+    fn send_timer(&mut self, ctx: &mut ActorCtx<'_>, at: SimTime) {
         self.epoch += 1;
+        self.timer = Some(at);
         let me = Self::me(ctx);
         ctx.send_after(
-            self.rto,
+            at - ctx.now(),
             me,
             self.flow,
             1,
@@ -543,7 +567,7 @@ impl TcpSender {
         if self.state == SendState::FinWait && hdr.ack as u64 == total + 2 {
             self.state = SendState::Closed;
             self.m.closed.inc();
-            self.epoch += 1; // kill the timer chain
+            self.deadline = None; // the live timer fires and does nothing
             self.sync_gauges();
             return;
         }
@@ -597,12 +621,24 @@ impl ActorLogic for TcpSender {
     fn exec(&mut self, ctx: &mut ActorCtx<'_>, mut req: Request) {
         match *req.payload_as::<TcpMsg>() {
             TcpMsg::Rto { epoch } => {
-                if epoch != self.epoch || self.state == SendState::Closed {
-                    ctx.charge_work(20); // stale timer: wheel maintenance only
+                if epoch != self.epoch {
+                    ctx.charge_work(20); // superseded: wheel maintenance only
                     return;
                 }
-                ctx.charge_work(self.cfg.work_per_seg_ns);
-                self.on_rto(ctx);
+                self.timer = None;
+                match self.deadline {
+                    Some(at) if ctx.now() >= at => {
+                        ctx.charge_work(self.cfg.work_per_seg_ns);
+                        self.on_rto(ctx);
+                    }
+                    Some(at) => {
+                        // The deadline moved on since this timer was sent:
+                        // re-arm for the rest of it.
+                        ctx.charge_work(20);
+                        self.send_timer(ctx, at);
+                    }
+                    None => ctx.charge_work(20), // closed
+                }
             }
             TcpMsg::Seg { hdr, .. } => {
                 ctx.charge_work(self.cfg.work_per_seg_ns);
@@ -1068,7 +1104,7 @@ mod tests {
                 break;
             }
         }
-        // Let stale timers drain so the cluster audit sees quiesce.
+        // Let the closed sender's last timer fire so the audit sees quiesce.
         c.run_for(SimTime::from_ms(4));
         let mut r = c.audit();
         audit_tcp_into(&mut r, &ep);
@@ -1082,6 +1118,33 @@ mod tests {
         assert_eq!(ep.rx.delivered_bytes.get(), 100_000);
         assert_eq!(ep.tx.retx_segs.get(), 0, "no loss, no retransmissions");
         assert_eq!(ep.rx.mismatched_bytes.get(), 0);
+    }
+
+    /// One armed timer: re-arming on every ACK moves the deadline and sends
+    /// nothing, so the sender's timer executions grow with the flow's
+    /// duration in RTOs, not with its ACKs.
+    #[test]
+    fn lossless_sender_runs_about_one_timer_per_rto() {
+        let mut c = Cluster::builder(CN2350)
+            .servers(2)
+            .clients(1)
+            .seed(23)
+            .build();
+        let ep = deploy_tcp_pair(&mut c, TcpCfg::lan(1 << 20, 23), 0, 1, 1, Placement::Nic);
+        while ep.tx.closed.get() == 0 && c.now() < SimTime::from_ms(50) {
+            c.run_for(SimTime::from_us(10));
+        }
+        let fct = c.now();
+        c.run_for(SimTime::from_ms(1));
+        let arrivals = c.obs().registry().counter_on("sched.arrivals", 0).get();
+        let acks = ep.rx.acks_tx.get();
+        let timers = arrivals - acks;
+        let bound = fct.as_ns() / ep.cfg.rto_init.as_ns() + 2;
+        assert_eq!(ep.tx.closed.get(), 1);
+        assert!(
+            timers <= bound,
+            "{timers} timer executions for {acks} ACKs over {fct}: more than {bound}"
+        );
     }
 
     #[test]

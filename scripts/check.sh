@@ -18,9 +18,13 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # else; a moved or renamed item must not leave one dangling.
 stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
 
-# The timing wheel against its BinaryHeap reference at 4,000 cases, in
-# release mode: the same differential `test` runs at 64 (one shared body).
-stage_queue-deep() { cargo test --release -p ipipe-sim --test queue_ref -- --ignored; }
+# The timing wheel against its BinaryHeap reference, and a client's retry
+# deadline set against its BTreeSet reference, at 4,000 cases each in release
+# mode: the same differentials `test` runs at 64 and 256 (one shared body).
+stage_queue-deep() {
+    cargo test --release -p ipipe-sim --test queue_ref -- --ignored
+    cargo test --release -p ipipe --lib retry_deadlines -- --ignored
+}
 
 # The benchmark at smoke size: every workload's audits, export digests and
 # same-seed determinism checks; no wall-clock threshold — performance

@@ -956,7 +956,7 @@ fn tcp_transfer_run(
             break;
         }
     }
-    c.run_for(cfg.rto_max + cfg.rto_max); // burn off stale timers
+    c.run_for(cfg.rto_max + cfg.rto_max); // let the closed sender's last timer fire
     let mut r = c.audit();
     audit_tcp_into(&mut r, &ep);
     (
