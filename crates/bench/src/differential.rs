@@ -15,9 +15,8 @@
 //! the oracle closes the remaining gap by diffing *whole scenarios* — every
 //! counter, gauge and histogram the run exports — so a divergence anywhere
 //! in the stack (scheduler, rings, faults, Paxos) surfaces as a one-line
-//! mismatch instead of a subtly wrong figure. (The timing wheel is checked
-//! against its heap reference by `tests/properties.rs` and the `event.rs`
-//! unit tests.)
+//! mismatch instead of a subtly wrong figure. (The event queue is checked
+//! against its ordered-map reference by `crates/sim/tests/queue_ref.rs`.)
 
 use crate::scenario::{render_headline, run_export, Scenario, Size};
 use ipipe_baseline::fig16::run_fig16_obs;

@@ -64,25 +64,29 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// Build, deploy, run and drain the smoke-size planetary scenario: at most
-/// 1.08 allocations per event. 1.88 before the DMO table stopped copying keys
+/// 0.95 allocations per event. 1.88 before the DMO table stopped copying keys
 /// through the heap at every skip-list hop (46,505 over 24,764 events), 1.09
 /// after, 1.07 (26,473) with events and pooled frames in slabs — 17 more
 /// allocations than the commit before: a run this short grows the slabs and
-/// their free lists and ends before a slot vector would have regrown.
+/// their free lists and ends before a slot vector would have regrown. 0.958
+/// (21,864 over 22,812) with one retransmission timer per client, 0.939
+/// (21,417) once the event queue became one heap instead of a timing wheel's
+/// 512 slot vectors.
 ///
 /// Then 5 ms of the smoke-size `pod` on two shards, the epoch engine alone
-/// (`run_for` only): at most 0.28 per event. 0.51 (4,495 over 8,780 events)
+/// (`run_for` only): at most 0.22 per event. 0.51 (4,495 over 8,780 events)
 /// while every epoch took the outbox's buffer away and collected a fresh
-/// per-shard vector, 0.27 (2,377) since. What is left is mostly one emit
-/// `Vec` per actor execution; recycling it read 0.077 per event on
-/// `pod-par2` and bought no host time, so it is not done.
+/// per-shard vector, 0.27 (2,377) since, 0.210 (1,843) with the one-heap
+/// event queue. What is left is mostly one emit `Vec` per actor execution;
+/// recycling it read 0.077 per event on `pod-par2` and bought no host time,
+/// so it is not done.
 #[test]
 fn smoke_runs_stay_within_their_allocation_budgets() {
     let (allocs, (stats, _cluster)) = allocations_in(|| run_rkv_scale(&ScaleSpec::smoke(7, 1)));
     assert!(stats.events > 10_000, "{stats:?}");
     let per_event = allocs as f64 / stats.events as f64;
     assert!(
-        per_event <= 1.08,
+        per_event <= 0.95,
         "{allocs} allocations over {} events = {per_event:.3} per event",
         stats.events
     );
@@ -93,7 +97,7 @@ fn smoke_runs_stay_within_their_allocation_budgets() {
     assert!(events > 5_000, "{events} events");
     let per_event = allocs as f64 / events as f64;
     assert!(
-        per_event <= 0.28,
+        per_event <= 0.22,
         "{allocs} allocations over {events} events = {per_event:.3} per event"
     );
 }

@@ -1,92 +1,25 @@
 //! The discrete-event queue.
 //!
-//! Events are ordered by `(time, sequence-number)`: two events scheduled for
-//! the same instant fire in the order they were scheduled, which makes every
-//! simulation replayable bit-for-bit from its seed.
-//!
-//! # Event queue internals
-//!
-//! [`EventQueue`] is a **hierarchical timing wheel** (calendar queue), not a
-//! binary heap. Eight levels of 64 slots each cover exponentially coarser
-//! windows of future time: level `l` buckets timestamps by bits
-//! `[6l, 6l+6)` of their nanosecond value, so level 0 slots are 1 ns wide,
-//! level 1 slots 64 ns, up to level 7 slots of 2^42 ns. An event is placed at
-//! the *smallest* level whose parent window (bits above `6(l+1)`) matches the
-//! current time — equivalently, `level = (bitlen(at ^ now) - 1) / 6`. Events
-//! more than a top-level window (2^48 ns ≈ 78 h of simulated time) ahead go
-//! to a sorted spill heap and migrate into the wheel when the clock reaches
-//! their window.
-//!
-//! Placement relative to `now` gives the key invariant: an entry stored at
-//! level `l` always shares its level-`l` parent window with `now`, and since
-//! `now` only advances toward pending timestamps the invariant survives both
-//! pops and [`EventQueue::advance_to`]. Two consequences make every
-//! operation cheap and wrap-free:
-//!
-//! * within a level, slot index orders timestamps, so the earliest entry of
-//!   a level lives in its lowest occupied slot (found with one
-//!   `trailing_zeros` on the level's occupancy bitmap);
-//! * a level-0 slot holds exactly one timestamp, so draining it yields a
-//!   complete same-instant batch.
-//!
-//! [`EventQueue::next_batch`] refills the internal *ready batch*: take the
-//! minimum pending timestamp `T`, advance `now` to `T`, then drain slot
-//! `index_l(T)` at every level — entries equal to `T` fire, later entries
-//! cascade to strictly lower levels (their placement level w.r.t. the new
-//! `now` is provably smaller, so total cascade work per event is bounded by
-//! the number of levels over its lifetime). The level-0 slot is appended to
-//! the batch whole, with no cascade pass: it holds exactly one timestamp.
-//!
-//! **The minimum is cached, not scanned.** The queue keeps `next_at`, the
-//! exact earliest timestamp in the wheel and the spill heap together.
-//! `schedule_at` lowers it; the refill, the only operation that removes
-//! timestamps from the wheel and the heap, takes `T = next_at` and ends with
-//! one scan (each level's lowest occupied slot, via its cached slot minimum,
-//! and the spill head) that sets it again. Nothing else can make it stale:
-//! cascades and spill migration move entries between levels and out of the
-//! heap but never change the set of pending timestamps, and
-//! [`EventQueue::advance_to`] moves `now`, not an entry. So
-//! [`EventQueue::peek_time`] is O(1), and the refill scans once instead of
-//! twice.
-//!
-//! **Keys in the wheel, bodies in a slab.** What the wheel orders is a
-//! 24-byte `Copy` key — `(at, seq, body)` — whatever the event type: slots,
-//! the spill heap, the cascade scratch vector and the ready batch hold keys
-//! only. The event itself is written once, by `schedule_at`, into a
-//! per-queue slab (`Vec<Option<E>>` plus a LIFO free list of vacated
-//! indices) and read once, by [`EventQueue::pop_ready`], straight into the
-//! caller's hands; every placement, cascade and sort in between moves three
-//! words. [`MergePool`] is built the same way: a heap of `(key, index)` over
-//! a slab of values. The contract below is unchanged by where the bodies
-//! live.
-//!
-//! **Determinism argument.** The wheel reproduces the heap's
-//! `(time, seq)` order exactly: the refill collects *all* entries at `T`
-//! (anything at `T` stored at level `l` must sit in slot `index_l(T)`),
-//! sorts them by sequence number (cascading can interleave arrival orders
-//! across levels), and serves them FIFO. Events scheduled *at* the ready
-//! batch's own timestamp while it drains are inserted at level 0 and picked
-//! up by the next refill of the same instant — `pop_ready` never starts one,
-//! only `next_batch` does — and their sequence numbers exceed everything
-//! already in the batch, so overall order is still `(time, seq)`.
-//! Replays are therefore bit-for-bit identical to a plain binary heap on
-//! `(time, seq)`, which `tests/queue_ref.rs` asserts under arbitrary
-//! interleavings.
+//! [`EventQueue`] is a binary min-heap of small keys, `(at, seq, body)`, over
+//! a slab that holds the events themselves. `seq` is the global schedule
+//! counter, so the order `(at, seq)` is total: two events for the same
+//! instant fire in the order they were scheduled, nothing depends on how the
+//! heap happens to be laid out, and a simulation replays bit for bit from its
+//! seed. Events are served in same-instant batches by one rule: a batch is
+//! its instant and the schedule counter when it formed, and the head of the
+//! heap belongs to it while the head is at that instant with a smaller `seq`.
+//! [`EventQueue::pop_ready`] pops only such a head, and
+//! [`EventQueue::next_batch`] forms a new batch, advancing `now`, only when
+//! the head is outside the current one, so an event scheduled at the batch's
+//! own instant while it is served waits for a follow-up batch.
+//! `tests/queue_ref.rs` checks all of this against an ordered-map reference
+//! under arbitrary interleavings.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Slot-index width in bits; each level has `2^SLOT_BITS` slots.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Number of wheel levels.
-const LEVELS: usize = 8;
-/// Timestamps whose XOR with `now` needs more than this many bits spill.
-const TOP_BITS: u32 = SLOT_BITS * LEVELS as u32;
-
-/// What the wheel orders: a timestamp, the global schedule counter and the
+/// What the heap orders: a timestamp, the global schedule counter and the
 /// slab index of the event's body. The derived order is `(at, seq)` — `seq`
 /// is unique, so `body` never decides.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -137,43 +70,22 @@ impl<T> Slab<T> {
     }
 }
 
-/// A deterministic future-event list backed by a hierarchical timing wheel
-/// (see the module docs for the structure and determinism argument).
+/// A deterministic future-event list: a binary heap of keys over a slab of
+/// events (see the module docs for the batch rule and determinism argument).
 ///
 /// `now` advances monotonically as events are popped. Scheduling an event in
 /// the past is a logic error and panics — silent time travel corrupts
 /// statistics in ways that are extremely painful to debug.
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` buckets, flattened; slot vectors keep their capacity
-    /// across drains so steady-state scheduling does not allocate.
-    slots: Box<[Vec<Entry>]>,
-    /// One occupancy bitmap per level; bit `s` set iff slot `s` is nonempty.
-    occupied: [u64; LEVELS],
-    /// Cached minimum timestamp per slot (`u64::MAX` when empty). Exact by
-    /// construction: slots gain entries only through `place` (which
-    /// min-updates) and empty only through whole-slot drains (which reset) —
-    /// so the refill's scan for `next_at` stays O(levels) even when a
-    /// high-level slot parks tens of thousands of far-future entries.
-    slot_min: Box<[u64]>,
-    /// Far-future events (more than `2^TOP_BITS` ns ahead of `now`).
-    spill: BinaryHeap<Reverse<Entry>>,
-    /// Exact earliest timestamp in the wheel and the spill heap (the ready
-    /// batch is not counted), `u64::MAX` while both are empty. See the
-    /// module docs for why it stays exact.
-    next_at: u64,
-    /// Keys of the events at `ready_time`, in seq order; `ready[served..]`
-    /// are still to be served. Kept across refills to reuse its capacity.
-    ready: Vec<Entry>,
-    served: usize,
-    ready_time: u64,
-    /// Scratch for cascading a drained slot (kept to reuse its capacity).
-    cascade_scratch: Vec<Entry>,
+    /// The key of every pending event, the smallest `(at, seq)` on top.
+    heap: BinaryHeap<Reverse<Entry>>,
     /// Every pending event, at the index its [`Entry::body`] names.
     bodies: Slab<E>,
+    /// The batch being served: its instant, and `seq` when it formed.
+    batch: (u64, u64),
     seq: u64,
     now: u64,
     popped: u64,
-    len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -186,20 +98,12 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            slot_min: vec![u64::MAX; LEVELS * SLOTS].into_boxed_slice(),
-            spill: BinaryHeap::new(),
-            next_at: u64::MAX,
-            ready: Vec::new(),
-            served: 0,
-            ready_time: 0,
-            cascade_scratch: Vec::new(),
+            heap: BinaryHeap::new(),
             bodies: Slab::new(),
+            batch: (0, 0),
             seq: 0,
             now: 0,
             popped: 0,
-            len: 0,
         }
     }
 
@@ -210,12 +114,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events fired so far.
@@ -235,14 +139,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.next_at = self.next_at.min(at.as_ns());
-        self.len += 1;
         let body = self.bodies.insert(event);
-        self.place(Entry {
+        self.heap.push(Reverse(Entry {
             at: at.as_ns(),
             seq,
             body,
-        });
+        }));
     }
 
     /// Schedule `event` after a delay relative to `now`.
@@ -250,13 +152,9 @@ impl<E> EventQueue<E> {
         self.schedule_at(SimTime::from_ns(self.now) + delay, event);
     }
 
-    /// Timestamp of the next pending event, if any. O(1): the rest of the
-    /// ready batch, else the cached minimum.
+    /// Timestamp of the next pending event, if any: the top of the heap.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.served < self.ready.len() {
-            return Some(SimTime::from_ns(self.ready_time));
-        }
-        (self.len > 0).then(|| SimTime::from_ns(self.next_at))
+        self.heap.peek().map(|head| SimTime::from_ns(head.0.at))
     }
 
     /// Advance `now` to `t` without firing anything. A no-op when `t` is not
@@ -272,24 +170,31 @@ impl<E> EventQueue<E> {
         self.now = t.as_ns();
     }
 
+    /// True when the head of the heap belongs to the batch being served.
+    #[inline]
+    fn head_in_batch(&self) -> bool {
+        let (at, formed) = self.batch;
+        self.heap
+            .peek()
+            .is_some_and(|head| head.0.at == at && head.0.seq < formed)
+    }
+
     /// Make the next same-instant batch current, advancing `now` to its
     /// timestamp, and return that timestamp (`None` when nothing is
     /// pending). While a batch is still being served this is a no-op that
     /// returns the batch's timestamp.
     ///
-    /// One traversal of the wheel serves the whole same-instant burst, so a
-    /// caller dispatching simultaneous events (a common pattern in
-    /// packet-level simulations) touches it once per distinct timestamp
-    /// rather than once per event. Events scheduled at the batch's own
+    /// A caller dispatching simultaneous events (a common pattern in
+    /// packet-level simulations) forms one batch per distinct timestamp
+    /// rather than one per event. Events scheduled at the batch's own
     /// instant while it is served wait for the next call.
     pub fn next_batch(&mut self) -> Option<SimTime> {
-        if self.served == self.ready.len() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill_ready();
+        if !self.head_in_batch() {
+            let at = self.heap.peek()?.0.at;
+            self.batch = (at, self.seq);
+            self.now = at;
         }
-        Some(SimTime::from_ns(self.ready_time))
+        Some(SimTime::from_ns(self.batch.0))
     }
 
     /// Take the next event of the current batch, in FIFO order, straight
@@ -297,11 +202,12 @@ impl<E> EventQueue<E> {
     /// a new batch, [`EventQueue::next_batch`] does.
     #[inline]
     pub fn pop_ready(&mut self) -> Option<E> {
-        let body = self.ready.get(self.served)?.body;
-        self.served += 1;
+        if !self.head_in_batch() {
+            return None;
+        }
+        let Reverse(head) = self.heap.pop().expect("the head is in the batch");
         self.popped += 1;
-        self.len -= 1;
-        Some(self.bodies.take(body))
+        Some(self.bodies.take(head.body))
     }
 
     /// Pop the next event, advancing `now` to its timestamp.
@@ -343,125 +249,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Visit every pending `(time, event)` without moving anything: the
-    /// ready batch, each occupied wheel slot and the spill heap. The order
-    /// is storage order, not firing order — callers tally, they do not
-    /// replay. Taking `&self`, a visit cannot reorder or renumber events.
+    /// Visit every pending `(time, event)` without moving anything. The
+    /// order is the heap's storage order, not firing order — callers tally,
+    /// they do not replay. Taking `&self`, a visit cannot reorder or
+    /// renumber events.
     pub fn for_each_pending(&self, mut f: impl FnMut(SimTime, &E)) {
-        let ready_time = SimTime::from_ns(self.ready_time);
-        for entry in &self.ready[self.served..] {
-            f(ready_time, self.bodies.get(entry.body));
-        }
-        for (level, &occ) in self.occupied.iter().enumerate() {
-            let mut bits = occ;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for entry in &self.slots[level * SLOTS + slot] {
-                    f(SimTime::from_ns(entry.at), self.bodies.get(entry.body));
-                }
-            }
-        }
-        for Reverse(entry) in &self.spill {
+        for Reverse(entry) in &self.heap {
             f(SimTime::from_ns(entry.at), self.bodies.get(entry.body));
         }
-    }
-
-    /// Insert an entry into the wheel level (or spill heap) dictated by its
-    /// distance from `now`. The caller accounts for `len`.
-    ///
-    /// Always inlined, so a freshly built key stays in registers: out of
-    /// line it goes through the stack as two 8-byte stores and comes back
-    /// as one 16-byte load, which cannot be store-forwarded (on the
-    /// `sim.event` probe that stall doubled the samples on the `push`).
-    #[inline(always)]
-    fn place(&mut self, entry: Entry) {
-        let diff = entry.at ^ self.now;
-        let bitlen = u64::BITS - diff.leading_zeros();
-        if bitlen > TOP_BITS {
-            self.spill.push(Reverse(entry));
-            return;
-        }
-        let level = if bitlen <= SLOT_BITS {
-            0
-        } else {
-            ((bitlen - 1) / SLOT_BITS) as usize
-        };
-        let slot = ((entry.at >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-        let idx = level * SLOTS + slot;
-        self.occupied[level] |= 1 << slot;
-        if entry.at < self.slot_min[idx] {
-            self.slot_min[idx] = entry.at;
-        }
-        self.slots[idx].push(entry);
-    }
-
-    /// Empty the slot of `level` that timestamp `t` falls in, appending its
-    /// entries to `into`.
-    fn drain_slot(&mut self, level: usize, t: u64, into: &mut Vec<Entry>) {
-        let slot = ((t >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-        if self.occupied[level] & (1 << slot) != 0 {
-            self.occupied[level] &= !(1 << slot);
-            self.slot_min[level * SLOTS + slot] = u64::MAX;
-            into.append(&mut self.slots[level * SLOTS + slot]);
-        }
-    }
-
-    /// Rebuild the ready batch from the earliest pending timestamp, which
-    /// `next_at` holds: `now` advances to it and `ready` holds its events in
-    /// seq order. The caller checks that the old batch is served and that
-    /// something is pending.
-    fn refill_ready(&mut self) {
-        debug_assert!(self.served == self.ready.len() && self.len > 0);
-        let t_min = self.next_at;
-        debug_assert!(t_min >= self.now);
-        self.now = t_min;
-        // Migrate spill entries whose top-level window the clock has reached
-        // (the minimum may be one of them).
-        while let Some(head) = self.spill.peek() {
-            if head.0.at >> TOP_BITS != t_min >> TOP_BITS {
-                break;
-            }
-            let entry = self.spill.pop().expect("peeked head").0;
-            self.place(entry);
-        }
-        // Collect the batch: anything at t_min stored at level l must sit in
-        // slot index_l(t_min). Drain that slot at every level; entries after
-        // t_min cascade to strictly lower levels relative to the new `now`.
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        self.served = 0;
-        let mut scratch = std::mem::take(&mut self.cascade_scratch);
-        for level in (1..LEVELS).rev() {
-            self.drain_slot(level, t_min, &mut scratch);
-            for entry in scratch.drain(..) {
-                if entry.at == t_min {
-                    ready.push(entry);
-                } else {
-                    debug_assert!(entry.at > t_min);
-                    self.place(entry);
-                }
-            }
-        }
-        // A level-0 slot holds exactly one timestamp: it joins the batch whole.
-        self.drain_slot(0, t_min, &mut ready);
-        debug_assert!(ready.iter().all(|e| e.at == t_min));
-        // Cascading interleaves arrival orders across levels; restore FIFO.
-        ready.sort_unstable_by_key(|e| e.seq);
-        self.ready = ready;
-        self.ready_time = t_min;
-        self.cascade_scratch = scratch;
-        debug_assert!(!self.ready.is_empty());
-        // The one scan per batch: each level's candidate is its lowest
-        // occupied slot (slot index orders time within a level).
-        let mut next = self.spill.peek().map_or(u64::MAX, |head| head.0.at);
-        for (level, &occ) in self.occupied.iter().enumerate() {
-            if occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                next = next.min(self.slot_min[level * SLOTS + slot]);
-            }
-        }
-        self.next_at = next;
     }
 }
 
@@ -604,7 +399,7 @@ mod tests {
         assert!(p.is_empty());
     }
 
-    /// The wheel and the pool order small keys, whatever they carry: the
+    /// The queue and the pool order small keys, whatever they carry: the
     /// pool's element is measured with the runtime's key, `(port_ready, dst,
     /// src, seq)`.
     #[test]
@@ -615,8 +410,8 @@ mod tests {
     }
 
     /// The slab reuses vacated slots: a million events through a queue that
-    /// never holds more than a thousand leave a thousand body slots, and no
-    /// wheel slot's vector grows past what a thousand entries need.
+    /// never holds more than a thousand leave a thousand body slots, and the
+    /// heap grows no further than what a thousand keys need.
     #[test]
     fn slab_and_slots_stay_bounded_over_a_million_cycles() {
         const PENDING: u64 = 1_000;
@@ -627,7 +422,7 @@ mod tests {
         }
         for i in PENDING..1_000_000 {
             let (t, _) = q.pop().expect("a thousand pending");
-            // xorshift delays from 0 ns to ~1 ms: every level up to 3.
+            // xorshift delays from 0 ns to ~1 ms.
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
@@ -636,12 +431,7 @@ mod tests {
         }
         assert!(q.bodies.slots.len() as u64 <= PENDING);
         assert!(q.bodies.free.capacity() as u64 <= 2 * PENDING);
-        for slot in q.slots.iter() {
-            assert!(slot.capacity() as u64 <= 2 * PENDING, "{}", slot.capacity());
-        }
-        for scratch in [&q.cascade_scratch, &q.ready] {
-            assert!(scratch.capacity() as u64 <= 2 * PENDING);
-        }
+        assert!(q.heap.capacity() as u64 <= 2 * PENDING);
     }
 
     #[test]
@@ -681,7 +471,7 @@ mod tests {
         batch.clear();
         assert_eq!(drops.get(), 3);
         q.schedule_at(SimTime::from_ns(70), Counted(drops.clone())); // a reused slot
-        assert_eq!(q.len(), 4); // ready batch empty; wheel and spill are not
+        assert_eq!(q.len(), 4); // the batch at 5 ns is served; later ones are not
         drop(q);
         assert_eq!(drops.get(), 7);
     }
@@ -754,9 +544,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_spill_and_return() {
+    fn far_future_events_fire_in_order() {
         let mut q = EventQueue::new();
-        // > 2^48 ns ahead: must take the spill path.
+        // ~52 days of simulated time ahead, scheduled around a near event.
         let far = SimTime::from_ns(1 << 52);
         let near = SimTime::from_us(1);
         q.schedule_at(far, "far");
@@ -772,18 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn spill_interleaves_correctly_with_late_wheel_inserts() {
-        // Regression for the window-crossing hazard: an event spills, the
-        // clock advances into its window, and a *later* event is then
-        // scheduled into the wheel. The spilled event must still fire first.
+    fn a_far_event_fires_before_a_later_one_scheduled_after_an_advance() {
+        // An event is scheduled far ahead, the clock jumps to just short of
+        // it, and a *later* event is then scheduled from there. The earlier
+        // one must still fire first.
         let mut q = EventQueue::new();
-        let spill_at = SimTime::from_ns((1 << 48) + 10);
-        q.schedule_at(spill_at, "spilled");
+        let far = SimTime::from_ns((1 << 48) + 10);
+        q.schedule_at(far, "far");
         q.advance_to(SimTime::from_ns((1 << 48) + 1));
-        q.schedule_at(SimTime::from_ns((1 << 48) + 20), "wheel");
-        assert_eq!(q.peek_time(), Some(spill_at));
-        assert_eq!(q.pop(), Some((spill_at, "spilled")));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("wheel"));
+        q.schedule_at(SimTime::from_ns((1 << 48) + 20), "later");
+        assert_eq!(q.peek_time(), Some(far));
+        assert_eq!(q.pop(), Some((far, "far")));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("later"));
     }
 
     #[test]
@@ -803,28 +593,27 @@ mod tests {
     }
 
     #[test]
-    fn stale_higher_level_entries_still_fire_first() {
-        // An entry placed at a high level can become "stale" (closer to now
-        // than its level suggests) after advance_to. The min scan must still
-        // prefer it over younger level-0 entries.
+    fn an_event_scheduled_before_an_advance_fires_first() {
+        // The same shape a few nanoseconds from zero: an event scheduled
+        // before `advance_to` still precedes one scheduled 1 ns after it.
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_ns(130), "stale"); // level >= 1 at now=0
-        q.advance_to(SimTime::from_ns(128)); // same 64-ns window as 130 now
-        q.schedule_at(SimTime::from_ns(131), "fresh"); // level 0
-        assert_eq!(q.pop().map(|(_, e)| e), Some("stale"));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("fresh"));
+        q.schedule_at(SimTime::from_ns(130), "early");
+        q.advance_to(SimTime::from_ns(128));
+        q.schedule_at(SimTime::from_ns(131), "late");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
     }
 
     #[test]
-    fn same_instant_fifo_survives_cascades() {
-        // Events at one instant scheduled from different distances (hence
-        // different initial levels) must still fire in scheduling order.
+    fn same_instant_fifo_holds_across_schedule_times() {
+        // Events at one instant scheduled from different distances (one
+        // before a pop, two after) must still fire in scheduling order.
         let mut q = EventQueue::new();
         let t = SimTime::from_ns(100_000);
-        q.schedule_at(t, 0); // scheduled from now=0: high level
+        q.schedule_at(t, 0); // scheduled from now=0
         q.schedule_at(SimTime::from_ns(99_000), 99);
-        q.pop(); // now=99_000; t is one cascade closer
-        q.schedule_at(t, 1); // placed at a lower level than event 0
+        q.pop(); // now=99_000
+        q.schedule_at(t, 1);
         q.schedule_at(t, 2);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![0, 1, 2]);
@@ -886,51 +675,59 @@ mod tests {
         assert_eq!(order, vec![1, 2, 3]);
     }
 
-    /// `peek_time` reads the cached minimum; it must equal a full scan of
-    /// what is pending through a spill-only queue, spill migration, a
-    /// schedule below the cached value while a batch is half served, and a
-    /// drain to `None` followed by new schedules.
+    /// `peek_time` reads the top of the heap; after every step it must equal
+    /// a full scan of what is pending: schedules above and below the head, a
+    /// batch half served with a later and a same-instant schedule in it, and
+    /// a drain to `None` followed by new schedules.
     #[test]
     fn peek_time_is_exact_without_a_scan() {
-        fn scanned(q: &EventQueue<&str>) -> Option<SimTime> {
+        /// `peek_time`, once checked against the earliest pending instant.
+        fn peek(q: &EventQueue<&str>) -> Option<SimTime> {
             let mut min = None;
             q.for_each_pending(|t, _| min = Some(min.map_or(t, |m: SimTime| m.min(t))));
+            assert_eq!(q.peek_time(), min);
             min
         }
         let at = |ns: u64| SimTime::from_ns((1 << 50) + ns);
         let mut q = EventQueue::new();
+        assert_eq!(peek(&q), None);
         q.schedule_at(at(500), "a");
+        assert_eq!(peek(&q), Some(at(500)));
         q.schedule_at(at(9), "b");
-        assert!(q.occupied.iter().all(|&occ| occ == 0), "both spilled");
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(9)), Some(at(9))));
-        assert_eq!(q.pop(), Some((at(9), "b"))); // migrates "a" into the wheel
-        assert!(q.spill.is_empty());
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(500)), Some(at(500))));
+        assert_eq!(peek(&q), Some(at(9)));
+        assert_eq!(q.pop(), Some((at(9), "b")));
+        assert_eq!(peek(&q), Some(at(500)));
         for e in ["c0", "c1", "c2"] {
             q.schedule_at(at(200), e);
+            assert_eq!(peek(&q), Some(at(200)));
         }
-        assert_eq!(q.peek_time(), Some(at(200)));
         assert_eq!(q.next_batch(), Some(at(200)));
+        assert_eq!(peek(&q), Some(at(200)));
         assert_eq!(q.pop_ready(), Some("c0"));
-        assert_eq!(q.next_at, at(500).as_ns(), "the cache skips the batch");
-        q.schedule_at(at(300), "d"); // below the cached minimum, batch half served
+        assert_eq!(peek(&q), Some(at(200)));
+        q.schedule_at(at(300), "d"); // before "a", with the batch half served
+        assert_eq!(peek(&q), Some(at(200)));
         q.schedule_at(at(200), "e"); // the batch's own instant: a follow-up batch
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(200)), Some(at(200))));
+        assert_eq!(peek(&q), Some(at(200)));
         assert_eq!(q.pop_ready(), Some("c1"));
+        assert_eq!(peek(&q), Some(at(200)));
         assert_eq!(q.pop_ready(), Some("c2"));
+        assert_eq!(peek(&q), Some(at(200)));
         assert_eq!(q.pop_ready(), None, "pop_ready never starts a batch");
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(200)), Some(at(200))));
+        assert_eq!(peek(&q), Some(at(200)));
         assert_eq!(q.pop(), Some((at(200), "e")));
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(300)), Some(at(300))));
+        assert_eq!(peek(&q), Some(at(300)));
         assert_eq!(q.pop(), Some((at(300), "d")));
+        assert_eq!(peek(&q), Some(at(500)));
         assert_eq!(q.pop(), Some((at(500), "a")));
-        assert_eq!((q.peek_time(), scanned(&q), q.pop()), (None, None, None));
+        assert_eq!((peek(&q), q.pop()), (None, None));
         let far = at(1 << 49);
-        q.schedule_at(far, "far"); // spills again
+        q.schedule_at(far, "far");
+        assert_eq!(peek(&q), Some(far));
         q.schedule_at(at(600), "near");
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(at(600)), Some(at(600))));
+        assert_eq!(peek(&q), Some(at(600)));
         assert_eq!(q.pop(), Some((at(600), "near")));
-        assert_eq!((q.peek_time(), scanned(&q)), (Some(far), Some(far)));
+        assert_eq!(peek(&q), Some(far));
     }
 
     /// Everything `for_each_pending` visits, as a sorted multiset.
@@ -978,8 +775,9 @@ mod tests {
         /// After every step the borrowing visit sees exactly the pending
         /// multiset (checked against a model), and at the end exactly what
         /// popping to exhaustion returns. The fixed prologue puts one event
-        /// past the spill horizon and schedules one at `now` while a batch
-        /// is half served, so all three stores are populated at once.
+        /// ~6.5 days ahead and schedules one at `now` while a batch is half
+        /// served, so the heap holds the rest of a batch, its follow-up and
+        /// a far future at once.
         #[test]
         fn for_each_pending_visits_exactly_what_pops(
             ops in prop::collection::vec((0u8..6, 0u64..4096, 0u64..200_000), 1..200)

@@ -18,7 +18,7 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # else; a moved or renamed item must not leave one dangling.
 stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
 
-# The timing wheel against its BinaryHeap reference, and a client's retry
+# The event queue against its BTreeMap reference, and a client's retry
 # deadline set against its BTreeSet reference, at 4,000 cases each in release
 # mode: the same differentials `test` runs at 64 and 256 (one shared body).
 stage_queue-deep() {
