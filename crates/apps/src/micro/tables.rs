@@ -250,11 +250,6 @@ impl MaglevBalancer {
         self.table[(flow % self.table.len() as u64) as usize]
     }
 
-    /// Table size.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
     /// Per-backend share of the table (for balance tests).
     pub fn shares(&self) -> Vec<usize> {
         let mut s = vec![0; self.backends];

@@ -285,11 +285,6 @@ impl ConsensusActor {
         self.set_buffered_gauge();
     }
 
-    /// Leader status (for tests/harness).
-    pub fn is_leader(&self) -> bool {
-        self.paxos.role() == Role::Leader
-    }
-
     fn ship(&self, ctx: &mut ActorCtx<'_>, token: u64, outs: Vec<(NodeIdx, PaxosMsg)>) {
         for (peer, msg) in outs {
             let size = 48
@@ -1108,7 +1103,7 @@ mod tests {
 
     /// Run one message through the actor and return what it emitted.
     fn exec_once(actor: &mut ConsensusActor, token: u64, msg: RkvMsg) -> Vec<Emit> {
-        let mut dmo = ipipe::dmo::DmoTable::new(ipipe::dmo::Side::Nic, 1 << 20);
+        let mut dmo = ipipe::dmo::DmoTable::new(ipipe::dmo::Side::Nic);
         let mut rng = ipipe_sim::DetRng::new(1);
         let mut ctx = ActorCtx::new(SimTime::ZERO, 0, 0, &mut dmo, &mut rng);
         actor.exec(

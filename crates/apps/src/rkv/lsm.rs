@@ -261,11 +261,6 @@ impl Levels {
         }
         None
     }
-
-    /// Number of SSTables across all levels.
-    pub fn table_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 
 use ipipe::sched::Discipline;
 use ipipe_baseline::fig16::run_fig16_obs;
-use ipipe_bench::render_table;
+use ipipe_bench::figure::{num, text, Table};
 use ipipe_bench::scenario::{self, Size};
 use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::{Obs, TraceKind, TraceLevel};
@@ -138,40 +138,29 @@ fn main() {
         Some(c) => c.snapshot(),
         None => obs.snapshot(),
     };
-    let rows: Vec<Vec<String>> = snap
+    let rows = snap
         .counters
         .iter()
-        .map(|((name, node), v)| vec![name.clone(), node.to_string(), v.to_string()])
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!("counters — {} seed {}", opts.scenario, opts.seed),
-            &["name", "node", "value"],
-            &rows,
-        )
+        .map(|((name, node), v)| vec![text(name), num(f64::from(*node), 0), num(*v as f64, 0)]);
+    let counters = Table::new(
+        format!("counters — {} seed {}", opts.scenario, opts.seed),
+        ["name", "node", "value"],
+        rows.collect(),
     );
-    let rows: Vec<Vec<String>> = snap
-        .hists
-        .iter()
-        .filter(|(_, h)| h.count() > 0)
-        .map(|((name, node), h)| {
-            vec![
-                name.clone(),
-                node.to_string(),
-                h.count().to_string(),
-                format!("{:.1}", h.mean().as_us_f64()),
-                format!("{:.1}", h.p99().as_us_f64()),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "histograms",
-            &["name", "node", "count", "mean(us)", "p99(us)"],
-            &rows
-        )
+    let rows = snap.hists.iter().filter(|(_, h)| h.count() > 0);
+    let rows = rows.map(|((name, node), h)| {
+        vec![
+            text(name),
+            num(f64::from(*node), 0),
+            num(h.count() as f64, 0),
+            num(h.mean().as_us_f64(), 1),
+            num(h.p99().as_us_f64(), 1),
+        ]
+    });
+    let hists = Table::new(
+        "histograms",
+        ["name", "node", "count", "mean(us)", "p99(us)"],
+        rows.collect(),
     );
 
     // --- trace summary --------------------------------------------------
@@ -187,28 +176,22 @@ fn main() {
             slot.1 += dur;
         }
     }
-    let rows: Vec<Vec<String>> = by_name
-        .iter()
-        .map(|((cat, name), (n, total))| {
-            vec![
-                format!("{cat}/{name}"),
-                n.to_string(),
-                format!("{:.1}", total.as_us_f64()),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "trace — {} recorded, {} dropped",
-                events.len(),
-                trace_dropped
-            ),
-            &["cat/name", "events", "span-total(us)"],
-            &rows,
-        )
+    let rows = by_name.iter().map(|((cat, name), (n, total))| {
+        vec![
+            text(format!("{cat}/{name}")),
+            num(*n as f64, 0),
+            num(total.as_us_f64(), 1),
+        ]
+    });
+    let trace = Table::new(
+        format!("trace — {} recorded, {trace_dropped} dropped", events.len()),
+        ["cat/name", "events", "span-total(us)"],
+        rows.collect(),
     );
+    // No blank line between the three summaries, unlike `figures`.
+    for table in [counters, hists, trace] {
+        print!("{}", table.render());
+    }
 
     // --- exports --------------------------------------------------------
     if let Some(dir) = opts.out {

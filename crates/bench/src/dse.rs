@@ -9,7 +9,8 @@
 //! per-workload Pareto frontiers over
 //! {committed throughput, host-cores-saved, NIC-core budget, p99} plus an
 //! offload recommendation table naming each workload's best configuration
-//! and the axis that bottlenecks it.
+//! and the axis that bottlenecks it. The full grid at seed 17 is the `dse`
+//! entry of [`figure::FIGURES`], so `figures_output.txt` pins both tables.
 //!
 //! Determinism contract: a cell's result is pure in `(DesignPoint, workload,
 //! master seed)` — the per-cell seed is hashed from the design's spec-pure
@@ -20,8 +21,8 @@
 //! across shard counts, which `differential::diff_dse_grid` pins.
 
 use crate::apps_harness::{install_app, measure, App};
+use crate::figure::{self, num, text, Table};
 use crate::pareto::{frontier_indices, Sense};
-use crate::render_table;
 use ipipe::prelude::*;
 use ipipe::rt::{ClientReq, Cluster, RuntimeMode};
 use ipipe::sched::{Discipline, SchedConfig};
@@ -107,21 +108,7 @@ impl DseSpec {
         }
     }
 
-    /// CI smoke size: 16 designs x 3 workloads.
-    pub fn smoke(seed: u64) -> DseSpec {
-        DseSpec {
-            axes: DesignAxes::smoke(),
-            seed,
-            workers: default_workers(),
-            shards: 1,
-            warmup: SimTime::from_ms(1),
-            measure: SimTime::from_ms(3),
-            outstanding: 24,
-            fig16_requests: 6_000,
-        }
-    }
-
-    /// The committed-figure size: 96 designs x 3 workloads.
+    /// The committed-figure size (`figures dse`): 96 designs x 3 workloads.
     pub fn full(seed: u64) -> DseSpec {
         DseSpec {
             axes: DesignAxes::full(),
@@ -214,53 +201,53 @@ pub struct DseResult {
 }
 
 impl DseResult {
-    /// Human-readable Pareto + recommendation tables.
-    pub fn render_tables(&self) -> String {
+    /// The `dse` figure: every workload's Pareto frontier, then the offload
+    /// recommendation.
+    pub fn tables(&self) -> Vec<Table> {
         let mut frontier_rows = Vec::new();
         for (w, members) in &self.frontiers {
             for &ci in members {
                 let c = &self.cells[ci];
                 frontier_rows.push(vec![
-                    w.name().to_string(),
-                    c.id.clone(),
-                    format!("{:.0}", c.throughput_rps),
-                    format!("{:.2}", c.host_cores_saved),
-                    format!("{:.0}", c.nic_cores),
-                    format!("{:.1}", c.p99_us),
+                    text(w.name()),
+                    text(&c.id),
+                    num(c.throughput_rps, 0),
+                    num(c.host_cores_saved, 2),
+                    num(c.nic_cores, 0),
+                    num(c.p99_us, 1),
                 ]);
             }
         }
-        let mut rec_rows = Vec::new();
-        for r in &self.recommendations {
+        let rec_rows = self.recommendations.iter().map(|r| {
             let c = &self.cells[r.cell];
-            rec_rows.push(vec![
-                r.workload.name().to_string(),
-                c.id.clone(),
-                format!("{:.0}", c.throughput_rps),
-                format!("{:.2}", c.host_cores_saved),
-                format!("{:.1}", c.p99_us),
-                r.bottleneck.to_string(),
-            ]);
-        }
-        let mut out = render_table(
-            "DSE Pareto frontier {thr, saved, nic cores, p99}",
-            &["workload", "design", "thr_rps", "saved", "nic", "p99_us"],
-            &frontier_rows,
-        );
-        out.push('\n');
-        out.push_str(&render_table(
-            "Offload recommendation (best config per workload + bottleneck axis)",
-            &[
-                "workload",
-                "design",
-                "thr_rps",
-                "saved",
-                "p99_us",
-                "bottleneck",
-            ],
-            &rec_rows,
-        ));
-        out
+            vec![
+                text(r.workload.name()),
+                text(&c.id),
+                num(c.throughput_rps, 0),
+                num(c.host_cores_saved, 2),
+                num(c.p99_us, 1),
+                text(r.bottleneck),
+            ]
+        });
+        vec![
+            Table::new(
+                "DSE Pareto frontier {thr, saved, nic cores, p99}",
+                ["workload", "design", "thr_rps", "saved", "nic", "p99_us"],
+                frontier_rows,
+            ),
+            Table::new(
+                "Offload recommendation (best config per workload + bottleneck axis)",
+                [
+                    "workload",
+                    "design",
+                    "thr_rps",
+                    "saved",
+                    "p99_us",
+                    "bottleneck",
+                ],
+                rec_rows.collect(),
+            ),
+        ]
     }
 }
 
@@ -568,7 +555,7 @@ pub fn run_dse(spec: &DseSpec) -> DseResult {
         recommendations,
         export: String::new(),
     };
-    export.push_str(&result.render_tables());
+    export.push_str(&figure::render(&result.tables()));
     export.push_str(&merged.to_jsonl());
     result.export = export;
     result
@@ -579,9 +566,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_grid_runs_reduces_and_is_deterministic() {
-        let spec = DseSpec::tiny(5);
-        let r = run_dse(&spec);
+    fn tiny_grid_runs_and_reduces() {
+        let r = run_dse(&DseSpec::tiny(5));
         assert_eq!(r.designs.len(), 4);
         assert_eq!(r.cells.len(), 12);
         for c in &r.cells {
@@ -610,11 +596,6 @@ mod tests {
             let key = format!("\"dse.{}.rkv.", d.id());
             assert!(r.export.contains(&key), "missing {key} in export");
         }
-
-        // Same spec, second run: byte-identical export (same process,
-        // different sweep scheduling).
-        let r2 = run_dse(&spec);
-        assert_eq!(r.export, r2.export);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! and the tests all iterate the registry and never name a figure; adding
 //! one costs its function plus one entry here.
 
-use crate::{characterization as ch, evaluation as ev, render_table, scenario};
+use crate::dse::{run_dse, DseSpec};
+use crate::{characterization as ch, evaluation as ev, scenario};
 use ipipe_nicsim::{CN2350, CN2360, STINGRAY_PS225};
 use ipipe_sim::sweep::{default_workers, parallel_sweep};
 use std::collections::BTreeSet;
@@ -90,17 +91,29 @@ impl Table {
             .1
     }
 
-    /// The table as text, through [`render_table`]. Panics on a row that is
-    /// not header-wide: [`ledger_diff`] names each cell by its column.
+    /// The table as text: `== title ==`, the header and the rows with every
+    /// column right-aligned to its widest text, two spaces apart, then the
+    /// notes. Panics on a row that is not header-wide: [`ledger_diff`] names
+    /// each cell by its column.
     pub fn render(&self) -> String {
         if let Some(r) = self.rows.iter().find(|r| r.len() != self.header.len()) {
             let label = r.first().map(|c| &c.text);
             panic!("{}: row {label:?} is not header-wide", self.title);
         }
         let texts = |cells: &[Cell]| cells.iter().map(|c| c.text.clone()).collect::<Vec<_>>();
-        let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
         let rows: Vec<Vec<String>> = self.rows.iter().map(|r| texts(r)).collect();
-        let mut out = render_table(&self.title, &header, &rows);
+        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        for r in &rows {
+            for (w, c) in widths.iter_mut().zip(r) {
+                *w = (*w).max(c.len());
+            }
+        }
+        let line = |cells: &[String]| {
+            let padded = cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}"));
+            padded.collect::<Vec<_>>().join("  ") + "\n"
+        };
+        let mut out = format!("== {} ==\n{}", self.title, line(&self.header));
+        out.extend(rows.iter().map(|r| line(r)));
         for (label, cells) in &self.notes {
             out.push_str(&format!("{label}: {}\n", texts(cells).join("  ")));
         }
@@ -313,6 +326,13 @@ pub static FIGURES: &[Figure] = &[
         paper: "not in the paper: every registered scenario at full size, TCP placement x loss",
         build: |_| scenario::scenarios(),
     },
+    Figure {
+        name: "dse",
+        aliases: &[],
+        group: Extension,
+        paper: "not in the paper: Table 3 generalized to 96 synthesized NICs, Pareto + placement",
+        build: |_| run_dse(&DseSpec::full(17)).tables(),
+    },
 ];
 
 /// The figure `name` names or aliases.
@@ -513,6 +533,8 @@ mod tests {
         assert_eq!(help().lines().count(), FIGURES.len() + 2);
     }
 
+    /// A table renders by its cells' texts alone: typed cells print exactly as
+    /// text cells holding the same strings.
     #[test]
     fn table_render_equals_render_table_on_the_same_strings() {
         let t = Table::new(
@@ -523,11 +545,13 @@ mod tests {
                 vec![bytes(1500), num(12.345, 1).unit("%"), num(7.0, 0)],
             ],
         );
-        let rows = vec![
-            vec!["64B".to_string(), "-0.00".into(), "N/A".into()],
-            vec!["1500B".to_string(), "12.3%".into(), "7".into()],
-        ];
-        let plain = render_table("t", &["size", "long-header", "x"], &rows);
+        let strings = [["64B", "-0.00", "N/A"], ["1500B", "12.3%", "7"]];
+        let rows = strings.map(|r| r.map(text).to_vec()).to_vec();
+        let plain = Table::new("t", ["size", "long-header", "x"], rows).render();
+        assert_eq!(
+            plain,
+            "== t ==\n size  long-header    x\n  64B        -0.00  N/A\n1500B        12.3%    7\n"
+        );
         assert_eq!(t.render(), plain);
         let mut noted = t;
         noted
@@ -562,12 +586,11 @@ mod tests {
         );
     }
 
-    /// `figures` on `targets` against the ledger's sections they print, or all of
-    /// it for the whole registry, so a section nothing prints is caught too.
-    fn assert_matches_ledger(targets: &[&str]) {
+    /// `figures` on `figures` against the ledger's sections they print, or all
+    /// of it for the whole registry, so a section nothing prints is caught too.
+    fn assert_matches_ledger(figures: &[&Figure]) {
         let ledger = include_str!("../../../figures_output.txt");
-        let figures: Vec<&Figure> = targets.iter().flat_map(|t| select(t).unwrap()).collect();
-        let fresh = render(&build(&figures, false));
+        let fresh = render(&build(figures, false));
         let whole = figures.len() == FIGURES.len();
         let title = |s: &str| s.lines().next().unwrap_or_default().to_string();
         let printed: Vec<String> = fresh.split("\n\n").map(title).collect();
@@ -578,15 +601,19 @@ mod tests {
     }
 
     /// The groups that build in seconds, at the size `figures all` prints.
+    /// Not `dse`: its 288 cells take ~18 s in debug on two CPUs (~2.4 s in
+    /// release), so `every_figure_matches_the_ledger` pins it.
     #[test]
     fn characterization_and_extensions_match_the_ledger() {
-        assert_matches_ledger(&["characterization", "extensions"]);
+        let groups = ["characterization", "extensions"].map(|g| select(g).unwrap());
+        let figures = groups.into_iter().flatten().filter(|f| f.name != "dse");
+        assert_matches_ledger(&figures.collect::<Vec<_>>());
     }
 
     #[test]
     #[ignore = "every figure, ~90 s in release: scripts/check.sh figures"]
     fn every_figure_matches_the_ledger() {
-        assert_matches_ledger(&["all"]);
+        assert_matches_ledger(&select("all").unwrap());
     }
 
     /// A group target prints its members' tables in registry order, one

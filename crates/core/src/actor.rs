@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn ctx_charging_and_outbox() {
-        let mut dmo = DmoTable::new(crate::dmo::Side::Nic, 1 << 20);
+        let mut dmo = DmoTable::new(crate::dmo::Side::Nic);
         let mut rng = DetRng::new(1);
         let mut ctx = ActorCtx::new(SimTime::from_us(5), 7, 0, &mut dmo, &mut rng);
         assert_eq!(ctx.now(), SimTime::from_us(5));
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn ctx_accel_invocation_charges_latency() {
-        let mut dmo = DmoTable::new(crate::dmo::Side::Nic, 1 << 20);
+        let mut dmo = DmoTable::new(crate::dmo::Side::Nic);
         let mut rng = DetRng::new(1);
         let mut ctx = ActorCtx::new(SimTime::ZERO, 1, 0, &mut dmo, &mut rng);
         ctx.invoke_accel(&ipipe_nicsim::accel::MD5, 1);

@@ -114,9 +114,8 @@ pub struct DmoTable {
 }
 
 impl DmoTable {
-    /// New table; actors registered later get `default_region` bytes each
-    /// unless overridden.
-    pub fn new(default_side: Side, _default_region: u64) -> DmoTable {
+    /// New table; each actor's region is sized by [`DmoTable::register_region`].
+    pub fn new(default_side: Side) -> DmoTable {
         DmoTable {
             default_side,
             objects: IdMap::default(),
@@ -427,7 +426,7 @@ mod tests {
     use super::*;
 
     fn table_with(actor: ActorId, cap: u64) -> DmoTable {
-        let mut t = DmoTable::new(Side::Nic, cap);
+        let mut t = DmoTable::new(Side::Nic);
         t.register_region(actor, cap);
         t
     }
@@ -454,7 +453,7 @@ mod tests {
 
     #[test]
     fn unregistered_actor_cannot_allocate() {
-        let mut t = DmoTable::new(Side::Nic, 0);
+        let mut t = DmoTable::new(Side::Nic);
         assert_eq!(t.malloc(9, 64), Err(DmoError::OutOfMemory { actor: 9 }));
     }
 

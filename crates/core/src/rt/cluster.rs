@@ -14,7 +14,6 @@ pub struct ClusterBuilder {
     spec: &'static NicSpec,
     servers: usize,
     clients: usize,
-    host_cores: u32,
     mode: RuntimeMode,
     sched: Option<SchedConfig>,
     seed: u64,
@@ -35,12 +34,6 @@ impl ClusterBuilder {
     /// Number of client nodes.
     pub fn clients(mut self, n: usize) -> Self {
         self.clients = n;
-        self
-    }
-
-    /// Host cores available per server.
-    pub fn host_cores(mut self, n: u32) -> Self {
-        self.host_cores = n;
         self
     }
 
@@ -182,10 +175,10 @@ impl ClusterBuilder {
                         sched: NicScheduler::with_obs(self.spec, cfg, &obs, i as u16),
                         metrics: RtMetrics::new(&obs, i as u16),
                         nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
-                        host_queues: (0..self.host_cores).map(|_| Default::default()).collect(),
-                        host_inflight: (0..self.host_cores).map(|_| None).collect(),
+                        host_queues: (0..HOST_XEON.cores).map(|_| Default::default()).collect(),
+                        host_inflight: (0..HOST_XEON.cores).map(|_| None).collect(),
                         actors: IdMap::default(),
-                        dmo: DmoTable::new(Side::Nic, self.region_bytes),
+                        dmo: DmoTable::new(Side::Nic),
                         rng: std::mem::replace(&mut node_rngs[i], DetRng::new(0)),
                         host_acct: HostCpuAccounting::new(),
                         nic_busy_total: SimTime::ZERO,
@@ -302,7 +295,6 @@ impl Cluster {
             spec,
             servers: 1,
             clients: 1,
-            host_cores: HOST_XEON.cores,
             mode: RuntimeMode::IPipe,
             sched: None,
             seed: 0xA11CE,
@@ -328,11 +320,6 @@ impl Cluster {
     /// public API boundary, so shard 0's clock is the cluster clock.
     pub fn now(&self) -> SimTime {
         self.shards[0].events.now()
-    }
-
-    /// The SmartNIC model in use.
-    pub fn nic_spec(&self) -> &'static NicSpec {
-        self.shards[0].spec
     }
 
     /// Number of server nodes (clients are numbered after them).

@@ -484,28 +484,36 @@ impl NicScheduler {
     pub fn next_for_core(&mut self, _now: SimTime, core: u32) -> Option<Work> {
         if self.is_dispatcher(core) {
             // The dispatcher distributes DRR-bound requests into mailboxes
-            // but never runs actor code itself.
-            while let Some(front) = self.fcfs_queue.front() {
-                let to_mailbox = self
-                    .actors
-                    .get(&front.actor)
-                    .map(|a| a.is_drr && a.loc == Loc::Nic)
-                    .unwrap_or(false);
-                if !to_mailbox {
-                    break;
-                }
-                let req = self.fcfs_queue.pop_front().expect("checked front");
-                if let Some(a) = self.actors.get_mut(&req.actor) {
-                    a.mailbox.push(req);
-                    self.drr_backlog += 1;
-                    self.metrics.mailbox_dispatch.inc();
-                }
-            }
+            // but never runs actor code itself; FCFS cores drop unknown
+            // actors' requests.
+            self.dispatch_to_mailboxes(false);
             return None;
         }
         match self.modes[core as usize] {
             CoreMode::Fcfs => self.next_fcfs(),
             CoreMode::Drr => self.next_drr(),
+        }
+    }
+
+    /// Move the shared queue's leading requests for DRR actors on the NIC
+    /// into their mailboxes, up to the first request for any other actor. A
+    /// request for an unknown (killed) actor also stops the run, unless
+    /// `drop_unknown`: then it is dropped and counted, as `next_fcfs` does.
+    fn dispatch_to_mailboxes(&mut self, drop_unknown: bool) {
+        while let Some(actor) = self.fcfs_queue.front().map(|r| r.actor) {
+            match self.actors.get_mut(&actor) {
+                Some(a) if a.is_drr && a.loc == Loc::Nic => {
+                    a.mailbox
+                        .push(self.fcfs_queue.pop_front().expect("checked front"));
+                    self.drr_backlog += 1;
+                    self.metrics.mailbox_dispatch.inc();
+                }
+                None if drop_unknown => {
+                    self.fcfs_queue.pop_front();
+                    self.metrics.dropped.inc();
+                }
+                _ => break,
+            }
         }
     }
 
@@ -544,22 +552,7 @@ impl NicScheduler {
         // DRR cores also relieve the shared queue: leading requests bound
         // for DRR actors are dispatched into their mailboxes (the shuffle
         // layer of §3.2.6). Requests for FCFS actors stay for FCFS cores.
-        while let Some(front) = self.fcfs_queue.front() {
-            let to_mailbox = self
-                .actors
-                .get(&front.actor)
-                .map(|a| a.is_drr && a.loc == Loc::Nic)
-                .unwrap_or(true);
-            if !to_mailbox {
-                break;
-            }
-            let req = self.fcfs_queue.pop_front().expect("checked front");
-            if let Some(a) = self.actors.get_mut(&req.actor) {
-                a.mailbox.push(req);
-                self.drr_backlog += 1;
-                self.metrics.mailbox_dispatch.inc();
-            }
-        }
+        self.dispatch_to_mailboxes(true);
         // A DRR core spins through round-robin sweeps (ALG 2's outer while
         // loop): each sweep adds every runnable actor's quantum; the first
         // actor whose deficit covers its estimated latency is served. With
@@ -1497,6 +1490,22 @@ mod tests {
         assert_eq!(drained.len(), 4);
         assert_eq!(buffered.get(), 4);
 
+        let mut r = AuditReport::new(SimTime::ZERO);
+        s.audit_into(&mut r, 0);
+        r.assert_clean();
+    }
+
+    #[test]
+    fn drr_core_counts_a_request_for_an_unknown_actor_as_dropped() {
+        // Regression: a DRR core's shuffle loop popped a request for an
+        // unregistered (killed) actor and dropped it uncounted, leaving the
+        // arrivals ledger one short.
+        let obs = Obs::disabled();
+        let cfg = cfg().with_discipline(Discipline::DrrOnly).no_migration();
+        let mut s = NicScheduler::with_obs(&CN2350, cfg, &obs, 0);
+        s.on_arrival(SimTime::ZERO, req(9, 1));
+        assert!(s.next_for_core(SimTime::ZERO, 0).is_none());
+        assert_eq!(obs.registry().counter_on("sched.dropped", 0).get(), 1);
         let mut r = AuditReport::new(SimTime::ZERO);
         s.audit_into(&mut r, 0);
         r.assert_clean();

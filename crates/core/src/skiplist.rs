@@ -258,7 +258,7 @@ mod tests {
     use crate::dmo::{DmoTable, DmoTraffic, Side};
 
     fn setup() -> (DmoTable, DetRng) {
-        let mut t = DmoTable::new(Side::Nic, 0);
+        let mut t = DmoTable::new(Side::Nic);
         t.register_region(1, 64 << 20);
         (t, DetRng::new(42))
     }

@@ -120,11 +120,6 @@ impl NetModel {
         self.fault = Some(plan);
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// True when `node` is inside a crash window of the attached plan.
     pub fn node_down(&self, node: u16, at: SimTime) -> bool {
         self.fault.as_ref().is_some_and(|f| f.node_down(node, at))

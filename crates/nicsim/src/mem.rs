@@ -146,11 +146,6 @@ impl CacheSim {
         self.l2.flush();
         self.counters = MemCounters::default();
     }
-
-    /// Cache line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        1u64 << self.l1.line_shift
-    }
 }
 
 /// A bump-allocated address space whose accesses run through a [`CacheSim`]
@@ -211,11 +206,6 @@ impl TrackedMem {
     /// Underlying cache counters.
     pub fn counters(&self) -> MemCounters {
         self.cache.counters()
-    }
-
-    /// Mutable access to the cache (e.g. to flush between phases).
-    pub fn cache_mut(&mut self) -> &mut CacheSim {
-        &mut self.cache
     }
 
     /// Reset instruction/memory tallies, keeping cache contents warm.

@@ -170,11 +170,6 @@ impl NicSpec {
     pub fn hw_recv(&self, size: u32) -> SimTime {
         self.hw_send(size) + SimTime::from_ns(60)
     }
-
-    /// Total link bandwidth in bits/s (single port, as in the evaluation).
-    pub fn link_bps(&self) -> f64 {
-        self.link_gbps * 1e9
-    }
 }
 
 /// Ethernet on-wire overhead per frame: 7 B preamble + 1 B SFD + 12 B

@@ -137,11 +137,6 @@ impl ServiceTrace {
             actor,
         }
     }
-
-    /// The mean service time of the underlying distribution.
-    pub fn mean_service(&self) -> SimTime {
-        self.dist.mean()
-    }
 }
 
 /// Squared coefficient of variation of a distribution — the dispersion

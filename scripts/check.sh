@@ -2,12 +2,11 @@
 # The gates, one definition each: CI jobs call them by stage name, and with
 # no argument this is the full local gate, everything CI would require.
 #   ./scripts/check.sh [stage ...]
-#   stages: fmt build test clippy doc queue-deep bench-smoke scenarios figures dse (default), repin
+#   stages: fmt build test clippy doc queue-deep bench-smoke scenarios figures (default), repin
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 figures() { cargo run --release -q -p ipipe-bench --bin figures -- "$@"; }
-dse() { cargo run --release -q -p ipipe-bench --bin dse -- "$@"; }
 
 stage_fmt() { cargo fmt --all --check; }
 stage_build() { cargo build --release --workspace; }
@@ -52,27 +51,15 @@ stage_figures() {
     done
     cmp "$figs/1.txt" "$figs/2.txt" && cmp "$figs/2.txt" "$figs/3.txt"
     rm -rf "$figs"
-    # Every figure against the committed ledger, naming each moved number.
+    # Every figure, the full DSE grid included, against the committed ledger,
+    # naming each moved number.
     cargo test --release -q -p ipipe-bench --lib every_figure_matches_the_ledger -- --ignored
 }
 
 # After a deliberate behaviour change, once `figures` has said what moved.
 stage_repin() { figures all > figures_output.txt; }
 
-# The 16-design smoke grid's canonical export must be byte-identical between
-# a serial run and a parallel sweep with the same seed: per-cell seeds are
-# spec-pure, so sweep order must never fingerprint the results. (Its
-# property and unit suites, like every scenario's, run under `test`.)
-stage_dse() {
-    local out
-    out=$(mktemp -d)
-    dse --smoke --seed 17 --serial --export "$out/serial.txt" > /dev/null
-    dse --smoke --seed 17 --export "$out/parallel.txt" > /dev/null
-    diff "$out/serial.txt" "$out/parallel.txt"
-    rm -rf "$out"
-}
-
-[ $# -gt 0 ] || set -- fmt build test clippy doc queue-deep bench-smoke scenarios figures dse
+[ $# -gt 0 ] || set -- fmt build test clippy doc queue-deep bench-smoke scenarios figures
 for stage in "$@"; do
     declare -F "stage_$stage" > /dev/null || { echo "unknown stage: $stage" >&2; exit 2; }
 done

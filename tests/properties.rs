@@ -28,7 +28,7 @@ proptest! {
     /// insert/remove/get interleavings.
     #[test]
     fn skiplist_equals_btreemap(ops in prop::collection::vec((0u8..3, 0u64..64, 0u64..1000), 1..400)) {
-        let mut table = DmoTable::new(Side::Nic, 0);
+        let mut table = DmoTable::new(Side::Nic);
         table.register_region(1, 64 << 20);
         let mut rng = DetRng::new(1);
         let mut dmo = table.scoped(1);
