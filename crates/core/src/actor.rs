@@ -8,7 +8,6 @@ use crate::dmo::DmoTable;
 use ipipe_nicsim::accel::AccelSpec;
 use ipipe_sim::{DetRng, SimTime};
 use std::any::Any;
-use std::collections::VecDeque;
 
 /// Actor identifier, unique within a cluster.
 pub type ActorId = u32;
@@ -280,92 +279,9 @@ pub trait ActorLogic {
     }
 }
 
-/// The mailbox of §3.1: a FIFO of buffered asynchronous messages. In the
-/// simulated runtime a single-threaded deque suffices (the hardware traffic
-/// manager serializes producers); occupancy statistics feed the scheduler's
-/// `Q_thresh` migration trigger (ALG 1).
-#[derive(Debug, Default)]
-pub struct Mailbox {
-    queue: VecDeque<Request>,
-    /// High-water mark, for diagnostics.
-    peak: usize,
-    /// Total messages ever enqueued.
-    enqueued: u64,
-}
-
-impl Mailbox {
-    /// Empty mailbox.
-    pub fn new() -> Self {
-        Mailbox::default()
-    }
-
-    /// Enqueue a message.
-    pub fn push(&mut self, req: Request) {
-        self.queue.push_back(req);
-        self.peak = self.peak.max(self.queue.len());
-        self.enqueued += 1;
-    }
-
-    /// Dequeue the oldest message.
-    pub fn pop(&mut self) -> Option<Request> {
-        self.queue.pop_front()
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Highest occupancy seen.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Total messages ever enqueued.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Drain all messages (used by migration phase 2/4).
-    pub fn drain(&mut self) -> Vec<Request> {
-        self.queue.drain(..).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mailbox_fifo_and_stats() {
-        let mut mb = Mailbox::new();
-        for i in 0..5u64 {
-            mb.push(Request {
-                actor: 1,
-                flow: i,
-                wire_size: 64,
-                arrived: SimTime::ZERO,
-                reply_to: None,
-                token: i,
-                payload: None,
-            });
-        }
-        assert_eq!(mb.len(), 5);
-        assert_eq!(mb.peak(), 5);
-        assert_eq!(mb.pop().unwrap().token, 0);
-        assert_eq!(mb.pop().unwrap().token, 1);
-        assert_eq!(mb.len(), 3);
-        assert_eq!(mb.enqueued(), 5);
-        let drained = mb.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(mb.is_empty());
-        assert_eq!(mb.peak(), 5);
-    }
 
     #[test]
     fn ctx_charging_and_outbox() {

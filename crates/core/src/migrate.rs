@@ -1,20 +1,21 @@
 //! Four-phase actor migration (§3.2.5, Appendix B.3).
 //!
 //! 1. **Prepare** — the actor removes itself from the dispatcher (and the
-//!    DRR runnable queue); incoming requests start buffering in the runtime.
+//!    DRR runnable queue); the scheduler parks its incoming requests
+//!    (`ActorSched::parked`).
 //! 2. **Ready** — the actor finishes its in-flight tasks (a DRR actor drains
 //!    its mailbox).
 //! 3. **Move** — the scheduler moves the actor's distributed objects to the
 //!    other side, creating entries in the destination object table; the
 //!    source actor is marked *Gone*.
-//! 4. **Forward** — buffered requests are forwarded with rewritten
+//! 4. **Forward** — parked requests are forwarded with rewritten
 //!    destinations; the source actor is marked *Clean*.
 //!
 //! Fig 18's breakdown shows phase 3 dominating (~68% on average — moving
 //! tens of MB of DMOs across PCIe) with phase 4 second (~27%, proportional
 //! to the requests buffered while phases 1–3 ran).
 
-use crate::actor::{ActorId, Request};
+use crate::actor::ActorId;
 use crate::dmo::migration_transfer_time;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Obs, Registry};
@@ -58,8 +59,6 @@ pub struct Migration {
     pub started: SimTime,
     /// Current phase, 1..=4 (5 = complete).
     pub phase: u8,
-    /// Requests buffered while the actor was unavailable.
-    pub buffered: Vec<Request>,
     /// Elapsed time of each completed phase.
     pub phase_times: [SimTime; 4],
     /// When the current phase began.
@@ -74,7 +73,6 @@ impl Migration {
             dir,
             started: now,
             phase: 1,
-            buffered: Vec::new(),
             phase_times: [SimTime::ZERO; 4],
             phase_began: now,
         }
@@ -96,9 +94,9 @@ impl Migration {
         PHASE3_PER_OBJECT * n_objects as u64 + migration_transfer_time(bytes, STATE_MOVE_BW)
     }
 
-    /// Duration of phase 4: forward `buffered` requests.
-    pub fn phase4_duration(buffered: usize) -> SimTime {
-        PHASE4_BASE + PHASE4_PER_REQUEST * buffered as u64
+    /// Duration of phase 4: forward `parked` requests.
+    pub fn phase4_duration(parked: usize) -> SimTime {
+        PHASE4_BASE + PHASE4_PER_REQUEST * parked as u64
     }
 
     /// The current phase ended at `now`: record the time it actually took
@@ -111,43 +109,26 @@ impl Migration {
         self.phase += 1;
     }
 
-    /// True once phase 4 completed.
-    pub fn done(&self) -> bool {
-        self.phase > 4
-    }
-
     /// Check this migration's self-contained legality: the phase cursor is
-    /// within 1..=4 while the migration is tracked as active, and every
-    /// buffered request is addressed to the migrating actor (a foreign
-    /// request in the buffer would be replayed to the wrong mailbox in
-    /// phase 4). Runtime-coupled invariants — pending `MigStep` events and
-    /// the scheduler location flip — stay with the cluster-level audit,
+    /// within 1..=4 while the migration is tracked as active. Runtime-coupled
+    /// invariants — pending `MigStep` events, the scheduler location flip
+    /// and the actor's parked requests — stay with the cluster-level audit,
     /// which owns the event queue and the scheduler.
     pub fn audit_into(&self, r: &mut AuditReport, node: u16) {
         r.check("migrate.phase", node, (1..=4).contains(&self.phase), || {
             format!("actor {} in illegal phase {}", self.actor, self.phase)
         });
-        r.check(
-            "migrate.buffer",
-            node,
-            self.buffered.iter().all(|q| q.actor == self.actor),
-            || {
-                format!(
-                    "migration buffer of actor {} holds another actor's request",
-                    self.actor
-                )
-            },
-        );
     }
 
-    /// Produce the report (call once done).
-    pub fn report(&self, actor_name: &str, state_bytes: u64) -> MigrationReport {
+    /// Produce the report (call once done), `forwarded` requests having
+    /// been parked and forwarded in phase 4.
+    pub fn report(&self, actor_name: &str, state_bytes: u64, forwarded: u64) -> MigrationReport {
         MigrationReport {
             actor: self.actor,
             actor_name: actor_name.to_string(),
             dir: self.dir,
             state_bytes,
-            requests_forwarded: self.buffered.len() as u64,
+            requests_forwarded: forwarded,
             phase_times: self.phase_times,
         }
     }
@@ -255,14 +236,14 @@ mod tests {
         let mut m = Migration::start(5, MigrationDir::Push, now);
         assert_eq!(m.phase, 1);
         for took in [400, 640, 37_313, 3_300].map(SimTime::from_us) {
-            assert!(!m.done());
             now += took;
             m.complete_phase(now);
         }
-        assert!(m.done());
+        assert_eq!(m.phase, 5);
         assert_eq!(m.phase_times[1], SimTime::from_us(640));
-        let r = m.report("lsm-memtable", 32 << 20);
+        let r = m.report("lsm-memtable", 32 << 20, 7);
         assert_eq!(r.actor, 5);
+        assert_eq!(r.requests_forwarded, 7);
         assert!(r.total() > SimTime::from_ms(30));
         // Phase 3 dominates for a large-state actor (Fig 18).
         assert!(r.phase_fraction(3) > 0.5, "p3 frac {}", r.phase_fraction(3));
@@ -296,29 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn audit_flags_illegal_phase_and_foreign_buffered_request() {
+    fn audit_flags_illegal_phase() {
         let mut m = Migration::start(3, MigrationDir::Push, SimTime::ZERO);
         let mut r = AuditReport::new(SimTime::ZERO);
         m.audit_into(&mut r, 0);
         assert!(r.is_clean(), "fresh migration must audit clean: {r:?}");
 
-        // A request addressed to a different actor in the forward buffer
-        // would be replayed into the wrong mailbox in phase 4.
-        m.buffered.push(Request {
-            actor: 9,
-            flow: 0,
-            wire_size: 64,
-            arrived: SimTime::ZERO,
-            reply_to: None,
-            token: 1,
-            payload: None,
-        });
         m.phase = 7;
         let mut r = AuditReport::new(SimTime::ZERO);
         m.audit_into(&mut r, 0);
         let names: Vec<&str> = r.violations().iter().map(|v| v.invariant).collect();
-        assert!(names.contains(&"migrate.phase"), "{names:?}");
-        assert!(names.contains(&"migrate.buffer"), "{names:?}");
+        assert_eq!(names, ["migrate.phase"]);
     }
 
     #[test]

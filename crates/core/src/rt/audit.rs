@@ -27,8 +27,8 @@ impl Cluster {
     /// * `core.token.{nic,host}` — a busy core holds exactly one pending
     ///   free event; an idle core holds none
     /// * `migrate.*` — phase legality, exactly one step event per active
-    ///   migration, location consistency, buffered-request ownership, and an
-    ///   empty dispatcher stash at event boundaries
+    ///   migration, location consistency, an empty mailbox from phase 2 on,
+    ///   and parked requests held only by a `Migrating` actor
     /// * scheduler ledgers via [`NicScheduler::audit_into`]
     /// * `actor.reserved` — no address is reserved and left without an actor
     pub fn audit(&self) -> AuditReport {
@@ -292,12 +292,26 @@ impl ShardState {
                     loc == Some(Loc::Migrating),
                     || format!("migrating actor {} has scheduler location {loc:?}", m.actor),
                 );
+                // Phase 2 parked the mailbox, and a `Migrating` actor
+                // receives no mail.
+                let mail = n.sched.actor(m.actor).map_or(0, |a| a.mailbox.len());
+                r.check("migrate.mailbox", node, m.phase < 2 || mail == 0, || {
+                    format!(
+                        "actor {} in phase {} has {mail} requests in its mailbox",
+                        m.actor, m.phase
+                    )
+                });
             }
-            r.check("migrate.stash", node, n.pending_buffered.is_empty(), || {
-                format!(
-                    "{} requests stranded in the dispatcher's migration stash",
-                    n.pending_buffered.len()
-                )
+            // A migration that ended without forwarding or releasing its
+            // parked requests would strand them.
+            let stray = n
+                .sched
+                .actors()
+                .filter(|(_, a)| !a.parked.is_empty() && a.loc != Loc::Migrating)
+                .map(|(id, _)| id)
+                .min();
+            r.check("migrate.parked", node, stray.is_none(), || {
+                format!("actor {stray:?} holds parked requests but is not migrating")
             });
             if let Some(a) = &n.admission {
                 a.audit_into(r, node);

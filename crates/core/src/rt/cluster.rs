@@ -188,7 +188,6 @@ impl ClusterBuilder {
                         migration_reports: Vec::new(),
                         ring_depth: 0,
                         ring_messages: 0,
-                        pending_buffered: Vec::new(),
                         admission: None,
                     })
                     .collect();

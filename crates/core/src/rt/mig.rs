@@ -10,29 +10,6 @@ use crate::sched::Action;
 /// Trace lane for the migration timeline.
 const MIGRATION_LANE: u32 = 999;
 
-impl NodeRt {
-    /// Remove and return the stashed requests addressed to `actor` (see
-    /// `NodeRt::pending_buffered`).
-    fn take_pending_for(&mut self, actor: ActorId) -> Vec<Request> {
-        if self.pending_buffered.is_empty() {
-            return Vec::new();
-        }
-        let stash = std::mem::take(&mut self.pending_buffered);
-        let (mine, rest) = stash.into_iter().partition(|r| r.actor == actor);
-        self.pending_buffered = rest;
-        mine
-    }
-
-    /// Hand `reqs` back to the dispatcher as fresh arrivals, so a migration
-    /// pause does not pollute the scheduler's sojourn statistics.
-    fn rearrive(&mut self, now: SimTime, reqs: Vec<Request>) {
-        for mut req in reqs {
-            req.arrived = now;
-            self.sched.on_arrival(now, req);
-        }
-    }
-}
-
 impl ShardState {
     /// Force a push migration of an actor living on this shard.
     pub(super) fn force_migrate_local(&mut self, addr: Address) -> bool {
@@ -44,29 +21,15 @@ impl ShardState {
         true
     }
 
-    /// Enter phase 1: mark the actor `Migrating`, fold the requests the
-    /// dispatcher already stashed for it into the migration's buffer, and
-    /// arm the first step.
+    /// Enter phase 1: mark the actor `Migrating` (the scheduler parks its
+    /// requests from here on, and keeps any it parked since a push mark)
+    /// and arm the first step.
     fn begin_migration(&mut self, now: SimTime, node: u16, actor: ActorId, dir: MigrationDir) {
         let n = self.node_mut(node);
         n.sched.set_location(actor, Loc::Migrating);
-        let mut mig = Migration::start(actor, dir, now);
-        mig.buffered = n.take_pending_for(actor);
-        n.active_migration = Some(mig);
+        n.active_migration = Some(Migration::start(actor, dir, now));
         self.events
             .schedule_after(Migration::phase1_duration(), Ev::MigStep { node });
-    }
-
-    /// Re-inject stashed requests for `actor` into the dispatcher after its
-    /// migration mark was refused or its migration ended.
-    fn reinject_pending_buffered(&mut self, now: SimTime, node: u16, actor: ActorId) {
-        let n = self.node_mut(node);
-        let mine = n.take_pending_for(actor);
-        if mine.is_empty() {
-            return;
-        }
-        n.rearrive(now, mine);
-        self.kick_nic(now, node);
     }
 
     pub(super) fn apply_action(&mut self, now: SimTime, node: u16, action: Action) {
@@ -76,12 +39,14 @@ impl ShardState {
                 let busy = n.active_migration.is_some() || now < n.mig_cooldown_until;
                 if busy || n.actors.get(&actor).map(|s| s.pinned_host).unwrap_or(true) {
                     // Already migrating something (or the actor may never
-                    // leave): let it run again. Requests buffered while the
+                    // leave): let it run again. Requests parked while the
                     // mark was pending go back to the dispatcher — dropping
                     // them here was exactly the silent-loss class the audit
                     // hunts.
                     n.sched.set_location(actor, Loc::Nic);
-                    self.reinject_pending_buffered(now, node, actor);
+                    if n.sched.release_parked(now, actor) > 0 {
+                        self.kick_nic(now, node);
+                    }
                     return;
                 }
                 self.begin_migration(now, node, actor, MigrationDir::Push);
@@ -113,7 +78,6 @@ impl ShardState {
                 }
                 self.begin_migration(now, node, victim, MigrationDir::Pull);
             }
-            Action::CoreRebalanced { .. } | Action::Regrouped { .. } => {}
         }
     }
 
@@ -138,18 +102,14 @@ impl ShardState {
         let next = match m.phase {
             2 => {
                 // Phase 2: drain the actor's mailbox (requests already
-                // dispatched into it get executed before the move). The
-                // drain goes through the scheduler so the requests are
-                // credited to its `buffered` counter — a raw mailbox
-                // drain leaks them from the arrivals ledger.
+                // dispatched into it get executed before the move) into
+                // its parked requests.
                 let mean = n
                     .sched
                     .actor(m.actor)
                     .map(|a| a.stats.mean())
                     .unwrap_or(SimTime::ZERO);
-                let drained = n.sched.drain_mailbox_for_migration(m.actor);
-                let queued = drained.len();
-                m.buffered.splice(0..0, drained);
+                let queued = n.sched.park_mailbox(m.actor);
                 Migration::phase2_duration(queued, mean)
             }
             3 => {
@@ -164,15 +124,16 @@ impl ShardState {
                     MigrationDir::Pull => Side::Nic,
                 };
                 n.dmo.migrate_actor(m.actor, to);
-                // Phase 4: forward the requests buffered so far.
-                Migration::phase4_duration(m.buffered.len())
+                // Phase 4: forward the requests parked so far.
+                let parked = n.sched.actor(m.actor).map_or(0, |a| a.parked.len());
+                Migration::phase4_duration(parked)
             }
         };
         self.events.schedule_after(next, Ev::MigStep { node });
     }
 
     /// Tear down an in-progress migration: the actor resumes at its origin
-    /// side, buffered requests re-enter the dispatcher, and a retry fires
+    /// side, parked requests re-enter the dispatcher, and a retry fires
     /// after the crash window ends.
     fn abort_migration(&mut self, now: SimTime, node: u16) {
         let n = self.node_mut(node);
@@ -194,8 +155,7 @@ impl ShardState {
             Some(("actor", m.actor as i64)),
         );
         let actor = m.actor;
-        self.node_mut(node).rearrive(now, m.buffered);
-        self.reinject_pending_buffered(now, node, actor);
+        self.node_mut(node).sched.release_parked(now, actor);
         if let Some(up) = self.net.down_until(node, now) {
             self.events
                 .schedule_at(up + SimTime::from_us(1), Ev::MigRetry { node, actor });
@@ -216,16 +176,17 @@ impl ShardState {
             MigrationDir::Pull => Loc::Nic,
         };
         n.sched.set_location(actor, dest);
+        let parked = n.sched.take_parked(actor);
         let name = n.actors.get(&actor).map_or("", |s| s.name.as_str());
-        let report = mig.report(name, n.dmo.actor_state_bytes(actor));
+        let report = mig.report(name, n.dmo.actor_state_bytes(actor), parked.len() as u64);
         n.mig_cooldown_until = now + SimTime::from_ms(1);
         report.record_to(self.obs.registry(), node);
         report.trace_to(&self.obs, node, MIGRATION_LANE, mig.started);
         self.node_mut(node).migration_reports.push(report);
-        // Forward buffered requests to wherever the actor now lives. Their
+        // Forward parked requests to wherever the actor now lives. Their
         // arrival stamps are rewritten so the migration pause does not
         // pollute the scheduler's sojourn statistics.
-        for (i, mut req) in mig.buffered.into_iter().enumerate() {
+        for (i, mut req) in parked.into_iter().enumerate() {
             req.arrived = now;
             let delay = crate::migrate::PHASE4_PER_REQUEST * i as u64;
             let (at, ev) = match dest {
@@ -237,7 +198,6 @@ impl ShardState {
             };
             self.events.schedule_after(at, ev);
         }
-        self.reinject_pending_buffered(now, node, actor);
         self.kick_nic(now, node);
     }
 }

@@ -374,13 +374,6 @@ struct NodeRt {
     migration_reports: Vec<MigrationReport>,
     ring_depth: u64,
     ring_messages: u64,
-    /// Requests the dispatcher asked to buffer for a migration that is not
-    /// (yet, or no longer) the active one — e.g. the migration decision is
-    /// still in the action queue, or another actor's migration is running
-    /// and the mark will be refused. Resolved by `apply_action` within the
-    /// same event, so this is always empty at event-loop boundaries (the
-    /// audit asserts it).
-    pending_buffered: Vec<Request>,
     /// Ingress admission control; `None` admits everything (the default).
     admission: Option<NodeAdmission>,
 }

@@ -101,55 +101,34 @@ impl ShardState {
 
     fn start_nic_work(&mut self, now: SimTime, node: u16, core: u32) {
         let spec = self.spec;
-        loop {
-            let n = self.node_mut(node);
-            match n.sched.next_for_core(now, core) {
-                None => return,
-                Some(Work::Buffer(req)) => {
-                    match n.active_migration.as_mut() {
-                        // Only the migrating actor's own requests belong in
-                        // the migration buffer; a request for a *different*
-                        // actor marked `Migrating` (its migration decision
-                        // is still in the action queue, or will be refused
-                        // because this one is active) would otherwise be
-                        // forwarded to the wrong destination — or, with no
-                        // active migration at all, silently dropped.
-                        Some(m) if m.actor == req.actor => m.buffered.push(req),
-                        _ => n.pending_buffered.push(req),
-                    }
-                    // Buffering is nearly free; keep looking for real work.
-                    continue;
-                }
-                Some(Work::Forward(req)) => {
-                    let push_cost = spec.dma.nb_enqueue;
-                    let xfer = n.push_to_host_ring(spec, &req);
-                    n.metrics.nic_forward.inc();
-                    let work = InFlight {
-                        actor: req.actor,
-                        arrived: req.arrived,
-                        busy: push_cost,
-                        emits: Vec::new(),
-                        forward_only: true,
-                    };
-                    self.obs.span(
-                        "nic",
-                        "forward",
-                        node,
-                        core,
-                        now,
-                        now + push_cost,
-                        Some(("actor", req.actor as i64)),
-                    );
-                    self.events
-                        .schedule_at(now + xfer, Ev::RingToHost { node, req });
-                    self.occupy_nic_core(now, node, core, work);
-                    return;
-                }
-                Some(Work::Exec(req)) => {
-                    self.exec_on_nic(now, node, core, req);
-                    return;
-                }
+        let n = self.node_mut(node);
+        match n.sched.next_for_core(now, core) {
+            None => {}
+            Some(Work::Forward(req)) => {
+                let push_cost = spec.dma.nb_enqueue;
+                let xfer = n.push_to_host_ring(spec, &req);
+                n.metrics.nic_forward.inc();
+                let work = InFlight {
+                    actor: req.actor,
+                    arrived: req.arrived,
+                    busy: push_cost,
+                    emits: Vec::new(),
+                    forward_only: true,
+                };
+                self.obs.span(
+                    "nic",
+                    "forward",
+                    node,
+                    core,
+                    now,
+                    now + push_cost,
+                    Some(("actor", req.actor as i64)),
+                );
+                self.events
+                    .schedule_at(now + xfer, Ev::RingToHost { node, req });
+                self.occupy_nic_core(now, node, core, work);
             }
+            Some(Work::Exec(req)) => self.exec_on_nic(now, node, core, req),
         }
     }
 

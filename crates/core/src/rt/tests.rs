@@ -327,40 +327,49 @@ fn watchdog_kills_runaway_actor_and_others_survive() {
     assert_eq!(c.actor_location(bad), None, "bad actor deregistered");
 }
 
+/// Passes each request on to `next`, carrying the client's address.
+struct Relay {
+    next: Address,
+}
+impl ActorLogic for Relay {
+    fn exec(&mut self, ctx: &mut ActorCtx<'_>, mut req: Request) {
+        ctx.charge(SimTime::from_us(1));
+        let client = req.reply_to.take();
+        ctx.send(
+            self.next,
+            req.flow,
+            req.wire_size,
+            req.token,
+            Some(Box::new(client)),
+        );
+    }
+}
+
+/// Answers a relayed request to the client it carries.
+struct Sink {
+    cost: SimTime,
+}
+impl ActorLogic for Sink {
+    fn exec(&mut self, ctx: &mut ActorCtx<'_>, mut req: Request) {
+        ctx.charge(self.cost);
+        let client = *req.payload_as::<Option<Address>>();
+        if let Some(dst) = client {
+            ctx.reply_to(dst, 64, req.token, None);
+        }
+    }
+}
+
 #[test]
 fn multi_node_actor_messaging() {
-    struct Relay {
-        next: Address,
-    }
-    impl ActorLogic for Relay {
-        fn exec(&mut self, ctx: &mut ActorCtx<'_>, mut req: Request) {
-            ctx.charge(SimTime::from_us(1));
-            let client = req.reply_to.take();
-            ctx.send(
-                self.next,
-                req.flow,
-                req.wire_size,
-                req.token,
-                Some(Box::new(client)),
-            );
-        }
-    }
-    struct Sink;
-    impl ActorLogic for Sink {
-        fn exec(&mut self, ctx: &mut ActorCtx<'_>, mut req: Request) {
-            ctx.charge(SimTime::from_us(1));
-            let client = *req.payload_as::<Option<Address>>();
-            if let Some(dst) = client {
-                ctx.reply_to(dst, 64, req.token, None);
-            }
-        }
-    }
     let mut c = Cluster::builder(CN2350)
         .servers(2)
         .clients(1)
         .seed(3)
         .build();
-    let sink = c.register_actor(1, "sink", Box::new(Sink), Placement::Nic);
+    let sink = Box::new(Sink {
+        cost: SimTime::from_us(1),
+    });
+    let sink = c.register_actor(1, "sink", sink, Placement::Nic);
     let relay = c.register_actor(0, "relay", Box::new(Relay { next: sink }), Placement::Nic);
     c.run_closed_loop(relay, 8, 512, SimTime::from_ms(5));
     let done = c.completions().count();
@@ -890,46 +899,61 @@ fn redirect_refreshes_every_queued_request_for_the_moved_address() {
 
 #[test]
 fn audit_stays_clean_across_forced_migration() {
-    // Regression: requests buffered during a push migration used to be
+    // Regression: requests parked during a push migration used to be
     // forwarded to the host at phase 4 without incrementing
     // `ring_depth` (the handler then decremented it with a saturating
-    // sub, silently masking the drift), and the phase-1 mailbox drain
+    // sub, silently masking the drift), and the phase-2 mailbox drain
     // bypassed the scheduler's buffered counter. Both leaks are caught
     // by `ring.depth` / `sched.arrivals` when auditing around a live
     // migration.
-    let cfg = SchedConfig::for_nic(&CN2350).no_migration();
-    let mut c = Cluster::builder(CN2350)
-        .servers(1)
-        .clients(1)
-        .sched(cfg)
-        .seed(7)
-        .build();
-    // A host-placed ticker: its self-sends are local emits to a host actor,
-    // the third caller of `push_to_host_ring` beside the NIC forward and the
-    // phase-4 forward below. The short period keeps a crossing pending at
-    // every audit instant, where a missed increment cannot hide.
-    let ticks = std::rc::Rc::new(std::cell::Cell::new(0u32));
-    let ticker = Box::new(Ticker {
-        ticks: ticks.clone(),
-        period: SimTime::from_us(1),
-    });
-    c.register_actor(0, "ticker", ticker, Placement::Host);
-    let a = c.register_actor(
-        0,
-        "stateful-echo",
-        Box::new(StatefulEcho {
-            cost: SimTime::from_us(3),
-        }),
-        Placement::Nic,
-    );
-    echo_client(&mut c, a, 16);
-    c.run_for(SimTime::from_ms(1));
-    c.audit().assert_clean();
-    assert!(c.force_migrate(a));
-    // Mid-migration: phase legality, step tokens, and the buffered
-    // ledger are all live here.
-    c.run_for(SimTime::from_us(40));
-    c.audit().assert_clean();
+    let migrating = || {
+        let cfg = SchedConfig::for_nic(&CN2350).no_migration();
+        let mut c = Cluster::builder(CN2350)
+            .servers(1)
+            .clients(1)
+            .sched(cfg)
+            .seed(7)
+            .build();
+        // A host-placed ticker: its self-sends are local emits to a host
+        // actor, the third caller of `push_to_host_ring` beside the NIC
+        // forward and the phase-4 forward below. The short period keeps a
+        // crossing pending at every audit instant, where a missed increment
+        // cannot hide.
+        let ticks = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let ticker = Box::new(Ticker {
+            ticks: ticks.clone(),
+            period: SimTime::from_us(1),
+        });
+        c.register_actor(0, "ticker", ticker, Placement::Host);
+        let a = c.register_actor(
+            0,
+            "stateful-echo",
+            Box::new(StatefulEcho {
+                cost: SimTime::from_us(3),
+            }),
+            Placement::Nic,
+        );
+        echo_client(&mut c, a, 16);
+        c.run_for(SimTime::from_ms(1));
+        c.audit().assert_clean();
+        assert!(c.force_migrate(a));
+        (c, a, ticks)
+    };
+    // A first run times the phases; the same seed again is audited in the
+    // middle of each one, so phase legality, step tokens, the parked
+    // requests, the empty mailbox from phase 2 on and the buffered ledger
+    // are all checked on live state.
+    let (mut c, _, _) = migrating();
+    c.run_for(SimTime::from_ms(30));
+    let phases = c.migration_reports(0)[0].phase_times;
+    let (mut c, a, ticks) = migrating();
+    let mut phase_start = c.now();
+    for took in phases {
+        c.run_for(phase_start + took / 2 - c.now());
+        assert_eq!(c.actor_location(a), Some(Loc::Migrating));
+        c.audit().assert_clean();
+        phase_start += took;
+    }
     c.run_for(SimTime::from_ms(30));
     assert_eq!(c.actor_location(a), Some(Loc::Host));
     assert!(c.completions().count() > 0);
@@ -983,6 +1007,63 @@ fn migration_report_covers_exactly_the_time_the_migration_took() {
     assert!(c.migration_reports(0).is_empty(), "total() overshoots");
     c.run_for(SimTime::from_ns(1));
     assert_eq!(c.migration_reports(0).len(), 1, "total() falls short");
+}
+
+/// A push the runtime refuses gives the actor back to the NIC, and the
+/// requests parked between the scheduler's mark and the refusal arrive
+/// again. Here the refusal is the cooldown after a migration: the heaviest
+/// actor moves to the host first, then every completion on the management
+/// core marks the sink, and a relay's local send to the sink is parked
+/// before the runtime refuses the mark.
+#[test]
+fn a_refused_push_releases_the_requests_parked_since_the_mark() {
+    let cfg = SchedConfig {
+        mean_thresh: SimTime::from_ns(1),
+        ..SchedConfig::for_nic(&CN2350)
+    };
+    let mut c = Cluster::builder(CN2350)
+        .servers(1)
+        .clients(1)
+        .sched(cfg)
+        .seed(7)
+        .build();
+    let heavy = c.register_actor(
+        0,
+        "heavy",
+        Box::new(Echo {
+            cost: SimTime::from_us(20),
+        }),
+        Placement::Nic,
+    );
+    let sink = Box::new(Sink {
+        cost: SimTime::from_us(4),
+    });
+    let sink = c.register_actor(0, "sink", sink, Placement::Nic);
+    let relay = c.register_actor(0, "relay", Box::new(Relay { next: sink }), Placement::Nic);
+    c.set_client(
+        0,
+        Box::new(move |rng, token| ClientReq {
+            dst: if token % 2 == 0 { heavy } else { relay },
+            wire_size: 256,
+            flow: rng.below(1 << 20),
+            payload: None,
+        }),
+        8,
+    );
+    c.run_for(SimTime::from_ms(10));
+    // Every actor ends on the host, so no request is parked any more: what
+    // was parked and not forwarded by a migration was released.
+    for a in [heavy, sink, relay] {
+        assert_eq!(c.actor_location(a), Some(Loc::Host));
+    }
+    let buffered = c.counter_total("sched.buffered");
+    let forwarded = c.counter_total("migrate.requests_forwarded");
+    let released = buffered - forwarded;
+    assert!(released > 0, "buffered {buffered}, forwarded {forwarded}");
+    c.audit().assert_clean();
+    let before = c.completions().count();
+    c.run_for(SimTime::from_ms(1));
+    assert!(c.completions().count() > before);
 }
 
 #[test]

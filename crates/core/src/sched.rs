@@ -20,7 +20,7 @@
 //! The scheduler is a pure state machine: the runtime (or a test) feeds it
 //! arrivals and completions and executes the [`Action`]s it returns.
 
-use crate::actor::{ActorId, Mailbox, Request};
+use crate::actor::{ActorId, Request};
 use crate::bookkeep::{ActorStats, CoreUtil, GroupStats};
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_nicsim::traffic;
@@ -29,6 +29,7 @@ use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs};
 use ipipe_sim::{IdMap, SimTime};
 use std::cmp::{Ordering, Reverse};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Registry handles for every scheduler-owned metric. Resolved once at
 /// construction; updating any of them on the hot path is a plain `Cell`
@@ -182,7 +183,9 @@ impl SchedConfig {
 pub enum Loc {
     /// On the NIC, schedulable.
     Nic,
-    /// Mid-migration: requests must be buffered by the runtime.
+    /// Mid-migration: the scheduler parks its requests until the runtime
+    /// forwards them ([`NicScheduler::take_parked`]) or gives up the move
+    /// ([`NicScheduler::release_parked`]).
     Migrating,
     /// On the host: requests are forwarded over the ring.
     Host,
@@ -203,8 +206,9 @@ pub enum CoreMode {
 
 /// Per-actor scheduling state.
 pub struct ActorSched {
-    /// DRR mailbox.
-    pub mailbox: Mailbox,
+    /// The DRR mailbox (§3.1): the actor's dispatched requests, oldest
+    /// first. Its length feeds the `Q_thresh` push trigger (ALG 2).
+    pub mailbox: VecDeque<Request>,
     /// Execution statistics (§3.2.3).
     pub stats: ActorStats,
     /// True when the actor has been downgraded to DRR service.
@@ -217,6 +221,9 @@ pub struct ActorSched {
     pub size_hint: u32,
     /// Last FCFS<->DRR regroup, for hysteresis.
     pub last_regroup: SimTime,
+    /// Requests held while the actor is `Migrating`, oldest first: its
+    /// mailbox at phase 2, then everything that arrived since the mark.
+    pub parked: Vec<Request>,
 }
 
 /// What a core should do next.
@@ -225,8 +232,6 @@ pub enum Work {
     Exec(Request),
     /// Forward this request to the host over the ring (actor lives there).
     Forward(Request),
-    /// Hand this request to the runtime's migration buffer.
-    Buffer(Request),
 }
 
 /// Side effects the runtime must carry out after a completion.
@@ -237,21 +242,6 @@ pub enum Action {
     /// Pull the lightest actor back from the host; the runtime chooses the
     /// victim from host-side stats.
     PullMigrate,
-    /// A core switched groups (informational; the scheduler already updated
-    /// its own mode table).
-    CoreRebalanced {
-        /// The core that moved.
-        core: u32,
-        /// Its new mode.
-        to: CoreMode,
-    },
-    /// An actor moved between service groups (informational).
-    Regrouped {
-        /// The actor.
-        actor: ActorId,
-        /// True if it is now DRR-served.
-        to_drr: bool,
-    },
 }
 
 /// The NIC-side scheduler.
@@ -274,7 +264,6 @@ pub struct NicScheduler {
     util: Vec<CoreUtil>,
     /// Deferred actions for the runtime to drain.
     pending: Vec<Action>,
-    migrations_started: u64,
     /// Last time an FCFS-group operation completed (for idle decay).
     last_fcfs_obs: SimTime,
     metrics: SchedMetrics,
@@ -315,7 +304,6 @@ impl NicScheduler {
             modes,
             util: vec![CoreUtil::new(cfg.util_window, cfg.ewma_alpha); cores],
             pending: Vec::new(),
-            migrations_started: 0,
             last_fcfs_obs: SimTime::ZERO,
             metrics: SchedMetrics::new(obs, node),
         }
@@ -330,13 +318,14 @@ impl NicScheduler {
         self.actors.insert(
             actor,
             ActorSched {
-                mailbox: Mailbox::new(),
+                mailbox: VecDeque::new(),
                 stats: ActorStats::new(self.cfg.ewma_alpha),
                 is_drr,
                 loc,
                 deficit: 0.0,
                 size_hint,
                 last_regroup: SimTime::ZERO,
+                parked: Vec::new(),
             },
         );
     }
@@ -489,9 +478,16 @@ impl NicScheduler {
             self.dispatch_to_mailboxes(false);
             return None;
         }
-        match self.modes[core as usize] {
-            CoreMode::Fcfs => self.next_fcfs(),
-            CoreMode::Drr => self.next_drr(),
+        // Parking a request for a migrating actor gives the core no work:
+        // dispatch starts over from the top, mailbox dispatch included.
+        loop {
+            let pass = match self.modes[core as usize] {
+                CoreMode::Fcfs => self.next_fcfs(),
+                CoreMode::Drr => self.next_drr(),
+            };
+            if let ControlFlow::Break(work) = pass {
+                return work;
+            }
         }
     }
 
@@ -504,7 +500,7 @@ impl NicScheduler {
             match self.actors.get_mut(&actor) {
                 Some(a) if a.is_drr && a.loc == Loc::Nic => {
                     a.mailbox
-                        .push(self.fcfs_queue.pop_front().expect("checked front"));
+                        .push_back(self.fcfs_queue.pop_front().expect("checked front"));
                     self.drr_backlog += 1;
                     self.metrics.mailbox_dispatch.inc();
                 }
@@ -517,7 +513,9 @@ impl NicScheduler {
         }
     }
 
-    fn next_fcfs(&mut self) -> Option<Work> {
+    /// Serve the shared queue. `Continue` means a request was parked for a
+    /// migrating actor and dispatch must start over.
+    fn next_fcfs(&mut self) -> ControlFlow<Option<Work>> {
         while let Some(req) = self.fcfs_queue.pop_front() {
             let Some(a) = self.actors.get_mut(&req.actor) else {
                 // Unknown actor (killed): drop the request.
@@ -527,28 +525,29 @@ impl NicScheduler {
             match a.loc {
                 Loc::Host => {
                     self.metrics.forwarded.inc();
-                    return Some(Work::Forward(req));
+                    return ControlFlow::Break(Some(Work::Forward(req)));
                 }
                 Loc::Migrating => {
+                    a.parked.push(req);
                     self.metrics.buffered.inc();
-                    return Some(Work::Buffer(req));
+                    return ControlFlow::Continue(());
                 }
                 Loc::Nic => {
                     if a.is_drr {
-                        a.mailbox.push(req);
+                        a.mailbox.push_back(req);
                         self.drr_backlog += 1;
                         self.metrics.mailbox_dispatch.inc();
                         continue;
                     }
                     self.metrics.exec_fcfs.inc();
-                    return Some(Work::Exec(req));
+                    return ControlFlow::Break(Some(Work::Exec(req)));
                 }
             }
         }
-        None
+        ControlFlow::Break(None)
     }
 
-    fn next_drr(&mut self) -> Option<Work> {
+    fn next_drr(&mut self) -> ControlFlow<Option<Work>> {
         // DRR cores also relieve the shared queue: leading requests bound
         // for DRR actors are dispatched into their mailboxes (the shuffle
         // layer of §3.2.6). Requests for FCFS actors stay for FCFS cores.
@@ -571,10 +570,10 @@ impl NicScheduler {
         }
         for _sweep in 0..100_000 {
             if let Some(w) = self.drr_sweep() {
-                return Some(w);
+                return ControlFlow::Break(Some(w));
             }
         }
-        None
+        ControlFlow::Break(None)
     }
 
     /// One round-robin sweep over the runnable queue.
@@ -602,7 +601,7 @@ impl NicScheduler {
                     let est = a.stats.exec_latency().as_ns().max(1) as f64;
                     if a.deficit >= est {
                         a.deficit -= est;
-                        let req = a.mailbox.pop().expect("checked non-empty");
+                        let req = a.mailbox.pop_front().expect("checked non-empty");
                         self.drr_backlog -= 1;
                         self.metrics.exec_drr.inc();
                         return Some(Work::Exec(req));
@@ -703,10 +702,6 @@ impl NicScheduler {
                 a.last_regroup = now;
                 self.drr_runnable_push(id);
                 self.metrics.regroup_to_drr.inc();
-                self.pending.push(Action::Regrouped {
-                    actor: id,
-                    to_drr: true,
-                });
             }
         } else if (tail.as_ns() as f64)
             < (1.0 - self.cfg.alpha) * self.cfg.tail_thresh.as_ns() as f64
@@ -743,10 +738,6 @@ impl NicScheduler {
                 a.last_regroup = now;
                 self.drr_runnable_remove(id);
                 self.metrics.regroup_to_fcfs.inc();
-                self.pending.push(Action::Regrouped {
-                    actor: id,
-                    to_drr: false,
-                });
             }
         }
     }
@@ -796,7 +787,6 @@ impl NicScheduler {
                 a.loc = Loc::Migrating;
                 a.is_drr = false;
                 self.drr_runnable_remove(id);
-                self.migrations_started += 1;
                 self.metrics.migrate_push.inc();
                 self.pending.push(Action::PushMigrate(id));
             }
@@ -823,7 +813,6 @@ impl NicScheduler {
             a.loc = Loc::Migrating;
             a.is_drr = false;
             self.drr_runnable_remove(actor);
-            self.migrations_started += 1;
             self.metrics.migrate_push.inc();
             self.pending.push(Action::PushMigrate(actor));
         }
@@ -839,10 +828,6 @@ impl NicScheduler {
             let core = self.modes.len() - 1;
             self.modes[core] = CoreMode::Drr;
             self.metrics.core_rebalance.inc();
-            self.pending.push(Action::CoreRebalanced {
-                core: core as u32,
-                to: CoreMode::Drr,
-            });
             return;
         }
         // Reclaim DRR cores once the runnable queue empties.
@@ -850,10 +835,6 @@ impl NicScheduler {
             if let Some(core) = self.modes.iter().rposition(|&m| m == CoreMode::Drr) {
                 self.modes[core] = CoreMode::Fcfs;
                 self.metrics.core_rebalance.inc();
-                self.pending.push(Action::CoreRebalanced {
-                    core: core as u32,
-                    to: CoreMode::Fcfs,
-                });
             }
             return;
         }
@@ -872,20 +853,12 @@ impl NicScheduler {
                 if core != 0 {
                     self.modes[core] = CoreMode::Drr;
                     self.metrics.core_rebalance.inc();
-                    self.pending.push(Action::CoreRebalanced {
-                        core: core as u32,
-                        to: CoreMode::Drr,
-                    });
                 }
             }
         } else if fcfs_util >= 0.95 && drr_n > 1 && drr_util < (drr_n as f64 - 1.0) / drr_n as f64 {
             if let Some(core) = self.modes.iter().rposition(|&m| m == CoreMode::Drr) {
                 self.modes[core] = CoreMode::Fcfs;
                 self.metrics.core_rebalance.inc();
-                self.pending.push(Action::CoreRebalanced {
-                    core: core as u32,
-                    to: CoreMode::Fcfs,
-                });
             }
         }
     }
@@ -919,49 +892,65 @@ impl NicScheduler {
         out.append(&mut self.pending);
     }
 
-    /// FCFS group statistics (read-only view).
-    pub fn fcfs_group(&self) -> &GroupStats {
-        &self.fcfs_group
-    }
-
     /// Per-actor scheduling state (read-only).
     pub fn actor(&self, id: ActorId) -> Option<&ActorSched> {
         self.actors.get(&id)
     }
 
-    /// Mutable access to an actor's mailbox (migration drains it).
+    /// Per-actor scheduling state (mutable).
     pub fn actor_mut(&mut self, id: ActorId) -> Option<&mut ActorSched> {
         self.actors.get_mut(&id)
     }
 
-    /// Total push migrations initiated.
-    pub fn migrations_started(&self) -> u64 {
-        self.migrations_started
+    /// Every actor's scheduling state, in table order.
+    pub fn actors(&self) -> impl Iterator<Item = (ActorId, &ActorSched)> {
+        self.actors.iter().map(|(&id, a)| (id, a))
     }
 
-    /// Drain a migrating actor's mailbox into the runtime's migration
-    /// buffer, crediting the `buffered` counter so the arrivals ledger stays
-    /// balanced. The runtime must use this instead of draining the mailbox
-    /// directly: a raw drain makes queued requests vanish from the
-    /// scheduler's books without ever being counted as consumed.
+    /// Migration phase 2: park `actor`'s mailbox ahead of the requests
+    /// parked since phase 1, and return how many moved. They are credited
+    /// to the `buffered` counter: a raw mailbox drain would make them vanish
+    /// from the arrivals ledger without ever being counted as consumed.
     ///
-    /// The actor has already left the DRR runnable queue by the time a
-    /// migration drains it (`set_location` / migration start), so its mail
-    /// is no longer part of `drr_backlog`; only the counter needs a credit.
-    pub fn drain_mailbox_for_migration(&mut self, actor: ActorId) -> Vec<Request> {
+    /// The actor left the DRR runnable queue when it was marked
+    /// `Migrating`, so its mail is no longer part of `drr_backlog`.
+    pub fn park_mailbox(&mut self, actor: ActorId) -> usize {
         let Some(a) = self.actors.get_mut(&actor) else {
-            return Vec::new();
+            return 0;
         };
-        let drained = a.mailbox.drain();
-        self.metrics.buffered.add(drained.len() as u64);
-        drained
+        let moved = a.mailbox.len();
+        a.parked.splice(0..0, a.mailbox.drain(..));
+        self.metrics.buffered.add(moved as u64);
+        moved
+    }
+
+    /// Migration phase 4: hand over `actor`'s parked requests, oldest
+    /// first, for the runtime to forward to the actor's new side.
+    pub fn take_parked(&mut self, actor: ActorId) -> Vec<Request> {
+        self.actors
+            .get_mut(&actor)
+            .map(|a| std::mem::take(&mut a.parked))
+            .unwrap_or_default()
+    }
+
+    /// The move of `actor` is off (a refused push, an aborted migration):
+    /// its parked requests arrive again at `now`, oldest first, so the pause
+    /// does not feed the sojourn statistics. Returns how many.
+    pub fn release_parked(&mut self, now: SimTime, actor: ActorId) -> usize {
+        let parked = self.take_parked(actor);
+        let released = parked.len();
+        for mut req in parked {
+            req.arrived = now;
+            self.on_arrival(now, req);
+        }
+        released
     }
 
     /// Scheduler-sanity invariants, folded into a cluster-wide audit pass.
     ///
     /// * **arrivals ledger** — every request handed to `on_arrival` is
     ///   either still queued (shared queue or a mailbox) or was consumed
-    ///   exactly once (executed, forwarded, buffered for migration, or
+    ///   exactly once (executed, forwarded, parked for migration, or
     ///   dropped with the drop counter bumped).
     /// * **DRR backlog** — the incremental `drr_backlog` counter equals the
     ///   sum of runnable mailbox lengths.
@@ -1132,13 +1121,57 @@ mod tests {
 
     #[test]
     fn migrating_actor_requests_are_buffered() {
-        let mut s = sched();
+        let obs = Obs::disabled();
+        let mut s = NicScheduler::with_obs(&CN2350, cfg(), &obs, 0);
+        s.register(1, 512, Loc::Nic);
+        s.register(2, 512, Loc::Nic);
         s.set_location(2, Loc::Migrating);
-        s.on_arrival(SimTime::ZERO, req(2, 3));
-        assert!(matches!(
-            s.next_for_core(SimTime::ZERO, 0),
-            Some(Work::Buffer(_))
-        ));
+        for token in [3, 4, 5] {
+            s.on_arrival(SimTime::ZERO, req(2, token));
+        }
+        s.on_arrival(SimTime::ZERO, req(1, 6));
+        // The migrating actor's requests are parked on the way to actor 1's.
+        match s.next_for_core(SimTime::ZERO, 0) {
+            Some(Work::Exec(r)) => assert_eq!(r.token, 6),
+            _ => panic!("expected exec"),
+        }
+        let parked: Vec<u64> = s.actor(2).unwrap().parked.iter().map(|r| r.token).collect();
+        assert_eq!(parked, [3, 4, 5]);
+        assert_eq!(obs.registry().counter_on("sched.buffered", 0).get(), 3);
+
+        // Giving up the move re-arrives them, oldest first, stamped `now`.
+        let now = SimTime::from_us(7);
+        s.set_location(2, Loc::Nic);
+        assert_eq!(s.release_parked(now, 2), 3);
+        assert!(s.actor(2).unwrap().parked.is_empty());
+        for token in [3, 4, 5] {
+            match s.next_for_core(now, 0) {
+                Some(Work::Exec(r)) => assert_eq!((r.token, r.arrived), (token, now)),
+                _ => panic!("expected exec"),
+            }
+        }
+        let mut r = AuditReport::new(now);
+        s.audit_into(&mut r, 0);
+        r.assert_clean();
+    }
+
+    /// Parking gives the core nothing to run, so dispatch starts over from
+    /// the top: a DRR core dispatches the shared queue into mailboxes again
+    /// and then serves its runnable queue, as a fresh call would.
+    #[test]
+    fn a_drr_core_redispatches_after_parking() {
+        let mut s = sched();
+        s.actor_mut(2).unwrap().is_drr = true;
+        s.drr_runnable.push_back(2);
+        s.modes[11] = CoreMode::Drr;
+        s.set_location(1, Loc::Migrating);
+        s.on_arrival(SimTime::ZERO, req(1, 1));
+        s.on_arrival(SimTime::ZERO, req(2, 2));
+        match s.next_for_core(SimTime::ZERO, 11) {
+            Some(Work::Exec(r)) => assert_eq!(r.token, 2),
+            _ => panic!("expected actor 2's request from its mailbox"),
+        }
+        assert_eq!(s.actor(1).unwrap().parked.len(), 1);
     }
 
     #[test]
@@ -1164,14 +1197,6 @@ mod tests {
         }
         assert!(s.is_drr(2), "dispersed actor should be DRR");
         assert!(!s.is_drr(1), "stable actor should stay FCFS");
-        let actions = s.take_actions();
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Regrouped {
-                actor: 2,
-                to_drr: true
-            }
-        )));
         // A DRR core was spawned.
         let (_, drr) = s.core_split();
         assert!(drr >= 1);
@@ -1281,7 +1306,6 @@ mod tests {
             "expected actor 2 push, got {actions:?}"
         );
         assert_eq!(s.location(2), Some(Loc::Migrating));
-        assert!(s.migrations_started() >= 1);
     }
 
     /// Two actors with identical statistics tie in both victim scans. The
@@ -1313,18 +1337,9 @@ mod tests {
                 let now = SimTime::from_ms(10);
                 s.last_fcfs_obs = now;
                 s.evaluate_regrouping(now);
+                assert!(s.is_drr(lo) && !s.is_drr(hi), "tied {tied:?}");
                 s.evaluate_migration();
-                assert_eq!(
-                    s.take_actions(),
-                    vec![
-                        Action::Regrouped {
-                            actor: lo,
-                            to_drr: true
-                        },
-                        Action::PushMigrate(lo)
-                    ],
-                    "tied {tied:?}"
-                );
+                assert_eq!(s.take_actions(), [Action::PushMigrate(lo)], "tied {tied:?}");
             }
         }
     }
@@ -1484,10 +1499,10 @@ mod tests {
         s.deregister(1);
         assert_eq!(dropped.get(), 3);
 
-        // Migrate actor 2: the mailbox drain must credit `buffered`.
+        // Migrate actor 2: parking the mailbox must credit `buffered`.
         s.set_location(2, Loc::Migrating);
-        let drained = s.drain_mailbox_for_migration(2);
-        assert_eq!(drained.len(), 4);
+        assert_eq!(s.park_mailbox(2), 4);
+        assert_eq!(s.actor(2).unwrap().parked.len(), 4);
         assert_eq!(buffered.get(), 4);
 
         let mut r = AuditReport::new(SimTime::ZERO);

@@ -290,7 +290,7 @@ proptest! {
                         executed += 1;
                         busy.insert(core, r.actor);
                     }
-                    Work::Forward(_) | Work::Buffer(_) => {
+                    Work::Forward(_) => {
                         prop_assert!(false, "no migration: forwards impossible");
                     }
                 }
