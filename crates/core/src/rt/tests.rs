@@ -345,13 +345,11 @@ impl ActorLogic for Relay {
     }
 }
 
-/// Answers a relayed request to the client it carries.
-struct Sink {
-    cost: SimTime,
-}
+/// Answers a relayed request to the client it carries, at a cost.
+struct Sink(SimTime);
 impl ActorLogic for Sink {
     fn exec(&mut self, ctx: &mut ActorCtx<'_>, mut req: Request) {
-        ctx.charge(self.cost);
+        ctx.charge(self.0);
         let client = *req.payload_as::<Option<Address>>();
         if let Some(dst) = client {
             ctx.reply_to(dst, 64, req.token, None);
@@ -366,9 +364,7 @@ fn multi_node_actor_messaging() {
         .clients(1)
         .seed(3)
         .build();
-    let sink = Box::new(Sink {
-        cost: SimTime::from_us(1),
-    });
+    let sink = Box::new(Sink(SimTime::from_us(1)));
     let sink = c.register_actor(1, "sink", sink, Placement::Nic);
     let relay = c.register_actor(0, "relay", Box::new(Relay { next: sink }), Placement::Nic);
     c.run_closed_loop(relay, 8, 512, SimTime::from_ms(5));
@@ -906,61 +902,53 @@ fn audit_stays_clean_across_forced_migration() {
     // bypassed the scheduler's buffered counter. Both leaks are caught
     // by `ring.depth` / `sched.arrivals` when auditing around a live
     // migration.
-    let migrating = || {
-        let cfg = SchedConfig::for_nic(&CN2350).no_migration();
-        let mut c = Cluster::builder(CN2350)
-            .servers(1)
-            .clients(1)
-            .sched(cfg)
-            .seed(7)
-            .build();
-        // A host-placed ticker: its self-sends are local emits to a host
-        // actor, the third caller of `push_to_host_ring` beside the NIC
-        // forward and the phase-4 forward below. The short period keeps a
-        // crossing pending at every audit instant, where a missed increment
-        // cannot hide.
-        let ticks = std::rc::Rc::new(std::cell::Cell::new(0u32));
-        let ticker = Box::new(Ticker {
-            ticks: ticks.clone(),
-            period: SimTime::from_us(1),
-        });
-        c.register_actor(0, "ticker", ticker, Placement::Host);
-        let a = c.register_actor(
-            0,
-            "stateful-echo",
-            Box::new(StatefulEcho {
-                cost: SimTime::from_us(3),
-            }),
-            Placement::Nic,
-        );
-        echo_client(&mut c, a, 16);
-        c.run_for(SimTime::from_ms(1));
+    let cfg = SchedConfig::for_nic(&CN2350).no_migration();
+    let mut c = Cluster::builder(CN2350)
+        .servers(1)
+        .clients(1)
+        .sched(cfg)
+        .seed(7)
+        .build();
+    // A host-placed ticker: its self-sends are local emits to a host actor,
+    // the third caller of `push_to_host_ring` beside the NIC forward and the
+    // phase-4 forward below. The short period keeps a crossing pending at
+    // every audit instant, where a missed increment cannot hide.
+    let ticks = std::rc::Rc::new(std::cell::Cell::new(0u32));
+    let ticker = Box::new(Ticker {
+        ticks: ticks.clone(),
+        period: SimTime::from_us(1),
+    });
+    c.register_actor(0, "ticker", ticker, Placement::Host);
+    let a = c.register_actor(
+        0,
+        "stateful-echo",
+        Box::new(StatefulEcho {
+            cost: SimTime::from_us(3),
+        }),
+        Placement::Nic,
+    );
+    echo_client(&mut c, a, 16);
+    c.run_for(SimTime::from_ms(1));
+    c.audit().assert_clean();
+    assert!(c.force_migrate(a));
+    // Audited every step until the move lands, so inside each phase (each
+    // one outlasts a step, checked below): phase legality, step tokens,
+    // parked requests, the empty mailbox from phase 2 on and the buffered
+    // ledger are all checked on live state.
+    let step = SimTime::from_us(100);
+    while c.actor_location(a) == Some(Loc::Migrating) {
+        c.run_for(step);
         c.audit().assert_clean();
-        assert!(c.force_migrate(a));
-        (c, a, ticks)
-    };
-    // A first run times the phases; the same seed again is audited in the
-    // middle of each one, so phase legality, step tokens, the parked
-    // requests, the empty mailbox from phase 2 on and the buffered ledger
-    // are all checked on live state.
-    let (mut c, _, _) = migrating();
-    c.run_for(SimTime::from_ms(30));
-    let phases = c.migration_reports(0)[0].phase_times;
-    let (mut c, a, ticks) = migrating();
-    let mut phase_start = c.now();
-    for took in phases {
-        c.run_for(phase_start + took / 2 - c.now());
-        assert_eq!(c.actor_location(a), Some(Loc::Migrating));
-        c.audit().assert_clean();
-        phase_start += took;
     }
+    let report = c.migration_reports(0)[0].clone();
+    assert!(report.phase_times.iter().all(|&t| t > step), "{report:?}");
     c.run_for(SimTime::from_ms(30));
     assert_eq!(c.actor_location(a), Some(Loc::Host));
     assert!(c.completions().count() > 0);
     c.audit().assert_clean();
     // All three ring-crossing callers ran.
     assert!(ticks.get() > 0, "local emits to a host actor");
-    assert!(c.migration_reports(0)[0].requests_forwarded > 0, "phase 4");
+    assert!(report.requests_forwarded > 0, "phase 4");
     assert!(c.counter_on_total("rt.forward.nic", 0) > 0, "NIC forward");
 }
 
@@ -1027,17 +1015,11 @@ fn a_refused_push_releases_the_requests_parked_since_the_mark() {
         .sched(cfg)
         .seed(7)
         .build();
-    let heavy = c.register_actor(
-        0,
-        "heavy",
-        Box::new(Echo {
-            cost: SimTime::from_us(20),
-        }),
-        Placement::Nic,
-    );
-    let sink = Box::new(Sink {
-        cost: SimTime::from_us(4),
+    let heavy = Box::new(Echo {
+        cost: SimTime::from_us(20),
     });
+    let heavy = c.register_actor(0, "heavy", heavy, Placement::Nic);
+    let sink = Box::new(Sink(SimTime::from_us(4)));
     let sink = c.register_actor(0, "sink", sink, Placement::Nic);
     let relay = c.register_actor(0, "relay", Box::new(Relay { next: sink }), Placement::Nic);
     c.set_client(
