@@ -369,7 +369,8 @@ impl NicScheduler {
         }
     }
 
-    /// Update an actor's location (migration completion).
+    /// Update an actor's location (a migration's mark, end or abort, or a
+    /// refused push).
     pub fn set_location(&mut self, actor: ActorId, loc: Loc) {
         let Some(a) = self.actors.get_mut(&actor) else {
             return;
@@ -378,11 +379,16 @@ impl NicScheduler {
         if loc != Loc::Nic {
             a.is_drr = false;
             self.drr_runnable_remove(actor);
-        } else if self.cfg.discipline == Discipline::DrrOnly {
+        } else if self.cfg.discipline == Discipline::DrrOnly || !a.mailbox.is_empty() {
+            // Leaving the NIC took a DRR actor off DRR service, mail and
+            // all, and may have reclaimed the last DRR core. Back before
+            // phase 2 parked its mailbox (a refused push, an early abort),
+            // it must be DRR-served again: no other core reads a mailbox.
             a.is_drr = true;
             if !self.drr_runnable.contains(&actor) {
                 self.drr_runnable_push(actor);
             }
+            self.spawn_drr_core();
         }
     }
 
@@ -806,30 +812,44 @@ impl NicScheduler {
         if !self.cfg.migration {
             return;
         }
-        let Some(a) = self.actors.get_mut(&actor) else {
+        let Some(a) = self.actors.get(&actor) else {
             return;
         };
-        if a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > self.cfg.q_thresh {
-            a.loc = Loc::Migrating;
-            a.is_drr = false;
-            self.drr_runnable_remove(actor);
-            self.metrics.migrate_push.inc();
-            self.pending.push(Action::PushMigrate(actor));
+        let overlong = a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > self.cfg.q_thresh;
+        // One migration in flight at a time, as for ALG 1's push: the
+        // runtime refuses a second one, and every refused mark would take
+        // the actor off DRR service and give back a DRR core for nothing.
+        if !overlong || self.actors.values().any(|a| a.loc == Loc::Migrating) {
+            return;
         }
+        let a = self.actors.get_mut(&actor).expect("checked above");
+        a.loc = Loc::Migrating;
+        a.is_drr = false;
+        self.drr_runnable_remove(actor);
+        self.metrics.migrate_push.inc();
+        self.pending.push(Action::PushMigrate(actor));
+    }
+
+    /// Spawn the first DRR core when an actor enters the runnable queue;
+    /// true if one was spawned.
+    fn spawn_drr_core(&mut self) -> bool {
+        let (fcfs_n, drr_n) = self.core_split();
+        if self.drr_runnable.is_empty() || drr_n > 0 || fcfs_n <= 1 {
+            return false;
+        }
+        let core = self.modes.len() - 1;
+        self.modes[core] = CoreMode::Drr;
+        self.metrics.core_rebalance.inc();
+        true
     }
 
     /// §3.2.4 core auto-scaling between the groups.
     fn rebalance_cores(&mut self, now: SimTime) {
-        let needs_drr = !self.drr_runnable.is_empty();
-        let (fcfs_n, drr_n) = self.core_split();
-
-        // Spawn the first DRR core when an actor enters the runnable queue.
-        if needs_drr && drr_n == 0 && fcfs_n > 1 {
-            let core = self.modes.len() - 1;
-            self.modes[core] = CoreMode::Drr;
-            self.metrics.core_rebalance.inc();
+        if self.spawn_drr_core() {
             return;
         }
+        let needs_drr = !self.drr_runnable.is_empty();
+        let (fcfs_n, drr_n) = self.core_split();
         // Reclaim DRR cores once the runnable queue empties.
         if !needs_drr && drr_n > 0 {
             if let Some(core) = self.modes.iter().rposition(|&m| m == CoreMode::Drr) {
@@ -959,6 +979,9 @@ impl NicScheduler {
     /// * **deficit bounds** — DRR deficits are non-negative and bounded by
     ///   a generous multiple of the actor's estimate + quantum (the EWMA
     ///   estimate can shrink after deficit accrued, so the bound is loose).
+    /// * **mailbox service** — a non-empty mailbox belongs to a DRR actor on
+    ///   the NIC or to a `Migrating` one. Reported only on violation, so a
+    ///   clean audit's check count does not move.
     pub fn audit_into(&self, r: &mut AuditReport, node: u16) {
         let m = &self.metrics;
         let queued_fcfs = self.fcfs_queue.len() as u64;
@@ -1025,6 +1048,16 @@ impl NicScheduler {
         ids.sort_unstable();
         for id in ids {
             let a = &self.actors[&id];
+            let served = (a.is_drr && a.loc == Loc::Nic) || a.loc == Loc::Migrating;
+            if !a.mailbox.is_empty() && !served {
+                let detail = format!(
+                    "actor {id} ({:?}, drr {}) has {} requests in a mailbox no core reads",
+                    a.loc,
+                    a.is_drr,
+                    a.mailbox.len()
+                );
+                r.violation("sched.mailbox", node, detail);
+            }
             if a.is_drr && a.loc == Loc::Nic {
                 r.check(
                     "sched.runnable.membership",
@@ -1131,10 +1164,11 @@ mod tests {
         }
         s.on_arrival(SimTime::ZERO, req(1, 6));
         // The migrating actor's requests are parked on the way to actor 1's.
-        match s.next_for_core(SimTime::ZERO, 0) {
-            Some(Work::Exec(r)) => assert_eq!(r.token, 6),
+        let exec = |w: Option<Work>| match w {
+            Some(Work::Exec(r)) => (r.token, r.arrived),
             _ => panic!("expected exec"),
-        }
+        };
+        assert_eq!(exec(s.next_for_core(SimTime::ZERO, 0)).0, 6);
         let parked: Vec<u64> = s.actor(2).unwrap().parked.iter().map(|r| r.token).collect();
         assert_eq!(parked, [3, 4, 5]);
         assert_eq!(obs.registry().counter_on("sched.buffered", 0).get(), 3);
@@ -1145,10 +1179,7 @@ mod tests {
         assert_eq!(s.release_parked(now, 2), 3);
         assert!(s.actor(2).unwrap().parked.is_empty());
         for token in [3, 4, 5] {
-            match s.next_for_core(now, 0) {
-                Some(Work::Exec(r)) => assert_eq!((r.token, r.arrived), (token, now)),
-                _ => panic!("expected exec"),
-            }
+            assert_eq!(exec(s.next_for_core(now, 0)), (token, now));
         }
         let mut r = AuditReport::new(now);
         s.audit_into(&mut r, 0);
@@ -1387,15 +1418,14 @@ mod tests {
             let _ = s.next_for_core(SimTime::ZERO, 0); // dispatch into mailbox
         }
         assert!(s.actor(2).unwrap().mailbox.len() > 8);
-        s.on_complete(
-            SimTime::from_us(10),
-            1,
-            2,
-            SimTime::from_us(10),
-            SimTime::from_us(5),
-        );
-        let actions = s.take_actions();
-        assert!(actions.iter().any(|a| matches!(a, Action::PushMigrate(2))));
+        // Not while another migration is in flight: it stays DRR-served.
+        s.set_location(1, Loc::Migrating);
+        let (sojourn, busy) = (SimTime::from_us(10), SimTime::from_us(5));
+        s.on_complete(SimTime::from_us(10), 1, 2, sojourn, busy);
+        assert!(s.take_actions().is_empty() && s.is_drr(2));
+        s.set_location(1, Loc::Host);
+        s.on_complete(SimTime::from_us(20), 1, 2, sojourn, busy);
+        assert_eq!(s.take_actions(), [Action::PushMigrate(2)]);
     }
 
     #[test]
@@ -1524,6 +1554,52 @@ mod tests {
         let mut r = AuditReport::new(SimTime::ZERO);
         s.audit_into(&mut r, 0);
         r.assert_clean();
+    }
+
+    /// Regression: marking a DRR actor `Migrating` takes it off the runnable
+    /// queue with its mail. When the push is refused, or aborted before
+    /// phase 2, `set_location(Nic)` used to restore only the location: the
+    /// actor came back FCFS-served and its mailbox was stranded.
+    #[test]
+    fn a_drr_actor_given_back_to_the_nic_keeps_its_mailbox_served() {
+        let mut s = sched();
+        s.actor_mut(2).unwrap().is_drr = true;
+        s.drr_runnable.push_back(2);
+        for token in 0..3 {
+            s.on_arrival(SimTime::ZERO, req(2, token));
+        }
+        assert!(
+            s.next_for_core(SimTime::ZERO, 0).is_none(),
+            "mail dispatched"
+        );
+        s.set_location(2, Loc::Migrating);
+        s.set_location(2, Loc::Nic);
+        s.modes[11] = CoreMode::Drr;
+        let mut served = Vec::new();
+        while let Some(Work::Exec(r)) = s.next_for_core(SimTime::ZERO, 11) {
+            served.push(r.token);
+        }
+        assert_eq!(served, [0, 1, 2], "the mailbox was stranded");
+        assert!(s.is_drr(2));
+        let mut r = AuditReport::new(SimTime::ZERO);
+        s.audit_into(&mut r, 0);
+        r.assert_clean();
+    }
+
+    #[test]
+    fn audit_catches_a_stranded_mailbox() {
+        let mut s = sched();
+        s.actor_mut(2).unwrap().is_drr = true;
+        s.drr_runnable.push_back(2);
+        s.on_arrival(SimTime::ZERO, req(2, 1));
+        let _ = s.next_for_core(SimTime::ZERO, 0); // mail into mailbox
+                                                   // What `set_location(Nic)` used to leave behind after a refused push.
+        s.drr_runnable_remove(2);
+        s.actor_mut(2).unwrap().is_drr = false;
+        let mut r = AuditReport::new(SimTime::ZERO);
+        s.audit_into(&mut r, 0);
+        let names: Vec<&str> = r.violations().iter().map(|v| v.invariant).collect();
+        assert_eq!(names, ["sched.mailbox"]);
     }
 
     #[test]
