@@ -311,7 +311,8 @@ impl ShardState {
                 .map(|(id, _)| id)
                 .min();
             r.check("migrate.parked", node, stray.is_none(), || {
-                format!("actor {stray:?} holds parked requests but is not migrating")
+                let id = stray.unwrap_or_default();
+                format!("actor {id} holds parked requests but is not migrating")
             });
             if let Some(a) = &n.admission {
                 a.audit_into(r, node);

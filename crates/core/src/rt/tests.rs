@@ -983,8 +983,13 @@ fn migration_report_covers_exactly_the_time_the_migration_took() {
         assert!(c.force_migrate(a));
         c
     };
+    // Audited as it goes: the DRR backlog parked in phase 2 gives
+    // `migrate.mailbox` and `migrate.parked` something to check.
     let mut c = migrating();
-    c.run_for(SimTime::from_ms(30));
+    for _ in 0..300 {
+        c.run_for(SimTime::from_us(100));
+        c.audit().assert_clean();
+    }
     let report = c.migration_reports(0)[0].clone();
     assert!(report.phase_times[1] > crate::migrate::PHASE2_BASE);
     assert!(report.requests_forwarded > 1_000);

@@ -923,7 +923,7 @@ impl NicScheduler {
     }
 
     /// Every actor's scheduling state, in table order.
-    pub fn actors(&self) -> impl Iterator<Item = (ActorId, &ActorSched)> {
+    pub(crate) fn actors(&self) -> impl Iterator<Item = (ActorId, &ActorSched)> {
         self.actors.iter().map(|(&id, a)| (id, a))
     }
 
