@@ -23,7 +23,6 @@ use super::actors::{deploy_group, HeartbeatCfg, RkvDeployment};
 use super::placement::RoutingTable;
 use ipipe::prelude::*;
 use ipipe::rt::Cluster;
-use ipipe::sched::Loc;
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::Registry;
 
@@ -189,7 +188,7 @@ impl Rebalancer {
                 dep.groups[g].memtable[leader_idx],
                 dep.groups[g].consensus[leader_idx],
             ] {
-                if c.actor_location(addr) == Some(Loc::Nic) && c.force_migrate(addr) {
+                if c.force_migrate(addr) {
                     started += 1;
                     break;
                 }
@@ -244,6 +243,7 @@ pub fn audit_multi_rkv_exactly_once(
 mod tests {
     use super::*;
     use ipipe::rt::ClientReq;
+    use ipipe::sched::Loc;
     use ipipe_nicsim::CN2350;
     use ipipe_workload::agg::AggKvStream;
     use std::cell::RefCell;

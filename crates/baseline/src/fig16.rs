@@ -168,7 +168,6 @@ pub fn run_fig16_obs(
                     Some(("actor", actor as i64)),
                 );
                 st.sched.on_complete(now, core, actor, sojourn, busy);
-                let _ = st.sched.take_actions();
                 st.done += 1;
                 if st.done > st.warmup {
                     st.hist.record(sojourn);

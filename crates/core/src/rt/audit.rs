@@ -27,8 +27,8 @@ impl Cluster {
     /// * `core.token.{nic,host}` — a busy core holds exactly one pending
     ///   free event; an idle core holds none
     /// * `migrate.*` — phase legality, exactly one step event per active
-    ///   migration, location consistency, an empty mailbox from phase 2 on,
-    ///   and parked requests held only by a `Migrating` actor
+    ///   migration, the scheduler's mover and its location, an empty mailbox
+    ///   from phase 2 on, and parked requests held only by a `Migrating` actor
     /// * scheduler ledgers via [`NicScheduler::audit_into`]
     /// * `actor.reserved` — no address is reserved and left without an actor
     pub fn audit(&self) -> AuditReport {
@@ -283,6 +283,12 @@ impl ShardState {
             r.check("migrate.step", node, mig_steps[i] == want, || {
                 format!("{} pending MigStep events, expected {want}", mig_steps[i])
             });
+            // The scheduler and the node agree on who is moving.
+            let (gate, driven) = (n.sched.migrating(), n.active_migration.as_ref());
+            if gate != driven.map(|m| m.actor) {
+                let detail = format!("scheduler migrating {gate:?}, node {driven:?}");
+                r.violation("migrate.owner", node, detail);
+            }
             if let Some(m) = &n.active_migration {
                 m.audit_into(r, node);
                 let loc = n.sched.location(m.actor);

@@ -184,7 +184,6 @@ impl ClusterBuilder {
                         nic_busy_total: SimTime::ZERO,
                         watchdog: Watchdog::new(self.spec.cores, SimTime::from_ms(5)),
                         active_migration: None,
-                        mig_cooldown_until: SimTime::ZERO,
                         migration_reports: Vec::new(),
                         ring_depth: 0,
                         ring_messages: 0,
@@ -672,7 +671,8 @@ impl Cluster {
     }
 
     /// Force a push migration of an actor (Fig 18 methodology: "we force
-    /// the actor migration after the warm up").
+    /// the actor migration after the warm up"), through the scheduler's
+    /// gate but not its cooldown ([`crate::sched::NicScheduler::force_push`]).
     pub fn force_migrate(&mut self, addr: Address) -> bool {
         self.shard_for_mut(addr.node).force_migrate_local(addr)
     }

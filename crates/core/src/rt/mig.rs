@@ -1,6 +1,6 @@
-//! The four-phase migration driver (§3.2.5, App. B.3): scheduler push/pull
-//! decisions and forced migrations start a [`Migration`], `MigStep` events
-//! walk it through its phases, and a crash window aborts it.
+//! Four-phase migration (§3.2.5, App. B.3): every migration the
+//! scheduler begins starts a [`Migration`], `MigStep` events walk it through
+//! its phases, and a crash window aborts it.
 
 use super::*;
 use crate::dmo::Side;
@@ -13,72 +13,25 @@ const MIGRATION_LANE: u32 = 999;
 impl ShardState {
     /// Force a push migration of an actor living on this shard.
     pub(super) fn force_migrate_local(&mut self, addr: Address) -> bool {
-        let n = self.node(addr.node);
-        if n.active_migration.is_some() || n.sched.location(addr.actor) != Some(Loc::Nic) {
+        let Address { node, actor } = addr;
+        if !self.node_mut(node).sched.force_push(actor) {
             return false;
         }
-        self.begin_migration(self.events.now(), addr.node, addr.actor, MigrationDir::Push);
+        self.apply_action(self.events.now(), node, Action::PushMigrate(actor));
         true
     }
 
-    /// Enter phase 1: mark the actor `Migrating` (the scheduler parks its
-    /// requests from here on, and keeps any it parked since a push mark)
-    /// and arm the first step.
-    fn begin_migration(&mut self, now: SimTime, node: u16, actor: ActorId, dir: MigrationDir) {
-        let n = self.node_mut(node);
-        n.sched.set_location(actor, Loc::Migrating);
-        n.active_migration = Some(Migration::start(actor, dir, now));
+    /// Enter phase 1 of a migration the scheduler began: the actor is
+    /// already `Migrating`, its requests parked since the mark. Arm the
+    /// first step.
+    pub(super) fn apply_action(&mut self, now: SimTime, node: u16, action: Action) {
+        let (actor, dir) = match action {
+            Action::PushMigrate(actor) => (actor, MigrationDir::Push),
+            Action::PullMigrate(actor) => (actor, MigrationDir::Pull),
+        };
+        self.node_mut(node).active_migration = Some(Migration::start(actor, dir, now));
         self.events
             .schedule_after(Migration::phase1_duration(), Ev::MigStep { node });
-    }
-
-    pub(super) fn apply_action(&mut self, now: SimTime, node: u16, action: Action) {
-        let n = self.node_mut(node);
-        match action {
-            Action::PushMigrate(actor) => {
-                let busy = n.active_migration.is_some() || now < n.mig_cooldown_until;
-                if busy || n.actors.get(&actor).map(|s| s.pinned_host).unwrap_or(true) {
-                    // Already migrating something (or the actor may never
-                    // leave): let it run again. Requests parked while the
-                    // mark was pending go back to the dispatcher — dropping
-                    // them here was exactly the silent-loss class the audit
-                    // hunts.
-                    n.sched.set_location(actor, Loc::Nic);
-                    if n.sched.release_parked(now, actor) > 0 {
-                        self.kick_nic(now, node);
-                    }
-                    return;
-                }
-                self.begin_migration(now, node, actor, MigrationDir::Push);
-            }
-            Action::PullMigrate => {
-                if n.active_migration.is_some() || now < n.mig_cooldown_until {
-                    return;
-                }
-                // Choose the lightest non-pinned host actor — and only pull
-                // it if its estimated load actually fits the NIC's headroom
-                // (ALG 1: "if there is sufficient CPU headroom"); otherwise
-                // the pull would immediately re-trigger a push.
-                let victim = n
-                    .actors
-                    .iter()
-                    .filter(|(id, s)| !s.pinned_host && n.sched.location(**id) == Some(Loc::Host))
-                    .min_by(|(a_id, _), (b_id, _)| {
-                        let la = n.sched.actor(**a_id).map(|x| x.stats.load()).unwrap_or(0.0);
-                        let lb = n.sched.actor(**b_id).map(|x| x.stats.load()).unwrap_or(0.0);
-                        // Equal loads tie-break on the id, not on hash order.
-                        let by_load = la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal);
-                        by_load.then(a_id.cmp(b_id))
-                    })
-                    .map(|(&id, _)| id);
-                let Some(victim) = victim else { return };
-                let victim_load = n.sched.actor(victim).map(|a| a.stats.load()).unwrap_or(0.0);
-                if victim_load > 0.3 * self.spec.cores as f64 {
-                    return;
-                }
-                self.begin_migration(now, node, victim, MigrationDir::Pull);
-            }
-        }
     }
 
     pub(super) fn handle_mig_step(&mut self, now: SimTime, node: u16) {
@@ -144,7 +97,8 @@ impl ShardState {
             MigrationDir::Push => Loc::Nic,
             MigrationDir::Pull => Loc::Host,
         };
-        n.sched.set_location(m.actor, origin);
+        let actor = m.actor;
+        n.sched.abort_migration(now, actor, origin);
         self.fault_metrics.mig_aborted.inc();
         self.obs.instant(
             "migrate",
@@ -152,10 +106,8 @@ impl ShardState {
             node,
             MIGRATION_LANE,
             now,
-            Some(("actor", m.actor as i64)),
+            Some(("actor", actor as i64)),
         );
-        let actor = m.actor;
-        self.node_mut(node).sched.release_parked(now, actor);
         if let Some(up) = self.net.down_until(node, now) {
             self.events
                 .schedule_at(up + SimTime::from_us(1), Ev::MigRetry { node, actor });
@@ -175,11 +127,9 @@ impl ShardState {
             MigrationDir::Push => Loc::Host,
             MigrationDir::Pull => Loc::Nic,
         };
-        n.sched.set_location(actor, dest);
-        let parked = n.sched.take_parked(actor);
+        let parked = n.sched.finish_migration(now, actor, dest);
         let name = n.actors.get(&actor).map_or("", |s| s.name.as_str());
         let report = mig.report(name, n.dmo.actor_state_bytes(actor), parked.len() as u64);
-        n.mig_cooldown_until = now + SimTime::from_ms(1);
         report.record_to(self.obs.registry(), node);
         report.trace_to(&self.obs, node, MIGRATION_LANE, mig.started);
         self.node_mut(node).migration_reports.push(report);

@@ -303,8 +303,6 @@ struct ActorSlot {
     logic: Box<dyn ActorLogic>,
     name: String,
     host_speedup: f64,
-    /// Never migrates off the host (storage-touching actors).
-    pinned_host: bool,
     /// Cached "state fits in NIC L2" flag, refreshed periodically.
     state_hot: bool,
     execs: u64,
@@ -370,7 +368,6 @@ struct NodeRt {
     nic_busy_total: SimTime,
     watchdog: Watchdog,
     active_migration: Option<Migration>,
-    mig_cooldown_until: SimTime,
     migration_reports: Vec<MigrationReport>,
     ring_depth: u64,
     ring_messages: u64,

@@ -157,13 +157,15 @@ impl ShardState {
         let hint = logic.state_hint_bytes();
         n.sched
             .register(id, 512, if on_host { Loc::Host } else { Loc::Nic });
+        if pinned || host_only {
+            n.sched.actor_mut(id).expect("registered").pinned = true;
+        }
         n.actors.insert(
             id,
             ActorSlot {
                 logic,
                 name: name.to_string(),
                 host_speedup: speedup,
-                pinned_host: pinned || host_only,
                 state_hot: hint <= spec.cache.l2_bytes as u64,
                 execs: 0,
             },

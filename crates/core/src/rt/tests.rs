@@ -527,6 +527,7 @@ fn migration_aborts_on_crash_and_retries_after_restart() {
     // The retry after restart completed the move.
     assert_eq!(c.actor_location(a), Some(Loc::Host));
     assert_eq!(c.migration_reports(0).len(), 1);
+    c.audit().assert_clean();
 }
 
 struct Ticker {
@@ -1002,14 +1003,13 @@ fn migration_report_covers_exactly_the_time_the_migration_took() {
     assert_eq!(c.migration_reports(0).len(), 1, "total() falls short");
 }
 
-/// A push the runtime refuses gives the actor back to the NIC, and the
-/// requests parked between the scheduler's mark and the refusal arrive
-/// again. Here the refusal is the cooldown after a migration: the heaviest
-/// actor moves to the host first, then every completion on the management
-/// core marks the sink, and a relay's local send to the sink is parked
-/// before the runtime refuses the mark.
+/// Every migration the scheduler begins is carried out, so its push and
+/// pull counters count moves, not marks. Here the mean threshold is so low
+/// that every completion on the management core would push: the runtime
+/// used to refuse the marks that fell inside the cooldown, after a relay's
+/// local send to the marked sink had been parked.
 #[test]
-fn a_refused_push_releases_the_requests_parked_since_the_mark() {
+fn every_migration_the_scheduler_begins_is_carried_out() {
     let cfg = SchedConfig {
         mean_thresh: SimTime::from_ns(1),
         ..SchedConfig::for_nic(&CN2350)
@@ -1038,16 +1038,17 @@ fn a_refused_push_releases_the_requests_parked_since_the_mark() {
         8,
     );
     c.run_for(SimTime::from_ms(10));
-    // Every actor ends on the host, so no request is parked any more: what
-    // was parked and not forwarded by a migration was released.
     for a in [heavy, sink, relay] {
         assert_eq!(c.actor_location(a), Some(Loc::Host));
     }
-    let buffered = c.counter_total("sched.buffered");
-    let forwarded = c.counter_total("migrate.requests_forwarded");
-    let released = buffered - forwarded;
-    assert!(released > 0, "buffered {buffered}, forwarded {forwarded}");
     c.audit().assert_clean();
+    // Nothing is in flight, so every migration begun has ended.
+    let begun = c.counter_total("sched.migrate.push") + c.counter_total("sched.migrate.pull");
+    let ended = c.counter_total("migrate.completed.push")
+        + c.counter_total("migrate.completed.pull")
+        + c.counter_total("migrate.aborted");
+    assert_eq!(begun, ended);
+    assert!(begun >= 3, "{begun} migrations");
     let before = c.completions().count();
     c.run_for(SimTime::from_ms(1));
     assert!(c.completions().count() > before);

@@ -17,6 +17,10 @@
 //! * Cores **auto-scale** between the FCFS and DRR groups based on group
 //!   utilization (§3.2.4).
 //!
+//! The scheduler owns every migration decision (one at a time, none within
+//! [`MIGRATION_COOLDOWN`] of the last one's end), and the runtime carries
+//! out each [`Action`].
+//!
 //! The scheduler is a pure state machine: the runtime (or a test) feeds it
 //! arrivals and completions and executes the [`Action`]s it returns.
 
@@ -183,9 +187,9 @@ impl SchedConfig {
 pub enum Loc {
     /// On the NIC, schedulable.
     Nic,
-    /// Mid-migration: the scheduler parks its requests until the runtime
-    /// forwards them ([`NicScheduler::take_parked`]) or gives up the move
-    /// ([`NicScheduler::release_parked`]).
+    /// Mid-migration: the scheduler parks its requests until the move
+    /// finishes ([`NicScheduler::finish_migration`]) or aborts
+    /// ([`NicScheduler::abort_migration`]).
     Migrating,
     /// On the host: requests are forwarded over the ring.
     Host,
@@ -194,6 +198,10 @@ pub enum Loc {
 /// Minimum time between regroup decisions for the same actor (hysteresis on
 /// top of the α deadband).
 pub const REGROUP_COOLDOWN: SimTime = SimTime::from_ms(2);
+
+/// Minimum time from the end of one migration to the next push or pull the
+/// scheduler begins. A forced push does not wait for it.
+pub const MIGRATION_COOLDOWN: SimTime = SimTime::from_ms(1);
 
 /// Core group membership.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,6 +232,8 @@ pub struct ActorSched {
     /// Requests held while the actor is `Migrating`, oldest first: its
     /// mailbox at phase 2, then everything that arrived since the mark.
     pub parked: Vec<Request>,
+    /// Never leaves the host (storage-touching actors): ALG 1 never pulls it.
+    pub pinned: bool,
 }
 
 /// What a core should do next.
@@ -234,14 +244,13 @@ pub enum Work {
     Forward(Request),
 }
 
-/// Side effects the runtime must carry out after a completion.
+/// Migrations the scheduler began, for the runtime to carry out (never refuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Begin push-migration of this actor to the host (§3.2.5).
+    /// Push-migrate this actor to the host (§3.2.5).
     PushMigrate(ActorId),
-    /// Pull the lightest actor back from the host; the runtime chooses the
-    /// victim from host-side stats.
-    PullMigrate,
+    /// Pull this actor back from the host.
+    PullMigrate(ActorId),
 }
 
 /// The NIC-side scheduler.
@@ -266,6 +275,10 @@ pub struct NicScheduler {
     pending: Vec<Action>,
     /// Last time an FCFS-group operation completed (for idle decay).
     last_fcfs_obs: SimTime,
+    /// The one actor mid-migration, if any.
+    migrating: Option<ActorId>,
+    /// No push or pull begins before this instant.
+    cooldown_until: SimTime,
     metrics: SchedMetrics,
 }
 
@@ -305,6 +318,8 @@ impl NicScheduler {
             util: vec![CoreUtil::new(cfg.util_window, cfg.ewma_alpha); cores],
             pending: Vec::new(),
             last_fcfs_obs: SimTime::ZERO,
+            migrating: None,
+            cooldown_until: SimTime::ZERO,
             metrics: SchedMetrics::new(obs, node),
         }
     }
@@ -326,6 +341,7 @@ impl NicScheduler {
                 size_hint,
                 last_regroup: SimTime::ZERO,
                 parked: Vec::new(),
+                pinned: false,
             },
         );
     }
@@ -369,9 +385,8 @@ impl NicScheduler {
         }
     }
 
-    /// Update an actor's location (a migration's mark, end or abort, or a
-    /// refused push).
-    pub fn set_location(&mut self, actor: ActorId, loc: Loc) {
+    /// Update an actor's location: a migration's mark, end or abort.
+    fn set_location(&mut self, actor: ActorId, loc: Loc) {
         let Some(a) = self.actors.get_mut(&actor) else {
             return;
         };
@@ -382,8 +397,8 @@ impl NicScheduler {
         } else if self.cfg.discipline == Discipline::DrrOnly || !a.mailbox.is_empty() {
             // Leaving the NIC took a DRR actor off DRR service, mail and
             // all, and may have reclaimed the last DRR core. Back before
-            // phase 2 parked its mailbox (a refused push, an early abort),
-            // it must be DRR-served again: no other core reads a mailbox.
+            // phase 2 parked its mailbox (an early abort), it must be
+            // DRR-served again: no other core reads a mailbox.
             a.is_drr = true;
             if !self.drr_runnable.contains(&actor) {
                 self.drr_runnable_push(actor);
@@ -396,6 +411,69 @@ impl NicScheduler {
     #[inline]
     pub fn location(&self, actor: ActorId) -> Option<Loc> {
         self.actors.get(&actor).map(|a| a.loc)
+    }
+
+    /// The actor mid-migration, if any.
+    pub fn migrating(&self) -> Option<ActorId> {
+        self.migrating
+    }
+
+    /// Begin a push or pull, count it and queue it for the runtime. A pull
+    /// victim turns `Migrating` only when the runtime takes the command.
+    fn begin(&mut self, action: Action) {
+        let (Action::PushMigrate(actor) | Action::PullMigrate(actor)) = action;
+        self.migrating = Some(actor);
+        if let Action::PushMigrate(_) = action {
+            self.metrics.migrate_push.inc();
+            self.set_location(actor, Loc::Migrating);
+        } else {
+            self.metrics.migrate_pull.inc();
+        }
+        self.pending.push(action);
+    }
+
+    /// Begin a forced push of `actor` (Fig 18, the rebalancer, a retry after
+    /// an abort): no cooldown, and not counted. False, with nothing changed,
+    /// when another migration is in flight or the actor is not on the NIC.
+    pub fn force_push(&mut self, actor: ActorId) -> bool {
+        if self.migrating.is_some() || self.location(actor) != Some(Loc::Nic) {
+            return false;
+        }
+        self.migrating = Some(actor);
+        self.set_location(actor, Loc::Migrating);
+        true
+    }
+
+    /// The migration of `actor` finished at `now`: it lives at `dest`, the
+    /// cooldown starts, and its parked requests are handed over, oldest
+    /// first, for the runtime to forward to its new side.
+    pub fn finish_migration(&mut self, now: SimTime, actor: ActorId, dest: Loc) -> Vec<Request> {
+        self.cooldown_until = now + MIGRATION_COOLDOWN;
+        self.end_migration(actor, dest)
+    }
+
+    /// The migration of `actor` is off: it stays at `origin`, with no
+    /// cooldown, and its parked requests arrive again at `now`, oldest
+    /// first, so the pause does not feed the sojourn statistics. Returns
+    /// how many.
+    pub fn abort_migration(&mut self, now: SimTime, actor: ActorId, origin: Loc) -> usize {
+        let parked = self.end_migration(actor, origin);
+        let released = parked.len();
+        for mut req in parked {
+            req.arrived = now;
+            self.on_arrival(now, req);
+        }
+        released
+    }
+
+    /// `actor` is at `loc` and no longer moving: take its parked requests.
+    fn end_migration(&mut self, actor: ActorId, loc: Loc) -> Vec<Request> {
+        self.migrating = None;
+        self.set_location(actor, loc);
+        self.actors
+            .get_mut(&actor)
+            .map(|a| std::mem::take(&mut a.parked))
+            .unwrap_or_default()
     }
 
     /// Whether the actor is currently DRR-served.
@@ -620,8 +698,8 @@ impl NicScheduler {
 
     /// Record a completed execution and evaluate the scheduling conditions.
     /// `core` ran `actor`'s request; `sojourn` includes queueing; `busy` is
-    /// the core-occupancy of the execution. Drain [`Self::take_actions`]
-    /// afterwards.
+    /// the core-occupancy of the execution. Drain
+    /// [`Self::take_actions_into`] afterwards.
     pub fn on_complete(
         &mut self,
         now: SimTime,
@@ -648,11 +726,20 @@ impl NicScheduler {
         if self.cfg.discipline == Discipline::Hybrid {
             self.evaluate_regrouping(now);
         }
-        if core == 0 && self.cfg.migration {
-            self.evaluate_migration();
-        }
-        if was_drr {
-            self.evaluate_drr_qthresh(actor);
+        // One migration in flight at a time keeps the mechanism stable and
+        // matches the dedicated-management-core design (§3.2.2).
+        if self.cfg.migration && self.migrating.is_none() && now >= self.cooldown_until {
+            if core == 0 {
+                self.evaluate_migration();
+            }
+            // ALG 2 line 18: a DRR actor with an overlong mailbox is pushed.
+            let q_thresh = self.cfg.q_thresh;
+            let overlong =
+                |a: &ActorSched| a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > q_thresh;
+            let free = was_drr && self.migrating.is_none();
+            if free && self.actors.get(&actor).is_some_and(overlong) {
+                self.begin(Action::PushMigrate(actor));
+            }
         }
         if self.cfg.discipline == Discipline::Hybrid {
             self.rebalance_cores(now);
@@ -770,64 +857,41 @@ impl NicScheduler {
         if !self.fcfs_group.observed() {
             return;
         }
-        // One migration in flight at a time keeps the mechanism stable and
-        // matches the dedicated-management-core design (§3.2.2).
-        if self.actors.values().any(|a| a.loc == Loc::Migrating) {
-            return;
-        }
+        let loads = |keep: fn(&ActorSched) -> bool| {
+            self.actors
+                .iter()
+                .filter(move |(_, a)| keep(a))
+                .map(|(&id, a)| (id, a.stats.load()))
+        };
         let mean = self.fcfs_group.mean();
         if mean > self.cfg.mean_thresh {
-            // Push the actor contributing the most load.
-            let victim = self
-                .actors
-                .iter()
-                .filter(|(_, a)| a.loc == Loc::Nic && a.stats.observed())
-                .max_by(|(x_id, x), (y_id, y)| {
-                    // Equal loads tie-break on the id, not on map order.
-                    let by_load = x.stats.load().partial_cmp(&y.stats.load());
-                    by_load.unwrap_or(Ordering::Equal).then(y_id.cmp(x_id))
-                })
-                .map(|(&id, _)| id);
-            if let Some(id) = victim {
-                let a = self.actors.get_mut(&id).expect("exists");
-                a.loc = Loc::Migrating;
-                a.is_drr = false;
-                self.drr_runnable_remove(id);
-                self.metrics.migrate_push.inc();
-                self.pending.push(Action::PushMigrate(id));
+            // Push the actor contributing the most load. Both victim scans
+            // break equal loads on the lower id, not on map order.
+            let victim = loads(|a| a.loc == Loc::Nic && a.stats.observed()).max_by(
+                |(x_id, x), (y_id, y)| {
+                    let by_load = x.partial_cmp(y).unwrap_or(Ordering::Equal);
+                    by_load.then(y_id.cmp(x_id))
+                },
+            );
+            if let Some((id, _)) = victim {
+                self.begin(Action::PushMigrate(id));
             }
         } else if (mean.as_ns() as f64)
             < (1.0 - self.cfg.alpha) * self.cfg.mean_thresh.as_ns() as f64
         {
-            // Pull the lightest host actor back if any exists.
-            if self.actors.values().any(|a| a.loc == Loc::Host) {
-                self.metrics.migrate_pull.inc();
-                self.pending.push(Action::PullMigrate);
+            // Pull the lightest unpinned host actor back, and only if its
+            // load fits the NIC's headroom (ALG 1: "if there is sufficient
+            // CPU headroom"): otherwise the pull would re-trigger a push.
+            let headroom = 0.3 * self.spec.cores as f64;
+            let victim =
+                loads(|a| a.loc == Loc::Host && !a.pinned).min_by(|(x_id, x), (y_id, y)| {
+                    let by_load = x.partial_cmp(y).unwrap_or(Ordering::Equal);
+                    by_load.then(x_id.cmp(y_id))
+                });
+            if let Some((id, _)) = victim.filter(|&(_, load)| load <= headroom) {
+                self.begin(Action::PullMigrate(id));
             }
         }
-    }
-
-    /// ALG 2 line 18: a DRR actor with an overlong mailbox is pushed.
-    fn evaluate_drr_qthresh(&mut self, actor: ActorId) {
-        if !self.cfg.migration {
-            return;
-        }
-        let Some(a) = self.actors.get(&actor) else {
-            return;
-        };
-        let overlong = a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > self.cfg.q_thresh;
-        // One migration in flight at a time, as for ALG 1's push: the
-        // runtime refuses a second one, and every refused mark would take
-        // the actor off DRR service and give back a DRR core for nothing.
-        if !overlong || self.actors.values().any(|a| a.loc == Loc::Migrating) {
-            return;
-        }
-        let a = self.actors.get_mut(&actor).expect("checked above");
-        a.loc = Loc::Migrating;
-        a.is_drr = false;
-        self.drr_runnable_remove(actor);
-        self.metrics.migrate_push.inc();
-        self.pending.push(Action::PushMigrate(actor));
     }
 
     /// Spawn the first DRR core when an actor enters the runnable queue;
@@ -899,17 +963,19 @@ impl NicScheduler {
         }
     }
 
-    /// Drain pending actions for the runtime.
-    pub fn take_actions(&mut self) -> Vec<Action> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Drain pending actions into a caller-owned buffer (cleared first), so
-    /// per-completion polling reuses one allocation instead of handing out a
-    /// fresh `Vec` each time.
+    /// Drain pending actions for the runtime into a caller-owned buffer
+    /// (cleared first), so per-completion polling reuses one allocation.
+    ///
+    /// A pull victim is marked `Migrating` here, not when ALG 1 chose it:
+    /// messages the completing handler sends it still reach it on the host.
     pub fn take_actions_into(&mut self, out: &mut Vec<Action>) {
         out.clear();
         out.append(&mut self.pending);
+        for &action in out.iter() {
+            if let Action::PullMigrate(id) = action {
+                self.set_location(id, Loc::Migrating);
+            }
+        }
     }
 
     /// Per-actor scheduling state (read-only).
@@ -942,28 +1008,6 @@ impl NicScheduler {
         a.parked.splice(0..0, a.mailbox.drain(..));
         self.metrics.buffered.add(moved as u64);
         moved
-    }
-
-    /// Migration phase 4: hand over `actor`'s parked requests, oldest
-    /// first, for the runtime to forward to the actor's new side.
-    pub fn take_parked(&mut self, actor: ActorId) -> Vec<Request> {
-        self.actors
-            .get_mut(&actor)
-            .map(|a| std::mem::take(&mut a.parked))
-            .unwrap_or_default()
-    }
-
-    /// The move of `actor` is off (a refused push, an aborted migration):
-    /// its parked requests arrive again at `now`, oldest first, so the pause
-    /// does not feed the sojourn statistics. Returns how many.
-    pub fn release_parked(&mut self, now: SimTime, actor: ActorId) -> usize {
-        let parked = self.take_parked(actor);
-        let released = parked.len();
-        for mut req in parked {
-            req.arrived = now;
-            self.on_arrival(now, req);
-        }
-        released
     }
 
     /// Scheduler-sanity invariants, folded into a cluster-wide audit pass.
@@ -1090,6 +1134,14 @@ mod tests {
     use super::*;
     use ipipe_nicsim::CN2350;
 
+    impl NicScheduler {
+        fn take_actions(&mut self) -> Vec<Action> {
+            let mut out = Vec::new();
+            self.take_actions_into(&mut out);
+            out
+        }
+    }
+
     fn req(actor: ActorId, token: u64) -> Request {
         Request {
             actor,
@@ -1158,7 +1210,7 @@ mod tests {
         let mut s = NicScheduler::with_obs(&CN2350, cfg(), &obs, 0);
         s.register(1, 512, Loc::Nic);
         s.register(2, 512, Loc::Nic);
-        s.set_location(2, Loc::Migrating);
+        assert!(s.force_push(2));
         for token in [3, 4, 5] {
             s.on_arrival(SimTime::ZERO, req(2, token));
         }
@@ -1175,8 +1227,8 @@ mod tests {
 
         // Giving up the move re-arrives them, oldest first, stamped `now`.
         let now = SimTime::from_us(7);
-        s.set_location(2, Loc::Nic);
-        assert_eq!(s.release_parked(now, 2), 3);
+        assert_eq!(s.abort_migration(now, 2, Loc::Nic), 3);
+        assert_eq!((s.location(2), s.migrating()), (Some(Loc::Nic), None));
         assert!(s.actor(2).unwrap().parked.is_empty());
         for token in [3, 4, 5] {
             assert_eq!(exec(s.next_for_core(now, 0)), (token, now));
@@ -1195,7 +1247,7 @@ mod tests {
         s.actor_mut(2).unwrap().is_drr = true;
         s.drr_runnable.push_back(2);
         s.modes[11] = CoreMode::Drr;
-        s.set_location(1, Loc::Migrating);
+        assert!(s.force_push(1));
         s.on_arrival(SimTime::ZERO, req(1, 1));
         s.on_arrival(SimTime::ZERO, req(2, 2));
         match s.next_for_core(SimTime::ZERO, 11) {
@@ -1371,6 +1423,16 @@ mod tests {
                 assert!(s.is_drr(lo) && !s.is_drr(hi), "tied {tied:?}");
                 s.evaluate_migration();
                 assert_eq!(s.take_actions(), [Action::PushMigrate(lo)], "tied {tied:?}");
+
+                // The pull scan: both back on the host, equally light, with
+                // the FCFS mean well under the threshold.
+                let mut s = NicScheduler::new(&CN2350, cfg());
+                for id in tied {
+                    s.register(id, 512, Loc::Host);
+                }
+                s.fcfs_group.observe(SimTime::from_us(5));
+                s.evaluate_migration();
+                assert_eq!(s.take_actions(), [Action::PullMigrate(lo)], "tied {tied:?}");
             }
         }
     }
@@ -1404,8 +1466,64 @@ mod tests {
                 SimTime::from_us(2),
             );
         }
-        let actions = s.take_actions();
-        assert!(actions.iter().any(|a| matches!(a, Action::PullMigrate)));
+        assert_eq!(s.take_actions(), [Action::PullMigrate(2)]);
+        assert_eq!(s.location(2), Some(Loc::Migrating));
+    }
+
+    /// ALG 1's gate: the pin, the headroom bound on a pull and the cooldown
+    /// after a finished migration.
+    #[test]
+    fn pulls_respect_pin_and_headroom_and_pushes_wait_out_the_cooldown() {
+        let calm = |s: &mut NicScheduler| {
+            for _ in 0..50 {
+                s.fcfs_group.observe(SimTime::from_us(5));
+            }
+        };
+        // A pinned host actor is never pulled.
+        let mut s = sched();
+        s.set_location(2, Loc::Host);
+        s.actor_mut(2).unwrap().pinned = true;
+        calm(&mut s);
+        s.evaluate_migration();
+        assert!(s.take_actions().is_empty());
+        assert_eq!(s.location(2), Some(Loc::Host));
+
+        // Nor one heavier than 0.3 × cores: a request every 10 µs that
+        // takes 500 µs is 50 cores' worth on a 12-core card.
+        let mut s = sched();
+        s.set_location(2, Loc::Host);
+        let stats = &mut s.actor_mut(2).unwrap().stats;
+        for i in 0..50 {
+            stats.on_arrival(SimTime::from_us(10 * i), 512);
+            stats.on_complete_busy(SimTime::from_us(500), SimTime::from_us(500));
+        }
+        assert!(stats.load() > 0.3 * CN2350.cores as f64);
+        calm(&mut s);
+        s.evaluate_migration();
+        assert!(s.take_actions().is_empty());
+
+        // No push within the cooldown after a migration finished; then one.
+        let mut s = sched();
+        assert!(s.force_push(1));
+        let end = SimTime::from_ms(3);
+        assert!(s.finish_migration(end, 1, Loc::Host).is_empty());
+        for _ in 0..50 {
+            s.fcfs_group.observe(SimTime::from_us(100));
+        }
+        let ready = end + MIGRATION_COOLDOWN;
+        let (sojourn, busy) = (SimTime::from_us(100), SimTime::from_us(5));
+        s.on_complete(
+            ready.saturating_sub(SimTime::from_ns(1)),
+            0,
+            2,
+            sojourn,
+            busy,
+        );
+        assert!(s.take_actions().is_empty());
+        assert_eq!(s.location(2), Some(Loc::Nic));
+        s.on_complete(ready, 0, 2, sojourn, busy);
+        assert_eq!(s.take_actions(), [Action::PushMigrate(2)]);
+        assert_eq!(s.migrating(), Some(2));
     }
 
     #[test]
@@ -1419,11 +1537,12 @@ mod tests {
         }
         assert!(s.actor(2).unwrap().mailbox.len() > 8);
         // Not while another migration is in flight: it stays DRR-served.
-        s.set_location(1, Loc::Migrating);
+        assert!(s.force_push(1));
         let (sojourn, busy) = (SimTime::from_us(10), SimTime::from_us(5));
         s.on_complete(SimTime::from_us(10), 1, 2, sojourn, busy);
         assert!(s.take_actions().is_empty() && s.is_drr(2));
-        s.set_location(1, Loc::Host);
+        // An abort starts no cooldown.
+        s.abort_migration(SimTime::from_us(15), 1, Loc::Nic);
         s.on_complete(SimTime::from_us(20), 1, 2, sojourn, busy);
         assert_eq!(s.take_actions(), [Action::PushMigrate(2)]);
     }
@@ -1530,7 +1649,7 @@ mod tests {
         assert_eq!(dropped.get(), 3);
 
         // Migrate actor 2: parking the mailbox must credit `buffered`.
-        s.set_location(2, Loc::Migrating);
+        assert!(s.force_push(2));
         assert_eq!(s.park_mailbox(2), 4);
         assert_eq!(s.actor(2).unwrap().parked.len(), 4);
         assert_eq!(buffered.get(), 4);
@@ -1557,9 +1676,9 @@ mod tests {
     }
 
     /// Regression: marking a DRR actor `Migrating` takes it off the runnable
-    /// queue with its mail. When the push is refused, or aborted before
-    /// phase 2, `set_location(Nic)` used to restore only the location: the
-    /// actor came back FCFS-served and its mailbox was stranded.
+    /// queue with its mail. When the move was aborted before phase 2, the
+    /// way back to the NIC used to restore only the location: the actor
+    /// came back FCFS-served and its mailbox was stranded.
     #[test]
     fn a_drr_actor_given_back_to_the_nic_keeps_its_mailbox_served() {
         let mut s = sched();
@@ -1572,8 +1691,8 @@ mod tests {
             s.next_for_core(SimTime::ZERO, 0).is_none(),
             "mail dispatched"
         );
-        s.set_location(2, Loc::Migrating);
-        s.set_location(2, Loc::Nic);
+        assert!(s.force_push(2));
+        assert_eq!(s.abort_migration(SimTime::ZERO, 2, Loc::Nic), 0);
         s.modes[11] = CoreMode::Drr;
         let mut served = Vec::new();
         while let Some(Work::Exec(r)) = s.next_for_core(SimTime::ZERO, 11) {
@@ -1593,7 +1712,8 @@ mod tests {
         s.drr_runnable.push_back(2);
         s.on_arrival(SimTime::ZERO, req(2, 1));
         let _ = s.next_for_core(SimTime::ZERO, 0); // mail into mailbox
-                                                   // What `set_location(Nic)` used to leave behind after a refused push.
+
+        // What an early abort used to leave behind.
         s.drr_runnable_remove(2);
         s.actor_mut(2).unwrap().is_drr = false;
         let mut r = AuditReport::new(SimTime::ZERO);

@@ -283,7 +283,6 @@ proptest! {
                 // Complete whatever this core was running.
                 busy.remove(&core);
                 s.on_complete(now, core, a, SimTime::from_us(30), SimTime::from_us(25));
-                let _ = s.take_actions();
             } else if let Some(w) = s.next_for_core(now, core) {
                 match w {
                     Work::Exec(r) => {
