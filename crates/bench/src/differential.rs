@@ -131,23 +131,18 @@ pub fn diff_fig16_parallel(requests: u64, seed: u64) -> DiffOutcome {
 }
 
 /// The sharding axis: run `s` at smoke size under every shard count it
-/// declares, plus threaded epochs at the largest count, and diff headline +
-/// *canonical* cluster export (merged metric snapshot, merged trace and
-/// meta line). The 1-shard serial engine is the reference; sharding and
-/// threading are pure execution mechanisms and must not move a single byte.
+/// declares and diff headline + *canonical* cluster export (merged metric
+/// snapshot, merged trace and meta line). The 1-shard serial engine is the
+/// reference; sharding is a pure execution mechanism and must not move a
+/// single byte.
 pub fn diff_sharded(s: &dyn Scenario, seed: u64) -> DiffOutcome {
-    let mut variants: Vec<(String, usize, bool)> = s
-        .shard_counts()
-        .iter()
-        .map(|&n| (format!("{n}-shard"), n, false))
-        .collect();
-    let n = *s.shard_counts().last().expect("at least the serial count");
-    variants.push((format!("{n}-shard-threaded"), n, true));
     DiffOutcome {
-        variants: variants
-            .into_iter()
-            .map(|(label, shards, threaded)| {
-                let (headline, export) = run_export(s, Size::Smoke, seed, shards, threaded);
+        variants: s
+            .shard_counts()
+            .iter()
+            .map(|&shards| {
+                let (headline, export) = run_export(s, Size::Smoke, seed, shards);
+                let label = format!("{shards}-shard");
                 (label, format!("{}\n{export}", render_headline(&headline)))
             })
             .collect(),
@@ -204,14 +199,13 @@ mod tests {
     /// scenario: crash + failover + retransmissions, rebalancer-driven
     /// shard moves, a 10x spike with admission sheds, lossy TCP with RTO
     /// timers, and the racked grid with its mid-run audit all export
-    /// byte-identical canonical results under every declared shard count,
-    /// and with threaded epochs at the largest.
+    /// byte-identical canonical results under every declared shard count.
     #[test]
     fn every_scenario_is_shard_invariant() {
         for s in crate::scenario::REGISTRY {
             let out = diff_sharded(s, 21);
             let name = s.name();
-            assert_eq!(out.variants.len(), s.shard_counts().len() + 1, "{name}");
+            assert_eq!(out.variants.len(), s.shard_counts().len(), "{name}");
             assert!(
                 out.identical(),
                 "{name}: {}\nfirst divergence: {}",
@@ -221,11 +215,15 @@ mod tests {
             let reference = &out.variants[0].1;
             assert!(reference.lines().count() > 20, "{name}: trivial export");
             // The diff is only meaningful if the scenario did what it exists
-            // to do (shed, retransmit, migrate).
-            let (headline, _) = run_export(s, Size::Smoke, 21, 1, false);
+            // to do (shed, retransmit, migrate). The reference's first line
+            // is its rendered headline.
+            let headline = reference.lines().next().unwrap_or_default();
             for key in s.must_be_nonzero() {
-                let exercised = headline.iter().any(|(k, v)| k == key && v != "0");
-                assert!(exercised, "{name}: {key} missing or zero: {headline:?}");
+                let exercised = headline
+                    .split(' ')
+                    .filter_map(|kv| kv.split_once('='))
+                    .any(|(k, v)| k == *key && v != "0");
+                assert!(exercised, "{name}: {key} missing or zero: {headline}");
             }
         }
     }

@@ -67,11 +67,7 @@ fn put_for(token: u64) -> KvOp {
 /// records when sharded — the cluster's canonical exports carry the merged
 /// view).
 pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Cluster) {
-    run_with(seed, shards, false, obs)
-}
-
-fn run_with(seed: u64, shards: usize, threaded: bool, obs: &Obs) -> (FaultRunStats, Cluster) {
-    let mut c = build_rkv_cluster(seed, shards, threaded, obs);
+    let mut c = build_rkv_cluster(seed, shards, obs);
     let dep = deploy_rkv_with(
         &mut c,
         &[0, 1, 2],
@@ -149,15 +145,8 @@ impl Scenario for RkvFault {
         &["before_crash"]
     }
 
-    fn run(
-        &self,
-        _: Size,
-        seed: u64,
-        shards: usize,
-        threaded: bool,
-        obs: &Obs,
-    ) -> (Headline, Cluster) {
-        let (stats, c) = run_with(seed, shards, threaded, obs);
+    fn run(&self, _: Size, seed: u64, shards: usize, obs: &Obs) -> (Headline, Cluster) {
+        let (stats, c) = run_rkv_fault(seed, shards, obs);
         let headline = vec![
             ("issued", stats.issued.to_string()),
             ("done", stats.done.to_string()),

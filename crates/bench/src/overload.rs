@@ -160,11 +160,7 @@ impl OverloadStats {
 /// shards one after the other. Hands back the cluster so callers can pull
 /// canonical merged exports.
 pub fn run_rkv_overload(spec: &OverloadSpec) -> (OverloadStats, Cluster) {
-    run_with(spec, false)
-}
-
-fn run_with(spec: &OverloadSpec, threaded: bool) -> (OverloadStats, Cluster) {
-    let mut c = build_keyspace_cluster(&spec.base, threaded);
+    let mut c = build_keyspace_cluster(&spec.base);
     let dep = deploy_keyspace(&mut c, &spec.base);
     c.set_admission(spec.admission());
     // One compaction storm per server node, NIC-placed so its merge work
@@ -249,19 +245,12 @@ impl Scenario for RkvOverload {
         &["shed", "ingress_shed"]
     }
 
-    fn run(
-        &self,
-        size: Size,
-        seed: u64,
-        shards: usize,
-        threaded: bool,
-        _: &Obs,
-    ) -> (Headline, Cluster) {
+    fn run(&self, size: Size, seed: u64, shards: usize, _: &Obs) -> (Headline, Cluster) {
         let spec = match size {
             Size::Smoke => OverloadSpec::smoke(seed, shards),
             Size::Full => OverloadSpec::full(seed, shards),
         };
-        let (s, c) = run_with(&spec, threaded);
+        let (s, c) = run_rkv_overload(&spec);
         let headline = vec![
             ("groups", s.groups.to_string()),
             ("users", s.users.to_string()),

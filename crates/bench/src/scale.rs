@@ -147,14 +147,13 @@ pub struct ScaleStats {
 
 /// Build the spec's cluster: the keyspace scenarios run metrics-only (the
 /// per-shard trace ring would retain more records under sharding).
-pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec, threaded: bool) -> Cluster {
+pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
     Cluster::builder(CN2350)
         .servers(spec.servers)
         .clients(spec.clients)
         .mode(RuntimeMode::IPipe)
         .seed(spec.seed)
         .shards(spec.shards)
-        .parallel(threaded)
         .build()
 }
 
@@ -316,11 +315,7 @@ pub(crate) fn drain_and_audit(
 /// rebalance on a fixed cadence, drain, and audit. Hands back the cluster so
 /// callers can pull canonical merged exports.
 pub fn run_rkv_scale(spec: &ScaleSpec) -> (ScaleStats, Cluster) {
-    run_with(spec, false)
-}
-
-fn run_with(spec: &ScaleSpec, threaded: bool) -> (ScaleStats, Cluster) {
-    let mut c = build_keyspace_cluster(spec, threaded);
+    let mut c = build_keyspace_cluster(spec);
     let dep = deploy_keyspace(&mut c, spec);
     let ledgers = install_agg_clients(&mut c, spec, &dep);
     // Arrival window, with rebalance observations on a fixed cadence. The
@@ -371,19 +366,12 @@ impl Scenario for RkvScale {
         &["migrations"]
     }
 
-    fn run(
-        &self,
-        size: Size,
-        seed: u64,
-        shards: usize,
-        threaded: bool,
-        _: &Obs,
-    ) -> (Headline, Cluster) {
+    fn run(&self, size: Size, seed: u64, shards: usize, _: &Obs) -> (Headline, Cluster) {
         let spec = match size {
             Size::Smoke => ScaleSpec::smoke(seed, shards),
             Size::Full => ScaleSpec::planetary(seed, shards),
         };
-        let (s, c) = run_with(&spec, threaded);
+        let (s, c) = run_rkv_scale(&spec);
         let headline = vec![
             ("groups", s.groups.to_string()),
             ("users", s.users.to_string()),

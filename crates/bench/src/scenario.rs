@@ -45,19 +45,10 @@ pub trait Scenario: Sync {
         &[]
     }
 
-    /// Build, drive and audit one run (panicking on a dirty audit), its
-    /// epochs on OS threads when `threaded` (see
-    /// [`ClusterBuilder::parallel`](ipipe::rt::ClusterBuilder::parallel)).
+    /// Build, drive and audit one run (panicking on a dirty audit).
     /// Scenarios that record traces publish into `obs`; the metrics-only
     /// ones ignore it.
-    fn run(
-        &self,
-        size: Size,
-        seed: u64,
-        shards: usize,
-        threaded: bool,
-        obs: &Obs,
-    ) -> (Headline, Cluster);
+    fn run(&self, size: Size, seed: u64, shards: usize, obs: &Obs) -> (Headline, Cluster);
 }
 
 /// Every scenario, in the order figures and help texts list them.
@@ -83,14 +74,8 @@ pub fn names() -> String {
 
 /// Run metrics-only and return the headline plus the canonical merged
 /// export — the byte string that must not depend on the shard count.
-pub fn run_export(
-    s: &dyn Scenario,
-    size: Size,
-    seed: u64,
-    shards: usize,
-    threaded: bool,
-) -> (Headline, String) {
-    let (headline, c) = s.run(size, seed, shards, threaded, &Obs::disabled());
+pub fn run_export(s: &dyn Scenario, size: Size, seed: u64, shards: usize) -> (Headline, String) {
+    let (headline, c) = s.run(size, seed, shards, &Obs::disabled());
     (headline, c.export_canonical_jsonl())
 }
 
@@ -112,7 +97,7 @@ pub fn scenarios() -> Vec<Table> {
     );
     for s in REGISTRY {
         let shards = *s.shard_counts().last().expect("at least the serial count");
-        let (headline, c) = s.run(Size::Full, s.figure_seed(), shards, false, &Obs::disabled());
+        let (headline, c) = s.run(Size::Full, s.figure_seed(), shards, &Obs::disabled());
         let epochs = c.epoch_stats();
         table.rows.push(vec![
             text(s.name()),
@@ -145,13 +130,13 @@ mod tests {
             let name = s.name();
             assert_eq!(find(name).map(|f| f.name()), Some(name));
             assert_eq!(s.shard_counts().first(), Some(&1), "{name}: serial first");
-            let (headline, c) = s.run(Size::Smoke, 11, 1, false, &Obs::disabled());
+            let (headline, c) = s.run(Size::Smoke, 11, 1, &Obs::disabled());
             let export = c.export_canonical_jsonl();
             assert!(export.lines().count() > 20, "{name}: trivial export");
             c.audit().assert_clean();
             assert_eq!(
                 (headline, export),
-                run_export(s, Size::Smoke, 11, 1, false),
+                run_export(s, Size::Smoke, 11, 1),
                 "{name}: same-seed runs diverged"
             );
         }

@@ -9,7 +9,8 @@
 //! times drawn from the paper's Fig 16 bimodal distribution. Grouping nodes
 //! into racks (with a cross-rack propagation extra) and aligning shard
 //! boundaries to rack boundaries widens the conservative lookahead window,
-//! which is what gives the sharded engine epochs worth parallelising.
+//! which is what gives the sharded engine long epochs and a high
+//! critical-path speedup.
 
 use ipipe::prelude::*;
 use ipipe::rt::ClientReq;
@@ -37,7 +38,7 @@ impl ActorLogic for DistWorker {
     }
 }
 
-/// Topology and engine knobs for one grid run.
+/// Topology and shard count for one grid run.
 #[derive(Debug, Clone, Copy)]
 pub struct GridSpec {
     /// Server nodes (one `DistWorker` actor each).
@@ -50,8 +51,6 @@ pub struct GridSpec {
     pub seed: u64,
     /// Event shards (1 = the serial reference).
     pub shards: usize,
-    /// Execute each epoch's shard slices on OS threads.
-    pub parallel: bool,
     /// `Some((nodes_per_rack, cross_rack_extra))` groups nodes into racks.
     pub racks: Option<(usize, SimTime)>,
     /// Per-request service-time distribution.
@@ -62,14 +61,13 @@ impl GridSpec {
     /// The fig16-style differential topology: 16 servers + 4 clients under
     /// the LiquidIO high-dispersion bimodal service distribution, racked in
     /// fives so shard boundaries at 2/4 shards line up with rack boundaries.
-    pub fn fig16(seed: u64, shards: usize, parallel: bool) -> GridSpec {
+    pub fn fig16(seed: u64, shards: usize) -> GridSpec {
         GridSpec {
             servers: 16,
             clients: 4,
             outstanding: 8,
             seed,
             shards,
-            parallel,
             racks: Some((5, SimTime::from_us(1))),
             dist: fig16_distribution(Fig16Card::LiquidIo, Dispersion::High),
         }
@@ -82,14 +80,17 @@ impl GridSpec {
     /// contiguous (servers first), so with an 8-way shard split four shards
     /// own server racks and four own client racks, and neither side's event
     /// load concentrates in a single shard.
-    pub fn pod64(seed: u64, shards: usize, parallel: bool) -> GridSpec {
+    ///
+    /// `_threaded` is ignored: every run is sequential. It stays while
+    /// `benchmark/` still asks for a threaded reference run of the pod,
+    /// which is now the same run as its inline one.
+    pub fn pod64(seed: u64, shards: usize, _threaded: bool) -> GridSpec {
         GridSpec {
             servers: 32,
             clients: 32,
             outstanding: 32,
             seed,
             shards,
-            parallel,
             racks: Some((8, SimTime::from_us(10))),
             dist: fig16_distribution(Fig16Card::LiquidIo, Dispersion::High),
         }
@@ -103,8 +104,7 @@ pub fn build_grid(spec: &GridSpec) -> Cluster {
         .servers(spec.servers)
         .clients(spec.clients)
         .seed(spec.seed)
-        .shards(spec.shards)
-        .parallel(spec.parallel);
+        .shards(spec.shards);
     if let Some((per_rack, extra)) = spec.racks {
         b = b.racks(per_rack, extra);
     }
@@ -154,26 +154,19 @@ impl Scenario for Pod {
         &[1, 2, 4, 8]
     }
 
-    fn run(
-        &self,
-        size: Size,
-        seed: u64,
-        shards: usize,
-        threaded: bool,
-        _: &Obs,
-    ) -> (Headline, Cluster) {
+    fn run(&self, size: Size, seed: u64, shards: usize, _: &Obs) -> (Headline, Cluster) {
         let c = match size {
             // The fig16-style grid, driven through a mid-run audit: the
             // sweep must stay invisible under sharding too.
             Size::Smoke => {
-                let mut c = build_grid(&GridSpec::fig16(seed, shards, threaded));
+                let mut c = build_grid(&GridSpec::fig16(seed, shards));
                 c.run_for(SimTime::from_ms(3));
                 c.audit().assert_clean();
                 c.run_for(SimTime::from_ms(2));
                 c
             }
             Size::Full => {
-                let mut c = build_grid(&GridSpec::pod64(seed, shards, threaded));
+                let mut c = build_grid(&GridSpec::pod64(seed, shards, false));
                 c.run_for(SimTime::from_ms(20));
                 c
             }
@@ -192,7 +185,7 @@ mod tests {
 
     #[test]
     fn grid_runs_and_completes_work() {
-        let (_, c) = Pod.run(Size::Smoke, 11, 1, false, &Obs::disabled());
+        let (_, c) = Pod.run(Size::Smoke, 11, 1, &Obs::disabled());
         let done = c.completions().count();
         assert!(done > 500, "done={done}");
         assert!(c.export_canonical_jsonl().lines().count() > 50);
@@ -203,7 +196,7 @@ mod tests {
     fn pod_speedup_grows_with_the_shard_count() {
         let (obs, seed) = (Obs::disabled(), Pod.figure_seed());
         let counts = Pod.shard_counts().iter().filter(|&&s| s > 1);
-        let run = |&shards| Pod.run(Size::Full, seed, shards, false, &obs).1;
+        let run = |&shards| Pod.run(Size::Full, seed, shards, &obs).1;
         let stats: Vec<_> = counts.map(|s| run(s).epoch_stats()).collect();
         for w in stats.windows(2) {
             let grows = w[0].epochs == w[1].epochs && w[0].speedup() < w[1].speedup();

@@ -152,17 +152,12 @@ impl TcpOffloadStats {
 /// included — its shards one after the other. Hands back the cluster for
 /// canonical exports.
 pub fn run_tcp_offload(spec: &TcpOffloadSpec) -> (TcpOffloadStats, Cluster) {
-    run_with(spec, false)
-}
-
-fn run_with(spec: &TcpOffloadSpec, threaded: bool) -> (TcpOffloadStats, Cluster) {
     let mut c = Cluster::builder(CN2350)
         .servers(spec.servers())
         .clients(1)
         .mode(RuntimeMode::IPipe)
         .seed(spec.seed)
         .shards(spec.shards)
-        .parallel(threaded)
         .build();
     if spec.loss > 0.0 {
         c.set_fault_plan(FaultPlan::new(spec.seed ^ 0x7C9_F00D).with_loss(spec.loss));
@@ -248,19 +243,12 @@ impl Scenario for TcpOffload {
         &["retx_segs"]
     }
 
-    fn run(
-        &self,
-        size: Size,
-        seed: u64,
-        shards: usize,
-        threaded: bool,
-        _: &Obs,
-    ) -> (Headline, Cluster) {
+    fn run(&self, size: Size, seed: u64, shards: usize, _: &Obs) -> (Headline, Cluster) {
         let spec = match size {
             Size::Smoke => TcpOffloadSpec::smoke(seed, shards),
             Size::Full => TcpOffloadSpec::full(seed, shards),
         };
-        let (stats, c) = run_with(&spec, threaded);
+        let (stats, c) = run_tcp_offload(&spec);
         (stats.headline(), c)
     }
 }

@@ -27,7 +27,7 @@ fn fig16_exports(seed: u64) -> (String, String) {
 /// The replicated-KV scenario (rt + net + migration spans), traced.
 fn rkv_exports(seed: u64) -> (String, String) {
     let obs = Obs::with_level(TraceLevel::Spans);
-    Rkv.run(Size::Full, seed, 1, false, &obs);
+    Rkv.run(Size::Full, seed, 1, &obs);
     (obs.export_jsonl(), obs.export_chrome())
 }
 

@@ -20,7 +20,6 @@ pub struct ClusterBuilder {
     region_bytes: u64,
     obs: Option<Obs>,
     shards: usize,
-    parallel: bool,
     racks: Option<(usize, SimTime)>,
 }
 
@@ -74,28 +73,11 @@ impl ClusterBuilder {
     /// queue and advances in conservative-lookahead epochs bounded by the
     /// minimum cross-shard link latency; cross-shard frames are buffered
     /// into outboxes and merged at epoch barriers in a deterministic total
-    /// order, so results are byte-identical to the single-shard run.
+    /// order, so results are byte-identical to the single-shard run. The
+    /// calling thread runs every shard's slice of an epoch in turn.
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
         self.shards = n;
-        self
-    }
-
-    /// Run shards on OS threads within each epoch (defaults to sequential).
-    /// Only meaningful with `shards(n > 1)`. The output is byte-identical
-    /// either way; this only changes who executes each shard's epoch slice.
-    ///
-    /// Contract: during [`Cluster::run_for`], everything an actor or a
-    /// client closure can reach is touched by its own shard's thread only.
-    /// Two actors or closures may share `Rc` state when they live on one
-    /// node; handles the caller keeps (metric cells, ledgers a closure
-    /// fills) are read between `run_for` calls, never during one. Every
-    /// deployment in this workspace builds its actors from plain addresses
-    /// and keeps this rule; it is not yet checked by the compiler — that
-    /// waits on per-shard `Obs` handles and on `Send` client closures (see
-    /// `ShardSendPtr`).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
         self
     }
 
@@ -229,44 +211,12 @@ impl ClusterBuilder {
             shards,
             shard_of,
             lookahead,
-            run_parallel: self.parallel,
             epoch_stats: EpochStats::default(),
             shard_events: vec![0; n_shards],
             rng,
             next_actor: 1,
             reserved: Vec::new(),
         }
-    }
-}
-
-/// Raw-pointer envelope that lets disjoint `&mut ShardState`s cross the
-/// scoped-thread boundary.
-struct ShardSendPtr(*mut ShardState);
-// SAFETY: the pointers come from one `iter_mut()` (so they never alias) and
-// the scope joins every thread before `run_for` goes on (so they never
-// dangle, and no shard is touched by two threads at once). `ShardState` is
-// not `Send` for two of its fields' sake: `obs` and the metric handles cut
-// from it are `Rc` cells, and `clients` / `nodes[..].actors` hold boxed
-// closures and actors that may own `Rc`s. Moving them to another thread is
-// sound as long as nothing else reaches those cells meanwhile, which is the
-// [`ClusterBuilder::parallel`] contract: a shard's actors and closures share
-// state only among themselves, and the caller's clones (shard 0's `Obs`,
-// metric handles, client ledgers) are only read between `run_for` calls.
-// Reference counts, which every owner of a cell writes, change at setup and
-// teardown on the caller's thread; during a run a shard clones handles out
-// of its own registry only, and a watchdog kill drops an actor's handles on
-// the thread of the shard that owns the actor, where no other thread looks
-// those cells up. The proof by types — `ShardState: Send` with no `unsafe`
-// — needs `Obs` owned per shard and `Send` bounds on `ActorLogic` and the
-// client closures, which `benchmark/` installs as `Rc` closures today.
-unsafe impl Send for ShardSendPtr {}
-
-impl ShardSendPtr {
-    /// Consume the wrapper for its pointer. Being a by-value method, this
-    /// forces closures to capture the whole `Send` wrapper rather than the
-    /// (non-`Send`) raw-pointer field alone.
-    fn get(self) -> *mut ShardState {
-        self.0
     }
 }
 
@@ -299,7 +249,6 @@ impl Cluster {
             region_bytes: 64 << 20,
             obs: None,
             shards: 1,
-            parallel: false,
             racks: None,
         }
     }
@@ -470,27 +419,8 @@ impl Cluster {
                 break;
             }
             let horizon = self.lookahead.map(|l| gmin + l);
-            if self.run_parallel && self.shards.len() > 1 {
-                let ptrs: Vec<ShardSendPtr> = self
-                    .shards
-                    .iter_mut()
-                    .map(|s| ShardSendPtr(s as *mut ShardState))
-                    .collect();
-                std::thread::scope(|scope| {
-                    for p in ptrs {
-                        scope.spawn(move || {
-                            // SAFETY: see `ShardSendPtr`: this thread is
-                            // the only one holding this shard until the
-                            // scope joins it.
-                            let shard = unsafe { &mut *p.get() };
-                            shard.run_slice(end, horizon);
-                        });
-                    }
-                });
-            } else {
-                for s in &mut self.shards {
-                    s.run_slice(end, horizon);
-                }
+            for s in &mut self.shards {
+                s.run_slice(end, horizon);
             }
             let deltas = self.shards.iter_mut().zip(&mut self.shard_events);
             self.epoch_stats.note(deltas.map(|(s, total)| {

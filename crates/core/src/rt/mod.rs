@@ -541,8 +541,6 @@ pub struct Cluster {
     /// Conservative lookahead: minimum cross-shard frame latency. `None`
     /// when a single shard owns everything (no barrier needed).
     lookahead: Option<SimTime>,
-    /// Execute each epoch's shard slices on scoped OS threads.
-    run_parallel: bool,
     epoch_stats: EpochStats,
     /// Cumulative events processed per shard (load-balance diagnostics).
     shard_events: Vec<u64>,

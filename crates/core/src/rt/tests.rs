@@ -1252,18 +1252,17 @@ fn mid_run_audit_does_not_perturb_the_simulation() {
 }
 
 // ------------------------------------------------------------------
-// Sharded (parallel DES) engine
+// Sharded engine
 // ------------------------------------------------------------------
 
 /// A cluster with cross-shard traffic in every direction: six echo
 /// servers, two clients spraying requests over all of them.
-fn sharded_cluster(shards: usize, parallel: bool) -> Cluster {
+fn sharded_cluster(shards: usize) -> Cluster {
     let mut c = Cluster::builder(CN2350)
         .servers(6)
         .clients(2)
         .seed(42)
         .shards(shards)
-        .parallel(parallel)
         .obs(Obs::new(ipipe_sim::ObsConfig {
             level: TraceLevel::Spans,
             trace_capacity: 1 << 16,
@@ -1300,7 +1299,7 @@ fn sharded_cluster(shards: usize, parallel: bool) -> Cluster {
 #[test]
 fn sharded_runs_byte_match_the_serial_canonical_export() {
     let run = |shards: usize| {
-        let mut c = sharded_cluster(shards, false);
+        let mut c = sharded_cluster(shards);
         c.run_for(SimTime::from_ms(2));
         c.audit().assert_clean();
         c.run_for(SimTime::from_ms(1));
@@ -1319,19 +1318,8 @@ fn sharded_runs_byte_match_the_serial_canonical_export() {
 }
 
 #[test]
-fn parallel_epoch_execution_matches_sequential() {
-    // Threads only change who runs each epoch slice, never the result.
-    let run = |parallel: bool| {
-        let mut c = sharded_cluster(4, parallel);
-        c.run_for(SimTime::from_ms(2));
-        c.export_canonical_jsonl()
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
 fn sharded_epochs_report_work_and_span() {
-    let mut c = sharded_cluster(4, false);
+    let mut c = sharded_cluster(4);
     c.run_for(SimTime::from_ms(2));
     let stats = c.epoch_stats();
     assert!(stats.epochs > 0, "epoch driver must have run");
@@ -1351,7 +1339,7 @@ fn sharded_epochs_report_work_and_span() {
 #[test]
 fn mid_run_audit_is_invisible_under_sharding() {
     let run = |audit: bool| {
-        let mut c = sharded_cluster(4, false);
+        let mut c = sharded_cluster(4);
         c.run_for(SimTime::from_ms(1));
         if audit {
             c.audit().assert_clean();
@@ -1579,7 +1567,7 @@ fn pressure_shedding_protects_the_premium_class() {
 #[test]
 fn sharded_and_serial_agree_on_measured_throughput() {
     let run = |shards: usize| {
-        let mut c = sharded_cluster(shards, false);
+        let mut c = sharded_cluster(shards);
         c.run_for(SimTime::from_ms(1));
         c.reset_measurements();
         c.run_for(SimTime::from_ms(2));

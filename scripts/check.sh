@@ -31,8 +31,8 @@ stage_queue-deep() {
 stage_bench-smoke() { bash benchmark/run.sh --smoke; }
 
 # Every registered scenario, at both sizes: the run asserts its own audits,
-# the same seed twice at 4 shards (epochs on OS threads) and 1 vs 4 shards
-# must export byte-identically.
+# and the same seed twice at 4 shards and 1 vs 4 shards must export
+# byte-identically.
 stage_scenarios() {
     for scenario in rkv rkv-fault rkv-scale rkv-overload tcp-offload pod; do
         echo "==> scenario smoke: $scenario"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# One scenario's determinism gate, at both sizes: the same seed twice must
-# write byte-identical summaries and exports, and the serial run must match
-# the 4-shard one (whose epochs traceview runs on OS threads). The run itself
-# asserts its audits (it panics if dirty).
+# One scenario's determinism gate, at both sizes: the same seed twice at 4
+# shards, in two processes, must write byte-identical summaries and exports,
+# and the serial run must match the 4-shard one. The run itself asserts its
+# audits (it panics if dirty).
 #   ./scripts/scenario_smoke.sh <scenario>     (names: traceview --help)
 set -euo pipefail
 cd "$(dirname "$0")/.."
