@@ -141,4 +141,21 @@ mod tests {
             );
         }
     }
+
+    /// `check.sh` lists the scenarios by hand and `export_diff.sh` reads
+    /// that list: a scenario missing from it would go unchecked silently.
+    #[test]
+    fn check_sh_runs_every_registered_scenario() {
+        let lists: Vec<Vec<&str>> = include_str!("../../../scripts/check.sh")
+            .lines()
+            .filter_map(|l| {
+                l.trim()
+                    .strip_prefix("for scenario in ")?
+                    .strip_suffix("; do")
+            })
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let registry: Vec<&str> = REGISTRY.iter().map(|s| s.name()).collect();
+        assert_eq!(lists, [registry]);
+    }
 }

@@ -1,8 +1,8 @@
 //! Execution-statistics bookkeeping (§3.2.3).
 //!
 //! The runtime tracks, all via EWMA:
-//! 1. the request-latency distribution of each core group (µ, σ, µ+3σ as an
-//!    approximate P99),
+//! 1. the request-latency distribution of the FCFS core group (µ, σ, µ+3σ
+//!    as an approximate P99): a [`TailEstimator`] the scheduler holds,
 //! 2. per-actor execution cost and dispersion (µᵢ + 3σᵢ), request sizes and
 //!    request frequency,
 //! 3. per-core and per-group CPU utilization.
@@ -106,42 +106,6 @@ impl ActorStats {
     }
 }
 
-/// Latency statistics of a scheduling group (the FCFS group drives both the
-/// downgrade and the migration conditions of ALG 1).
-#[derive(Debug, Clone)]
-pub struct GroupStats {
-    tail: TailEstimator,
-}
-
-impl GroupStats {
-    /// Fresh group statistics.
-    pub fn new(alpha: f64) -> GroupStats {
-        GroupStats {
-            tail: TailEstimator::new(alpha),
-        }
-    }
-
-    /// Record one operation's sojourn time.
-    pub fn observe(&mut self, latency: SimTime) {
-        self.tail.observe(latency);
-    }
-
-    /// EWMA mean sojourn (the `T_mean` of ALG 1).
-    pub fn mean(&self) -> SimTime {
-        self.tail.mean()
-    }
-
-    /// µ+3σ tail (the `T_tail` of ALG 1).
-    pub fn tail(&self) -> SimTime {
-        self.tail.tail()
-    }
-
-    /// True once observations exist.
-    pub fn observed(&self) -> bool {
-        self.tail.observed()
-    }
-}
-
 /// Windowed per-core utilization tracking, smoothed with EWMA (§3.2.3 item 3).
 #[derive(Debug, Clone)]
 pub struct CoreUtil {
@@ -230,16 +194,6 @@ mod tests {
         }
         // 5us of work per 10us gap = 0.5 cores.
         assert!((s.load() - 0.5).abs() < 0.1, "load={}", s.load());
-    }
-
-    #[test]
-    fn group_stats_tail_exceeds_mean_under_dispersion() {
-        let mut g = GroupStats::new(0.1);
-        for i in 0..1000 {
-            g.observe(SimTime::from_us(if i % 10 == 0 { 100 } else { 10 }));
-        }
-        assert!(g.tail() > g.mean());
-        assert!(g.observed());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! 1. **Prepare** — the actor removes itself from the dispatcher (and the
 //!    DRR runnable queue); the scheduler parks its incoming requests
-//!    (`ActorSched::parked`).
+//!    ([`Migration::parked`]).
 //! 2. **Ready** — the actor finishes its in-flight tasks (a DRR actor drains
 //!    its mailbox).
 //! 3. **Move** — the scheduler moves the actor's distributed objects to the
@@ -15,8 +15,8 @@
 //! tens of MB of DMOs across PCIe) with phase 4 second (~27%, proportional
 //! to the requests buffered while phases 1–3 ran).
 
-use crate::actor::ActorId;
-use crate::dmo::migration_transfer_time;
+use crate::actor::{ActorId, Request};
+use crate::dmo::{migration_transfer_time, Side};
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Obs, Registry};
 use ipipe_sim::SimTime;
@@ -28,6 +28,24 @@ pub enum MigrationDir {
     Push,
     /// Host → NIC (pull, under low load).
     Pull,
+}
+
+impl MigrationDir {
+    /// The side the actor leaves (and stays on if the move aborts).
+    pub fn origin(self) -> Side {
+        match self {
+            MigrationDir::Push => Side::Nic,
+            MigrationDir::Pull => Side::Host,
+        }
+    }
+
+    /// The side the actor arrives on.
+    pub fn dest(self) -> Side {
+        match self {
+            MigrationDir::Push => Side::Host,
+            MigrationDir::Pull => Side::Nic,
+        }
+    }
 }
 
 /// Effective streaming bandwidth for phase-3 state movement: batched
@@ -48,7 +66,8 @@ pub const PHASE4_PER_REQUEST: SimTime = SimTime::from_ns(1500);
 /// Phase-4 fixed cost (final state flip to Clean).
 pub const PHASE4_BASE: SimTime = SimTime::from_us(300);
 
-/// A migration in progress, tracked by the runtime.
+/// The one migration in progress on a node, held by its scheduler
+/// ([`crate::sched::NicScheduler::migration`]).
 #[derive(Debug)]
 pub struct Migration {
     /// The moving actor.
@@ -63,6 +82,9 @@ pub struct Migration {
     pub phase_times: [SimTime; 4],
     /// When the current phase began.
     phase_began: SimTime,
+    /// Requests held while the actor is `Migrating`, oldest first: its
+    /// mailbox at phase 2, then everything that arrived since the mark.
+    pub parked: Vec<Request>,
 }
 
 impl Migration {
@@ -75,6 +97,7 @@ impl Migration {
             phase: 1,
             phase_times: [SimTime::ZERO; 4],
             phase_began: now,
+            parked: Vec::new(),
         }
     }
 
@@ -110,10 +133,10 @@ impl Migration {
     }
 
     /// Check this migration's self-contained legality: the phase cursor is
-    /// within 1..=4 while the migration is tracked as active. Runtime-coupled
+    /// within 1..=4 while the migration is in flight. Runtime-coupled
     /// invariants — pending `MigStep` events, the scheduler location flip
-    /// and the actor's parked requests — stay with the cluster-level audit,
-    /// which owns the event queue and the scheduler.
+    /// and the actor's mailbox — stay with the cluster-level audit, which
+    /// owns the event queue and the scheduler.
     pub fn audit_into(&self, r: &mut AuditReport, node: u16) {
         r.check("migrate.phase", node, (1..=4).contains(&self.phase), || {
             format!("actor {} in illegal phase {}", self.actor, self.phase)

@@ -16,20 +16,23 @@ impl Cluster {
     /// into a panic with the full rendered report.
     ///
     /// Invariants checked (see DESIGN.md §11 for the catalog):
-    /// * `client.conservation` — issued == completed + abandoned + in-flight
+    /// * `client.conservation` — issued == completed + abandoned + shed +
+    ///   in-flight
+    /// * `shed.reconcile` — client-observed sheds ≤ ingress sheds
     /// * `client.retry.timer` — one deadline per armed request, and one
     ///   pending `RetryDue` at the armed instant, which is no later than the
     ///   earliest live deadline
-    /// * `net.frames` — frames the network accounted as sent are processed,
-    ///   still pending delivery, or dropped with a reason counter
+    /// * `net.frames` — frames sent (`net.packets`) are processed, still
+    ///   pending delivery, or dropped with a reason counter
     /// * `ring.depth` — per-node NIC→host ring occupancy equals the pending
     ///   `RingToHost` crossings
     /// * `core.token.{nic,host}` — a busy core holds exactly one pending
     ///   free event; an idle core holds none
-    /// * `migrate.*` — phase legality, exactly one step event per active
-    ///   migration, the scheduler's mover and its location, an empty mailbox
-    ///   from phase 2 on, and parked requests held only by a `Migrating` actor
-    /// * scheduler ledgers via [`NicScheduler::audit_into`]
+    /// * `migrate.*` — for the scheduler's one migration: phase legality,
+    ///   exactly one pending step event (none without a migration), its
+    ///   actor `Migrating`, and an empty mailbox from phase 2 on
+    /// * `admit.conservation` and the scheduler ledgers via
+    ///   [`NicScheduler::audit_into`]
     /// * `actor.reserved` — no address is reserved and left without an actor
     pub fn audit(&self) -> AuditReport {
         let mut r = AuditReport::new(self.now());
@@ -42,7 +45,6 @@ impl Cluster {
         let rx_frames = total(|s| s.rx_frames);
         let issued = total(|s| s.completions.issued);
         let completed = total(|s| s.completions.completed);
-        let shed = total(|s| s.completions.shed);
         let inflight = total(|s| {
             s.clients
                 .iter()
@@ -52,13 +54,10 @@ impl Cluster {
         });
         let abandoned = total(|s| s.fault_metrics.abandoned.get());
         let loss = self.counter_total("fault.drop.loss");
-        let sent = total(|s| s.net.packets_sent());
-        let bytes_sent = total(|s| s.net.bytes_sent());
-        let reg_packets = self.counter_total("net.packets");
-        let reg_bytes = self.counter_total("net.bytes");
-        let shed_remote = total(|s| s.fault_metrics.shed_remote.get());
-        let shed_source = total(|s| s.fault_metrics.shed_source.get());
-        let shed_backoff = total(|s| s.fault_metrics.shed_backoff.get());
+        let sent = self.counter_total("net.packets");
+        let shed_remote = self.counter_total("client.shed.remote");
+        let shed = shed_remote + self.counter_total("client.shed.source");
+        let shed_backoff = self.counter_total("client.shed.backoff");
         // Zero when no admission control is installed.
         let ingress_shed = total(|s| {
             s.nodes
@@ -80,24 +79,11 @@ impl Cluster {
             },
         );
 
-        // Shed ledger: the client-side shed total must agree with its two
-        // registry counters (remote drops + source suppressions), and every
-        // shed the clients observed (remote drops plus parked retry timers)
-        // must trace back to an ingress refusal — `≤` because a shed reply
-        // can still be on the wire, or ignored as stale after the request
-        // completed via another path. Emitted whether or not admission is
-        // installed so the audit's check count is scenario-stable.
-        r.check(
-            "client.shed.counter",
-            CLUSTER_WIDE,
-            shed == shed_remote + shed_source,
-            || {
-                format!(
-                    "client shed ledger {shed} != remote {shed_remote} \
-                     + source {shed_source}"
-                )
-            },
-        );
+        // Shed ledger: every shed the clients observed (remote drops plus
+        // parked retry timers) must trace back to an ingress refusal — `≤`
+        // because a shed reply can still be on the wire, or ignored as stale
+        // after the request completed via another path. Emitted with or
+        // without admission, so the check count is scenario-stable.
         r.check_le(
             "shed.reconcile",
             CLUSTER_WIDE,
@@ -137,22 +123,6 @@ impl Cluster {
                      != sent {sent}"
                 )
             },
-        );
-
-        // Internal-vs-registry cross-check of the link-layer counters,
-        // aggregated across shards so the audit emits the same number of
-        // checks for every shard count.
-        r.check(
-            "net.counter.packets",
-            CLUSTER_WIDE,
-            reg_packets == sent,
-            || format!("registry net.packets {reg_packets} != model {sent}"),
-        );
-        r.check(
-            "net.counter.bytes",
-            CLUSTER_WIDE,
-            reg_bytes == bytes_sent,
-            || format!("registry net.bytes {reg_bytes} != model {bytes_sent}"),
         );
 
         r.record_to(&self.shards[0].obs);
@@ -251,10 +221,11 @@ impl ShardState {
 
         for (i, n) in self.nodes.iter().enumerate() {
             let node = n.id;
-            r.check("ring.depth", node, n.ring_depth == ring_to_host[i], || {
+            let depth = n.metrics.ring_depth.get();
+            r.check("ring.depth", node, depth == ring_to_host[i] as i64, || {
                 format!(
-                    "ring_depth {} != pending RingToHost {}",
-                    n.ring_depth, ring_to_host[i]
+                    "rt.ring.depth {depth} != pending RingToHost {}",
+                    ring_to_host[i]
                 )
             });
             // A busy core holds exactly one pending free event; an idle one none.
@@ -278,18 +249,13 @@ impl ShardState {
                     });
                 }
             }
-            // Exactly one step event per active migration, none without one.
-            let want = u64::from(n.active_migration.is_some());
+            // Exactly one step event per migration in flight, none without.
+            let migration = n.sched.migration();
+            let want = u64::from(migration.is_some());
             r.check("migrate.step", node, mig_steps[i] == want, || {
                 format!("{} pending MigStep events, expected {want}", mig_steps[i])
             });
-            // The scheduler and the node agree on who is moving.
-            let (gate, driven) = (n.sched.migrating(), n.active_migration.as_ref());
-            if gate != driven.map(|m| m.actor) {
-                let detail = format!("scheduler migrating {gate:?}, node {driven:?}");
-                r.violation("migrate.owner", node, detail);
-            }
-            if let Some(m) = &n.active_migration {
+            if let Some(m) = migration {
                 m.audit_into(r, node);
                 let loc = n.sched.location(m.actor);
                 r.check(
@@ -308,18 +274,6 @@ impl ShardState {
                     )
                 });
             }
-            // A migration that ended without forwarding or releasing its
-            // parked requests would strand them.
-            let stray = n
-                .sched
-                .actors()
-                .filter(|(_, a)| !a.parked.is_empty() && a.loc != Loc::Migrating)
-                .map(|(id, _)| id)
-                .min();
-            r.check("migrate.parked", node, stray.is_none(), || {
-                let id = stray.unwrap_or_default();
-                format!("actor {id} holds parked requests but is not migrating")
-            });
             if let Some(a) = &n.admission {
                 a.audit_into(r, node);
             }

@@ -375,7 +375,6 @@ impl ShardState {
                 // ledgers stay bounded under sustained saturation instead
                 // of growing with every refused arrival.
                 self.completions.issued += 1;
-                self.completions.shed += 1;
                 self.fault_metrics.shed_source.inc();
                 return;
             }
@@ -476,7 +475,6 @@ impl ShardState {
                 return;
             }
             state.inflight.remove(&req.token);
-            self.completions.shed += 1;
             self.fault_metrics.shed_remote.inc();
             if state.open.is_some() {
                 state.shed_src_until = state.shed_src_until.max(now + retry_after);
@@ -491,7 +489,6 @@ impl ShardState {
             if let Some(Outstanding { issued, .. }) = state.inflight.remove(&req.token) {
                 self.completions.completed += 1;
                 if issued >= self.measure_start {
-                    self.completions.done += 1;
                     self.completions.hist.record(now.saturating_sub(issued));
                     // Per-request client RTT spans are verbose-only.
                     if self.obs.traces(TraceLevel::Verbose) {

@@ -165,10 +165,7 @@ impl ClusterBuilder {
                         host_acct: HostCpuAccounting::new(),
                         nic_busy_total: SimTime::ZERO,
                         watchdog: Watchdog::new(self.spec.cores, SimTime::from_ms(5)),
-                        active_migration: None,
                         migration_reports: Vec::new(),
-                        ring_depth: 0,
-                        ring_messages: 0,
                         admission: None,
                     })
                     .collect();
@@ -461,7 +458,7 @@ impl Cluster {
     pub fn reset_measurements(&mut self) {
         let now = self.now();
         for s in &mut self.shards {
-            s.completions.reset();
+            s.completions.hist.reset();
             s.measure_start = now;
             for n in &mut s.nodes {
                 n.host_acct = HostCpuAccounting::new();
@@ -472,12 +469,14 @@ impl Cluster {
 
     /// Client-side completion statistics, aggregated across shards.
     pub fn completions(&self) -> CompletionStats {
-        let mut agg = CompletionStats::default();
+        let mut agg = CompletionStats {
+            shed: self.counter_total("client.shed.remote")
+                + self.counter_total("client.shed.source"),
+            ..CompletionStats::default()
+        };
         for s in &self.shards {
             agg.issued += s.completions.issued;
-            agg.done += s.completions.done;
             agg.completed += s.completions.completed;
-            agg.shed += s.completions.shed;
             agg.hist.merge_from(&s.completions.hist.to_histogram());
         }
         agg
@@ -567,7 +566,7 @@ impl Cluster {
         if wall == SimTime::ZERO {
             return 0.0;
         }
-        let done: u64 = self.shards.iter().map(|s| s.completions.done).sum();
+        let done: u64 = self.shards.iter().map(|s| s.completions.count()).sum();
         done as f64 / wall.as_secs_f64()
     }
 
@@ -626,8 +625,9 @@ impl Cluster {
             .collect()
     }
 
-    /// Messages that crossed each node's PCIe rings.
+    /// Messages that crossed `node`'s PCIe ring from the NIC to the host
+    /// (`rt.ring.to_host`; host→NIC crossings are not counted here).
     pub fn ring_messages(&self, node: usize) -> u64 {
-        self.node(node as u16).ring_messages
+        self.node(node as u16).metrics.ring_to_host.get()
     }
 }

@@ -16,17 +16,15 @@ const HOST_LANE_OFFSET: u32 = 1000;
 impl NodeRt {
     /// Account one NIC→host ring crossing of `req` and return its latency.
     /// Every scheduled `RingToHost` must come through here: the handler
-    /// decrements `ring_depth` unconditionally, so a missed increment drifts
-    /// the occupancy gauge low (masked by its saturating decrement) — the
-    /// audit's `ring.depth` ledger pins the pairing.
+    /// decrements the `rt.ring.depth` gauge unconditionally, so a missed
+    /// increment drifts it low (masked by its decrement stopping at zero) —
+    /// the audit's `ring.depth` ledger pins the pairing.
     pub(super) fn push_to_host_ring(&mut self, spec: &NicSpec, req: &Request) -> SimTime {
         let xfer = ring_to_host_latency(spec, req.wire_size);
-        self.ring_depth += 1;
-        self.ring_messages += 1;
+        self.metrics.ring_depth.adjust(1);
         self.metrics.ring_to_host.inc();
         self.metrics.ring_to_host_bytes.add(req.wire_size as u64);
         self.metrics.ring_xfer.record(xfer);
-        self.metrics.ring_depth.set(self.ring_depth as i64);
         xfer
     }
 }
@@ -34,9 +32,8 @@ impl NodeRt {
 impl ShardState {
     /// A request crossed the PCIe ring toward the host.
     pub(super) fn handle_ring_to_host(&mut self, now: SimTime, node: u16, req: Request) {
-        let n = self.node_mut(node);
-        n.ring_depth = n.ring_depth.saturating_sub(1);
-        n.metrics.ring_depth.set(n.ring_depth as i64);
+        let depth = &self.node(node).metrics.ring_depth;
+        depth.set((depth.get() - 1).max(0));
         self.enqueue_host(now, node, req);
     }
 

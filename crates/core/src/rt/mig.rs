@@ -1,11 +1,9 @@
 //! Four-phase migration (§3.2.5, App. B.3): every migration the
-//! scheduler begins starts a [`Migration`], `MigStep` events walk it through
-//! its phases, and a crash window aborts it.
+//! scheduler begins is a [`Migration`] it holds, `MigStep` events walk it
+//! through its phases, and a crash window aborts it.
 
 use super::*;
 use crate::dmo::Side;
-use crate::migrate::MigrationDir;
-use crate::sched::Action;
 
 /// Trace lane for the migration timeline.
 const MIGRATION_LANE: u32 = 999;
@@ -14,22 +12,18 @@ impl ShardState {
     /// Force a push migration of an actor living on this shard.
     pub(super) fn force_migrate_local(&mut self, addr: Address) -> bool {
         let Address { node, actor } = addr;
-        if !self.node_mut(node).sched.force_push(actor) {
+        let now = self.events.now();
+        if !self.node_mut(node).sched.force_push(now, actor) {
             return false;
         }
-        self.apply_action(self.events.now(), node, Action::PushMigrate(actor));
+        self.arm_migration(node);
         true
     }
 
-    /// Enter phase 1 of a migration the scheduler began: the actor is
-    /// already `Migrating`, its requests parked since the mark. Arm the
-    /// first step.
-    pub(super) fn apply_action(&mut self, now: SimTime, node: u16, action: Action) {
-        let (actor, dir) = match action {
-            Action::PushMigrate(actor) => (actor, MigrationDir::Push),
-            Action::PullMigrate(actor) => (actor, MigrationDir::Pull),
-        };
-        self.node_mut(node).active_migration = Some(Migration::start(actor, dir, now));
+    /// Enter phase 1 of the migration the scheduler began: the actor is
+    /// already `Migrating` (a pull victim since the runtime took the
+    /// command), its requests parked since the mark. Arm the first step.
+    pub(super) fn arm_migration(&mut self, node: u16) {
         self.events
             .schedule_after(Migration::phase1_duration(), Ev::MigStep { node });
     }
@@ -43,7 +37,7 @@ impl ShardState {
             return;
         }
         let n = self.node_mut(node);
-        let Some(m) = n.active_migration.as_mut() else {
+        let Some(m) = n.sched.migration_mut() else {
             return;
         };
         if m.phase == 4 {
@@ -51,34 +45,31 @@ impl ShardState {
             return;
         }
         m.complete_phase(now);
+        let (actor, phase, dest) = (m.actor, m.phase, m.dir.dest());
         // How long the phase now starting takes.
-        let next = match m.phase {
+        let next = match phase {
             2 => {
                 // Phase 2: drain the actor's mailbox (requests already
                 // dispatched into it get executed before the move) into
                 // its parked requests.
                 let mean = n
                     .sched
-                    .actor(m.actor)
+                    .actor(actor)
                     .map(|a| a.stats.mean())
                     .unwrap_or(SimTime::ZERO);
-                let queued = n.sched.park_mailbox(m.actor);
+                let queued = n.sched.park_mailbox();
                 Migration::phase2_duration(queued, mean)
             }
             3 => {
                 // Phase 3: move the DMOs.
-                let objs = n.dmo.objects_of(m.actor);
+                let objs = n.dmo.objects_of(actor);
                 let bytes: u64 = objs.iter().map(|(_, s)| *s).sum();
                 Migration::phase3_duration(objs.len(), bytes)
             }
             _ => {
-                let to = match m.dir {
-                    MigrationDir::Push => Side::Host,
-                    MigrationDir::Pull => Side::Nic,
-                };
-                n.dmo.migrate_actor(m.actor, to);
+                n.dmo.migrate_actor(actor, dest);
                 // Phase 4: forward the requests parked so far.
-                let parked = n.sched.actor(m.actor).map_or(0, |a| a.parked.len());
+                let parked = n.sched.migration().map_or(0, |m| m.parked.len());
                 Migration::phase4_duration(parked)
             }
         };
@@ -89,16 +80,9 @@ impl ShardState {
     /// side, parked requests re-enter the dispatcher, and a retry fires
     /// after the crash window ends.
     fn abort_migration(&mut self, now: SimTime, node: u16) {
-        let n = self.node_mut(node);
-        let Some(m) = n.active_migration.take() else {
+        let Some(actor) = self.node_mut(node).sched.abort_migration(now) else {
             return;
         };
-        let origin = match m.dir {
-            MigrationDir::Push => Loc::Nic,
-            MigrationDir::Pull => Loc::Host,
-        };
-        let actor = m.actor;
-        n.sched.abort_migration(now, actor, origin);
         self.fault_metrics.mig_aborted.inc();
         self.obs.instant(
             "migrate",
@@ -118,33 +102,28 @@ impl ShardState {
     fn finish_migration(&mut self, now: SimTime, node: u16) {
         let spec = self.spec;
         let n = self.node_mut(node);
-        let Some(mut mig) = n.active_migration.take() else {
+        let Some(mig) = n.sched.finish_migration(now) else {
             return;
         };
-        mig.complete_phase(now);
         let actor = mig.actor;
-        let dest = match mig.dir {
-            MigrationDir::Push => Loc::Host,
-            MigrationDir::Pull => Loc::Nic,
-        };
-        let parked = n.sched.finish_migration(now, actor, dest);
         let name = n.actors.get(&actor).map_or("", |s| s.name.as_str());
-        let report = mig.report(name, n.dmo.actor_state_bytes(actor), parked.len() as u64);
+        let forwarded = mig.parked.len() as u64;
+        let report = mig.report(name, n.dmo.actor_state_bytes(actor), forwarded);
         report.record_to(self.obs.registry(), node);
         report.trace_to(&self.obs, node, MIGRATION_LANE, mig.started);
         self.node_mut(node).migration_reports.push(report);
         // Forward parked requests to wherever the actor now lives. Their
         // arrival stamps are rewritten so the migration pause does not
         // pollute the scheduler's sojourn statistics.
-        for (i, mut req) in parked.into_iter().enumerate() {
+        for (i, mut req) in mig.parked.into_iter().enumerate() {
             req.arrived = now;
             let delay = crate::migrate::PHASE4_PER_REQUEST * i as u64;
-            let (at, ev) = match dest {
-                Loc::Host => {
+            let (at, ev) = match mig.dir.dest() {
+                Side::Host => {
                     let xfer = self.node_mut(node).push_to_host_ring(spec, &req);
                     (delay + xfer, Ev::RingToHost { node, req })
                 }
-                _ => (delay, Ev::RingToNic { node, req }),
+                Side::Nic => (delay, Ev::RingToNic { node, req }),
             };
             self.events.schedule_after(at, ev);
         }

@@ -233,19 +233,20 @@ struct RetryDeadlines {
 
 /// Completion statistics observed at the clients. The latency histogram
 /// lives in the cluster's metrics registry (as `client.latency`), so
-/// figure harnesses and trace exports read the same numbers.
+/// figure harnesses and trace exports read the same numbers; its sample
+/// count is the measurement window's completions.
 #[derive(Debug, Default)]
 pub struct CompletionStats {
     issued: u64,
-    done: u64,
     /// Lifetime completions, never reset by `reset_measurements` (unlike
-    /// `done`, which only counts the measurement window). The audit's client
-    /// conservation ledger needs the lifetime figure:
+    /// the histogram, which only covers the measurement window). The
+    /// audit's client conservation ledger needs the lifetime figure:
     /// `issued == completed + abandoned + shed + in-flight`.
     completed: u64,
     /// Lifetime requests shed by admission control (refused at an ingress,
-    /// or suppressed at the source while a backoff hint is live). Like
-    /// `completed`, never reset: it is a conservation ledger term.
+    /// or suppressed at the source while a backoff hint is live): the
+    /// `client.shed.{remote,source}` counters, which
+    /// [`Cluster::completions`] sums.
     shed: u64,
     hist: HistHandle,
 }
@@ -253,7 +254,7 @@ pub struct CompletionStats {
 impl CompletionStats {
     /// Completed requests in the measurement window.
     pub fn count(&self) -> u64 {
-        self.done
+        self.hist.count()
     }
 
     /// Requests issued (including in-flight).
@@ -291,11 +292,6 @@ impl CompletionStats {
     /// Full latency histogram (owned copy of the registry slot).
     pub fn histogram(&self) -> Histogram {
         self.hist.to_histogram()
-    }
-
-    fn reset(&mut self) {
-        self.done = 0;
-        self.hist.reset();
     }
 }
 
@@ -367,10 +363,7 @@ struct NodeRt {
     host_acct: HostCpuAccounting,
     nic_busy_total: SimTime,
     watchdog: Watchdog,
-    active_migration: Option<Migration>,
     migration_reports: Vec<MigrationReport>,
-    ring_depth: u64,
-    ring_messages: u64,
     /// Ingress admission control; `None` admits everything (the default).
     admission: Option<NodeAdmission>,
 }

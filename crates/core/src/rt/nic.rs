@@ -225,8 +225,8 @@ impl ShardState {
         self.route_emits(now, node, inflight.emits, true);
         let mut actions = std::mem::take(&mut self.action_scratch);
         self.node_mut(node).sched.take_actions_into(&mut actions);
-        for a in actions.drain(..) {
-            self.apply_action(now, node, a);
+        for _ in actions.drain(..) {
+            self.arm_migration(node);
         }
         self.action_scratch = actions;
         // Reentrant kicks from route_emits may already have restarted this

@@ -897,9 +897,9 @@ fn redirect_refreshes_every_queued_request_for_the_moved_address() {
 #[test]
 fn audit_stays_clean_across_forced_migration() {
     // Regression: requests parked during a push migration used to be
-    // forwarded to the host at phase 4 without incrementing
-    // `ring_depth` (the handler then decremented it with a saturating
-    // sub, silently masking the drift), and the phase-2 mailbox drain
+    // forwarded to the host at phase 4 without incrementing the ring
+    // occupancy (the handler then decremented it, stopping at zero,
+    // silently masking the drift), and the phase-2 mailbox drain
     // bypassed the scheduler's buffered counter. Both leaks are caught
     // by `ring.depth` / `sched.arrivals` when auditing around a live
     // migration.
@@ -985,7 +985,7 @@ fn migration_report_covers_exactly_the_time_the_migration_took() {
         c
     };
     // Audited as it goes: the DRR backlog parked in phase 2 gives
-    // `migrate.mailbox` and `migrate.parked` something to check.
+    // `migrate.mailbox` and `sched.arrivals` something to check.
     let mut c = migrating();
     for _ in 0..300 {
         c.run_for(SimTime::from_us(100));

@@ -18,19 +18,22 @@
 //!   utilization (§3.2.4).
 //!
 //! The scheduler owns every migration decision (one at a time, none within
-//! [`MIGRATION_COOLDOWN`] of the last one's end), and the runtime carries
-//! out each [`Action`].
+//! [`MIGRATION_COOLDOWN`] of the last one's end) and holds the one
+//! [`Migration`] in flight, parked requests included; the runtime carries
+//! out each [`Action`], walking the migration through its phases.
 //!
 //! The scheduler is a pure state machine: the runtime (or a test) feeds it
 //! arrivals and completions and executes the [`Action`]s it returns.
 
 use crate::actor::{ActorId, Request};
-use crate::bookkeep::{ActorStats, CoreUtil, GroupStats};
+use crate::bookkeep::{ActorStats, CoreUtil};
+use crate::dmo::Side;
+use crate::migrate::{Migration, MigrationDir};
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_nicsim::traffic;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs};
-use ipipe_sim::{IdMap, SimTime};
+use ipipe_sim::{IdMap, SimTime, TailEstimator};
 use std::cmp::{Ordering, Reverse};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -195,6 +198,15 @@ pub enum Loc {
     Host,
 }
 
+impl From<Side> for Loc {
+    fn from(side: Side) -> Loc {
+        match side {
+            Side::Nic => Loc::Nic,
+            Side::Host => Loc::Host,
+        }
+    }
+}
+
 /// Minimum time between regroup decisions for the same actor (hysteresis on
 /// top of the α deadband).
 pub const REGROUP_COOLDOWN: SimTime = SimTime::from_ms(2);
@@ -229,9 +241,6 @@ pub struct ActorSched {
     pub size_hint: u32,
     /// Last FCFS<->DRR regroup, for hysteresis.
     pub last_regroup: SimTime,
-    /// Requests held while the actor is `Migrating`, oldest first: its
-    /// mailbox at phase 2, then everything that arrived since the mark.
-    pub parked: Vec<Request>,
     /// Never leaves the host (storage-touching actors): ALG 1 never pulls it.
     pub pinned: bool,
 }
@@ -266,8 +275,8 @@ pub struct NicScheduler {
     /// rebalancer don't rescan every actor on the hot path.
     drr_backlog: usize,
     actors: IdMap<ActorId, ActorSched>,
-    /// FCFS group latency statistics.
-    fcfs_group: GroupStats,
+    /// FCFS group sojourn statistics: the `T_mean` and `T_tail` of ALG 1.
+    fcfs_group: TailEstimator,
     /// Core modes; core 0 is the management core and always FCFS.
     modes: Vec<CoreMode>,
     util: Vec<CoreUtil>,
@@ -275,8 +284,8 @@ pub struct NicScheduler {
     pending: Vec<Action>,
     /// Last time an FCFS-group operation completed (for idle decay).
     last_fcfs_obs: SimTime,
-    /// The one actor mid-migration, if any.
-    migrating: Option<ActorId>,
+    /// The one migration in flight, if any.
+    migration: Option<Migration>,
     /// No push or pull begins before this instant.
     cooldown_until: SimTime,
     metrics: SchedMetrics,
@@ -313,12 +322,12 @@ impl NicScheduler {
             drr_runnable: VecDeque::new(),
             drr_backlog: 0,
             actors: IdMap::default(),
-            fcfs_group: GroupStats::new(cfg.ewma_alpha),
+            fcfs_group: TailEstimator::new(cfg.ewma_alpha),
             modes,
             util: vec![CoreUtil::new(cfg.util_window, cfg.ewma_alpha); cores],
             pending: Vec::new(),
             last_fcfs_obs: SimTime::ZERO,
-            migrating: None,
+            migration: None,
             cooldown_until: SimTime::ZERO,
             metrics: SchedMetrics::new(obs, node),
         }
@@ -340,7 +349,6 @@ impl NicScheduler {
                 deficit: 0.0,
                 size_hint,
                 last_regroup: SimTime::ZERO,
-                parked: Vec::new(),
                 pinned: false,
             },
         );
@@ -349,11 +357,16 @@ impl NicScheduler {
     /// Deregister (DoS kill or teardown). Every request still queued for
     /// the actor — in its mailbox or in the shared queue — is discarded
     /// work and must be counted as dropped, or the arrivals conservation
-    /// ledger ([`NicScheduler::audit_into`]) would report a leak.
+    /// ledger ([`NicScheduler::audit_into`]) would report a leak. A moving
+    /// actor's parked requests, already counted as buffered, go with it;
+    /// its migration runs on empty.
     pub fn deregister(&mut self, actor: ActorId) {
         self.drr_runnable_remove(actor);
         if let Some(a) = self.actors.remove(&actor) {
             self.metrics.dropped.add(a.mailbox.len() as u64);
+        }
+        if let Some(m) = self.migration.as_mut().filter(|m| m.actor == actor) {
+            m.parked.clear();
         }
         let before = self.fcfs_queue.len();
         self.fcfs_queue.retain(|r| r.actor != actor);
@@ -415,65 +428,74 @@ impl NicScheduler {
 
     /// The actor mid-migration, if any.
     pub fn migrating(&self) -> Option<ActorId> {
-        self.migrating
+        self.migration.as_ref().map(|m| m.actor)
     }
 
-    /// Begin a push or pull, count it and queue it for the runtime. A pull
-    /// victim turns `Migrating` only when the runtime takes the command.
-    fn begin(&mut self, action: Action) {
-        let (Action::PushMigrate(actor) | Action::PullMigrate(actor)) = action;
-        self.migrating = Some(actor);
-        if let Action::PushMigrate(_) = action {
-            self.metrics.migrate_push.inc();
-            self.set_location(actor, Loc::Migrating);
-        } else {
-            self.metrics.migrate_pull.inc();
+    /// The migration in flight, if any.
+    pub fn migration(&self) -> Option<&Migration> {
+        self.migration.as_ref()
+    }
+
+    /// The migration in flight, for the runtime to advance its phases.
+    pub(crate) fn migration_mut(&mut self) -> Option<&mut Migration> {
+        self.migration.as_mut()
+    }
+
+    /// Begin a push or pull at `now`, count it and queue it for the
+    /// runtime. A pull victim turns `Migrating` only when the runtime takes
+    /// the command.
+    fn begin(&mut self, now: SimTime, action: Action) {
+        match action {
+            Action::PushMigrate(actor) => {
+                self.metrics.migrate_push.inc();
+                let begun = self.force_push(now, actor);
+                debug_assert!(begun, "ALG 1 pushes only an actor on the NIC");
+            }
+            Action::PullMigrate(actor) => {
+                self.metrics.migrate_pull.inc();
+                self.migration = Some(Migration::start(actor, MigrationDir::Pull, now));
+            }
         }
         self.pending.push(action);
     }
 
-    /// Begin a forced push of `actor` (Fig 18, the rebalancer, a retry after
-    /// an abort): no cooldown, and not counted. False, with nothing changed,
-    /// when another migration is in flight or the actor is not on the NIC.
-    pub fn force_push(&mut self, actor: ActorId) -> bool {
-        if self.migrating.is_some() || self.location(actor) != Some(Loc::Nic) {
+    /// Begin a forced push of `actor` at `now` (Fig 18, the rebalancer, a
+    /// retry after an abort): no cooldown, and not counted. False, with
+    /// nothing changed, when another migration is in flight or the actor is
+    /// not on the NIC.
+    pub fn force_push(&mut self, now: SimTime, actor: ActorId) -> bool {
+        if self.migration.is_some() || self.location(actor) != Some(Loc::Nic) {
             return false;
         }
-        self.migrating = Some(actor);
+        self.migration = Some(Migration::start(actor, MigrationDir::Push, now));
         self.set_location(actor, Loc::Migrating);
         true
     }
 
-    /// The migration of `actor` finished at `now`: it lives at `dest`, the
-    /// cooldown starts, and its parked requests are handed over, oldest
-    /// first, for the runtime to forward to its new side.
-    pub fn finish_migration(&mut self, now: SimTime, actor: ActorId, dest: Loc) -> Vec<Request> {
+    /// The migration in flight finished at `now`: its last phase ends, its
+    /// actor lives at the destination and the cooldown starts. It is handed
+    /// back with its parked requests, oldest first, for the runtime to
+    /// forward to the actor's new side.
+    pub fn finish_migration(&mut self, now: SimTime) -> Option<Migration> {
+        let mut m = self.migration.take()?;
+        m.complete_phase(now);
         self.cooldown_until = now + MIGRATION_COOLDOWN;
-        self.end_migration(actor, dest)
+        self.set_location(m.actor, m.dir.dest().into());
+        Some(m)
     }
 
-    /// The migration of `actor` is off: it stays at `origin`, with no
-    /// cooldown, and its parked requests arrive again at `now`, oldest
+    /// The migration in flight is off: its actor stays at the origin, with
+    /// no cooldown, and its parked requests arrive again at `now`, oldest
     /// first, so the pause does not feed the sojourn statistics. Returns
-    /// how many.
-    pub fn abort_migration(&mut self, now: SimTime, actor: ActorId, origin: Loc) -> usize {
-        let parked = self.end_migration(actor, origin);
-        let released = parked.len();
-        for mut req in parked {
+    /// the actor.
+    pub fn abort_migration(&mut self, now: SimTime) -> Option<ActorId> {
+        let m = self.migration.take()?;
+        self.set_location(m.actor, m.dir.origin().into());
+        for mut req in m.parked {
             req.arrived = now;
             self.on_arrival(now, req);
         }
-        released
-    }
-
-    /// `actor` is at `loc` and no longer moving: take its parked requests.
-    fn end_migration(&mut self, actor: ActorId, loc: Loc) -> Vec<Request> {
-        self.migrating = None;
-        self.set_location(actor, loc);
-        self.actors
-            .get_mut(&actor)
-            .map(|a| std::mem::take(&mut a.parked))
-            .unwrap_or_default()
+        Some(m.actor)
     }
 
     /// Whether the actor is currently DRR-served.
@@ -612,7 +634,8 @@ impl NicScheduler {
                     return ControlFlow::Break(Some(Work::Forward(req)));
                 }
                 Loc::Migrating => {
-                    a.parked.push(req);
+                    let m = self.migration.as_mut().expect("a Migrating actor moves");
+                    m.parked.push(req);
                     self.metrics.buffered.inc();
                     return ControlFlow::Continue(());
                 }
@@ -728,17 +751,17 @@ impl NicScheduler {
         }
         // One migration in flight at a time keeps the mechanism stable and
         // matches the dedicated-management-core design (§3.2.2).
-        if self.cfg.migration && self.migrating.is_none() && now >= self.cooldown_until {
+        if self.cfg.migration && self.migration.is_none() && now >= self.cooldown_until {
             if core == 0 {
-                self.evaluate_migration();
+                self.evaluate_migration(now);
             }
             // ALG 2 line 18: a DRR actor with an overlong mailbox is pushed.
             let q_thresh = self.cfg.q_thresh;
             let overlong =
                 |a: &ActorSched| a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > q_thresh;
-            let free = was_drr && self.migrating.is_none();
+            let free = was_drr && self.migration.is_none();
             if free && self.actors.get(&actor).is_some_and(overlong) {
-                self.begin(Action::PushMigrate(actor));
+                self.begin(now, Action::PushMigrate(actor));
             }
         }
         if self.cfg.discipline == Discipline::Hybrid {
@@ -853,7 +876,7 @@ impl NicScheduler {
     }
 
     /// ALG 1 lines 17–23: push/pull migration from the management core.
-    fn evaluate_migration(&mut self) {
+    fn evaluate_migration(&mut self, now: SimTime) {
         if !self.fcfs_group.observed() {
             return;
         }
@@ -874,7 +897,7 @@ impl NicScheduler {
                 },
             );
             if let Some((id, _)) = victim {
-                self.begin(Action::PushMigrate(id));
+                self.begin(now, Action::PushMigrate(id));
             }
         } else if (mean.as_ns() as f64)
             < (1.0 - self.cfg.alpha) * self.cfg.mean_thresh.as_ns() as f64
@@ -889,7 +912,7 @@ impl NicScheduler {
                     by_load.then(x_id.cmp(y_id))
                 });
             if let Some((id, _)) = victim.filter(|&(_, load)| load <= headroom) {
-                self.begin(Action::PullMigrate(id));
+                self.begin(now, Action::PullMigrate(id));
             }
         }
     }
@@ -988,24 +1011,23 @@ impl NicScheduler {
         self.actors.get_mut(&id)
     }
 
-    /// Every actor's scheduling state, in table order.
-    pub(crate) fn actors(&self) -> impl Iterator<Item = (ActorId, &ActorSched)> {
-        self.actors.iter().map(|(&id, a)| (id, a))
-    }
-
-    /// Migration phase 2: park `actor`'s mailbox ahead of the requests
-    /// parked since phase 1, and return how many moved. They are credited
-    /// to the `buffered` counter: a raw mailbox drain would make them vanish
-    /// from the arrivals ledger without ever being counted as consumed.
+    /// Migration phase 2: park the moving actor's mailbox ahead of the
+    /// requests parked since phase 1, and return how many moved. They are
+    /// credited to the `buffered` counter: a raw mailbox drain would make
+    /// them vanish from the arrivals ledger without ever being counted as
+    /// consumed.
     ///
     /// The actor left the DRR runnable queue when it was marked
     /// `Migrating`, so its mail is no longer part of `drr_backlog`.
-    pub fn park_mailbox(&mut self, actor: ActorId) -> usize {
-        let Some(a) = self.actors.get_mut(&actor) else {
+    pub fn park_mailbox(&mut self) -> usize {
+        let Some(m) = self.migration.as_mut() else {
+            return 0;
+        };
+        let Some(a) = self.actors.get_mut(&m.actor) else {
             return 0;
         };
         let moved = a.mailbox.len();
-        a.parked.splice(0..0, a.mailbox.drain(..));
+        m.parked.splice(0..0, a.mailbox.drain(..));
         self.metrics.buffered.add(moved as u64);
         moved
     }
@@ -1140,6 +1162,12 @@ mod tests {
             self.take_actions_into(&mut out);
             out
         }
+
+        /// Put `actor`, whose mailbox is empty, in DRR service.
+        fn make_drr(&mut self, actor: ActorId) {
+            self.actors.get_mut(&actor).unwrap().is_drr = true;
+            self.drr_runnable.push_back(actor);
+        }
     }
 
     fn req(actor: ActorId, token: u64) -> Request {
@@ -1177,6 +1205,19 @@ mod tests {
         s
     }
 
+    /// The scheduler's audit, as node 0.
+    fn audit(s: &NicScheduler) -> AuditReport {
+        let mut r = AuditReport::new(SimTime::ZERO);
+        s.audit_into(&mut r, 0);
+        r
+    }
+
+    /// Tokens of the migration's parked requests, in order.
+    fn parked_tokens(s: &NicScheduler) -> Vec<u64> {
+        let m = s.migration().expect("a migration in flight");
+        m.parked.iter().map(|r| r.token).collect()
+    }
+
     #[test]
     fn fcfs_serves_in_arrival_order() {
         let mut s = sched();
@@ -1210,7 +1251,7 @@ mod tests {
         let mut s = NicScheduler::with_obs(&CN2350, cfg(), &obs, 0);
         s.register(1, 512, Loc::Nic);
         s.register(2, 512, Loc::Nic);
-        assert!(s.force_push(2));
+        assert!(s.force_push(SimTime::ZERO, 2));
         for token in [3, 4, 5] {
             s.on_arrival(SimTime::ZERO, req(2, token));
         }
@@ -1221,21 +1262,45 @@ mod tests {
             _ => panic!("expected exec"),
         };
         assert_eq!(exec(s.next_for_core(SimTime::ZERO, 0)).0, 6);
-        let parked: Vec<u64> = s.actor(2).unwrap().parked.iter().map(|r| r.token).collect();
-        assert_eq!(parked, [3, 4, 5]);
+        assert_eq!(parked_tokens(&s), [3, 4, 5]);
         assert_eq!(obs.registry().counter_on("sched.buffered", 0).get(), 3);
 
         // Giving up the move re-arrives them, oldest first, stamped `now`.
         let now = SimTime::from_us(7);
-        assert_eq!(s.abort_migration(now, 2, Loc::Nic), 3);
+        assert_eq!(s.abort_migration(now), Some(2));
         assert_eq!((s.location(2), s.migrating()), (Some(Loc::Nic), None));
-        assert!(s.actor(2).unwrap().parked.is_empty());
         for token in [3, 4, 5] {
             assert_eq!(exec(s.next_for_core(now, 0)), (token, now));
         }
-        let mut r = AuditReport::new(now);
-        s.audit_into(&mut r, 0);
-        r.assert_clean();
+        audit(&s).assert_clean();
+    }
+
+    /// Phase 2 puts the mailbox ahead of the requests parked since the
+    /// mark, and the finish hands them over in that order.
+    #[test]
+    fn parked_requests_keep_mailbox_then_arrival_order() {
+        let mut s = sched();
+        s.make_drr(2);
+        // Core 0 gets no work: each request goes to the mailbox, or is
+        // parked once the actor moves.
+        let arrive = |s: &mut NicScheduler, tokens: &[u64]| {
+            for &token in tokens {
+                s.on_arrival(SimTime::ZERO, req(2, token));
+                assert!(s.next_for_core(SimTime::ZERO, 0).is_none());
+            }
+        };
+        arrive(&mut s, &[0, 1, 2]);
+        assert!(s.force_push(SimTime::ZERO, 2));
+        arrive(&mut s, &[3, 4]);
+        assert_eq!(parked_tokens(&s), [3, 4]);
+        assert_eq!(s.park_mailbox(), 3);
+        arrive(&mut s, &[5]);
+        assert_eq!(parked_tokens(&s), [0, 1, 2, 3, 4, 5]);
+        let m = s.finish_migration(SimTime::from_ms(1)).unwrap();
+        let handed: Vec<u64> = m.parked.iter().map(|r| r.token).collect();
+        assert_eq!(handed, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(s.location(2), Some(Loc::Host));
+        audit(&s).assert_clean();
     }
 
     /// Parking gives the core nothing to run, so dispatch starts over from
@@ -1244,17 +1309,16 @@ mod tests {
     #[test]
     fn a_drr_core_redispatches_after_parking() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         s.modes[11] = CoreMode::Drr;
-        assert!(s.force_push(1));
+        assert!(s.force_push(SimTime::ZERO, 1));
         s.on_arrival(SimTime::ZERO, req(1, 1));
         s.on_arrival(SimTime::ZERO, req(2, 2));
         match s.next_for_core(SimTime::ZERO, 11) {
             Some(Work::Exec(r)) => assert_eq!(r.token, 2),
             _ => panic!("expected actor 2's request from its mailbox"),
         }
-        assert_eq!(s.actor(1).unwrap().parked.len(), 1);
+        assert_eq!(parked_tokens(&s), [1]);
     }
 
     #[test]
@@ -1289,8 +1353,7 @@ mod tests {
     fn drr_requests_flow_through_mailbox() {
         let mut s = sched();
         // Force actor 2 into DRR.
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         s.modes[11] = CoreMode::Drr;
         s.on_arrival(SimTime::ZERO, req(2, 1));
         s.on_arrival(SimTime::ZERO, req(2, 2));
@@ -1313,8 +1376,7 @@ mod tests {
     #[test]
     fn low_tail_upgrades_back() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         // Feed uniformly low sojourns: tail falls below (1-a)*thresh. The
         // run must outlast the regroup cooldown. Actor 2 executes too (the
         // upgrade path only considers actors with observed stats).
@@ -1346,8 +1408,7 @@ mod tests {
         // so an actor that had never executed (dispersion 0) was always the
         // calmest-looking candidate and got upgraded on noise.
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         for i in 0..500 {
             s.on_complete(
                 SimTime::from_us(i * 10),
@@ -1421,7 +1482,7 @@ mod tests {
                 s.last_fcfs_obs = now;
                 s.evaluate_regrouping(now);
                 assert!(s.is_drr(lo) && !s.is_drr(hi), "tied {tied:?}");
-                s.evaluate_migration();
+                s.evaluate_migration(now);
                 assert_eq!(s.take_actions(), [Action::PushMigrate(lo)], "tied {tied:?}");
 
                 // The pull scan: both back on the host, equally light, with
@@ -1431,7 +1492,7 @@ mod tests {
                     s.register(id, 512, Loc::Host);
                 }
                 s.fcfs_group.observe(SimTime::from_us(5));
-                s.evaluate_migration();
+                s.evaluate_migration(SimTime::ZERO);
                 assert_eq!(s.take_actions(), [Action::PullMigrate(lo)], "tied {tied:?}");
             }
         }
@@ -1484,7 +1545,7 @@ mod tests {
         s.set_location(2, Loc::Host);
         s.actor_mut(2).unwrap().pinned = true;
         calm(&mut s);
-        s.evaluate_migration();
+        s.evaluate_migration(SimTime::ZERO);
         assert!(s.take_actions().is_empty());
         assert_eq!(s.location(2), Some(Loc::Host));
 
@@ -1499,14 +1560,14 @@ mod tests {
         }
         assert!(stats.load() > 0.3 * CN2350.cores as f64);
         calm(&mut s);
-        s.evaluate_migration();
+        s.evaluate_migration(SimTime::ZERO);
         assert!(s.take_actions().is_empty());
 
         // No push within the cooldown after a migration finished; then one.
         let mut s = sched();
-        assert!(s.force_push(1));
+        assert!(s.force_push(SimTime::ZERO, 1));
         let end = SimTime::from_ms(3);
-        assert!(s.finish_migration(end, 1, Loc::Host).is_empty());
+        assert!(s.finish_migration(end).unwrap().parked.is_empty());
         for _ in 0..50 {
             s.fcfs_group.observe(SimTime::from_us(100));
         }
@@ -1529,20 +1590,19 @@ mod tests {
     #[test]
     fn drr_mailbox_overflow_triggers_migration() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         for t in 0..20 {
             s.on_arrival(SimTime::ZERO, req(2, t));
             let _ = s.next_for_core(SimTime::ZERO, 0); // dispatch into mailbox
         }
         assert!(s.actor(2).unwrap().mailbox.len() > 8);
         // Not while another migration is in flight: it stays DRR-served.
-        assert!(s.force_push(1));
+        assert!(s.force_push(SimTime::ZERO, 1));
         let (sojourn, busy) = (SimTime::from_us(10), SimTime::from_us(5));
         s.on_complete(SimTime::from_us(10), 1, 2, sojourn, busy);
         assert!(s.take_actions().is_empty() && s.is_drr(2));
         // An abort starts no cooldown.
-        s.abort_migration(SimTime::from_us(15), 1, Loc::Nic);
+        assert_eq!(s.abort_migration(SimTime::from_us(15)), Some(1));
         s.on_complete(SimTime::from_us(20), 1, 2, sojourn, busy);
         assert_eq!(s.take_actions(), [Action::PushMigrate(2)]);
     }
@@ -1590,8 +1650,7 @@ mod tests {
     #[test]
     fn drr_backlog_counter_tracks_runnable_mailboxes() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         for t in 0..6 {
             s.on_arrival(SimTime::ZERO, req(2, t));
         }
@@ -1626,8 +1685,7 @@ mod tests {
         let buffered = obs.registry().counter_on("sched.buffered", 0);
 
         // Queue actor 2's (DRR) mail first, then actor 1's FCFS mail.
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         for t in 0..4 {
             s.on_arrival(SimTime::ZERO, req(2, 100 + t));
         }
@@ -1649,14 +1707,17 @@ mod tests {
         assert_eq!(dropped.get(), 3);
 
         // Migrate actor 2: parking the mailbox must credit `buffered`.
-        assert!(s.force_push(2));
-        assert_eq!(s.park_mailbox(2), 4);
-        assert_eq!(s.actor(2).unwrap().parked.len(), 4);
+        assert!(s.force_push(SimTime::ZERO, 2));
+        assert_eq!(s.park_mailbox(), 4);
+        assert_eq!(parked_tokens(&s), [100, 101, 102, 103]);
         assert_eq!(buffered.get(), 4);
+        audit(&s).assert_clean();
 
-        let mut r = AuditReport::new(SimTime::ZERO);
-        s.audit_into(&mut r, 0);
-        r.assert_clean();
+        // Killing the moving actor takes its parked requests with it; the
+        // migration runs on, empty.
+        s.deregister(2);
+        assert!(parked_tokens(&s).is_empty());
+        audit(&s).assert_clean();
     }
 
     #[test]
@@ -1670,9 +1731,7 @@ mod tests {
         s.on_arrival(SimTime::ZERO, req(9, 1));
         assert!(s.next_for_core(SimTime::ZERO, 0).is_none());
         assert_eq!(obs.registry().counter_on("sched.dropped", 0).get(), 1);
-        let mut r = AuditReport::new(SimTime::ZERO);
-        s.audit_into(&mut r, 0);
-        r.assert_clean();
+        audit(&s).assert_clean();
     }
 
     /// Regression: marking a DRR actor `Migrating` takes it off the runnable
@@ -1682,8 +1741,7 @@ mod tests {
     #[test]
     fn a_drr_actor_given_back_to_the_nic_keeps_its_mailbox_served() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         for token in 0..3 {
             s.on_arrival(SimTime::ZERO, req(2, token));
         }
@@ -1691,8 +1749,8 @@ mod tests {
             s.next_for_core(SimTime::ZERO, 0).is_none(),
             "mail dispatched"
         );
-        assert!(s.force_push(2));
-        assert_eq!(s.abort_migration(SimTime::ZERO, 2, Loc::Nic), 0);
+        assert!(s.force_push(SimTime::ZERO, 2));
+        assert_eq!(s.abort_migration(SimTime::ZERO), Some(2));
         s.modes[11] = CoreMode::Drr;
         let mut served = Vec::new();
         while let Some(Work::Exec(r)) = s.next_for_core(SimTime::ZERO, 11) {
@@ -1700,24 +1758,20 @@ mod tests {
         }
         assert_eq!(served, [0, 1, 2], "the mailbox was stranded");
         assert!(s.is_drr(2));
-        let mut r = AuditReport::new(SimTime::ZERO);
-        s.audit_into(&mut r, 0);
-        r.assert_clean();
+        audit(&s).assert_clean();
     }
 
     #[test]
     fn audit_catches_a_stranded_mailbox() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         s.on_arrival(SimTime::ZERO, req(2, 1));
         let _ = s.next_for_core(SimTime::ZERO, 0); // mail into mailbox
 
         // What an early abort used to leave behind.
         s.drr_runnable_remove(2);
         s.actor_mut(2).unwrap().is_drr = false;
-        let mut r = AuditReport::new(SimTime::ZERO);
-        s.audit_into(&mut r, 0);
+        let r = audit(&s);
         let names: Vec<&str> = r.violations().iter().map(|v| v.invariant).collect();
         assert_eq!(names, ["sched.mailbox"]);
     }
@@ -1725,13 +1779,11 @@ mod tests {
     #[test]
     fn audit_catches_backlog_drift() {
         let mut s = sched();
-        s.actor_mut(2).unwrap().is_drr = true;
-        s.drr_runnable.push_back(2);
+        s.make_drr(2);
         s.on_arrival(SimTime::ZERO, req(2, 1));
         let _ = s.next_for_core(SimTime::ZERO, 0); // mail into mailbox
         s.drr_backlog += 1; // inject drift
-        let mut r = AuditReport::new(SimTime::ZERO);
-        s.audit_into(&mut r, 0);
+        let r = audit(&s);
         assert!(r
             .violations()
             .iter()

@@ -5,7 +5,6 @@ use crate::fault::{DropReason, FaultPlan, Verdict};
 use crate::packet::NodeId;
 use crate::packet::Packet;
 use ipipe_nicsim::spec::WIRE_OVERHEAD_BYTES;
-use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::{Counter, HistHandle, Registry};
 use ipipe_sim::SimTime;
 
@@ -32,9 +31,6 @@ pub struct NetModel {
     /// Extra one-way latency for frames whose endpoints sit in different
     /// racks (aggregation-switch hop). Zero without racks.
     cross_rack_extra: SimTime,
-    /// Bytes moved, for throughput accounting.
-    bytes_sent: u64,
-    packets_sent: u64,
     /// Optional fault schedule consulted by [`NetModel::begin_transfer`].
     fault: Option<FaultPlan>,
     /// Optional registry handles (see [`NetModel::attach_obs`]).
@@ -92,8 +88,6 @@ impl NetModel {
             rx_free: vec![SimTime::ZERO; nodes],
             rack_of: Vec::new(),
             cross_rack_extra: SimTime::ZERO,
-            bytes_sent: 0,
-            packets_sent: 0,
             fault: None,
             obs: None,
         }
@@ -156,11 +150,6 @@ impl NetModel {
         self.tx_free.len()
     }
 
-    /// Link speed in Gbit/s.
-    pub fn link_gbps(&self) -> f64 {
-        self.link_gbps
-    }
-
     /// On-wire serialization time of a frame (payload + Ethernet overhead).
     pub fn wire_time(&self, size: u32) -> SimTime {
         // Widen before multiplying: (size + overhead) * 8 overflows u32 for
@@ -176,8 +165,6 @@ impl NetModel {
         let tx_start = now.max(self.tx_free[s]);
         let tx_end = tx_start + self.wire_time(pkt.size);
         self.tx_free[s] = tx_end;
-        self.bytes_sent += (pkt.size + WIRE_OVERHEAD_BYTES) as u64;
-        self.packets_sent += 1;
         if let Some(m) = &self.obs {
             m.packets.inc();
             m.bytes.add((pkt.size + WIRE_OVERHEAD_BYTES) as u64);
@@ -205,7 +192,7 @@ impl NetModel {
     ///
     /// Occupancy policy under faults: a lost frame was still serialized by
     /// the sender, so it occupies the egress port (and counts toward
-    /// `bytes_sent`) but never touches the receiver. A corrupted frame takes
+    /// `net.bytes`) but never touches the receiver. A corrupted frame takes
     /// the full path — the receiver's shim stack burns the ingress occupancy
     /// before its header validation rejects it. Link-down and node-down
     /// frames never reach the wire: no occupancy, no byte accounting.
@@ -297,59 +284,6 @@ impl NetModel {
     pub fn base_latency(&self, size: u32) -> SimTime {
         self.wire_time(size) * 2 + self.switch_latency + self.propagation
     }
-
-    /// Total frames accounted so far.
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-
-    /// Total on-wire bytes accounted so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Conservation audit: the model's internal packet/byte tallies must
-    /// agree exactly with the registry counters published via
-    /// [`NetModel::attach_obs`] — a transfer path that bumps one ledger side
-    /// but not the other is precisely the silent-drift class the audit
-    /// hunts. No-op when no registry is attached.
-    pub fn audit_into(&self, r: &mut AuditReport) {
-        let Some(obs) = &self.obs else {
-            return;
-        };
-        r.check(
-            "net.counter.packets",
-            CLUSTER_WIDE,
-            obs.packets.get() == self.packets_sent,
-            || {
-                format!(
-                    "registry net.packets {} != internal packets_sent {}",
-                    obs.packets.get(),
-                    self.packets_sent
-                )
-            },
-        );
-        r.check(
-            "net.counter.bytes",
-            CLUSTER_WIDE,
-            obs.bytes.get() == self.bytes_sent,
-            || {
-                format!(
-                    "registry net.bytes {} != internal bytes_sent {}",
-                    obs.bytes.get(),
-                    self.bytes_sent
-                )
-            },
-        );
-    }
-
-    /// Aggregate offered bandwidth over `window`, in Gbit/s.
-    pub fn offered_gbps(&self, window: SimTime) -> f64 {
-        if window == SimTime::ZERO {
-            return 0.0;
-        }
-        self.bytes_sent as f64 * 8.0 / window.as_secs_f64() / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -423,14 +357,13 @@ mod tests {
 
     #[test]
     fn accounting() {
+        let reg = Registry::new();
         let mut n = NetModel::new(2, 10.0);
+        n.attach_obs(&reg);
         deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000));
         deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000));
-        assert_eq!(n.packets_sent(), 2);
-        assert_eq!(n.bytes_sent(), 2 * 1024);
-        let g = n.offered_gbps(SimTime::from_us(2));
-        // 2048B*8 over 2us = 8.192 Gbps.
-        assert!((g - 8.192).abs() < 0.01, "g={g}");
+        assert_eq!(reg.counter("net.packets").get(), 2);
+        assert_eq!(reg.counter("net.bytes").get(), 2 * 1024);
     }
 
     #[test]
@@ -520,7 +453,9 @@ mod tests {
 
     #[test]
     fn node_down_frames_leave_no_trace() {
+        let reg = Registry::new();
         let mut n = NetModel::new(2, 10.0);
+        n.attach_obs(&reg);
         n.set_fault_plan(FaultPlan::new(2).with_crash(1, SimTime::ZERO, SimTime::from_ms(1)));
         assert!(n.node_down(1, SimTime::ZERO));
         assert_eq!(n.down_until(1, SimTime::ZERO), Some(SimTime::from_ms(1)));
@@ -530,8 +465,8 @@ mod tests {
                 reason: DropReason::NodeDown
             }
         );
-        assert_eq!(n.packets_sent(), 0);
-        assert_eq!(n.bytes_sent(), 0);
+        assert_eq!(reg.counter("net.packets").get(), 0);
+        assert_eq!(reg.counter("net.bytes").get(), 0);
         // After restart, traffic flows again.
         let after = n.begin_transfer(SimTime::from_ms(1), &pkt(0, 1, 1500));
         assert!(matches!(after, TxPhase::Sent { .. }));
@@ -579,7 +514,7 @@ mod tests {
         deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000));
         deliver(&mut n, SimTime::ZERO, &pkt(0, 1, 1000)); // backs up on egress
         assert_eq!(reg.counter("net.packets").get(), 2);
-        assert_eq!(reg.counter("net.bytes").get(), n.bytes_sent());
+        assert_eq!(reg.counter("net.bytes").get(), 2 * 1024);
         let wait = reg.hist("net.tx_wait");
         assert_eq!(wait.count(), 2);
         assert!(wait.max() >= n.wire_time(1000), "second frame waited");
@@ -602,24 +537,5 @@ mod tests {
         );
         // A shard split that straddles a rack loses the bonus.
         assert_eq!(n.min_cross_latency(&[0, 1, 0, 1]).unwrap(), n.min_latency());
-    }
-
-    #[test]
-    fn audit_cross_checks_internal_and_registry_ledgers() {
-        let reg = Registry::new();
-        let mut n = NetModel::new(2, 10.0);
-        n.attach_obs(&reg);
-        n.set_fault_plan(FaultPlan::new(4).with_loss(0.5));
-        for i in 0..20 {
-            n.begin_transfer(SimTime::from_us(i), &pkt(0, 1, 512));
-        }
-        let mut r = AuditReport::new(SimTime::ZERO);
-        n.audit_into(&mut r);
-        r.assert_clean();
-        // Drift between the two ledger sides must be flagged.
-        reg.counter("net.packets").inc();
-        let mut r = AuditReport::new(SimTime::ZERO);
-        n.audit_into(&mut r);
-        assert!(!r.is_clean());
     }
 }

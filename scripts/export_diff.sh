@@ -3,12 +3,14 @@
 # scenarios` runs at smoke size under one seed,
 #   traceview --scenario S --smoke --seed N --out DIR
 # once with REF's build and once with the working tree's, and the two
-# metrics.jsonl files are compared line by line.
+# metrics.jsonl files are compared metric by metric.
 #   ./scripts/export_diff.sh [--ref REF] [seed]
 # REF (default HEAD~1) is unpacked with `git archive` into
 # target/export-diff/parent, as ab_pairs.sh does; the seed defaults to 7.
-# Prints per scenario the names of the metrics whose lines differ, and
-# exits 1 if any do.
+# Prints per scenario each metric line that differs, as `name node: parent
+# → change` (a histogram's value is its count and quantiles; "absent" when
+# one side lacks the line), then the names of trace records that differ;
+# exits 1 if anything differs. Needs python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage="usage: export_diff.sh [--ref REF] [seed]"
@@ -42,14 +44,35 @@ for scenario in $scenarios; do
             --out "$out/$side/$scenario" > /dev/null 2>&1 ||
             { echo "$side traceview failed on $scenario" >&2 && exit 2; }
     done
-    names=$(
-        { diff <(sort "$out/parent/$scenario/metrics.jsonl") \
-            <(sort "$out/change/$scenario/metrics.jsonl") || true; } |
-            sed -n 's/^[<>] .*"name":"\([^"]*\)".*/\1/p' | sort -u | tr '\n' ' '
+    report=$(python3 - "$out"/{parent,change}/"$scenario"/metrics.jsonl <<'EOF'
+import json, sys
+from collections import Counter
+
+def load(path):
+    metrics, records = {}, Counter()
+    for line in open(path):
+        rec = json.loads(line)
+        if rec["type"] not in ("counter", "gauge", "hist"):
+            records[line] += 1
+            continue
+        rest = " ".join(f"{k}={v}" for k, v in rec.items() if k not in ("type", "name", "node"))
+        metrics[rec["name"], rec["node"]] = rest.removeprefix("value=")
+    return metrics, records
+
+(parent, parent_records), (change, change_records) = map(load, sys.argv[1:])
+for key in sorted(parent.keys() | change.keys()):
+    old, new = parent.get(key, "absent"), change.get(key, "absent")
+    if old != new:
+        print(f"  {key[0]} {key[1]}: {old} → {new}")
+differ = (parent_records - change_records) + (change_records - parent_records)
+for name in sorted({json.loads(line).get("name", "meta") for line in differ}):
+    print(f"  {name}: trace records differ")
+EOF
     )
-    if [ -n "$names" ]; then
+    if [ -n "$report" ]; then
         moved=1
-        echo "$scenario: $names"
+        echo "$scenario:"
+        echo "$report"
     else
         echo "$scenario: identical"
     fi
