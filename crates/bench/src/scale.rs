@@ -147,7 +147,7 @@ pub struct ScaleStats {
 
 /// Build the spec's cluster: the keyspace scenarios run metrics-only (the
 /// per-shard trace ring would retain more records under sharding).
-pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
+pub fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
     Cluster::builder(CN2350)
         .servers(spec.servers)
         .clients(spec.clients)
@@ -158,7 +158,7 @@ pub(crate) fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
 }
 
 /// Deploy the spec's Paxos groups over its server nodes.
-pub(crate) fn deploy_keyspace(c: &mut Cluster, spec: &ScaleSpec) -> MultiRkv {
+pub fn deploy_keyspace(c: &mut Cluster, spec: &ScaleSpec) -> MultiRkv {
     deploy_multi_rkv(
         c,
         &MultiRkvCfg {

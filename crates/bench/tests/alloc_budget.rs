@@ -1,11 +1,12 @@
-//! Heap allocations per processed event on the request path, as a count.
+//! Heap allocations per processed event on the request path, as a count,
+//! and the bytes a cluster requests while it builds and deploys.
 //!
 //! Host time cannot be gated in CI (the box drifts by a third within an
 //! hour); allocation counts repeat exactly, so this is the guard that cannot
 //! flake. The one test stays alone in this file: the counting allocator is
 //! process-wide, and a second test thread would allocate into the count.
 
-use ipipe_bench::scale::{run_rkv_scale, ScaleSpec};
+use ipipe_bench::scale::{build_keyspace_cluster, deploy_keyspace, run_rkv_scale, ScaleSpec};
 use ipipe_bench::sharded::{build_grid, GridSpec};
 use ipipe_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,12 +15,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // Statistics only: no other data is published through these, so `Relaxed`.
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
-fn note() {
+/// One allocation of `bytes` (a `realloc` counts its new size).
+fn note(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -30,19 +34,19 @@ fn note() {
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System` underneath,
         // with this `layout`; both are passed through as received.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -57,16 +61,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` with the counter on; the allocations it made.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+/// Run `f` with the counters on; the allocations it made and the bytes they
+/// requested.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     COUNTING.store(true, Ordering::Relaxed);
     let out = f();
     COUNTING.store(false, Ordering::Relaxed);
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (
+        ALLOCS.load(Ordering::Relaxed) - allocs,
+        BYTES.load(Ordering::Relaxed) - bytes,
+        out,
+    )
 }
 
-/// Build, deploy, run and drain the smoke-size planetary scenario: at most
+/// Build and deploy the smoke-size planetary scenario: at most 768 KiB
+/// requested. 13,304,096 bytes while every DMO object was zero-filled at
+/// `malloc`, 12 MiB of it the 48 replicas' never-read 256 KiB log windows;
+/// 721,184 since an object's bytes wait for its first access.
+///
+/// Build, deploy, run and drain the same scenario: at most
 /// 0.95 allocations per event. 1.88 before the DMO table stopped copying keys
 /// through the heap at every skip-list hop (46,505 over 24,764 events), 1.09
 /// after, 1.07 (26,473) with events and pooled frames in slabs — 17 more
@@ -85,7 +102,18 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// so it is not done.
 #[test]
 fn smoke_runs_stay_within_their_allocation_budgets() {
-    let (allocs, (stats, _cluster)) = allocations_in(|| run_rkv_scale(&ScaleSpec::smoke(7, 1)));
+    let spec = ScaleSpec::smoke(7, 1);
+    let (_, bytes, _deployed) = allocations_in(|| {
+        let mut c = build_keyspace_cluster(&spec);
+        let dep = deploy_keyspace(&mut c, &spec);
+        (c, dep)
+    });
+    assert!(
+        bytes <= 768 << 10,
+        "building and deploying requested {bytes} bytes"
+    );
+
+    let (allocs, _, (stats, _cluster)) = allocations_in(|| run_rkv_scale(&spec));
     assert!(stats.events > 10_000, "{stats:?}");
     let per_event = allocs as f64 / stats.events as f64;
     assert!(
@@ -95,7 +123,7 @@ fn smoke_runs_stay_within_their_allocation_budgets() {
     );
 
     let mut pod = build_grid(&GridSpec::fig16(7, 2));
-    let (allocs, ()) = allocations_in(|| pod.run_for(SimTime::from_ms(5)));
+    let (allocs, _, ()) = allocations_in(|| pod.run_for(SimTime::from_ms(5)));
     let events = pod.epoch_stats().events;
     assert!(events > 5_000, "{events} events");
     let per_event = allocs as f64 / events as f64;

@@ -11,6 +11,11 @@
 //! allocations beyond it fail, and any access to an object the actor does
 //! not own traps ([`DmoError::Protection`] — the software-managed-TLB trap
 //! on the LiquidIO firmware).
+//!
+//! An object's size is fixed at `malloc`, and sizes alone drive region
+//! accounting and migration's byte count. Its bytes are allocated, zeroed, at
+//! its first access, so an object nobody reads or writes costs the host no
+//! memory.
 
 use crate::actor::ActorId;
 use ipipe_sim::{IdMap, SimTime};
@@ -70,7 +75,9 @@ pub enum DmoError {
 struct DmoEntry {
     owner: ActorId,
     side: Side,
-    data: Vec<u8>,
+    size: u64,
+    /// Empty until the first access, then `size` bytes.
+    data: Box<[u8]>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -145,10 +152,11 @@ impl DmoTable {
             .regions
             .get_mut(&actor)
             .ok_or(DmoError::OutOfMemory { actor })?;
-        if region.used + size > region.capacity {
-            return Err(DmoError::OutOfMemory { actor });
-        }
-        region.used += size;
+        region.used = region
+            .used
+            .checked_add(size)
+            .filter(|&used| used <= region.capacity)
+            .ok_or(DmoError::OutOfMemory { actor })?;
         let id = self.next_id;
         self.next_id += 1;
         self.objects.insert(
@@ -156,7 +164,8 @@ impl DmoTable {
             DmoEntry {
                 owner: actor,
                 side: self.default_side,
-                data: vec![0; size as usize],
+                size,
+                data: Box::default(),
             },
         );
         Ok(ObjectId(id))
@@ -170,7 +179,7 @@ impl DmoTable {
         if slot.get().owner != actor {
             return Err(DmoError::Protection { actor, object: obj });
         }
-        let freed = slot.remove().data.len() as u64;
+        let freed = slot.remove().size;
         if let Some(r) = self.regions.get_mut(&actor) {
             r.used = r.used.saturating_sub(freed);
         }
@@ -180,7 +189,8 @@ impl DmoTable {
     /// The `len` bytes at `offset` of an object `actor` owns, charged as one
     /// access: one *modelled* lookup once the object is found (so never on
     /// `NoSuchObject`/`Protection`), then `len` bytes if the range fits. The
-    /// host-side table is probed once, whatever the model charges.
+    /// host-side table is probed once, whatever the model charges. The first
+    /// access that fits allocates the object's bytes.
     fn access(
         &mut self,
         actor: ActorId,
@@ -190,15 +200,18 @@ impl DmoTable {
     ) -> Result<&mut [u8], DmoError> {
         let entry = owned(self.objects.get_mut(&obj.0), actor, obj)?;
         self.traffic.lookups += 1;
-        let end = offset + len;
-        if end > entry.data.len() as u64 {
-            return Err(DmoError::OutOfBounds {
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= entry.size)
+            .ok_or(DmoError::OutOfBounds {
                 object: obj,
                 offset,
                 len,
-            });
-        }
+            })?;
         self.traffic.bytes += len;
+        if entry.data.is_empty() {
+            entry.data = vec![0; entry.size as usize].into();
+        }
         Ok(&mut entry.data[offset as usize..end as usize])
     }
 
@@ -268,7 +281,7 @@ impl DmoTable {
 
     /// Size of an object.
     pub fn size_of(&self, actor: ActorId, obj: ObjectId) -> Result<u64, DmoError> {
-        owned(self.objects.get(&obj.0), actor, obj).map(|e| e.data.len() as u64)
+        owned(self.objects.get(&obj.0), actor, obj).map(|e| e.size)
     }
 
     /// Which side an object currently lives on.
@@ -283,7 +296,7 @@ impl DmoTable {
             .objects
             .iter()
             .filter(|(_, e)| e.owner == actor)
-            .map(|(&id, e)| (ObjectId(id), e.data.len() as u64))
+            .map(|(&id, e)| (ObjectId(id), e.size))
             .collect();
         v.sort();
         v
@@ -294,7 +307,7 @@ impl DmoTable {
         self.objects
             .values()
             .filter(|e| e.owner == actor)
-            .map(|e| e.data.len() as u64)
+            .map(|e| e.size)
             .sum()
     }
 
@@ -306,7 +319,7 @@ impl DmoTable {
         for e in self.objects.values_mut() {
             if e.owner == actor && e.side != to {
                 e.side = to;
-                moved += e.data.len() as u64;
+                moved += e.size;
             }
         }
         moved
@@ -452,6 +465,85 @@ mod tests {
     }
 
     #[test]
+    fn malloc_rejects_a_size_that_wraps_the_region() {
+        let mut t = table_with(1, 4096);
+        t.malloc(1, 64).unwrap();
+        assert_eq!(
+            t.malloc(1, u64::MAX - 10),
+            Err(DmoError::OutOfMemory { actor: 1 })
+        );
+        assert_eq!(t.region_usage(1), Some((64, 4096)));
+        assert!(t.malloc(1, 4096 - 64).is_ok());
+    }
+
+    #[test]
+    fn an_access_whose_end_wraps_is_out_of_bounds() {
+        let mut t = table_with(1, 4096);
+        let o = t.malloc(1, 64).unwrap();
+        let oob = |offset, len| DmoError::OutOfBounds {
+            object: o,
+            offset,
+            len,
+        };
+        let one_lookup = DmoTraffic {
+            lookups: 1,
+            bytes: 0,
+        };
+        assert_eq!(t.read(1, o, u64::MAX, 2).unwrap_err(), oob(u64::MAX, 2));
+        assert_eq!(t.take_traffic(), one_lookup);
+        assert_eq!(
+            t.write(1, o, u64::MAX - 1, b"abc").unwrap_err(),
+            oob(u64::MAX - 1, 3)
+        );
+        assert_eq!(t.take_traffic(), one_lookup);
+        assert_eq!(
+            t.memset(1, o, 8, 0, u64::MAX - 4).unwrap_err(),
+            oob(8, u64::MAX - 4)
+        );
+        assert_eq!(t.take_traffic(), one_lookup);
+        assert_eq!(
+            t.memcpy(1, o, u64::MAX, o, 0, 1).unwrap_err(),
+            oob(u64::MAX, 1)
+        );
+        assert_eq!(t.take_traffic(), one_lookup);
+        assert_eq!(
+            t.memmove(1, o, u64::MAX - 2, 0, 4).unwrap_err(),
+            oob(u64::MAX - 2, 4)
+        );
+        assert_eq!(t.take_traffic(), one_lookup);
+    }
+
+    #[test]
+    fn untouched_objects_count_their_full_size() {
+        const SIZE: u64 = 256 << 10;
+        let mut t = table_with(1, 1 << 20);
+        let a = t.malloc(1, SIZE).unwrap();
+        let b = t.malloc(1, SIZE).unwrap();
+        // Neither object holds host memory, yet both count in full.
+        assert!(t.objects[&a.0].data.is_empty() && t.objects[&b.0].data.is_empty());
+        assert_eq!(t.size_of(1, a), Ok(SIZE));
+        assert_eq!(t.region_usage(1), Some((2 * SIZE, 1 << 20)));
+        assert_eq!(t.objects_of(1), vec![(a, SIZE), (b, SIZE)]);
+        assert_eq!(t.actor_state_bytes(1), 2 * SIZE);
+        assert_eq!(t.migrate_actor(1, Side::Host), 2 * SIZE);
+        t.free(1, b).unwrap();
+        assert_eq!(t.region_usage(1), Some((SIZE, 1 << 20)));
+        assert_eq!(t.take_traffic(), DmoTraffic::default());
+        // The first read sees zeros and is charged like any other.
+        assert_eq!(t.read(1, a, SIZE - 16, 16).unwrap(), &[0; 16]);
+        assert_eq!(
+            t.take_traffic(),
+            DmoTraffic {
+                lookups: 1,
+                bytes: 16
+            }
+        );
+        assert_eq!(t.objects[&a.0].data.len() as u64, SIZE);
+        assert_eq!(t.size_of(1, a), Ok(SIZE));
+        assert_eq!(t.actor_state_bytes(1), SIZE);
+    }
+
+    #[test]
     fn unregistered_actor_cannot_allocate() {
         let mut t = DmoTable::new(Side::Nic);
         assert_eq!(t.malloc(9, 64), Err(DmoError::OutOfMemory { actor: 9 }));
@@ -591,15 +683,18 @@ mod tests {
             self.owned(actor, obj)?;
             self.traffic.lookups += 1;
             let data = &mut self.objects.get_mut(&obj.0).unwrap().1;
-            if offset + len > data.len() as u64 {
-                return Err(DmoError::OutOfBounds {
-                    object: obj,
-                    offset,
-                    len,
-                });
-            }
+            let end = match offset.checked_add(len) {
+                Some(end) if end <= data.len() as u64 => end,
+                _ => {
+                    return Err(DmoError::OutOfBounds {
+                        object: obj,
+                        offset,
+                        len,
+                    })
+                }
+            };
             self.traffic.bytes += len;
-            Ok(&mut data[offset as usize..(offset + len) as usize])
+            Ok(&mut data[offset as usize..end as usize])
         }
 
         fn malloc(&mut self, actor: ActorId, size: u64) -> Result<ObjectId, DmoError> {
@@ -607,10 +702,10 @@ mod tests {
                 .used
                 .get_mut(&actor)
                 .ok_or(DmoError::OutOfMemory { actor })?;
-            if *used + size > self.capacity {
-                return Err(DmoError::OutOfMemory { actor });
+            match used.checked_add(size) {
+                Some(sum) if sum <= self.capacity => *used = sum,
+                _ => return Err(DmoError::OutOfMemory { actor }),
             }
-            *used += size;
             let id = self.next_id;
             self.next_id += 1;
             self.objects.insert(id, (actor, vec![0; size as usize]));
@@ -627,6 +722,14 @@ mod tests {
         fn size_of(&self, actor: ActorId, obj: ObjectId) -> Result<u64, DmoError> {
             self.owned(actor, obj)?;
             Ok(self.objects[&obj.0].1.len() as u64)
+        }
+
+        fn objects_of(&self, actor: ActorId) -> Vec<(ObjectId, u64)> {
+            self.objects
+                .iter()
+                .filter(|(_, (owner, _))| *owner == actor)
+                .map(|(&id, (_, data))| (ObjectId(id), data.len() as u64))
+                .collect()
         }
     }
 
@@ -647,19 +750,33 @@ mod tests {
         let mut errors = [0u32; 4];
         for step in 0..20_000u32 {
             // Actor 3 has no region; ids range over null, freed, live and
-            // never-allocated objects; offsets and lengths overshoot often.
+            // never-allocated objects; offsets and lengths overshoot often,
+            // and an offset near `u64::MAX` wraps `offset + len`.
             let actors = if rng.chance(0.02) { 3 } else { 2 };
             let actor = 1 + rng.below(actors) as ActorId;
             let obj = ObjectId(rng.below(m.next_id + 2));
             let other = ObjectId(rng.below(m.next_id + 2));
-            let (off, len) = (rng.below(72), rng.below(72));
+            let mut offset = || {
+                if rng.chance(0.05) {
+                    u64::MAX - rng.below(72)
+                } else {
+                    rng.below(72)
+                }
+            };
+            let (off, dst_off) = (offset(), offset());
+            let len = rng.below(72);
             let fill = rng.below(256) as u8;
             // Every result is compared as bytes: ids and sizes little-endian,
             // unit results empty.
             let done = |()| Vec::new();
             let (got, want) = match rng.below(8) {
                 0 | 1 => {
-                    let size = 1 + rng.below(64);
+                    // Now and then a size that wraps the region's `used`.
+                    let size = if rng.chance(0.05) {
+                        u64::MAX - rng.below(CAP)
+                    } else {
+                        1 + rng.below(64)
+                    };
                     let id = |o: ObjectId| o.0.to_le_bytes().to_vec();
                     (t.malloc(actor, size).map(id), m.malloc(actor, size).map(id))
                 }
@@ -684,7 +801,6 @@ mod tests {
                         .map(done),
                 ),
                 6 => {
-                    let dst_off = rng.below(72);
                     let src = m.access(actor, obj, off, len).map(|b| b.to_vec());
                     (
                         t.memcpy(actor, obj, off, other, dst_off, len).map(done),
@@ -709,6 +825,14 @@ mod tests {
                 std::mem::take(&mut m.traffic),
                 "step {step}: {got:?}"
             );
+            for actor in [1, 2, 3] {
+                let used = m.used.get(&actor).map(|&used| (used, CAP));
+                assert_eq!(t.region_usage(actor), used, "step {step}");
+                let want = m.objects_of(actor);
+                let bytes: u64 = want.iter().map(|&(_, size)| size).sum();
+                assert_eq!(t.objects_of(actor), want, "step {step}");
+                assert_eq!(t.actor_state_bytes(actor), bytes, "step {step}");
+            }
             match got {
                 Err(DmoError::OutOfMemory { .. }) => errors[0] += 1,
                 Err(DmoError::Protection { .. }) => errors[1] += 1,
@@ -719,16 +843,6 @@ mod tests {
         }
         // Every error path was taken often enough to mean something.
         assert!(errors.iter().all(|&n| n > 100), "{errors:?}");
-        for actor in [1, 2] {
-            assert_eq!(t.region_usage(actor), Some((m.used[&actor], CAP)));
-            let want: Vec<_> = m
-                .objects
-                .iter()
-                .filter(|(_, (owner, _))| *owner == actor)
-                .map(|(&id, (_, data))| (ObjectId(id), data.len() as u64))
-                .collect();
-            assert_eq!(t.objects_of(actor), want);
-        }
     }
 
     #[test]

@@ -7,9 +7,13 @@
 # The change is this working tree; the parent is REF (default HEAD~1),
 # unpacked with `git archive` into target/ab/parent — no worktree is
 # registered, so nothing is left in .git. Pair i runs seed i mod the list
-# (default 7 11 13). Prints every run, then per metric each side's quartiles
-# and the change's wins, and whether sim_goodput_rps / attempted / failed /
-# correct matched in every pair. Exits 1 when they did not. Needs python3.
+# (default 7 11 13). First, for each distinct seed the pairs use, prints both
+# sides' export digests, from
+#   ipipe-benchmark --child rep --workload W --seed S --scale 0.0833333
+# Then prints every run, per metric each side's quartiles and the change's
+# wins, and whether sim_goodput_rps / attempted / failed / correct matched in
+# every pair. Exits 1 when they did not, or when a digest differed. Needs
+# python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage="usage: ab_pairs.sh <workload> [--pairs N] [--seconds S] [--ref REF] [seed ...]"
@@ -34,6 +38,24 @@ git archive "$ref" | tar -x -C "$parent"
 for side in "$parent" .; do
     cargo build --release --offline --quiet \
         --manifest-path "$side/benchmark/Cargo.toml" --target-dir "$side/benchmark/target"
+done
+
+digest() { # <side dir> <seed>
+    "$1/benchmark/target/release/ipipe-benchmark" --child rep --workload "$workload" \
+        --seed "$2" --scale 0.0833333 | sed -n 's/^digest //p'
+}
+digests_moved=0 seen=" "
+for ((i = 0; i < pairs && i < ${#seeds[@]}; i++)); do
+    seed=${seeds[i]}
+    [[ $seen == *" $seed "* ]] && continue
+    seen+="$seed "
+    a=$(digest "$parent" "$seed") b=$(digest . "$seed")
+    if [[ -n $a && $a == "$b" ]]; then
+        echo "seed $seed export digest: parent $a, change $b"
+    else
+        echo "seed $seed export digest: parent $a, change $b -- DIFFERENT"
+        digests_moved=1
+    fi
 done
 
 runs=target/ab/runs.jsonl
@@ -95,3 +117,8 @@ if moved or not all(simulated(r)[0] for r in runs):
     sys.exit("simulated results moved, or a run was incorrect")
 print("  correct / attempted / failed / sim_goodput_rps: identical in every pair")
 EOF
+
+if ((digests_moved)); then
+    echo "export digests differ between the sides" >&2
+    exit 1
+fi
