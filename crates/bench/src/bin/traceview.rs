@@ -10,6 +10,9 @@
 //! scheduler cell. Scenarios run at their full size — the one
 //! `figures scenarios` reports — unless `--smoke` asks for the CI size.
 //!
+//! The counter table lists each counter per node, then its cluster-wide
+//! total as node `all`.
+//!
 //! With `--out DIR` the run's metrics (`metrics.jsonl`) and Chrome trace
 //! (`chrome.json`, openable in Perfetto / `chrome://tracing`) are written
 //! there. Both files are byte-identical across same-seed runs —
@@ -136,14 +139,26 @@ fn main() {
         Some(c) => c.snapshot(),
         None => obs.snapshot(),
     };
-    let rows = snap
-        .counters
-        .iter()
-        .map(|((name, node), v)| vec![text(name), num(f64::from(*node), 0), num(*v as f64, 0)]);
+    // Each counter's per-node rows, then its cluster-wide total (node `all`).
+    let mut rows = Vec::new();
+    let mut total = 0;
+    let mut counters = snap.counters.iter().peekable();
+    while let Some(((name, node), v)) = counters.next() {
+        rows.push(vec![
+            text(name),
+            num(f64::from(*node), 0),
+            num(*v as f64, 0),
+        ]);
+        total += v;
+        if counters.peek().is_none_or(|((next, _), _)| next != name) {
+            rows.push(vec![text(name), text("all"), num(total as f64, 0)]);
+            total = 0;
+        }
+    }
     let counters = Table::new(
         format!("counters — {} seed {}", opts.scenario, opts.seed),
         ["name", "node", "value"],
-        rows.collect(),
+        rows,
     );
     let rows = snap.hists.iter().filter(|(_, h)| h.count() > 0);
     let rows = rows.map(|((name, node), h)| {

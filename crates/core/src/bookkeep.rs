@@ -9,6 +9,7 @@
 //!
 //! These live in the SmartNIC's scratchpad in the real system (§3.3); here
 //! they are plain structs owned by the runtime.
+#![deny(clippy::cast_possible_truncation)]
 
 use ipipe_sim::{Ewma, SimTime, TailEstimator};
 
@@ -75,6 +76,9 @@ impl ActorStats {
     }
 
     /// EWMA of pure execution latency — ALG 2's `actor.exe_lat`.
+    // Saturating is the meaning: `as` drops the fraction of an average of
+    // u64 nanosecond counts, which cannot exceed u64::MAX.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn exec_latency(&self) -> SimTime {
         SimTime::from_ns(self.exec.get_or(0.0).max(0.0) as u64)
     }
@@ -96,6 +100,9 @@ impl ActorStats {
     }
 
     /// EWMA mean request size, bytes.
+    // Saturating is the meaning: `as` drops the fraction of an average of
+    // u32 wire sizes, which cannot exceed u32::MAX.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn mean_request_size(&self) -> u32 {
         self.req_size.get_or(64.0).max(1.0) as u32
     }

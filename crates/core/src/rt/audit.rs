@@ -266,7 +266,7 @@ impl ShardState {
                 );
                 // Phase 2 parked the mailbox, and a `Migrating` actor
                 // receives no mail.
-                let mail = n.sched.actor(m.actor).map_or(0, |a| a.mailbox.len());
+                let mail = n.sched.actor(m.actor).map_or(0, |a| a.mailbox_len());
                 r.check("migrate.mailbox", node, m.phase < 2 || mail == 0, || {
                     format!(
                         "actor {} in phase {} has {mail} requests in its mailbox",

@@ -124,9 +124,8 @@ impl ShardState {
             .expect("host core was busy");
         // Host completions also update the shared actor statistics so the
         // NIC's pull decisions see host-side behaviour.
-        if let Some(a) = n.sched.actor_mut(inflight.actor) {
-            a.stats.on_complete(now.saturating_sub(inflight.arrived));
-        }
+        n.sched
+            .on_host_complete(inflight.actor, now.saturating_sub(inflight.arrived));
         let via_nic = self.mode == RuntimeMode::IPipe;
         self.route_emits(now, node, inflight.emits, !via_nic);
         self.start_host_work(now, node, core);

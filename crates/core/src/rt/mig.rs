@@ -55,7 +55,7 @@ impl ShardState {
                 let mean = n
                     .sched
                     .actor(actor)
-                    .map(|a| a.stats.mean())
+                    .map(|a| a.stats().mean())
                     .unwrap_or(SimTime::ZERO);
                 let queued = n.sched.park_mailbox();
                 Migration::phase2_duration(queued, mean)

@@ -158,7 +158,7 @@ impl ShardState {
         n.sched
             .register(id, 512, if on_host { Loc::Host } else { Loc::Nic });
         if pinned || host_only {
-            n.sched.actor_mut(id).expect("registered").pinned = true;
+            n.sched.pin(id);
         }
         n.actors.insert(
             id,

@@ -17,13 +17,19 @@
 //! * Cores **auto-scale** between the FCFS and DRR groups based on group
 //!   utilization (§3.2.4).
 //!
+//! The scheduler is a state machine: the runtime (or a test) feeds it
+//! arrivals and completions. ALG 1/2's decisions are one pure function,
+//! [`decide`], over a [`Snapshot`] that borrows the scheduler's tables: each
+//! completion updates the statistics, builds the snapshot and applies the
+//! [`Decision`], the regroup first. The management core, the only one that
+//! runs ALG 1's push and pull, is the first core that executes: core 1
+//! under [`OffPathDispatch::IoKernel`], whose core 0 only dispatches.
+//!
 //! The scheduler owns every migration decision (one at a time, none within
 //! [`MIGRATION_COOLDOWN`] of the last one's end) and holds the one
 //! [`Migration`] in flight, parked requests included; the runtime carries
 //! out each [`Action`], walking the migration through its phases.
-//!
-//! The scheduler is a pure state machine: the runtime (or a test) feeds it
-//! arrivals and completions and executes the [`Action`]s it returns.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::actor::{ActorId, Request};
 use crate::bookkeep::{ActorStats, CoreUtil};
@@ -225,24 +231,37 @@ pub enum CoreMode {
 }
 
 /// Per-actor scheduling state.
+#[derive(Debug)]
 pub struct ActorSched {
     /// The DRR mailbox (§3.1): the actor's dispatched requests, oldest
     /// first. Its length feeds the `Q_thresh` push trigger (ALG 2).
-    pub mailbox: VecDeque<Request>,
+    mailbox: VecDeque<Request>,
     /// Execution statistics (§3.2.3).
-    pub stats: ActorStats,
+    stats: ActorStats,
     /// True when the actor has been downgraded to DRR service.
-    pub is_drr: bool,
+    is_drr: bool,
     /// Current location.
-    pub loc: Loc,
+    loc: Loc,
     /// DRR deficit counter, nanoseconds.
-    pub deficit: f64,
+    deficit: f64,
     /// Mean request size hint used for the quantum before stats warm up.
-    pub size_hint: u32,
+    size_hint: u32,
     /// Last FCFS<->DRR regroup, for hysteresis.
-    pub last_regroup: SimTime,
+    last_regroup: SimTime,
     /// Never leaves the host (storage-touching actors): ALG 1 never pulls it.
-    pub pinned: bool,
+    pinned: bool,
+}
+
+impl ActorSched {
+    /// Requests waiting in the actor's DRR mailbox.
+    pub fn mailbox_len(&self) -> usize {
+        self.mailbox.len()
+    }
+
+    /// Execution statistics (§3.2.3).
+    pub fn stats(&self) -> &ActorStats {
+        &self.stats
+    }
 }
 
 /// What a core should do next.
@@ -262,6 +281,42 @@ pub enum Action {
     PullMigrate(ActorId),
 }
 
+/// What ALG 1/2 read when `core` completes `actor`'s request at `now`,
+/// borrowed from the scheduler: [`decide`]'s one input.
+#[derive(Debug, Clone, Copy)]
+pub struct Snapshot<'a> {
+    pub now: SimTime,
+    pub core: u32,
+    pub actor: ActorId,
+    /// The core that runs ALG 1's push and pull: the first that executes.
+    pub management_core: u32,
+    /// Thresholds, α, `Q_thresh`, discipline and the migration switch.
+    pub cfg: &'a SchedConfig,
+    /// The card's cores: a pulled actor's load must fit 0.3 of them.
+    pub cores: u32,
+    /// The FCFS group's `T_mean` and `T_tail`; `None` before it completes.
+    pub fcfs: Option<(SimTime, SimTime)>,
+    /// The FCFS group's last completion: idle for over 1 ms, its tail reads 0.
+    pub fcfs_last: SimTime,
+    /// A migration is in flight.
+    pub in_flight: bool,
+    /// No push or pull begins before this instant.
+    pub cooldown_until: SimTime,
+    /// Every registered actor's scheduling state.
+    pub actors: &'a IdMap<ActorId, ActorSched>,
+    /// The DRR runnable queue, in scan order.
+    pub drr_runnable: &'a VecDeque<ActorId>,
+}
+
+/// What one completion changes: at most one regroup and one migration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Decision {
+    /// Move this actor to this group (a downgrade or upgrade), first.
+    pub regroup: Option<(ActorId, CoreMode)>,
+    /// The push or pull to begin.
+    pub migrate: Option<Action>,
+}
+
 /// The NIC-side scheduler.
 pub struct NicScheduler {
     cfg: SchedConfig,
@@ -277,7 +332,7 @@ pub struct NicScheduler {
     actors: IdMap<ActorId, ActorSched>,
     /// FCFS group sojourn statistics: the `T_mean` and `T_tail` of ALG 1.
     fcfs_group: TailEstimator,
-    /// Core modes; core 0 is the management core and always FCFS.
+    /// Core modes; core 0 always stays FCFS.
     modes: Vec<CoreMode>,
     util: Vec<CoreUtil>,
     /// Deferred actions for the runtime to drain.
@@ -354,6 +409,18 @@ impl NicScheduler {
         );
     }
 
+    /// Keep `actor` on the host for good: ALG 1 never pulls it.
+    pub fn pin(&mut self, actor: ActorId) {
+        self.actors.get_mut(&actor).expect("registered").pinned = true;
+    }
+
+    /// A host core ran `actor`'s request in `latency`: ALG 1's pull reads it.
+    pub fn on_host_complete(&mut self, actor: ActorId, latency: SimTime) {
+        if let Some(a) = self.actors.get_mut(&actor) {
+            a.stats.on_complete(latency);
+        }
+    }
+
     /// Deregister (DoS kill or teardown). Every request still queued for
     /// the actor — in its mailbox or in the shared queue — is discarded
     /// work and must be counted as dropped, or the arrivals conservation
@@ -370,9 +437,8 @@ impl NicScheduler {
         }
         let before = self.fcfs_queue.len();
         self.fcfs_queue.retain(|r| r.actor != actor);
-        self.metrics
-            .dropped
-            .add((before - self.fcfs_queue.len()) as u64);
+        let dropped = before - self.fcfs_queue.len();
+        self.metrics.dropped.add(dropped as u64);
         self.metrics.fcfs_depth.set(self.fcfs_queue.len() as i64);
     }
 
@@ -389,12 +455,7 @@ impl NicScheduler {
         let before = self.drr_runnable.len();
         self.drr_runnable.retain(|&x| x != actor);
         if self.drr_runnable.len() != before {
-            let queued = self
-                .actors
-                .get(&actor)
-                .map(|a| a.mailbox.len())
-                .unwrap_or(0);
-            self.drr_backlog -= queued;
+            self.drr_backlog -= self.actors.get(&actor).map_or(0, |a| a.mailbox.len());
         }
     }
 
@@ -426,11 +487,6 @@ impl NicScheduler {
         self.actors.get(&actor).map(|a| a.loc)
     }
 
-    /// The actor mid-migration, if any.
-    pub fn migrating(&self) -> Option<ActorId> {
-        self.migration.as_ref().map(|m| m.actor)
-    }
-
     /// The migration in flight, if any.
     pub fn migration(&self) -> Option<&Migration> {
         self.migration.as_ref()
@@ -439,24 +495,6 @@ impl NicScheduler {
     /// The migration in flight, for the runtime to advance its phases.
     pub(crate) fn migration_mut(&mut self) -> Option<&mut Migration> {
         self.migration.as_mut()
-    }
-
-    /// Begin a push or pull at `now`, count it and queue it for the
-    /// runtime. A pull victim turns `Migrating` only when the runtime takes
-    /// the command.
-    fn begin(&mut self, now: SimTime, action: Action) {
-        match action {
-            Action::PushMigrate(actor) => {
-                self.metrics.migrate_push.inc();
-                let begun = self.force_push(now, actor);
-                debug_assert!(begun, "ALG 1 pushes only an actor on the NIC");
-            }
-            Action::PullMigrate(actor) => {
-                self.metrics.migrate_pull.inc();
-                self.migration = Some(Migration::start(actor, MigrationDir::Pull, now));
-            }
-        }
-        self.pending.push(action);
     }
 
     /// Begin a forced push of `actor` at `now` (Fig 18, the rebalancer, a
@@ -532,8 +570,9 @@ impl NicScheduler {
 
     /// Number of cores currently in each mode: (fcfs, drr).
     pub fn core_split(&self) -> (u32, u32) {
-        let drr = self.modes.iter().filter(|&&m| m == CoreMode::Drr).count() as u32;
-        (self.modes.len() as u32 - drr, drr)
+        let drr = self.modes.iter().filter(|&&m| m == CoreMode::Drr).count();
+        let drr = u32::try_from(drr).expect("one mode per core, and `spec.cores` is a u32");
+        (self.spec.cores - drr, drr)
     }
 
     /// DRR quantum for an actor: the maximum tolerated forwarding latency
@@ -665,9 +704,8 @@ impl NicScheduler {
         // all mailboxes empty (a zero backlog) the core goes idle.
         if self.drr_backlog == 0 {
             // ALG 2 line 16 for everyone: empty mailboxes zero the deficit.
-            for i in 0..self.drr_runnable.len() {
-                let id = self.drr_runnable[i];
-                if let Some(a) = self.actors.get_mut(&id) {
+            for id in &self.drr_runnable {
+                if let Some(a) = self.actors.get_mut(id) {
                     a.deficit = 0.0;
                 }
             }
@@ -688,14 +726,8 @@ impl NicScheduler {
         for _ in 0..self.drr_runnable.len() {
             let actor_id = *self.drr_runnable.front().expect("non-empty loop");
             self.drr_runnable.rotate_left(1);
-            let quantum = {
-                let a = &self.actors[&actor_id];
-                if a.mailbox.is_empty() {
-                    None
-                } else {
-                    Some(self.quantum(a))
-                }
-            };
+            let a = &self.actors[&actor_id];
+            let quantum = (!a.mailbox.is_empty()).then(|| self.quantum(a));
             let a = self.actors.get_mut(&actor_id).expect("registered");
             match quantum {
                 None => {
@@ -732,10 +764,10 @@ impl NicScheduler {
         busy: SimTime,
     ) {
         self.util[core as usize].on_busy(now, busy);
-        let was_drr = self.is_drr(actor);
-        if let Some(a) = self.actors.get_mut(&actor) {
+        let was_drr = self.actors.get_mut(&actor).is_some_and(|a| {
             a.stats.on_complete_busy(sojourn, busy);
-        }
+            a.is_drr
+        });
         // Group stats track operations served by the FCFS cores.
         if !was_drr {
             self.fcfs_group.observe(sojourn);
@@ -746,175 +778,60 @@ impl NicScheduler {
         }
         self.metrics.drr_backlog_gauge.set(self.drr_backlog as i64);
 
-        if self.cfg.discipline == Discipline::Hybrid {
-            self.evaluate_regrouping(now);
-        }
-        // One migration in flight at a time keeps the mechanism stable and
-        // matches the dedicated-management-core design (§3.2.2).
-        if self.cfg.migration && self.migration.is_none() && now >= self.cooldown_until {
-            if core == 0 {
-                self.evaluate_migration(now);
-            }
-            // ALG 2 line 18: a DRR actor with an overlong mailbox is pushed.
-            let q_thresh = self.cfg.q_thresh;
-            let overlong =
-                |a: &ActorSched| a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > q_thresh;
-            let free = was_drr && self.migration.is_none();
-            if free && self.actors.get(&actor).is_some_and(overlong) {
-                self.begin(now, Action::PushMigrate(actor));
-            }
-        }
+        self.apply(now, decide(&self.snapshot(now, core, actor)));
         if self.cfg.discipline == Discipline::Hybrid {
             self.rebalance_cores(now);
         }
     }
 
-    /// ALG 1 lines 13–16 and ALG 2 lines 10–12.
-    fn evaluate_regrouping(&mut self, now: SimTime) {
-        if !self.fcfs_group.observed() {
-            return;
+    /// What ALG 1/2 read when `core` has just completed `actor`'s request.
+    pub fn snapshot(&self, now: SimTime, core: u32, actor: ActorId) -> Snapshot<'_> {
+        let g = &self.fcfs_group;
+        Snapshot {
+            now,
+            cfg: &self.cfg,
+            cores: self.spec.cores,
+            core,
+            management_core: u32::from(self.is_dispatcher(0)),
+            actor,
+            fcfs: g.observed().then(|| (g.mean(), g.tail())),
+            fcfs_last: self.last_fcfs_obs,
+            in_flight: self.migration.is_some(),
+            cooldown_until: self.cooldown_until,
+            actors: &self.actors,
+            drr_runnable: &self.drr_runnable,
         }
-        // When the FCFS cores have been idle for a while (everything went
-        // DRR), the stale tail estimate must not pin actors in DRR forever:
-        // treat the tail as decayed so upgrades can proceed.
-        let fcfs_idle = now.saturating_sub(self.last_fcfs_obs) > SimTime::from_ms(1);
-        let tail = if fcfs_idle {
-            SimTime::ZERO
-        } else {
-            self.fcfs_group.tail()
-        };
-        // Both branches test the cheap per-actor predicates first and pay
-        // for the median scan only once some candidate has passed them: this
-        // runs on every completion and almost never finds one.
-        if tail > self.cfg.tail_thresh {
-            // Downgrade the FCFS actor with the highest dispersion — but
-            // only when that actor genuinely stands out. When every actor
-            // looks alike (a homogeneous overload), moving one to DRR cannot
-            // reduce the tail and merely fragments the core pool.
-            let mut candidates = self
-                .actors
-                .iter()
-                .filter(|(_, a)| {
-                    a.loc == Loc::Nic
-                        && !a.is_drr
-                        && a.stats.observed()
-                        && a.stats.dispersion() > self.cfg.mean_thresh
-                        && now.saturating_sub(a.last_regroup) > REGROUP_COOLDOWN
-                })
-                .peekable();
-            if candidates.peek().is_none() {
-                return;
-            }
-            let median = self.median_dispersion();
-            // Equal dispersions tie-break on the id, not on map order.
-            let victim = candidates
-                .filter(|(_, a)| a.stats.dispersion().as_ns() > 3 * median)
-                .max_by_key(|(&id, a)| (a.stats.dispersion(), Reverse(id)))
-                .map(|(&id, _)| id);
-            if let Some(id) = victim {
-                let a = self.actors.get_mut(&id).expect("exists");
-                a.is_drr = true;
+    }
+
+    /// Carry out [`decide`]'s result: the regroup, then the push or pull,
+    /// queued for the runtime (a pull victim turns `Migrating` when taken).
+    fn apply(&mut self, now: SimTime, d: Decision) {
+        if let Some((id, group)) = d.regroup {
+            let a = self.actors.get_mut(&id).expect("registered");
+            a.is_drr = group == CoreMode::Drr;
+            a.last_regroup = now;
+            if a.is_drr {
                 a.deficit = 0.0;
-                a.last_regroup = now;
                 self.drr_runnable_push(id);
                 self.metrics.regroup_to_drr.inc();
-            }
-        } else if (tail.as_ns() as f64)
-            < (1.0 - self.cfg.alpha) * self.cfg.tail_thresh.as_ns() as f64
-        {
-            // Upgrade the DRR actor with the lowest dispersion — but never
-            // one that still disperses far beyond its peers (it would drag
-            // the FCFS tail right back up), and respect the hysteresis
-            // cooldown. With nothing in DRR there is nothing to scan.
-            let mut candidates = self
-                .drr_runnable
-                .iter()
-                .filter(|id| {
-                    let a = &self.actors[id];
-                    // Mirror the downgrade filter's `observed()` gate: a
-                    // never-executed actor has dispersion 0 and would always
-                    // look like the calmest candidate, getting upgraded on
-                    // pure noise before a single request has run.
-                    a.stats.observed()
-                        && a.mailbox.is_empty()
-                        && now.saturating_sub(a.last_regroup) > REGROUP_COOLDOWN
-                })
-                .peekable();
-            if candidates.peek().is_none() {
-                return;
-            }
-            let median = self.median_dispersion();
-            let victim = candidates
-                .filter(|id| self.actors[id].stats.dispersion().as_ns() <= 3 * median)
-                .min_by_key(|id| self.actors[id].stats.dispersion())
-                .copied();
-            if let Some(id) = victim {
-                let a = self.actors.get_mut(&id).expect("exists");
-                a.is_drr = false;
-                a.last_regroup = now;
+            } else {
                 self.drr_runnable_remove(id);
                 self.metrics.regroup_to_fcfs.inc();
             }
         }
-    }
-
-    /// Median dispersion (ns, at least 1) over the observed actors on the
-    /// NIC: what "stands out from its peers" is measured against.
-    fn median_dispersion(&self) -> u64 {
-        let mut dispersions: Vec<u64> = self
-            .actors
-            .values()
-            .filter(|a| a.loc == Loc::Nic && a.stats.observed())
-            .map(|a| a.stats.dispersion().as_ns())
-            .collect();
-        dispersions.sort_unstable();
-        dispersions
-            .get(dispersions.len().saturating_sub(1) / 2)
-            .copied()
-            .unwrap_or(0)
-            .max(1)
-    }
-
-    /// ALG 1 lines 17–23: push/pull migration from the management core.
-    fn evaluate_migration(&mut self, now: SimTime) {
-        if !self.fcfs_group.observed() {
-            return;
-        }
-        let loads = |keep: fn(&ActorSched) -> bool| {
-            self.actors
-                .iter()
-                .filter(move |(_, a)| keep(a))
-                .map(|(&id, a)| (id, a.stats.load()))
-        };
-        let mean = self.fcfs_group.mean();
-        if mean > self.cfg.mean_thresh {
-            // Push the actor contributing the most load. Both victim scans
-            // break equal loads on the lower id, not on map order.
-            let victim = loads(|a| a.loc == Loc::Nic && a.stats.observed()).max_by(
-                |(x_id, x), (y_id, y)| {
-                    let by_load = x.partial_cmp(y).unwrap_or(Ordering::Equal);
-                    by_load.then(y_id.cmp(x_id))
-                },
-            );
-            if let Some((id, _)) = victim {
-                self.begin(now, Action::PushMigrate(id));
+        match d.migrate {
+            Some(Action::PushMigrate(actor)) => {
+                self.metrics.migrate_push.inc();
+                let begun = self.force_push(now, actor);
+                debug_assert!(begun, "decide pushes only an actor on the NIC");
             }
-        } else if (mean.as_ns() as f64)
-            < (1.0 - self.cfg.alpha) * self.cfg.mean_thresh.as_ns() as f64
-        {
-            // Pull the lightest unpinned host actor back, and only if its
-            // load fits the NIC's headroom (ALG 1: "if there is sufficient
-            // CPU headroom"): otherwise the pull would re-trigger a push.
-            let headroom = 0.3 * self.spec.cores as f64;
-            let victim =
-                loads(|a| a.loc == Loc::Host && !a.pinned).min_by(|(x_id, x), (y_id, y)| {
-                    let by_load = x.partial_cmp(y).unwrap_or(Ordering::Equal);
-                    by_load.then(x_id.cmp(y_id))
-                });
-            if let Some((id, _)) = victim.filter(|&(_, load)| load <= headroom) {
-                self.begin(now, Action::PullMigrate(id));
+            Some(Action::PullMigrate(actor)) => {
+                self.metrics.migrate_pull.inc();
+                self.migration = Some(Migration::start(actor, MigrationDir::Pull, now));
             }
+            None => return,
         }
+        self.pending.extend(d.migrate);
     }
 
     /// Spawn the first DRR core when an actor enters the runnable queue;
@@ -971,19 +888,14 @@ impl NicScheduler {
     }
 
     fn group_util(&mut self, now: SimTime, mode: CoreMode) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0;
-        for (i, &m) in self.modes.iter().enumerate() {
+        let (mut sum, mut n) = (0.0, 0u32);
+        for (&m, u) in self.modes.iter().zip(&mut self.util) {
             if m == mode {
-                sum += self.util[i].utilization(now);
+                sum += u.utilization(now);
                 n += 1;
             }
         }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
+        sum / f64::from(n.max(1))
     }
 
     /// Drain pending actions for the runtime into a caller-owned buffer
@@ -1004,11 +916,6 @@ impl NicScheduler {
     /// Per-actor scheduling state (read-only).
     pub fn actor(&self, id: ActorId) -> Option<&ActorSched> {
         self.actors.get(&id)
-    }
-
-    /// Per-actor scheduling state (mutable).
-    pub fn actor_mut(&mut self, id: ActorId) -> Option<&mut ActorSched> {
-        self.actors.get_mut(&id)
     }
 
     /// Migration phase 2: park the moving actor's mailbox ahead of the
@@ -1151,16 +1058,156 @@ impl NicScheduler {
     }
 }
 
+/// ALG 1/2 at one completion, computed from the state before any of it is
+/// applied: no regroup changes what ALG 1 reads, and a DRR actor is
+/// upgraded only with an empty mailbox, which the `Q_thresh` test rejects.
+pub fn decide(s: &Snapshot) -> Decision {
+    let cfg = s.cfg;
+    let hybrid = cfg.discipline == Discipline::Hybrid;
+    // One migration in flight at a time keeps the mechanism stable and
+    // matches the dedicated-management-core design (§3.2.2).
+    let open = cfg.migration && !s.in_flight && s.now >= s.cooldown_until;
+    let managing = open && s.core == s.management_core;
+    let alg1 = managing.then(|| alg1(s)).flatten();
+    // ALG 2 line 18: a DRR actor with an overlong mailbox is pushed.
+    let overlong = |a: &ActorSched| a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > cfg.q_thresh;
+    let q_push = open && s.actors.get(&s.actor).is_some_and(overlong);
+    Decision {
+        regroup: hybrid.then(|| regroup(s)).flatten(),
+        migrate: alg1.or(q_push.then_some(Action::PushMigrate(s.actor))),
+    }
+}
+
+/// ALG 1 lines 13–16 and ALG 2 lines 10–12, on the FCFS group's tail.
+fn regroup(s: &Snapshot) -> Option<(ActorId, CoreMode)> {
+    let (cfg, (_, tail)) = (s.cfg, s.fcfs?);
+    let cooled = |a: &ActorSched| s.now.saturating_sub(a.last_regroup) > REGROUP_COOLDOWN;
+    // When the FCFS cores have been idle for a while (everything went
+    // DRR), the stale tail estimate must not pin actors in DRR forever:
+    // treat the tail as decayed so upgrades can proceed.
+    let fcfs_idle = s.now.saturating_sub(s.fcfs_last) > SimTime::from_ms(1);
+    let tail = if fcfs_idle { SimTime::ZERO } else { tail };
+    // Both branches test the cheap per-actor predicates first and pay
+    // for the median scan only once some candidate has passed them: this
+    // runs on every completion and almost never finds one.
+    if tail > cfg.tail_thresh {
+        // Downgrade the FCFS actor with the highest dispersion — but
+        // only when that actor genuinely stands out. When every actor
+        // looks alike (a homogeneous overload), moving one to DRR cannot
+        // reduce the tail and merely fragments the core pool.
+        let mut candidates = s
+            .actors
+            .iter()
+            .filter(|(_, a)| {
+                a.loc == Loc::Nic
+                    && !a.is_drr
+                    && a.stats.observed()
+                    && a.stats.dispersion() > cfg.mean_thresh
+                    && cooled(a)
+            })
+            .peekable();
+        candidates.peek()?;
+        let median = median_dispersion(s.actors);
+        // Equal dispersions tie-break on the id, not on map order.
+        candidates
+            .filter(|(_, a)| a.stats.dispersion().as_ns() > 3 * median)
+            .max_by_key(|(&id, a)| (a.stats.dispersion(), Reverse(id)))
+            .map(|(&id, _)| (id, CoreMode::Drr))
+    } else if (tail.as_ns() as f64) < (1.0 - cfg.alpha) * cfg.tail_thresh.as_ns() as f64 {
+        // Upgrade the DRR actor with the lowest dispersion — but never
+        // one that still disperses far beyond its peers (it would drag
+        // the FCFS tail right back up), and respect the hysteresis
+        // cooldown. Ties go to the first in scan order. With nothing in
+        // DRR there is nothing to scan.
+        let mut candidates = s
+            .drr_runnable
+            .iter()
+            .filter(|id| {
+                let a = &s.actors[id];
+                // The downgrade's `observed()` gate too: a never-executed
+                // actor's dispersion is 0, the calmest on noise alone.
+                a.stats.observed() && a.mailbox.is_empty() && cooled(a)
+            })
+            .peekable();
+        candidates.peek()?;
+        let median = median_dispersion(s.actors);
+        candidates
+            .filter(|id| s.actors[id].stats.dispersion().as_ns() <= 3 * median)
+            .min_by_key(|id| s.actors[id].stats.dispersion())
+            .map(|&id| (id, CoreMode::Fcfs))
+    } else {
+        None
+    }
+}
+
+/// Median dispersion (ns, at least 1) over the observed actors on the
+/// NIC: what "stands out from its peers" is measured against.
+fn median_dispersion(actors: &IdMap<ActorId, ActorSched>) -> u64 {
+    let mut dispersions: Vec<u64> = actors
+        .values()
+        .filter(|a| a.loc == Loc::Nic && a.stats.observed())
+        .map(|a| a.stats.dispersion().as_ns())
+        .collect();
+    dispersions.sort_unstable();
+    let lower_median = dispersions.get(dispersions.len().saturating_sub(1) / 2);
+    lower_median.map_or(1, |&m| m.max(1))
+}
+
+/// ALG 1 lines 17–23 on the FCFS group's mean: the management core's push
+/// or pull.
+fn alg1(s: &Snapshot) -> Option<Action> {
+    let (mean, _) = s.fcfs?;
+    let loads = |keep: fn(&ActorSched) -> bool| {
+        s.actors
+            .iter()
+            .filter(move |(_, a)| keep(a))
+            .map(|(&id, a)| (id, a.stats.load()))
+    };
+    if mean > s.cfg.mean_thresh {
+        // Push the actor contributing the most load. Both victim scans
+        // break equal loads on the lower id, not on map order.
+        let victim =
+            loads(|a| a.loc == Loc::Nic && a.stats.observed()).max_by(|(x_id, x), (y_id, y)| {
+                let by_load = x.partial_cmp(y).unwrap_or(Ordering::Equal);
+                by_load.then(y_id.cmp(x_id))
+            });
+        victim.map(|(id, _)| Action::PushMigrate(id))
+    } else if (mean.as_ns() as f64) < (1.0 - s.cfg.alpha) * s.cfg.mean_thresh.as_ns() as f64 {
+        // Pull the lightest unpinned host actor back, and only if its
+        // load fits the NIC's headroom (ALG 1: "if there is sufficient
+        // CPU headroom"): otherwise the pull would re-trigger a push.
+        let victim = loads(|a| a.loc == Loc::Host && !a.pinned).min_by(|(x_id, x), (y_id, y)| {
+            let by_load = x.partial_cmp(y).unwrap_or(Ordering::Equal);
+            by_load.then(x_id.cmp(y_id))
+        });
+        victim
+            .filter(|&(_, load)| load <= 0.3 * f64::from(s.cores))
+            .map(|(id, _)| Action::PullMigrate(id))
+    } else {
+        None
+    }
+}
+
+#[cfg(test)]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipipe_nicsim::CN2350;
+    use ipipe_nicsim::{CN2350, STINGRAY_PS225};
 
     impl NicScheduler {
         fn take_actions(&mut self) -> Vec<Action> {
             let mut out = Vec::new();
             self.take_actions_into(&mut out);
             out
+        }
+
+        /// Decide and apply at `now` as `core`'s completion of `actor`'s
+        /// request would, leaving the statistics as they are.
+        fn decide_at(&mut self, now: SimTime, core: u32, actor: ActorId) {
+            let d = decide(&self.snapshot(now, core, actor));
+            self.apply(now, d);
         }
 
         /// Put `actor`, whose mailbox is empty, in DRR service.
@@ -1268,7 +1315,8 @@ mod tests {
         // Giving up the move re-arrives them, oldest first, stamped `now`.
         let now = SimTime::from_us(7);
         assert_eq!(s.abort_migration(now), Some(2));
-        assert_eq!((s.location(2), s.migrating()), (Some(Loc::Nic), None));
+        assert_eq!(s.location(2), Some(Loc::Nic));
+        assert!(s.migration().is_none());
         for token in [3, 4, 5] {
             assert_eq!(exec(s.next_for_core(now, 0)), (token, now));
         }
@@ -1467,12 +1515,12 @@ mod tests {
                 for i in 0..50 {
                     let at = SimTime::from_us(i * 10);
                     for id in [1, 2] {
-                        let stats = &mut s.actor_mut(id).unwrap().stats;
+                        let stats = &mut s.actors.get_mut(&id).unwrap().stats;
                         stats.on_complete_busy(SimTime::from_us(10), SimTime::from_us(5));
                     }
                     let lat = SimTime::from_us(if i % 2 == 0 { 5 } else { 300 });
                     for id in tied {
-                        let stats = &mut s.actor_mut(id).unwrap().stats;
+                        let stats = &mut s.actors.get_mut(&id).unwrap().stats;
                         stats.on_arrival(at, 512);
                         stats.on_complete_busy(lat, SimTime::from_us(25));
                     }
@@ -1480,9 +1528,9 @@ mod tests {
                 }
                 let now = SimTime::from_ms(10);
                 s.last_fcfs_obs = now;
-                s.evaluate_regrouping(now);
-                assert!(s.is_drr(lo) && !s.is_drr(hi), "tied {tied:?}");
-                s.evaluate_migration(now);
+                let d = decide(&s.snapshot(now, 0, 1));
+                assert_eq!(d.regroup, Some((lo, CoreMode::Drr)), "tied {tied:?}");
+                s.apply(now, d);
                 assert_eq!(s.take_actions(), [Action::PushMigrate(lo)], "tied {tied:?}");
 
                 // The pull scan: both back on the host, equally light, with
@@ -1492,7 +1540,7 @@ mod tests {
                     s.register(id, 512, Loc::Host);
                 }
                 s.fcfs_group.observe(SimTime::from_us(5));
-                s.evaluate_migration(SimTime::ZERO);
+                s.decide_at(SimTime::ZERO, 0, lo);
                 assert_eq!(s.take_actions(), [Action::PullMigrate(lo)], "tied {tied:?}");
             }
         }
@@ -1512,6 +1560,39 @@ mod tests {
         }
         let actions = s.take_actions();
         assert!(!actions.iter().any(|a| matches!(a, Action::PushMigrate(_))));
+    }
+
+    /// Regression: ALG 1 ran only on core 0's completions, and under the
+    /// IOKernel dispatcher core 0 never executes, so nothing was pushed.
+    /// The same overload drive pushes the heavy actor with either off-path
+    /// dispatch.
+    #[test]
+    fn alg1_pushes_under_either_offpath_dispatch() {
+        let shuffle = SchedConfig::for_nic(&STINGRAY_PS225);
+        for cfg in [shuffle, shuffle.with_iokernel()] {
+            let mut s = NicScheduler::new(&STINGRAY_PS225, cfg);
+            s.register(1, 512, Loc::Nic);
+            s.register(2, 512, Loc::Nic);
+            let mut pushed = Vec::new();
+            for i in 0..200 {
+                let now = SimTime::from_us(i * 30);
+                s.on_arrival(now, req(2, 2 * i));
+                s.on_arrival(now, req(1, 2 * i + 1));
+                for core in 0..STINGRAY_PS225.cores {
+                    if let Some(Work::Exec(r)) = s.next_for_core(now, core) {
+                        let sojourn = SimTime::from_us(if r.actor == 2 { 400 } else { 100 });
+                        s.on_complete(now, core, r.actor, sojourn, SimTime::from_us(20));
+                    }
+                }
+                pushed.extend(s.take_actions());
+            }
+            assert_eq!(
+                pushed.first(),
+                Some(&Action::PushMigrate(2)),
+                "{:?}",
+                cfg.offpath
+            );
+        }
     }
 
     #[test]
@@ -1543,9 +1624,9 @@ mod tests {
         // A pinned host actor is never pulled.
         let mut s = sched();
         s.set_location(2, Loc::Host);
-        s.actor_mut(2).unwrap().pinned = true;
+        s.pin(2);
         calm(&mut s);
-        s.evaluate_migration(SimTime::ZERO);
+        s.decide_at(SimTime::ZERO, 0, 1);
         assert!(s.take_actions().is_empty());
         assert_eq!(s.location(2), Some(Loc::Host));
 
@@ -1553,14 +1634,14 @@ mod tests {
         // takes 500 µs is 50 cores' worth on a 12-core card.
         let mut s = sched();
         s.set_location(2, Loc::Host);
-        let stats = &mut s.actor_mut(2).unwrap().stats;
+        let stats = &mut s.actors.get_mut(&2).unwrap().stats;
         for i in 0..50 {
             stats.on_arrival(SimTime::from_us(10 * i), 512);
             stats.on_complete_busy(SimTime::from_us(500), SimTime::from_us(500));
         }
         assert!(stats.load() > 0.3 * CN2350.cores as f64);
         calm(&mut s);
-        s.evaluate_migration(SimTime::ZERO);
+        s.decide_at(SimTime::ZERO, 0, 1);
         assert!(s.take_actions().is_empty());
 
         // No push within the cooldown after a migration finished; then one.
@@ -1584,7 +1665,7 @@ mod tests {
         assert_eq!(s.location(2), Some(Loc::Nic));
         s.on_complete(ready, 0, 2, sojourn, busy);
         assert_eq!(s.take_actions(), [Action::PushMigrate(2)]);
-        assert_eq!(s.migrating(), Some(2));
+        assert_eq!(s.migration().map(|m| m.actor), Some(2));
     }
 
     #[test]
@@ -1770,7 +1851,7 @@ mod tests {
 
         // What an early abort used to leave behind.
         s.drr_runnable_remove(2);
-        s.actor_mut(2).unwrap().is_drr = false;
+        s.actors.get_mut(&2).unwrap().is_drr = false;
         let r = audit(&s);
         let names: Vec<&str> = r.violations().iter().map(|v| v.invariant).collect();
         assert_eq!(names, ["sched.mailbox"]);

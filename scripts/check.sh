@@ -17,12 +17,14 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # else; a moved or renamed item must not leave one dangling.
 stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
 
-# The event queue against its BTreeMap reference, and a client's retry
-# deadline set against its BTreeSet reference, at 4,000 cases each in release
-# mode: the same differentials `test` runs at 64 and 256 (one shared body).
+# The event queue against its BTreeMap reference, a client's retry deadline
+# set against its BTreeSet reference, and the scheduler's `decide` against its
+# ALG 1/2 reference model, at 4,000 cases each in release mode: the same
+# differentials `test` runs at 64, 256 and 64 (one shared body each).
 stage_queue-deep() {
     cargo test --release -p ipipe-sim --test queue_ref -- --ignored
     cargo test --release -p ipipe --lib retry_deadlines -- --ignored
+    cargo test --release -p ipipe --lib decide_matches_reference -- --ignored
 }
 
 # The benchmark at smoke size: every workload's audits, export digests and

@@ -298,7 +298,7 @@ proptest! {
         // Conservation: executed + queued everywhere == arrivals.
         let queued = s.fcfs_depth() as u64
             + (0..6u32)
-                .map(|a| s.actor(a).map(|x| x.mailbox.len() as u64).unwrap_or(0))
+                .map(|a| s.actor(a).map(|x| x.mailbox_len() as u64).unwrap_or(0))
                 .sum::<u64>();
         prop_assert_eq!(executed + queued, arrivals,
             "executed={} queued={} arrivals={}", executed, queued, arrivals);
