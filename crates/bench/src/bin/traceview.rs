@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --bin traceview -- [--scenario NAME] [--seed N] \
-//!     [--shards N] [--smoke] [--verbose] [--out DIR]
+//!     [--shards N] [--smoke] [--verbose] [--grep SUBSTR] [--out DIR]
 //! ```
 //!
 //! `NAME` is any scenario of [`ipipe_bench::scenario::REGISTRY`]
@@ -11,7 +11,9 @@
 //! `figures scenarios` reports — unless `--smoke` asks for the CI size.
 //!
 //! The counter table lists each counter per node, then its cluster-wide
-//! total as node `all`.
+//! total as node `all`. `--grep SUBSTR` keeps only the counters (and their
+//! totals) and histograms whose names contain `SUBSTR`; it filters what is
+//! printed, never what `--out` writes.
 //!
 //! With `--out DIR` the run's metrics (`metrics.jsonl`) and Chrome trace
 //! (`chrome.json`, openable in Perfetto / `chrome://tracing`) are written
@@ -34,7 +36,7 @@ use ipipe_baseline::fig16::run_fig16_obs;
 use ipipe_bench::figure::{num, text, Table};
 use ipipe_bench::scenario::{self, Size};
 use ipipe_nicsim::CN2350;
-use ipipe_sim::obs::{Obs, TraceKind, TraceLevel};
+use ipipe_sim::obs::{Obs, Snapshot, TraceKind, TraceLevel};
 use ipipe_sim::SimTime;
 use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
 use std::collections::BTreeMap;
@@ -45,6 +47,7 @@ struct Opts {
     shards: usize,
     size: Size,
     verbose: bool,
+    grep: String,
     out: Option<String>,
 }
 
@@ -55,6 +58,7 @@ fn parse_opts() -> Opts {
         shards: 1,
         size: Size::Full,
         verbose: false,
+        grep: String::new(),
         out: None,
     };
     let mut args = std::env::args().skip(1);
@@ -75,11 +79,14 @@ fn parse_opts() -> Opts {
             }
             "--smoke" => opts.size = Size::Smoke,
             "--verbose" => opts.verbose = true,
+            "--grep" => opts.grep = args.next().expect("--grep needs a substring"),
             "--out" => opts.out = Some(args.next().expect("--out needs a directory")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: traceview [--scenario NAME] [--seed N] [--shards N] [--smoke] \
-                     [--verbose] [--out DIR]\nscenarios: {}, fig16",
+                     [--verbose] [--grep SUBSTR] [--out DIR]\nscenarios: {}, fig16\n\
+                     --grep SUBSTR prints only the counters and histograms whose names \
+                     contain SUBSTR",
                     scenario::names()
                 );
                 std::process::exit(0);
@@ -98,6 +105,49 @@ fn run_fig16_cell(seed: u64, obs: &Obs) {
         .with_discipline(Discipline::Hybrid)
         .no_migration();
     run_fig16_obs(&CN2350, dist, cfg, 0.6, 8, 4000, seed, obs);
+}
+
+/// The counter table — each counter's per-node rows, then its cluster-wide
+/// total (node `all`) — and the table of histograms with samples, both kept
+/// to names that contain `grep`.
+fn metric_tables(snap: &Snapshot, title: String, grep: &str) -> [Table; 2] {
+    let mut rows = Vec::new();
+    let mut total = 0;
+    let counters = snap
+        .counters
+        .iter()
+        .filter(|((name, _), _)| name.contains(grep));
+    let mut counters = counters.peekable();
+    while let Some(((name, node), v)) = counters.next() {
+        rows.push(vec![
+            text(name),
+            num(f64::from(*node), 0),
+            num(*v as f64, 0),
+        ]);
+        total += v;
+        if counters.peek().is_none_or(|((next, _), _)| next != name) {
+            rows.push(vec![text(name), text("all"), num(total as f64, 0)]);
+            total = 0;
+        }
+    }
+    let counters = Table::new(title, ["name", "node", "value"], rows);
+    let rows = snap.hists.iter();
+    let rows = rows.filter(|((name, _), h)| name.contains(grep) && h.count() > 0);
+    let rows = rows.map(|((name, node), h)| {
+        vec![
+            text(name),
+            num(f64::from(*node), 0),
+            num(h.count() as f64, 0),
+            num(h.mean().as_us_f64(), 1),
+            num(h.p99().as_us_f64(), 1),
+        ]
+    });
+    let hists = Table::new(
+        "histograms",
+        ["name", "node", "count", "mean(us)", "p99(us)"],
+        rows.collect(),
+    );
+    [counters, hists]
 }
 
 fn main() {
@@ -139,42 +189,8 @@ fn main() {
         Some(c) => c.snapshot(),
         None => obs.snapshot(),
     };
-    // Each counter's per-node rows, then its cluster-wide total (node `all`).
-    let mut rows = Vec::new();
-    let mut total = 0;
-    let mut counters = snap.counters.iter().peekable();
-    while let Some(((name, node), v)) = counters.next() {
-        rows.push(vec![
-            text(name),
-            num(f64::from(*node), 0),
-            num(*v as f64, 0),
-        ]);
-        total += v;
-        if counters.peek().is_none_or(|((next, _), _)| next != name) {
-            rows.push(vec![text(name), text("all"), num(total as f64, 0)]);
-            total = 0;
-        }
-    }
-    let counters = Table::new(
-        format!("counters — {} seed {}", opts.scenario, opts.seed),
-        ["name", "node", "value"],
-        rows,
-    );
-    let rows = snap.hists.iter().filter(|(_, h)| h.count() > 0);
-    let rows = rows.map(|((name, node), h)| {
-        vec![
-            text(name),
-            num(f64::from(*node), 0),
-            num(h.count() as f64, 0),
-            num(h.mean().as_us_f64(), 1),
-            num(h.p99().as_us_f64(), 1),
-        ]
-    });
-    let hists = Table::new(
-        "histograms",
-        ["name", "node", "count", "mean(us)", "p99(us)"],
-        rows.collect(),
-    );
+    let title = format!("counters — {} seed {}", opts.scenario, opts.seed);
+    let [counters, hists] = metric_tables(&snap, title, &opts.grep);
 
     // --- trace summary --------------------------------------------------
     let (events, trace_dropped) = match sharded {
@@ -220,5 +236,48 @@ fn main() {
         // stderr, so stdout summaries of two same-seed runs with different
         // --out dirs stay byte-identical (the CI determinism job diffs them).
         eprintln!("wrote {metrics} and {chrome} (open the latter in Perfetto)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn grep_keeps_only_matching_counters_totals_and_histograms() {
+        let mut snap = Snapshot::default();
+        for (name, node, v) in [
+            ("sched.arrivals", 0, 9),
+            ("sched.migrate.pull", 0, 1),
+            ("sched.migrate.push", 0, 2),
+            ("sched.migrate.push", 1, 3),
+            ("sched.migrated", 0, 4),
+            ("zz.sched.migrate", 0, 5),
+        ] {
+            snap.counters.insert((name.into(), node), v);
+        }
+        for name in ["sched.migrate.wait", "sched.sojourn.fcfs"] {
+            let mut h = ipipe_sim::Histogram::new();
+            h.record(SimTime::from_us(3));
+            snap.hists.insert((name.into(), 0), h);
+        }
+        let [counters, hists] = metric_tables(&snap, "c".into(), "sched.migrate.");
+        let rows = |t: &Table| -> Vec<String> {
+            let cells = t.rows.iter().map(|r| r.iter().map(|c| c.text.as_str()));
+            cells.map(|r| r.collect::<Vec<_>>().join(" ")).collect()
+        };
+        let want = [
+            "sched.migrate.pull 0 1",
+            "sched.migrate.pull all 1",
+            "sched.migrate.push 0 2",
+            "sched.migrate.push 1 3",
+            "sched.migrate.push all 5",
+        ];
+        assert_eq!(rows(&counters), want);
+        assert_eq!(rows(&hists), ["sched.migrate.wait 0 1 3.0 3.0"]);
+        // No filter: every counter, each with its total.
+        let [counters, hists] = metric_tables(&snap, "c".into(), "");
+        assert_eq!(counters.rows.len(), 11);
+        assert_eq!(hists.rows.len(), 2);
     }
 }

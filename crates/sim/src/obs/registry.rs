@@ -3,9 +3,11 @@
 //!
 //! Handles ([`Counter`], [`Gauge`], [`HistHandle`]) are `Rc`-backed cells:
 //! registering a metric allocates once, after which every update on the hot
-//! path is a plain `Cell`/`RefCell` operation — no allocation, no hashing,
-//! no locks. The same handle can be cloned into any number of subsystems
-//! (scheduler, runtime, network model) and they all feed one slot.
+//! path is a plain `Cell`/`RefCell` operation — no hashing, no locks, and no
+//! allocation except a histogram's when a sample lands outside the octaves it
+//! holds (at most once per octave, 60 in all). The same handle can be cloned
+//! into any number of subsystems (scheduler, runtime, network model) and
+//! they all feed one slot.
 //!
 //! [`Registry::snapshot`] freezes everything into a [`Snapshot`] — plain
 //! owned data ordered by `(name, node)` — which can cross threads, be merged
@@ -103,7 +105,8 @@ impl Gauge {
 }
 
 /// Shared handle to a log-bucketed latency histogram
-/// ([`crate::stats::Histogram`]: ~3% relative resolution, constant memory).
+/// ([`crate::stats::Histogram`]: ≤3.1% relative resolution, memory for the
+/// octaves its samples span).
 #[derive(Debug, Clone)]
 pub struct HistHandle(Rc<RefCell<Histogram>>);
 

@@ -1,6 +1,7 @@
 //! Statistics used by both the simulation harness and the iPipe runtime
 //! bookkeeper (§3.2.3): EWMA estimators, Welford running moments, and a
 //! log-bucketed latency histogram for exact-enough quantiles.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::time::SimTime;
 
@@ -120,11 +121,17 @@ impl TailEstimator {
     }
 
     /// EWMA mean latency.
+    // Saturating is the meaning: `as` drops the fraction of an average of
+    // u64 nanosecond counts, which cannot exceed u64::MAX.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn mean(&self) -> SimTime {
         SimTime::from_ns(self.mean.get_or(0.0).max(0.0) as u64)
     }
 
     /// EWMA standard deviation.
+    // Saturating is the meaning: `as` drops the fraction of the root of an
+    // average of squared u64 deviations, which cannot exceed u64::MAX.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn stddev(&self) -> SimTime {
         SimTime::from_ns(self.var.get_or(0.0).max(0.0).sqrt() as u64)
     }
@@ -146,12 +153,22 @@ impl TailEstimator {
     }
 }
 
-/// Log-bucketed latency histogram: ~1% relative resolution from 1ns to ~18s,
-/// constant memory, exact counts. Quantiles are upper bucket bounds so they
+/// Log-bucketed latency histogram: ≤3.1% relative resolution from 1 ns to
+/// `u64::MAX` ns, exact counts. Quantiles are upper bucket bounds so they
 /// never under-report tail latency.
+///
+/// Counts are held only for the contiguous window of buckets the samples
+/// touched, in whole octaves of `SUB` buckets: nothing until the first
+/// sample, and at most `(k + 1) × SUB` buckets once the samples span `k`
+/// octaves. Every reading is the one a dense array of all `BUCKETS`
+/// buckets would give (the test-only dense reference, `stats/reference.rs`,
+/// pins this).
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    // 64 octaves x SUB sub-buckets.
+    /// Bucket index of `counts[0]`, a multiple of `SUB`.
+    lo: usize,
+    /// Counts of buckets `lo .. lo + counts.len()`; empty until the first
+    /// sample, a whole number of octaves after.
     counts: Vec<u64>,
     total: u64,
     sum_ns: u128,
@@ -161,6 +178,9 @@ pub struct Histogram {
 
 const SUB_BITS: u32 = 5; // 32 sub-buckets per octave => <= ~3.1% resolution
 const SUB: usize = 1 << SUB_BITS;
+/// Buckets a `u64` sample can reach: octave 0 holds 0..32 one per bucket, and
+/// each of octaves 1..60 one doubling (`bucket_of(u64::MAX)` is the last).
+const BUCKETS: usize = 60 * SUB;
 
 impl Default for Histogram {
     fn default() -> Self {
@@ -169,10 +189,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Empty histogram.
+    /// Empty histogram. Allocates nothing.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; 64 * SUB],
+            lo: 0,
+            counts: Vec::new(),
             total: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -180,34 +201,72 @@ impl Histogram {
         }
     }
 
+    #[inline]
     fn bucket_of(ns: u64) -> usize {
-        if ns < SUB as u64 {
-            return ns as usize;
-        }
-        let msb = 63 - ns.leading_zeros();
-        let octave = msb - SUB_BITS + 1;
-        let sub = (ns >> (octave - 1)) as usize & (SUB - 1);
-        (octave as usize) * SUB + sub
+        let idx = if ns < SUB as u64 {
+            ns
+        } else {
+            let octave = u64::from(64 - SUB_BITS - ns.leading_zeros());
+            octave * SUB as u64 + ((ns >> (octave - 1)) & (SUB as u64 - 1))
+        };
+        usize::try_from(idx).expect("a bucket index is below BUCKETS")
     }
 
     fn bucket_upper_bound(idx: usize) -> u64 {
-        let octave = (idx / SUB) as u32;
+        let octave = idx / SUB;
         let sub = (idx % SUB) as u64;
         if octave == 0 {
             return sub;
         }
-        ((SUB as u64 + sub + 1) << (octave - 1)) - 1
+        // The last bucket's bound is `u64::MAX`: the shift carries out of
+        // the top bit and the subtraction wraps back.
+        ((SUB as u64 + sub + 1) << (octave - 1)).wrapping_sub(1)
     }
 
     /// Record a latency sample.
+    #[inline]
     pub fn record(&mut self, t: SimTime) {
         let ns = t.as_ns();
-        let idx = Self::bucket_of(ns).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
+        let idx = Self::bucket_of(ns);
+        match self.counts.get_mut(idx.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(idx),
+        }
         self.total += 1;
-        self.sum_ns += ns as u128;
+        self.sum_ns += u128::from(ns);
         self.max_ns = self.max_ns.max(ns);
         self.min_ns = self.min_ns.min(ns);
+    }
+
+    /// `record`'s slow path: bucket `idx` lies outside the window.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, idx: usize) {
+        let octave = idx - idx % SUB;
+        self.cover(octave, octave + SUB);
+        self.counts[idx - self.lo] += 1;
+    }
+
+    /// Widen the window to cover buckets `lo..hi` (octave-aligned), keeping
+    /// every count: one exact-size allocation when it grows.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        debug_assert!(lo.is_multiple_of(SUB) && hi.is_multiple_of(SUB) && lo < hi && hi <= BUCKETS);
+        if self.counts.is_empty() {
+            self.lo = lo;
+            self.counts = vec![0; hi - lo];
+            return;
+        }
+        let (old_lo, old_hi) = (self.lo, self.lo + self.counts.len());
+        let (lo, hi) = (lo.min(old_lo), hi.max(old_hi));
+        if (lo, hi) == (old_lo, old_hi) {
+            return;
+        }
+        let mut counts = Vec::with_capacity(hi - lo);
+        counts.resize(old_lo - lo, 0);
+        counts.extend_from_slice(&self.counts);
+        counts.resize(hi - lo, 0);
+        self.lo = lo;
+        self.counts = counts;
     }
 
     /// Number of samples recorded.
@@ -220,7 +279,8 @@ impl Histogram {
         if self.total == 0 {
             SimTime::ZERO
         } else {
-            SimTime::from_ns((self.sum_ns / self.total as u128) as u64)
+            let mean = self.sum_ns / u128::from(self.total);
+            SimTime::from_ns(u64::try_from(mean).expect("a mean is at most max_ns"))
         }
     }
 
@@ -244,6 +304,9 @@ impl Histogram {
     /// * **single sample** — every quantile is that sample's value (bucket
     ///   upper bound clamped to the recorded maximum);
     /// * `q` outside `[0,1]` is clamped, `q = 0` reads as the first sample.
+    // Saturating is the meaning: the rank is at most `total` before the
+    // clamp, so the float-to-int `as` only drops the fraction `ceil` left.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn quantile(&self, q: f64) -> SimTime {
         if self.total == 0 {
             return SimTime::ZERO;
@@ -251,10 +314,10 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return SimTime::from_ns(Self::bucket_upper_bound(idx).min(self.max_ns));
+                return SimTime::from_ns(Self::bucket_upper_bound(self.lo + i).min(self.max_ns));
             }
         }
         SimTime::from_ns(self.max_ns)
@@ -270,10 +333,15 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Merge another histogram into this one.
+    /// Merge another histogram into this one, first widening this one's
+    /// window to cover the other's.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.lo + other.counts.len());
+            let from = other.lo - self.lo;
+            for (a, b) in self.counts[from..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum_ns += other.sum_ns;
@@ -281,15 +349,20 @@ impl Histogram {
         self.min_ns = self.min_ns.min(other.min_ns);
     }
 
-    /// Clear all samples.
+    /// Clear all samples, and the window with them.
     pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-        self.sum_ns = 0;
-        self.max_ns = 0;
-        self.min_ns = u64::MAX;
+        *self = Histogram::new();
+    }
+
+    /// Buckets this histogram holds memory for.
+    #[cfg(test)]
+    fn held_buckets(&self) -> usize {
+        self.counts.capacity()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -397,6 +470,48 @@ mod tests {
             last = b;
             assert!(Histogram::bucket_upper_bound(b) >= ns);
         }
+    }
+
+    #[test]
+    fn every_u64_has_a_bucket_and_octaves_meet_edge_to_edge() {
+        assert_eq!(Histogram::bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(Histogram::bucket_upper_bound(BUCKETS - 1), u64::MAX);
+        for octave in 0..BUCKETS / SUB - 1 {
+            let last = octave * SUB + SUB - 1;
+            // The first value of octave `octave + 1` is 32 << octave.
+            let next = (SUB as u64) << octave;
+            assert_eq!(Histogram::bucket_upper_bound(last), next - 1, "{octave}");
+            assert_eq!(Histogram::bucket_of(next - 1), last);
+            assert_eq!(Histogram::bucket_of(next), last + 1);
+        }
+    }
+
+    #[test]
+    fn a_histogram_holds_only_the_octaves_its_samples_span() {
+        let mut h = Histogram::new();
+        assert_eq!(h.held_buckets(), 0);
+        h.merge(&Histogram::new());
+        assert_eq!((h.held_buckets(), h.clone().held_buckets()), (0, 0));
+        // 1 us .. 1 ms spans the octaves of 1000 ns .. 10^6 ns: k = 10.
+        let (lo, hi) = (
+            Histogram::bucket_of(1_000) / SUB,
+            Histogram::bucket_of(1_000_000) / SUB,
+        );
+        assert_eq!(hi - lo, 10);
+        for us in [7, 1, 1000, 40, 300] {
+            h.record(SimTime::from_us(us));
+            assert!(h.held_buckets() <= 11 * SUB, "{}", h.held_buckets());
+        }
+        assert_eq!(h.held_buckets(), 11 * SUB);
+        assert_eq!(h.clone().held_buckets(), 11 * SUB);
+        // Merging widens the window to cover the other's, no further.
+        let mut wide = Histogram::new();
+        wide.record(SimTime::from_ns(3));
+        wide.merge(&h);
+        assert_eq!(wide.held_buckets(), (hi + 1) * SUB);
+        h.reset();
+        assert_eq!(h.held_buckets(), 0);
+        assert_eq!(h.quantile(0.5), SimTime::ZERO);
     }
 
     #[test]

@@ -18,13 +18,15 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
 
 # The event queue against its BTreeMap reference, a client's retry deadline
-# set against its BTreeSet reference, and the scheduler's `decide` against its
-# ALG 1/2 reference model, at 4,000 cases each in release mode: the same
-# differentials `test` runs at 64, 256 and 64 (one shared body each).
+# set against its BTreeSet reference, the scheduler's `decide` against its
+# ALG 1/2 reference model, and the windowed latency histogram against its
+# dense reference, at 4,000 cases each in release mode: the same
+# differentials `test` runs at 64, 256, 64 and 64 (one shared body each).
 stage_queue-deep() {
     cargo test --release -p ipipe-sim --test queue_ref -- --ignored
     cargo test --release -p ipipe --lib retry_deadlines -- --ignored
     cargo test --release -p ipipe --lib decide_matches_reference -- --ignored
+    cargo test --release -p ipipe-sim --lib histogram_matches_dense_reference -- --ignored
 }
 
 # The benchmark at smoke size: every workload's audits, export digests and
@@ -40,6 +42,16 @@ stage_scenarios() {
         echo "==> scenario smoke: $scenario"
         ./scripts/scenario_smoke.sh "$scenario"
     done
+    # `traceview --grep` prints only the counter rows, totals and histograms
+    # it names, and at least one of them.
+    echo "==> traceview --grep sched.migrate"
+    cargo run --release -q -p ipipe-bench --bin traceview -- \
+        --scenario pod --smoke --grep sched.migrate |
+        awk '/^== counters/ { on = 1; next } /^== trace/ { on = 0 }
+             on && !/^==/ && $1 != "name" {
+                 if ($1 ~ /^sched\.migrate\./) n++; else { print "unfiltered: " $0; bad = 1 }
+             }
+             END { exit bad || n == 0 }'
 }
 
 stage_figures() {
