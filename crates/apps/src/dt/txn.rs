@@ -181,9 +181,6 @@ pub enum Step {
 
 struct TxnState {
     phase: TxnPhase,
-    /// Read-set partitioning, retained for retry/diagnostic paths.
-    #[allow(dead_code)]
-    reads: Vec<(PartIdx, Vec<Key>)>,
     writes: Vec<(PartIdx, WriteSet)>,
     pending: usize,
     read_results: Vec<(Key, Vec<u8>, u64)>,
@@ -265,7 +262,7 @@ impl Coordinator {
                     p,
                     DtMsg::ReadAndLock {
                         txid,
-                        reads: by_part_r.get(&p).cloned().unwrap_or_default(),
+                        reads: by_part_r.remove(&p).unwrap_or_default(),
                         writes: by_part_w
                             .get(&p)
                             .map(|ws| ws.iter().map(|(k, _)| *k).collect())
@@ -278,7 +275,6 @@ impl Coordinator {
             txid,
             TxnState {
                 phase: TxnPhase::ReadLock,
-                reads: by_part_r.into_iter().collect(),
                 writes: by_part_w.into_iter().collect(),
                 pending: msgs.len(),
                 read_results: Vec::new(),

@@ -354,11 +354,6 @@ impl ChainReplication {
         self.next_seq
     }
 
-    /// Sequence acknowledged by the chain tail.
-    pub fn tail_ack(&self) -> u64 {
-        *self.acked.last().unwrap_or(&0)
-    }
-
     /// Walk the list from head for `n` records (integrity scan).
     pub fn scan(&self, n: usize) -> usize {
         let mut cur = self.head;
@@ -477,7 +472,7 @@ mod tests {
         for i in 1..=50u64 {
             let seq = c.append(i * 7);
             assert_eq!(seq, i);
-            assert_eq!(c.tail_ack(), i, "tail must have acked seq {i}");
+            assert_eq!(c.acked.last(), Some(&i), "tail must have acked seq {i}");
         }
         assert_eq!(c.scan(50), 50);
     }
@@ -490,6 +485,6 @@ mod tests {
         }
         // The list never exceeds its capacity.
         assert!(c.scan(usize::MAX) <= 8);
-        assert_eq!(c.tail_ack(), 100);
+        assert_eq!(c.acked.last(), Some(&100));
     }
 }

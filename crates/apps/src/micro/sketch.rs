@@ -129,12 +129,6 @@ impl NaiveBayes {
         NaiveBayes::new(8, 80, 4096, 0xBAE5)
     }
 
-    /// Set an explicit likelihood (for tests).
-    pub fn set_likelihood(&mut self, class: usize, feature: usize, bin: usize, logp: f32) {
-        let i = (class * self.features + feature) * self.bins + bin;
-        self.table[i] = logp;
-    }
-
     /// Classify a feature vector (bin index per feature): argmax class.
     pub fn classify(&self, bins: &[usize]) -> usize {
         let mut best = (0usize, f32::NEG_INFINITY);
@@ -226,11 +220,14 @@ mod tests {
     #[test]
     fn nbayes_prefers_the_likely_class() {
         let mut nb = NaiveBayes::new(3, 4, 8, 9);
+        let mut set = |class: usize, feature: usize, bin: usize, logp: f32| {
+            nb.table[(class * nb.features + feature) * nb.bins + bin] = logp;
+        };
         // Make class 2 overwhelmingly likely for bins [1,2,3,4].
         for (f, b) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
-            nb.set_likelihood(2, f, b, -0.01);
-            nb.set_likelihood(0, f, b, -20.0);
-            nb.set_likelihood(1, f, b, -20.0);
+            set(2, f, b, -0.01);
+            set(0, f, b, -20.0);
+            set(1, f, b, -20.0);
         }
         assert_eq!(nb.classify(&[1, 2, 3, 4]), 2);
     }

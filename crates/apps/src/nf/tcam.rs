@@ -34,27 +34,6 @@ pub struct TcamRule {
 }
 
 impl TcamRule {
-    /// A rule matching everything.
-    pub fn match_all(permit: bool) -> TcamRule {
-        TcamRule {
-            value: FiveTuple {
-                src_ip: 0,
-                dst_ip: 0,
-                src_port: 0,
-                dst_port: 0,
-                proto: 0,
-            },
-            mask: FiveTuple {
-                src_ip: 0,
-                dst_ip: 0,
-                src_port: 0,
-                dst_port: 0,
-                proto: 0,
-            },
-            permit,
-        }
-    }
-
     /// Does `pkt` match this rule?
     pub fn matches(&self, pkt: &FiveTuple) -> bool {
         (pkt.src_ip & self.mask.src_ip) == (self.value.src_ip & self.mask.src_ip)
@@ -192,6 +171,22 @@ mod tests {
         }
     }
 
+    /// A rule matching everything: an all-zero mask.
+    fn match_all(permit: bool) -> TcamRule {
+        let zero = FiveTuple {
+            src_ip: 0,
+            dst_ip: 0,
+            src_port: 0,
+            dst_port: 0,
+            proto: 0,
+        };
+        TcamRule {
+            value: zero,
+            mask: zero,
+            permit,
+        }
+    }
+
     #[test]
     fn exact_rule_matches() {
         let mut t = Tcam::new();
@@ -226,7 +221,7 @@ mod tests {
             },
             permit: false,
         });
-        t.add_rule(TcamRule::match_all(true));
+        t.add_rule(match_all(true));
         assert_eq!(t.lookup(&pkt(0xC0A8_1234, 80, 17)).0, Some(false));
         assert_eq!(t.lookup(&pkt(0x0808_0808, 80, 17)).0, Some(true));
     }
@@ -234,8 +229,8 @@ mod tests {
     #[test]
     fn priority_first_match_wins() {
         let mut t = Tcam::new();
-        t.add_rule(TcamRule::match_all(false));
-        t.add_rule(TcamRule::match_all(true));
+        t.add_rule(match_all(false));
+        t.add_rule(match_all(true));
         assert_eq!(t.lookup(&pkt(1, 2, 3)).0, Some(false));
     }
 

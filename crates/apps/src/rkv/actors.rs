@@ -276,7 +276,7 @@ impl ConsensusActor {
                 continue;
             }
             let cmd = encode_cmd(token, client, &key, Some(&value));
-            let (slot, outs) = self.paxos.propose_tracked(cmd);
+            let (slot, outs) = self.paxos.propose(cmd);
             if let Some(s) = slot {
                 self.inflight_tokens.insert(token, s);
             }
@@ -401,7 +401,7 @@ impl ActorLogic for ConsensusActor {
                                 self.apply_committed(ctx);
                             } else {
                                 let cmd = encode_cmd(token, client, &key, Some(&value));
-                                let (slot, outs) = self.paxos.propose_tracked(cmd);
+                                let (slot, outs) = self.paxos.propose(cmd);
                                 if let Some(s) = slot {
                                     self.inflight_tokens.insert(token, s);
                                 }
@@ -852,9 +852,9 @@ pub(super) fn deploy_group(
 ///   from the applied-token filter), so the most caught-up stable memtable
 ///   must hold every completed write.
 ///
-/// `stable_nodes` are the replicas that were never crash-restarted: a
-/// restarted replica re-applies its log with a fresh token filter, so its
-/// counter legitimately double-counts and is excluded by the caller.
+/// `stable_nodes` are the replicas whose applied-token filter lasted the
+/// whole run. A crash-restart keeps it (DESIGN.md §10: a crash cuts
+/// connectivity and local state survives), so a crashed replica counts.
 pub fn audit_rkv_exactly_once(
     reg: &Registry,
     stable_nodes: &[u16],

@@ -145,9 +145,6 @@ pub struct Levels {
     base_limit: u64,
     /// Limit multiplier per level.
     growth: u64,
-    /// Compactions performed, by kind.
-    minor_compactions: u64,
-    major_compactions: u64,
 }
 
 impl Levels {
@@ -159,8 +156,6 @@ impl Levels {
             levels: vec![Vec::new()],
             base_limit,
             growth,
-            minor_compactions: 0,
-            major_compactions: 0,
         }
     }
 
@@ -187,18 +182,12 @@ impl Levels {
             .unwrap_or(0)
     }
 
-    /// Total (minor, major) compactions performed.
-    pub fn compactions(&self) -> (u64, u64) {
-        (self.minor_compactions, self.major_compactions)
-    }
-
     /// Minor compaction: flush a frozen Memtable into level 0, then cascade
     /// major compactions while any level exceeds its limit.
     pub fn flush_memtable(&mut self, entries: Vec<(Key, Option<Vec<u8>>)>) {
         if entries.is_empty() {
             return;
         }
-        self.minor_compactions += 1;
         self.levels[0].push(SsTable::from_sorted(entries));
         self.maybe_compact();
     }
@@ -211,7 +200,6 @@ impl Levels {
                 level += 1;
                 continue;
             }
-            self.major_compactions += 1;
             if self.levels.len() == level + 1 {
                 self.levels.push(Vec::new());
             }
@@ -351,10 +339,11 @@ mod tests {
                 .collect();
             l.flush_memtable(entries);
         }
-        let (minor, major) = l.compactions();
-        assert_eq!(minor, 20);
-        assert!(major > 0, "L0 must have overflowed");
-        assert!(l.depth() >= 2);
+        assert!(l.depth() >= 2, "L0 must have overflowed");
+        assert!(
+            l.level_bytes(0) <= l.limit(0),
+            "L0 compacted back under its limit"
+        );
         // All data still readable after compactions.
         for i in 0..160u64 {
             assert_eq!(l.get(&key(i)), Some(vec![b'x'; 16]), "key {i}");

@@ -280,7 +280,7 @@ mod tests {
         let t = &dep.table;
         for id in 0..64u64 {
             let key = ipipe_workload::kv::encode_key(id);
-            let leader = t.route(&key);
+            let leader = t.leader_of(t.group_of(&key));
             assert!(dep.groups.iter().any(|d| d.consensus[0] == leader));
         }
     }

@@ -195,16 +195,12 @@ impl PaxosNode {
         &mut self.log[slot as usize]
     }
 
-    /// Leader: propose a client command. Returns the Accept fan-out (empty
-    /// if this replica is not the leader — the caller should redirect).
-    pub fn propose(&mut self, value: Vec<u8>) -> Vec<(NodeIdx, PaxosMsg)> {
-        self.propose_tracked(value).1
-    }
-
-    /// [`propose`](Self::propose), but also reporting the slot chosen, so
-    /// the caller can map a client token to its log position and re-drive
-    /// the round on retransmission instead of burning a fresh slot.
-    pub fn propose_tracked(&mut self, value: Vec<u8>) -> (Option<Slot>, Vec<(NodeIdx, PaxosMsg)>) {
+    /// Leader: propose a client command. Returns the slot chosen, so the
+    /// caller can map a client token to its log position and re-drive the
+    /// round on retransmission instead of burning a fresh slot, and the
+    /// Accept fan-out. A replica that is not the leader returns no slot and
+    /// no messages; the caller should redirect.
+    pub fn propose(&mut self, value: Vec<u8>) -> (Option<Slot>, Vec<(NodeIdx, PaxosMsg)>) {
         if self.role != Role::Leader {
             return (None, Vec::new());
         }
@@ -705,7 +701,7 @@ mod tests {
         let mut nodes = group(3);
         let mut q = VecDeque::new();
         for i in 0..100u32 {
-            for (to, m) in nodes[0].propose(vec![i as u8; 64]) {
+            for (to, m) in nodes[0].propose(vec![i as u8; 64]).1 {
                 q.push_back((0, to, m));
             }
         }
@@ -717,7 +713,7 @@ mod tests {
         assert_eq!(freed, 100);
         assert!(nodes[0].log_bytes() < before / 2);
         // The replica still works after truncation.
-        for (to, m) in nodes[0].propose(b"post-truncate".to_vec()) {
+        for (to, m) in nodes[0].propose(b"post-truncate".to_vec()).1 {
             q.push_back((0, to, m));
         }
         pump(&mut nodes, &mut q, None);
@@ -738,7 +734,7 @@ mod tests {
     #[test]
     fn single_replica_commits_instantly() {
         let mut n = PaxosNode::new(0, 1);
-        let out = n.propose(b"x".to_vec());
+        let out = n.propose(b"x".to_vec()).1;
         assert!(out.is_empty());
         assert_eq!(n.drain_committed(), vec![(0, b"x".to_vec())]);
     }
@@ -747,7 +743,7 @@ mod tests {
     fn three_replicas_commit_in_one_accept_round() {
         let mut nodes = group(3);
         let mut q = VecDeque::new();
-        for (to, m) in nodes[0].propose(b"cmd1".to_vec()) {
+        for (to, m) in nodes[0].propose(b"cmd1".to_vec()).1 {
             q.push_back((0, to, m));
         }
         pump(&mut nodes, &mut q, None);
@@ -766,7 +762,7 @@ mod tests {
         let mut nodes = group(3);
         let mut q = VecDeque::new();
         for i in 0..50u32 {
-            for (to, m) in nodes[0].propose(format!("c{i}").into_bytes()) {
+            for (to, m) in nodes[0].propose(format!("c{i}").into_bytes()).1 {
                 q.push_back((0, to, m));
             }
         }
@@ -783,7 +779,7 @@ mod tests {
     fn leader_failure_election_preserves_committed_values() {
         let mut nodes = group(3);
         let mut q = VecDeque::new();
-        for (to, m) in nodes[0].propose(b"durable".to_vec()) {
+        for (to, m) in nodes[0].propose(b"durable".to_vec()).1 {
             q.push_back((0, to, m));
         }
         pump(&mut nodes, &mut q, None);
@@ -795,7 +791,7 @@ mod tests {
         assert_eq!(nodes[1].role(), Role::Leader);
         assert_eq!(nodes[2].role(), Role::Follower);
         // The new leader can commit new commands with the survivor.
-        for (to, m) in nodes[1].propose(b"post-failover".to_vec()) {
+        for (to, m) in nodes[1].propose(b"post-failover".to_vec()).1 {
             q.push_back((1, to, m));
         }
         pump(&mut nodes, &mut q, Some(0));
@@ -811,7 +807,7 @@ mod tests {
         let mut nodes = group(3);
         // Leader proposes but only node 1 receives the Accept (partial
         // round); leader then dies before committing.
-        let out = nodes[0].propose(b"maybe".to_vec());
+        let out = nodes[0].propose(b"maybe".to_vec()).1;
         for (to, m) in out {
             if to == 1 {
                 let replies = nodes[1].handle(0, m);
@@ -841,7 +837,7 @@ mod tests {
         assert_eq!(nodes[1].role(), Role::Leader);
         assert_eq!(nodes[0].role(), Role::Follower, "old leader must step down");
         // Old leader's proposals are now inert.
-        assert!(nodes[0].propose(b"stale".to_vec()).is_empty());
+        assert!(nodes[0].propose(b"stale".to_vec()).1.is_empty());
     }
 
     #[test]
@@ -851,7 +847,7 @@ mod tests {
         // still votes Accept, so entries are accepted-not-committed there).
         let mut q = VecDeque::new();
         for i in 0..5u32 {
-            for (to, m) in nodes[0].propose(format!("v{i}").into_bytes()) {
+            for (to, m) in nodes[0].propose(format!("v{i}").into_bytes()).1 {
                 q.push_back((0, to, m));
             }
         }
@@ -879,7 +875,7 @@ mod tests {
     fn retry_slot_redrives_a_lost_accept_round() {
         let mut nodes = group(3);
         // Both Accepts are lost: the slot stays uncommitted on the leader.
-        let out = nodes[0].propose(b"flaky".to_vec());
+        let out = nodes[0].propose(b"flaky".to_vec()).1;
         assert_eq!(out.len(), 2);
         assert!(!nodes[0].is_committed(0));
         // Timeout fires; the retried round goes through.
@@ -913,7 +909,7 @@ mod tests {
         assert_eq!(nodes[0].role(), Role::Leader, "0 missed the election");
         // The partition heals and 0 proposes: the rejections it gets back
         // carry the higher promise and depose it.
-        for (to, m) in nodes[0].propose(b"stale".to_vec()) {
+        for (to, m) in nodes[0].propose(b"stale".to_vec()).1 {
             for (back, r) in nodes[to as usize].handle(0, m) {
                 assert_eq!(back, 0);
                 nodes[0].handle(to, r);
@@ -944,7 +940,7 @@ mod tests {
     fn five_replica_group_survives_two_failures() {
         let mut nodes = group(5);
         let mut q = VecDeque::new();
-        for (to, m) in nodes[0].propose(b"a".to_vec()) {
+        for (to, m) in nodes[0].propose(b"a".to_vec()).1 {
             q.push_back((0, to, m));
         }
         pump(&mut nodes, &mut q, None);
@@ -953,7 +949,7 @@ mod tests {
             q.push_back((3, to, m));
         }
         pump(&mut nodes, &mut q, Some(0));
-        for (to, m) in nodes[3].propose(b"b".to_vec()) {
+        for (to, m) in nodes[3].propose(b"b".to_vec()).1 {
             q.push_back((3, to, m));
         }
         pump(&mut nodes, &mut q, Some(0));
@@ -978,7 +974,7 @@ mod tests {
         let mut nodes = group(3);
         let mut q = VecDeque::new();
         for i in 0..20u32 {
-            for (to, m) in nodes[0].propose(vec![i as u8; 16]) {
+            for (to, m) in nodes[0].propose(vec![i as u8; 16]).1 {
                 q.push_back((0, to, m));
             }
         }
@@ -993,7 +989,7 @@ mod tests {
             q.push_back((1, to, m));
         }
         pump(&mut nodes, &mut q, Some(0));
-        for (to, m) in nodes[1].propose(b"after".to_vec()) {
+        for (to, m) in nodes[1].propose(b"after".to_vec()).1 {
             q.push_back((1, to, m));
         }
         pump(&mut nodes, &mut q, Some(0));
@@ -1019,7 +1015,7 @@ mod tests {
         use ipipe_sim::SimTime;
         let mut nodes = group(3);
         let mut q = VecDeque::new();
-        for (to, m) in nodes[0].propose(b"truth".to_vec()) {
+        for (to, m) in nodes[0].propose(b"truth".to_vec()).1 {
             q.push_back((0, to, m));
         }
         pump(&mut nodes, &mut q, None);
@@ -1078,7 +1074,7 @@ mod tests {
             let mut nodes = group(3);
             let mut q = VecDeque::new();
             for i in 0..n_cmds {
-                for (to, m) in nodes[0].propose(vec![i as u8; 8]) {
+                for (to, m) in nodes[0].propose(vec![i as u8; 8]).1 {
                     q.push_back((0, to, m));
                 }
             }

@@ -19,10 +19,6 @@
 use ipipe::actor::Address;
 use ipipe_sim::DetRng;
 
-/// Default bucket count: enough resolution to balance hundreds of groups
-/// while keeping the table a few KiB.
-pub const DEFAULT_BUCKETS: usize = 4096;
-
 /// FNV-1a 64-bit digest of a key.
 fn fnv1a(key: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -94,11 +90,6 @@ impl RoutingTable {
         self.leaders[group as usize]
     }
 
-    /// Route a key to the leader of its owning group.
-    pub fn route(&self, key: &[u8]) -> Address {
-        self.leader_of(self.group_of(key))
-    }
-
     /// Per-group bucket counts (placement balance diagnostics).
     pub fn loads(&self) -> Vec<usize> {
         let mut loads = vec![0usize; self.leaders.len()];
@@ -123,18 +114,6 @@ impl RoutingTable {
             self.version += 1;
         }
         moved
-    }
-
-    /// Point one group at a new leader directly (coordinator-side updates,
-    /// e.g. after a planned migration). Bumps the version on change.
-    pub fn set_leader(&mut self, group: u16, leader: Address) -> bool {
-        let slot = &mut self.leaders[group as usize];
-        if *slot == leader {
-            return false;
-        }
-        *slot = leader;
-        self.version += 1;
-        true
     }
 }
 
@@ -176,9 +155,9 @@ mod tests {
     fn routing_follows_buckets_and_leaders() {
         let t = RoutingTable::build(5, 256, leaders(16));
         let key = b"k000000000000042";
-        let g = t.group_of(key);
-        assert_eq!(t.route(key), t.leader_of(g));
-        assert_eq!(t.bucket_of(key), t.bucket_of(key));
+        let b = t.bucket_of(key);
+        assert_eq!(b, t.bucket_of(key));
+        assert_eq!(t.group_of(key), t.buckets[b]);
     }
 
     #[test]
@@ -193,14 +172,5 @@ mod tests {
         // A refresh that matches nothing is version-silent.
         assert!(!t.refresh(addr(0, 1), addr(5, 9)));
         assert_eq!(t.version, v0 + 1);
-    }
-
-    #[test]
-    fn set_leader_targets_one_group() {
-        let mut t = RoutingTable::build(1, 64, leaders(4));
-        assert!(t.set_leader(2, addr(9, 9)));
-        assert_eq!(t.leader_of(2), addr(9, 9));
-        assert_eq!(t.leader_of(1), addr(1, 1));
-        assert!(!t.set_leader(2, addr(9, 9)));
     }
 }

@@ -11,7 +11,6 @@
 //! shard count.
 
 use ipipe::prelude::*;
-use ipipe_sim::obs::Counter;
 
 /// Configuration of one background compaction storm.
 #[derive(Debug, Clone, Copy)]
@@ -48,19 +47,12 @@ impl StormCfg {
 /// the wimpy cores; the scheduler's DRR downgrade must isolate it.
 pub struct CompactionStorm {
     cfg: StormCfg,
-    ticks: Option<Counter>,
 }
 
 impl CompactionStorm {
     /// A storm with the given shape.
     pub fn new(cfg: StormCfg) -> CompactionStorm {
-        CompactionStorm { cfg, ticks: None }
-    }
-
-    /// Count ticks into `c` (e.g. `storm.ticks` on the owning node).
-    pub fn with_ticks_counter(mut self, c: Counter) -> CompactionStorm {
-        self.ticks = Some(c);
-        self
+        CompactionStorm { cfg }
     }
 
     fn arm(&self, ctx: &mut ActorCtx<'_>) {
@@ -88,9 +80,6 @@ impl ActorLogic for CompactionStorm {
         // Same merge cost model as the real compactor: fixed overhead plus
         // ~0.7ns per byte of sequential merge.
         ctx.charge(SimTime::from_ns(2_000 + (bytes as f64 * 0.7) as u64));
-        if let Some(c) = &self.ticks {
-            c.inc();
-        }
         self.arm(ctx);
     }
 }
@@ -113,7 +102,6 @@ mod tests {
             .obs(obs.clone())
             .seed(3)
             .build();
-        let ticks = obs.registry().counter_on("storm.ticks", 0);
         let cfg = StormCfg {
             period: SimTime::from_us(100),
             chunk_bytes: 32 << 10,
@@ -124,11 +112,13 @@ mod tests {
         c.register_actor(
             0,
             "storm",
-            Box::new(CompactionStorm::new(cfg).with_ticks_counter(ticks.clone())),
+            Box::new(CompactionStorm::new(cfg)),
             Placement::Nic,
         );
         c.run_for(SimTime::from_ms(6));
-        let n = ticks.get();
+        // The storm is the node's one actor: every execution is a tick.
+        let r = obs.registry();
+        let n = r.counter_on("rt.exec.nic", 0).get() + r.counter_on("rt.exec.host", 0).get();
         // ~10 ticks/ms for 6ms; each tick's cost stretches the period a
         // little, so accept a broad band — zero or runaway both fail.
         assert!((30..=61).contains(&n), "ticks={n}");

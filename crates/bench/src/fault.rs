@@ -16,9 +16,10 @@
 //! [`DetRng`]: ipipe_sim::DetRng
 
 use ipipe::rt::{ClientReq, Cluster, RetryPolicy};
-use ipipe_apps::rkv::actors::{deploy_rkv_with, HeartbeatCfg, RkvMsg};
+use ipipe_apps::rkv::actors::{audit_rkv_exactly_once, deploy_rkv_with, HeartbeatCfg, RkvMsg};
 use ipipe_apps::rkv::lsm::KEY_LEN;
 use ipipe_netsim::FaultPlan;
+use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
 use ipipe_workload::kv::KvOp;
@@ -122,6 +123,14 @@ pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Clu
         done: c.completions().count(),
         issued: c.completions().issued(),
     };
+    // Exactly-once on all three replicas, the restarted one included (its
+    // token filter survives the crash). The deployment registered the apply
+    // counters in `c.obs()` at any shard count. The report stays out of
+    // `obs`, so the exports do not carry it.
+    let mut r = AuditReport::new(c.now());
+    let reg = c.obs().registry();
+    audit_rkv_exactly_once(reg, &[0, 1, 2], stats.issued, stats.done, &mut r);
+    r.assert_clean();
     (stats, c)
 }
 

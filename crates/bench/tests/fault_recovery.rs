@@ -59,9 +59,9 @@ fn rkv_recovers_from_leader_crash_without_operator_signal() {
         "the crash window must have eaten traffic"
     );
     // Exactly-once: the final leader (replica 1, node 1) applied every
-    // completed write, and no replica applied more than the unique tokens
-    // issued. A broken dedup path would re-apply each lost-reply
-    // retransmission and blow well past the slack.
+    // completed write, within the in-flight slack. A broken dedup path
+    // would re-apply each lost-reply retransmission and blow well past it.
+    // (`run_rkv_fault` itself audits `applies <= issued` on every replica.)
     let applies_new_leader = reg.counter_on("rkv.applies", 1).get();
     assert!(
         applies_new_leader >= stats.done,
@@ -75,13 +75,6 @@ fn rkv_recovers_from_leader_crash_without_operator_signal() {
         applies_new_leader,
         stats.done
     );
-    for node in 0..3u16 {
-        let applies = reg.counter_on("rkv.applies", node).get();
-        assert!(
-            applies <= stats.issued,
-            "node {node} applied more commands than unique tokens: {applies}"
-        );
-    }
 }
 
 #[test]

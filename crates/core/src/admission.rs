@@ -49,23 +49,6 @@ pub struct AdmissionCfg {
     pub max_backoff: SimTime,
 }
 
-impl AdmissionCfg {
-    /// One best-effort class at `rate_rps` with the given burst; no
-    /// pressure shedding (depth = usize::MAX).
-    pub fn single_class(rate_rps: u64, burst: u32) -> AdmissionCfg {
-        AdmissionCfg {
-            classes: vec![ClassCfg {
-                rate_rps,
-                burst,
-                priority: 0,
-            }],
-            pressure_depth: usize::MAX,
-            protect_priority: u8::MAX,
-            max_backoff: SimTime::from_ms(1),
-        }
-    }
-}
-
 /// Outcome of one ingress admission decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
@@ -299,9 +282,24 @@ mod tests {
         r.assert_clean();
     }
 
+    /// One best-effort class at `rate_rps` with the given burst; no
+    /// pressure shedding.
+    fn single_class(rate_rps: u64, burst: u32) -> AdmissionCfg {
+        AdmissionCfg {
+            classes: vec![ClassCfg {
+                rate_rps,
+                burst,
+                priority: 0,
+            }],
+            pressure_depth: usize::MAX,
+            protect_priority: u8::MAX,
+            max_backoff: SimTime::from_ms(1),
+        }
+    }
+
     #[test]
     fn out_of_range_class_clamps_to_last() {
-        let cfg = AdmissionCfg::single_class(1_000, 1);
+        let cfg = single_class(1_000, 1);
         let obs = Obs::disabled();
         let mut a = NodeAdmission::new(&cfg, &obs, 3, SimTime::ZERO);
         assert_eq!(a.decide(SimTime::ZERO, 200, 0), Decision::Admit);
@@ -314,7 +312,7 @@ mod tests {
     #[test]
     fn decisions_are_deterministic() {
         let run = || {
-            let cfg = AdmissionCfg::single_class(10_000, 4);
+            let cfg = single_class(10_000, 4);
             let obs = Obs::disabled();
             let mut a = NodeAdmission::new(&cfg, &obs, 0, SimTime::ZERO);
             (0..64)

@@ -18,7 +18,7 @@
 //! | [`skiplist`] — object-ID-indexed Skip List over DMOs | Fig 12b |
 //! | [`ring`] — host/NIC message rings with lazy pointer sync | §3.5 |
 //! | [`isolate`] — state protection and DoS watchdog | §3.4 |
-//! | [`nstack`] — shim networking stack over the traffic manager | App. B.1 |
+//! | [`nstack`] — shim stack: Ethernet + IPv4 codec, UDP/TCP framing, send cost | App. B.1 |
 //! | [`rt`] — the runtime binding actors, scheduler and hardware | §3 |
 //!
 //! ## Table 4 in Rust

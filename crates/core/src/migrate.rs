@@ -180,15 +180,6 @@ impl MigrationReport {
         self.phase_times.iter().copied().sum()
     }
 
-    /// Fraction of total time spent in `phase` (1-indexed).
-    pub fn phase_fraction(&self, phase: u8) -> f64 {
-        let total = self.total().as_ns();
-        if total == 0 {
-            return 0.0;
-        }
-        self.phase_times[phase as usize - 1].as_ns() as f64 / total as f64
-    }
-
     /// Per-phase metric names, 1-indexed like the phases.
     pub const PHASE_METRICS: [&'static str; 4] = [
         "migrate.phase1.prepare",
@@ -269,8 +260,9 @@ mod tests {
         assert_eq!(r.requests_forwarded, 7);
         assert!(r.total() > SimTime::from_ms(30));
         // Phase 3 dominates for a large-state actor (Fig 18).
-        assert!(r.phase_fraction(3) > 0.5, "p3 frac {}", r.phase_fraction(3));
-        assert!(r.phase_fraction(1) < 0.05);
+        let [p1, _, p3, _] = r.phase_times;
+        assert!(p3 * 2 > r.total(), "phase 3 {p3} of {}", r.total());
+        assert!(p1 * 20 < r.total());
     }
 
     #[test]

@@ -190,7 +190,6 @@ impl ClusterBuilder {
                     fault_metrics: FaultMetrics::new(&obs),
                     obs,
                     measure_start: SimTime::ZERO,
-                    kills: Vec::new(),
                     action_scratch: Vec::new(),
                     rx_frames: 0,
                     shard_of: shard_of.clone(),
@@ -269,11 +268,6 @@ impl Cluster {
     /// Number of server nodes (clients are numbered after them).
     pub fn servers(&self) -> usize {
         self.n_servers
-    }
-
-    /// Number of event shards driving the simulation.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Conservative lookahead bounding each epoch: the minimum latency any
@@ -609,20 +603,6 @@ impl Cluster {
     /// Migration reports collected on a node (Fig 18).
     pub fn migration_reports(&self, node: usize) -> &[MigrationReport] {
         &self.node(node as u16).migration_reports
-    }
-
-    /// Actors killed by the isolation watchdog, as (node, actor) pairs in
-    /// deterministic (kill time, node, actor) order across shards.
-    pub fn watchdog_kills(&self) -> Vec<(u16, ActorId)> {
-        let mut all: Vec<(SimTime, u16, ActorId)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.kills.iter().copied())
-            .collect();
-        all.sort();
-        all.into_iter()
-            .map(|(_, node, actor)| (node, actor))
-            .collect()
     }
 
     /// Messages that crossed `node`'s PCIe ring from the NIC to the host

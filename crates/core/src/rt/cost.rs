@@ -106,5 +106,5 @@ pub(super) fn emit_size(e: &Emit) -> u32 {
 /// NIC core cost to emit a message: every emit is charged the shim stack's
 /// scatter-gather send.
 pub(super) fn nic_emit_cost(spec: &NicSpec, e: &Emit) -> SimTime {
-    crate::nstack::send_cost(spec, emit_size(e), true)
+    crate::nstack::send_cost(spec, emit_size(e))
 }

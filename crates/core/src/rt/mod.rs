@@ -497,8 +497,6 @@ struct ShardState {
     fault_metrics: FaultMetrics,
     obs: Obs,
     measure_start: SimTime,
-    /// Watchdog kills with their firing time, for a cross-shard total order.
-    kills: Vec<(SimTime, u16, ActorId)>,
     /// Reusable scheduler-action buffer drained after each NIC completion.
     action_scratch: Vec<Action>,
     /// Frames processed off the wire (`Deliver` + `DeliverCorrupt` events

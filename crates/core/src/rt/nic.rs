@@ -168,7 +168,6 @@ impl ShardState {
                 now,
                 Some(("actor", offender as i64)),
             );
-            self.kills.push((now, node, offender));
             let stalled = InFlight {
                 actor: offender,
                 arrived,

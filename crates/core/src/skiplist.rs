@@ -13,8 +13,7 @@ use ipipe_sim::DetRng;
 /// Fixed key width (the RKV workload uses 16-byte keys, §5.1).
 pub const KEY_LEN: usize = 16;
 
-/// Ordered `(key, value)` pairs as returned by range scans and full
-/// traversals.
+/// Ordered `(key, value)` pairs as returned by a full traversal.
 pub type KvPairs = Vec<([u8; KEY_LEN], Vec<u8>)>;
 /// Maximum tower height.
 pub const MAX_LEVEL: usize = 12;
@@ -195,27 +194,6 @@ impl DmoSkipList {
         Ok(true)
     }
 
-    /// Range scan: up to `n` (key, value) pairs with keys >= `from`, in
-    /// order — the YCSB-E shape.
-    pub fn iter_from(
-        &self,
-        dmo: &mut ActorDmo<'_>,
-        from: &[u8; KEY_LEN],
-        n: usize,
-    ) -> Result<KvPairs, DmoError> {
-        let update = self.find_update(dmo, from)?;
-        let mut x = Self::fwd(dmo, update[0], 0)?;
-        let mut out = Vec::new();
-        while !x.is_null() && out.len() < n {
-            let key = Self::key_of(dmo, x)?;
-            let val_obj = ObjectId(dmo.read_u64(x, OFF_VAL)?);
-            let len = dmo.size_of(val_obj)?;
-            out.push((key, dmo.read(val_obj, 0, len)?));
-            x = Self::fwd(dmo, x, 0)?;
-        }
-        Ok(out)
-    }
-
     /// In-order traversal of (key, value) pairs — the Memtable flush path.
     pub fn iter_all(&self, dmo: &mut ActorDmo<'_>) -> Result<KvPairs, DmoError> {
         let mut out = Vec::with_capacity(self.len as usize);
@@ -325,24 +303,6 @@ mod tests {
                 assert_eq!(got.is_some(), i % 2 == 1, "key {i}");
             }
         }
-    }
-
-    #[test]
-    fn range_scans_start_at_the_right_key() {
-        let (mut t, mut rng) = setup();
-        let mut dmo = t.scoped(1);
-        let mut sl = DmoSkipList::create(&mut dmo).unwrap();
-        for i in (0..100).step_by(2) {
-            sl.insert(&mut dmo, &mut rng, &key(i), &i.to_le_bytes())
-                .unwrap();
-        }
-        // Scan from an absent key lands on the next present one.
-        let got = sl.iter_from(&mut dmo, &key(31), 5).unwrap();
-        let keys: Vec<_> = got.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![key(32), key(34), key(36), key(38), key(40)]);
-        // Scan beyond the end is empty; scan of everything is bounded.
-        assert!(sl.iter_from(&mut dmo, &key(1000), 5).unwrap().is_empty());
-        assert_eq!(sl.iter_from(&mut dmo, &key(0), 1000).unwrap().len(), 50);
     }
 
     #[test]

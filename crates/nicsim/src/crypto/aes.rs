@@ -1,6 +1,5 @@
-//! AES-128/AES-256 block cipher (FIPS 197) with CTR mode — the cipher behind
-//! the IPSec gateway of §5.7 (AES-256-CTR) and the AES accelerator of
-//! Table 3.
+//! AES-256 block cipher (FIPS 197) with CTR mode — the cipher behind the
+//! IPSec gateway of §5.7 (AES-256-CTR) and the AES accelerator of Table 3.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -30,59 +29,39 @@ fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-/// Key size variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AesKey {
-    /// 128-bit key, 10 rounds.
-    K128,
-    /// 256-bit key, 14 rounds.
-    K256,
-}
+/// Key words (Nk) and rounds (Nr) of AES-256.
+const NK: usize = 8;
+const ROUNDS: usize = 14;
 
-/// An expanded AES key schedule.
+/// An expanded AES-256 key schedule.
 #[derive(Clone)]
 pub struct Aes {
     round_keys: Vec<[u8; 16]>,
-    rounds: usize,
 }
 
-/// Convenience alias: AES-128.
-pub type Aes128 = Aes;
-/// Convenience alias: AES-256.
-pub type Aes256 = Aes;
-
 impl Aes {
-    /// Expand a 16-byte key (AES-128).
-    pub fn new_128(key: &[u8; 16]) -> Aes {
-        Self::expand(key, 4, 10)
-    }
-
-    /// Expand a 32-byte key (AES-256).
+    /// Expand a 32-byte key (FIPS 197 §5.2).
     pub fn new_256(key: &[u8; 32]) -> Aes {
-        Self::expand(key, 8, 14)
-    }
-
-    fn expand(key: &[u8], nk: usize, rounds: usize) -> Aes {
-        let nwords = 4 * (rounds + 1);
+        let nwords = 4 * (ROUNDS + 1);
         let mut w = vec![[0u8; 4]; nwords];
-        for (i, word) in w.iter_mut().take(nk).enumerate() {
+        for (i, word) in w.iter_mut().take(NK).enumerate() {
             word.copy_from_slice(&key[i * 4..i * 4 + 4]);
         }
-        for i in nk..nwords {
+        for i in NK..nwords {
             let mut t = w[i - 1];
-            if i % nk == 0 {
+            if i % NK == 0 {
                 t.rotate_left(1);
                 for b in &mut t {
                     *b = SBOX[*b as usize];
                 }
-                t[0] ^= RCON[i / nk];
-            } else if nk > 6 && i % nk == 4 {
+                t[0] ^= RCON[i / NK];
+            } else if i % NK == 4 {
                 for b in &mut t {
                     *b = SBOX[*b as usize];
                 }
             }
             for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ t[j];
+                w[i][j] = w[i - NK][j] ^ t[j];
             }
         }
         let round_keys = w
@@ -95,7 +74,7 @@ impl Aes {
                 rk
             })
             .collect();
-        Aes { round_keys, rounds }
+        Aes { round_keys }
     }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -134,7 +113,7 @@ impl Aes {
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         Self::add_round_key(block, &self.round_keys[0]);
-        for round in 1..self.rounds {
+        for round in 1..ROUNDS {
             Self::sub_bytes(block);
             Self::shift_rows(block);
             Self::mix_columns(block);
@@ -142,7 +121,7 @@ impl Aes {
         }
         Self::sub_bytes(block);
         Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[self.rounds]);
+        Self::add_round_key(block, &self.round_keys[ROUNDS]);
     }
 
     /// CTR-mode keystream transform (encryption and decryption are the same
@@ -163,27 +142,6 @@ impl Aes {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// FIPS 197 Appendix B: AES-128 single-block vector.
-    #[test]
-    fn fips197_aes128_vector() {
-        let key: [u8; 16] = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let mut block: [u8; 16] = [
-            0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-            0x07, 0x34,
-        ];
-        Aes::new_128(&key).encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
-                0x0b, 0x32
-            ]
-        );
-    }
 
     /// FIPS 197 Appendix C.3: AES-256 known-answer test.
     #[test]
@@ -221,8 +179,8 @@ mod tests {
 
     #[test]
     fn ctr_nonce_separates_streams() {
-        let key: [u8; 16] = [9; 16];
-        let aes = Aes::new_128(&key);
+        let key: [u8; 32] = [9; 32];
+        let aes = Aes::new_256(&key);
         let mut a = vec![0u8; 32];
         let mut b = vec![0u8; 32];
         aes.ctr_transform(1, &mut a);

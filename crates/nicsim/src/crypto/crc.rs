@@ -16,43 +16,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Incremental CRC-32 state for streaming use.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Crc32 { state: !0 }
-    }
-
-    /// Fold in more bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        self.state = crc;
-    }
-
-    /// Finish and return the digest.
-    pub fn finalize(self) -> u32 {
-        !self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,16 +29,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn streaming_matches_oneshot() {
-        let data = b"hello world, this is a streaming crc test";
-        let mut s = Crc32::new();
-        for chunk in data.chunks(7) {
-            s.update(chunk);
-        }
-        assert_eq!(s.finalize(), crc32(data));
     }
 
     #[test]

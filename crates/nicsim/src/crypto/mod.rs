@@ -1,5 +1,5 @@
 //! Bit-real software implementations of the functions the SmartNIC
-//! accelerators compute (§2.2.3 / Table 3): MD5, SHA-1, AES-CTR and CRC-32.
+//! accelerators compute (§2.2.3 / Table 3): SHA-1, AES-CTR and CRC-32.
 //!
 //! Applications built on iPipe (e.g. the IPSec gateway of §5.7) call these to
 //! produce *real* ciphertext and digests, while the [`crate::accel`] catalogue
@@ -12,10 +12,7 @@
 
 pub mod aes;
 pub mod crc;
-pub mod md5;
 pub mod sha1;
 
-pub use aes::{Aes128, Aes256, AesKey};
 pub use crc::crc32;
-pub use md5::md5;
 pub use sha1::sha1;

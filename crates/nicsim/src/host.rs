@@ -21,14 +21,8 @@ pub fn host_speedup(nic: &NicSpec, host: &HostSpec, profile: &ExecProfile) -> f6
     on_nic.as_ns() as f64 / on_host.as_ns() as f64
 }
 
-/// Number of host cores (fractional) needed to process `rate_rps` requests/s
-/// when each request costs `per_request` of host core time.
-pub fn cores_needed(per_request: SimTime, rate_rps: f64) -> f64 {
-    per_request.as_secs_f64() * rate_rps
-}
-
 /// A host core pool accumulating busy time, from which the experiment harness
-/// derives "CPU cores used" (Fig 13) and "CPU usage %" (Fig 17).
+/// derives "CPU cores used" (Fig 13), and from it Fig 17's "CPU usage %".
 #[derive(Debug, Clone, Default)]
 pub struct HostCpuAccounting {
     busy: SimTime,
@@ -57,12 +51,6 @@ impl HostCpuAccounting {
             return 0.0;
         }
         self.busy.as_secs_f64() / self.wall.as_secs_f64()
-    }
-
-    /// CPU usage in percent (may exceed 100 when more than one core is busy,
-    /// matching Fig 17's y-axis).
-    pub fn usage_percent(&self) -> f64 {
-        self.cores_used() * 100.0
     }
 
     /// Total busy time charged.
@@ -101,20 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn cores_needed_is_littles_law() {
-        // 2us per request at 1M rps = 2 cores.
-        let c = cores_needed(SimTime::from_us(2), 1_000_000.0);
-        assert!((c - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cpu_accounting() {
         let mut acc = HostCpuAccounting::new();
         acc.charge(SimTime::from_ms(500));
         acc.charge(SimTime::from_ms(750));
         acc.set_wall(SimTime::from_secs(1));
         assert!((acc.cores_used() - 1.25).abs() < 1e-9);
-        assert!((acc.usage_percent() - 125.0).abs() < 1e-9);
         assert_eq!(acc.busy(), SimTime::from_ms(1250));
     }
 

@@ -159,16 +159,10 @@ impl NicSpec {
         SimTime::from_ns((n as f64 / self.freq_ghz).round() as u64)
     }
 
-    /// Hardware-assisted send/recv cost for a payload of `size` bytes
-    /// (Fig 6). Receive is modelled the same as send plus a small constant.
+    /// Hardware-assisted send cost for a payload of `size` bytes (Fig 6).
     pub fn hw_send(&self, size: u32) -> SimTime {
         self.hw_send_base
             + SimTime::from_ns((self.hw_send_per_byte_ns * size as f64).round() as u64)
-    }
-
-    /// Hardware-assisted receive cost (Fig 6 shows recv slightly above send).
-    pub fn hw_recv(&self, size: u32) -> SimTime {
-        self.hw_send(size) + SimTime::from_ns(60)
     }
 }
 

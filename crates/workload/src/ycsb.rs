@@ -62,11 +62,6 @@ pub enum YcsbOp {
 }
 
 impl YcsbOp {
-    /// Whether the operation writes.
-    pub fn is_write(&self) -> bool {
-        !matches!(self, YcsbOp::Read { .. } | YcsbOp::Scan { .. })
-    }
-
     /// Approximate wire size.
     pub fn wire_size(&self) -> u32 {
         let base = 1 + KEY_LEN as u32;
@@ -217,7 +212,8 @@ mod tests {
 
     fn write_fraction(mix: YcsbMix, n: usize) -> f64 {
         let mut w = YcsbWorkload::new(mix, 10_000, 64, 1);
-        (0..n).filter(|_| w.next_op().is_write()).count() as f64 / n as f64
+        let is_write = |op| !matches!(op, YcsbOp::Read { .. } | YcsbOp::Scan { .. });
+        (0..n).filter(|_| is_write(w.next_op())).count() as f64 / n as f64
     }
 
     #[test]

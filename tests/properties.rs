@@ -9,7 +9,7 @@ use ipipe_repro::ipipe::dmo::{DmoTable, Side};
 use ipipe_repro::ipipe::ring::{RingBuffer, RingError};
 use ipipe_repro::ipipe::sched::{Discipline, Loc, NicScheduler, SchedConfig, Work};
 use ipipe_repro::ipipe::skiplist::{DmoSkipList, KEY_LEN};
-use ipipe_repro::nicsim::crypto::{crc32, md5, sha1};
+use ipipe_repro::nicsim::crypto::{crc32, sha1};
 use ipipe_repro::nicsim::CN2350;
 use ipipe_repro::sim::{DetRng, EventQueue, Histogram, SimTime};
 use proptest::prelude::*;
@@ -139,8 +139,7 @@ proptest! {
         let i = idx.index(data.len());
         let mut mutated = data.clone();
         mutated[i] ^= 0x01;
-        prop_assert_eq!(md5(&data), md5(&data));
-        prop_assert_ne!(md5(&mutated), md5(&data));
+        prop_assert_eq!(sha1(&data), sha1(&data));
         prop_assert_ne!(sha1(&mutated), sha1(&data));
         prop_assert_ne!(crc32(&mutated), crc32(&data));
     }
