@@ -8,9 +8,37 @@
 //! and returns the messages to send, so it runs identically inside the iPipe
 //! consensus actor, the DPDK baseline, and the unit tests (which drive a
 //! 3-replica group through commits, leader failure and gap learning).
+//!
+//! # The log is a window
+//!
+//! A replica holds the slots from `base` on, and drops every slot the whole
+//! group has applied. Each `Accepted` carries the acceptor's `apply_index`
+//! (`applied`); the leader keeps the highest one each replica reported in an
+//! accepting reply in `peer_applied` (its own entry is its own
+//! `apply_index`), and each `Accept` carries `trunc`, the highest minimum of
+//! those it has known. After each `drain_committed`, and on each accepted
+//! `Accept`, a replica drops the entries below `min(apply_index, trunc)`.
+//!
+//! Why that is safe. An `apply_index` only grows (a crash keeps local state,
+//! DESIGN.md §10), so a reported `applied` is a lower bound on that
+//! replica's `apply_index` for ever after, and `trunc` is one on every
+//! replica's. `base` therefore never passes any replica's commit frontier.
+//! A `Prepare(from_slot)` or `LearnReq(from_slot)` asks from its sender's
+//! frontier, and the sender has applied every slot below the responder's
+//! `base` (even when the message was delayed), so both are served from
+//! `max(from_slot, base)` and nothing the sender lacks is left out (a
+//! candidate rejects every Accept, so it reports nothing while its election
+//! runs and no `base` passes that election's `from_slot`). A late
+//! `Accept` below `base` is answered but not stored; a late `Accepted` or
+//! `Learn` below `base` changes nothing. No message brings a slot below
+//! `base` back into the window. A partitioned or lagging replica holds
+//! `trunc` back: the leader keeps every slot that replica's `LearnReq` will
+//! ask for.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// Replica index within the group.
 pub type NodeIdx = u32;
@@ -57,6 +85,9 @@ pub enum PaxosMsg {
         slot: Slot,
         /// Proposed value.
         value: Vec<u8>,
+        /// Every replica has applied every slot below this one: the
+        /// receiver may drop them.
+        trunc: Slot,
     },
     /// Phase-2b: acceptance (or rejection carrying the higher promise).
     Accepted {
@@ -66,6 +97,8 @@ pub enum PaxosMsg {
         slot: Slot,
         /// True when accepted.
         ok: bool,
+        /// The acceptor's `apply_index`: it has applied every slot below.
+        applied: Slot,
     },
     /// Learning phase: the leader disseminates a chosen value.
     Learn {
@@ -88,6 +121,19 @@ struct LogEntry {
     accepted_ballot: Option<Ballot>,
     value: Option<Vec<u8>>,
     committed: bool,
+    /// Accept votes (leader side): bit `p` is set once replica `p` accepted.
+    votes: u32,
+}
+
+impl LogEntry {
+    /// Count `p`'s accept vote; the entry commits once `majority` replicas
+    /// have voted. True when this vote committed it.
+    fn vote(&mut self, p: NodeIdx, majority: u32) -> bool {
+        self.votes |= 1 << p;
+        let newly = !self.committed && self.votes.count_ones() >= majority;
+        self.committed |= newly;
+        newly
+    }
 }
 
 /// One Multi-Paxos replica.
@@ -99,16 +145,24 @@ pub struct PaxosNode {
     promised: Ballot,
     /// Our current ballot when leading/campaigning.
     ballot: Ballot,
-    log: Vec<LogEntry>,
+    /// Slots `base ..`; every slot below `base` is applied on every replica.
+    log: VecDeque<LogEntry>,
+    /// First slot still held in `log`.
+    base: Slot,
     /// Next slot a leader will propose into.
     next_slot: Slot,
     /// Next committed slot to hand to the application.
     apply_index: Slot,
-    /// Per-slot accept quorum tracking (leader side).
-    accept_votes: BTreeMap<Slot, HashSet<NodeIdx>>,
+    /// Highest `applied` each replica reported in an accepting `Accepted`;
+    /// this replica's own entry is its `apply_index`.
+    peer_applied: Vec<Slot>,
+    /// Highest truncation point known: every replica has applied every slot
+    /// below it.
+    trunc: Slot,
     /// Election vote tracking (candidate side).
     prepare_votes: HashSet<NodeIdx>,
-    /// Merged accepted state gathered during the election.
+    /// Merged accepted state gathered during the election; emptied when the
+    /// election is won.
     election_merge: BTreeMap<Slot, (Ballot, Vec<u8>)>,
     election_from: Slot,
     /// Best guess at the current leader (`ballot % n` of the last adopted
@@ -117,10 +171,11 @@ pub struct PaxosNode {
 }
 
 impl PaxosNode {
-    /// Replica `id` of `n`. Replica 0 starts as the distinguished leader
-    /// (ballot 0), the rest as followers.
+    /// Replica `id` of `n` (at most 32: accept votes are a `u32` bitmask).
+    /// Replica 0 starts as the distinguished leader (ballot 0), the rest as
+    /// followers.
     pub fn new(id: NodeIdx, n: u32) -> PaxosNode {
-        assert!(n >= 1 && id < n);
+        assert!((1..=32).contains(&n) && id < n);
         PaxosNode {
             id,
             n,
@@ -131,10 +186,12 @@ impl PaxosNode {
             },
             promised: 0,
             ballot: 0,
-            log: Vec::new(),
+            log: VecDeque::new(),
+            base: 0,
             next_slot: 0,
             apply_index: 0,
-            accept_votes: BTreeMap::new(),
+            peer_applied: vec![0; n as usize],
+            trunc: 0,
             prepare_votes: HashSet::new(),
             election_merge: BTreeMap::new(),
             election_from: 0,
@@ -163,36 +220,107 @@ impl PaxosNode {
         self.leader_hint
     }
 
-    /// Whether `slot` is locally known to be committed.
+    /// Whether `slot` is locally known to be committed (every slot below
+    /// the window is).
     pub fn is_committed(&self, slot: Slot) -> bool {
-        self.log
-            .get(slot as usize)
-            .map(|e| e.committed)
-            .unwrap_or(false)
+        slot < self.base || self.get(slot).is_some_and(|e| e.committed)
     }
 
     /// Number of committed-and-unapplied plus applied slots.
     pub fn commit_frontier(&self) -> Slot {
         let mut s = self.apply_index;
-        while (s as usize) < self.log.len() && self.log[s as usize].committed {
+        while self.get(s).is_some_and(|e| e.committed) {
             s += 1;
         }
         s
     }
 
-    fn majority(&self) -> usize {
-        (self.n as usize / 2) + 1
+    fn majority(&self) -> u32 {
+        self.n / 2 + 1
     }
 
     fn others(&self) -> impl Iterator<Item = NodeIdx> + '_ {
         (0..self.n).filter(move |&p| p != self.id)
     }
 
-    fn entry(&mut self, slot: Slot) -> &mut LogEntry {
-        if self.log.len() <= slot as usize {
-            self.log.resize_with(slot as usize + 1, LogEntry::default);
+    /// The replica that proposes under `ballot`.
+    fn proposer(&self, ballot: Ballot) -> NodeIdx {
+        NodeIdx::try_from(ballot % u64::from(self.n)).expect("a remainder mod n fits in a u32")
+    }
+
+    /// One past the last slot the window holds.
+    fn end(&self) -> Slot {
+        self.base + self.log.len() as u64
+    }
+
+    /// Position of `slot` in the window; `None` below `base`.
+    fn index(&self, slot: Slot) -> Option<usize> {
+        usize::try_from(slot.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, slot: Slot) -> Option<&LogEntry> {
+        self.log.get(self.index(slot)?)
+    }
+
+    fn get_mut(&mut self, slot: Slot) -> Option<&mut LogEntry> {
+        let i = self.index(slot)?;
+        self.log.get_mut(i)
+    }
+
+    /// The entry for `slot`, created (with any gap before it) on first use;
+    /// `None` below `base`, which nothing brings back.
+    fn entry(&mut self, slot: Slot) -> Option<&mut LogEntry> {
+        let i = self.index(slot)?;
+        if self.log.len() <= i {
+            self.log.resize_with(i + 1, LogEntry::default);
         }
-        &mut self.log[slot as usize]
+        self.log.get_mut(i)
+    }
+
+    /// The held entries from `slot` on (from `base` when `slot` is below
+    /// it), with their slots.
+    fn suffix(&self, slot: Slot) -> impl Iterator<Item = (Slot, &LogEntry)> {
+        let from = slot.max(self.base);
+        let skip = self.index(from).unwrap_or(usize::MAX);
+        (from..).zip(self.log.iter().skip(skip))
+    }
+
+    /// Drop every entry below `min(apply_index, trunc)`.
+    fn compact(&mut self) {
+        let upto = self.apply_index.min(self.trunc);
+        if let Some(n) = self.index(upto) {
+            self.log.drain(..n);
+            self.base = upto;
+        }
+    }
+
+    /// The Accept fan-out for `slot` under the current ballot.
+    fn accepts(&self, slot: Slot, value: &[u8]) -> Vec<(NodeIdx, PaxosMsg)> {
+        let (ballot, trunc) = (self.ballot, self.trunc);
+        self.others()
+            .map(|p| {
+                let value = value.to_vec();
+                (
+                    p,
+                    PaxosMsg::Accept {
+                        ballot,
+                        slot,
+                        value,
+                        trunc,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// The Learn fan-out for `slot`.
+    fn learns(&self, slot: Slot, value: &[u8]) -> Vec<(NodeIdx, PaxosMsg)> {
+        self.others()
+            .map(|p| {
+                let value = value.to_vec();
+                (p, PaxosMsg::Learn { slot, value })
+            })
+            .collect()
     }
 
     /// Leader: propose a client command. Returns the slot chosen, so the
@@ -208,69 +336,38 @@ impl PaxosNode {
         self.next_slot = self.next_slot.max(self.commit_frontier());
         let slot = self.next_slot;
         self.next_slot += 1;
-        let ballot = self.ballot;
-        let e = self.entry(slot);
+        let out = self.accepts(slot, &value);
+        let (ballot, id, majority) = (self.ballot, self.id, self.majority());
+        let e = self
+            .entry(slot)
+            .expect("the commit frontier is at or above base");
         e.accepted_ballot = Some(ballot);
-        e.value = Some(value.clone());
-        self.accept_votes.entry(slot).or_default().insert(self.id);
-        self.maybe_commit(slot); // single-replica groups commit immediately
-        let out = self
-            .others()
-            .map(|p| {
-                (
-                    p,
-                    PaxosMsg::Accept {
-                        ballot,
-                        slot,
-                        value: value.clone(),
-                    },
-                )
-            })
-            .collect();
+        e.value = Some(value);
+        e.vote(id, majority); // single-replica groups commit immediately
         (Some(slot), out)
     }
 
     /// Leader: re-drive the round for a slot whose messages may have been
     /// lost. Uncommitted slots get a fresh Accept fan-out under the current
-    /// ballot; committed slots get their Learn round re-disseminated.
+    /// ballot; committed slots get their Learn round re-disseminated (slots
+    /// below the window are applied everywhere and need neither).
     pub fn retry_slot(&mut self, slot: Slot) -> Vec<(NodeIdx, PaxosMsg)> {
         if self.role != Role::Leader {
             return Vec::new();
         }
-        let Some(value) = self.log.get(slot as usize).and_then(|e| e.value.clone()) else {
+        let Some(value) = self.get(slot).and_then(|e| e.value.clone()) else {
             return Vec::new();
         };
         if self.is_committed(slot) {
-            return self
-                .others()
-                .map(|p| {
-                    (
-                        p,
-                        PaxosMsg::Learn {
-                            slot,
-                            value: value.clone(),
-                        },
-                    )
-                })
-                .collect();
+            return self.learns(slot, &value);
         }
         // Re-stamp with the current ballot (safe: phase 2 under a ballot we
         // hold the promise for) and re-run the accept round.
-        let ballot = self.ballot;
-        self.entry(slot).accepted_ballot = Some(ballot);
-        self.accept_votes.entry(slot).or_default().insert(self.id);
-        self.others()
-            .map(|p| {
-                (
-                    p,
-                    PaxosMsg::Accept {
-                        ballot,
-                        slot,
-                        value: value.clone(),
-                    },
-                )
-            })
-            .collect()
+        let (ballot, id) = (self.ballot, self.id);
+        let e = self.get_mut(slot).expect("held: it has a value");
+        e.accepted_ballot = Some(ballot);
+        e.votes |= 1 << id;
+        self.accepts(slot, &value)
     }
 
     /// Start a two-phase leader election ("when the leader fails, replicas
@@ -278,20 +375,18 @@ impl PaxosNode {
     pub fn start_election(&mut self) -> Vec<(NodeIdx, PaxosMsg)> {
         self.role = Role::Candidate;
         // Pick a ballot above anything seen, tagged with our id.
-        let round = self.promised / self.n as u64 + 1;
-        self.ballot = round * self.n as u64 + self.id as u64;
+        let n = u64::from(self.n);
+        self.ballot = (self.promised / n + 1) * n + u64::from(self.id);
         self.promised = self.ballot;
         self.prepare_votes.clear();
         self.prepare_votes.insert(self.id);
-        self.election_merge.clear();
         self.election_from = self.commit_frontier();
         // Merge our own accepted suffix.
-        for s in self.election_from..self.log.len() as u64 {
-            let e = &self.log[s as usize];
-            if let (Some(b), Some(v)) = (e.accepted_ballot, e.value.clone()) {
-                self.election_merge.insert(s, (b, v));
-            }
-        }
+        let own = self
+            .suffix(self.election_from)
+            .filter_map(|(s, e)| Some((s, (e.accepted_ballot?, e.value.clone()?))))
+            .collect();
+        self.election_merge = own;
         let from_slot = self.election_from;
         let ballot = self.ballot;
         self.others()
@@ -299,52 +394,19 @@ impl PaxosNode {
             .collect()
     }
 
-    /// Discard log state below `slot` (all of it must be applied) — the
-    /// snapshot/compaction hook that keeps the RSM log window bounded.
-    /// Returns the number of entries released.
-    pub fn truncate_below(&mut self, slot: Slot) -> usize {
-        let upto = slot.min(self.apply_index) as usize;
-        let mut freed = 0;
-        for e in self.log.iter_mut().take(upto) {
-            if e.value.is_some() {
-                e.value = None;
-                e.accepted_ballot = None;
-                freed += 1;
-            }
-        }
-        let keys: Vec<Slot> = self
-            .accept_votes
-            .range(..upto as Slot)
-            .map(|(&s, _)| s)
-            .collect();
-        for k in keys {
-            self.accept_votes.remove(&k);
-        }
-        freed
-    }
-
-    /// Approximate bytes held by the log window (diagnostics).
-    pub fn log_bytes(&self) -> usize {
-        self.log
-            .iter()
-            .map(|e| e.value.as_ref().map(Vec::len).unwrap_or(0) + 24)
-            .sum()
-    }
-
-    /// Drain commands that became committed, in log order.
+    /// Drain commands that became committed, in log order, then drop what
+    /// the whole group has applied.
     pub fn drain_committed(&mut self) -> Vec<(Slot, Vec<u8>)> {
         let mut out = Vec::new();
-        while (self.apply_index as usize) < self.log.len() {
-            let e = &self.log[self.apply_index as usize];
-            if !e.committed {
-                break;
-            }
-            out.push((
-                self.apply_index,
-                e.value.clone().expect("committed entries have values"),
-            ));
+        while let Some(e) = self.get(self.apply_index).filter(|e| e.committed) {
+            let value = e.value.clone().expect("committed entries have values");
+            out.push((self.apply_index, value));
             self.apply_index += 1;
         }
+        self.peer_applied[self.id as usize] = self.apply_index;
+        let group = self.peer_applied.iter().copied().min().unwrap_or(0);
+        self.trunc = self.trunc.max(group);
+        self.compact();
         out
     }
 
@@ -356,12 +418,14 @@ impl PaxosNode {
     /// - `paxos.leader.ballot` — a leader's ballot is tagged with its id
     ///   (`ballot % n == id`), the structural guarantee behind ballot
     ///   uniqueness;
-    /// - `paxos.frontier` — `apply_index ≤ commit_frontier ≤ log.len()`;
+    /// - `paxos.frontier` — `apply_index ≤ commit_frontier ≤` the window's end;
+    /// - `paxos.window` — `base ≤ apply_index` and `base ≤ trunc`: the window
+    ///   never drops an unapplied slot, nor one some replica may still ask for;
     /// - `paxos.accepted.ballot` — no live entry was accepted under a ballot
     ///   above the promise (acceptance always raises the promise first);
     /// - `paxos.committed.value` — every committed-and-unapplied entry holds
-    ///   a value (entries below `apply_index` may be truncated);
-    /// - `paxos.votes` — accept-quorum sets only ever name group members.
+    ///   a value;
+    /// - `paxos.votes` — an accept-vote bitmask names no bit at or above `n`.
     pub fn audit_into(&self, r: &mut AuditReport, node: u16) {
         r.check("paxos.ballot", node, self.ballot <= self.promised, || {
             format!(
@@ -372,7 +436,7 @@ impl PaxosNode {
         r.check(
             "paxos.leader.ballot",
             node,
-            self.role != Role::Leader || self.ballot % self.n as u64 == self.id as u64,
+            self.role != Role::Leader || self.proposer(self.ballot) == self.id,
             || {
                 format!(
                     "leading under ballot {} not tagged with id {}",
@@ -384,17 +448,28 @@ impl PaxosNode {
         r.check(
             "paxos.frontier",
             node,
-            self.apply_index <= frontier && frontier <= self.log.len() as u64,
+            self.apply_index <= frontier && frontier <= self.end(),
             || {
                 format!(
-                    "apply_index {} / frontier {} / log length {}",
+                    "apply_index {} / frontier {} / window end {}",
                     self.apply_index,
                     frontier,
-                    self.log.len()
+                    self.end()
                 )
             },
         );
-        for (s, e) in self.log.iter().enumerate().skip(self.apply_index as usize) {
+        r.check(
+            "paxos.window",
+            node,
+            self.base <= self.apply_index && self.base <= self.trunc,
+            || {
+                format!(
+                    "base {} above apply_index {} or trunc {}",
+                    self.base, self.apply_index, self.trunc
+                )
+            },
+        );
+        for (s, e) in self.suffix(self.apply_index) {
             r.check(
                 "paxos.accepted.ballot",
                 node,
@@ -413,12 +488,17 @@ impl PaxosNode {
                 || format!("slot {s} committed without a value"),
             );
         }
-        for (s, votes) in &self.accept_votes {
+        for (s, e) in self.suffix(self.base) {
             r.check(
                 "paxos.votes",
                 node,
-                votes.len() <= self.n as usize && votes.iter().all(|&v| v < self.n),
-                || format!("slot {s}: vote set names non-members (group of {})", self.n),
+                e.votes.checked_shr(self.n).unwrap_or(0) == 0,
+                || {
+                    format!(
+                        "slot {s}: votes {:#x} name non-members (group of {})",
+                        e.votes, self.n
+                    )
+                },
             );
         }
     }
@@ -426,15 +506,14 @@ impl PaxosNode {
     /// Cross-replica agreement audit — Paxos' core safety property:
     ///
     /// - `paxos.agreement` — no slot is committed with different values on
-    ///   two replicas (slots truncated on either side are skipped: their
-    ///   values were applied and released);
+    ///   two replicas (slots below either window are skipped: the whole
+    ///   group applied and dropped them);
     /// - `paxos.split.brain` — no two replicas lead under the same ballot.
     pub fn audit_group(nodes: &[&PaxosNode], r: &mut AuditReport) {
         for (i, a) in nodes.iter().enumerate() {
             for b in nodes.iter().skip(i + 1) {
-                let upto = a.log.len().min(b.log.len());
-                for s in 0..upto {
-                    let (ea, eb) = (&a.log[s], &b.log[s]);
+                let from = a.base.max(b.base);
+                for ((s, ea), (_, eb)) in a.suffix(from).zip(b.suffix(from)) {
                     if !(ea.committed && eb.committed) {
                         continue;
                     }
@@ -462,13 +541,18 @@ impl PaxosNode {
         }
     }
 
-    fn maybe_commit(&mut self, slot: Slot) -> bool {
-        let have = self.accept_votes.get(&slot).map(HashSet::len).unwrap_or(0);
-        if have >= self.majority() {
-            self.entry(slot).committed = true;
-            return true;
+    /// Election won: re-propose `slot` with `value` under the new ballot. A
+    /// slot that fell below `base` during the election is applied
+    /// everywhere: its Accepts still go out, but it is not stored again.
+    fn repropose(&mut self, slot: Slot, value: &[u8], out: &mut Vec<(NodeIdx, PaxosMsg)>) {
+        let (ballot, id, majority) = (self.ballot, self.id, self.majority());
+        if let Some(e) = self.entry(slot) {
+            e.accepted_ballot = Some(ballot);
+            e.value = Some(value.to_vec());
+            e.votes = 0;
+            e.vote(id, majority);
         }
-        false
+        out.extend(self.accepts(slot, value));
     }
 
     /// Handle a protocol message from `from`; returns messages to send.
@@ -479,16 +563,14 @@ impl PaxosNode {
                 let mut accepted = Vec::new();
                 if ok {
                     self.promised = ballot;
-                    self.leader_hint = (ballot % self.n as u64) as NodeIdx;
+                    self.leader_hint = self.proposer(ballot);
                     if self.role == Role::Leader {
                         self.role = Role::Follower; // deposed
                     }
-                    for s in from_slot..self.log.len() as u64 {
-                        let e = &self.log[s as usize];
-                        if let (Some(b), Some(v)) = (e.accepted_ballot, e.value.clone()) {
-                            accepted.push((s, b, v));
-                        }
-                    }
+                    accepted = self
+                        .suffix(from_slot)
+                        .filter_map(|(s, e)| Some((s, e.accepted_ballot?, e.value.clone()?)))
+                        .collect();
                 }
                 vec![(
                     from,
@@ -516,64 +598,26 @@ impl PaxosNode {
                     }
                 }
                 self.prepare_votes.insert(from);
-                if self.prepare_votes.len() < self.majority() {
+                if self.prepare_votes.len() < self.majority() as usize {
                     return Vec::new();
                 }
                 // Won: become leader, re-propose merged values (gap learning:
                 // "choose the next available log instance and learn accepted
-                // values from other replicas if its log has gaps").
+                // values from other replicas if its log has gaps"). A leader
+                // ignores later PrepareReplys, so the merge is freed here.
                 self.role = Role::Leader;
                 self.leader_hint = self.id;
                 self.next_slot = self.next_slot.max(self.election_from);
+                let merged = std::mem::take(&mut self.election_merge);
                 let mut out = Vec::new();
-                let max_slot = self.election_merge.keys().next_back().copied();
-                let merged: Vec<(Slot, Vec<u8>)> = self
-                    .election_merge
-                    .iter()
-                    .map(|(&s, (_, v))| (s, v.clone()))
-                    .collect();
-                for (s, v) in &merged {
-                    let ballot = self.ballot;
-                    let e = self.entry(*s);
-                    e.accepted_ballot = Some(ballot);
-                    e.value = Some(v.clone());
-                    let votes = self.accept_votes.entry(*s).or_default();
-                    votes.clear();
-                    votes.insert(self.id);
-                    self.maybe_commit(*s);
-                    for p in (0..self.n).filter(|&p| p != self.id) {
-                        out.push((
-                            p,
-                            PaxosMsg::Accept {
-                                ballot,
-                                slot: *s,
-                                value: v.clone(),
-                            },
-                        ));
-                    }
+                for (&s, (_, v)) in &merged {
+                    self.repropose(s, v, &mut out);
                 }
                 // Fill uncovered gaps below the merge horizon with no-ops.
-                if let Some(max) = max_slot {
+                if let Some(&max) = merged.keys().next_back() {
                     for s in self.election_from..=max {
-                        if !self.election_merge.contains_key(&s) {
-                            let ballot = self.ballot;
-                            let e = self.entry(s);
-                            e.accepted_ballot = Some(ballot);
-                            e.value = Some(Vec::new());
-                            let votes = self.accept_votes.entry(s).or_default();
-                            votes.clear();
-                            votes.insert(self.id);
-                            self.maybe_commit(s);
-                            for p in (0..self.n).filter(|&p| p != self.id) {
-                                out.push((
-                                    p,
-                                    PaxosMsg::Accept {
-                                        ballot,
-                                        slot: s,
-                                        value: Vec::new(),
-                                    },
-                                ));
-                            }
+                        if !merged.contains_key(&s) {
+                            self.repropose(s, &[], &mut out);
                         }
                     }
                     self.next_slot = self.next_slot.max(max + 1);
@@ -584,17 +628,21 @@ impl PaxosNode {
                 ballot,
                 slot,
                 value,
+                trunc,
             } => {
                 let ok = ballot >= self.promised;
                 if ok {
                     self.promised = ballot;
-                    self.leader_hint = (ballot % self.n as u64) as NodeIdx;
+                    self.leader_hint = self.proposer(ballot);
                     if self.role != Role::Follower && ballot != self.ballot {
                         self.role = Role::Follower;
                     }
-                    let e = self.entry(slot);
-                    e.accepted_ballot = Some(ballot);
-                    e.value = Some(value);
+                    if let Some(e) = self.entry(slot) {
+                        e.accepted_ballot = Some(ballot);
+                        e.value = Some(value);
+                    }
+                    self.trunc = self.trunc.max(trunc);
+                    self.compact();
                 }
                 // A rejection must carry the *promised* ballot, not echo the
                 // proposer's: a leader deposed while partitioned away can
@@ -606,10 +654,16 @@ impl PaxosNode {
                         ballot: reply_ballot,
                         slot,
                         ok,
+                        applied: self.apply_index,
                     },
                 )]
             }
-            PaxosMsg::Accepted { ballot, slot, ok } => {
+            PaxosMsg::Accepted {
+                ballot,
+                slot,
+                ok,
+                applied,
+            } => {
                 if !ok {
                     // The acceptor promised a higher ballot: we were deposed
                     // without hearing the Prepare (crash/partition window).
@@ -617,54 +671,48 @@ impl PaxosNode {
                     // redirected toward the real leader.
                     if self.role == Role::Leader && ballot > self.ballot {
                         self.promised = self.promised.max(ballot);
-                        self.leader_hint = (ballot % self.n as u64) as NodeIdx;
+                        self.leader_hint = self.proposer(ballot);
                         self.role = Role::Follower;
                     }
                     return Vec::new();
                 }
+                // Only an accepting replica reports: a candidate rejects
+                // every Accept, so no `trunc` passes its election's start.
+                if let Some(a) = self.peer_applied.get_mut(from as usize) {
+                    *a = (*a).max(applied);
+                }
                 if self.role != Role::Leader || ballot != self.ballot {
                     return Vec::new();
                 }
-                self.accept_votes.entry(slot).or_default().insert(from);
-                let newly = !self.log[slot as usize].committed && self.maybe_commit(slot);
-                if newly {
-                    // Learning round.
-                    let value = self.log[slot as usize].value.clone().expect("accepted");
-                    self.others()
-                        .map(|p| {
-                            (
-                                p,
-                                PaxosMsg::Learn {
-                                    slot,
-                                    value: value.clone(),
-                                },
-                            )
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
+                let majority = self.majority();
+                let Some(e) = self.get_mut(slot) else {
+                    return Vec::new(); // below the window: applied everywhere
+                };
+                if !e.vote(from, majority) {
+                    return Vec::new();
                 }
+                // Learning round.
+                let value = e.value.clone().expect("accepted");
+                self.learns(slot, &value)
             }
             PaxosMsg::Learn { slot, value } => {
-                let e = self.entry(slot);
-                e.value = Some(value);
-                e.committed = true;
+                if let Some(e) = self.entry(slot) {
+                    e.value = Some(value);
+                    e.committed = true;
+                }
                 Vec::new()
             }
             PaxosMsg::LearnReq { from_slot } => {
                 // Re-send Learns for every committed slot we still hold at or
-                // after the requester's frontier (truncated slots are below
-                // its frontier by definition, so the gap is always servable).
-                let mut out = Vec::new();
-                for s in from_slot..self.log.len() as u64 {
-                    let e = &self.log[s as usize];
-                    if e.committed {
-                        if let Some(v) = e.value.clone() {
-                            out.push((from, PaxosMsg::Learn { slot: s, value: v }));
-                        }
-                    }
-                }
-                out
+                // after the requester's frontier (it has applied every slot
+                // we dropped, so the gap is always servable).
+                self.suffix(from_slot)
+                    .filter(|(_, e)| e.committed)
+                    .filter_map(|(slot, e)| {
+                        let value = e.value.clone()?;
+                        Some((from, PaxosMsg::Learn { slot, value }))
+                    })
+                    .collect()
             }
         }
     }
@@ -696,28 +744,51 @@ mod tests {
         (0..n).map(|i| PaxosNode::new(i, n)).collect()
     }
 
+    /// Propose `value` on `leader`, deliver everything, and drain every
+    /// replica (as the consensus actor does after each message); returns
+    /// what each replica applied.
+    fn commit_one(nodes: &mut [PaxosNode], leader: NodeIdx, value: Vec<u8>) -> Vec<usize> {
+        let mut q = VecDeque::new();
+        for (to, m) in nodes[leader as usize].propose(value).1 {
+            q.push_back((leader, to, m));
+        }
+        pump(nodes, &mut q, None);
+        nodes
+            .iter_mut()
+            .map(|n| n.drain_committed().len())
+            .collect()
+    }
+
     #[test]
     fn truncation_bounds_the_log() {
         let mut nodes = group(3);
         let mut q = VecDeque::new();
-        for i in 0..100u32 {
-            for (to, m) in nodes[0].propose(vec![i as u8; 64]).1 {
+        for i in 0..100u8 {
+            for (to, m) in nodes[0].propose(vec![i; 64]).1 {
                 q.push_back((0, to, m));
             }
         }
         pump(&mut nodes, &mut q, None);
-        let drained = nodes[0].drain_committed();
-        assert_eq!(drained.len(), 100);
-        let before = nodes[0].log_bytes();
-        let freed = nodes[0].truncate_below(100);
-        assert_eq!(freed, 100);
-        assert!(nodes[0].log_bytes() < before / 2);
-        // The replica still works after truncation.
-        for (to, m) in nodes[0].propose(b"post-truncate".to_vec()).1 {
-            q.push_back((0, to, m));
+        for nd in nodes.iter_mut() {
+            assert_eq!(nd.drain_committed().len(), 100);
         }
-        pump(&mut nodes, &mut q, None);
-        assert_eq!(nodes[0].drain_committed().len(), 1);
+        // The followers applied after they voted, so the leader has not yet
+        // heard it: nothing is dropped on any replica.
+        assert!(nodes.iter().all(|nd| nd.base == 0 && nd.log.len() == 100));
+        // The next round carries their `applied` back to the leader, the one
+        // after carries the leader's `trunc` out; each still commits.
+        assert_eq!(
+            commit_one(&mut nodes, 0, b"post-truncate".to_vec()),
+            [1, 1, 1]
+        );
+        assert_eq!(nodes[0].base, 100);
+        assert_eq!(commit_one(&mut nodes, 0, b"again".to_vec()), [1, 1, 1]);
+        assert_eq!((nodes[0].base, nodes[0].log.len()), (101, 1));
+        // A follower's `trunc` is one round behind the leader's.
+        for nd in &nodes[1..] {
+            assert_eq!((nd.base, nd.log.len()), (100, 2), "replica {}", nd.id());
+        }
+        assert!(nodes.iter().all(|nd| nd.is_committed(0)));
     }
 
     #[test]
@@ -725,10 +796,103 @@ mod tests {
         let mut n = PaxosNode::new(0, 1);
         n.propose(b"a".to_vec());
         n.propose(b"b".to_vec());
-        // Nothing applied yet: truncate_below is a no-op past apply_index.
-        assert_eq!(n.truncate_below(10), 0);
+        // Committed but not applied: both stay in the window.
+        assert_eq!((n.base, n.log.len()), (0, 2));
         assert_eq!(n.drain_committed().len(), 2);
-        assert_eq!(n.truncate_below(10), 2);
+        // Applied by the whole (one-replica) group: both are dropped.
+        assert_eq!((n.base, n.log.len()), (2, 0));
+        // A follower that has committed slots but not applied them keeps
+        // them, however far the leader's `trunc` runs ahead.
+        let mut nodes = group(3);
+        for i in 0..4u8 {
+            let mut q = VecDeque::new();
+            for (to, m) in nodes[0].propose(vec![i]).1 {
+                q.push_back((0, to, m));
+            }
+            pump(&mut nodes, &mut q, None);
+            nodes[0].drain_committed();
+            nodes[1].drain_committed();
+        }
+        assert_eq!(nodes[2].commit_frontier(), 4);
+        assert_eq!((nodes[2].base, nodes[2].log.len()), (0, 4));
+        assert_eq!(nodes[0].base, 0, "replica 2 reported nothing applied");
+        assert_eq!(nodes[2].drain_committed().len(), 4);
+    }
+
+    #[test]
+    fn window_holds_at_most_two_entries_in_a_lossless_run() {
+        let mut nodes = group(3);
+        let mut q = VecDeque::new();
+        for i in 0..10_000u32 {
+            for (to, m) in nodes[0].propose(i.to_le_bytes().to_vec()).1 {
+                q.push_back((0, to, m));
+            }
+            pump(&mut nodes, &mut q, None);
+            for nd in nodes.iter_mut() {
+                assert!(nd.log.len() <= 2, "replica {}: {}", nd.id(), nd.log.len());
+                assert_eq!(nd.drain_committed().len(), 1);
+                assert!(nd.log.len() <= 2, "replica {}: {}", nd.id(), nd.log.len());
+            }
+        }
+        assert!(nodes.iter().all(|nd| nd.base >= 9_998));
+    }
+
+    #[test]
+    fn late_messages_below_base_change_nothing() {
+        let mut nodes = group(3);
+        for i in 0..10u8 {
+            commit_one(&mut nodes, 0, vec![i]);
+        }
+        let window = |nd: &PaxosNode| {
+            let entries = nd.log.iter().map(|e| {
+                let e = e.clone();
+                (e.accepted_ballot, e.value, e.committed, e.votes)
+            });
+            (nd.base, entries.collect::<Vec<_>>())
+        };
+        let (leader, follower) = (window(&nodes[0]), window(&nodes[1]));
+        assert!(leader.0 > 0 && follower.0 > 0);
+        let ballot = nodes[0].ballot();
+        // A late Accept is still answered (the acceptor keeps its promise)
+        // but not stored.
+        let late = PaxosMsg::Accept {
+            ballot,
+            slot: 0,
+            value: b"late".to_vec(),
+            trunc: 0,
+        };
+        let reply = nodes[1].handle(0, late);
+        assert!(matches!(
+            reply.as_slice(),
+            [(
+                0,
+                PaxosMsg::Accepted {
+                    slot: 0,
+                    ok: true,
+                    ..
+                }
+            )]
+        ));
+        assert_eq!(window(&nodes[1]), follower);
+        // A late Accepted and a late Learn are no-ops.
+        let late = PaxosMsg::Accepted {
+            ballot,
+            slot: 0,
+            ok: true,
+            applied: 0,
+        };
+        assert!(nodes[0].handle(2, late).is_empty());
+        assert_eq!(window(&nodes[0]), leader);
+        let late = PaxosMsg::Learn {
+            slot: 0,
+            value: b"late".to_vec(),
+        };
+        assert!(nodes[1].handle(0, late).is_empty());
+        assert_eq!(window(&nodes[1]), follower);
+        // A LearnReq from below the window is served from `base`.
+        let served = nodes[0].handle(1, PaxosMsg::LearnReq { from_slot: 0 });
+        assert_eq!(served.len(), leader.1.len());
+        assert_eq!(window(&nodes[0]), leader);
     }
 
     #[test]
@@ -767,8 +931,8 @@ mod tests {
             }
         }
         pump(&mut nodes, &mut q, None);
-        let expect: Vec<_> = (0..50u32)
-            .map(|i| (i as u64, format!("c{i}").into_bytes()))
+        let expect: Vec<_> = (0..50u64)
+            .map(|i| (i, format!("c{i}").into_bytes()))
             .collect();
         for node in nodes.iter_mut() {
             assert_eq!(node.drain_committed(), expect);
@@ -822,6 +986,7 @@ mod tests {
         }
         pump(&mut nodes, &mut q, Some(0));
         assert_eq!(nodes[2].role(), Role::Leader);
+        assert!(nodes[2].election_merge.is_empty(), "freed once re-proposed");
         let committed = nodes[2].drain_committed();
         assert_eq!(committed, vec![(0, b"maybe".to_vec())]);
     }
@@ -843,32 +1008,48 @@ mod tests {
     #[test]
     fn learn_req_backfills_a_lagging_replica() {
         let mut nodes = group(3);
-        // Commit 5 commands, but replica 2 never hears the Learn round (it
-        // still votes Accept, so entries are accepted-not-committed there).
+        // Commit 1,000 commands, but replica 2 never hears the Learn round
+        // (it still votes Accept, so entries are accepted-not-committed
+        // there). Replicas 0 and 1 apply as they go.
+        let mut applied = [Vec::new(), Vec::new(), Vec::new()];
         let mut q = VecDeque::new();
-        for i in 0..5u32 {
+        for i in 0..1_000u32 {
             for (to, m) in nodes[0].propose(format!("v{i}").into_bytes()).1 {
                 q.push_back((0, to, m));
             }
-        }
-        while let Some((from, to, msg)) = q.pop_front() {
-            if to == 2 && matches!(msg, PaxosMsg::Learn { .. }) {
-                continue; // lossy link eats every Learn toward replica 2
+            while let Some((from, to, msg)) = q.pop_front() {
+                if to == 2 && matches!(msg, PaxosMsg::Learn { .. }) {
+                    continue; // lossy link eats every Learn toward replica 2
+                }
+                for (dst, m) in nodes[to as usize].handle(from, msg) {
+                    q.push_back((to, dst, m));
+                }
             }
-            for (dst, m) in nodes[to as usize].handle(from, msg) {
-                q.push_back((to, dst, m));
+            for (nd, out) in nodes.iter_mut().zip(&mut applied).take(2) {
+                out.extend(nd.drain_committed());
             }
+            // The laggard holds the leader's window open.
+            assert!(nodes[0].base <= nodes[2].commit_frontier());
         }
-        assert_eq!(nodes[0].commit_frontier(), 5);
+        assert_eq!(nodes[0].commit_frontier(), 1_000);
         assert_eq!(nodes[2].commit_frontier(), 0, "Learns were all lost");
+        assert_eq!(nodes[0].log.len(), 1_000);
         // Catch-up: replica 2 asks the leader from its frontier.
         let from_slot = nodes[2].commit_frontier();
         for (to, m) in nodes[0].handle(2, PaxosMsg::LearnReq { from_slot }) {
             assert_eq!(to, 2);
             nodes[2].handle(0, m);
         }
-        assert_eq!(nodes[2].commit_frontier(), 5);
-        assert_eq!(nodes[0].drain_committed(), nodes[2].drain_committed());
+        assert_eq!(nodes[2].commit_frontier(), 1_000);
+        applied[2].extend(nodes[2].drain_committed());
+        assert_eq!(applied[0], applied[2]);
+        // Two lossless rounds carry replica 2's `applied` to the leader and
+        // the leader's `trunc` back out: both windows shrink.
+        for v in [b"x", b"y"] {
+            assert_eq!(commit_one(&mut nodes, 0, v.to_vec()), [1, 1, 1]);
+        }
+        assert!(nodes[0].log.len() <= 2 && nodes[2].log.len() <= 2);
+        assert!(nodes[0].base >= 1_000 && nodes[2].base >= 1_000);
     }
 
     #[test]
@@ -959,32 +1140,33 @@ mod tests {
         assert_eq!(c3[1].1, b"b");
     }
 
+    /// Every replica's `audit_into` plus the group's `audit_group`.
+    fn audit_all(nodes: &[PaxosNode]) -> AuditReport {
+        let mut r = AuditReport::new(ipipe_sim::SimTime::ZERO);
+        for (i, nd) in nodes.iter().enumerate() {
+            nd.audit_into(&mut r, u16::try_from(i).unwrap());
+        }
+        let refs: Vec<&PaxosNode> = nodes.iter().collect();
+        PaxosNode::audit_group(&refs, &mut r);
+        r
+    }
+
     #[test]
     fn audit_passes_through_commit_failover_and_truncation() {
-        use ipipe_sim::SimTime;
-        let audit_all = |nodes: &[PaxosNode]| {
-            let mut r = AuditReport::new(SimTime::ZERO);
-            for (i, nd) in nodes.iter().enumerate() {
-                nd.audit_into(&mut r, i as u16);
-            }
-            let refs: Vec<&PaxosNode> = nodes.iter().collect();
-            PaxosNode::audit_group(&refs, &mut r);
-            r
+        let assert_clean = |nodes: &[PaxosNode]| {
+            let r = audit_all(nodes);
+            assert!(r.is_clean(), "{}", r.render());
         };
         let mut nodes = group(3);
-        let mut q = VecDeque::new();
-        for i in 0..20u32 {
-            for (to, m) in nodes[0].propose(vec![i as u8; 16]).1 {
-                q.push_back((0, to, m));
-            }
+        for i in 0..20u8 {
+            commit_one(&mut nodes, 0, vec![i; 16]);
         }
-        pump(&mut nodes, &mut q, None);
-        assert!(
-            audit_all(&nodes).is_clean(),
-            "{}",
-            audit_all(&nodes).render()
-        );
+        // Applied slots were dropped: entries below `base` must NOT trip the
+        // audit, on one replica or across the group.
+        assert!(nodes.iter().all(|nd| nd.base >= 18));
+        assert_clean(&nodes);
         // Failover under a dead leader, then more commits.
+        let mut q = VecDeque::new();
         for (to, m) in nodes[1].start_election() {
             q.push_back((1, to, m));
         }
@@ -993,21 +1175,9 @@ mod tests {
             q.push_back((1, to, m));
         }
         pump(&mut nodes, &mut q, Some(0));
-        assert!(
-            audit_all(&nodes).is_clean(),
-            "{}",
-            audit_all(&nodes).render()
-        );
-        // Apply + truncate on the new leader: committed-without-value below
-        // apply_index must NOT trip the audit.
-        let applied = nodes[1].drain_committed().len() as u64;
-        assert!(applied >= 21);
-        nodes[1].truncate_below(applied);
-        assert!(
-            audit_all(&nodes).is_clean(),
-            "{}",
-            audit_all(&nodes).render()
-        );
+        assert_clean(&nodes);
+        assert_eq!(nodes[1].drain_committed().len(), 1);
+        assert_clean(&nodes);
     }
 
     #[test]
@@ -1020,7 +1190,9 @@ mod tests {
         }
         pump(&mut nodes, &mut q, None);
         // Forge the canonical safety violation: replica 2 commits a
-        // different value into an agreed slot.
+        // different value into an agreed slot (nothing is applied yet, so
+        // the window's first entry is slot 0).
+        assert_eq!(nodes[2].base, 0);
         nodes[2].log[0].value = Some(b"forged".to_vec());
         let mut r = AuditReport::new(SimTime::ZERO);
         let refs: Vec<&PaxosNode> = nodes.iter().collect();
@@ -1067,18 +1239,19 @@ mod tests {
         fn three_replicas_converge_under_seeded_loss(
             seed in proptest::prelude::any::<u64>(),
             loss_pct in 1u32..11,
-            n_cmds in 1usize..24,
+            n_cmds in 1u8..24,
         ) {
-            let loss = loss_pct as f64 / 100.0;
+            let loss = f64::from(loss_pct) / 100.0;
             let mut rng = ipipe_sim::DetRng::new(seed);
             let mut nodes = group(3);
             let mut q = VecDeque::new();
             for i in 0..n_cmds {
-                for (to, m) in nodes[0].propose(vec![i as u8; 8]).1 {
+                for (to, m) in nodes[0].propose(vec![i; 8]).1 {
                     q.push_back((0, to, m));
                 }
             }
-            let target = n_cmds as u64;
+            let target = u64::from(n_cmds);
+            let mut applied = [Vec::new(), Vec::new(), Vec::new()];
             let mut rounds = 0;
             while !nodes.iter().all(|nd| nd.commit_frontier() >= target) {
                 rounds += 1;
@@ -1093,18 +1266,29 @@ mod tests {
                 }
                 // ...and lagging followers ask for committed slots they
                 // missed (the heartbeat-frontier path).
-                for i in 1..3u32 {
-                    let f = nodes[i as usize].commit_frontier();
+                for (i, nd) in nodes.iter().enumerate().skip(1) {
+                    let f = nd.commit_frontier();
                     if f < target {
+                        let i = NodeIdx::try_from(i).unwrap();
                         q.push_back((i, 0, PaxosMsg::LearnReq { from_slot: f }));
                     }
                 }
                 pump_lossy(&mut nodes, &mut q, &mut rng, loss);
+                // Each replica applies (and drops what the group applied)
+                // as the consensus actor does, and the audit stays clean.
+                for (nd, out) in nodes.iter_mut().zip(&mut applied) {
+                    out.extend(nd.drain_committed());
+                }
+                let r = audit_all(&nodes);
+                proptest::prop_assert!(r.is_clean(), "{}", r.render());
+            }
+            for (nd, out) in nodes.iter_mut().zip(&mut applied) {
+                out.extend(nd.drain_committed());
             }
             let expect: Vec<(Slot, Vec<u8>)> =
-                (0..n_cmds).map(|i| (i as u64, vec![i as u8; 8])).collect();
-            for nd in nodes.iter_mut() {
-                proptest::prop_assert_eq!(nd.drain_committed(), expect.clone());
+                (0..n_cmds).map(|i| (u64::from(i), vec![i; 8])).collect();
+            for out in applied {
+                proptest::prop_assert_eq!(out, expect.clone());
             }
         }
     }

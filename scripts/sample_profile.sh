@@ -4,10 +4,12 @@
 # backtrace() on every ITIMER_PROF tick of a benchmark repetition; the
 # addresses are symbolised with addr2line (inlined frames included) and
 # reduced to three tables over the samples under one root function.
-#   ./scripts/sample_profile.sh <workload> [seed] [reps] [cut] [root]
+#   ./scripts/sample_profile.sh [--seconds S] <workload> [seed] [reps] [cut] [root]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
-# dse-grid), run at the size of `--seconds 20`. The kernel ticks ITIMER_PROF
-# every 4 ms here, about 230 samples per repetition, hence 8 repetitions.
+# dse-grid), run at the size of benchmark/run.sh's `--seconds S` (default
+# 20; the child's `--scale` is S / 240), so host time at 5 s and at 80 s can
+# be split by layer. The kernel ticks ITIMER_PROF every 4 ms on a 2-CPU
+# x86-64 VM, about 230 samples per 20 s repetition, hence 8 repetitions.
 # The third table charges each sample to the innermost frame whose demangled
 # name contains an entry of the cut list; [cut] = "a,b,..." replaces the list
 # ("" keeps the default). [root] (default Cluster::run_for) keeps the samples
@@ -18,9 +20,19 @@
 # target/sample-profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=${1:?usage: sample_profile.sh <workload> [seed] [reps] [cut] [root]}
+usage="usage: sample_profile.sh [--seconds S] <workload> [seed] [reps] [cut] [root]"
+seconds=20 args=()
+while (($#)); do
+    case $1 in
+    --seconds) seconds=${2:?$usage} && shift 2 ;;
+    *) args+=("$1") && shift ;;
+    esac
+done
+set -- ${args[@]+"${args[@]}"}
+workload=${1:?$usage}
 seed=${2:-11}
 reps=${3:-8}
+scale=$(awk -v s="$seconds" 'BEGIN { printf "%.7g", s / 240 }')
 # Layers of the request path and of the TCP transport (neither's names occur
 # in the other's workloads), plus two that cut across them: hash-table probes,
 # and "??", code outside the executable (libc's malloc, free, memcpy).
@@ -97,7 +109,7 @@ bin=$dir/target/release/ipipe-benchmark
 rm -f "$dir"/samples.*
 for rep in $(seq "$reps"); do
     SAMPLE_OUT=$dir/samples.$rep LD_PRELOAD=$PWD/$dir/sampler.so "$bin" \
-        --child rep --workload "$workload" --seed "$seed" --scale 0.083333 > /dev/null
+        --child rep --workload "$workload" --seed "$seed" --scale "$scale" > /dev/null
 done
 
 python3 - "$bin" "$cut" "$root" "$dir"/samples.* <<'EOF'

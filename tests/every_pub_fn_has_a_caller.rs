@@ -8,11 +8,10 @@
 //! method shares its fate with every other function of the same name.
 //!
 //! A function that fails the rule is deleted, or kept in [`KEEP`] under one
-//! of four exceptions:
+//! of three exceptions:
 //! - (a) `benchmark/` names it;
 //! - (b) a committed document cites it as the home of a call or a result;
-//! - (c) a test uses it as an oracle or fault hook for *other* code;
-//! - (d) it belongs to the replicated log's compaction hook, not yet wired in.
+//! - (c) a test uses it as an oracle or fault hook for *other* code.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -33,7 +32,6 @@ const KEEP: &[&str] = &[
     "first_divergence (c) bench::differential: names the metric a failed diff broke",
     "is_match (c) anchored oracle for the regex compiler the RTA filter uses",
     "ledger_diff (c) figure::ledger_diff compares a fresh figures run with the ledger",
-    "log_bytes (d) measures the RSM log that truncate_below will bound",
     "memmove (b) core's Table 4 maps the paper's dmo_mmmove to it",
     "region_usage (c) DMO tests read back the accounting of malloc and free",
     "scan (c) walks the chain-replication log that append recycles",
@@ -42,7 +40,6 @@ const KEEP: &[&str] = &[
     "side_of (c) DMO tests read which side holds an object after a move",
     "stream_byte (c) TCP tests check delivered bytes against the sender's stream",
     "trace_len (c) obs tests read back what the trace ring recorded",
-    "truncate_below (d) the RSM log's compaction hook",
     "with_corruption (c) fault hook: net and runtime tests corrupt frames",
     "with_link_down (c) fault hook: net tests take a link down",
     "with_link_loss (c) fault hook: net tests drop one link's frames",
@@ -223,12 +220,10 @@ fn every_pub_fn_has_a_caller() {
     let mut kept = BTreeSet::new();
     for entry in KEEP {
         let (name, why) = entry.split_once(' ').unwrap();
-        let ok = ["(a) ", "(b) ", "(c) ", "(d) "]
-            .iter()
-            .any(|e| why.starts_with(e));
+        let ok = ["(a) ", "(b) ", "(c) "].iter().any(|e| why.starts_with(e));
         assert!(
             ok && why.len() > 4,
-            "KEEP entry `{entry}` needs (a)-(d) and a reason"
+            "KEEP entry `{entry}` needs (a)-(c) and a reason"
         );
         if !defined.contains_key(name) {
             problems.push(format!(
