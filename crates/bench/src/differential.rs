@@ -104,7 +104,7 @@ pub fn diff_fig16_parallel(requests: u64, seed: u64) -> DiffOutcome {
     .collect();
     let run_grid = |workers: usize| -> String {
         parallel_sweep(&cells, workers, |i, &(d, load)| {
-            let obs = Obs::default();
+            let obs = Obs::disabled();
             let cfg = SchedConfig::for_nic(&CN2350)
                 .with_discipline(d)
                 .no_migration();

@@ -399,7 +399,7 @@ fn run_cell(
         }
         Workload::Fig16 => {
             use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
-            let obs = Obs::default();
+            let obs = Obs::disabled();
             let cfg = SchedConfig::for_nic(d.spec)
                 .with_discipline(Discipline::Hybrid)
                 .no_migration();

@@ -1,5 +1,6 @@
 //! Heap allocations per processed event on the request path, as a count,
-//! and the bytes a cluster requests while it builds and deploys.
+//! the bytes a cluster requests while it builds and deploys, and the most
+//! bytes a run holds live at once.
 //!
 //! Host time cannot be gated in CI (the box drifts by a third within an
 //! hour); allocation counts repeat exactly, so this is the guard that cannot
@@ -10,12 +11,16 @@ use ipipe_bench::scale::{build_keyspace_cluster, deploy_keyspace, run_rkv_scale,
 use ipipe_bench::sharded::{build_grid, GridSpec};
 use ipipe_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 // Statistics only: no other data is published through these, so `Relaxed`.
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated minus bytes freed since counting began (negative when
+/// the counted code frees more than it allocated), and its high-water mark.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 struct CountingAlloc;
 
@@ -27,6 +32,15 @@ fn note(bytes: usize) {
     }
 }
 
+/// Live bytes move by `grown - freed`.
+fn live(grown: usize, freed: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        let delta = grown as i64 - freed as i64;
+        let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 // The workspace denies `unsafe_code`; a global allocator cannot be written
@@ -35,24 +49,28 @@ fn note(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size(), 0);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size(), 0);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        live(new_size, layout.size());
         // SAFETY: `ptr` came from this allocator, which is `System` underneath,
         // with this `layout`; both are passed through as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(0, layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -61,22 +79,44 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` with the counters on; the allocations it made and the bytes they
-/// requested.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+/// What one counted stretch of code did to the heap.
+struct Counted<T> {
+    /// Allocations made (a `realloc` is one).
+    allocs: u64,
+    /// Bytes those allocations requested.
+    bytes: u64,
+    /// The most bytes the stretch held live at once, counted from zero at
+    /// its start: what it allocated and had not freed yet.
+    peak_live: i64,
+    out: T,
+}
+
+/// Run `f` with the counters on.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> Counted<T> {
     let (allocs, bytes) = (
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     );
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
     let out = f();
     COUNTING.store(false, Ordering::Relaxed);
-    (
-        ALLOCS.load(Ordering::Relaxed) - allocs,
-        BYTES.load(Ordering::Relaxed) - bytes,
+    Counted {
+        allocs: ALLOCS.load(Ordering::Relaxed) - allocs,
+        bytes: BYTES.load(Ordering::Relaxed) - bytes,
+        peak_live: PEAK.load(Ordering::Relaxed),
         out,
-    )
+    }
 }
+
+/// The most heap the smoke planetary run may hold live at once, counted
+/// from the run's start (build included): 408 KiB. 427,090 bytes while a
+/// completed request's retry deadline stayed queued until the client's timer
+/// reached it and a skip-list node held all 128 bytes of its tower; 403,810
+/// since a request that ends drops the ended deadlines at the head and a DMO
+/// holds only the prefix its accesses reached.
+const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 
 /// Build and deploy the smoke-size planetary scenario: at most 320 KiB
 /// requested. 13,304,096 bytes while every DMO object was zero-filled at
@@ -97,6 +137,13 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
 /// at the commit before: a histogram now allocates at its first sample, and
 /// again each time its samples reach a new octave.
 ///
+/// 0.929 (21,195) against 0.927 (21,149) at the commit before, once a DMO
+/// object's bytes grow with the prefix its accesses reach: an object whose
+/// accesses reach further in steps (a skip list's head among them)
+/// allocates once per doubling.
+///
+/// The same run must hold at most [`PEAK_LIVE_BUDGET`] bytes live.
+///
 /// Then 5 ms of the smoke-size `pod` on two shards, the epoch engine alone
 /// (`run_for` only): at most 0.22 per event. 0.51 (4,495 over 8,780 events)
 /// while every epoch took the outbox's buffer away and collected a fresh
@@ -108,7 +155,11 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
 #[test]
 fn smoke_runs_stay_within_their_allocation_budgets() {
     let spec = ScaleSpec::smoke(7, 1);
-    let (_, bytes, _deployed) = allocations_in(|| {
+    let Counted {
+        bytes,
+        out: _deployed,
+        ..
+    } = allocations_in(|| {
         let mut c = build_keyspace_cluster(&spec);
         let dep = deploy_keyspace(&mut c, &spec);
         (c, dep)
@@ -118,7 +169,8 @@ fn smoke_runs_stay_within_their_allocation_budgets() {
         "building and deploying requested {bytes} bytes"
     );
 
-    let (allocs, _, (stats, _cluster)) = allocations_in(|| run_rkv_scale(&spec));
+    let run = allocations_in(|| run_rkv_scale(&spec));
+    let (allocs, (stats, _cluster)) = (run.allocs, run.out);
     assert!(stats.events > 10_000, "{stats:?}");
     let per_event = allocs as f64 / stats.events as f64;
     assert!(
@@ -126,9 +178,14 @@ fn smoke_runs_stay_within_their_allocation_budgets() {
         "{allocs} allocations over {} events = {per_event:.3} per event",
         stats.events
     );
+    let peak = run.peak_live;
+    assert!(
+        peak <= PEAK_LIVE_BUDGET,
+        "the run held {peak} bytes live at its peak"
+    );
 
     let mut pod = build_grid(&GridSpec::fig16(7, 2));
-    let (allocs, _, ()) = allocations_in(|| pod.run_for(SimTime::from_ms(5)));
+    let Counted { allocs, .. } = allocations_in(|| pod.run_for(SimTime::from_ms(5)));
     let events = pod.epoch_stats().events;
     assert!(events > 5_000, "{events} events");
     let per_event = allocs as f64 / events as f64;

@@ -13,9 +13,9 @@
 //! on the LiquidIO firmware).
 //!
 //! An object's size is fixed at `malloc`, and sizes alone drive region
-//! accounting and migration's byte count. Its bytes are allocated, zeroed, at
-//! its first access, so an object nobody reads or writes costs the host no
-//! memory.
+//! accounting and migration's byte count. Its bytes exist, zeroed, only as
+//! far as an access has reached: an object nobody reads or writes costs the
+//! host no memory, and one whose tail nobody touches holds only its prefix.
 
 use crate::actor::ActorId;
 use ipipe_sim::{IdMap, SimTime};
@@ -76,7 +76,8 @@ struct DmoEntry {
     owner: ActorId,
     side: Side,
     size: u64,
-    /// Empty until the first access, then `size` bytes.
+    /// The prefix some access has reached; the rest of `size` reads as
+    /// zeros and is allocated when an access first reaches it.
     data: Box<[u8]>,
 }
 
@@ -189,8 +190,10 @@ impl DmoTable {
     /// The `len` bytes at `offset` of an object `actor` owns, charged as one
     /// access: one *modelled* lookup once the object is found (so never on
     /// `NoSuchObject`/`Protection`), then `len` bytes if the range fits. The
-    /// host-side table is probed once, whatever the model charges. The first
-    /// access that fits allocates the object's bytes.
+    /// host-side table is probed once, whatever the model charges. An access
+    /// that fits and reaches past the held prefix grows it to at least
+    /// twice its length (capped at `size`), so a run of appends costs
+    /// amortised O(1) per byte.
     fn access(
         &mut self,
         actor: ActorId,
@@ -209,8 +212,11 @@ impl DmoTable {
                 len,
             })?;
         self.traffic.bytes += len;
-        if entry.data.is_empty() {
-            entry.data = vec![0; entry.size as usize].into();
+        let held = entry.data.len();
+        if end > held as u64 {
+            let mut data = vec![0; end.max(2 * held as u64).min(entry.size) as usize];
+            data[..held].copy_from_slice(&entry.data);
+            entry.data = data.into();
         }
         Ok(&mut entry.data[offset as usize..end as usize])
     }
@@ -333,6 +339,12 @@ impl DmoTable {
     /// Drain the DMO traffic counters accumulated since the last call.
     pub fn take_traffic(&mut self) -> DmoTraffic {
         std::mem::take(&mut self.traffic)
+    }
+
+    /// The bytes `obj` holds on the host: the prefix its accesses reached.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self, obj: ObjectId) -> usize {
+        self.objects[&obj.0].data.len()
     }
 
     /// Borrow the table scoped to one actor (what `ActorCtx::dmo` hands out).
@@ -520,7 +532,7 @@ mod tests {
         let a = t.malloc(1, SIZE).unwrap();
         let b = t.malloc(1, SIZE).unwrap();
         // Neither object holds host memory, yet both count in full.
-        assert!(t.objects[&a.0].data.is_empty() && t.objects[&b.0].data.is_empty());
+        assert_eq!((t.held_bytes(a), t.held_bytes(b)), (0, 0));
         assert_eq!(t.size_of(1, a), Ok(SIZE));
         assert_eq!(t.region_usage(1), Some((2 * SIZE, 1 << 20)));
         assert_eq!(t.objects_of(1), vec![(a, SIZE), (b, SIZE)]);
@@ -538,9 +550,68 @@ mod tests {
                 bytes: 16
             }
         );
-        assert_eq!(t.objects[&a.0].data.len() as u64, SIZE);
+        assert_eq!(t.held_bytes(a) as u64, SIZE);
         assert_eq!(t.size_of(1, a), Ok(SIZE));
         assert_eq!(t.actor_state_bytes(1), SIZE);
+    }
+
+    #[test]
+    fn an_object_holds_only_the_prefix_its_accesses_reached() {
+        const SIZE: u64 = 4096;
+        let mut t = table_with(1, 1 << 20);
+        let o = t.malloc(1, SIZE).unwrap();
+        let full_size = |t: &DmoTable| {
+            assert_eq!(t.size_of(1, o), Ok(SIZE));
+            assert_eq!(t.region_usage(1), Some((SIZE, 1 << 20)));
+            assert_eq!(t.objects_of(1), vec![(o, SIZE)]);
+            assert_eq!(t.actor_state_bytes(1), SIZE);
+        };
+        // A write at offset k holds k + len bytes.
+        t.write(1, o, 100, b"abcd").unwrap();
+        assert_eq!(t.held_bytes(o), 104);
+        full_size(&t);
+        // A read past the held prefix sees zeros, is charged like any read,
+        // and grows the prefix to its end (or to twice the prefix, if more).
+        t.take_traffic();
+        assert_eq!(t.read(1, o, 1000, 24).unwrap(), &[0; 24]);
+        let read = DmoTraffic {
+            lookups: 1,
+            bytes: 24,
+        };
+        assert_eq!(t.take_traffic(), read);
+        assert_eq!(t.held_bytes(o), 1024);
+        assert_eq!(t.read(1, o, 100, 4).unwrap(), b"abcd");
+        // An access inside the prefix allocates nothing; one byte past it
+        // doubles it; the doubling stops at `size`.
+        t.write(1, o, 1023, b"x").unwrap();
+        assert_eq!(t.held_bytes(o), 1024);
+        t.write(1, o, 1024, b"y").unwrap();
+        assert_eq!(t.held_bytes(o), 2048);
+        t.write(1, o, 2048, b"z").unwrap();
+        assert_eq!(t.held_bytes(o), SIZE as usize);
+        assert_eq!(t.read(1, o, 1022, 4).unwrap(), [0, b'x', b'y', 0]);
+        full_size(&t);
+        assert_eq!(t.migrate_actor(1, Side::Host), SIZE);
+    }
+
+    #[test]
+    fn appends_regrow_the_prefix_a_logarithmic_number_of_times() {
+        const WORDS: u64 = 4096;
+        let mut t = table_with(1, 1 << 20);
+        let o = t.malloc(1, 8 * WORDS).unwrap();
+        let mut sizes = vec![0];
+        for i in 0..WORDS {
+            t.write(1, o, 8 * i, &i.to_le_bytes()).unwrap();
+            if sizes.last() != Some(&t.held_bytes(o)) {
+                sizes.push(t.held_bytes(o));
+            }
+        }
+        // 8, 16, 32, ..., 32 KiB: one allocation per doubling.
+        let doublings: Vec<usize> = (3..=15).map(|b| 1 << b).collect();
+        assert_eq!(sizes[1..], doublings);
+        for i in 0..WORDS {
+            assert_eq!(t.read(1, o, 8 * i, 8).unwrap(), i.to_le_bytes());
+        }
     }
 
     #[test]

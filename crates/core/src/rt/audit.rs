@@ -22,6 +22,8 @@ impl Cluster {
     /// * `client.retry.timer` — one deadline per armed request, and one
     ///   pending `RetryDue` at the armed instant, which is no later than the
     ///   earliest live deadline
+    /// * `client.retry.head` — a client's earliest retry deadline belongs to
+    ///   a request still in flight (or it has none)
     /// * `net.frames` — frames sent (`net.packets`) are processed, still
     ///   pending delivery, or dropped with a reason counter
     /// * `ring.depth` — per-node NIC→host ring occupancy equals the pending
@@ -286,8 +288,11 @@ impl ShardState {
 /// `client.retry.timer` for one client: every armed in-flight request has
 /// exactly one deadline, and while any deadline is live one pending
 /// `RetryDue` sits at `armed`, no later than the earliest of them. Every
-/// other pending `RetryDue` is parked. Reported only as a violation, so a
-/// clean audit's check count does not depend on which clients retry.
+/// other pending `RetryDue` is parked. `client.retry.head`: the earliest
+/// deadline is a live one, because every request that ends drops the ended
+/// entries in front of the set ([`ClientState::end`]). Reported only as
+/// violations, so a clean audit's check count does not depend on which
+/// clients retry.
 fn audit_retry_timer(r: &mut AuditReport, node: u16, state: &ClientState, pending: &[SimTime]) {
     let Some(retry) = &state.retry else {
         return;
@@ -321,6 +326,10 @@ fn audit_retry_timer(r: &mut AuditReport, node: u16, state: &ClientState, pendin
             );
             r.violation("client.retry.timer", node, detail);
         }
+    }
+    if let Some((at, token)) = d.head().filter(|(_, t)| !state.inflight.contains_key(t)) {
+        let detail = format!("earliest retry deadline {at} is token {token}'s, which has ended");
+        r.violation("client.retry.head", node, detail);
     }
     if pending.len() != usize::from(d.armed.is_some()) + d.parked.len() {
         let detail = format!(

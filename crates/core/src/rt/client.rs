@@ -196,6 +196,23 @@ impl ClientRetry {
     }
 }
 
+impl ClientState {
+    /// End `token`'s request, whichever way it ended (completion, shed,
+    /// abandonment): it leaves `inflight`, and the ended entries at the head
+    /// of the retry deadlines go with it, as the timer would drop them when
+    /// it reached them. The deadlines then hold the requests in flight, plus
+    /// whatever ended behind a straggler.
+    pub(super) fn end(&mut self, token: u64) -> Option<Outstanding> {
+        let out = self.inflight.remove(&token)?;
+        if let Some(retry) = self.retry.as_mut() {
+            retry
+                .deadlines
+                .next_live(|token| self.inflight.contains_key(&token));
+        }
+        Some(out)
+    }
+}
+
 impl RetryDeadlines {
     /// Add `token`'s deadline `at`: to the FIFO when it keeps the FIFO in
     /// `(deadline, token)` order, to the heap otherwise.
@@ -209,7 +226,7 @@ impl RetryDeadlines {
     }
 
     /// The earliest entry, completed or not.
-    fn head(&self) -> Option<(SimTime, u64)> {
+    pub(super) fn head(&self) -> Option<(SimTime, u64)> {
         let late = self.late.peek().map(|&Reverse(entry)| entry);
         self.fifo.front().copied().into_iter().chain(late).min()
     }
@@ -330,7 +347,7 @@ impl ShardState {
                 // Give up so the closed loop keeps breathing. Open-loop
                 // arrivals are purely time-driven — never re-armed by an
                 // abandonment — so a paced client skips the re-issue.
-                state.inflight.remove(&token);
+                state.end(token);
                 self.fault_metrics.abandoned.inc();
                 if state.open.is_none() {
                     self.events
@@ -474,7 +491,7 @@ impl ShardState {
                 self.fault_metrics.shed_backoff.inc();
                 return;
             }
-            state.inflight.remove(&req.token);
+            state.end(req.token);
             self.fault_metrics.shed_remote.inc();
             if state.open.is_some() {
                 state.shed_src_until = state.shed_src_until.max(now + retry_after);
@@ -486,7 +503,7 @@ impl ShardState {
             return;
         }
         if let Some(state) = self.clients[client as usize].as_mut() {
-            if let Some(Outstanding { issued, .. }) = state.inflight.remove(&req.token) {
+            if let Some(Outstanding { issued, .. }) = state.end(req.token) {
                 self.completions.completed += 1;
                 if issued >= self.measure_start {
                     self.completions.hist.record(now.saturating_sub(issued));

@@ -213,8 +213,11 @@ struct ClientRetry {
 
 /// One client's retransmission deadlines, `(deadline, token)`, served by a
 /// single timer: at most one live [`Ev::RetryDue`], armed for the earliest
-/// deadline still in flight. A completion leaves its entry behind; the
-/// timer drops it when it comes due or reaches the head.
+/// deadline still in flight. A request that ends (completion, shed,
+/// abandonment) drops the ended entries at the head
+/// ([`ClientState::end`]), so the set holds the requests in flight plus what
+/// ended behind a straggler; the timer drops those when they come due or
+/// reach the head.
 #[derive(Default)]
 struct RetryDeadlines {
     /// First-transmission deadlines (`issued + timeout`), which arrive in

@@ -1113,6 +1113,28 @@ fn audit_detects_a_lost_retry_deadline() {
     assert_eq!(flagged, ["client.retry.timer"], "{}", report.render());
 }
 
+/// A request that leaves the in-flight ledger without [`ClientState::end`]
+/// leaves its deadline at the head of the retry set: `client.retry.head`
+/// must name it.
+#[test]
+fn audit_detects_an_ended_request_at_the_retry_head() {
+    let (mut c, a) = echo_cluster(2);
+    echo_client(&mut c, a, 8);
+    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.run_for(SimTime::from_us(30));
+    c.audit().assert_clean();
+    // The oldest request: its first-transmission deadline leads the set.
+    assert!(c.debug_drop_inflight(0), "a request must be in flight");
+    let report = c.audit();
+    let flagged: Vec<&str> = report.violations().iter().map(|v| v.invariant).collect();
+    assert_eq!(
+        flagged,
+        ["client.retry.head", "client.conservation"],
+        "{}",
+        report.render()
+    );
+}
+
 #[test]
 fn retry_timer_reuses_a_superseded_event() {
     let us = SimTime::from_us;
@@ -1135,16 +1157,52 @@ fn deadline_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
     prop::collection::vec((0u8..5, 0u64..64, 0u64..1024), 1..200)
 }
 
+/// A client with a retry policy and nothing else: what the deadline-set
+/// differential ends requests through.
+fn retry_only_client() -> ClientState {
+    ClientState {
+        gen: Box::new(|_, _| unreachable!("the differential never issues")),
+        outstanding: 0,
+        next_token: 0,
+        inflight: IdMap::default(),
+        rng: DetRng::new(0),
+        retry: Some(ClientRetry {
+            policy: RetryPolicy::lan_default(),
+            payload_fn: None,
+            deadlines: RetryDeadlines::default(),
+        }),
+        open: None,
+        route_refresh: None,
+        shed_src_until: SimTime::ZERO,
+    }
+}
+
+fn deadlines(client: &mut ClientState) -> &mut RetryDeadlines {
+    &mut client.retry.as_mut().expect("a retry policy").deadlines
+}
+
 /// [`RetryDeadlines`] against a `BTreeSet<(SimTime, u64)>` of live
 /// deadlines, driven the way a client drives it: in-order pushes of fresh
 /// tokens (first transmissions), out-of-order pushes of tokens the timer
-/// judged and kept in flight (resends, shed holds), completions, which
-/// leave their entry behind, and `pop_due(now)` with `now` advancing. After
-/// every step the popped live tokens, their order and the next live
-/// deadline must equal the reference's.
+/// judged and kept in flight (resends, shed holds), requests that end
+/// through [`ClientState::end`] (the runtime's one exit for completions,
+/// sheds and abandonments), and the timer: `pop_due(now)` with `now`
+/// advancing, then `next_live` as `handle_retry_due` re-arms. After every
+/// step the popped live tokens and their order must equal the reference's,
+/// and the set's head must be the reference's first entry: an ended request
+/// never sits at the head.
 fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError> {
     let ns = SimTime::from_ns;
-    let mut set = RetryDeadlines::default();
+    let in_flight = || Outstanding {
+        issued: SimTime::ZERO,
+        dst: Address { node: 0, actor: 0 },
+        wire_size: 0,
+        flow: 0,
+        tries: 1,
+        backoff: SimTime::ZERO,
+        hold_until: SimTime::ZERO,
+    };
+    let mut client = retry_only_client();
     let mut reference: BTreeSet<(SimTime, u64)> = BTreeSet::new();
     // Tokens in flight, with their deadline unless the timer judged them
     // and they wait for a re-push.
@@ -1156,7 +1214,8 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
             // (equal ones included).
             0 | 1 => {
                 last_first = last_first.max(now) + ns(a / 8 * 8);
-                set.push(last_first, next_token);
+                deadlines(&mut client).push(last_first, next_token);
+                client.inflight.insert(next_token, in_flight());
                 reference.insert((last_first, next_token));
                 live.insert(next_token, Some(last_first));
                 next_token += 1;
@@ -1167,26 +1226,30 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
                 let at = now + ns(b / 4 * 4);
                 let judged = live.iter().filter(|(_, d)| d.is_none()).map(|(&t, _)| t);
                 let token = judged.min().unwrap_or_else(|| {
+                    client.inflight.insert(next_token, in_flight());
                     next_token += 1;
                     next_token - 1
                 });
-                set.push(at, token);
+                deadlines(&mut client).push(at, token);
                 reference.insert((at, token));
                 live.insert(token, Some(at));
             }
-            // Completion: the reference forgets the entry, the set keeps it.
+            // The request ends: the reference forgets its entry, the client
+            // drops whatever ended entries lead the set.
             3 => {
                 if let Some(&token) = live.keys().nth(b as usize % live.len().max(1)) {
+                    prop_assert_eq!(client.end(token).map(|out| out.tries), Some(1));
                     if let Some(Some(at)) = live.remove(&token) {
                         reference.remove(&(at, token));
                     }
                 }
             }
-            // The timer fires at `now`: everything due, in order.
+            // The timer fires at `now`: everything due, in order, then the
+            // re-arm's look for the next live deadline.
             _ => {
                 now += ns(a * b / 16);
                 let mut popped = Vec::new();
-                while let Some(token) = set.pop_due(now) {
+                while let Some(token) = deadlines(&mut client).pop_due(now) {
                     if live.contains_key(&token) {
                         popped.push(token);
                         live.insert(token, None);
@@ -1202,10 +1265,13 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
                 }
                 let want: Vec<u64> = due.iter().map(|&(_, token)| token).collect();
                 prop_assert_eq!(popped, want);
+                let inflight = &client.inflight;
+                let set = &mut client.retry.as_mut().expect("a retry policy").deadlines;
+                let next = set.next_live(|token| inflight.contains_key(&token));
+                prop_assert_eq!(next, reference.first().map(|&(at, _)| at));
             }
         }
-        let next = set.next_live(|token| live.contains_key(&token));
-        prop_assert_eq!(next, reference.first().map(|&(at, _)| at));
+        prop_assert_eq!(deadlines(&mut client).head(), reference.first().copied());
     }
     Ok(())
 }

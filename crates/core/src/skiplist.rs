@@ -131,17 +131,20 @@ impl DmoSkipList {
         let node = dmo.malloc(NODE_BYTES)?;
         let val_obj = dmo.malloc(value.len().max(1) as u64)?;
         dmo.write(val_obj, 0, value)?;
-        dmo.write(node, OFF_KEY, key)?;
-        dmo.write_u64(node, OFF_VAL, val_obj.0)?;
-        dmo.write_u64(node, OFF_LEVEL, lvl as u64)?;
         if lvl > self.level {
             self.level = lvl;
         }
-        for (l, &prev) in update.iter().enumerate().take(lvl) {
+        // Top level first: the node's first access reaches its highest
+        // forward word, so its bytes are allocated once, at 32 + 8·lvl, and
+        // the levels it never has are never held.
+        for (l, &prev) in update.iter().enumerate().take(lvl).rev() {
             let next = Self::fwd(dmo, prev, l)?;
             Self::set_fwd(dmo, node, l, next)?;
             Self::set_fwd(dmo, prev, l, node)?;
         }
+        dmo.write(node, OFF_KEY, key)?;
+        dmo.write_u64(node, OFF_VAL, val_obj.0)?;
+        dmo.write_u64(node, OFF_LEVEL, lvl as u64)?;
         self.len += 1;
         Ok(true)
     }
@@ -376,6 +379,34 @@ mod tests {
                 bytes: 918_056
             }
         );
+    }
+
+    /// Every node holds exactly its header and the forward words of its
+    /// level: the insert links the tower top-down, so the node's first
+    /// access is its highest word and the bytes above it are never held.
+    #[test]
+    fn every_node_holds_exactly_its_tower() {
+        let (mut t, mut rng) = setup();
+        let mut dmo = t.scoped(1);
+        let mut sl = DmoSkipList::create(&mut dmo).unwrap();
+        let mut op_rng = DetRng::new(23);
+        for step in 0..2000u64 {
+            let k = key(op_rng.below(1500));
+            sl.insert(&mut dmo, &mut rng, &k, &step.to_le_bytes())
+                .unwrap();
+        }
+        let mut nodes = Vec::new();
+        let mut x = DmoSkipList::fwd(&mut dmo, sl.head, 0).unwrap();
+        while !x.is_null() {
+            nodes.push((x, dmo.read_u64(x, OFF_LEVEL).unwrap()));
+            x = DmoSkipList::fwd(&mut dmo, x, 0).unwrap();
+        }
+        assert_eq!(nodes.len() as u64, sl.len());
+        let levels: std::collections::BTreeSet<u64> = nodes.iter().map(|&(_, l)| l).collect();
+        assert!(levels.len() >= 5, "{levels:?}");
+        for (node, level) in nodes {
+            assert_eq!(t.held_bytes(node) as u64, OFF_FWD + 8 * level, "{node:?}");
+        }
     }
 
     #[test]
