@@ -129,7 +129,7 @@ pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Clu
     // `obs`, so the exports do not carry it.
     let mut r = AuditReport::new(c.now());
     let reg = c.obs().registry();
-    audit_rkv_exactly_once(reg, &[0, 1, 2], stats.issued, stats.done, &mut r);
+    audit_rkv_exactly_once(reg, &dep, stats.issued, stats.done, &mut r);
     r.assert_clean();
     (stats, c)
 }

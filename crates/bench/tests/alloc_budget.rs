@@ -115,7 +115,8 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> Counted<T> {
 /// completed request's retry deadline stayed queued until the client's timer
 /// reached it and a skip-list node held all 128 bytes of its tower; 403,810
 /// since a request that ends drops the ended deadlines at the head and a DMO
-/// holds only the prefix its accesses reached.
+/// holds only the prefix its accesses reached; 399,962 since a retry
+/// deadline is a field of its in-flight request and leaves with it.
 const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 
 /// Build and deploy the smoke-size planetary scenario: at most 320 KiB

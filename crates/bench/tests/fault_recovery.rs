@@ -77,6 +77,19 @@ fn rkv_recovers_from_leader_crash_without_operator_signal() {
     );
 }
 
+/// Seed 23 stops while the new leader's memtable still queues the `Apply`
+/// of a write (token 17782) whose reply already reached the client, so every
+/// memtable trails the completions by one. `run_rkv_fault`'s coverage audit
+/// counts the write where the leader applied it and passes.
+#[test]
+fn a_write_answered_before_its_memtable_apply_passes_the_audit() {
+    let obs = Obs::default();
+    let (stats, _) = run_rkv_fault(23, 1, &obs);
+    let reg = obs.registry();
+    let best = (0..3).map(|node| reg.counter_on("rkv.applies", node).get());
+    assert_eq!(best.max(), Some(stats.done - 1));
+}
+
 #[test]
 fn faulted_runs_replay_byte_for_byte() {
     let (stats_a, jsonl_a, chrome_a) = faulted_run(7);

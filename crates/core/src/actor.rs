@@ -149,8 +149,10 @@ impl<'a> ActorCtx<'a> {
         self.charged += t;
     }
 
-    /// Charge `n` instructions at the nominal 1-instruction-per-ns-at-1GHz
-    /// rate; the runtime rescales by the executing core's model.
+    /// Charge `nanos` ns of work to this invocation, exactly as
+    /// [`ActorCtx::charge`] would. NIC execution never rescales it; host
+    /// execution divides the invocation's whole charge, this included, by
+    /// the actor's [`ActorLogic::host_speedup`].
     pub fn charge_work(&mut self, nanos: u64) {
         self.charged += SimTime::from_ns(nanos);
     }

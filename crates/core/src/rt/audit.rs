@@ -19,11 +19,8 @@ impl Cluster {
     /// * `client.conservation` — issued == completed + abandoned + shed +
     ///   in-flight
     /// * `shed.reconcile` — client-observed sheds ≤ ingress sheds
-    /// * `client.retry.timer` — one deadline per armed request, and one
-    ///   pending `RetryDue` at the armed instant, which is no later than the
-    ///   earliest live deadline
-    /// * `client.retry.head` — a client's earliest retry deadline belongs to
-    ///   a request still in flight (or it has none)
+    /// * `client.retry.timer` — one pending `RetryDue` at the armed instant,
+    ///   which is no later than the earliest `due` of an armed request
     /// * `net.frames` — frames sent (`net.packets`) are processed, still
     ///   pending delivery, or dropped with a reason counter
     /// * `ring.depth` — per-node NIC→host ring occupancy equals the pending
@@ -140,8 +137,7 @@ impl Cluster {
         if client >= self.n_clients {
             return false;
         }
-        let node = (self.n_servers + client) as u16;
-        let shard = self.shard_for_mut(node);
+        let shard = self.shard_for_mut(self.client_node(client));
         let Some(Some(state)) = shard.clients.get_mut(client) else {
             return false;
         };
@@ -153,31 +149,28 @@ impl Cluster {
         true
     }
 
-    /// Test-only hook: silently discard the retry deadline of one in-flight
-    /// request, so its retransmission timer can never judge it. The audit
+    /// Test-only hook: move the earliest armed request's `due` one
+    /// nanosecond before the instant the retry timer is armed for, without
+    /// re-arming, so the timer would judge it after its `due`. The audit
     /// must flag it as `client.retry.timer`. Returns false when the client
     /// has no armed request in flight.
     #[doc(hidden)]
-    pub fn debug_drop_retry_deadline(&mut self, client: usize) -> bool {
+    pub fn debug_hasten_retry_due(&mut self, client: usize) -> bool {
         if client >= self.n_clients {
             return false;
         }
-        let node = (self.n_servers + client) as u16;
-        let shard = self.shard_for_mut(node);
+        let shard = self.shard_for_mut(self.client_node(client));
         let Some(Some(state)) = shard.clients.get_mut(client) else {
             return false;
         };
-        let Some(retry) = state.retry.as_mut() else {
+        let Some(at) = state.retry.as_ref().and_then(|retry| retry.timer.armed) else {
             return false;
         };
-        // Smallest token for determinism across runs.
-        let armed = state.inflight.iter().filter(|(_, out)| out.armed());
-        let Some(token) = armed.map(|(&token, _)| token).min() else {
+        let armed = state.inflight.iter_mut().filter(|(_, out)| out.armed());
+        let Some((_, out)) = armed.min_by_key(|(&token, out)| (out.due, token)) else {
             return false;
         };
-        let d = &mut retry.deadlines;
-        d.fifo.retain(|&(_, t)| t != token);
-        d.late.retain(|&Reverse((_, t))| t != token);
+        out.due = at.saturating_sub(SimTime::from_ns(1));
         true
     }
 }
@@ -217,7 +210,7 @@ impl ShardState {
         for (client, state) in self.clients.iter().enumerate() {
             if let Some(state) = state {
                 let node = (self.n_servers + client) as u16;
-                audit_retry_timer(r, node, state, &retry_due[client]);
+                state.audit_retry_timer(r, node, &retry_due[client]);
             }
         }
 
@@ -285,59 +278,39 @@ impl ShardState {
     }
 }
 
-/// `client.retry.timer` for one client: every armed in-flight request has
-/// exactly one deadline, and while any deadline is live one pending
-/// `RetryDue` sits at `armed`, no later than the earliest of them. Every
-/// other pending `RetryDue` is parked. `client.retry.head`: the earliest
-/// deadline is a live one, because every request that ends drops the ended
-/// entries in front of the set ([`ClientState::end`]). Reported only as
-/// violations, so a clean audit's check count does not depend on which
-/// clients retry.
-fn audit_retry_timer(r: &mut AuditReport, node: u16, state: &ClientState, pending: &[SimTime]) {
-    let Some(retry) = &state.retry else {
-        return;
-    };
-    let d = &retry.deadlines;
-    let entries = || d.fifo.iter().chain(d.late.iter().map(|Reverse(e)| e));
-    let mut per_token: IdMap<u64, u32> = IdMap::default();
-    for &(_, token) in entries() {
-        *per_token.entry(token).or_default() += 1;
-    }
-    let unmatched = state
-        .inflight
-        .iter()
-        .filter(|(token, out)| out.armed() && per_token.get(token) != Some(&1))
-        .map(|(&token, _)| token);
-    if let Some(token) = unmatched.min() {
-        let n = per_token.get(&token).copied().unwrap_or(0);
-        let detail = format!("in-flight token {token} has {n} retry deadlines, not 1");
-        r.violation("client.retry.timer", node, detail);
-    }
-    let live = entries().filter(|(_, token)| state.inflight.contains_key(token));
-    let at_armed = d
-        .armed
-        .map_or(0, |a| pending.iter().filter(|&&p| p == a).count());
-    if let Some(earliest) = live.map(|&(at, _)| at).min() {
-        if at_armed != 1 || d.armed.is_none_or(|a| a > earliest) {
+impl ClientState {
+    /// `client.retry.timer` for this client: while an armed request is in
+    /// flight, one pending `RetryDue` sits at `armed`, no later than the
+    /// earliest `due` of them, and every other pending `RetryDue` is parked.
+    /// Reported only as violations, so a clean audit's check count does not
+    /// depend on which clients retry.
+    pub(super) fn audit_retry_timer(&self, r: &mut AuditReport, node: u16, pending: &[SimTime]) {
+        let Some(retry) = &self.retry else {
+            return;
+        };
+        let t = &retry.timer;
+        let at_armed = t
+            .armed
+            .map_or(0, |a| pending.iter().filter(|&&p| p == a).count());
+        let armed = self.inflight.values().filter(|out| out.armed());
+        if let Some(earliest) = armed.map(|out| out.due).min() {
+            if at_armed != 1 || t.armed.is_none_or(|a| a > earliest) {
+                let detail = format!(
+                    "earliest due {earliest}, timer armed for {:?} with {at_armed} pending \
+                     RetryDue there",
+                    t.armed
+                );
+                r.violation("client.retry.timer", node, detail);
+            }
+        }
+        if pending.len() != usize::from(t.armed.is_some()) + t.parked.len() {
             let detail = format!(
-                "earliest live deadline {earliest}, timer armed for {:?} with {at_armed} \
-                 pending RetryDue there",
-                d.armed
+                "{} pending RetryDue, timer armed for {:?} with {} parked",
+                pending.len(),
+                t.armed,
+                t.parked.len()
             );
             r.violation("client.retry.timer", node, detail);
         }
-    }
-    if let Some((at, token)) = d.head().filter(|(_, t)| !state.inflight.contains_key(t)) {
-        let detail = format!("earliest retry deadline {at} is token {token}'s, which has ended");
-        r.violation("client.retry.head", node, detail);
-    }
-    if pending.len() != usize::from(d.armed.is_some()) + d.parked.len() {
-        let detail = format!(
-            "{} pending RetryDue, timer armed for {:?} with {} parked",
-            pending.len(),
-            d.armed,
-            d.parked.len()
-        );
-        r.violation("client.retry.timer", node, detail);
     }
 }

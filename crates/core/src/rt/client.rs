@@ -2,6 +2,8 @@
 //! loop), timeout/retransmission, and the reply path with its redirect and
 //! shed handling.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use super::*;
 use ipipe_sim::PoissonArrivals;
 
@@ -49,8 +51,7 @@ impl Cluster {
     ) {
         assert!(client < self.n_clients);
         let rng = self.rng.fork();
-        let node = (self.n_servers + client) as u16;
-        let shard = self.shard_for_mut(node);
+        let shard = self.shard_for_mut(self.client_node(client));
         let fresh = ClientState {
             gen,
             outstanding,
@@ -78,14 +79,14 @@ impl Cluster {
         // inside `handle_issue`.
         let seeds = match state.open {
             Some(_) => 1,
-            None => outstanding.saturating_sub(state.inflight.len() as u32),
+            None => outstanding.saturating_sub(state.inflight.len().try_into().unwrap_or(u32::MAX)),
         };
         shard.clients[client] = Some(state);
         for _ in 0..seeds {
             shard.events.schedule_after(
                 SimTime::ZERO,
                 Ev::Issue {
-                    client: client as u16,
+                    client: u16::try_from(client).expect("client nodes have u16 ids"),
                 },
             );
         }
@@ -105,10 +106,15 @@ impl Cluster {
         open.expect("set_client_open_loop first").arrivals = PoissonArrivals::new(rate_rps);
     }
 
+    /// The node id of client `client`.
+    pub(super) fn client_node(&self, client: usize) -> u16 {
+        let node = self.n_servers + client;
+        u16::try_from(node).expect("the builder caps node ids at u16::MAX")
+    }
+
     /// The installed state of client `client` (a generator must exist).
     fn client_mut(&mut self, client: usize) -> &mut ClientState {
-        let node = (self.n_servers + client) as u16;
-        self.shard_for_mut(node).clients[client]
+        self.shard_for_mut(self.client_node(client)).clients[client]
             .as_mut()
             .expect("install a generator first (set_client / set_client_open_loop)")
     }
@@ -137,7 +143,7 @@ impl Cluster {
     /// from its token on each retransmission; pass `None` for payload-less
     /// workloads. Without a retry policy a lost request simply never
     /// completes — the pre-fault behaviour. Replacing a policy keeps the
-    /// client's deadlines and its armed timer.
+    /// in-flight requests' deadlines and the armed timer.
     pub fn set_client_retry(
         &mut self,
         client: usize,
@@ -155,7 +161,7 @@ impl Cluster {
                 state.retry = Some(ClientRetry {
                     policy,
                     payload_fn,
-                    deadlines: RetryDeadlines::default(),
+                    timer: RetryTimer::default(),
                 })
             }
         }
@@ -196,73 +202,87 @@ impl ClientRetry {
     }
 }
 
+/// What the retry timer did with one request due by now.
+pub(super) enum Verdict {
+    /// A [`Shed`] hold is still running: judged again when it ends, no try
+    /// spent.
+    Held,
+    /// Out of tries: the request ended.
+    Abandoned,
+    /// Sent again, and judged again one doubled backoff later.
+    Resent(ClientReq),
+}
+
 impl ClientState {
-    /// End `token`'s request, whichever way it ended (completion, shed,
-    /// abandonment): it leaves `inflight`, and the ended entries at the head
-    /// of the retry deadlines go with it, as the timer would drop them when
-    /// it reached them. The deadlines then hold the requests in flight, plus
-    /// whatever ended behind a straggler.
-    pub(super) fn end(&mut self, token: u64) -> Option<Outstanding> {
-        let out = self.inflight.remove(&token)?;
-        if let Some(retry) = self.retry.as_mut() {
-            retry
-                .deadlines
-                .next_live(|token| self.inflight.contains_key(&token));
+    /// Put `token`'s request, first sent at `now`, in flight; with a retry
+    /// policy it is due one timeout later. The instant of the `RetryDue` the
+    /// caller must schedule, if one is needed.
+    pub(super) fn track(&mut self, now: SimTime, token: u64, creq: &ClientReq) -> Option<SimTime> {
+        let retry_wait = self.retry.as_ref().map(|retry| retry.policy.timeout);
+        let backoff = retry_wait.unwrap_or(SimTime::ZERO);
+        let due = now + backoff;
+        let out = Outstanding {
+            issued: now,
+            dst: creq.dst,
+            wire_size: creq.wire_size,
+            flow: creq.flow,
+            tries: u32::from(retry_wait.is_some()),
+            backoff,
+            due,
+            hold_until: SimTime::ZERO,
+        };
+        self.inflight.insert(token, out);
+        let retry = self.retry.as_mut()?;
+        retry.timer.arm(due).then_some(due)
+    }
+
+    /// The armed requests due by `now`, as `(due, token)` in that order,
+    /// into `due`.
+    pub(super) fn due_by(&self, now: SimTime, due: &mut Vec<(SimTime, u64)>) {
+        due.clear();
+        let judged = self
+            .inflight
+            .iter()
+            .filter(|(_, out)| out.armed() && out.due <= now);
+        due.extend(judged.map(|(&token, out)| (out.due, token)));
+        due.sort_unstable();
+    }
+
+    /// Judge `token`'s request, due by `now`. Judging one request never ends
+    /// another or moves another's `due`.
+    pub(super) fn judge(&mut self, now: SimTime, token: u64) -> Verdict {
+        let retry = self.retry.as_mut().expect("armed by a retry policy");
+        let out = self
+            .inflight
+            .get_mut(&token)
+            .expect("due requests are in flight");
+        if now < out.hold_until {
+            // A shed reply parked this request: honor the server's backoff
+            // hint without consuming a try, then judge again.
+            out.due = out.hold_until;
+            return Verdict::Held;
         }
-        Some(out)
+        if out.tries >= retry.policy.max_tries {
+            self.inflight.remove(&token);
+            return Verdict::Abandoned;
+        }
+        out.tries += 1;
+        out.backoff = (out.backoff * 2).min(retry.policy.cap);
+        out.due = now + out.backoff;
+        Verdict::Resent(retry.rebuild(token, out))
+    }
+
+    /// Arm the retry timer for the earliest `due` of an armed request. The
+    /// instant of the `RetryDue` the caller must schedule, if one is needed.
+    pub(super) fn rearm(&mut self) -> Option<SimTime> {
+        let armed = self.inflight.values().filter(|out| out.armed());
+        let at = armed.map(|out| out.due).min()?;
+        let retry = self.retry.as_mut().expect("armed by a retry policy");
+        retry.timer.arm(at).then_some(at)
     }
 }
 
-impl RetryDeadlines {
-    /// Add `token`'s deadline `at`: to the FIFO when it keeps the FIFO in
-    /// `(deadline, token)` order, to the heap otherwise.
-    pub(super) fn push(&mut self, at: SimTime, token: u64) {
-        let entry = (at, token);
-        if self.fifo.back().is_none_or(|&last| last <= entry) {
-            self.fifo.push_back(entry);
-        } else {
-            self.late.push(Reverse(entry));
-        }
-    }
-
-    /// The earliest entry, completed or not.
-    pub(super) fn head(&self) -> Option<(SimTime, u64)> {
-        let late = self.late.peek().map(|&Reverse(entry)| entry);
-        self.fifo.front().copied().into_iter().chain(late).min()
-    }
-
-    /// Remove the earliest entry.
-    fn pop_head(&mut self) {
-        if self.late.peek().map(|&Reverse(entry)| entry) == self.head() {
-            self.late.pop();
-        } else {
-            self.fifo.pop_front();
-        }
-    }
-
-    /// Remove and return the token of the earliest entry due by `now`, in
-    /// `(deadline, token)` order; completed tokens included.
-    pub(super) fn pop_due(&mut self, now: SimTime) -> Option<u64> {
-        let (at, token) = self.head()?;
-        if at > now {
-            return None;
-        }
-        self.pop_head();
-        Some(token)
-    }
-
-    /// The earliest deadline of a token still `live`, after dropping the
-    /// entries of completed tokens in front of it.
-    pub(super) fn next_live(&mut self, live: impl Fn(u64) -> bool) -> Option<SimTime> {
-        while let Some((at, token)) = self.head() {
-            if live(token) {
-                return Some(at);
-            }
-            self.pop_head();
-        }
-        None
-    }
-
+impl RetryTimer {
     /// Arm the timer for `at` unless it already fires no later. True when
     /// the caller must schedule a `RetryDue` at `at`; false when one is
     /// already pending there.
@@ -316,64 +336,54 @@ impl ShardState {
     }
 
     /// Client `client`'s retransmission timer fired. The live timer judges
-    /// every deadline due by `now`, in `(deadline, token)` order, then
-    /// re-arms for the earliest deadline still in flight; a superseded one
-    /// does nothing.
+    /// every armed request due by `now`, in `(due, token)` order, then
+    /// re-arms for the earliest `due` still in flight; a superseded one does
+    /// nothing.
     pub(super) fn handle_retry_due(&mut self, now: SimTime, client: u16) {
-        let client_node = (self.n_servers + client as usize) as u16;
-        let state = self.clients[client as usize].as_mut();
-        let retry = state
-            .and_then(|s| s.retry.as_mut())
-            .expect("armed by a retry policy");
-        if !retry.deadlines.fire(now) {
+        let client_node = self.client_node(client);
+        let state = self.clients[usize::from(client)].as_mut().expect("fired");
+        let retry = state.retry.as_mut().expect("armed by a retry policy");
+        if !retry.timer.fire(now) {
             return;
         }
-        loop {
-            let state = self.clients[client as usize].as_mut().expect("fired");
-            let retry = state.retry.as_mut().expect("fired");
-            let Some(token) = retry.deadlines.pop_due(now) else {
-                break;
-            };
-            let Some(out) = state.inflight.get_mut(&token) else {
-                continue; // completed in the meantime
-            };
-            if now < out.hold_until {
-                // A shed reply parked this request: honor the server's
-                // backoff hint without consuming a try, then judge again.
-                retry.deadlines.push(out.hold_until, token);
-                continue;
-            }
-            if out.tries >= retry.policy.max_tries {
-                // Give up so the closed loop keeps breathing. Open-loop
-                // arrivals are purely time-driven — never re-armed by an
-                // abandonment — so a paced client skips the re-issue.
-                state.end(token);
-                self.fault_metrics.abandoned.inc();
-                if state.open.is_none() {
-                    self.events
-                        .schedule_after(SimTime::ZERO, Ev::Issue { client });
+        let mut due = std::mem::take(&mut self.retry_scratch);
+        state.due_by(now, &mut due);
+        for &(_, token) in &due {
+            let state = self.clients[usize::from(client)].as_mut().expect("fired");
+            match state.judge(now, token) {
+                Verdict::Held => {}
+                Verdict::Abandoned => {
+                    // Give up so the closed loop keeps breathing. Open-loop
+                    // arrivals are purely time-driven — never re-armed by an
+                    // abandonment — so a paced client skips the re-issue.
+                    self.fault_metrics.abandoned.inc();
+                    if state.open.is_none() {
+                        self.events
+                            .schedule_after(SimTime::ZERO, Ev::Issue { client });
+                    }
                 }
-                continue;
+                Verdict::Resent(creq) => {
+                    self.fault_metrics.retries.inc();
+                    self.client_send(now, client_node, token, creq);
+                }
             }
-            out.tries += 1;
-            out.backoff = (out.backoff * 2).min(retry.policy.cap);
-            retry.deadlines.push(now + out.backoff, token);
-            let creq = retry.rebuild(token, out);
-            self.fault_metrics.retries.inc();
-            self.client_send(now, client_node, token, creq);
         }
-        let state = self.clients[client as usize].as_mut().expect("fired");
-        let deadlines = &mut state.retry.as_mut().expect("fired").deadlines;
-        if let Some(at) = deadlines.next_live(|token| state.inflight.contains_key(&token)) {
-            if deadlines.arm(at) {
-                self.events.schedule_at(at, Ev::RetryDue { client });
-            }
+        self.retry_scratch = due;
+        let state = self.clients[usize::from(client)].as_mut().expect("fired");
+        if let Some(at) = state.rearm() {
+            self.events.schedule_at(at, Ev::RetryDue { client });
         }
     }
 
+    /// The node id of client `client`.
+    fn client_node(&self, client: u16) -> u16 {
+        let node = self.n_servers + usize::from(client);
+        u16::try_from(node).expect("the builder caps node ids at u16::MAX")
+    }
+
     pub(super) fn handle_issue(&mut self, now: SimTime, client: u16) {
-        let client_node = (self.n_servers + client as usize) as u16;
-        let Some(state) = self.clients[client as usize].as_mut() else {
+        let client_node = self.client_node(client);
+        let Some(state) = self.clients[usize::from(client)].as_mut() else {
             return;
         };
         if let Some(open) = state.open.as_ref() {
@@ -398,26 +408,11 @@ impl ShardState {
         } else if state.inflight.len() >= state.outstanding as usize {
             return;
         }
-        let token = (client as u64) << 40 | state.next_token;
+        let token = u64::from(client) << 40 | state.next_token;
         state.next_token += 1;
         let creq = (state.gen)(&mut state.rng, token);
-        let retry_wait = state.retry.as_ref().map(|retry| retry.policy.timeout);
-        let out = Outstanding {
-            issued: now,
-            dst: creq.dst,
-            wire_size: creq.wire_size,
-            flow: creq.flow,
-            tries: u32::from(retry_wait.is_some()),
-            backoff: retry_wait.unwrap_or(SimTime::ZERO),
-            hold_until: SimTime::ZERO,
-        };
-        state.inflight.insert(token, out);
-        if let Some(retry) = state.retry.as_mut() {
-            let at = now + retry.policy.timeout;
-            retry.deadlines.push(at, token);
-            if retry.deadlines.arm(at) {
-                self.events.schedule_at(at, Ev::RetryDue { client });
-            }
+        if let Some(at) = state.track(now, token, &creq) {
+            self.events.schedule_at(at, Ev::RetryDue { client });
         }
         self.completions.issued += 1;
         self.client_send(now, client_node, token, creq);
@@ -426,13 +421,14 @@ impl ShardState {
     /// A response reached client node `node`: a redirect bounces the
     /// request, a shed parks or terminates it, anything else completes it.
     pub(super) fn handle_reply(&mut self, now: SimTime, node: u16, req: Request) {
-        let client = (node as usize - self.n_servers) as u16;
+        let client = usize::from(node) - self.n_servers;
+        let client = u16::try_from(client).expect("client nodes have u16 ids");
         // A redirect reply bounces the request toward another address
         // instead of completing it (when retransmission is enabled —
         // otherwise it terminates the request like any reply).
         if let Some(Redirect(new_dst)) = reply_as::<Redirect>(&req) {
             let resend = {
-                let state = self.clients[client as usize].as_mut();
+                let state = self.clients[usize::from(client)].as_mut();
                 state.and_then(|s| {
                     let retry = s.retry.as_mut()?;
                     let old_dst = s.inflight.get(&req.token).filter(|o| o.armed())?.dst;
@@ -479,7 +475,7 @@ impl ShardState {
         // terminates the request as shed (and open-loop clients also
         // suppress new arrivals at the source until the hint expires).
         if let Some(Shed { retry_after }) = reply_as::<Shed>(&req) {
-            let Some(state) = self.clients[client as usize].as_mut() else {
+            let Some(state) = self.clients[usize::from(client)].as_mut() else {
                 return;
             };
             let Some(out) = state.inflight.get_mut(&req.token) else {
@@ -491,7 +487,7 @@ impl ShardState {
                 self.fault_metrics.shed_backoff.inc();
                 return;
             }
-            state.end(req.token);
+            state.inflight.remove(&req.token);
             self.fault_metrics.shed_remote.inc();
             if state.open.is_some() {
                 state.shed_src_until = state.shed_src_until.max(now + retry_after);
@@ -502,8 +498,8 @@ impl ShardState {
             }
             return;
         }
-        if let Some(state) = self.clients[client as usize].as_mut() {
-            if let Some(Outstanding { issued, .. }) = state.end(req.token) {
+        if let Some(state) = self.clients[usize::from(client)].as_mut() {
+            if let Some(Outstanding { issued, .. }) = state.inflight.remove(&req.token) {
                 self.completions.completed += 1;
                 if issued >= self.measure_start {
                     self.completions.hist.record(now.saturating_sub(issued));
@@ -513,7 +509,7 @@ impl ShardState {
                             "client",
                             "rtt",
                             node,
-                            client as u32,
+                            u32::from(client),
                             issued,
                             now,
                             Some(("token", req.token as i64)),

@@ -191,6 +191,7 @@ impl ClusterBuilder {
                     obs,
                     measure_start: SimTime::ZERO,
                     action_scratch: Vec::new(),
+                    retry_scratch: Vec::new(),
                     rx_frames: 0,
                     shard_of: shard_of.clone(),
                     pool: MergePool::new(),

@@ -57,8 +57,7 @@ use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
 use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
 use shard::{ArrivalKind, PoolKey};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Initial placement of an actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +175,8 @@ impl RetryPolicy {
 
 /// One request a client has issued and not seen the end of: the only
 /// per-token record there is. The conservation audit counts these, latency
-/// is measured from `issued`, and the retry timer works on the rest.
+/// is measured from `issued`, and the retry timer judges each armed one at
+/// its `due`.
 struct Outstanding {
     /// First transmission; retransmissions do not move it.
     issued: SimTime,
@@ -184,11 +184,14 @@ struct Outstanding {
     wire_size: u32,
     flow: u64,
     /// Transmissions so far. Zero when the request went out with no retry
-    /// policy installed: it has no deadline in the client's
-    /// [`RetryDeadlines`], so redirect and shed replies end it like any
-    /// other reply.
+    /// policy installed: the retry timer never judges it, so redirect and
+    /// shed replies end it like any other reply.
     tries: u32,
     backoff: SimTime,
+    /// When the client's retry timer judges the request next (armed
+    /// requests only): `issued + timeout`, then each resend's
+    /// `now + backoff`, or the end of a shed hold.
+    due: SimTime,
     /// Server-requested hold: a [`Shed`] reply holds the retransmission until
     /// this instant without consuming a try, so shed requests retry after
     /// the hinted backoff instead of hammering a saturated ingress.
@@ -196,36 +199,26 @@ struct Outstanding {
 }
 
 impl Outstanding {
-    /// True when the request holds exactly one deadline in its client's
-    /// [`RetryDeadlines`].
+    /// True when the client's retry timer judges this request at `due`.
     fn armed(&self) -> bool {
         self.tries > 0
     }
 }
 
-/// Retransmission machinery of one client (the per-token state lives in
-/// [`ClientState::inflight`]).
+/// Retransmission machinery of one client (the per-token state, deadlines
+/// included, lives in [`ClientState::inflight`]).
 struct ClientRetry {
     policy: RetryPolicy,
     payload_fn: Option<PayloadFn>,
-    deadlines: RetryDeadlines,
+    timer: RetryTimer,
 }
 
-/// One client's retransmission deadlines, `(deadline, token)`, served by a
-/// single timer: at most one live [`Ev::RetryDue`], armed for the earliest
-/// deadline still in flight. A request that ends (completion, shed,
-/// abandonment) drops the ended entries at the head
-/// ([`ClientState::end`]), so the set holds the requests in flight plus what
-/// ended behind a straggler; the timer drops those when they come due or
-/// reach the head.
+/// One client's single retransmission timer: at most one live
+/// [`Ev::RetryDue`], armed no later than the earliest `due` of the client's
+/// armed requests. An earlier deadline arms a new `RetryDue` and parks the
+/// old one, which fires and is ignored.
 #[derive(Default)]
-struct RetryDeadlines {
-    /// First-transmission deadlines (`issued + timeout`), which arrive in
-    /// nondecreasing order.
-    fifo: VecDeque<(SimTime, u64)>,
-    /// Re-armed deadlines (backoff resends, shed holds) that would have
-    /// broken the FIFO's order.
-    late: BinaryHeap<Reverse<(SimTime, u64)>>,
+struct RetryTimer {
     /// When the live `RetryDue` fires.
     armed: Option<SimTime>,
     /// Instants of pending `RetryDue` events an earlier deadline
@@ -399,7 +392,8 @@ enum Ev {
         wire_size: u32,
         flip: u8,
     },
-    /// A client's one retransmission timer fired (see [`RetryDeadlines`]).
+    /// A client's one retransmission timer fired (see [`RetryTimer`]): a
+    /// live one judges every armed request due by now.
     RetryDue { client: u16 },
     /// A delay-sent actor message (`ActorCtx::send_after`) comes due and
     /// enters the normal routing path.
@@ -502,6 +496,9 @@ struct ShardState {
     measure_start: SimTime,
     /// Reusable scheduler-action buffer drained after each NIC completion.
     action_scratch: Vec<Action>,
+    /// Reusable `(due, token)` buffer of the requests one live `RetryDue`
+    /// judges.
+    retry_scratch: Vec<(SimTime, u64)>,
     /// Frames processed off the wire (`Deliver` + `DeliverCorrupt` events
     /// handled). One side of the audit's frame ledger: every frame the
     /// network accounted as delivered must be processed or still pending.

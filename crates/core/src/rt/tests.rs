@@ -1,8 +1,11 @@
+use super::client::Verdict;
 use super::*;
 use crate::actor::ActorCtx;
 use crate::admission::ClassCfg;
 use ipipe_nicsim::CN2350;
-use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError};
+use proptest::prelude::{
+    prop, prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 struct Echo {
@@ -1100,6 +1103,8 @@ fn audit_detects_injected_client_leak() {
     );
 }
 
+/// A deadline the timer has lost: an armed request due before the instant
+/// the timer is armed for.
 #[test]
 fn audit_detects_a_lost_retry_deadline() {
     let (mut c, a) = echo_cluster(2);
@@ -1107,38 +1112,16 @@ fn audit_detects_a_lost_retry_deadline() {
     c.set_client_retry(0, RetryPolicy::lan_default(), None);
     c.run_for(SimTime::from_us(30));
     c.audit().assert_clean();
-    assert!(c.debug_drop_retry_deadline(0), "a request must be armed");
+    assert!(c.debug_hasten_retry_due(0), "a request must be armed");
     let report = c.audit();
     let flagged: Vec<&str> = report.violations().iter().map(|v| v.invariant).collect();
     assert_eq!(flagged, ["client.retry.timer"], "{}", report.render());
 }
 
-/// A request that leaves the in-flight ledger without [`ClientState::end`]
-/// leaves its deadline at the head of the retry set: `client.retry.head`
-/// must name it.
-#[test]
-fn audit_detects_an_ended_request_at_the_retry_head() {
-    let (mut c, a) = echo_cluster(2);
-    echo_client(&mut c, a, 8);
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
-    c.run_for(SimTime::from_us(30));
-    c.audit().assert_clean();
-    // The oldest request: its first-transmission deadline leads the set.
-    assert!(c.debug_drop_inflight(0), "a request must be in flight");
-    let report = c.audit();
-    let flagged: Vec<&str> = report.violations().iter().map(|v| v.invariant).collect();
-    assert_eq!(
-        flagged,
-        ["client.retry.head", "client.conservation"],
-        "{}",
-        report.render()
-    );
-}
-
 #[test]
 fn retry_timer_reuses_a_superseded_event() {
     let us = SimTime::from_us;
-    let mut d = RetryDeadlines::default();
+    let mut d = RetryTimer::default();
     assert!(d.arm(us(100)), "the first deadline schedules a RetryDue");
     assert!(!d.arm(us(150)), "a later one waits for the armed timer");
     assert!(d.arm(us(50)), "an earlier one schedules and parks 100");
@@ -1152,24 +1135,33 @@ fn retry_timer_reuses_a_superseded_event() {
     assert!(d.armed.is_none() && d.parked.is_empty());
 }
 
-/// Operation sequences for the deadline-set differential: `(op, a, b)`.
+/// Operation sequences for the retry differential: `(op, a, b)`.
 fn deadline_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
     prop::collection::vec((0u8..5, 0u64..64, 0u64..1024), 1..200)
 }
 
-/// A client with a retry policy and nothing else: what the deadline-set
-/// differential ends requests through.
+/// The differential's retry policy, in nanoseconds so a few hundred
+/// operations reach every verdict: a request is abandoned at its third
+/// deadline unless a hold defers it.
+const DIFF_POLICY: RetryPolicy = RetryPolicy {
+    timeout: SimTime::from_ns(100),
+    cap: SimTime::from_ns(400),
+    max_tries: 3,
+};
+
+/// A client with a retry policy and nothing else: the differential tracks
+/// requests through it directly.
 fn retry_only_client() -> ClientState {
     ClientState {
-        gen: Box::new(|_, _| unreachable!("the differential never issues")),
+        gen: Box::new(|_, _| unreachable!("the differential never generates")),
         outstanding: 0,
         next_token: 0,
         inflight: IdMap::default(),
         rng: DetRng::new(0),
         retry: Some(ClientRetry {
-            policy: RetryPolicy::lan_default(),
+            policy: DIFF_POLICY,
             payload_fn: None,
-            deadlines: RetryDeadlines::default(),
+            timer: RetryTimer::default(),
         }),
         open: None,
         route_refresh: None,
@@ -1177,101 +1169,117 @@ fn retry_only_client() -> ClientState {
     }
 }
 
-fn deadlines(client: &mut ClientState) -> &mut RetryDeadlines {
-    &mut client.retry.as_mut().expect("a retry policy").deadlines
-}
-
-/// [`RetryDeadlines`] against a `BTreeSet<(SimTime, u64)>` of live
-/// deadlines, driven the way a client drives it: in-order pushes of fresh
-/// tokens (first transmissions), out-of-order pushes of tokens the timer
-/// judged and kept in flight (resends, shed holds), requests that end
-/// through [`ClientState::end`] (the runtime's one exit for completions,
-/// sheds and abandonments), and the timer: `pop_due(now)` with `now`
-/// advancing, then `next_live` as `handle_retry_due` re-arms. After every
-/// step the popped live tokens and their order must equal the reference's,
-/// and the set's head must be the reference's first entry: an ended request
-/// never sits at the head.
+/// The client's retry ledger against a `BTreeSet<(SimTime, u64)>` of the
+/// deadlines of armed requests in flight, with a per-token model of tries,
+/// backoff and shed hold beside it. The real [`ClientState`] goes through
+/// what the runtime does to it: first transmissions (`track`), shed holds,
+/// requests that end, and the timer, whose pending `RetryDue` instants the
+/// driver keeps as the event queue would. When time advances past a pending
+/// instant, that `RetryDue` fires; a live one judges `due_by(now)`, and the
+/// tokens judged and their order must be the reference's entries due by
+/// `now`. Each verdict must be the model's, and the instant the timer
+/// re-arms for must be the reference's first deadline. After every step the
+/// ledger must equal the reference, and `client.retry.timer` must hold over
+/// the pending `RetryDue` instants.
 fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError> {
     let ns = SimTime::from_ns;
-    let in_flight = || Outstanding {
-        issued: SimTime::ZERO,
+    let creq = ClientReq {
         dst: Address { node: 0, actor: 0 },
         wire_size: 0,
         flow: 0,
-        tries: 1,
-        backoff: SimTime::ZERO,
-        hold_until: SimTime::ZERO,
+        payload: None,
     };
     let mut client = retry_only_client();
     let mut reference: BTreeSet<(SimTime, u64)> = BTreeSet::new();
-    // Tokens in flight, with their deadline unless the timer judged them
-    // and they wait for a re-push.
-    let mut live: BTreeMap<u64, Option<SimTime>> = BTreeMap::new();
-    let (mut now, mut last_first, mut next_token) = (SimTime::ZERO, SimTime::ZERO, 0u64);
+    // Per token in flight: (tries, backoff, hold_until).
+    let mut model: BTreeMap<u64, (u32, SimTime, SimTime)> = BTreeMap::new();
+    let mut pending: BTreeSet<SimTime> = BTreeSet::new();
+    let (mut now, mut next_token) = (SimTime::ZERO, 0u64);
     for (op, a, b) in ops {
+        let nth_live =
+            |model: &BTreeMap<u64, _>| model.keys().nth(b as usize % model.len().max(1)).copied();
         match op {
-            // First transmission: a fresh token, deadlines nondecreasing
-            // (equal ones included).
+            // First transmission of a fresh token; equal deadlines when
+            // several go out at one instant.
             0 | 1 => {
-                last_first = last_first.max(now) + ns(a / 8 * 8);
-                deadlines(&mut client).push(last_first, next_token);
-                client.inflight.insert(next_token, in_flight());
-                reference.insert((last_first, next_token));
-                live.insert(next_token, Some(last_first));
+                let token = next_token;
                 next_token += 1;
+                if let Some(at) = client.track(now, token, &creq) {
+                    prop_assert!(pending.insert(at), "a second RetryDue at {}", at);
+                }
+                reference.insert((now + DIFF_POLICY.timeout, token));
+                model.insert(token, (1, DIFF_POLICY.timeout, SimTime::ZERO));
             }
-            // Re-armed deadline of a judged token; a fresh token when
-            // there is none. Usually out of order.
+            // A shed reply holds a request, as `handle_reply` does.
             2 => {
-                let at = now + ns(b / 4 * 4);
-                let judged = live.iter().filter(|(_, d)| d.is_none()).map(|(&t, _)| t);
-                let token = judged.min().unwrap_or_else(|| {
-                    client.inflight.insert(next_token, in_flight());
-                    next_token += 1;
-                    next_token - 1
-                });
-                deadlines(&mut client).push(at, token);
-                reference.insert((at, token));
-                live.insert(token, Some(at));
+                if let Some(token) = nth_live(&model) {
+                    let out = client.inflight.get_mut(&token).expect("in flight");
+                    out.hold_until = out.hold_until.max(now + ns(a * 8));
+                    let hold = &mut model.get_mut(&token).expect("modelled").2;
+                    *hold = (*hold).max(now + ns(a * 8));
+                }
             }
-            // The request ends: the reference forgets its entry, the client
-            // drops whatever ended entries lead the set.
+            // The request ends: completed, or shed for good.
             3 => {
-                if let Some(&token) = live.keys().nth(b as usize % live.len().max(1)) {
-                    prop_assert_eq!(client.end(token).map(|out| out.tries), Some(1));
-                    if let Some(Some(at)) = live.remove(&token) {
-                        reference.remove(&(at, token));
-                    }
+                if let Some(token) = nth_live(&model) {
+                    prop_assert!(client.inflight.remove(&token).is_some());
+                    model.remove(&token);
+                    reference.retain(|&(_, t)| t != token);
                 }
             }
-            // The timer fires at `now`: everything due, in order, then the
-            // re-arm's look for the next live deadline.
+            // Time advances, firing every RetryDue on the way.
             _ => {
-                now += ns(a * b / 16);
-                let mut popped = Vec::new();
-                while let Some(token) = deadlines(&mut client).pop_due(now) {
-                    if live.contains_key(&token) {
-                        popped.push(token);
-                        live.insert(token, None);
+                let until = now + ns(a * b / 16);
+                while let Some(at) = pending.first().copied().filter(|&at| at <= until) {
+                    pending.remove(&at);
+                    now = at;
+                    let retry = client.retry.as_mut().expect("a retry policy");
+                    if !retry.timer.fire(now) {
+                        continue;
                     }
+                    let mut due = Vec::new();
+                    client.due_by(now, &mut due);
+                    let want: Vec<(SimTime, u64)> = reference
+                        .iter()
+                        .take_while(|&&(at, _)| at <= now)
+                        .copied()
+                        .collect();
+                    prop_assert_eq!(&due, &want);
+                    for (at, token) in want {
+                        reference.remove(&(at, token));
+                        let (tries, backoff, hold) = model.get_mut(&token).expect("modelled");
+                        match client.judge(now, token) {
+                            Verdict::Held => {
+                                prop_assert!(now < *hold);
+                                reference.insert((*hold, token));
+                            }
+                            Verdict::Abandoned => {
+                                prop_assert!(now >= *hold && *tries >= DIFF_POLICY.max_tries);
+                                model.remove(&token);
+                            }
+                            Verdict::Resent(_) => {
+                                prop_assert!(now >= *hold && *tries < DIFF_POLICY.max_tries);
+                                *tries += 1;
+                                *backoff = (*backoff * 2).min(DIFF_POLICY.cap);
+                                reference.insert((now + *backoff, token));
+                            }
+                        }
+                    }
+                    if let Some(at) = client.rearm() {
+                        prop_assert!(pending.insert(at), "a second RetryDue at {}", at);
+                    }
+                    let timer = &client.retry.as_ref().expect("a retry policy").timer;
+                    prop_assert_eq!(timer.armed, reference.first().map(|&(at, _)| at));
                 }
-                let due: Vec<(SimTime, u64)> = reference
-                    .iter()
-                    .take_while(|&&(at, _)| at <= now)
-                    .copied()
-                    .collect();
-                for entry in &due {
-                    reference.remove(entry);
-                }
-                let want: Vec<u64> = due.iter().map(|&(_, token)| token).collect();
-                prop_assert_eq!(popped, want);
-                let inflight = &client.inflight;
-                let set = &mut client.retry.as_mut().expect("a retry policy").deadlines;
-                let next = set.next_live(|token| inflight.contains_key(&token));
-                prop_assert_eq!(next, reference.first().map(|&(at, _)| at));
+                now = until;
             }
         }
-        prop_assert_eq!(deadlines(&mut client).head(), reference.first().copied());
+        let armed = client.inflight.iter().filter(|(_, out)| out.armed());
+        let ledger: BTreeSet<(SimTime, u64)> = armed.map(|(&t, out)| (out.due, t)).collect();
+        prop_assert_eq!(&ledger, &reference);
+        let mut r = AuditReport::new(now);
+        client.audit_retry_timer(&mut r, 0, &Vec::from_iter(pending.iter().copied()));
+        prop_assert!(r.is_clean(), "{}", r.render());
     }
     Ok(())
 }

@@ -17,8 +17,8 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # else; a moved or renamed item must not leave one dangling.
 stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --no-deps; }
 
-# The event queue against its BTreeMap reference, a client's retry deadline
-# set against its BTreeSet reference, the scheduler's `decide` against its
+# The event queue against its BTreeMap reference, a client's retry ledger
+# and timer against its BTreeSet reference, the scheduler's `decide` against its
 # ALG 1/2 reference model, and the windowed latency histogram against its
 # dense reference, at 4,000 cases each in release mode: the same
 # differentials `test` runs at 64, 256, 64 and 64 (one shared body each).

@@ -23,7 +23,7 @@ const KEEP: &[&str] = &[
     "base_latency (c) net tests check transfer arrival times against the unloaded latency",
     "corrupt_in_flight (c) fault hook: a torn DMA write the ring's integrity check must reject",
     "debug_drop_inflight (c) fault hook: leaks a request so client.conservation must fire",
-    "debug_drop_retry_deadline (c) fault hook: drops a deadline so client.retry.timer must fire",
+    "debug_hasten_retry_due (c) fault hook: moves a deadline before the timer so client.retry.timer must fire",
     "decompress (c) round-trip oracle for the data-reduction NF's compress",
     "diff_dse_grid (c) bench::differential: sweep-axis oracle for the DSE grid",
     "diff_fig16_parallel (c) bench::differential: sweep-axis oracle for the Fig 16 grid",
