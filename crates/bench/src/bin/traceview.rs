@@ -21,16 +21,17 @@
 //! `scripts/scenario_smoke.sh` runs this binary twice and diffs the
 //! directories.
 //!
-//! `--shards N` partitions a scenario's cluster across N event shards.
-//! Scenarios summarize and export through the cluster's canonical merged
-//! view ((ts, node)-ordered trace), whatever the shard count. Metrics are
+//! `--shards N` partitions a scenario's cluster across N event shards. Every
+//! shard records into the cluster's one `Obs`, whose exports order trace
+//! records by `(ts, node)`, so metrics and the `meta` line are
 //! byte-identical to the serial run always; trace records are too unless
-//! the ring overflows (capacity is per shard, so sharded runs of
-//! overflowing scenarios retain more records). Most scenarios run
-//! metrics-only for that reason — `--verbose` does not apply to them and
-//! their trace table is empty by construction. `fig16` only accepts the
-//! default `--shards 1`.
+//! the ring overflows. Then the ring keeps the newest records in the order
+//! the shards pushed them, which can differ from the serial run at the
+//! retention boundary. Most scenarios run metrics-only — `--verbose` does
+//! not apply to them and their trace table is empty by construction.
+//! `fig16` only accepts the default `--shards 1`.
 
+use ipipe::rt::Cluster;
 use ipipe::sched::Discipline;
 use ipipe_baseline::fig16::run_fig16_obs;
 use ipipe_bench::figure::{num, text, Table};
@@ -177,26 +178,17 @@ fn main() {
         println!("{}: {}", s.name(), scenario::render_headline(&headline));
         Some(c)
     };
-    // Cluster scenarios always summarize and export through the cluster's
-    // canonical merged view ((ts, node)-ordered trace): under `--shards N`
-    // the user Obs handle only sees shard 0, and the canonical ordering is
-    // the one that is invariant across shard counts. fig16 (no cluster)
-    // keeps the raw Obs exports.
-    let sharded = cluster.as_ref();
+    // A scenario's cluster may record into an `Obs` of its own (the
+    // metrics-only ones do); fig16 records into `obs`.
+    let obs = cluster.as_ref().map_or(&obs, Cluster::obs);
 
     // --- metric summary -------------------------------------------------
-    let snap = match sharded {
-        Some(c) => c.snapshot(),
-        None => obs.snapshot(),
-    };
+    let snap = obs.snapshot();
     let title = format!("counters — {} seed {}", opts.scenario, opts.seed);
     let [counters, hists] = metric_tables(&snap, title, &opts.grep);
 
     // --- trace summary --------------------------------------------------
-    let (events, trace_dropped) = match sharded {
-        Some(c) => (c.merged_trace(), c.trace_totals().1),
-        None => (obs.trace_events(), obs.trace_dropped()),
-    };
+    let (events, trace_dropped) = (obs.trace_events(), obs.trace_dropped());
     let mut by_name: BTreeMap<(&str, &str), (u64, SimTime)> = BTreeMap::new();
     for ev in &events {
         let slot = by_name.entry((ev.cat, ev.name)).or_default();
@@ -227,12 +219,8 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("create --out dir");
         let metrics = format!("{dir}/metrics.jsonl");
         let chrome = format!("{dir}/chrome.json");
-        let (jsonl, chrome_json) = match sharded {
-            Some(c) => (c.export_canonical_jsonl(), c.export_canonical_chrome()),
-            None => (obs.export_jsonl(), obs.export_chrome()),
-        };
-        std::fs::write(&metrics, jsonl).expect("write metrics");
-        std::fs::write(&chrome, chrome_json).expect("write chrome trace");
+        std::fs::write(&metrics, obs.export_jsonl()).expect("write metrics");
+        std::fs::write(&chrome, obs.export_chrome()).expect("write chrome trace");
         // stderr, so stdout summaries of two same-seed runs with different
         // --out dirs stay byte-identical (the CI determinism job diffs them).
         eprintln!("wrote {metrics} and {chrome} (open the latter in Perfetto)");

@@ -131,10 +131,10 @@ pub fn diff_fig16_parallel(requests: u64, seed: u64) -> DiffOutcome {
 }
 
 /// The sharding axis: run `s` at smoke size under every shard count it
-/// declares and diff headline + *canonical* cluster export (merged metric
-/// snapshot, merged trace and meta line). The 1-shard serial engine is the
-/// reference; sharding is a pure execution mechanism and must not move a
-/// single byte.
+/// declares and diff headline + *canonical* cluster export (metric
+/// snapshot, `(ts, node)`-ordered trace and meta line). The 1-shard serial
+/// engine is the reference; sharding is a pure execution mechanism and must
+/// not move a single byte.
 pub fn diff_sharded(s: &dyn Scenario, seed: u64) -> DiffOutcome {
     DiffOutcome {
         variants: s

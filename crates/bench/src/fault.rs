@@ -48,6 +48,11 @@ pub struct FaultRunStats {
     pub done: u64,
     /// Writes issued (each with a distinct token/key).
     pub issued: u64,
+    /// Per replica (node 0, 1, 2), the writes its consensus actor applied
+    /// ([`RkvDeployment::applied`]); not part of the headline.
+    ///
+    /// [`RkvDeployment::applied`]: ipipe_apps::rkv::actors::RkvDeployment::applied
+    pub applied: [u64; 3],
 }
 
 /// Deterministic write for a token: the client generator and the retry
@@ -64,9 +69,8 @@ fn put_for(token: u64) -> KvOp {
 /// Run the scenario across `shards` event shards (clamped to the 4-node
 /// topology), one after the other: deploy the 3-replica RKV group, wire the
 /// retrying client, inject the fault plan, run through crash and recovery,
-/// and audit at quiesce. Metrics and traces accumulate into `obs` (shard 0's
-/// records when sharded — the cluster's canonical exports carry the merged
-/// view).
+/// and audit at quiesce. Every shard's metrics and traces accumulate into
+/// `obs`, the cluster's one handle.
 pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Cluster) {
     let mut c = build_rkv_cluster(seed, shards, obs);
     let dep = deploy_rkv_with(
@@ -122,6 +126,7 @@ pub fn run_rkv_fault(seed: u64, shards: usize, obs: &Obs) -> (FaultRunStats, Clu
         before_crash,
         done: c.completions().count(),
         issued: c.completions().issued(),
+        applied: std::array::from_fn(|r| dep.applied[r].get()),
     };
     // Exactly-once on all three replicas, the restarted one included (its
     // token filter survives the crash). The deployment registered the apply

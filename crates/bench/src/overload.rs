@@ -158,7 +158,7 @@ impl OverloadStats {
 /// install admission and the compaction storms, run pre-spike / spike /
 /// recovery windows, drain, and audit — shed conservation included — its
 /// shards one after the other. Hands back the cluster so callers can pull
-/// canonical merged exports.
+/// its canonical exports.
 pub fn run_rkv_overload(spec: &OverloadSpec) -> (OverloadStats, Cluster) {
     let mut c = build_keyspace_cluster(&spec.base);
     let dep = deploy_keyspace(&mut c, &spec.base);
@@ -205,7 +205,7 @@ pub fn run_rkv_overload(spec: &OverloadSpec) -> (OverloadStats, Cluster) {
     // per-ingress admit ledgers.
     let stats = drain_and_audit(&mut c, &spec.base, &dep, &ledgers, true);
     let ingress_shed: u64 = (0..spec.base.servers as u16)
-        .map(|n| c.counter_on_total("admit.shed", n))
+        .map(|n| c.obs().registry().counter_on("admit.shed", n).get())
         .sum();
     let stats = OverloadStats {
         groups: spec.base.groups,
@@ -214,7 +214,7 @@ pub fn run_rkv_overload(spec: &OverloadSpec) -> (OverloadStats, Cluster) {
         done: stats.count(),
         shed: stats.shed(),
         ingress_shed,
-        abandoned: c.counter_total("client.retry.abandoned"),
+        abandoned: c.obs().registry().counter("client.retry.abandoned").get(),
         pre_goodput_rps: pre_goodput,
         spike_goodput_rps: spike_goodput,
         p50_us: stats.p50().as_us_f64(),

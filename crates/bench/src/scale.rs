@@ -16,9 +16,11 @@
 //!   [`audit_multi_rkv_exactly_once`] reconciliation must come back clean —
 //!   shard moves included,
 //! * and the whole run is byte-identical at any `--shards` count: the
-//!   scenario runs metrics-only (the per-shard trace ring would retain
-//!   more records under sharding), all workload draws are token-pure, and
-//!   rebalance decisions read shard-invariant counters at epoch barriers.
+//!   scenario runs metrics-only (its full-size trace would overflow the
+//!   ring, and an overflowing ring can keep different records at the
+//!   retention boundary when sharded), all workload draws are token-pure,
+//!   and rebalance decisions read shard-invariant counters at epoch
+//!   barriers.
 //!
 //! [`RoutingTable`]: ipipe_apps::rkv::placement::RoutingTable
 //! [`Rebalancer`]: ipipe_apps::rkv::multi::Rebalancer
@@ -145,8 +147,9 @@ pub struct ScaleStats {
     pub events: u64,
 }
 
-/// Build the spec's cluster: the keyspace scenarios run metrics-only (the
-/// per-shard trace ring would retain more records under sharding).
+/// Build the spec's cluster: the keyspace scenarios run metrics-only (their
+/// full-size trace would overflow the ring, whose retained records can
+/// differ at the boundary under sharding).
 pub fn build_keyspace_cluster(spec: &ScaleSpec) -> Cluster {
     Cluster::builder(CN2350)
         .servers(spec.servers)
@@ -263,7 +266,8 @@ pub(crate) fn drain_and_audit(
     let ledger = |c: &Cluster| {
         let s = c.completions();
         let settled = if sheds {
-            s.completed() + s.shed() + c.counter_total("client.retry.abandoned")
+            let abandoned = c.obs().registry().counter("client.retry.abandoned");
+            s.completed() + s.shed() + abandoned.get()
         } else {
             s.completed()
         };
@@ -313,7 +317,7 @@ pub(crate) fn drain_and_audit(
 /// Run the scale scenario described by `spec`, its shards one after the
 /// other: deploy the groups, install the aggregated open-loop clients,
 /// rebalance on a fixed cadence, drain, and audit. Hands back the cluster so
-/// callers can pull canonical merged exports.
+/// callers can pull its canonical exports.
 pub fn run_rkv_scale(spec: &ScaleSpec) -> (ScaleStats, Cluster) {
     let mut c = build_keyspace_cluster(spec);
     let dep = deploy_keyspace(&mut c, spec);

@@ -72,8 +72,8 @@ pub fn names() -> String {
     names.join(", ")
 }
 
-/// Run metrics-only and return the headline plus the canonical merged
-/// export — the byte string that must not depend on the shard count.
+/// Run metrics-only and return the headline plus the canonical export —
+/// the byte string that must not depend on the shard count.
 pub fn run_export(s: &dyn Scenario, size: Size, seed: u64, shards: usize) -> (Headline, String) {
     let (headline, c) = s.run(size, seed, shards, &Obs::disabled());
     (headline, c.export_canonical_jsonl())

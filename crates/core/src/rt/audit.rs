@@ -51,12 +51,14 @@ impl Cluster {
                 .map(|c| c.inflight.len() as u64)
                 .sum()
         });
-        let abandoned = total(|s| s.fault_metrics.abandoned.get());
-        let loss = self.counter_total("fault.drop.loss");
-        let sent = self.counter_total("net.packets");
-        let shed_remote = self.counter_total("client.shed.remote");
-        let shed = shed_remote + self.counter_total("client.shed.source");
-        let shed_backoff = self.counter_total("client.shed.backoff");
+        let reg = self.obs().registry();
+        let count = |name| reg.counter(name).get();
+        let abandoned = count("client.retry.abandoned");
+        let loss = count("fault.drop.loss");
+        let sent = count("net.packets");
+        let shed_remote = count("client.shed.remote");
+        let shed = shed_remote + count("client.shed.source");
+        let shed_backoff = count("client.shed.backoff");
         // Zero when no admission control is installed.
         let ingress_shed = total(|s| {
             s.nodes
@@ -124,7 +126,7 @@ impl Cluster {
             },
         );
 
-        r.record_to(&self.shards[0].obs);
+        r.record_to(self.obs());
         r
     }
 

@@ -3,12 +3,20 @@
 //! measurement / export accessors. Client installation lives in `client.rs`,
 //! the audit in `audit.rs`.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use super::*;
 use crate::dmo::Side;
 use ipipe_nicsim::spec::HOST_XEON;
-use ipipe_sim::obs::export as obs_export;
-use ipipe_sim::obs::{Snapshot, TraceEvent};
+use ipipe_sim::obs::Snapshot;
 use ipipe_sim::MergePool;
+
+/// A node index as the `u16` node id every address and event carries (and
+/// a shard index as its `u16` id: shards never outnumber nodes).
+fn node_id(i: usize) -> u16 {
+    u16::try_from(i).expect("the builder caps node ids at u16::MAX")
+}
+
 /// Builder for a [`Cluster`].
 pub struct ClusterBuilder {
     spec: &'static NicSpec,
@@ -60,9 +68,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Share an observability handle: all schedulers, the network model and
-    /// the completion stats publish into its registry, and runtime spans go
-    /// to its trace ring. Defaults to a metrics-only private handle.
+    /// Share an observability handle: every shard's schedulers, network model
+    /// and completion stats publish into its registry, and runtime spans go
+    /// to its trace ring, so a cluster has one of each at any shard count.
+    /// Defaults to a metrics-only private handle.
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
         self
@@ -97,7 +106,7 @@ impl ClusterBuilder {
         let total = self.servers + self.clients;
         // Node ids are `u16` everywhere below (and in `Address`).
         assert!(
-            total <= u16::MAX as usize,
+            total <= usize::from(u16::MAX),
             "{} servers + {} clients do not fit u16 node ids",
             self.servers,
             self.clients
@@ -107,7 +116,7 @@ impl ClusterBuilder {
         let cfg = self
             .sched
             .unwrap_or_else(|| SchedConfig::for_nic(self.spec));
-        let user_obs = self.obs.unwrap_or_else(Obs::disabled);
+        let obs = self.obs.unwrap_or_else(Obs::disabled);
 
         // Contiguous block partition of all node ids (servers then clients):
         // the first `total % n_shards` shards get one extra node.
@@ -115,20 +124,20 @@ impl ClusterBuilder {
         let (base_sz, extra) = (total / n_shards, total % n_shards);
         let mut at = 0usize;
         for s in 0..n_shards {
-            shard_starts.push(at as u16);
+            shard_starts.push(node_id(at));
             at += base_sz + usize::from(s < extra);
         }
-        shard_starts.push(total as u16);
+        shard_starts.push(node_id(total));
         let mut shard_of: Vec<u16> = vec![0; total];
         for s in 0..n_shards {
             for n in shard_starts[s]..shard_starts[s + 1] {
-                shard_of[n as usize] = s as u16;
+                shard_of[usize::from(n)] = node_id(s);
             }
         }
 
         let mut net = NetModel::new(total, self.spec.link_gbps);
         if let Some((per_rack, extra_lat)) = self.racks {
-            let rack_of: Vec<u16> = (0..total).map(|i| (i / per_rack) as u16).collect();
+            let rack_of: Vec<u16> = (0..total).map(|i| node_id(i / per_rack)).collect();
             net.set_racks(rack_of, extra_lat);
         }
         let lookahead = net.min_cross_latency(&shard_of);
@@ -139,23 +148,15 @@ impl ClusterBuilder {
 
         let shards: Vec<ShardState> = (0..n_shards)
             .map(|s| {
-                // Shard 0 shares the caller's observability handle (so a
-                // 1-shard cluster behaves exactly as before); the others get
-                // private same-config handles whose snapshots merge
-                // commutatively.
-                let obs = match s {
-                    0 => user_obs.clone(),
-                    _ => Obs::new(user_obs.config()),
-                };
-                let base = shard_starts[s];
-                let end = shard_starts[s + 1] as usize;
+                let base = usize::from(shard_starts[s]);
+                let end = usize::from(shard_starts[s + 1]);
                 // Only the server slice of this shard's block gets a NodeRt.
                 let server_end = end.min(self.servers);
-                let nodes: Vec<NodeRt> = ((base as usize)..server_end.max(base as usize))
+                let nodes: Vec<NodeRt> = (base..server_end.max(base))
                     .map(|i| NodeRt {
-                        id: i as u16,
-                        sched: NicScheduler::with_obs(self.spec, cfg, &obs, i as u16),
-                        metrics: RtMetrics::new(&obs, i as u16),
+                        id: node_id(i),
+                        sched: NicScheduler::with_obs(self.spec, cfg, &obs, node_id(i)),
+                        metrics: RtMetrics::new(&obs, node_id(i)),
                         nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
                         host_queues: (0..HOST_XEON.cores).map(|_| Default::default()).collect(),
                         host_inflight: (0..HOST_XEON.cores).map(|_| None).collect(),
@@ -172,8 +173,8 @@ impl ClusterBuilder {
                 let mut snet = net.clone();
                 snet.attach_obs(obs.registry());
                 ShardState {
-                    shard_id: s as u16,
-                    base,
+                    shard_id: node_id(s),
+                    base: shard_starts[s],
                     spec: self.spec,
                     mode: self.mode,
                     region_bytes: self.region_bytes,
@@ -188,7 +189,7 @@ impl ClusterBuilder {
                         ..CompletionStats::default()
                     },
                     fault_metrics: FaultMetrics::new(&obs),
-                    obs,
+                    obs: obs.clone(),
                     measure_start: SimTime::ZERO,
                     action_scratch: Vec::new(),
                     retry_scratch: Vec::new(),
@@ -250,12 +251,9 @@ impl Cluster {
         }
     }
 
-    /// The cluster's observability handle (registry + trace ring).
-    ///
-    /// With one shard (the default) this is exactly the handle passed to
-    /// [`ClusterBuilder::obs`]. With more, it is shard 0's partial view —
-    /// use [`Cluster::snapshot`] or [`Cluster::export_canonical_jsonl`] for
-    /// the merged, shard-count-independent picture.
+    /// The cluster's observability handle (registry + trace ring): the
+    /// handle passed to [`ClusterBuilder::obs`] (or the builder's
+    /// metrics-only default), which every shard records into.
     pub fn obs(&self) -> &Obs {
         &self.shards[0].obs
     }
@@ -290,13 +288,13 @@ impl Cluster {
     }
 
     pub(super) fn shard_for_mut(&mut self, node: u16) -> &mut ShardState {
-        let s = self.shard_of[node as usize] as usize;
+        let s = usize::from(self.shard_of[usize::from(node)]);
         &mut self.shards[s]
     }
 
     /// Runtime state of server `node`, through its owning shard.
     fn node(&self, node: u16) -> &NodeRt {
-        self.shards[self.shard_of[node as usize] as usize].node(node)
+        self.shards[usize::from(self.shard_of[usize::from(node)])].node(node)
     }
 
     fn node_mut(&mut self, node: u16) -> &mut NodeRt {
@@ -312,7 +310,7 @@ impl Cluster {
     pub fn reserve_actor(&mut self, node: usize) -> Address {
         assert!(node < self.n_servers, "not a server node");
         let addr = Address {
-            node: node as u16,
+            node: node_id(node),
             actor: self.next_actor,
         };
         self.next_actor += 1;
@@ -441,7 +439,7 @@ impl Cluster {
             }
             let mut moved = std::mem::take(&mut self.shards[s].outbox);
             for (key, kind) in moved.drain(..) {
-                let dst = self.shard_of[key.1 as usize] as usize;
+                let dst = usize::from(self.shard_of[usize::from(key.1)]);
                 self.shards[dst].pool.push(key, kind);
             }
             self.shards[s].outbox = moved;
@@ -452,8 +450,8 @@ impl Cluster {
     /// CPU accounting, NIC busy accounting.
     pub fn reset_measurements(&mut self) {
         let now = self.now();
+        self.shards[0].completions.hist.reset();
         for s in &mut self.shards {
-            s.completions.hist.reset();
             s.measure_start = now;
             for n in &mut s.nodes {
                 n.host_acct = HostCpuAccounting::new();
@@ -462,81 +460,37 @@ impl Cluster {
         }
     }
 
-    /// Client-side completion statistics, aggregated across shards.
+    /// Client-side completion statistics: issued and completed summed over
+    /// the shards that own clients, and a copy of the one `client.latency`
+    /// histogram every shard records into.
     pub fn completions(&self) -> CompletionStats {
-        let mut agg = CompletionStats {
-            shed: self.counter_total("client.shed.remote")
-                + self.counter_total("client.shed.source"),
-            ..CompletionStats::default()
+        let reg = self.obs().registry();
+        let total = |f: fn(&CompletionStats) -> u64| {
+            self.shards.iter().map(|s| f(&s.completions)).sum::<u64>()
         };
-        for s in &self.shards {
-            agg.issued += s.completions.issued;
-            agg.completed += s.completions.completed;
-            agg.hist.merge_from(&s.completions.hist.to_histogram());
+        CompletionStats {
+            issued: total(|c| c.issued),
+            completed: total(|c| c.completed),
+            shed: reg.counter("client.shed.remote").get() + reg.counter("client.shed.source").get(),
+            hist: HistHandle::from(self.shards[0].completions.histogram()),
         }
-        agg
     }
 
-    /// Sum a node-0 registry counter across every shard. Shards keep
-    /// independent registries ([`Cluster::obs`] only sees shard 0's), so
-    /// cluster-wide totals of per-shard counters such as
-    /// `client.retry.abandoned` must fold over all of them.
-    pub fn counter_total(&self, name: &'static str) -> u64 {
-        self.counter_on_total(name, 0)
-    }
-
-    /// Sum a per-node registry counter across every shard. Only the owning
-    /// shard ever increments a node's counter, but reading through every
-    /// registry keeps the accessor shard-layout-agnostic.
-    pub fn counter_on_total(&self, name: &'static str, node: u16) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.obs.registry().counter_on(name, node).get())
-            .sum()
-    }
-
-    /// Merged metrics snapshot across all shards. Snapshot merging is
-    /// commutative, so the result is shard-count-independent.
+    /// Metrics snapshot of the cluster's registry.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snap = self.shards[0].obs.snapshot();
-        for s in &self.shards[1..] {
-            snap.merge(&s.obs.snapshot());
-        }
-        snap
+        self.obs().snapshot()
     }
 
-    /// Trace records merged across all shards in `(ts, node)` order — the
-    /// shard-count-invariant view behind the canonical exports.
-    pub fn merged_trace(&self) -> Vec<TraceEvent> {
-        let per_shard: Vec<Vec<TraceEvent>> =
-            self.shards.iter().map(|s| s.obs.trace_events()).collect();
-        obs_export::merge_trace_events(&per_shard)
-    }
-
-    /// `(recorded, dropped)` trace-ring totals summed across shards.
+    /// `(recorded, dropped)` totals of the cluster's trace ring.
     pub fn trace_totals(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(r, d), s| {
-            (r + s.obs.trace_recorded(), d + s.obs.trace_dropped())
-        })
+        (self.obs().trace_recorded(), self.obs().trace_dropped())
     }
 
-    /// Canonical JSONL export: merged snapshot, then trace records merged
-    /// across shards in `(ts, node)` order, then one `meta` line. For runs
-    /// whose trace rings never overflow, the bytes are identical for every
-    /// shard count (including a single shard).
+    /// Canonical JSONL export: [`Obs::export_jsonl`] of the cluster's
+    /// handle. For runs whose trace ring never overflows, the bytes are
+    /// identical for every shard count.
     pub fn export_canonical_jsonl(&self) -> String {
-        let mut out = self.snapshot().to_jsonl();
-        out.push_str(&obs_export::trace_jsonl(&self.merged_trace()));
-        let (recorded, dropped) = self.trace_totals();
-        out.push_str(&format!(
-            "{{\"type\":\"meta\",\"trace_recorded\":{recorded},\"trace_dropped\":{dropped}}}\n"
-        ));
-        out
-    }
-
-    /// Canonical Chrome `trace_event` export, merged across shards.
-    pub fn export_canonical_chrome(&self) -> String {
-        obs_export::chrome_trace(&self.merged_trace())
+        self.obs().export_jsonl()
     }
 
     /// Measured wall time since the last reset.
@@ -561,15 +515,14 @@ impl Cluster {
         if wall == SimTime::ZERO {
             return 0.0;
         }
-        let done: u64 = self.shards.iter().map(|s| s.completions.count()).sum();
-        done as f64 / wall.as_secs_f64()
+        self.shards[0].completions.count() as f64 / wall.as_secs_f64()
     }
 
     /// Host cores kept busy on server `node` over the measurement window
     /// (Fig 13's y-axis).
     pub fn host_cores_used(&mut self, node: usize) -> f64 {
         let wall = self.measured_wall();
-        let acct = &mut self.node_mut(node as u16).host_acct;
+        let acct = &mut self.node_mut(node_id(node)).host_acct;
         acct.set_wall(wall);
         acct.cores_used()
     }
@@ -580,7 +533,7 @@ impl Cluster {
         if wall == SimTime::ZERO {
             return 0.0;
         }
-        self.node(node as u16).nic_busy_total.as_secs_f64() / wall.as_secs_f64()
+        self.node(node_id(node)).nic_busy_total.as_secs_f64() / wall.as_secs_f64()
     }
 
     /// Where an actor currently lives.
@@ -603,12 +556,12 @@ impl Cluster {
 
     /// Migration reports collected on a node (Fig 18).
     pub fn migration_reports(&self, node: usize) -> &[MigrationReport] {
-        &self.node(node as u16).migration_reports
+        &self.node(node_id(node)).migration_reports
     }
 
     /// Messages that crossed `node`'s PCIe ring from the NIC to the host
     /// (`rt.ring.to_host`; host→NIC crossings are not counted here).
     pub fn ring_messages(&self, node: usize) -> u64 {
-        self.node(node as u16).metrics.ring_to_host.get()
+        self.node(node_id(node)).metrics.ring_to_host.get()
     }
 }

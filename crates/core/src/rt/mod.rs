@@ -468,8 +468,8 @@ impl FaultMetrics {
 }
 
 /// One event shard: a contiguous block of node ids with its own event
-/// queue, network-occupancy view, observability handle and ingress merge
-/// pool. All simulation handlers live here; [`Cluster`] routes API calls to
+/// queue, network-occupancy view and ingress merge pool, recording into a
+/// clone of the cluster's one observability handle. All simulation handlers live here; [`Cluster`] routes API calls to
 /// the owning shard and drives shards in conservative-lookahead epochs.
 struct ShardState {
     shard_id: u16,
@@ -490,6 +490,8 @@ struct ShardState {
     /// Full-length client → admission-class map, replicated in every shard
     /// (server shards read it at ingress; class 0 is the default).
     client_class: Vec<u8>,
+    /// This shard's clients' `issued` / `completed`; `hist` is the
+    /// cluster's one `client.latency` histogram, shared by every shard.
     completions: CompletionStats,
     fault_metrics: FaultMetrics,
     obs: Obs,

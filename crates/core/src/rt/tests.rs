@@ -19,10 +19,17 @@ impl ActorLogic for Echo {
 }
 
 fn echo_cluster(cost_us: u64) -> (Cluster, Address) {
+    sharded_echo_cluster(cost_us, 1)
+}
+
+/// [`echo_cluster`] cut into `shards` shards (two put the client on its
+/// own).
+fn sharded_echo_cluster(cost_us: u64, shards: usize) -> (Cluster, Address) {
     let mut c = Cluster::builder(CN2350)
         .servers(1)
         .clients(1)
         .seed(7)
+        .shards(shards)
         .build();
     let a = c.register_actor(
         0,
@@ -454,26 +461,32 @@ fn retransmission_recovers_lost_requests() {
     assert!(c.completions().issued() - done < 8 + 1);
 }
 
+/// At two shards too: the client's shard counts its abandons in the
+/// cluster's one registry, and the audit's conservation ledger reads that
+/// counter once.
 #[test]
 fn retry_gives_up_after_max_tries_and_frees_the_slot() {
-    let (mut c, a) = echo_cluster(2);
-    c.set_fault_plan(FaultPlan::new(5).with_loss(1.0));
-    echo_client(&mut c, a, 2);
-    c.set_client_retry(
-        0,
-        RetryPolicy {
-            timeout: SimTime::from_us(100),
-            cap: SimTime::from_us(400),
-            max_tries: 3,
-        },
-        None,
-    );
-    c.run_for(SimTime::from_ms(10));
-    assert_eq!(c.completions().count(), 0);
-    let abandoned = c.obs().registry().counter("client.retry.abandoned").get();
-    assert!(abandoned > 2, "abandoned={abandoned}");
-    // Abandonment re-issues: far more than the initial 2 slots went out.
-    assert!(c.completions().issued() > 10);
+    for shards in [1, 2] {
+        let (mut c, a) = sharded_echo_cluster(2, shards);
+        c.set_fault_plan(FaultPlan::new(5).with_loss(1.0));
+        echo_client(&mut c, a, 2);
+        c.set_client_retry(
+            0,
+            RetryPolicy {
+                timeout: SimTime::from_us(100),
+                cap: SimTime::from_us(400),
+                max_tries: 3,
+            },
+            None,
+        );
+        c.run_for(SimTime::from_ms(10));
+        assert_eq!(c.completions().count(), 0);
+        let abandoned = c.obs().registry().counter("client.retry.abandoned").get();
+        assert!(abandoned > 2, "abandoned={abandoned}");
+        // Abandonment re-issues: far more than the initial 2 slots went out.
+        assert!(c.completions().issued() > 10);
+        c.audit().assert_clean();
+    }
 }
 
 #[test]
@@ -954,7 +967,8 @@ fn audit_stays_clean_across_forced_migration() {
     // All three ring-crossing callers ran.
     assert!(ticks.get() > 0, "local emits to a host actor");
     assert!(report.requests_forwarded > 0, "phase 4");
-    assert!(c.counter_on_total("rt.forward.nic", 0) > 0, "NIC forward");
+    let reg = c.obs().registry();
+    assert!(reg.counter_on("rt.forward.nic", 0).get() > 0, "NIC forward");
 }
 
 /// Pinned regression: Fig 18 reported time the simulation never spent.
@@ -1047,10 +1061,11 @@ fn every_migration_the_scheduler_begins_is_carried_out() {
     }
     c.audit().assert_clean();
     // Nothing is in flight, so every migration begun has ended.
-    let begun = c.counter_total("sched.migrate.push") + c.counter_total("sched.migrate.pull");
-    let ended = c.counter_total("migrate.completed.push")
-        + c.counter_total("migrate.completed.pull")
-        + c.counter_total("migrate.aborted");
+    let count = |name| c.obs().registry().counter(name).get();
+    let begun = count("sched.migrate.push") + count("sched.migrate.pull");
+    let ended = count("migrate.completed.push")
+        + count("migrate.completed.pull")
+        + count("migrate.aborted");
     assert_eq!(begun, ended);
     assert!(begun >= 3, "{begun} migrations");
     let before = c.completions().count();
@@ -1746,7 +1761,7 @@ fn overload_shedding_is_byte_identical_across_shard_counts() {
                     until: SimTime::from_ms(8),
                 },
             );
-            c.set_client_retry(0, RetryPolicy::lan_default(), None);
+            c.set_client_retry(cl, RetryPolicy::lan_default(), None);
         }
         c.run_for(SimTime::from_ms(2));
         // 10x spike through the in-place rate swap, then recovery.

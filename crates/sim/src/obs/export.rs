@@ -94,19 +94,8 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Merge per-shard trace streams into one canonical timeline: stable-sort
-/// by `(ts, node)`. Within a shard, records are already in push
-/// (simulation) order, and every record of a given node lives in exactly
-/// one shard's ring — so the stable sort yields the same byte stream for
-/// any shard count, including a single-shard run passed through whole.
-pub fn merge_trace_events(per_shard: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
-    let mut all: Vec<TraceEvent> = per_shard.iter().flatten().copied().collect();
-    all.sort_by_key(|ev| (ev.ts, ev.node));
-    all
-}
-
-/// Render trace records as JSON lines, one record per line, in push order
-/// (simulation order). Timestamps are integer nanoseconds.
+/// Render trace records as JSON lines, one record per line, in the order
+/// given. Timestamps are integer nanoseconds.
 pub fn trace_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 80);
     for ev in events {

@@ -120,16 +120,6 @@ impl Obs {
         })
     }
 
-    /// The configuration this handle was built with (level + actual ring
-    /// capacity). Lets a sharded runtime build sibling handles that record
-    /// identically to the user's handle.
-    pub fn config(&self) -> ObsConfig {
-        ObsConfig {
-            level: self.inner.level,
-            trace_capacity: self.inner.trace.borrow().capacity(),
-        }
-    }
-
     /// The metrics registry.
     pub fn registry(&self) -> &Registry {
         &self.inner.registry
@@ -237,9 +227,14 @@ impl Obs {
         self.inner.trace.borrow().recorded()
     }
 
-    /// Copy the trace records out, oldest first.
+    /// Copy the trace records out in canonical order: by `(ts, node)`,
+    /// push order breaking ties. Every node's records are pushed in
+    /// simulation order, so this order is the same however a cluster's
+    /// shards interleave their pushes.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner.trace.borrow().to_vec()
+        let mut events = self.inner.trace.borrow().to_vec();
+        events.sort_by_key(|ev| (ev.ts, ev.node));
+        events
     }
 
     /// Freeze the registry into a mergeable [`Snapshot`].
@@ -248,23 +243,25 @@ impl Obs {
     }
 
     /// Export metrics + trace as JSON lines: metric lines first (sorted by
-    /// `(name, node)`), then trace records in simulation order, then one
-    /// `meta` line with ring statistics. Byte-identical for identical runs.
+    /// `(name, node)`), then trace records in [`Obs::trace_events`] order,
+    /// then one `meta` line with ring statistics. Byte-identical for
+    /// identical runs, and for a cluster at any shard count while its ring
+    /// does not overflow.
     pub fn export_jsonl(&self) -> String {
-        let ring = self.inner.trace.borrow();
         let mut out = self.snapshot().to_jsonl();
-        out.push_str(&export::trace_jsonl(&ring.to_vec()));
+        out.push_str(&export::trace_jsonl(&self.trace_events()));
         out.push_str(&format!(
             "{{\"type\":\"meta\",\"trace_recorded\":{},\"trace_dropped\":{}}}\n",
-            ring.recorded(),
-            ring.dropped()
+            self.trace_recorded(),
+            self.trace_dropped()
         ));
         out
     }
 
-    /// Export the trace ring as Chrome `trace_event` JSON for Perfetto.
+    /// Export the trace ring as Chrome `trace_event` JSON for Perfetto, in
+    /// [`Obs::trace_events`] order.
     pub fn export_chrome(&self) -> String {
-        export::chrome_trace(&self.inner.trace.borrow().to_vec())
+        export::chrome_trace(&self.trace_events())
     }
 }
 

@@ -106,13 +106,22 @@ impl Gauge {
 
 /// Shared handle to a log-bucketed latency histogram
 /// ([`crate::stats::Histogram`]: ≤3.1% relative resolution, memory for the
-/// octaves its samples span).
+/// octaves its samples span). Every clone records into the one histogram,
+/// so subsystems that each hold a clone (a cluster's shards, say) must
+/// read it once, never sum their copies.
 #[derive(Debug, Clone)]
 pub struct HistHandle(Rc<RefCell<Histogram>>);
 
 impl Default for HistHandle {
     fn default() -> Self {
-        HistHandle(Rc::new(RefCell::new(Histogram::new())))
+        HistHandle::from(Histogram::new())
+    }
+}
+
+impl From<Histogram> for HistHandle {
+    /// A handle to a histogram of its own, shared with no registry.
+    fn from(h: Histogram) -> Self {
+        HistHandle(Rc::new(RefCell::new(h)))
     }
 }
 
@@ -166,12 +175,6 @@ impl HistHandle {
     /// Owned copy of the underlying histogram.
     pub fn to_histogram(&self) -> Histogram {
         self.0.borrow().clone()
-    }
-
-    /// Fold another histogram's buckets into this handle (order-independent;
-    /// used to aggregate per-shard histograms into a cluster view).
-    pub fn merge_from(&self, other: &Histogram) {
-        self.0.borrow_mut().merge(other);
     }
 }
 

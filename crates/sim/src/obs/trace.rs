@@ -84,11 +84,6 @@ impl TraceRing {
         self.recorded += 1;
     }
 
-    /// Maximum records the ring holds (0 = recording disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records currently held.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -481,7 +481,7 @@ fn shard_count_leaves_no_fingerprint_in_exports() {
             );
         }
         c.run_for(SimTime::from_ms(2));
-        (c.export_canonical_jsonl(), c.export_canonical_chrome())
+        (c.export_canonical_jsonl(), c.obs().export_chrome())
     };
     let (jsonl1, chrome1) = run(1);
     for shards in [2, 4, 5] {
@@ -856,7 +856,7 @@ fn overload_echo_run(
     // Drain until the shed-conservation ledger balances.
     for _ in 0..16 {
         let s = c.completions();
-        let abandoned = c.counter_total("client.retry.abandoned");
+        let abandoned = c.obs().registry().counter("client.retry.abandoned").get();
         if s.issued() == s.completed() + s.shed() + abandoned {
             break;
         }
@@ -864,7 +864,7 @@ fn overload_echo_run(
     }
     let report = c.audit();
     let s = c.completions();
-    let abandoned = c.counter_total("client.retry.abandoned");
+    let abandoned = c.obs().registry().counter("client.retry.abandoned").get();
     (
         report.is_clean(),
         report.render(),
