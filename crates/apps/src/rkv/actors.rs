@@ -90,9 +90,6 @@ pub enum RkvMsg {
     },
     /// Frozen Memtable contents bound for a minor compaction.
     FlushBatch(Vec<(Key, Option<Vec<u8>>)>),
-    /// Operator/failure-detector signal: campaign to become leader (the
-    /// two-phase Paxos leader election of §4).
-    StartElection,
 }
 
 /// The closed-loop client of every RKV figure, scenario and example: the
@@ -486,13 +483,6 @@ impl ActorLogic for ConsensusActor {
                     self.apply_committed(ctx);
                 }
             }
-            RkvMsg::StartElection => {
-                ctx.charge_work(1200);
-                let outs = self.paxos.start_election();
-                self.ship(ctx, token, outs);
-                self.propose_buffered(ctx);
-                self.apply_committed(ctx);
-            }
             _ => {}
         }
     }
@@ -771,7 +761,7 @@ pub fn deploy_rkv(c: &mut Cluster, replicas: &[usize], memtable_flush: u64) -> R
 /// [`deploy_rkv`] plus an optional heartbeat failure detector: the leader
 /// beacons every `interval`, silent-leader followers campaign automatically,
 /// and lagging followers pull Learn catch-up off the beacon's commit
-/// frontier — no operator `StartElection` signal needed.
+/// frontier. The detector is the only thing that starts an election.
 pub fn deploy_rkv_with(
     c: &mut Cluster,
     replicas: &[usize],
@@ -896,6 +886,7 @@ mod tests {
     use ipipe_netsim::FaultPlan;
     use ipipe_nicsim::CN2350;
     use ipipe_workload::kv::KvWorkload;
+    use std::cell::Cell;
 
     fn rkv_cluster(replicas: usize) -> (Cluster, RkvDeployment) {
         let mut c = Cluster::builder(CN2350)
@@ -1027,19 +1018,33 @@ mod tests {
         assert_eq!(r.violations()[0].invariant, "rkv.exactly.once");
     }
 
+    /// The leader's access link goes down for good: it is cut off, not
+    /// crashed. The heartbeat detector, the only thing that starts an
+    /// election, makes replica 1 leader, and it serves the writes the
+    /// client now sends it. The writes cut off with the old leader run out
+    /// of tries, so the closed loop keeps breathing, and none applies twice.
     #[test]
     fn leader_failover_keeps_the_group_serving() {
-        let (mut c, dep) = rkv_cluster(3);
-        let old_leader = dep.consensus[0];
-        let new_leader = dep.consensus[1];
+        let mut c = Cluster::builder(CN2350)
+            .servers(3)
+            .clients(1)
+            .seed(0xEBB)
+            .build();
+        let dep = deploy_rkv_with(
+            &mut c,
+            &[0, 1, 2],
+            64 * 1024,
+            Some(HeartbeatCfg::lan_default()),
+        );
         // Phase 1: steady writes to the initial leader.
-        let mut wl = KvWorkload::new(10_000, 0.99, 0.0, 64, 11);
+        let leader = Rc::new(Cell::new(dep.consensus[0]));
+        let dst = leader.clone();
         c.set_client(
             0,
-            Box::new(move |rng, _| {
-                let op = wl.next_op();
+            Box::new(move |rng, token| {
+                let op = put_for(token);
                 ClientReq {
-                    dst: old_leader,
+                    dst: dst.get(),
                     wire_size: 42 + op.wire_size(),
                     flow: rng.below(1 << 20),
                     payload: Some(Box::new(RkvMsg::Client(op))),
@@ -1047,41 +1052,45 @@ mod tests {
             }),
             8,
         );
+        c.set_client_retry(
+            0,
+            RetryPolicy {
+                timeout: SimTime::from_us(100),
+                cap: SimTime::from_us(400),
+                max_tries: 3,
+            },
+            Some(Box::new(|token| {
+                Some(Box::new(RkvMsg::Client(put_for(token))))
+            })),
+        );
+        c.set_fault_plan(FaultPlan::new(0x11D).with_link_down(
+            0,
+            SimTime::from_ms(4),
+            SimTime::from_ms(500),
+        ));
         c.run_for(SimTime::from_ms(4));
         let before = c.completions().count();
         assert!(before > 200, "pre-failover writes: {before}");
-        // The "failure detector" fires: replica 1 campaigns (the old leader
-        // is deposed by the higher-ballot Prepare it receives).
-        let mut sent_election = false;
-        let mut wl = KvWorkload::new(10_000, 0.99, 0.0, 64, 12);
-        c.set_client(
-            0,
-            Box::new(move |rng, _| {
-                if !sent_election {
-                    sent_election = true;
-                    return ClientReq {
-                        dst: new_leader,
-                        wire_size: 64,
-                        flow: 0,
-                        payload: Some(Box::new(RkvMsg::StartElection)),
-                    };
-                }
-                let op = wl.next_op();
-                ClientReq {
-                    dst: new_leader,
-                    wire_size: 42 + op.wire_size(),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RkvMsg::Client(op))),
-                }
-            }),
-            8,
-        );
-        c.run_for(SimTime::from_ms(6));
+        // Phase 2: the client aims its new writes at replica 1, which must
+        // detect the silent leader and campaign on its own.
+        leader.set(dep.consensus[1]);
+        c.run_for(SimTime::from_ms(8));
         let after = c.completions().count();
         assert!(
             after > before + 200,
             "post-failover writes must commit through the new leader: {before} -> {after}"
         );
+        let reg = c.obs().registry();
+        let abandoned = reg.counter("client.retry.abandoned").get();
+        assert!(
+            abandoned <= 8,
+            "only the cut-off writes give up: {abandoned}"
+        );
+        let issued = c.completions().issued();
+        let mut r = AuditReport::new(c.now());
+        audit_rkv_exactly_once(reg, &dep, issued, after, &mut r);
+        assert!(r.is_clean(), "{}", r.render());
+        c.audit().assert_clean();
     }
 
     /// Deterministic Put for a token, so the client generator and the retry

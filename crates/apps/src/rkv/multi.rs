@@ -329,26 +329,22 @@ mod tests {
         let stream = AggKvStream::new(7, 1 << 16, 100_000, 1.0, 0.0, 24);
         let ledger = Rc::new(RefCell::new(vec![0u64; 4]));
         let gen_ledger = ledger.clone();
-        let mk_gen = move || {
-            let table = table.clone();
-            let gen_ledger = gen_ledger.clone();
-            Box::new(move |rng: &mut ipipe_sim::DetRng, token: u64| {
-                let op = stream.op_for(token);
-                let g = table.group_of(op.key());
-                gen_ledger.borrow_mut()[g as usize] += 1;
-                let dst = table.leader_of(g);
-                ClientReq {
-                    dst,
-                    wire_size: 42 + op.wire_size(),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(super::super::actors::RkvMsg::Client(op))),
-                }
-            }) as ipipe::rt::ClientGenFn
-        };
-        c.set_client(0, mk_gen(), 16);
+        let gen = Box::new(move |rng: &mut ipipe_sim::DetRng, token: u64| {
+            let op = stream.op_for(token);
+            let g = table.group_of(op.key());
+            gen_ledger.borrow_mut()[g as usize] += 1;
+            let dst = table.leader_of(g);
+            ClientReq {
+                dst,
+                wire_size: 42 + op.wire_size(),
+                flow: rng.below(1 << 20),
+                payload: Some(Box::new(super::super::actors::RkvMsg::Client(op))),
+            }
+        });
+        c.set_client(0, gen, 16);
         c.run_for(SimTime::from_ms(8));
-        // Stop issuing (outstanding 0 carries the in-flight tail) and drain.
-        c.set_client(0, mk_gen(), 0);
+        // Stop issuing (depth 0 leaves the in-flight tail) and drain.
+        c.set_client_depth(0, 0);
         c.run_for(SimTime::from_ms(5));
         let stats = c.completions();
         assert_eq!(stats.issued(), stats.completed(), "tail must drain");

@@ -205,7 +205,11 @@ fn main() {
         ]
     });
     let trace = Table::new(
-        format!("trace — {} recorded, {trace_dropped} dropped", events.len()),
+        format!(
+            "trace — {} recorded, {} kept, {trace_dropped} dropped",
+            obs.trace_recorded(),
+            events.len()
+        ),
         ["cat/name", "events", "span-total(us)"],
         rows.collect(),
     );

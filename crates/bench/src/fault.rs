@@ -5,8 +5,8 @@
 //! The run must demonstrate the whole recovery stack end to end:
 //!
 //! * client timeout/retransmission rides out the lossy links,
-//! * the heartbeat failure detector elects a replacement leader with **no**
-//!   operator `StartElection` signal,
+//! * the heartbeat failure detector, the only thing that starts an
+//!   election, elects a replacement leader,
 //! * the deposed leader steps down when it rejoins and its writes are shed
 //!   toward the new leader via `Redirect`,
 //! * apply-time token dedup keeps every client write exactly-once,

@@ -2,6 +2,8 @@
 //! [`Cluster::audit`], the per-shard quiesce sweep and per-node checks in
 //! `audit_local`, and the test-only leak hook that proves the checker bites.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use super::*;
 use ipipe_sim::audit::CLUSTER_WIDE;
 
@@ -45,11 +47,8 @@ impl Cluster {
         let issued = total(|s| s.completions.issued);
         let completed = total(|s| s.completions.completed);
         let inflight = total(|s| {
-            s.clients
-                .iter()
-                .flatten()
-                .map(|c| c.inflight.len() as u64)
-                .sum()
+            let n: usize = s.clients.iter().flatten().map(|c| c.inflight.len()).sum();
+            u64::try_from(n).expect("a count of requests fits u64")
         });
         let reg = self.obs().registry();
         let count = |name| reg.counter(name).get();
@@ -58,7 +57,6 @@ impl Cluster {
         let sent = count("net.packets");
         let shed_remote = count("client.shed.remote");
         let shed = shed_remote + count("client.shed.source");
-        let shed_backoff = count("client.shed.backoff");
         // Zero when no admission control is installed.
         let ingress_shed = total(|s| {
             s.nodes
@@ -80,15 +78,15 @@ impl Cluster {
             },
         );
 
-        // Shed ledger: every shed the clients observed (remote drops plus
-        // parked retry timers) must trace back to an ingress refusal — `≤`
-        // because a shed reply can still be on the wire, or ignored as stale
-        // after the request completed via another path. Emitted with or
-        // without admission, so the check count is scenario-stable.
+        // Shed ledger: every request a shed reply ended must trace back to
+        // an ingress refusal — `≤` because a shed reply can still be on the
+        // wire, or ignored as stale after the request completed via another
+        // path. Emitted with or without admission, so the check count is
+        // scenario-stable.
         r.check_le(
             "shed.reconcile",
             CLUSTER_WIDE,
-            ("client-observed sheds", shed_remote + shed_backoff),
+            ("client-observed sheds", shed_remote),
             ("ingress sheds", ingress_shed),
         );
 
@@ -183,7 +181,7 @@ impl ShardState {
     /// are still pending delivery here (queued, pooled, or outboxed).
     pub(super) fn audit_local(&self, r: &mut AuditReport) -> u64 {
         let n_nodes = self.nodes.len();
-        let mut ring_to_host = vec![0u64; n_nodes];
+        let mut ring_to_host = vec![0i64; n_nodes];
         let mut mig_steps = vec![0u64; n_nodes];
         let mut nic_free: Vec<Vec<u64>> = self
             .nodes
@@ -198,20 +196,23 @@ impl ShardState {
         let mut retry_due: Vec<Vec<SimTime>> = vec![Vec::new(); self.clients.len()];
         let mut pending_frames = 0u64;
         let base = self.base;
-        let idx = |node: &u16| (*node - base) as usize;
+        let idx = |node: &u16| usize::from(*node - base);
+        let core_idx = |core: &u32| usize::try_from(*core).expect("core indices fit usize");
         self.events.for_each_pending(|at, ev| match ev {
             Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
-            Ev::NicFree { node, core } => nic_free[idx(node)][*core as usize] += 1,
-            Ev::HostFree { node, core } => host_free[idx(node)][*core as usize] += 1,
+            Ev::NicFree { node, core } => nic_free[idx(node)][core_idx(core)] += 1,
+            Ev::HostFree { node, core } => host_free[idx(node)][core_idx(core)] += 1,
             Ev::MigStep { node } => mig_steps[idx(node)] += 1,
             Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
-            Ev::RetryDue { client } => retry_due[*client as usize].push(at),
+            Ev::RetryDue { client } => retry_due[usize::from(*client)].push(at),
             _ => {}
         });
-        pending_frames += self.pool.len() as u64 + self.outbox.len() as u64;
+        pending_frames +=
+            u64::try_from(self.pool.len() + self.outbox.len()).expect("a count of frames fits u64");
         for (client, state) in self.clients.iter().enumerate() {
             if let Some(state) = state {
-                let node = (self.n_servers + client) as u16;
+                let node = u16::try_from(self.n_servers + client)
+                    .expect("the builder caps node ids at u16::MAX");
                 state.audit_retry_timer(r, node, &retry_due[client]);
             }
         }
@@ -219,7 +220,7 @@ impl ShardState {
         for (i, n) in self.nodes.iter().enumerate() {
             let node = n.id;
             let depth = n.metrics.ring_depth.get();
-            r.check("ring.depth", node, depth == ring_to_host[i] as i64, || {
+            r.check("ring.depth", node, depth == ring_to_host[i], || {
                 format!(
                     "rt.ring.depth {depth} != pending RingToHost {}",
                     ring_to_host[i]

@@ -9,13 +9,9 @@ use ipipe_sim::PoissonArrivals;
 
 impl Cluster {
     /// Install a closed-loop generator on client `client` keeping
-    /// `outstanding` requests in flight.
-    ///
-    /// Replacing a generator mid-run keeps the old requests' ledger: the
-    /// in-flight map, the token allocator (new tokens must not collide with
-    /// live ones) and any retry state carry over, and the old requests drain
-    /// through the normal completion path while the closed loop re-gates on
-    /// the new `outstanding`. Only the generator and the target depth change.
+    /// `outstanding` requests in flight. A client is installed once: this
+    /// panics if it already has a generator. [`Cluster::set_client_depth`]
+    /// changes the depth of a running loop.
     pub fn set_client(&mut self, client: usize, gen: ClientGenFn, outstanding: u32) {
         self.install_client(client, gen, outstanding, None);
     }
@@ -26,9 +22,10 @@ impl Cluster {
     /// source node (one generator per source node, never one per user).
     /// Arrivals stop at `cfg.until`; in-flight requests then drain through
     /// the normal completion/retry paths, so the conservation ledger
-    /// (`issued == completed + abandoned + in-flight`) still closes at
-    /// quiesce. Replacement mid-run carries the old ledger exactly like
-    /// [`Cluster::set_client`].
+    /// (`issued == completed + abandoned + shed + in-flight`) still closes
+    /// at quiesce. Panics, like [`Cluster::set_client`], if the client
+    /// already has a generator; [`Cluster::set_client_open_loop_rate`]
+    /// changes the rate of a running one.
     pub fn set_client_open_loop(&mut self, client: usize, gen: ClientGenFn, cfg: OpenLoopCfg) {
         assert!(cfg.rate_rps > 0.0, "open-loop rate must be positive");
         let open = OpenLoop {
@@ -38,10 +35,10 @@ impl Cluster {
         self.install_client(client, gen, 0, Some(open));
     }
 
-    /// Install (or replace) client `client`'s generator. A replacement keeps
-    /// the old ledger — in-flight map, token allocator, retry state, routing
-    /// hook and source-shed hint — so requests still on the wire drain
-    /// through the normal completion path.
+    /// Install client `client`'s generator, which must be its first, and
+    /// seed its issues: `outstanding` of them for a closed loop, one for an
+    /// open loop (every later arrival is scheduled by its predecessor
+    /// inside `handle_issue`).
     fn install_client(
         &mut self,
         client: usize,
@@ -51,8 +48,10 @@ impl Cluster {
     ) {
         assert!(client < self.n_clients);
         let rng = self.rng.fork();
-        let shard = self.shard_for_mut(self.client_node(client));
-        let fresh = ClientState {
+        let seeds = if open.is_some() { 1 } else { outstanding };
+        let slot = &mut self.shard_for_mut(self.client_node(client)).clients[client];
+        assert!(slot.is_none(), "client {client} already has a generator");
+        *slot = Some(ClientState {
             gen,
             outstanding,
             next_token: 0,
@@ -62,41 +61,36 @@ impl Cluster {
             open,
             route_refresh: None,
             shed_src_until: SimTime::ZERO,
-        };
-        let state = match shard.clients[client].take() {
-            Some(old) => ClientState {
-                next_token: old.next_token,
-                inflight: old.inflight,
-                retry: old.retry,
-                route_refresh: old.route_refresh,
-                shed_src_until: old.shed_src_until,
-                ..fresh
-            },
-            None => fresh,
-        };
-        // Closed loop: top the loop up to its depth. Open loop: one seed
-        // arrival; every subsequent one is scheduled by its predecessor
-        // inside `handle_issue`.
-        let seeds = match state.open {
-            Some(_) => 1,
-            None => outstanding.saturating_sub(state.inflight.len().try_into().unwrap_or(u32::MAX)),
-        };
-        shard.clients[client] = Some(state);
-        for _ in 0..seeds {
-            shard.events.schedule_after(
-                SimTime::ZERO,
-                Ev::Issue {
-                    client: u16::try_from(client).expect("client nodes have u16 ids"),
-                },
-            );
+        });
+        self.schedule_issues(client, seeds);
+    }
+
+    /// Change the depth of client `client`'s closed loop *in place*, the
+    /// closed-loop twin of [`Cluster::set_client_open_loop_rate`]. A deeper
+    /// loop is topped up at once; a shallower one issues nothing until
+    /// completions bring it under the new depth, and at depth 0 the
+    /// in-flight tail drains.
+    pub fn set_client_depth(&mut self, client: usize, outstanding: u32) {
+        let state = self.client_mut(client);
+        assert!(state.open.is_none(), "set_client_depth needs a closed loop");
+        state.outstanding = outstanding;
+        let inflight = u32::try_from(state.inflight.len()).expect("a closed loop's depth is a u32");
+        self.schedule_issues(client, outstanding.saturating_sub(inflight));
+    }
+
+    /// Schedule `n` issues of client `client` at the current instant.
+    fn schedule_issues(&mut self, client: usize, n: u32) {
+        let events = &mut self.shard_for_mut(self.client_node(client)).events;
+        let client = u16::try_from(client).expect("client nodes have u16 ids");
+        for _ in 0..n {
+            events.schedule_after(SimTime::ZERO, Ev::Issue { client });
         }
     }
 
     /// Change the arrival rate of an already-installed open-loop generator
     /// *in place* — the Poisson chain keeps its single pending arrival and
     /// only the gap distribution changes, so the event stream stays one
-    /// chain per client (re-installing via [`Cluster::set_client_open_loop`]
-    /// would seed a second chain and double the offered load).
+    /// chain per client.
     ///
     /// This models traffic spikes: call at a `run_for` boundary to step the
     /// offered load up or down deterministically for any shard count.
@@ -139,11 +133,10 @@ impl Cluster {
     }
 
     /// Enable timeout/retransmission on client `client` (must already have a
-    /// generator installed). `payload_fn` rebuilds the payload of a request
-    /// from its token on each retransmission; pass `None` for payload-less
-    /// workloads. Without a retry policy a lost request simply never
-    /// completes — the pre-fault behaviour. Replacing a policy keeps the
-    /// in-flight requests' deadlines and the armed timer.
+    /// generator installed, and no retry policy yet). `payload_fn` rebuilds
+    /// the payload of a request from its token on each retransmission; pass
+    /// `None` for payload-less workloads. Without a retry policy a lost
+    /// request simply never completes — the pre-fault behaviour.
     pub fn set_client_retry(
         &mut self,
         client: usize,
@@ -152,19 +145,15 @@ impl Cluster {
     ) {
         assert!(policy.max_tries >= 1 && policy.timeout > SimTime::ZERO);
         let state = self.client_mut(client);
-        match state.retry.as_mut() {
-            Some(retry) => {
-                retry.policy = policy;
-                retry.payload_fn = payload_fn;
-            }
-            None => {
-                state.retry = Some(ClientRetry {
-                    policy,
-                    payload_fn,
-                    timer: RetryTimer::default(),
-                })
-            }
-        }
+        assert!(
+            state.retry.is_none(),
+            "client {client} already has a retry policy"
+        );
+        state.retry = Some(ClientRetry {
+            policy,
+            payload_fn,
+            timer: RetryTimer::default(),
+        });
     }
 
     /// Convenience: fixed-size empty-payload closed loop against one actor,
@@ -204,9 +193,6 @@ impl ClientRetry {
 
 /// What the retry timer did with one request due by now.
 pub(super) enum Verdict {
-    /// A [`Shed`] hold is still running: judged again when it ends, no try
-    /// spent.
-    Held,
     /// Out of tries: the request ended.
     Abandoned,
     /// Sent again, and judged again one doubled backoff later.
@@ -229,7 +215,6 @@ impl ClientState {
             tries: u32::from(retry_wait.is_some()),
             backoff,
             due,
-            hold_until: SimTime::ZERO,
         };
         self.inflight.insert(token, out);
         let retry = self.retry.as_mut()?;
@@ -256,12 +241,6 @@ impl ClientState {
             .inflight
             .get_mut(&token)
             .expect("due requests are in flight");
-        if now < out.hold_until {
-            // A shed reply parked this request: honor the server's backoff
-            // hint without consuming a try, then judge again.
-            out.due = out.hold_until;
-            return Verdict::Held;
-        }
         if out.tries >= retry.policy.max_tries {
             self.inflight.remove(&token);
             return Verdict::Abandoned;
@@ -351,7 +330,6 @@ impl ShardState {
         for &(_, token) in &due {
             let state = self.clients[usize::from(client)].as_mut().expect("fired");
             match state.judge(now, token) {
-                Verdict::Held => {}
                 Verdict::Abandoned => {
                     // Give up so the closed loop keeps breathing. Open-loop
                     // arrivals are purely time-driven — never re-armed by an
@@ -419,7 +397,7 @@ impl ShardState {
     }
 
     /// A response reached client node `node`: a redirect bounces the
-    /// request, a shed parks or terminates it, anything else completes it.
+    /// request, a shed ends it, anything else completes it.
     pub(super) fn handle_reply(&mut self, now: SimTime, node: u16, req: Request) {
         let client = usize::from(node) - self.n_servers;
         let client = u16::try_from(client).expect("client nodes have u16 ids");
@@ -470,31 +448,22 @@ impl ShardState {
             }
         }
         // A shed reply: the ingress refused the request and suggested a
-        // backoff. Closed-loop clients with retransmission keep the
-        // request in flight and park its retry timer; everyone else
-        // terminates the request as shed (and open-loop clients also
-        // suppress new arrivals at the source until the hint expires).
+        // backoff. The request ends as shed; a closed loop re-offers the
+        // freed slot once the hint has passed, and an open loop sheds new
+        // arrivals at the source until then.
         if let Some(Shed { retry_after }) = reply_as::<Shed>(&req) {
             let Some(state) = self.clients[usize::from(client)].as_mut() else {
                 return;
             };
-            let Some(out) = state.inflight.get_mut(&req.token) else {
-                return;
-            };
-            // Closed loop with retransmission: park the retry timer.
-            if state.open.is_none() && out.armed() {
-                out.hold_until = out.hold_until.max(now + retry_after);
-                self.fault_metrics.shed_backoff.inc();
+            if state.inflight.remove(&req.token).is_none() {
                 return;
             }
-            state.inflight.remove(&req.token);
             self.fault_metrics.shed_remote.inc();
+            let until = now + retry_after;
             if state.open.is_some() {
-                state.shed_src_until = state.shed_src_until.max(now + retry_after);
+                state.shed_src_until = state.shed_src_until.max(until);
             } else {
-                // Retry-less closed loop: the shed frees a slot.
-                self.events
-                    .schedule_after(SimTime::ZERO, Ev::Issue { client });
+                self.events.schedule_at(until, Ev::Issue { client });
             }
             return;
         }

@@ -134,11 +134,11 @@ struct OpenLoop {
 pub struct Redirect(pub Address);
 
 /// Reply payload an overloaded ingress sends instead of dispatching the
-/// request (see [`crate::admission`]). `retry_after` is the server's hint
-/// for when capacity will exist again: a closed-loop client with
-/// retransmission holds its retry timer for that long; an open-loop client
-/// sheds new arrivals at the source until the hint expires, keeping its
-/// ledgers bounded under sustained saturation.
+/// request (see [`crate::admission`]). The reply ends the request, and
+/// `retry_after` is the server's hint for when capacity will exist again: a
+/// closed-loop client re-offers the freed slot once it has passed; an
+/// open-loop client sheds new arrivals at the source until it expires,
+/// keeping its ledgers bounded under sustained saturation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shed {
     /// Server-suggested wait before re-offering load.
@@ -162,17 +162,6 @@ pub struct RetryPolicy {
     pub max_tries: u32,
 }
 
-impl RetryPolicy {
-    /// A policy suited to intra-rack RPCs: 300us initial timeout, 5ms cap.
-    pub fn lan_default() -> RetryPolicy {
-        RetryPolicy {
-            timeout: SimTime::from_us(300),
-            cap: SimTime::from_ms(5),
-            max_tries: 16,
-        }
-    }
-}
-
 /// One request a client has issued and not seen the end of: the only
 /// per-token record there is. The conservation audit counts these, latency
 /// is measured from `issued`, and the retry timer judges each armed one at
@@ -184,18 +173,14 @@ struct Outstanding {
     wire_size: u32,
     flow: u64,
     /// Transmissions so far. Zero when the request went out with no retry
-    /// policy installed: the retry timer never judges it, so redirect and
-    /// shed replies end it like any other reply.
+    /// policy installed: the retry timer never judges it, so a redirect
+    /// reply ends it like any other reply.
     tries: u32,
     backoff: SimTime,
     /// When the client's retry timer judges the request next (armed
     /// requests only): `issued + timeout`, then each resend's
-    /// `now + backoff`, or the end of a shed hold.
+    /// `now + backoff`.
     due: SimTime,
-    /// Server-requested hold: a [`Shed`] reply holds the retransmission until
-    /// this instant without consuming a try, so shed requests retry after
-    /// the hinted backoff instead of hammering a saturated ingress.
-    hold_until: SimTime,
 }
 
 impl Outstanding {
@@ -382,7 +367,9 @@ enum Ev {
     /// Re-attempt a migration that was aborted because the node was inside
     /// a crash window; fires once the node has restarted.
     MigRetry { node: u16, actor: ActorId },
-    /// A closed-loop client slot issues its next request.
+    /// Client `client` issues its next request: an open-loop arrival, or a
+    /// closed-loop slot that a completion or an abandonment freed (at once)
+    /// or a [`Shed`] reply freed (at its `retry_after`).
     Issue { client: u16 },
     /// A corrupted frame reached `node`'s NIC ingress: the shim stack
     /// validates and discards it (payload already lost).
@@ -444,9 +431,6 @@ struct FaultMetrics {
     /// Open-loop arrivals suppressed at the source while a backoff hint
     /// was live.
     shed_source: Counter,
-    /// Retry timers parked by a [`Shed`] backoff hint (closed-loop clients
-    /// with retransmission; the request itself stays in flight).
-    shed_backoff: Counter,
 }
 
 impl FaultMetrics {
@@ -462,7 +446,6 @@ impl FaultMetrics {
             mig_aborted: r.counter("migrate.aborted"),
             shed_remote: r.counter("client.shed.remote"),
             shed_source: r.counter("client.shed.source"),
-            shed_backoff: r.counter("client.shed.backoff"),
         }
     }
 }

@@ -18,6 +18,15 @@ impl ActorLogic for Echo {
     }
 }
 
+/// A retry policy suited to intra-rack RPCs: 300us initial timeout, 5ms cap.
+fn lan_retry() -> RetryPolicy {
+    RetryPolicy {
+        timeout: SimTime::from_us(300),
+        cap: SimTime::from_ms(5),
+        max_tries: 16,
+    }
+}
+
 fn echo_cluster(cost_us: u64) -> (Cluster, Address) {
     sharded_echo_cluster(cost_us, 1)
 }
@@ -66,38 +75,62 @@ fn cluster_size_is_bounded_by_u16_node_ids() {
     sized(65_535);
 }
 
-/// Pinned regression (found by `Cluster::audit`): replacing a client
-/// generator mid-run used to reset the in-flight ledger and the token
-/// allocator, leaking every request still on the wire — `issued` ran
-/// ahead of `completed + abandoned + in-flight` by exactly the old
-/// depth. The replacement must carry the ledger over and let the old
-/// requests drain through the normal completion path.
+/// Changing a closed loop's depth mid-run keeps its ledger: the requests
+/// still on the wire drain through the normal completion path while the
+/// loop re-gates on the new depth, and a deeper loop is topped up.
 #[test]
-fn mid_run_generator_swap_conserves_inflight_requests() {
+fn mid_run_depth_change_conserves_inflight_requests() {
     let (mut c, a) = echo_cluster(2);
-    let gen = move || -> ClientGenFn {
+    c.set_client(
+        0,
         Box::new(move |rng, _| ClientReq {
             dst: a,
             wire_size: 512,
             flow: rng.below(1 << 20),
             payload: None,
-        })
-    };
-    c.set_client(0, gen(), 96);
+        }),
+        96,
+    );
     c.run_for(SimTime::from_ms(5));
-    // Swap to a shallower loop while 96 requests are still in flight.
-    c.set_client(0, gen(), 2);
-    let at_swap = c.completions().count();
+    // A shallower loop while 96 requests are still in flight.
+    c.set_client_depth(0, 2);
+    let at_change = c.completions().count();
     c.run_for(SimTime::from_ms(5));
     assert!(
-        c.completions().count() > at_swap,
-        "loop must keep flowing after the swap"
+        c.completions().count() > at_change,
+        "loop must keep flowing after the change"
     );
     c.audit().assert_clean();
     // And the deepening direction: 2 -> 64 tops the loop back up.
-    c.set_client(0, gen(), 64);
+    c.set_client_depth(0, 64);
+    c.run_for(SimTime::from_us(20));
+    let state = c.shards[0].clients[0].as_ref().expect("installed");
+    assert_eq!(state.inflight.len(), 64);
     c.run_for(SimTime::from_ms(5));
     c.audit().assert_clean();
+}
+
+/// A client is installed once: a second generator panics, whichever loop
+/// either one runs.
+#[test]
+#[should_panic(expected = "client 0 already has a generator")]
+fn a_second_generator_panics() {
+    let (mut c, a) = echo_cluster(2);
+    echo_client(&mut c, a, 8);
+    let open = OpenLoopCfg {
+        rate_rps: 1e6,
+        until: SimTime::from_ms(2),
+    };
+    c.set_client_open_loop(0, echo_gen(a), open);
+}
+
+#[test]
+#[should_panic(expected = "client 0 already has a retry policy")]
+fn a_second_retry_policy_panics() {
+    let (mut c, a) = echo_cluster(2);
+    echo_client(&mut c, a, 8);
+    c.set_client_retry(0, lan_retry(), None);
+    c.set_client_retry(0, lan_retry(), None);
 }
 
 #[test]
@@ -406,32 +439,6 @@ fn echo_client(c: &mut Cluster, a: Address, outstanding: u32) {
     c.set_client(0, echo_gen(a), outstanding);
 }
 
-/// `install_client` carries the ledger across a closed→open-loop swap the
-/// way `mid_run_generator_swap_conserves_inflight_requests` pins it for
-/// closed→closed.
-#[test]
-fn closed_to_open_loop_swap_carries_inflight_tokens_and_retry() {
-    let (mut c, a) = echo_cluster(2);
-    c.set_fault_plan(FaultPlan::new(3).with_loss(0.1));
-    echo_client(&mut c, a, 96);
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
-    // Swap while tokens 0..96 are all still live, a tenth of them lost.
-    c.run_for(SimTime::from_us(3));
-    assert_eq!(c.completions().completed(), 0);
-    let open = OpenLoopCfg {
-        rate_rps: 1e6,
-        until: c.now() + SimTime::from_ms(2),
-    };
-    c.set_client_open_loop(0, echo_gen(a), open);
-    c.run_for(SimTime::from_ms(40));
-    // `next_token` carried: ~2,000 new tokens, none reusing a live one.
-    // `inflight` carried: the old requests complete through the ledger.
-    // `retry` carried: the lost ones are retransmitted, so everything drains.
-    c.audit().assert_clean();
-    assert!(c.completions().issued() > 1_000);
-    assert_eq!(c.completions().issued(), c.completions().completed());
-}
-
 #[test]
 fn lossy_link_wedges_a_retryless_closed_loop() {
     // Without retransmission every lost request permanently occupies a
@@ -450,7 +457,7 @@ fn retransmission_recovers_lost_requests() {
     let (mut c, a) = echo_cluster(2);
     c.set_fault_plan(FaultPlan::new(3).with_loss(0.1));
     echo_client(&mut c, a, 8);
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.set_client_retry(0, lan_retry(), None);
     c.run_for(SimTime::from_ms(20));
     let done = c.completions().count();
     assert!(done > 1_000, "done={done}");
@@ -506,7 +513,7 @@ fn node_crash_heals_after_restart_with_retry() {
     // Server (node 0) is dark for [1ms, 3ms).
     c.set_fault_plan(FaultPlan::new(11).with_crash(0, SimTime::from_ms(1), SimTime::from_ms(3)));
     echo_client(&mut c, a, 8);
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.set_client_retry(0, lan_retry(), None);
     c.run_for(SimTime::from_ms(1));
     let before_crash = c.completions().count();
     assert!(before_crash > 100);
@@ -747,7 +754,7 @@ fn redirect_reply_bounces_the_request_to_the_new_address() {
     );
     let bouncer = c.register_actor(0, "bouncer", Box::new(Bouncer { to: echo }), Placement::Nic);
     echo_client(&mut c, bouncer, 4);
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.set_client_retry(0, lan_retry(), None);
     c.run_for(SimTime::from_ms(5));
     let done = c.completions().count();
     assert!(done > 500, "done={done}");
@@ -1124,7 +1131,7 @@ fn audit_detects_injected_client_leak() {
 fn audit_detects_a_lost_retry_deadline() {
     let (mut c, a) = echo_cluster(2);
     echo_client(&mut c, a, 8);
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.set_client_retry(0, lan_retry(), None);
     c.run_for(SimTime::from_us(30));
     c.audit().assert_clean();
     assert!(c.debug_hasten_retry_due(0), "a request must be armed");
@@ -1152,12 +1159,12 @@ fn retry_timer_reuses_a_superseded_event() {
 
 /// Operation sequences for the retry differential: `(op, a, b)`.
 fn deadline_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    prop::collection::vec((0u8..5, 0u64..64, 0u64..1024), 1..200)
+    prop::collection::vec((0u8..4, 0u64..64, 0u64..1024), 1..200)
 }
 
 /// The differential's retry policy, in nanoseconds so a few hundred
 /// operations reach every verdict: a request is abandoned at its third
-/// deadline unless a hold defers it.
+/// deadline.
 const DIFF_POLICY: RetryPolicy = RetryPolicy {
     timeout: SimTime::from_ns(100),
     cap: SimTime::from_ns(400),
@@ -1185,10 +1192,10 @@ fn retry_only_client() -> ClientState {
 }
 
 /// The client's retry ledger against a `BTreeSet<(SimTime, u64)>` of the
-/// deadlines of armed requests in flight, with a per-token model of tries,
-/// backoff and shed hold beside it. The real [`ClientState`] goes through
-/// what the runtime does to it: first transmissions (`track`), shed holds,
-/// requests that end, and the timer, whose pending `RetryDue` instants the
+/// deadlines of armed requests in flight, with a per-token model of tries
+/// and backoff beside it. The real [`ClientState`] goes through what the
+/// runtime does to it: first transmissions (`track`), requests that end,
+/// and the timer, whose pending `RetryDue` instants the
 /// driver keeps as the event queue would. When time advances past a pending
 /// instant, that `RetryDue` fires; a live one judges `due_by(now)`, and the
 /// tokens judged and their order must be the reference's entries due by
@@ -1206,8 +1213,8 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
     };
     let mut client = retry_only_client();
     let mut reference: BTreeSet<(SimTime, u64)> = BTreeSet::new();
-    // Per token in flight: (tries, backoff, hold_until).
-    let mut model: BTreeMap<u64, (u32, SimTime, SimTime)> = BTreeMap::new();
+    // Per token in flight: (tries, backoff).
+    let mut model: BTreeMap<u64, (u32, SimTime)> = BTreeMap::new();
     let mut pending: BTreeSet<SimTime> = BTreeSet::new();
     let (mut now, mut next_token) = (SimTime::ZERO, 0u64);
     for (op, a, b) in ops {
@@ -1223,19 +1230,10 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
                     prop_assert!(pending.insert(at), "a second RetryDue at {}", at);
                 }
                 reference.insert((now + DIFF_POLICY.timeout, token));
-                model.insert(token, (1, DIFF_POLICY.timeout, SimTime::ZERO));
+                model.insert(token, (1, DIFF_POLICY.timeout));
             }
-            // A shed reply holds a request, as `handle_reply` does.
+            // The request ends: completed, or shed.
             2 => {
-                if let Some(token) = nth_live(&model) {
-                    let out = client.inflight.get_mut(&token).expect("in flight");
-                    out.hold_until = out.hold_until.max(now + ns(a * 8));
-                    let hold = &mut model.get_mut(&token).expect("modelled").2;
-                    *hold = (*hold).max(now + ns(a * 8));
-                }
-            }
-            // The request ends: completed, or shed for good.
-            3 => {
                 if let Some(token) = nth_live(&model) {
                     prop_assert!(client.inflight.remove(&token).is_some());
                     model.remove(&token);
@@ -1262,18 +1260,14 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
                     prop_assert_eq!(&due, &want);
                     for (at, token) in want {
                         reference.remove(&(at, token));
-                        let (tries, backoff, hold) = model.get_mut(&token).expect("modelled");
+                        let (tries, backoff) = model.get_mut(&token).expect("modelled");
                         match client.judge(now, token) {
-                            Verdict::Held => {
-                                prop_assert!(now < *hold);
-                                reference.insert((*hold, token));
-                            }
                             Verdict::Abandoned => {
-                                prop_assert!(now >= *hold && *tries >= DIFF_POLICY.max_tries);
+                                prop_assert!(*tries >= DIFF_POLICY.max_tries);
                                 model.remove(&token);
                             }
                             Verdict::Resent(_) => {
-                                prop_assert!(now >= *hold && *tries < DIFF_POLICY.max_tries);
+                                prop_assert!(*tries < DIFF_POLICY.max_tries);
                                 *tries += 1;
                                 *backoff = (*backoff * 2).min(DIFF_POLICY.cap);
                                 reference.insert((now + *backoff, token));
@@ -1514,7 +1508,7 @@ fn open_loop_ledgers_stay_bounded_at_10x_admitted_rate() {
             until: SimTime::from_ms(20),
         },
     );
-    c.set_client_retry(0, RetryPolicy::lan_default(), None);
+    c.set_client_retry(0, lan_retry(), None);
     // Mid-saturation: the ledgers must already be bounded.
     c.run_for(SimTime::from_ms(10));
     let mid = c.completions();
@@ -1538,41 +1532,84 @@ fn open_loop_ledgers_stay_bounded_at_10x_admitted_rate() {
     assert!(src > 0, "backoff hints must suppress arrivals at source");
 }
 
-/// Closed-loop clients with retransmission honor the backoff hint: a
-/// shed reply parks the retry timer (no try consumed) instead of
-/// terminating the request, so the loop is paced down to the admitted
-/// rate rather than wedged or abandoned.
+/// A shed reply ends the request, and a closed loop re-offers the freed
+/// slot only once the hint has passed, with or without a retry policy: the
+/// hint, not the retry timer, paces the loop to the admitted rate instead
+/// of hammering the ingress.
 #[test]
-fn shed_replies_park_closed_loop_retries_at_the_admitted_rate() {
+fn shed_replies_pace_a_closed_loop_at_the_admitted_rate() {
+    for retry in [false, true] {
+        let (mut c, a) = echo_cluster(2);
+        c.set_admission(AdmissionCfg {
+            classes: vec![ClassCfg {
+                rate_rps: 50_000,
+                burst: 4,
+                priority: 0,
+            }],
+            pressure_depth: usize::MAX,
+            protect_priority: u8::MAX,
+            max_backoff: SimTime::from_us(500),
+        });
+        echo_client(&mut c, a, 16);
+        if retry {
+            let policy = RetryPolicy {
+                timeout: SimTime::from_us(300),
+                cap: SimTime::from_ms(5),
+                max_tries: 64,
+            };
+            c.set_client_retry(0, policy, None);
+        }
+        c.run_for(SimTime::from_ms(10));
+        let shed = c.obs().registry().counter("client.shed.remote").get();
+        assert!(shed > 0, "16 outstanding against 50k rps must shed");
+        let done = c.completions().count();
+        // The bucket admits at most rate * time + burst = 504 in 10ms, and
+        // the loop must keep moving.
+        assert!((100..=520).contains(&done), "retry={retry} done={done}");
+        c.audit().assert_clean();
+    }
+}
+
+/// A depth-1 closed loop against an ingress whose bucket stays empty: every
+/// request after the first is shed with the capped hint, and the shed slot
+/// issues nothing before `now + retry_after` and exactly once at it.
+#[test]
+fn a_shed_slot_reissues_once_at_the_hint() {
+    let hint = SimTime::from_us(200);
     let (mut c, a) = echo_cluster(2);
     c.set_admission(AdmissionCfg {
         classes: vec![ClassCfg {
-            rate_rps: 50_000,
-            burst: 4,
+            rate_rps: 1,
+            burst: 1,
             priority: 0,
         }],
         pressure_depth: usize::MAX,
         protect_priority: u8::MAX,
-        max_backoff: SimTime::from_us(500),
+        max_backoff: hint,
     });
-    echo_client(&mut c, a, 16);
-    c.set_client_retry(
-        0,
-        RetryPolicy {
-            timeout: SimTime::from_us(300),
-            cap: SimTime::from_ms(5),
-            max_tries: 64,
-        },
-        None,
-    );
-    c.run_for(SimTime::from_ms(10));
-    let parked = c.obs().registry().counter("client.shed.backoff").get();
-    assert!(parked > 0, "16 outstanding against 50k rps must shed");
-    let done = c.completions().count();
-    // The bucket admits at most rate * time + burst = 504 in 10ms; the
-    // retry timeout (not the hint) dominates the actual pacing, so the
-    // loop lands well below that — but it must keep moving.
-    assert!((100..=520).contains(&done), "done={done}");
+    echo_client(&mut c, a, 1);
+    let shed = c.obs().registry().counter("client.shed.remote");
+    // The first request takes the bucket's one token; the second is shed.
+    while shed.get() == 0 {
+        c.run_for(SimTime::from_us(1));
+    }
+    let seen = c.now();
+    assert_eq!(c.completions().issued(), 2);
+    // The shed reply arrived in (seen - 1us, seen]: its one re-issue is
+    // pending at that instant plus the hint.
+    let mut issues = Vec::new();
+    c.shards[0].events.for_each_pending(|at, ev| {
+        if matches!(ev, Ev::Issue { .. }) {
+            issues.push(at);
+        }
+    });
+    assert_eq!(issues.len(), 1, "one re-offer per shed slot: {issues:?}");
+    let at = issues[0];
+    assert!(at > seen - SimTime::from_us(1) + hint && at <= seen + hint);
+    c.run_for(at - SimTime::from_ns(1) - seen);
+    assert_eq!(c.completions().issued(), 2, "nothing before the hint");
+    c.run_for(SimTime::from_ns(1));
+    assert_eq!(c.completions().issued(), 3, "one issue at the hint");
     c.audit().assert_clean();
 }
 
@@ -1761,7 +1798,7 @@ fn overload_shedding_is_byte_identical_across_shard_counts() {
                     until: SimTime::from_ms(8),
                 },
             );
-            c.set_client_retry(cl, RetryPolicy::lan_default(), None);
+            c.set_client_retry(cl, lan_retry(), None);
         }
         c.run_for(SimTime::from_ms(2));
         // 10x spike through the in-place rate swap, then recovery.

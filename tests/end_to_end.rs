@@ -155,16 +155,7 @@ fn push_then_pull_migration_round_trip() {
     // drops to a trickle; the idle NIC pulls the actor back (ALG 1 lines
     // 21-23, gated on CPU headroom).
     cost.set(1_000);
-    c.set_client(
-        0,
-        Box::new(move |rng, _| ClientReq {
-            dst: a,
-            wire_size: 512,
-            flow: rng.below(1 << 20),
-            payload: None,
-        }),
-        2,
-    );
+    c.set_client_depth(0, 2);
     c.run_for(SimTime::from_ms(60));
     assert_eq!(
         c.actor_location(a),

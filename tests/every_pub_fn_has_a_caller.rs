@@ -37,6 +37,7 @@ const KEEP: &[&str] = &[
     "scan (c) walks the chain-replication log that append recycles",
     "scatter_gather_latency (b) EXPERIMENTS.md cites it as the scatter-gather result's home",
     "scv (c) checks the dispersion of ServiceDist, Fig 16's two regimes",
+    "set_client_depth (c) drain hook: rkv, migration and ledger tests stop a closed loop to audit its tail",
     "side_of (c) DMO tests read which side holds an object after a move",
     "stream_byte (c) TCP tests check delivered bytes against the sender's stream",
     "trace_len (c) obs tests read back what the trace ring recorded",

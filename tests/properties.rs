@@ -730,22 +730,18 @@ proptest! {
         let table = dep.table.clone();
         let ledger = Rc::new(RefCell::new(vec![0u64; groups]));
         let gen_ledger = ledger.clone();
-        let mk_gen = move || {
-            let table = table.clone();
-            let gen_ledger = gen_ledger.clone();
-            Box::new(move |rng: &mut DetRng, token: u64| {
-                let op = stream.op_for(token);
-                let g = table.group_of(op.key());
-                gen_ledger.borrow_mut()[g as usize] += 1;
-                ClientReq {
-                    dst: table.leader_of(g),
-                    wire_size: 42 + op.wire_size(),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RkvMsg::Client(op))),
-                }
-            }) as ipipe_repro::ipipe::rt::ClientGenFn
-        };
-        c.set_client(0, mk_gen(), outstanding);
+        let gen = Box::new(move |rng: &mut DetRng, token: u64| {
+            let op = stream.op_for(token);
+            let g = table.group_of(op.key());
+            gen_ledger.borrow_mut()[g as usize] += 1;
+            ClientReq {
+                dst: table.leader_of(g),
+                wire_size: 42 + op.wire_size(),
+                flow: rng.below(1 << 20),
+                payload: Some(Box::new(RkvMsg::Client(op))),
+            }
+        });
+        c.set_client(0, gen, outstanding);
         c.run_for(SimTime::from_ms(3));
         // The move under test: the hot group's leader-side actors leave the
         // NIC mid-traffic.
@@ -754,7 +750,7 @@ proptest! {
         c.force_migrate(dep.groups[hot].consensus[0]);
         c.run_for(SimTime::from_ms(3));
         // Stop issuing and drain the in-flight tail.
-        c.set_client(0, mk_gen(), 0);
+        c.set_client_depth(0, 0);
         c.run_for(SimTime::from_ms(5));
         let stats = c.completions();
         prop_assert_eq!(stats.issued(), stats.completed(), "tail did not drain");
