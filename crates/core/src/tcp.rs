@@ -16,9 +16,10 @@
 //!   new ACK), AIMD above it (cwnd += MSS·MSS/cwnd), multiplicative
 //!   decrease to one MSS on timeout ([`cwnd_on_ack`] / [`cwnd_on_timeout`]
 //!   are pure and unit-tested);
-//! * **RTO-driven retransmission** — Tahoe-style go-back-N: a timeout marks
-//!   every in-flight segment lost and the window retransmits in sequence
-//!   order, with exponential backoff clamped to `[rto_min, rto_max]`. Loss
+//! * **RTO-driven retransmission** — Tahoe-style go-back-N: a timeout
+//!   rewinds `snd_nxt` to `snd_una` and the window resends from there in
+//!   sequence order, with exponential backoff clamped to `[rto_min,
+//!   rto_max]`. Loss
 //!   comes from the existing seeded `FaultPlan` (a corrupted frame is
 //!   rejected by the codec's checksums, so corruption degenerates to loss);
 //! * **in-order exactly-once delivery** — the receiver reassembles
@@ -43,10 +44,10 @@
 //! its epoch check and dies. The conservation invariant audited at quiesce
 //! is
 //! `bytes_sent == bytes_acked + bytes_in_flight + bytes_dropped_pending_rto`
-//! ([`audit_tcp_into`]), maintained exactly by construction:
-//! every first-transmission moves bytes into in-flight, every cumulative
-//! ACK moves them to acked, every timeout moves in-flight to lost, every
-//! retransmission moves lost back to in-flight.
+//! ([`audit_tcp_into`]). It holds by construction, since the sender's
+//! sequence state is three stream offsets `snd_una <= snd_nxt <= snd_max`:
+//! sent is `snd_max`, acked `snd_una`, in flight `snd_nxt - snd_una` and
+//! lost `snd_max - snd_nxt`.
 
 use std::collections::BTreeMap;
 
@@ -332,15 +333,14 @@ enum SendState {
     Closed,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SegTrack {
-    InFlight,
-    Lost,
-}
-
-/// The sending endpoint: owns the congestion window, the retransmission
-/// queue and the RTO timer. Pushes `cfg.total_bytes` of the deterministic
-/// stream, then FIN, then reports closed.
+/// The sending endpoint: owns the congestion window, the stream offsets and
+/// the RTO timer. Pushes `cfg.total_bytes` of the deterministic stream, then
+/// FIN, then reports closed.
+///
+/// Segments are cut at multiples of the MSS and a timeout rewinds the whole
+/// flight, so three offsets hold the sequence state: bytes in `[snd_una,
+/// snd_nxt)` are in flight, bytes in `[snd_nxt, snd_max)` are lost and wait
+/// for retransmission, and `snd_max` is the first byte never sent.
 pub struct TcpSender {
     cfg: TcpCfg,
     peer: Address,
@@ -348,17 +348,16 @@ pub struct TcpSender {
     state: SendState,
     /// Highest contiguously acked stream offset.
     snd_una: u64,
-    /// Next fresh stream offset to transmit.
+    /// Next stream offset to transmit: a retransmission below `snd_max`,
+    /// fresh bytes at it.
     snd_nxt: u64,
-    /// Outstanding segments: start offset -> (len, in-flight | lost).
-    segs: BTreeMap<u64, (u32, SegTrack)>,
-    inflight: u64,
-    lost: u64,
+    /// One past the highest stream offset ever transmitted.
+    snd_max: u64,
     cwnd: u64,
     ssthresh: u64,
     rto: SimTime,
-    /// When the retransmission timeout expires; `None` once closed.
-    deadline: Option<SimTime>,
+    /// When the retransmission timeout expires (meaningless once closed).
+    deadline: SimTime,
     /// The deadline the live timer self-send was sent for, if one is live.
     timer: Option<SimTime>,
     /// Generation of the live timer self-send; bumped by each new one.
@@ -378,13 +377,11 @@ impl TcpSender {
             state: SendState::SynSent,
             snd_una: 0,
             snd_nxt: 0,
-            segs: BTreeMap::new(),
-            inflight: 0,
-            lost: 0,
+            snd_max: 0,
             cwnd: cfg.init_cwnd_segs as u64 * mss,
             ssthresh: cfg.cwnd_cap_segs as u64 * mss,
             rto: cfg.rto_init,
-            deadline: None,
+            deadline: SimTime::ZERO,
             timer: None,
             epoch: 0,
             m,
@@ -429,7 +426,7 @@ impl TcpSender {
     /// live or the deadline moved earlier.
     fn arm(&mut self, ctx: &mut ActorCtx<'_>) {
         let at = ctx.now() + self.rto;
-        self.deadline = Some(at);
+        self.deadline = at;
         if self.timer.is_none_or(|live| at < live) {
             self.send_timer(ctx, at);
         }
@@ -473,46 +470,32 @@ impl TcpSender {
         self.emit_seg(ctx, h, body);
     }
 
-    /// Transmit as much as the window allows: lost segments first (in
-    /// sequence order), then fresh stream bytes.
+    /// Transmit from `snd_nxt` as far as the window allows: lost bytes
+    /// first, in sequence order, then fresh stream bytes.
     fn pump(&mut self, ctx: &mut ActorCtx<'_>) {
-        while self.inflight < self.cwnd {
-            // Retransmit the lowest-offset lost segment first. Segments are
-            // never empty, so `lost > 0` exactly when a `Lost` entry exists.
-            if self.lost > 0 {
-                let (&off, entry) = self
-                    .segs
-                    .iter_mut()
-                    .find(|(_, (_, track))| *track == SegTrack::Lost)
-                    .expect("lost bytes belong to a Lost segment");
-                entry.1 = SegTrack::InFlight;
-                let len = entry.0;
-                self.lost -= len as u64;
-                self.inflight += len as u64;
-                self.m.retx_segs.inc();
-                self.m.retx_bytes.add(len as u64);
-                self.send_data(ctx, off, len);
-                continue;
-            }
-            // Fresh data.
-            if self.snd_nxt >= self.cfg.total_bytes {
-                break;
-            }
-            let len = (self.cfg.total_bytes - self.snd_nxt).min(self.cfg.mss as u64) as u32;
+        let total = self.cfg.total_bytes;
+        while self.snd_nxt - self.snd_una < self.cwnd && self.snd_nxt < total {
             let off = self.snd_nxt;
-            self.segs.insert(off, (len, SegTrack::InFlight));
-            self.snd_nxt += len as u64;
-            self.inflight += len as u64;
-            self.m.tx_segs.inc();
-            self.m.tx_bytes.add(len as u64);
-            self.send_data(ctx, off, len);
+            let len = (total - off).min(self.cfg.mss as u64);
+            if off < self.snd_max {
+                self.m.retx_segs.inc();
+                self.m.retx_bytes.add(len);
+            } else {
+                self.snd_max += len;
+                self.m.tx_segs.inc();
+                self.m.tx_bytes.add(len);
+            }
+            self.snd_nxt += len;
+            self.send_data(ctx, off, len as u32);
         }
         self.sync_gauges();
     }
 
     fn sync_gauges(&self) {
-        self.m.inflight_bytes.set(self.inflight as i64);
-        self.m.lost_bytes.set(self.lost as i64);
+        self.m
+            .inflight_bytes
+            .set((self.snd_nxt - self.snd_una) as i64);
+        self.m.lost_bytes.set((self.snd_max - self.snd_nxt) as i64);
         self.m.cwnd_bytes.set(self.cwnd as i64);
     }
 
@@ -523,23 +506,19 @@ impl TcpSender {
         );
         match self.state {
             SendState::SynSent => self.send_syn(ctx),
-            SendState::FinWait if self.segs.is_empty() => self.send_fin(ctx),
-            SendState::Established | SendState::FinWait => {
-                // Tahoe: collapse the window and mark the whole flight lost.
-                let (cwnd, ssthresh) = cwnd_on_timeout(self.inflight, self.cfg.mss as u64);
+            // FIN leaves only once every stream byte is acked.
+            SendState::FinWait => self.send_fin(ctx),
+            SendState::Established => {
+                // Tahoe: collapse the window and rewind over the whole flight.
+                let (cwnd, ssthresh) =
+                    cwnd_on_timeout(self.snd_nxt - self.snd_una, self.cfg.mss as u64);
                 self.cwnd = cwnd;
                 self.ssthresh = ssthresh;
-                for (_, entry) in self.segs.iter_mut() {
-                    if entry.1 == SegTrack::InFlight {
-                        self.inflight -= entry.0 as u64;
-                        self.lost += entry.0 as u64;
-                        entry.1 = SegTrack::Lost;
-                    }
-                }
+                self.snd_nxt = self.snd_una;
                 self.pump(ctx);
                 self.arm(ctx);
             }
-            SendState::Closed => {}
+            SendState::Closed => unreachable!("a closed sender's timer runs no timeout"),
         }
     }
 
@@ -567,7 +546,7 @@ impl TcpSender {
         if self.state == SendState::FinWait && hdr.ack as u64 == total + 2 {
             self.state = SendState::Closed;
             self.m.closed.inc();
-            self.deadline = None; // the live timer fires and does nothing
+            // The live timer fires and does nothing.
             self.sync_gauges();
             return;
         }
@@ -575,20 +554,9 @@ impl TcpSender {
         if acked_to > self.snd_una {
             let newly = acked_to - self.snd_una;
             self.snd_una = acked_to;
+            // An ACK for bytes sent before a timeout rewound `snd_nxt`.
+            self.snd_nxt = self.snd_nxt.max(acked_to);
             self.m.acked_bytes.add(newly);
-            // Cumulative ACKs land on segment boundaries (segments are
-            // MSS-carved once and never re-split), so drain whole entries.
-            while let Some((&off, &(len, track))) = self.segs.first_key_value() {
-                if off + len as u64 <= acked_to {
-                    match track {
-                        SegTrack::InFlight => self.inflight -= len as u64,
-                        SegTrack::Lost => self.lost -= len as u64,
-                    }
-                    self.segs.remove(&off);
-                } else {
-                    break;
-                }
-            }
             self.cwnd = cwnd_on_ack(
                 self.cwnd,
                 self.ssthresh,
@@ -596,8 +564,7 @@ impl TcpSender {
                 self.cfg.cwnd_cap_segs as u64 * self.cfg.mss as u64,
             );
             self.rto = self.cfg.rto_init;
-            if self.snd_una == total && self.segs.is_empty() && self.state == SendState::Established
-            {
+            if self.snd_una == total && self.state == SendState::Established {
                 self.state = SendState::FinWait;
                 self.send_fin(ctx);
             } else {
@@ -626,18 +593,16 @@ impl ActorLogic for TcpSender {
                     return;
                 }
                 self.timer = None;
-                match self.deadline {
-                    Some(at) if ctx.now() >= at => {
-                        ctx.charge_work(self.cfg.work_per_seg_ns);
-                        self.on_rto(ctx);
-                    }
-                    Some(at) => {
-                        // The deadline moved on since this timer was sent:
-                        // re-arm for the rest of it.
-                        ctx.charge_work(20);
-                        self.send_timer(ctx, at);
-                    }
-                    None => ctx.charge_work(20), // closed
+                if self.state == SendState::Closed {
+                    ctx.charge_work(20);
+                } else if ctx.now() >= self.deadline {
+                    ctx.charge_work(self.cfg.work_per_seg_ns);
+                    self.on_rto(ctx);
+                } else {
+                    // The deadline moved on since this timer was sent:
+                    // re-arm for the rest of it.
+                    ctx.charge_work(20);
+                    self.send_timer(ctx, self.deadline);
                 }
             }
             TcpMsg::Seg { hdr, .. } => {
@@ -651,14 +616,6 @@ impl ActorLogic for TcpSender {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecvState {
-    Listen,
-    SynRcvd,
-    Established,
-    Closed,
-}
-
 /// The receiving endpoint: reassembles out-of-order segments, delivers
 /// contiguous bytes exactly once (verifying them against the reference
 /// stream), and acknowledges cumulatively. Learns the peer's address from
@@ -666,7 +623,8 @@ enum RecvState {
 pub struct TcpReceiver {
     cfg: TcpCfg,
     flow: u64,
-    state: RecvState,
+    /// A SYN arrived: the handshake completes with the first non-SYN frame.
+    syn_seen: bool,
     peer: Option<Address>,
     /// Next in-order stream offset expected.
     rcv_nxt: u64,
@@ -683,7 +641,7 @@ impl TcpReceiver {
         TcpReceiver {
             cfg,
             flow,
-            state: RecvState::Listen,
+            syn_seen: false,
             peer: None,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
@@ -769,10 +727,6 @@ impl TcpReceiver {
         if hdr.flags & TCP_FIN != 0 && off >= self.cfg.total_bytes {
             self.fin_seen = true;
         }
-        if self.fin_seen && self.rcv_nxt == self.cfg.total_bytes {
-            self.state = RecvState::Closed;
-            self.ooo.clear();
-        }
         self.send_ack(ctx, TCP_ACK);
     }
 }
@@ -796,22 +750,16 @@ impl ActorLogic for TcpReceiver {
         });
         if hdr.flags & TCP_SYN != 0 {
             ctx.charge_work(self.cfg.work_per_seg_ns);
-            if self.state == RecvState::Listen {
-                self.state = RecvState::SynRcvd;
-            }
+            self.syn_seen = true;
             // SYN or duplicate SYN: (re-)offer the SYN-ACK.
             self.send_ack(ctx, TCP_SYN | TCP_ACK);
             return;
         }
-        if self.state == RecvState::Listen {
+        if !self.syn_seen {
             // Data before any SYN — a stale frame from a previous
             // incarnation; ignore.
             ctx.charge_work(20);
             return;
-        }
-        if self.state == RecvState::SynRcvd {
-            // First non-SYN frame implicitly completes the handshake.
-            self.state = RecvState::Established;
         }
         if hdr.payload_len == 0 && hdr.flags & TCP_FIN == 0 {
             // A pure ACK carries nothing for the receiver.
