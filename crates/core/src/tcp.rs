@@ -49,6 +49,8 @@
 //! sent is `snd_max`, acked `snd_una`, in flight `snd_nxt - snd_una` and
 //! lost `snd_max - snd_nxt`.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 
 use ipipe_sim::audit::AuditReport;
@@ -125,6 +127,28 @@ impl TcpCfg {
             "transfer too large for the unwrapped 32-bit sequence space"
         );
     }
+
+    /// The advertised window, in segments: the window cap.
+    fn window(&self) -> u16 {
+        u16::try_from(self.cwnd_cap_segs)
+            .expect("TcpCfg::validate bounds the window cap to 16 bits")
+    }
+}
+
+/// The sequence number of stream offset `off`: SYN is 0, byte `i` is `1 + i`,
+/// FIN `1 + total`.
+fn seq(off: u64) -> u32 {
+    u32::try_from(1 + off).expect("TcpCfg::validate keeps SYN + stream + FIN within 32 bits")
+}
+
+/// The TCP port of an endpoint: its actor id.
+fn port(actor: u32) -> u16 {
+    u16::try_from(actor).expect("deploy_tcp_pair asserts actor ids fit the 16-bit TCP port")
+}
+
+/// Bytes on the wire of a segment carrying `payload` bytes.
+fn wire_bytes(payload: usize) -> u32 {
+    u32::try_from(TCP_HEADER_BYTES + payload).expect("TcpCfg::validate bounds the MSS")
 }
 
 /// Deterministic payload stream, defined a word at a time: stream bytes
@@ -399,18 +423,18 @@ impl TcpSender {
         TcpHeader {
             src_node: ctx.node(),
             dst_node: self.peer.node,
-            src_port: ctx.actor_id() as u16,
-            dst_port: self.peer.actor as u16,
+            src_port: port(ctx.actor_id()),
+            dst_port: port(self.peer.actor),
             seq,
             ack: 0,
             flags,
-            window: self.cfg.cwnd_cap_segs as u16,
+            window: self.cfg.window(),
             payload_len,
         }
     }
 
     fn emit_seg(&self, ctx: &mut ActorCtx<'_>, hdr: TcpHeader, payload: Vec<u8>) {
-        let wire = TCP_HEADER_BYTES as u32 + payload.len() as u32;
+        let wire = wire_bytes(payload.len());
         let hdr = build_tcp_headers(hdr).expect("segment payload bounded by MSS");
         ctx.send(
             self.peer,
@@ -455,18 +479,17 @@ impl TcpSender {
     }
 
     fn send_fin(&mut self, ctx: &mut ActorCtx<'_>) {
-        let seq = (1 + self.cfg.total_bytes) as u32;
-        let h = self.header(ctx, seq, TCP_FIN | TCP_ACK, 0);
+        let h = self.header(ctx, seq(self.cfg.total_bytes), TCP_FIN | TCP_ACK, 0);
         self.emit_seg(ctx, h, Vec::new());
         self.arm(ctx);
     }
 
     /// One data segment: `len` stream bytes from offset `off`.
-    fn send_data(&self, ctx: &mut ActorCtx<'_>, off: u64, len: u32) {
+    fn send_data(&self, ctx: &mut ActorCtx<'_>, off: u64, len: u64) {
         let payload_len = u16::try_from(len).expect("TcpCfg::validate bounds the MSS");
-        let h = self.header(ctx, (1 + off) as u32, TCP_ACK, payload_len);
-        let body = stream_chunk(self.cfg.stream_seed, off, len as usize);
-        ctx.charge_work(self.cfg.work_per_seg_ns + len as u64 / 8);
+        let h = self.header(ctx, seq(off), TCP_ACK, payload_len);
+        let body = stream_chunk(self.cfg.stream_seed, off, usize::from(payload_len));
+        ctx.charge_work(self.cfg.work_per_seg_ns + len / 8);
         self.emit_seg(ctx, h, body);
     }
 
@@ -486,7 +509,7 @@ impl TcpSender {
                 self.m.tx_bytes.add(len);
             }
             self.snd_nxt += len;
-            self.send_data(ctx, off, len as u32);
+            self.send_data(ctx, off, len);
         }
         self.sync_gauges();
     }
@@ -652,9 +675,9 @@ impl TcpReceiver {
 
     fn ack_value(&self) -> u32 {
         if self.fin_seen && self.rcv_nxt == self.cfg.total_bytes {
-            (self.cfg.total_bytes + 2) as u32
+            seq(self.cfg.total_bytes + 1)
         } else {
-            (1 + self.rcv_nxt) as u32
+            seq(self.rcv_nxt)
         }
     }
 
@@ -663,12 +686,12 @@ impl TcpReceiver {
         let hdr = TcpHeader {
             src_node: ctx.node(),
             dst_node: peer.node,
-            src_port: ctx.actor_id() as u16,
-            dst_port: peer.actor as u16,
+            src_port: port(ctx.actor_id()),
+            dst_port: port(peer.actor),
             seq: 0,
             ack: self.ack_value(),
             flags,
-            window: self.cfg.cwnd_cap_segs as u16,
+            window: self.cfg.window(),
             payload_len: 0,
         };
         let hdr = build_tcp_headers(hdr).expect("pure ACK always encodes");
@@ -676,7 +699,7 @@ impl TcpReceiver {
         ctx.send(
             peer,
             self.flow,
-            TCP_HEADER_BYTES as u32,
+            wire_bytes(0),
             hdr[42] as u64,
             Some(Box::new(TcpMsg::Seg {
                 hdr,
@@ -712,7 +735,8 @@ impl TcpReceiver {
                 if o + seg.len() as u64 <= self.rcv_nxt {
                     continue; // fully duplicate buffered copy
                 }
-                let skip = (self.rcv_nxt - o) as usize;
+                let skip = usize::try_from(self.rcv_nxt - o)
+                    .expect("the skip is shorter than the buffered segment");
                 self.deliver(&seg[skip..]);
             }
         } else {
@@ -800,11 +824,13 @@ pub fn deploy_tcp_pair(
     placement: Placement,
 ) -> TcpEndpoints {
     cfg.validate();
+    let node_id =
+        |i: usize| u16::try_from(i).expect("the cluster builder caps node ids at u16::MAX");
     let (rx, tx) = {
         let reg = c.obs().registry();
         (
-            TcpReceiverMetrics::register(reg, receiver_node as u16),
-            TcpSenderMetrics::register(reg, sender_node as u16),
+            TcpReceiverMetrics::register(reg, node_id(receiver_node)),
+            TcpSenderMetrics::register(reg, node_id(sender_node)),
         )
     };
     let receiver = c.register_actor(
@@ -1005,12 +1031,12 @@ mod tests {
     #[should_panic(expected = "mss 65496 exceeds")]
     fn validate_rejects_an_mss_the_header_cannot_declare() {
         TcpCfg {
-            mss: MAX_TCP_PAYLOAD as u32,
+            mss: u32::try_from(MAX_TCP_PAYLOAD).unwrap(),
             ..TcpCfg::lan(1, 1)
         }
         .validate();
         TcpCfg {
-            mss: MAX_TCP_PAYLOAD as u32 + 1,
+            mss: u32::try_from(MAX_TCP_PAYLOAD).unwrap() + 1,
             ..TcpCfg::lan(1, 1)
         }
         .validate();
