@@ -1063,13 +1063,23 @@ mod tests {
         placement: Placement,
         seed: u64,
     ) -> (TcpEndpoints, AuditReport) {
+        let plan = (loss > 0.0).then(|| FaultPlan::new(seed ^ 0x7C9).with_loss(loss));
+        run_under(plan, total, placement, seed)
+    }
+
+    fn run_under(
+        plan: Option<FaultPlan>,
+        total: u64,
+        placement: Placement,
+        seed: u64,
+    ) -> (TcpEndpoints, AuditReport) {
         let mut c = Cluster::builder(CN2350)
             .servers(2)
             .clients(1)
             .seed(seed)
             .build();
-        if loss > 0.0 {
-            c.set_fault_plan(FaultPlan::new(seed ^ 0x7C9).with_loss(loss));
+        if let Some(plan) = plan {
+            c.set_fault_plan(plan);
         }
         let ep = deploy_tcp_pair(&mut c, TcpCfg::lan(total, seed), 0, 1, 1, placement);
         for _ in 0..200 {
@@ -1189,6 +1199,25 @@ mod tests {
             "5% loss must force retransmissions"
         );
         assert!(ep.tx.rto_fired.get() > 0);
+    }
+
+    /// Only ACKs are lost, so timeouts rewind `snd_nxt` over bytes the
+    /// receiver already holds, and a later cumulative ACK acknowledges past
+    /// it (seeds 1, 2, 3 and 6 each take that path). The sender must resume
+    /// from the ACK, not resend what it covers.
+    #[test]
+    fn acks_past_a_rewound_snd_nxt_resume_from_the_ack() {
+        let total = 200_000;
+        for seed in [1, 2, 3, 6] {
+            let plan = FaultPlan::new(seed ^ 0x7C9).with_link_loss(1, 0, 0.5);
+            let (ep, r) = run_under(Some(plan), total, Placement::Nic, seed);
+            r.assert_clean();
+            assert_eq!(ep.tx.closed.get(), 1, "seed {seed}");
+            assert_eq!(ep.rx.delivered_bytes.get(), total, "seed {seed}");
+            let mss = u64::from(ep.cfg.mss);
+            assert_eq!(ep.tx.tx_segs.get(), total.div_ceil(mss), "seed {seed}");
+            assert!(ep.tx.rto_fired.get() > 0, "seed {seed}");
+        }
     }
 
     #[test]
