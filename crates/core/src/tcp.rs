@@ -723,7 +723,12 @@ impl TcpReceiver {
         let len = payload.len() as u64;
         ctx.charge_work(self.cfg.work_per_seg_ns + len / 8);
         if off + len <= self.rcv_nxt {
-            self.m.dup_segs.inc();
+            // FIN leaves only once every stream byte is acked, so the first
+            // FIN lands here too: a FIN-only segment is a duplicate only
+            // after an earlier FIN.
+            if len > 0 || self.fin_seen {
+                self.m.dup_segs.inc();
+            }
         } else if off == self.rcv_nxt {
             self.deliver(&payload);
             // Drain the reassembly buffer over the newly contiguous range.
@@ -1101,6 +1106,7 @@ mod tests {
         r.assert_clean();
         assert_eq!(ep.rx.delivered_bytes.get(), 100_000);
         assert_eq!(ep.tx.retx_segs.get(), 0, "no loss, no retransmissions");
+        assert_eq!(ep.rx.dup_segs.get(), 0, "no retransmission, no duplicate");
         assert_eq!(ep.rx.mismatched_bytes.get(), 0);
     }
 
