@@ -529,7 +529,8 @@ impl TcpSender {
         );
         match self.state {
             SendState::SynSent => self.send_syn(ctx),
-            // FIN leaves only once every stream byte is acked.
+            // FIN leaves only once every stream byte is acked, so nothing
+            // is in flight: re-send FIN.
             SendState::FinWait => self.send_fin(ctx),
             SendState::Established => {
                 // Tahoe: collapse the window and rewind over the whole flight.
@@ -569,7 +570,7 @@ impl TcpSender {
         if self.state == SendState::FinWait && hdr.ack as u64 == total + 2 {
             self.state = SendState::Closed;
             self.m.closed.inc();
-            // The live timer fires and does nothing.
+            // The live timer fires into `Closed` and does nothing.
             self.sync_gauges();
             return;
         }
