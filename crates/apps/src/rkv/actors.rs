@@ -8,9 +8,9 @@ use ipipe::rt::{ClientGenFn, ClientReq, Cluster, Redirect};
 use ipipe::skiplist::DmoSkipList;
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
 use ipipe_sim::obs::{Counter, Gauge, Registry};
+use ipipe_sim::{IdMap, IdSet};
 use ipipe_workload::kv::{KvOp, KvWorkload};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Failure-detector tuning: the leader multicasts a heartbeat every
@@ -179,11 +179,11 @@ pub struct ConsensusActor {
     last_heard: SimTime,
     /// Tokens already applied to the memtable — retransmitted commands that
     /// re-committed into a second slot are absorbed here (exactly-once).
-    applied_tokens: HashSet<u64>,
+    applied_tokens: IdSet<u64>,
     /// Leader-side token → slot for in-flight proposals, so a client
     /// retransmission re-drives the existing round instead of burning a
     /// fresh slot.
-    inflight_tokens: HashMap<u64, Slot>,
+    inflight_tokens: IdMap<u64, Slot>,
     /// `rkv.buffered_writes` gauge mirroring `pending.len()`.
     buffered: Option<Gauge>,
     /// `rkv.dup.commits`: retransmitted commands that re-committed into a
@@ -209,8 +209,8 @@ impl ConsensusActor {
             pending: Vec::new(),
             heartbeat: None,
             last_heard: SimTime::ZERO,
-            applied_tokens: HashSet::new(),
-            inflight_tokens: HashMap::new(),
+            applied_tokens: IdSet::default(),
+            inflight_tokens: IdMap::default(),
             buffered: None,
             dup_commits: None,
             ops: None,

@@ -13,9 +13,8 @@ use ipipe::sched::{Discipline, Loc, NicScheduler, SchedConfig, Work};
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{HistHandle, Obs};
-use ipipe_sim::{EventQueue, SimTime};
+use ipipe_sim::{EventQueue, IdMap, SimTime};
 use ipipe_workload::service::ServiceTrace;
-use std::collections::HashMap;
 
 /// Result of one Fig 16 run.
 #[derive(Debug, Clone, Copy)]
@@ -41,15 +40,14 @@ enum Ev {
 struct St {
     sched: NicScheduler,
     trace: ServiceTrace,
-    services: HashMap<u64, SimTime>,
-    inflight: HashMap<u32, (u32, SimTime, SimTime)>, // core -> (actor, arrived, busy)
+    services: IdMap<u64, SimTime>,
+    inflight: Vec<Option<(u32, SimTime, SimTime)>>, // by core: (actor, arrived, busy)
     hist: HistHandle,
     obs: Obs,
     remaining: u64,
     warmup: u64,
     next_token: u64,
     done: u64,
-    cores: u32,
     last_event: SimTime,
 }
 
@@ -100,15 +98,14 @@ pub fn run_fig16_obs(
     let mut st = St {
         sched,
         trace: ServiceTrace::new_correlated(dist, spec.cores, load, actors, seed),
-        services: HashMap::new(),
-        inflight: HashMap::new(),
+        services: IdMap::default(),
+        inflight: vec![None; spec.cores as usize],
         hist,
         obs: obs.clone(),
         remaining: requests,
         warmup: requests / 4,
         next_token: 0,
         done: 0,
-        cores: spec.cores,
         last_event: SimTime::ZERO,
     };
     let mut q: EventQueue<Ev> = EventQueue::new();
@@ -116,13 +113,13 @@ pub fn run_fig16_obs(
 
     fn kick(q: &mut EventQueue<Ev>, st: &mut St) {
         let now = q.now();
-        for core in 0..st.cores {
-            if st.inflight.contains_key(&core) {
+        for (core, slot) in (0u32..).zip(st.inflight.iter_mut()) {
+            if slot.is_some() {
                 continue;
             }
             if let Some(Work::Exec(req)) = st.sched.next_for_core(now, core) {
                 let service = st.services.remove(&req.token).expect("service recorded");
-                st.inflight.insert(core, (req.actor, req.arrived, service));
+                *slot = Some((req.actor, req.arrived, service));
                 q.schedule_after(service, Ev::Done { core });
             }
         }
@@ -156,7 +153,7 @@ pub fn run_fig16_obs(
                 }
             }
             Ev::Done { core } => {
-                let (actor, arrived, busy) = st.inflight.remove(&core).expect("busy");
+                let (actor, arrived, busy) = st.inflight[core as usize].take().expect("busy");
                 let sojourn = now.saturating_sub(arrived);
                 st.obs.span(
                     "sched",

@@ -14,11 +14,12 @@
 //!
 //! Determinism contract: a cell's result is pure in `(DesignPoint, workload,
 //! master seed)` — the per-cell seed is hashed from the design's spec-pure
-//! id, never from sweep order — and per-cell snapshots are prefixed with the
-//! cell identity before merging (so same-named metrics from different cells
-//! cannot collapse; see `Snapshot::prefixed`). The whole grid export is
-//! therefore byte-identical between serial and parallel sweep execution and
-//! across shard counts, which `differential::diff_dse_grid` pins.
+//! id, never from sweep order — and each cell's metrics are prefixed with the
+//! cell identity (so same-named metrics from different cells cannot collapse;
+//! see `Snapshot::prefixed`) and rendered as the cell ends, then appended in
+//! key order. The whole grid export is therefore byte-identical between
+//! serial and parallel sweep execution and across shard counts, which
+//! `differential::diff_dse_grid` pins.
 
 use crate::apps_harness::{install_app, measure, App};
 use crate::figure::{self, num, text, Table};
@@ -195,8 +196,8 @@ pub struct DseResult {
     /// Per-workload best configuration + bottleneck axis.
     pub recommendations: Vec<Recommendation>,
     /// Canonical, wall-clock-free export: cell lines, reduction tables and
-    /// the merged per-cell-prefixed metric snapshot. Byte-identical across
-    /// worker and shard counts.
+    /// every cell's prefixed metrics, rendered as one snapshot of them all
+    /// would render. Byte-identical across worker and shard counts.
     pub export: String,
 }
 
@@ -379,14 +380,15 @@ fn run_cluster_mode(
 }
 
 /// Run one grid cell: pure in `(design, workload, spec.seed)`. Returns the
-/// reduced measurements plus the cell's metric snapshot already prefixed
-/// with `dse.<design id>.<workload>` so cells merge without colliding.
+/// reduced measurements plus the JSONL sections
+/// ([`Snapshot::jsonl_sections`]) of the cell's metric snapshot, prefixed
+/// with `dse.<design id>.<workload>` so cells cannot collide.
 fn run_cell(
     design_ix: usize,
     d: DesignPoint,
     workload: Workload,
     spec: &DseSpec,
-) -> (CellResult, Snapshot) {
+) -> (CellResult, [String; 3]) {
     let id = d.id();
     let seed = cell_seed(spec.seed, &id, workload);
     let (throughput_rps, p99_us, completed, saved, snap) = match workload {
@@ -430,8 +432,45 @@ fn run_cell(
         p99_us,
         completed,
     };
-    let prefixed = snap.prefixed(&format!("dse.{}.{}", id, workload.name()));
-    (cell, prefixed)
+    let sections = snap
+        .prefixed(&format!("dse.{}.{}", id, workload.name()))
+        .jsonl_sections();
+    (cell, sections)
+}
+
+/// Append every cell's metric sections (`sections[i]` is `cells[i]`'s) to
+/// `out` as `to_jsonl` renders the merge of all cells' prefixed snapshots:
+/// every counter line, then every gauge line, then every histogram line, in
+/// key order. Each key of a cell starts with the cell's prefix
+/// `dse.{id}.{workload}.`; when no prefix starts another, the merge is a
+/// disjoint union and each cell's keys are contiguous in key order, so
+/// sorting the cells by prefix orders their lines. Each section is dropped
+/// as it is appended.
+///
+/// # Panics
+/// If two cells share a prefix (a repeated axis value): a merge would have
+/// summed their metrics.
+fn append_metrics(out: &mut String, cells: &[CellResult], sections: Vec<[String; 3]>) {
+    let mut sorted: Vec<(String, [String; 3])> = cells
+        .iter()
+        .map(|c| format!("dse.{}.{}.", c.id, c.workload.name()))
+        .zip(sections)
+        .collect();
+    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    // Sorted, a prefix that starts any later one starts the next one too.
+    for pair in sorted.windows(2) {
+        let (a, b) = (&pair[0].0, &pair[1].0);
+        assert!(
+            !b.starts_with(a.as_str()),
+            "two DSE cells share the key prefix {a}"
+        );
+    }
+    out.reserve(sorted.iter().flat_map(|(_, s)| s).map(String::len).sum());
+    for k in 0..3 {
+        for (_, cell) in &mut sorted {
+            out.push_str(&std::mem::take(&mut cell[k]));
+        }
+    }
 }
 
 /// Does `b` differ from `a` along exactly one axis, in the direction that
@@ -497,12 +536,7 @@ pub fn run_dse(spec: &DseSpec) -> DseResult {
         run_cell(i, d, w, spec)
     });
 
-    let mut cells = Vec::with_capacity(results.len());
-    let mut merged = Snapshot::default();
-    for (cell, snap) in results {
-        merged.merge(&snap);
-        cells.push(cell);
-    }
+    let (cells, sections): (Vec<CellResult>, Vec<[String; 3]>) = results.into_iter().unzip();
 
     let senses: Vec<Sense> = OBJECTIVES.iter().map(|&(_, s)| s).collect();
     let mut frontiers = Vec::new();
@@ -556,7 +590,7 @@ pub fn run_dse(spec: &DseSpec) -> DseResult {
         export: String::new(),
     };
     export.push_str(&figure::render(&result.tables()));
-    export.push_str(&merged.to_jsonl());
+    append_metrics(&mut export, &result.cells, sections);
     result.export = export;
     result
 }
@@ -596,6 +630,69 @@ mod tests {
             let key = format!("\"dse.{}.rkv.", d.id());
             assert!(r.export.contains(&key), "missing {key} in export");
         }
+    }
+
+    /// The per-cell rendering against its oracle: merge every cell's
+    /// prefixed snapshot and render the merge. The cells record the same
+    /// names on the same nodes; their ids differ only in the last field,
+    /// and grid order (design, then workload) is not key order.
+    #[test]
+    fn per_cell_rendering_matches_the_merged_snapshot() {
+        let mut cells = Vec::new();
+        let mut sections = Vec::new();
+        let mut merged = Snapshot::default();
+        for (design, id) in ["c04-f1200-onp-m115-acc", "c04-f1200-onp-m115-soft"]
+            .into_iter()
+            .enumerate()
+        {
+            for workload in Workload::ALL {
+                let n = cells.len() as u64 + 1;
+                let reg = ipipe_sim::obs::Registry::new();
+                for node in 0..2 {
+                    reg.counter_on("sched.runs", node)
+                        .add(n * 10 + u64::from(node));
+                    reg.counter_on("rt.done", node).add(n);
+                    reg.gauge_on("sched.queue", node).set(-(n as i64));
+                    reg.hist_on("rkv.latency", node)
+                        .record(SimTime::from_us(n * 7 + u64::from(node)));
+                }
+                let snap = reg
+                    .snapshot()
+                    .prefixed(&format!("dse.{id}.{}", workload.name()));
+                merged.merge(&snap);
+                sections.push(snap.jsonl_sections());
+                cells.push(CellResult {
+                    design,
+                    id: id.to_string(),
+                    workload,
+                    throughput_rps: 0.0,
+                    host_cores_saved: 0.0,
+                    nic_cores: 4.0,
+                    p99_us: 0.0,
+                    completed: 0,
+                });
+            }
+        }
+        let mut out = String::new();
+        append_metrics(&mut out, &cells, sections);
+        assert_eq!(out, merged.to_jsonl());
+    }
+
+    /// A repeated axis value gives two cells one identity; a merge would
+    /// have summed their counters without a word.
+    #[test]
+    #[should_panic(expected = "two DSE cells share the key prefix dse.c04-f1200-onp-m115-acc.")]
+    fn a_repeated_axis_value_is_refused() {
+        let mut axes = DesignAxes::tiny();
+        axes.cores = vec![4, 4];
+        axes.kinds = vec![ipipe_nicsim::NicKind::OnPath];
+        run_dse(&DseSpec {
+            axes,
+            warmup: SimTime::from_us(100),
+            measure: SimTime::from_us(200),
+            fig16_requests: 200,
+            ..DseSpec::tiny(3)
+        });
     }
 
     #[test]

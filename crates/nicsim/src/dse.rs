@@ -137,8 +137,11 @@ impl DesignAxes {
     }
 
     /// Enumerate the full cross product. Each design's spec is leaked to
-    /// `'static` (the grids are small and bounded) so it can drive the same
-    /// cluster and fig16 harnesses as the Table 1 card constants.
+    /// `'static` so it can drive the same cluster and fig16 harnesses as the
+    /// Table 1 card constants. The leak is per call, not per grid: every
+    /// call leaks a fresh `NicSpec` (280 bytes) per design, so a process
+    /// that enumerates a grid again and again (the benchmark's `dse-grid`
+    /// does at each of its set-ups) grows by that much per design per call.
     pub fn enumerate(&self) -> Vec<DesignPoint> {
         let mut out = Vec::with_capacity(self.len());
         for &cores in &self.cores {

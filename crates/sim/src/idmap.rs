@@ -1,17 +1,20 @@
-//! A `HashMap` for keys the simulator hands out itself.
+//! A `HashMap` and a `HashSet` for keys the simulator hands out itself.
 //!
 //! Actor ids, object ids and request tokens are small integers drawn from a
 //! counter, so SipHash's flood resistance protects nothing and its cost is
-//! paid on every event. [`IdMap`] hashes an integer with one multiply and a
-//! fold. The hasher has no per-process seed, so iteration order is a
-//! function of the insert/remove history alone. Keep the default hasher for
-//! keys that arrive from outside the program.
+//! paid on every event. [`IdMap`] and [`IdSet`] hash an integer with one
+//! multiply and a fold. The hasher has no per-process seed, so iteration
+//! order is a function of the insert/remove history alone. Keep the default
+//! hasher for keys that arrive from outside the program.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` with the fixed [`IdHasher`]; build one with `IdMap::default()`.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// `HashSet` with the fixed [`IdHasher`]; build one with `IdSet::default()`.
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Multiplicative (Fibonacci) hasher for integer keys.
 #[derive(Debug, Default, Clone, Copy)]

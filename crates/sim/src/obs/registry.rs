@@ -11,8 +11,8 @@
 //!
 //! [`Registry::snapshot`] freezes everything into a [`Snapshot`] — plain
 //! owned data ordered by `(name, node)` — which can cross threads, be merged
-//! with other snapshots (order-independently; the parallel sweep runner
-//! relies on this) and be exported as JSON lines.
+//! with other snapshots (order-independently) and be exported as JSON lines,
+//! whole or one section (counters, gauges, histograms) at a time.
 
 use crate::stats::Histogram;
 use crate::time::SimTime;
@@ -359,18 +359,43 @@ impl Snapshot {
     /// Deterministic: identical registry state produces identical bytes.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
+        self.counter_lines(&mut out);
+        self.gauge_lines(&mut out);
+        self.hist_lines(&mut out);
+        out
+    }
+
+    /// [`Snapshot::to_jsonl`]'s three sections: the counter lines, the gauge
+    /// lines and the histogram lines, each in `(name, node)` order. A caller
+    /// that holds snapshots with disjoint key ranges renders each on its own
+    /// and concatenates the sections, without merging the snapshots first.
+    pub fn jsonl_sections(&self) -> [String; 3] {
+        let mut sections = [String::new(), String::new(), String::new()];
+        self.counter_lines(&mut sections[0]);
+        self.gauge_lines(&mut sections[1]);
+        self.hist_lines(&mut sections[2]);
+        sections
+    }
+
+    fn counter_lines(&self, out: &mut String) {
         for ((name, node), v) in &self.counters {
             out.push_str(&format!(
                 "{{\"type\":\"counter\",\"name\":{},\"node\":{node},\"value\":{v}}}\n",
                 super::export::json_str(name)
             ));
         }
+    }
+
+    fn gauge_lines(&self, out: &mut String) {
         for ((name, node), v) in &self.gauges {
             out.push_str(&format!(
                 "{{\"type\":\"gauge\",\"name\":{},\"node\":{node},\"value\":{v}}}\n",
                 super::export::json_str(name)
             ));
         }
+    }
+
+    fn hist_lines(&self, out: &mut String) {
         for ((name, node), h) in &self.hists {
             out.push_str(&format!(
                 "{{\"type\":\"hist\",\"name\":{},\"node\":{node},\"count\":{},\
@@ -384,7 +409,6 @@ impl Snapshot {
                 h.p99().as_ns(),
             ));
         }
-        out
     }
 }
 

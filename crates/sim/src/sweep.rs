@@ -27,8 +27,8 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `f(index, &input)` over every input on `workers` OS threads and
-/// return the results **in input order**.
+/// Run `f(index, &input)` over every input on `workers` OS threads, the
+/// calling thread included, and return the results **in input order**.
 ///
 /// `f` runs at most once per input. A sweep of independent simulations
 /// should derive each point's seed from its index (or its parameters), never
@@ -36,8 +36,9 @@ pub fn default_workers() -> usize {
 /// a serial run.
 ///
 /// # Panics
-/// Panics if `workers == 0`, or if `f` panics for any input (the panic is
-/// propagated after the remaining workers finish).
+/// Panics if `workers == 0`, or if `f` panics for any input on any thread,
+/// the caller's included (the panic is propagated after the remaining
+/// workers finish).
 pub fn parallel_sweep<I, T, F>(inputs: &[I], workers: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -49,24 +50,26 @@ where
         return inputs.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(inputs.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(inputs.len()))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(input) = inputs.get(i) else { break };
-                        local.push((i, f(i, input)));
-                    }
-                    local
-                })
-            })
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(input) = inputs.get(i) else { break };
+            local.push((i, f(i, input)));
+        }
+        local
+    };
+    // The caller is one of the workers: it runs the same claim loop as the
+    // `workers - 1` threads it spawns instead of idling in `join`.
+    let mut tagged = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers.min(inputs.len()))
+            .map(|_| s.spawn(claim))
             .collect();
+        let mut tagged = claim();
         for h in handles {
             tagged.extend(h.join().expect("sweep worker panicked"));
         }
+        tagged
     });
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, t)| t).collect()
@@ -126,6 +129,32 @@ mod tests {
         let serial = parallel_sweep(&seeds, 1, point);
         let parallel = parallel_sweep(&seeds, default_workers().max(2), point);
         assert_eq!(parallel, serial);
+    }
+
+    /// Each input sleeps, so every spawned thread has time to claim one:
+    /// a sweep whose caller only waits in `join` shows up as three threads.
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let ran = std::sync::Mutex::new(std::collections::HashSet::new());
+        let inputs: Vec<u32> = (0..20).collect();
+        parallel_sweep(&inputs, 2, |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            ran.lock().unwrap().insert(std::thread::current().id());
+        });
+        let mut threads = ran.into_inner().unwrap();
+        threads.insert(std::thread::current().id());
+        assert!(
+            threads.len() <= 2,
+            "{} threads for 2 workers",
+            threads.len()
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panic_on_every_thread_still_propagates() {
+        let inputs: Vec<u32> = (0..8).collect();
+        parallel_sweep(&inputs, 2, |i, _| -> u32 { panic!("input {i}") });
     }
 
     #[test]

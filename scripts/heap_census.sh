@@ -9,7 +9,11 @@
 # that survives is the live set at the peak. The addresses are symbolised
 # with addr2line (inlined frames included), like sample_profile.sh, and
 # reduced to two tables: by site (the innermost frame of this workspace's
-# crates) and by the site with its two nearest callers.
+# crates) and by the site with its two nearest callers. Beside the peak live
+# heap it prints the process's VmHWM (peak RSS, read from /proc/self/status
+# at exit; the census's own tables count toward it): a gap much larger than
+# the census's share is memory malloc keeps but the program no longer holds,
+# such as an idle thread's arena.
 #   ./scripts/heap_census.sh <workload> [seed]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
 # dse-grid), run once at benchmark/run.sh's default size (20 s, `--scale` 20 /
@@ -28,17 +32,21 @@ cat > "$dir/census.c" <<'EOF'
 /* Live-heap census: malloc, calloc, realloc, free and the aligned
  * allocators forward to glibc's __libc_* entry points and keep the live
  * byte count (malloc_usable_size), its peak, and the sampled allocations'
- * live bytes per stack. The report goes to stderr at exit as `census` lines.
+ * live bytes per stack. The report goes to stderr at exit as `census` lines,
+ * with the process's VmHWM (-1 when /proc/self/status has none).
  * A thread-local guard keeps the census's own calls (backtrace() loads the
  * unwinder with malloc) out of the count. */
 #define _GNU_SOURCE
 #include <errno.h>
 #include <execinfo.h>
+#include <fcntl.h>
 #include <link.h>
 #include <malloc.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 extern void *__libc_malloc(size_t);
 extern void *__libc_calloc(size_t, size_t);
@@ -213,12 +221,27 @@ __attribute__((constructor)) static void start(void) {
     busy = 0;
 }
 
+/* VmHWM in bytes, read into a stack buffer (no malloc); -1 if absent. */
+static long long vm_hwm(void) {
+    char buf[8192];
+    size_t len = 0;
+    ssize_t n;
+    int fd = open("/proc/self/status", O_RDONLY);
+    if (fd < 0) return -1;
+    while (len < sizeof buf - 1 && (n = read(fd, buf + len, sizeof buf - 1 - len)) > 0)
+        len += (size_t)n;
+    close(fd);
+    buf[len] = 0;
+    char *p = strstr(buf, "VmHWM:");
+    return p ? strtoll(p + 6, NULL, 10) * 1024 : -1;
+}
+
 __attribute__((destructor)) static void finish(void) {
     busy = 1;
     acquire();
-    fprintf(stderr, "census peak %lld copied %lld allocs %llu dropped %llu\n",
+    fprintf(stderr, "census peak %lld copied %lld allocs %llu dropped %llu vmhwm %lld\n",
             (long long)peak, (long long)copied, (unsigned long long)allocs,
-            (unsigned long long)dropped);
+            (unsigned long long)dropped, vm_hwm());
     for (int s = 0; s < stack_count; s++) {
         if (stack_peak[s] <= 0) continue;
         fprintf(stderr, "census stack %lld", (long long)stack_peak[s]);
@@ -281,9 +304,10 @@ for bytes, s in stacks:
     by_chain[" <- ".join(mine[:3]) if mine else "(no frame of this workspace)"] += bytes
 total = sum(by_site.values())
 mib = 1 << 20
-print(f"peak live heap {head['peak'] / mib:.2f} MiB (census copied at {head['copied'] / mib:.2f}"
-      f" MiB), {head['allocs']} allocations, {head['dropped']} samples dropped;"
-      f" sampled bytes live at the copy: {total / mib:.2f} MiB\n")
+hwm = f"{head['vmhwm'] / mib:.2f} MiB" if head["vmhwm"] >= 0 else "not read"
+print(f"peak live heap {head['peak'] / mib:.2f} MiB beside VmHWM {hwm} (census copied at"
+      f" {head['copied'] / mib:.2f} MiB), {head['allocs']} allocations, {head['dropped']} samples"
+      f" dropped; sampled bytes live at the copy: {total / mib:.2f} MiB\n")
 
 def table(title, counts, rows):
     print(title)
