@@ -58,7 +58,7 @@ struct St {
 /// trace's compaction/ranker-like heavyweight); `requests` arrivals are
 /// generated, the first quarter as warm-up.
 pub fn run_fig16(
-    spec: &'static NicSpec,
+    spec: &NicSpec,
     dist: ipipe_sim::rng::ServiceDist,
     discipline: Discipline,
     load: f64,
@@ -80,7 +80,7 @@ pub fn run_fig16(
 /// go to the trace ring.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fig16_obs(
-    spec: &'static NicSpec,
+    spec: &NicSpec,
     dist: ipipe_sim::rng::ServiceDist,
     cfg: SchedConfig,
     load: f64,

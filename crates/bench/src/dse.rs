@@ -21,18 +21,17 @@
 //! serial and parallel sweep execution and across shard counts, which
 //! `differential::diff_dse_grid` pins.
 
-use crate::apps_harness::{install_app, measure, App};
+use crate::apps_harness::{install_app, measure, App, AppRun};
 use crate::figure::{self, num, text, Table};
 use crate::pareto::{frontier_indices, Sense};
 use ipipe::prelude::*;
 use ipipe::rt::{ClientReq, Cluster, RuntimeMode};
 use ipipe::sched::{Discipline, SchedConfig};
-use ipipe_apps::nf::actors::NfMsg;
 use ipipe_baseline::fig16::run_fig16_obs;
 use ipipe_nicsim::accel;
 use ipipe_nicsim::dse::{DesignAxes, DesignPoint};
 use ipipe_nicsim::spec::{NicSpec, HOST_XEON};
-use ipipe_sim::obs::{Obs, Snapshot};
+use ipipe_sim::obs::Obs;
 use ipipe_sim::sweep::{default_workers, parallel_sweep};
 
 /// The workload scenarios each design is evaluated on.
@@ -329,15 +328,16 @@ impl ActorLogic for DseCryptoActor {
     }
 }
 
-/// Run one cluster-scenario cell (rkv or nf) in `mode`.
+/// Run one cluster-scenario cell (rkv or nf) in `mode`; returns the
+/// measurements and the cluster, for the caller to snapshot if it keeps it.
 fn run_cluster_mode(
-    d: DesignPoint,
+    d: &DesignPoint,
     workload: Workload,
     spec: &DseSpec,
     seed: u64,
     mode: RuntimeMode,
-) -> (f64, f64, u64, f64, Snapshot) {
-    let b = Cluster::builder_for(d.spec)
+) -> (AppRun, Cluster) {
+    let b = Cluster::builder(d.spec)
         .mode(mode)
         .seed(seed)
         .shards(spec.shards.max(1));
@@ -352,7 +352,7 @@ fn run_cluster_mode(
             let gw = c.register_actor(
                 0,
                 "dse-crypto",
-                Box::new(DseCryptoActor::for_spec(d.spec, 16)),
+                Box::new(DseCryptoActor::for_spec(&d.spec, 16)),
                 Placement::Nic,
             );
             c.set_client(
@@ -361,7 +361,7 @@ fn run_cluster_mode(
                     dst: gw,
                     wire_size: 1024,
                     flow: rng.below(1 << 20),
-                    payload: Some(Box::new(NfMsg::Encrypt(vec![0x5A; 960]))),
+                    payload: None,
                 }),
                 spec.outstanding * 4,
             );
@@ -369,23 +369,17 @@ fn run_cluster_mode(
         }
         Workload::Fig16 => unreachable!("fig16 runs through the scheduler harness"),
     };
-    let run = measure(&mut c, spec.warmup, spec.measure);
-    (
-        run.throughput_rps,
-        run.p99.as_us_f64(),
-        run.completed,
-        run.host_cores[0],
-        c.snapshot(),
-    )
+    (measure(&mut c, spec.warmup, spec.measure), c)
 }
 
 /// Run one grid cell: pure in `(design, workload, spec.seed)`. Returns the
 /// reduced measurements plus the JSONL sections
-/// ([`Snapshot::jsonl_sections`]) of the cell's metric snapshot, prefixed
-/// with `dse.<design id>.<workload>` so cells cannot collide.
+/// ([`ipipe_sim::obs::Snapshot::jsonl_sections`]) of the cell's metric
+/// snapshot, prefixed with `dse.<design id>.<workload>` so cells cannot
+/// collide.
 fn run_cell(
     design_ix: usize,
-    d: DesignPoint,
+    d: &DesignPoint,
     workload: Workload,
     spec: &DseSpec,
 ) -> (CellResult, [String; 3]) {
@@ -393,21 +387,27 @@ fn run_cell(
     let seed = cell_seed(spec.seed, &id, workload);
     let (throughput_rps, p99_us, completed, saved, snap) = match workload {
         Workload::Rkv | Workload::NfIpsec => {
-            let (thr, p99, done, host_ipipe, snap) =
-                run_cluster_mode(d, workload, spec, seed, RuntimeMode::IPipe);
-            let (_, _, _, host_dpdk, _) =
-                run_cluster_mode(d, workload, spec, seed, RuntimeMode::HostDpdk);
-            (thr, p99, done, (host_dpdk - host_ipipe).max(0.0), snap)
+            // The DPDK baseline only prices the host cores iPipe saves, so
+            // it runs first and its cluster is dropped unsnapshotted.
+            let (dpdk, _) = run_cluster_mode(d, workload, spec, seed, RuntimeMode::HostDpdk);
+            let (run, c) = run_cluster_mode(d, workload, spec, seed, RuntimeMode::IPipe);
+            (
+                run.throughput_rps,
+                run.p99.as_us_f64(),
+                run.completed,
+                (dpdk.host_cores[0] - run.host_cores[0]).max(0.0),
+                c.snapshot(),
+            )
         }
         Workload::Fig16 => {
             use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
             let obs = Obs::disabled();
-            let cfg = SchedConfig::for_nic(d.spec)
+            let cfg = SchedConfig::for_nic(&d.spec)
                 .with_discipline(Discipline::Hybrid)
                 .no_migration();
             let dist = fig16_distribution(Fig16Card::LiquidIo, Dispersion::High);
             let load = 0.9;
-            let pt = run_fig16_obs(d.spec, dist, cfg, load, 8, spec.fig16_requests, seed, &obs);
+            let pt = run_fig16_obs(&d.spec, dist, cfg, load, 8, spec.fig16_requests, seed, &obs);
             let thr = pt.completed as f64 / (pt.wall.as_ns().max(1) as f64 / 1e9);
             // The scheduler cell has no host baseline; the NIC absorbs the
             // whole mix, so credit the host-equivalent compute it soaked up:
@@ -504,7 +504,7 @@ fn single_axis_upgrade(a: &NicSpec, b: &NicSpec) -> Option<&'static str> {
 /// throughput (if >2%), else "balanced".
 fn bottleneck_axis(cells: &[CellResult], designs: &[DesignPoint], chosen: usize) -> &'static str {
     let c = &cells[chosen];
-    let spec = designs[c.design].spec;
+    let spec = &designs[c.design].spec;
     let mut best: (&'static str, f64) = ("balanced", 0.02);
     // Fixed axis-order scan with strict improvement keeps the result
     // deterministic under ties.
@@ -513,7 +513,7 @@ fn bottleneck_axis(cells: &[CellResult], designs: &[DesignPoint], chosen: usize)
             .iter()
             .filter(|o| {
                 o.workload == c.workload
-                    && single_axis_upgrade(spec, designs[o.design].spec) == Some(axis)
+                    && single_axis_upgrade(spec, &designs[o.design].spec) == Some(axis)
             })
             .map(|o| (o.throughput_rps - c.throughput_rps) / c.throughput_rps.max(1.0))
             .fold(f64::NEG_INFINITY, f64::max);
@@ -527,10 +527,10 @@ fn bottleneck_axis(cells: &[CellResult], designs: &[DesignPoint], chosen: usize)
 /// Run the whole grid and reduce it.
 pub fn run_dse(spec: &DseSpec) -> DseResult {
     let designs = spec.axes.enumerate();
-    let inputs: Vec<(usize, DesignPoint, Workload)> = designs
+    let inputs: Vec<(usize, &DesignPoint, Workload)> = designs
         .iter()
         .enumerate()
-        .flat_map(|(i, &d)| Workload::ALL.map(|w| (i, d, w)))
+        .flat_map(|(i, d)| Workload::ALL.map(|w| (i, d, w)))
         .collect();
     let results = parallel_sweep(&inputs, spec.workers.max(1), |_, &(i, d, w)| {
         run_cell(i, d, w, spec)
@@ -640,7 +640,7 @@ mod tests {
     fn per_cell_rendering_matches_the_merged_snapshot() {
         let mut cells = Vec::new();
         let mut sections = Vec::new();
-        let mut merged = Snapshot::default();
+        let mut merged = ipipe_sim::obs::Snapshot::default();
         for (design, id) in ["c04-f1200-onp-m115-acc", "c04-f1200-onp-m115-soft"]
             .into_iter()
             .enumerate()

@@ -129,7 +129,7 @@ fn fig16_requests(quick: bool) -> u64 {
 pub fn fig16(quick: bool) -> Table {
     let requests = fig16_requests(quick);
     let loads = [0.1, 0.3, 0.5, 0.7, 0.8, 0.9];
-    let cells: [(&'static NicSpec, Fig16Card, Dispersion, &str); 4] = [
+    let cells: [(&NicSpec, Fig16Card, Dispersion, &str); 4] = [
         (
             &CN2350,
             Fig16Card::LiquidIo,
@@ -499,7 +499,7 @@ pub fn ycsb() -> Table {
 
 /// One ablation point: the Fig 16 harness (8 actors, seed 2) under `cfg`.
 fn ablation_point(
-    spec: &'static NicSpec,
+    spec: &NicSpec,
     dist: ServiceDist,
     cfg: SchedConfig,
     load: f64,

@@ -2,8 +2,6 @@
 //! [`Cluster::audit`], the per-shard quiesce sweep and per-node checks in
 //! `audit_local`, and the test-only leak hook that proves the checker bites.
 
-#![deny(clippy::cast_possible_truncation)]
-
 use super::*;
 use ipipe_sim::audit::CLUSTER_WIDE;
 

@@ -2,8 +2,6 @@
 //! loop), timeout/retransmission, and the reply path with its redirect and
 //! shed handling.
 
-#![deny(clippy::cast_possible_truncation)]
-
 use super::*;
 use ipipe_sim::PoissonArrivals;
 

@@ -3,8 +3,6 @@
 //! measurement / export accessors. Client installation lives in `client.rs`,
 //! the audit in `audit.rs`.
 
-#![deny(clippy::cast_possible_truncation)]
-
 use super::*;
 use crate::dmo::Side;
 use ipipe_nicsim::spec::HOST_XEON;
@@ -19,13 +17,12 @@ fn node_id(i: usize) -> u16 {
 
 /// Builder for a [`Cluster`].
 pub struct ClusterBuilder {
-    spec: &'static NicSpec,
+    spec: NicSpec,
     servers: usize,
     clients: usize,
     mode: RuntimeMode,
     sched: Option<SchedConfig>,
     seed: u64,
-    region_bytes: u64,
     obs: Option<Obs>,
     shards: usize,
     racks: Option<(usize, SimTime)>,
@@ -59,12 +56,6 @@ impl ClusterBuilder {
     /// RNG seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
-        self
-    }
-
-    /// Per-actor DMO region capacity.
-    pub fn region_bytes(mut self, b: u64) -> Self {
-        self.region_bytes = b;
         self
     }
 
@@ -115,7 +106,7 @@ impl ClusterBuilder {
         let mut rng = DetRng::new(self.seed);
         let cfg = self
             .sched
-            .unwrap_or_else(|| SchedConfig::for_nic(self.spec));
+            .unwrap_or_else(|| SchedConfig::for_nic(&self.spec));
         let obs = self.obs.unwrap_or_else(Obs::disabled);
 
         // Contiguous block partition of all node ids (servers then clients):
@@ -155,7 +146,7 @@ impl ClusterBuilder {
                 let nodes: Vec<NodeRt> = (base..server_end.max(base))
                     .map(|i| NodeRt {
                         id: node_id(i),
-                        sched: NicScheduler::with_obs(self.spec, cfg, &obs, node_id(i)),
+                        sched: NicScheduler::with_obs(&self.spec, cfg, &obs, node_id(i)),
                         metrics: RtMetrics::new(&obs, node_id(i)),
                         nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
                         host_queues: (0..HOST_XEON.cores).map(|_| Default::default()).collect(),
@@ -177,7 +168,6 @@ impl ClusterBuilder {
                     base: shard_starts[s],
                     spec: self.spec,
                     mode: self.mode,
-                    region_bytes: self.region_bytes,
                     nodes,
                     n_servers: self.servers,
                     net: snet,
@@ -219,24 +209,10 @@ impl ClusterBuilder {
 }
 
 impl Cluster {
-    /// Start building a cluster around a SmartNIC model.
+    /// Start building a cluster around a SmartNIC model. The card is a
+    /// value: one of `ipipe_nicsim`'s Table 1 constants, a modified copy of
+    /// one, or a synthesized design-space card, held as given.
     pub fn builder(spec: NicSpec) -> ClusterBuilder {
-        // Leak-free: all four cards are 'static consts; match by name.
-        let spec: &'static NicSpec = ipipe_nicsim::spec::ALL_NICS
-            .iter()
-            .copied()
-            .find(|s| s.name == spec.name)
-            .expect("unknown NIC spec; use one of ipipe_nicsim's card constants");
-        Cluster::builder_for(spec)
-    }
-
-    /// Start building a cluster around an explicit `'static` spec.
-    ///
-    /// [`Cluster::builder`] resolves by name against the four Table 1 card
-    /// constants; synthesized design-space cards
-    /// ([`ipipe_nicsim::dse::DesignPoint`]) all share one name and live in
-    /// leaked allocations, so they come through here instead.
-    pub fn builder_for(spec: &'static NicSpec) -> ClusterBuilder {
         ClusterBuilder {
             spec,
             servers: 1,
@@ -244,7 +220,6 @@ impl Cluster {
             mode: RuntimeMode::IPipe,
             sched: None,
             seed: 0xA11CE,
-            region_bytes: 64 << 20,
             obs: None,
             shards: 1,
             racks: None,

@@ -39,9 +39,10 @@ impl ShardState {
 
     pub(super) fn enqueue_host(&mut self, now: SimTime, node: u16, req: Request) {
         let n = self.node_mut(node);
-        let core = (req.flow % n.host_queues.len() as u64) as usize;
-        n.host_queues[core].push_back(req);
-        self.start_host_work(now, node, core as u32);
+        let core =
+            u32::try_from(req.flow % n.host_queues.len() as u64).expect("host cores fit u32");
+        n.host_queues[core as usize].push_back(req);
+        self.start_host_work(now, node, core);
     }
 
     /// Pull the next request onto host `core` unless it is already busy.
@@ -81,6 +82,7 @@ impl ShardState {
             }
             RuntimeMode::IPipe => ring_pop_cost(wire) + BOOKKEEP_COST + dmo_translate_cost(lookups),
         };
+        #[expect(clippy::cast_possible_truncation, reason = "truncates to whole ns")]
         let handler = SimTime::from_ns(
             ((run.charged + host_mem_time(host, run.traffic)).as_ns() as f64
                 / run.slot.host_speedup) as u64,

@@ -100,7 +100,6 @@ impl ShardState {
     }
 
     fn finish_migration(&mut self, now: SimTime, node: u16) {
-        let spec = self.spec;
         let n = self.node_mut(node);
         let Some(mig) = n.sched.finish_migration(now) else {
             return;
@@ -120,7 +119,8 @@ impl ShardState {
             let delay = crate::migrate::PHASE4_PER_REQUEST * i as u64;
             let (at, ev) = match mig.dir.dest() {
                 Side::Host => {
-                    let xfer = self.node_mut(node).push_to_host_ring(spec, &req);
+                    let n = &mut self.nodes[usize::from(node - self.base)];
+                    let xfer = n.push_to_host_ring(&self.spec, &req);
                     (delay + xfer, Ev::RingToHost { node, req })
                 }
                 Side::Nic => (delay, Ev::RingToNic { node, req }),

@@ -30,6 +30,8 @@
 //! | `cost.rs` | ring, memory and emit cost formulas | §2.2, Fig 17 |
 //! | `audit.rs` | conservation audit sweep | DESIGN.md §11 |
 
+#![deny(clippy::cast_possible_truncation)]
+
 mod audit;
 mod client;
 mod cluster;
@@ -58,6 +60,9 @@ use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
 use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
 use shard::{ArrivalKind, PoolKey};
 use std::collections::VecDeque;
+
+/// Capacity of the DMO region each registered actor gets (§3.3).
+const DMO_REGION_BYTES: u64 = 64 << 20;
 
 /// Initial placement of an actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,9 +463,8 @@ struct ShardState {
     shard_id: u16,
     /// First global node id this shard owns (nodes are contiguous).
     base: u16,
-    spec: &'static NicSpec,
+    spec: NicSpec,
     mode: RuntimeMode,
-    region_bytes: u64,
     /// Runtime state for the *server* nodes this shard owns; index is
     /// `global_id` minus `base` (servers occupy the low ids of every block).
     nodes: Vec<NodeRt>,

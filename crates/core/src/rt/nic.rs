@@ -100,8 +100,8 @@ impl ShardState {
     }
 
     fn start_nic_work(&mut self, now: SimTime, node: u16, core: u32) {
-        let spec = self.spec;
-        let n = self.node_mut(node);
+        let spec = &self.spec;
+        let n = &mut self.nodes[usize::from(node - self.base)];
         match n.sched.next_for_core(now, core) {
             None => {}
             Some(Work::Forward(req)) => {
@@ -133,9 +133,9 @@ impl ShardState {
     }
 
     fn exec_on_nic(&mut self, now: SimTime, node: u16, core: u32, req: Request) {
-        let spec = self.spec;
+        let spec = &self.spec;
         let (actor, arrived, wire) = (req.actor, req.arrived, req.wire_size);
-        let n = self.node_mut(node);
+        let n = &mut self.nodes[usize::from(node - self.base)];
         // The actor may have vanished between dispatch and execution
         // (watchdog kill); `run_actor` counts the drop.
         let Some(run) = n.run_actor(now, req) else {

@@ -13,7 +13,7 @@ impl ShardState {
         emits: Vec<Emit>,
         from_nic: bool,
     ) {
-        let (mode, spec) = (self.mode, self.spec);
+        let mode = self.mode;
         for mut e in emits {
             if let Emit::ToActor { after, .. } = &mut e {
                 let delay = std::mem::take(after);
@@ -49,22 +49,22 @@ impl ShardState {
                         payload,
                     };
                     if dst.node != node {
-                        let depart = now + egress_delay(mode, spec, from_nic, wire_size);
+                        let depart = now + egress_delay(mode, &self.spec, from_nic, wire_size);
                         self.send_frame(depart, node, dst.node, PacketKind::Internal, req);
                         continue;
                     }
                     // Local delivery: NIC-side actors go through the traffic
                     // manager; host-side through the ring.
-                    let n = self.node_mut(node);
+                    let n = &mut self.nodes[usize::from(node - self.base)];
                     if n.sched.location(dst.actor) == Some(Loc::Host) {
-                        let xfer = n.push_to_host_ring(spec, &req);
+                        let xfer = n.push_to_host_ring(&self.spec, &req);
                         self.events
                             .schedule_at(now + xfer, Ev::RingToHost { node, req });
                     } else if from_nic {
                         n.sched.on_arrival(now, req);
                         self.kick_nic(now, node);
                     } else {
-                        let xfer = ring_to_nic_latency(spec, wire_size);
+                        let xfer = ring_to_nic_latency(&self.spec, wire_size);
                         self.events
                             .schedule_at(now + xfer, Ev::RingToNic { node, req });
                     }
@@ -75,7 +75,7 @@ impl ShardState {
                     token,
                     payload,
                 } => {
-                    let depart = now + egress_delay(mode, spec, from_nic, wire_size);
+                    let depart = now + egress_delay(mode, &self.spec, from_nic, wire_size);
                     self.send_response(depart, node, dst, wire_size, token, payload);
                 }
             }

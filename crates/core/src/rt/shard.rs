@@ -25,11 +25,11 @@ pub(super) type PoolKey = (SimTime, u16, u16, u64);
 impl ShardState {
     /// Runtime state of server `node`, which this shard must own.
     pub(super) fn node(&self, node: u16) -> &NodeRt {
-        &self.nodes[(node - self.base) as usize]
+        &self.nodes[usize::from(node - self.base)]
     }
 
     pub(super) fn node_mut(&mut self, node: u16) -> &mut NodeRt {
-        &mut self.nodes[(node - self.base) as usize]
+        &mut self.nodes[usize::from(node - self.base)]
     }
 
     /// Earliest pending instant in this shard: its own event queue or the
@@ -145,9 +145,9 @@ impl ShardState {
         let pinned = logic.host_pinned();
         let host_only = self.mode != RuntimeMode::IPipe;
         let on_host = host_only || pinned || placement == Placement::Host;
-        let (spec, region_bytes, now) = (self.spec, self.region_bytes, self.events.now());
-        let n = self.node_mut(node);
-        n.dmo.register_region(id, region_bytes);
+        let now = self.events.now();
+        let n = &mut self.nodes[usize::from(node - self.base)];
+        n.dmo.register_region(id, DMO_REGION_BYTES);
         let mut ctx = ActorCtx::new(now, id, node, &mut n.dmo, &mut n.rng);
         logic.init(&mut ctx);
         // Init cost is setup-time, not measured; init *messages* are routed
@@ -166,7 +166,7 @@ impl ShardState {
                 logic,
                 name: name.to_string(),
                 host_speedup: speedup,
-                state_hot: hint <= spec.cache.l2_bytes as u64,
+                state_hot: hint <= self.spec.cache.l2_bytes as u64,
                 execs: 0,
             },
         );
@@ -234,7 +234,8 @@ impl ShardState {
             dst_node: node,
             flow: 0,
             actor: 0,
-            payload_len: wire_size as u16,
+            payload_len: u16::try_from(wire_size)
+                .expect("wire_size <= MAX_UDP_PAYLOAD was just checked"),
         })
         .expect("payload_len <= MAX_UDP_PAYLOAD was just checked");
         let mut damaged = hdr;

@@ -34,12 +34,13 @@ fn echo_cluster(cost_us: u64) -> (Cluster, Address) {
 /// [`echo_cluster`] cut into `shards` shards (two put the client on its
 /// own).
 fn sharded_echo_cluster(cost_us: u64, shards: usize) -> (Cluster, Address) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(1)
-        .clients(1)
-        .seed(7)
-        .shards(shards)
-        .build();
+    echo_on(Cluster::builder(CN2350).seed(7).shards(shards), cost_us)
+}
+
+/// `b` built with one server and one client, and an echo actor of `cost_us`
+/// on the server's NIC.
+fn echo_on(b: ClusterBuilder, cost_us: u64) -> (Cluster, Address) {
+    let mut c = b.servers(1).clients(1).build();
     let a = c.register_actor(
         0,
         "echo",
@@ -133,26 +134,13 @@ fn a_second_retry_policy_panics() {
     c.set_client_retry(0, lan_retry(), None);
 }
 
-#[test]
-fn throughput_respects_core_limits() {
-    // A 50us handler on a 12-core NIC cannot exceed 12/50us = 240k rps.
-    let cfg = SchedConfig::for_nic(&CN2350)
+/// 50us echoes on `spec` under a saturating closed loop (64 outstanding,
+/// FCFS only, no migration), measured for 10 ms after a 2 ms warm-up.
+fn saturated_echo(spec: NicSpec) -> Cluster {
+    let cfg = SchedConfig::for_nic(&spec)
         .with_discipline(crate::sched::Discipline::FcfsOnly)
         .no_migration();
-    let mut c = Cluster::builder(CN2350)
-        .servers(1)
-        .clients(1)
-        .sched(cfg)
-        .seed(7)
-        .build();
-    let a = c.register_actor(
-        0,
-        "echo",
-        Box::new(Echo {
-            cost: SimTime::from_us(50),
-        }),
-        Placement::Nic,
-    );
+    let (mut c, a) = echo_on(Cluster::builder(spec).sched(cfg).seed(7), 50);
     c.set_client(
         0,
         Box::new(move |rng, _| ClientReq {
@@ -166,9 +154,36 @@ fn throughput_respects_core_limits() {
     c.run_for(SimTime::from_ms(2));
     c.reset_measurements();
     c.run_for(SimTime::from_ms(10));
-    let rps = c.throughput_rps();
+    c
+}
+
+#[test]
+fn throughput_respects_core_limits() {
+    // A 50us handler on a 12-core NIC cannot exceed 12/50us = 240k rps.
+    let rps = saturated_echo(CN2350).throughput_rps();
     assert!(rps < 245_000.0, "rps={rps}");
     assert!(rps > 150_000.0, "rps={rps}");
+}
+
+/// The builder holds any card as given: a synthesized design-space card
+/// builds, runs and audits clean.
+#[test]
+fn a_synthesized_card_runs_and_audits_clean() {
+    let spec = ipipe_nicsim::dse::DesignAxes::tiny().enumerate()[0].spec;
+    let (mut c, a) = echo_on(Cluster::builder(spec).seed(3), 2);
+    c.run_closed_loop(a, 8, 512, SimTime::from_ms(2));
+    assert!(c.completions().count() > 500);
+    c.audit().assert_clean();
+}
+
+/// A modified Table 1 card keeps its modification: a 4-core CN2350 under
+/// saturating load keeps at most 4 NIC cores busy, not the stock 12.
+#[test]
+fn a_modified_card_keeps_its_core_count() {
+    let cores = saturated_echo(NicSpec { cores: 4, ..CN2350 }).nic_cores_used(0);
+    // A core's busy time is charged when its work starts, so the four
+    // executions still running at the end add up to 4 x 50us / 10ms.
+    assert!(cores > 3.5 && cores <= 4.02, "cores={cores}");
 }
 
 #[test]
@@ -266,15 +281,17 @@ fn fig17_shape_ipipe_host_only_costs_more_cpu_than_dpdk() {
 
 struct StatefulEcho {
     cost: SimTime,
+    /// Private state to allocate at init (4MB gives phase 3 something to
+    /// move).
+    state: u64,
 }
 impl ActorLogic for StatefulEcho {
     fn init(&mut self, ctx: &mut ActorCtx<'_>) {
-        // 4MB of private state so phase 3 has something to move.
         // A DMO region exhausted by overload must degrade the actor
         // (smaller private state), not panic the runtime: halve the
         // request until it fits, down to a 4KB floor, and run stateless
         // below that.
-        let mut want: u64 = 4 << 20;
+        let mut want = self.state;
         while want >= 4096 {
             if ctx.dmo().malloc(want).is_ok() {
                 return;
@@ -287,8 +304,16 @@ impl ActorLogic for StatefulEcho {
         ctx.reply(req, 64, None);
     }
     fn state_hint_bytes(&self) -> u64 {
-        4 << 20
+        self.state
     }
+}
+
+/// A [`StatefulEcho`] of `cost_us` with 4MB of state.
+fn stateful_echo(cost_us: u64) -> Box<StatefulEcho> {
+    Box::new(StatefulEcho {
+        cost: SimTime::from_us(cost_us),
+        state: 4 << 20,
+    })
 }
 
 #[test]
@@ -302,14 +327,7 @@ fn forced_migration_moves_actor_and_reports_phases() {
         .sched(cfg)
         .seed(7)
         .build();
-    let a = c.register_actor(
-        0,
-        "stateful-echo",
-        Box::new(StatefulEcho {
-            cost: SimTime::from_us(3),
-        }),
-        Placement::Nic,
-    );
+    let a = c.register_actor(0, "stateful-echo", stateful_echo(3), Placement::Nic);
     c.run_closed_loop(a, 8, 512, SimTime::from_ms(2));
     assert!(c.force_migrate(a));
     c.run_for(SimTime::from_ms(15));
@@ -533,14 +551,7 @@ fn migration_aborts_on_crash_and_retries_after_restart() {
         .sched(cfg)
         .seed(13)
         .build();
-    let a = c.register_actor(
-        0,
-        "stateful-echo",
-        Box::new(StatefulEcho {
-            cost: SimTime::from_us(3),
-        }),
-        Placement::Nic,
-    );
+    let a = c.register_actor(0, "stateful-echo", stateful_echo(3), Placement::Nic);
     c.run_closed_loop(a, 4, 512, SimTime::from_ms(2));
     // Crash the node right as migration starts; window covers phase 1.
     c.set_fault_plan(FaultPlan::new(17).with_crash(0, SimTime::from_ms(2), SimTime::from_ms(8)));
@@ -944,14 +955,7 @@ fn audit_stays_clean_across_forced_migration() {
         period: SimTime::from_us(1),
     });
     c.register_actor(0, "ticker", ticker, Placement::Host);
-    let a = c.register_actor(
-        0,
-        "stateful-echo",
-        Box::new(StatefulEcho {
-            cost: SimTime::from_us(3),
-        }),
-        Placement::Nic,
-    );
+    let a = c.register_actor(0, "stateful-echo", stateful_echo(3), Placement::Nic);
     echo_client(&mut c, a, 16);
     c.run_for(SimTime::from_ms(1));
     c.audit().assert_clean();
@@ -997,9 +1001,7 @@ fn migration_report_covers_exactly_the_time_the_migration_took() {
             .sched(cfg)
             .seed(7)
             .build();
-        let cost = SimTime::from_us(10);
-        let logic = Box::new(StatefulEcho { cost });
-        let a = c.register_actor(0, "stateful-echo", logic, Placement::Nic);
+        let a = c.register_actor(0, "stateful-echo", stateful_echo(10), Placement::Nic);
         let open = OpenLoopCfg {
             rate_rps: 1e6,
             until: SimTime::from_secs(1),
@@ -1158,8 +1160,8 @@ fn retry_timer_reuses_a_superseded_event() {
 }
 
 /// Operation sequences for the retry differential: `(op, a, b)`.
-fn deadline_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    prop::collection::vec((0u8..4, 0u64..64, 0u64..1024), 1..200)
+fn deadline_ops() -> impl Strategy<Value = Vec<(u8, u64, usize)>> {
+    prop::collection::vec((0u8..4, 0u64..64, 0usize..1024), 1..200)
 }
 
 /// The differential's retry policy, in nanoseconds so a few hundred
@@ -1203,7 +1205,7 @@ fn retry_only_client() -> ClientState {
 /// re-arms for must be the reference's first deadline. After every step the
 /// ledger must equal the reference, and `client.retry.timer` must hold over
 /// the pending `RetryDue` instants.
-fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError> {
+fn deadlines_match_reference(ops: Vec<(u8, u64, usize)>) -> Result<(), TestCaseError> {
     let ns = SimTime::from_ns;
     let creq = ClientReq {
         dst: Address { node: 0, actor: 0 },
@@ -1218,8 +1220,7 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
     let mut pending: BTreeSet<SimTime> = BTreeSet::new();
     let (mut now, mut next_token) = (SimTime::ZERO, 0u64);
     for (op, a, b) in ops {
-        let nth_live =
-            |model: &BTreeMap<u64, _>| model.keys().nth(b as usize % model.len().max(1)).copied();
+        let nth_live = |model: &BTreeMap<u64, _>| model.keys().nth(b % model.len().max(1)).copied();
         match op {
             // First transmission of a fresh token; equal deadlines when
             // several go out at one instant.
@@ -1242,7 +1243,7 @@ fn deadlines_match_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseErr
             }
             // Time advances, firing every RetryDue on the way.
             _ => {
-                let until = now + ns(a * b / 16);
+                let until = now + ns(a * b as u64 / 16);
                 while let Some(at) = pending.first().copied().filter(|&at| at <= until) {
                     pending.remove(&at);
                     now = at;
@@ -1371,7 +1372,7 @@ fn sharded_cluster(shards: usize) -> Cluster {
         c.set_client(
             cl,
             Box::new(move |rng, _| ClientReq {
-                dst: targets[rng.below(targets.len() as u64) as usize],
+                dst: targets[rng.index(targets.len())],
                 wire_size: 256,
                 flow: rng.below(1 << 20),
                 payload: None,
@@ -1712,15 +1713,14 @@ fn sharded_and_serial_agree_on_measured_throughput() {
     }
 }
 
-/// DMO exhaustion degrades instead of panicking: with a region far too
-/// small for the actor's preferred 4MB of private state, init falls
-/// back to a smaller allocation and the actor still serves traffic.
+/// DMO exhaustion degrades instead of panicking: an actor asking for
+/// twice its region fails that allocation, falls back to half of it in
+/// init, and still serves traffic.
 #[test]
 fn dmo_exhaustion_degrades_allocation_instead_of_panicking() {
     let mut c = Cluster::builder(CN2350)
         .servers(1)
         .clients(1)
-        .region_bytes(64 << 10)
         .seed(9)
         .build();
     let a = c.register_actor(
@@ -1728,9 +1728,12 @@ fn dmo_exhaustion_degrades_allocation_instead_of_panicking() {
         "stateful-echo",
         Box::new(StatefulEcho {
             cost: SimTime::from_us(3),
+            state: 2 * DMO_REGION_BYTES,
         }),
         Placement::Nic,
     );
+    let usage = c.shards[0].node(0).dmo.region_usage(a.actor);
+    assert_eq!(usage, Some((DMO_REGION_BYTES, DMO_REGION_BYTES)));
     c.run_closed_loop(a, 8, 512, SimTime::from_ms(3));
     let done = c.completions().count();
     assert!(done > 500, "degraded actor must still serve: {done}");
@@ -1782,13 +1785,14 @@ fn overload_shedding_is_byte_identical_across_shard_counts() {
             protect_priority: 1,
             max_backoff: SimTime::from_ms(1),
         });
-        for cl in 0..2 {
-            c.set_client_class(cl, cl as u8);
+        for class in 0..2 {
+            let cl = usize::from(class);
+            c.set_client_class(cl, class);
             let targets = actors.clone();
             c.set_client_open_loop(
                 cl,
                 Box::new(move |rng, _| ClientReq {
-                    dst: targets[rng.below(targets.len() as u64) as usize],
+                    dst: targets[rng.index(targets.len())],
                     wire_size: 256,
                     flow: rng.below(1 << 20),
                     payload: None,

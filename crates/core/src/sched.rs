@@ -320,7 +320,7 @@ pub struct Decision {
 /// The NIC-side scheduler.
 pub struct NicScheduler {
     cfg: SchedConfig,
-    spec: &'static NicSpec,
+    spec: NicSpec,
     /// Shared incoming queue (the hardware traffic manager's abstraction).
     fcfs_queue: VecDeque<Request>,
     /// DRR runnable queue (actor ids) and scan cursor.
@@ -350,18 +350,13 @@ impl NicScheduler {
     /// Build for a card with `cfg`, publishing metrics into a private
     /// registry. Use [`NicScheduler::with_obs`] to share a registry with
     /// the rest of a simulation.
-    pub fn new(spec: &'static NicSpec, cfg: SchedConfig) -> NicScheduler {
+    pub fn new(spec: &NicSpec, cfg: SchedConfig) -> NicScheduler {
         NicScheduler::with_obs(spec, cfg, &Obs::disabled(), 0)
     }
 
     /// Build for a card with `cfg`, registering this scheduler's metrics
     /// under `node` in the shared observability registry.
-    pub fn with_obs(
-        spec: &'static NicSpec,
-        cfg: SchedConfig,
-        obs: &Obs,
-        node: u16,
-    ) -> NicScheduler {
+    pub fn with_obs(spec: &NicSpec, cfg: SchedConfig, obs: &Obs, node: u16) -> NicScheduler {
         let cores = spec.cores as usize;
         // Pure-DRR baseline: every core serves the runnable queue (DRR cores
         // self-dispatch from the shared queue into mailboxes).
@@ -372,7 +367,7 @@ impl NicScheduler {
         };
         NicScheduler {
             cfg,
-            spec,
+            spec: *spec,
             fcfs_queue: VecDeque::new(),
             drr_runnable: VecDeque::new(),
             drr_backlog: 0,
@@ -586,7 +581,7 @@ impl NicScheduler {
         } else {
             actor.size_hint
         };
-        traffic::compute_headroom(self.spec, size.clamp(64, 1500))
+        traffic::compute_headroom(&self.spec, size.clamp(64, 1500))
             .unwrap_or(self.cfg.default_quantum)
             .as_ns() as f64
     }
@@ -600,7 +595,7 @@ impl NicScheduler {
         match (self.spec.kind, self.cfg.offpath) {
             (NicKind::OnPath, _) => SimTime::from_ns(18),
             (NicKind::OffPath, OffPathDispatch::Shuffle) => {
-                traffic::dequeue_sync_cost(self.spec, self.spec.cores)
+                traffic::dequeue_sync_cost(&self.spec, self.spec.cores)
             }
             (NicKind::OffPath, OffPathDispatch::IoKernel) => SimTime::from_ns(25),
         }

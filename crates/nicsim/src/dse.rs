@@ -136,12 +136,9 @@ impl DesignAxes {
         self.len() == 0
     }
 
-    /// Enumerate the full cross product. Each design's spec is leaked to
-    /// `'static` so it can drive the same cluster and fig16 harnesses as the
-    /// Table 1 card constants. The leak is per call, not per grid: every
-    /// call leaks a fresh `NicSpec` (280 bytes) per design, so a process
-    /// that enumerates a grid again and again (the benchmark's `dse-grid`
-    /// does at each of its set-ups) grows by that much per design per call.
+    /// Enumerate the full cross product. Each design holds its card by
+    /// value, so it drives the same cluster and fig16 harnesses as the
+    /// Table 1 card constants and is freed with the returned vector.
     pub fn enumerate(&self) -> Vec<DesignPoint> {
         let mut out = Vec::with_capacity(self.len());
         for &cores in &self.cores {
@@ -149,9 +146,8 @@ impl DesignAxes {
                 for &kind in &self.kinds {
                     for &mem in &self.mems {
                         for &accels in &self.accels {
-                            let spec = synthesize(cores, freq, kind, mem, accels);
                             out.push(DesignPoint {
-                                spec: Box::leak(Box::new(spec)),
+                                spec: synthesize(cores, freq, kind, mem, accels),
                             });
                         }
                     }
@@ -162,21 +158,21 @@ impl DesignAxes {
     }
 }
 
-/// One synthesized NIC design: a leaked `'static` spec plus an identity that
-/// is pure in the spec fields — two enumerations of the same axes (in any
-/// order, from any thread) produce the same ids, so exported results carry
-/// no sweep-order fingerprint.
+/// One synthesized NIC design: its card, held by value, plus an identity
+/// that is pure in the spec fields — two enumerations of the same axes (in
+/// any order, from any thread) produce the same ids, so exported results
+/// carry no sweep-order fingerprint.
 #[derive(Debug, Clone, Copy)]
 pub struct DesignPoint {
     /// The synthesized card model.
-    pub spec: &'static NicSpec,
+    pub spec: NicSpec,
 }
 
 impl DesignPoint {
     /// Stable identity derived from the spec alone:
     /// `c<cores>-f<MHz>-<onp|offp>-m<dram ns>-<acc|soft>`.
     pub fn id(&self) -> String {
-        let s = self.spec;
+        let s = &self.spec;
         format!(
             "c{:02}-f{:04}-{}-m{:03}-{}",
             s.cores,
@@ -305,23 +301,11 @@ mod tests {
     #[test]
     fn ids_render_the_documented_shape() {
         let d = DesignPoint {
-            spec: Box::leak(Box::new(synthesize(
-                4,
-                1.2,
-                NicKind::OnPath,
-                MEM_BASE,
-                true,
-            ))),
+            spec: synthesize(4, 1.2, NicKind::OnPath, MEM_BASE, true),
         };
         assert_eq!(d.id(), "c04-f1200-onp-m115-acc");
         let d = DesignPoint {
-            spec: Box::leak(Box::new(synthesize(
-                16,
-                3.0,
-                NicKind::OffPath,
-                MEM_FAST,
-                false,
-            ))),
+            spec: synthesize(16, 3.0, NicKind::OffPath, MEM_FAST, false),
         };
         assert_eq!(d.id(), "c16-f3000-offp-m085-soft");
     }

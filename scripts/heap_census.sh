@@ -11,9 +11,10 @@
 # reduced to two tables: by site (the innermost frame of this workspace's
 # crates) and by the site with its two nearest callers. Beside the peak live
 # heap it prints the process's VmHWM (peak RSS, read from /proc/self/status
-# at exit; the census's own tables count toward it): a gap much larger than
-# the census's share is memory malloc keeps but the program no longer holds,
-# such as an idle thread's arena.
+# at exit) less the census's own tables (their pages resident at exit,
+# counted with mincore, printed beside it): a gap much larger than the
+# workload's non-heap memory is memory malloc keeps but the program no longer
+# holds, such as an idle thread's arena.
 #   ./scripts/heap_census.sh <workload> [seed]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
 # dse-grid), run once at benchmark/run.sh's default size (20 s, `--scale` 20 /
@@ -33,7 +34,8 @@ cat > "$dir/census.c" <<'EOF'
  * allocators forward to glibc's __libc_* entry points and keep the live
  * byte count (malloc_usable_size), its peak, and the sampled allocations'
  * live bytes per stack. The report goes to stderr at exit as `census` lines,
- * with the process's VmHWM (-1 when /proc/self/status has none).
+ * with the process's VmHWM (-1 when /proc/self/status has none) and the bytes
+ * of the census's own tables resident at exit (-1 when mincore fails).
  * A thread-local guard keeps the census's own calls (backtrace() loads the
  * unwinder with malloc) out of the count. */
 #define _GNU_SOURCE
@@ -46,6 +48,7 @@ cat > "$dir/census.c" <<'EOF'
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 extern void *__libc_malloc(size_t);
@@ -236,12 +239,36 @@ static long long vm_hwm(void) {
     return p ? strtoll(p + 6, NULL, 10) * 1024 : -1;
 }
 
+/* Bytes of the census's tables resident now, counted with mincore over the
+ * pages from the lowest table to the end of the highest (all of it this
+ * library's own data); -1 if mincore fails. */
+static long long tables_resident(void) {
+#define SPAN(x) {(uintptr_t)(x), (uintptr_t)(x) + sizeof(x)}
+    uintptr_t t[][2] = {SPAN(stack_frames), SPAN(stack_depth), SPAN(stack_slot),
+                        SPAN(stack_live),   SPAN(stack_peak),  SPAN(tab)};
+    uintptr_t lo = UINTPTR_MAX, hi = 0;
+    for (size_t i = 0; i < sizeof t / sizeof *t; i++) {
+        if (t[i][0] < lo) lo = t[i][0];
+        if (t[i][1] > hi) hi = t[i][1];
+    }
+    uintptr_t page = (uintptr_t)sysconf(_SC_PAGESIZE), chunk = 4096 * page;
+    unsigned char vec[4096];
+    long long pages = 0;
+    for (uintptr_t a = lo & ~(page - 1); a < hi; a += chunk) {
+        size_t len = hi - a < chunk ? hi - a : chunk;
+        if (mincore((void *)a, len, vec)) return -1;
+        for (size_t i = 0; i < (len + page - 1) / page; i++) pages += vec[i] & 1;
+    }
+    return pages * (long long)page;
+}
+
 __attribute__((destructor)) static void finish(void) {
     busy = 1;
     acquire();
-    fprintf(stderr, "census peak %lld copied %lld allocs %llu dropped %llu vmhwm %lld\n",
+    fprintf(stderr,
+            "census peak %lld copied %lld allocs %llu dropped %llu vmhwm %lld tables %lld\n",
             (long long)peak, (long long)copied, (unsigned long long)allocs,
-            (unsigned long long)dropped, vm_hwm());
+            (unsigned long long)dropped, vm_hwm(), tables_resident());
     for (int s = 0; s < stack_count; s++) {
         if (stack_peak[s] <= 0) continue;
         fprintf(stderr, "census stack %lld", (long long)stack_peak[s]);
@@ -304,7 +331,9 @@ for bytes, s in stacks:
     by_chain[" <- ".join(mine[:3]) if mine else "(no frame of this workspace)"] += bytes
 total = sum(by_site.values())
 mib = 1 << 20
-hwm = f"{head['vmhwm'] / mib:.2f} MiB" if head["vmhwm"] >= 0 else "not read"
+hwm = "not read" if min(head["vmhwm"], head["tables"]) < 0 else (
+    f"{(head['vmhwm'] - head['tables']) / mib:.2f} MiB (the census's own tables,"
+    f" {head['tables'] / mib:.2f} MiB resident, taken out)")
 print(f"peak live heap {head['peak'] / mib:.2f} MiB beside VmHWM {hwm} (census copied at"
       f" {head['copied'] / mib:.2f} MiB), {head['allocs']} allocations, {head['dropped']} samples"
       f" dropped; sampled bytes live at the copy: {total / mib:.2f} MiB\n")
