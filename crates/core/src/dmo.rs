@@ -16,10 +16,16 @@
 //! accounting and migration's byte count. Its bytes exist, zeroed, only as
 //! far as an access has reached: an object nobody reads or writes costs the
 //! host no memory, and one whose tail nobody touches holds only its prefix.
+//!
+//! The table itself is a slab: a `Vec` of slots and a LIFO list of the free
+//! ones. An object id is `generation << 32 | (slot + 1)`, so until the first
+//! free the ids run 1, 2, 3, … and the null id names no slot. Freeing an
+//! object bumps its slot's generation, so a stale handle finds the slot's
+//! new tenant under another generation and reads `NoSuchObject`; a slot
+//! whose generation is spent is retired rather than wrapped.
 
 use crate::actor::ActorId;
 use ipipe_sim::{IdMap, SimTime};
-use std::collections::hash_map::Entry;
 
 /// Which side of the PCIe bus an object currently lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,6 +93,41 @@ struct Region {
     used: u64,
 }
 
+/// One slab slot: the generation its next (or current) tenant's id carries,
+/// and the tenant, if any.
+struct Slot {
+    generation: u32,
+    entry: Option<DmoEntry>,
+}
+
+/// The id of `slot`'s tenant of `generation`: the slot plus one in the low
+/// word (so the null id names no slot), the generation in the high word.
+fn join(slot: usize, generation: u32) -> ObjectId {
+    ObjectId(u64::from(generation) << 32 | (slot as u64 + 1))
+}
+
+/// The slot and generation an id names; [`join`] undone.
+fn split(obj: ObjectId) -> (usize, u32) {
+    let low = obj.0 as u32;
+    (low.wrapping_sub(1) as usize, (obj.0 >> 32) as u32)
+}
+
+/// The live object `obj` names: its slot holds a tenant of its generation.
+#[inline]
+fn live(slots: &[Slot], obj: ObjectId) -> Option<&DmoEntry> {
+    let (slot, generation) = split(obj);
+    let s = slots.get(slot)?;
+    s.entry.as_ref().filter(|_| s.generation == generation)
+}
+
+/// [`live`], mutably.
+#[inline]
+fn live_mut(slots: &mut [Slot], obj: ObjectId) -> Option<&mut DmoEntry> {
+    let (slot, generation) = split(obj);
+    let s = slots.get_mut(slot)?;
+    s.entry.as_mut().filter(|_| s.generation == generation)
+}
+
 /// The owner check on the result of a table probe: `found` is `actor`'s
 /// object `obj`, or the access traps.
 fn owned<E: std::ops::Deref<Target = DmoEntry>>(
@@ -115,9 +156,10 @@ pub struct DmoTraffic {
 /// The per-node object table.
 pub struct DmoTable {
     default_side: Side,
-    objects: IdMap<u64, DmoEntry>,
+    slots: Vec<Slot>,
+    /// Free slots, the most recently freed last.
+    free: Vec<u32>,
     regions: IdMap<ActorId, Region>,
-    next_id: u64,
     traffic: DmoTraffic,
 }
 
@@ -126,11 +168,43 @@ impl DmoTable {
     pub fn new(default_side: Side) -> DmoTable {
         DmoTable {
             default_side,
-            objects: IdMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
             regions: IdMap::default(),
-            next_id: 1,
             traffic: DmoTraffic::default(),
         }
+    }
+
+    /// The slot the next object goes in: the last one freed, else a new
+    /// one.
+    fn vacant_slot(&mut self) -> usize {
+        if let Some(slot) = self.free.pop() {
+            return slot as usize;
+        }
+        // An id's low word is the slot plus one.
+        u32::try_from(self.slots.len() + 1).expect("fewer than 2^32 DMO slots");
+        self.slots.push(Slot {
+            generation: 0,
+            entry: None,
+        });
+        self.slots.len() - 1
+    }
+
+    /// Empty `slot` and move its generation on, so no id issued for it so
+    /// far names it again. A spent generation retires the slot.
+    fn vacate(&mut self, slot: usize) {
+        let s = &mut self.slots[slot];
+        s.entry = None;
+        if let Some(next) = s.generation.checked_add(1) {
+            s.generation = next;
+            self.free.push(slot as u32);
+        }
+    }
+
+    /// The live objects with their ids.
+    fn objects(&self) -> impl Iterator<Item = (ObjectId, &DmoEntry)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(slot, s)| Some((join(slot, s.generation), s.entry.as_ref()?)))
     }
 
     /// Register an actor's region of `capacity` bytes (§3.3 initialization:
@@ -143,7 +217,15 @@ impl DmoTable {
     /// Remove an actor's region and free all of its objects (actor teardown
     /// or DoS deregistration, §3.4).
     pub fn drop_actor(&mut self, actor: ActorId) {
-        self.objects.retain(|_, e| e.owner != actor);
+        for slot in 0..self.slots.len() {
+            if self.slots[slot]
+                .entry
+                .as_ref()
+                .is_some_and(|e| e.owner == actor)
+            {
+                self.vacate(slot);
+            }
+        }
         self.regions.remove(&actor);
     }
 
@@ -158,29 +240,22 @@ impl DmoTable {
             .checked_add(size)
             .filter(|&used| used <= region.capacity)
             .ok_or(DmoError::OutOfMemory { actor })?;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.objects.insert(
-            id,
-            DmoEntry {
-                owner: actor,
-                side: self.default_side,
-                size,
-                data: Box::default(),
-            },
-        );
-        Ok(ObjectId(id))
+        let slot = self.vacant_slot();
+        let s = &mut self.slots[slot];
+        s.entry = Some(DmoEntry {
+            owner: actor,
+            side: self.default_side,
+            size,
+            data: Box::default(),
+        });
+        Ok(join(slot, s.generation))
     }
 
-    /// Free a DMO.
+    /// Free a DMO. Its slot's generation moves on, so `obj` never names
+    /// the slot's next tenant; a slot whose generation is spent is retired.
     pub fn free(&mut self, actor: ActorId, obj: ObjectId) -> Result<(), DmoError> {
-        let Entry::Occupied(slot) = self.objects.entry(obj.0) else {
-            return Err(DmoError::NoSuchObject(obj));
-        };
-        if slot.get().owner != actor {
-            return Err(DmoError::Protection { actor, object: obj });
-        }
-        let freed = slot.remove().size;
+        let freed = owned(live(&self.slots, obj), actor, obj)?.size;
+        self.vacate(split(obj).0);
         if let Some(r) = self.regions.get_mut(&actor) {
             r.used = r.used.saturating_sub(freed);
         }
@@ -201,7 +276,7 @@ impl DmoTable {
         offset: u64,
         len: u64,
     ) -> Result<&mut [u8], DmoError> {
-        let entry = owned(self.objects.get_mut(&obj.0), actor, obj)?;
+        let entry = owned(live_mut(&mut self.slots, obj), actor, obj)?;
         self.traffic.lookups += 1;
         let end = offset
             .checked_add(len)
@@ -287,22 +362,21 @@ impl DmoTable {
 
     /// Size of an object.
     pub fn size_of(&self, actor: ActorId, obj: ObjectId) -> Result<u64, DmoError> {
-        owned(self.objects.get(&obj.0), actor, obj).map(|e| e.size)
+        owned(live(&self.slots, obj), actor, obj).map(|e| e.size)
     }
 
     /// Which side an object currently lives on.
     pub fn side_of(&self, obj: ObjectId) -> Option<Side> {
-        self.objects.get(&obj.0).map(|e| e.side)
+        live(&self.slots, obj).map(|e| e.side)
     }
 
     /// All objects owned by `actor` with their sizes (migration phase 3
     /// collects these).
     pub fn objects_of(&self, actor: ActorId) -> Vec<(ObjectId, u64)> {
         let mut v: Vec<_> = self
-            .objects
-            .iter()
+            .objects()
             .filter(|(_, e)| e.owner == actor)
-            .map(|(&id, e)| (ObjectId(id), e.size))
+            .map(|(id, e)| (id, e.size))
             .collect();
         v.sort();
         v
@@ -310,10 +384,9 @@ impl DmoTable {
 
     /// Total bytes of `actor`'s objects.
     pub fn actor_state_bytes(&self, actor: ActorId) -> u64 {
-        self.objects
-            .values()
-            .filter(|e| e.owner == actor)
-            .map(|e| e.size)
+        self.objects()
+            .filter(|(_, e)| e.owner == actor)
+            .map(|(_, e)| e.size)
             .sum()
     }
 
@@ -322,7 +395,7 @@ impl DmoTable {
     /// Returns the number of bytes that crossed PCIe.
     pub fn migrate_actor(&mut self, actor: ActorId, to: Side) -> u64 {
         let mut moved = 0;
-        for e in self.objects.values_mut() {
+        for e in self.slots.iter_mut().filter_map(|s| s.entry.as_mut()) {
             if e.owner == actor && e.side != to {
                 e.side = to;
                 moved += e.size;
@@ -344,7 +417,7 @@ impl DmoTable {
     /// The bytes `obj` holds on the host: the prefix its accesses reached.
     #[cfg(test)]
     pub(crate) fn held_bytes(&self, obj: ObjectId) -> usize {
-        self.objects[&obj.0].data.len()
+        live(&self.slots, obj).expect("a live object").data.len()
     }
 
     /// Borrow the table scoped to one actor (what `ActorCtx::dmo` hands out).
@@ -724,12 +797,18 @@ mod tests {
     /// Naive reference for [`DmoTable`]: a sorted map, with the rules of the
     /// modelled accounting written out. One lookup per access to an object
     /// the actor owns, counted before the bounds check; bytes only on
-    /// success; nothing for `malloc`, `free` and `size_of`.
+    /// success; nothing for `malloc`, `free` and `size_of`. Ids follow the
+    /// slab's rule: the most recently freed slot first, else a new one; the
+    /// slot plus one in the low word, its generation (bumped by each free)
+    /// in the high word.
     struct Model {
         objects: std::collections::BTreeMap<u64, (ActorId, Vec<u8>)>,
         used: std::collections::BTreeMap<ActorId, u64>,
         capacity: u64,
-        next_id: u64,
+        /// Each slot's next or current tenant's generation.
+        generations: Vec<u32>,
+        /// Free slots, the most recently freed last.
+        free: Vec<usize>,
         traffic: DmoTraffic,
     }
 
@@ -777,8 +856,11 @@ mod tests {
                 Some(sum) if sum <= self.capacity => *used = sum,
                 _ => return Err(DmoError::OutOfMemory { actor }),
             }
-            let id = self.next_id;
-            self.next_id += 1;
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.generations.push(0);
+                self.generations.len() - 1
+            });
+            let id = u64::from(self.generations[slot]) << 32 | (slot as u64 + 1);
             self.objects.insert(id, (actor, vec![0; size as usize]));
             Ok(ObjectId(id))
         }
@@ -787,7 +869,29 @@ mod tests {
             self.owned(actor, obj)?;
             let (_, data) = self.objects.remove(&obj.0).unwrap();
             *self.used.get_mut(&actor).unwrap() -= data.len() as u64;
+            let slot = (obj.0 & 0xFFFF_FFFF) as usize - 1;
+            self.generations[slot] += 1;
+            self.free.push(slot);
             Ok(())
+        }
+
+        /// A handle to draw: a slot in use, one past the end (never
+        /// allocated) or none (low word 0, the null id at generation 0),
+        /// under the slot's current generation (live, or not yet issued
+        /// for a free slot), the one before (freed) or the one after.
+        fn handle(&self, rng: &mut ipipe_sim::DetRng) -> ObjectId {
+            let low = rng.below(self.generations.len() as u64 + 2);
+            let current = (low as usize)
+                .checked_sub(1)
+                .and_then(|slot| self.generations.get(slot))
+                .copied()
+                .unwrap_or(0);
+            let generation = match rng.below(4) {
+                0 => current.saturating_sub(1),
+                1 => current + 1,
+                _ => current,
+            };
+            ObjectId(u64::from(generation) << 32 | low)
         }
 
         fn size_of(&self, actor: ActorId, obj: ObjectId) -> Result<u64, DmoError> {
@@ -814,19 +918,21 @@ mod tests {
             objects: Default::default(),
             used: [(1, 0), (2, 0)].into(),
             capacity: CAP,
-            next_id: 1,
+            generations: Vec::new(),
+            free: Vec::new(),
             traffic: DmoTraffic::default(),
         };
         let mut rng = DetRng::new(0xD30);
         let mut errors = [0u32; 4];
         for step in 0..20_000u32 {
-            // Actor 3 has no region; ids range over null, freed, live and
-            // never-allocated objects; offsets and lengths overshoot often,
-            // and an offset near `u64::MAX` wraps `offset + len`.
+            // Actor 3 has no region; ids range over null, freed, live,
+            // stale-generation and never-allocated objects; offsets and
+            // lengths overshoot often, and an offset near `u64::MAX` wraps
+            // `offset + len`.
             let actors = if rng.chance(0.02) { 3 } else { 2 };
             let actor = 1 + rng.below(actors) as ActorId;
-            let obj = ObjectId(rng.below(m.next_id + 2));
-            let other = ObjectId(rng.below(m.next_id + 2));
+            let obj = m.handle(&mut rng);
+            let other = m.handle(&mut rng);
             let mut offset = || {
                 if rng.chance(0.05) {
                     u64::MAX - rng.below(72)
@@ -914,6 +1020,79 @@ mod tests {
         }
         // Every error path was taken often enough to mean something.
         assert!(errors.iter().all(|&n| n > 100), "{errors:?}");
+    }
+
+    #[test]
+    fn a_freed_handle_never_reaches_the_object_that_reuses_its_slot() {
+        let mut t = table_with(1, 4096);
+        t.register_region(2, 4096);
+        let old = t.malloc(1, 64).unwrap();
+        let kept = t.malloc(1, 8).unwrap();
+        // Until the first free, ids are 1, 2, 3, ...
+        assert_eq!((old, kept), (ObjectId(1), ObjectId(2)));
+        t.write(1, old, 0, b"old").unwrap();
+        t.free(1, old).unwrap();
+        let new = t.malloc(1, 32).unwrap();
+        assert_eq!(
+            split(new),
+            (split(old).0, 1),
+            "the freed slot, next generation"
+        );
+        t.write(1, new, 0, b"new").unwrap();
+        t.take_traffic();
+        let gone = DmoError::NoSuchObject(old);
+        assert_eq!(t.read(1, old, 0, 3).unwrap_err(), gone);
+        assert_eq!(t.write(1, old, 0, b"x").unwrap_err(), gone);
+        assert_eq!(t.free(1, old).unwrap_err(), gone);
+        assert_eq!(t.size_of(1, old).unwrap_err(), gone);
+        assert_eq!(t.side_of(old), None);
+        assert_eq!(t.take_traffic(), DmoTraffic::default());
+        assert_eq!(t.read(1, new, 0, 3).unwrap(), b"new");
+        assert_eq!(t.objects_of(1), vec![(kept, 8), (new, 32)]);
+        assert_eq!(t.region_usage(1), Some((40, 4096)));
+        // Another actor's tenant of a reused slot: the stale handle still
+        // finds nothing, the live one traps for anyone but its owner.
+        t.free(1, new).unwrap();
+        let foreign = t.malloc(2, 16).unwrap();
+        assert_eq!(split(foreign).0, split(old).0);
+        for stale in [old, new] {
+            let gone = DmoError::NoSuchObject(stale);
+            assert_eq!(t.read(1, stale, 0, 1).unwrap_err(), gone);
+            assert_eq!(t.read(2, stale, 0, 1).unwrap_err(), gone);
+        }
+        let trap = DmoError::Protection {
+            actor: 1,
+            object: foreign,
+        };
+        assert_eq!(t.read(1, foreign, 0, 1).unwrap_err(), trap);
+        assert_eq!(t.free(1, foreign).unwrap_err(), trap);
+        // The null handle and one past the last slot name nothing.
+        for nothing in [ObjectId::NULL, ObjectId(3), ObjectId(1 << 32)] {
+            assert_eq!(t.size_of(1, nothing), Err(DmoError::NoSuchObject(nothing)));
+        }
+    }
+
+    #[test]
+    fn a_slot_whose_generation_is_spent_is_retired_not_wrapped() {
+        let mut t = table_with(1, 4096);
+        let first = t.malloc(1, 8).unwrap();
+        t.free(1, first).unwrap();
+        t.slots[0].generation = u32::MAX - 1;
+        let penultimate = t.malloc(1, 8).unwrap();
+        t.free(1, penultimate).unwrap();
+        let last = t.malloc(1, 8).unwrap();
+        assert_eq!(last, ObjectId(u64::from(u32::MAX) << 32 | 1));
+        t.free(1, last).unwrap();
+        // Slot 0 is spent: it stays empty and off the free list.
+        assert!(t.free.is_empty());
+        let next = t.malloc(1, 8).unwrap();
+        assert_eq!(next, ObjectId(2), "a new slot, not generation 0 of slot 0");
+        for stale in [first, penultimate, last] {
+            assert_eq!(t.size_of(1, stale), Err(DmoError::NoSuchObject(stale)));
+            assert_eq!(t.free(1, stale), Err(DmoError::NoSuchObject(stale)));
+        }
+        assert_eq!(t.objects_of(1), vec![(next, 8)]);
+        assert_eq!(t.region_usage(1), Some((8, 4096)));
     }
 
     #[test]

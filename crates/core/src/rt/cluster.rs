@@ -151,7 +151,7 @@ impl ClusterBuilder {
                         nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
                         host_queues: (0..HOST_XEON.cores).map(|_| Default::default()).collect(),
                         host_inflight: (0..HOST_XEON.cores).map(|_| None).collect(),
-                        actors: IdMap::default(),
+                        actors: DenseMap::default(),
                         dmo: DmoTable::new(Side::Nic),
                         rng: std::mem::replace(&mut node_rngs[i], DetRng::new(0)),
                         host_acct: HostCpuAccounting::new(),
@@ -518,7 +518,7 @@ impl Cluster {
 
     /// The name an actor was registered under.
     pub fn actor_name(&self, addr: Address) -> Option<&str> {
-        let slot = self.node(addr.node).actors.get(&addr.actor)?;
+        let slot = self.node(addr.node).actors.get(addr.actor)?;
         Some(&slot.name)
     }
 

@@ -105,7 +105,7 @@ impl ShardState {
             return;
         };
         let actor = mig.actor;
-        let name = n.actors.get(&actor).map_or("", |s| s.name.as_str());
+        let name = n.actors.get(actor).map_or("", |s| s.name.as_str());
         let forwarded = mig.parked.len() as u64;
         let report = mig.report(name, n.dmo.actor_state_bytes(actor), forwarded);
         report.record_to(self.obs.registry(), node);

@@ -57,7 +57,7 @@ use ipipe_nicsim::host::HostCpuAccounting;
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
-use ipipe_sim::{DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
+use ipipe_sim::{DenseMap, DetRng, EpochStats, EventQueue, Histogram, IdMap, MergePool, SimTime};
 use shard::{ArrivalKind, PoolKey};
 use std::collections::VecDeque;
 
@@ -343,7 +343,7 @@ struct NodeRt {
     nic_inflight: Vec<Option<InFlight>>,
     host_queues: Vec<VecDeque<Request>>,
     host_inflight: Vec<Option<InFlight>>,
-    actors: IdMap<ActorId, ActorSlot>,
+    actors: DenseMap<ActorSlot>,
     dmo: DmoTable,
     rng: DetRng,
     host_acct: HostCpuAccounting,

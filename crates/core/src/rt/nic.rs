@@ -26,7 +26,7 @@ impl NodeRt {
     /// drop is counted to keep the conservation ledger exact instead of
     /// losing it silently.
     pub(super) fn run_actor(&mut self, now: SimTime, req: Request) -> Option<ActorRun<'_>> {
-        let Some(slot) = self.actors.get_mut(&req.actor) else {
+        let Some(slot) = self.actors.get_mut(req.actor) else {
             self.metrics.drop_no_actor.inc();
             return None;
         };
@@ -155,7 +155,7 @@ impl ShardState {
         n.watchdog.arm(core, actor, now);
         if let Some(offender) = n.watchdog.check_execution(core, now + busy) {
             n.sched.deregister(offender);
-            n.actors.remove(&offender);
+            n.actors.remove(offender);
             n.dmo.drop_actor(offender);
             n.metrics.watchdog_kills.inc();
             // The core is released after the timeout budget.
@@ -212,7 +212,7 @@ impl ShardState {
     pub(super) fn handle_nic_free(&mut self, now: SimTime, node: u16, core: u32) {
         let n = self.node_mut(node);
         let inflight = n.nic_inflight[core as usize].take().expect("core was busy");
-        if !inflight.forward_only || n.actors.contains_key(&inflight.actor) {
+        if !inflight.forward_only || n.actors.contains_key(inflight.actor) {
             n.sched.on_complete(
                 now,
                 core,

@@ -39,7 +39,7 @@ use ipipe_nicsim::spec::NicSpec;
 use ipipe_nicsim::traffic;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs};
-use ipipe_sim::{IdMap, SimTime, TailEstimator};
+use ipipe_sim::{DenseMap, SimTime, TailEstimator};
 use std::cmp::{Ordering, Reverse};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -303,7 +303,7 @@ pub struct Snapshot<'a> {
     /// No push or pull begins before this instant.
     pub cooldown_until: SimTime,
     /// Every registered actor's scheduling state.
-    pub actors: &'a IdMap<ActorId, ActorSched>,
+    pub actors: &'a DenseMap<ActorSched>,
     /// The DRR runnable queue, in scan order.
     pub drr_runnable: &'a VecDeque<ActorId>,
 }
@@ -329,7 +329,7 @@ pub struct NicScheduler {
     /// maintained incrementally so the DRR idle check and the core
     /// rebalancer don't rescan every actor on the hot path.
     drr_backlog: usize,
-    actors: IdMap<ActorId, ActorSched>,
+    actors: DenseMap<ActorSched>,
     /// FCFS group sojourn statistics: the `T_mean` and `T_tail` of ALG 1.
     fcfs_group: TailEstimator,
     /// Core modes; core 0 always stays FCFS.
@@ -371,7 +371,7 @@ impl NicScheduler {
             fcfs_queue: VecDeque::new(),
             drr_runnable: VecDeque::new(),
             drr_backlog: 0,
-            actors: IdMap::default(),
+            actors: DenseMap::default(),
             fcfs_group: TailEstimator::new(cfg.ewma_alpha),
             modes,
             util: vec![CoreUtil::new(cfg.util_window, cfg.ewma_alpha); cores],
@@ -406,12 +406,12 @@ impl NicScheduler {
 
     /// Keep `actor` on the host for good: ALG 1 never pulls it.
     pub fn pin(&mut self, actor: ActorId) {
-        self.actors.get_mut(&actor).expect("registered").pinned = true;
+        self.actors.get_mut(actor).expect("registered").pinned = true;
     }
 
     /// A host core ran `actor`'s request in `latency`: ALG 1's pull reads it.
     pub fn on_host_complete(&mut self, actor: ActorId, latency: SimTime) {
-        if let Some(a) = self.actors.get_mut(&actor) {
+        if let Some(a) = self.actors.get_mut(actor) {
             a.stats.on_complete(latency);
         }
     }
@@ -424,7 +424,7 @@ impl NicScheduler {
     /// its migration runs on empty.
     pub fn deregister(&mut self, actor: ActorId) {
         self.drr_runnable_remove(actor);
-        if let Some(a) = self.actors.remove(&actor) {
+        if let Some(a) = self.actors.remove(actor) {
             self.metrics.dropped.add(a.mailbox.len() as u64);
         }
         if let Some(m) = self.migration.as_mut().filter(|m| m.actor == actor) {
@@ -440,7 +440,7 @@ impl NicScheduler {
     /// Add `actor` to the DRR runnable queue, folding its queued mail into
     /// the backlog counter. The actor must be registered.
     fn drr_runnable_push(&mut self, actor: ActorId) {
-        self.drr_backlog += self.actors[&actor].mailbox.len();
+        self.drr_backlog += self.actors[actor].mailbox.len();
         self.drr_runnable.push_back(actor);
     }
 
@@ -450,13 +450,13 @@ impl NicScheduler {
         let before = self.drr_runnable.len();
         self.drr_runnable.retain(|&x| x != actor);
         if self.drr_runnable.len() != before {
-            self.drr_backlog -= self.actors.get(&actor).map_or(0, |a| a.mailbox.len());
+            self.drr_backlog -= self.actors.get(actor).map_or(0, |a| a.mailbox.len());
         }
     }
 
     /// Update an actor's location: a migration's mark, end or abort.
     fn set_location(&mut self, actor: ActorId, loc: Loc) {
-        let Some(a) = self.actors.get_mut(&actor) else {
+        let Some(a) = self.actors.get_mut(actor) else {
             return;
         };
         a.loc = loc;
@@ -479,7 +479,7 @@ impl NicScheduler {
     /// Current location of an actor.
     #[inline]
     pub fn location(&self, actor: ActorId) -> Option<Loc> {
-        self.actors.get(&actor).map(|a| a.loc)
+        self.actors.get(actor).map(|a| a.loc)
     }
 
     /// The migration in flight, if any.
@@ -534,7 +534,7 @@ impl NicScheduler {
     /// Whether the actor is currently DRR-served.
     #[inline]
     pub fn is_drr(&self, actor: ActorId) -> bool {
-        self.actors.get(&actor).map(|a| a.is_drr).unwrap_or(false)
+        self.actors.get(actor).map(|a| a.is_drr).unwrap_or(false)
     }
 
     /// Shared-queue depth (diagnostics).
@@ -555,7 +555,7 @@ impl NicScheduler {
 
     /// A request arrived at the NIC ingress.
     pub fn on_arrival(&mut self, now: SimTime, req: Request) {
-        if let Some(a) = self.actors.get_mut(&req.actor) {
+        if let Some(a) = self.actors.get_mut(req.actor) {
             a.stats.on_arrival(now, req.wire_size);
         }
         self.fcfs_queue.push_back(req);
@@ -637,7 +637,7 @@ impl NicScheduler {
     /// `drop_unknown`: then it is dropped and counted, as `next_fcfs` does.
     fn dispatch_to_mailboxes(&mut self, drop_unknown: bool) {
         while let Some(actor) = self.fcfs_queue.front().map(|r| r.actor) {
-            match self.actors.get_mut(&actor) {
+            match self.actors.get_mut(actor) {
                 Some(a) if a.is_drr && a.loc == Loc::Nic => {
                     a.mailbox
                         .push_back(self.fcfs_queue.pop_front().expect("checked front"));
@@ -657,7 +657,7 @@ impl NicScheduler {
     /// migrating actor and dispatch must start over.
     fn next_fcfs(&mut self) -> ControlFlow<Option<Work>> {
         while let Some(req) = self.fcfs_queue.pop_front() {
-            let Some(a) = self.actors.get_mut(&req.actor) else {
+            let Some(a) = self.actors.get_mut(req.actor) else {
                 // Unknown actor (killed): drop the request.
                 self.metrics.dropped.inc();
                 continue;
@@ -699,7 +699,7 @@ impl NicScheduler {
         // all mailboxes empty (a zero backlog) the core goes idle.
         if self.drr_backlog == 0 {
             // ALG 2 line 16 for everyone: empty mailboxes zero the deficit.
-            for id in &self.drr_runnable {
+            for &id in &self.drr_runnable {
                 if let Some(a) = self.actors.get_mut(id) {
                     a.deficit = 0.0;
                 }
@@ -721,9 +721,9 @@ impl NicScheduler {
         for _ in 0..self.drr_runnable.len() {
             let actor_id = *self.drr_runnable.front().expect("non-empty loop");
             self.drr_runnable.rotate_left(1);
-            let a = &self.actors[&actor_id];
+            let a = &self.actors[actor_id];
             let quantum = (!a.mailbox.is_empty()).then(|| self.quantum(a));
-            let a = self.actors.get_mut(&actor_id).expect("registered");
+            let a = self.actors.get_mut(actor_id).expect("registered");
             match quantum {
                 None => {
                     a.deficit = 0.0; // ALG 2 line 16
@@ -759,7 +759,7 @@ impl NicScheduler {
         busy: SimTime,
     ) {
         self.util[core as usize].on_busy(now, busy);
-        let was_drr = self.actors.get_mut(&actor).is_some_and(|a| {
+        let was_drr = self.actors.get_mut(actor).is_some_and(|a| {
             a.stats.on_complete_busy(sojourn, busy);
             a.is_drr
         });
@@ -802,7 +802,7 @@ impl NicScheduler {
     /// queued for the runtime (a pull victim turns `Migrating` when taken).
     fn apply(&mut self, now: SimTime, d: Decision) {
         if let Some((id, group)) = d.regroup {
-            let a = self.actors.get_mut(&id).expect("registered");
+            let a = self.actors.get_mut(id).expect("registered");
             a.is_drr = group == CoreMode::Drr;
             a.last_regroup = now;
             if a.is_drr {
@@ -910,7 +910,7 @@ impl NicScheduler {
 
     /// Per-actor scheduling state (read-only).
     pub fn actor(&self, id: ActorId) -> Option<&ActorSched> {
-        self.actors.get(&id)
+        self.actors.get(id)
     }
 
     /// Migration phase 2: park the moving actor's mailbox ahead of the
@@ -925,7 +925,7 @@ impl NicScheduler {
         let Some(m) = self.migration.as_mut() else {
             return 0;
         };
-        let Some(a) = self.actors.get_mut(&m.actor) else {
+        let Some(a) = self.actors.get_mut(m.actor) else {
             return 0;
         };
         let moved = a.mailbox.len();
@@ -977,7 +977,7 @@ impl NicScheduler {
         let runnable_mail: usize = self
             .drr_runnable
             .iter()
-            .map(|id| self.actors.get(id).map(|a| a.mailbox.len()).unwrap_or(0))
+            .map(|&id| self.actors.get(id).map(|a| a.mailbox.len()).unwrap_or(0))
             .sum();
         r.check(
             "sched.drr_backlog",
@@ -1005,17 +1005,17 @@ impl NicScheduler {
         for &id in &runnable {
             let ok = self
                 .actors
-                .get(&id)
+                .get(id)
                 .map(|a| a.is_drr && a.loc == Loc::Nic)
                 .unwrap_or(false);
             r.check("sched.runnable.membership", node, ok, || {
                 format!("runnable actor {id} is not a DRR actor on the NIC")
             });
         }
-        let mut ids: Vec<ActorId> = self.actors.keys().copied().collect();
+        let mut ids: Vec<ActorId> = self.actors.iter().map(|(id, _)| id).collect();
         ids.sort_unstable();
         for id in ids {
-            let a = &self.actors[&id];
+            let a = &self.actors[id];
             let served = (a.is_drr && a.loc == Loc::Nic) || a.loc == Loc::Migrating;
             if !a.mailbox.is_empty() && !served {
                 let detail = format!(
@@ -1066,7 +1066,7 @@ pub fn decide(s: &Snapshot) -> Decision {
     let alg1 = managing.then(|| alg1(s)).flatten();
     // ALG 2 line 18: a DRR actor with an overlong mailbox is pushed.
     let overlong = |a: &ActorSched| a.is_drr && a.loc == Loc::Nic && a.mailbox.len() > cfg.q_thresh;
-    let q_push = open && s.actors.get(&s.actor).is_some_and(overlong);
+    let q_push = open && s.actors.get(s.actor).is_some_and(overlong);
     Decision {
         regroup: hybrid.then(|| regroup(s)).flatten(),
         migrate: alg1.or(q_push.then_some(Action::PushMigrate(s.actor))),
@@ -1106,8 +1106,8 @@ fn regroup(s: &Snapshot) -> Option<(ActorId, CoreMode)> {
         // Equal dispersions tie-break on the id, not on map order.
         candidates
             .filter(|(_, a)| a.stats.dispersion().as_ns() > 3 * median)
-            .max_by_key(|(&id, a)| (a.stats.dispersion(), Reverse(id)))
-            .map(|(&id, _)| (id, CoreMode::Drr))
+            .max_by_key(|&(id, a)| (a.stats.dispersion(), Reverse(id)))
+            .map(|(id, _)| (id, CoreMode::Drr))
     } else if (tail.as_ns() as f64) < (1.0 - cfg.alpha) * cfg.tail_thresh.as_ns() as f64 {
         // Upgrade the DRR actor with the lowest dispersion — but never
         // one that still disperses far beyond its peers (it would drag
@@ -1117,7 +1117,8 @@ fn regroup(s: &Snapshot) -> Option<(ActorId, CoreMode)> {
         let mut candidates = s
             .drr_runnable
             .iter()
-            .filter(|id| {
+            .copied()
+            .filter(|&id| {
                 let a = &s.actors[id];
                 // The downgrade's `observed()` gate too: a never-executed
                 // actor's dispersion is 0, the calmest on noise alone.
@@ -1127,9 +1128,9 @@ fn regroup(s: &Snapshot) -> Option<(ActorId, CoreMode)> {
         candidates.peek()?;
         let median = median_dispersion(s.actors);
         candidates
-            .filter(|id| s.actors[id].stats.dispersion().as_ns() <= 3 * median)
-            .min_by_key(|id| s.actors[id].stats.dispersion())
-            .map(|&id| (id, CoreMode::Fcfs))
+            .filter(|&id| s.actors[id].stats.dispersion().as_ns() <= 3 * median)
+            .min_by_key(|&id| s.actors[id].stats.dispersion())
+            .map(|id| (id, CoreMode::Fcfs))
     } else {
         None
     }
@@ -1137,7 +1138,7 @@ fn regroup(s: &Snapshot) -> Option<(ActorId, CoreMode)> {
 
 /// Median dispersion (ns, at least 1) over the observed actors on the
 /// NIC: what "stands out from its peers" is measured against.
-fn median_dispersion(actors: &IdMap<ActorId, ActorSched>) -> u64 {
+fn median_dispersion(actors: &DenseMap<ActorSched>) -> u64 {
     let mut dispersions: Vec<u64> = actors
         .values()
         .filter(|a| a.loc == Loc::Nic && a.stats.observed())
@@ -1156,7 +1157,7 @@ fn alg1(s: &Snapshot) -> Option<Action> {
         s.actors
             .iter()
             .filter(move |(_, a)| keep(a))
-            .map(|(&id, a)| (id, a.stats.load()))
+            .map(|(id, a)| (id, a.stats.load()))
     };
     if mean > s.cfg.mean_thresh {
         // Push the actor contributing the most load. Both victim scans
@@ -1207,7 +1208,7 @@ mod tests {
 
         /// Put `actor`, whose mailbox is empty, in DRR service.
         fn make_drr(&mut self, actor: ActorId) {
-            self.actors.get_mut(&actor).unwrap().is_drr = true;
+            self.actors.get_mut(actor).unwrap().is_drr = true;
             self.drr_runnable.push_back(actor);
         }
     }
@@ -1510,12 +1511,12 @@ mod tests {
                 for i in 0..50 {
                     let at = SimTime::from_us(i * 10);
                     for id in [1, 2] {
-                        let stats = &mut s.actors.get_mut(&id).unwrap().stats;
+                        let stats = &mut s.actors.get_mut(id).unwrap().stats;
                         stats.on_complete_busy(SimTime::from_us(10), SimTime::from_us(5));
                     }
                     let lat = SimTime::from_us(if i % 2 == 0 { 5 } else { 300 });
                     for id in tied {
-                        let stats = &mut s.actors.get_mut(&id).unwrap().stats;
+                        let stats = &mut s.actors.get_mut(id).unwrap().stats;
                         stats.on_arrival(at, 512);
                         stats.on_complete_busy(lat, SimTime::from_us(25));
                     }
@@ -1629,7 +1630,7 @@ mod tests {
         // takes 500 µs is 50 cores' worth on a 12-core card.
         let mut s = sched();
         s.set_location(2, Loc::Host);
-        let stats = &mut s.actors.get_mut(&2).unwrap().stats;
+        let stats = &mut s.actors.get_mut(2).unwrap().stats;
         for i in 0..50 {
             stats.on_arrival(SimTime::from_us(10 * i), 512);
             stats.on_complete_busy(SimTime::from_us(500), SimTime::from_us(500));
@@ -1734,7 +1735,7 @@ mod tests {
         let sum: usize = s
             .drr_runnable
             .iter()
-            .map(|id| s.actors[id].mailbox.len())
+            .map(|&id| s.actors[id].mailbox.len())
             .sum();
         assert_eq!(s.drr_backlog, sum);
         assert_eq!(s.drr_backlog, 6);
@@ -1846,7 +1847,7 @@ mod tests {
 
         // What an early abort used to leave behind.
         s.drr_runnable_remove(2);
-        s.actors.get_mut(&2).unwrap().is_drr = false;
+        s.actors.get_mut(2).unwrap().is_drr = false;
         let r = audit(&s);
         let names: Vec<&str> = r.violations().iter().map(|v| v.invariant).collect();
         assert_eq!(names, ["sched.mailbox"]);

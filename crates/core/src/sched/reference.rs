@@ -32,7 +32,7 @@ fn model(s: &Snapshot) -> Decision {
     let rows: BTreeMap<ActorId, Row> = s
         .actors
         .iter()
-        .map(|(&id, a)| {
+        .map(|(id, a)| {
             let row = Row {
                 loc: a.loc,
                 drr: a.is_drr,
@@ -172,7 +172,7 @@ fn stats(runs: u64, gap_us: u64, lat_us: [u64; 2]) -> ActorStats {
 /// An actor table and its DRR runnable queue.
 #[derive(Default)]
 struct World {
-    actors: IdMap<ActorId, ActorSched>,
+    actors: DenseMap<ActorSched>,
     runnable: VecDeque<ActorId>,
 }
 
@@ -208,7 +208,7 @@ impl World {
 
     /// Pin `id` to the host.
     fn pin(mut self, id: ActorId) -> World {
-        self.actors.get_mut(&id).expect("added").pinned = true;
+        self.actors.get_mut(id).expect("added").pinned = true;
         self
     }
 
@@ -500,7 +500,7 @@ fn decide_matches_model(head: Head, draws: Vec<Draw>) -> Result<(), TestCaseErro
     for (i, &(id, loc, flags, (lat_a, lat_b), (gap, runs), (queued, since))) in
         draws.iter().enumerate()
     {
-        if world.actors.contains_key(&id) {
+        if world.actors.contains_key(id) {
             continue;
         }
         if flags & 4 == 0 || i == 0 {
@@ -527,7 +527,7 @@ fn decide_matches_model(head: Head, draws: Vec<Draw>) -> Result<(), TestCaseErro
         let (a, b, gap, runs) = profile;
         let st = stats(RUNS[runs], GAP_US[gap], [LAT_US[a], LAT_US[b]]);
         world = world.add(id, loc, drr, st, queued);
-        let row = world.actors.get_mut(&id).expect("added");
+        let row = world.actors.get_mut(id).expect("added");
         row.pinned = flags & 2 != 0;
         row.last_regroup = NOW.saturating_sub(SimTime::from_us(since));
     }

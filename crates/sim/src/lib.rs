@@ -31,7 +31,7 @@ pub mod time;
 
 pub use audit::{AuditReport, Violation};
 pub use event::{EpochStats, EventQueue, MergePool};
-pub use idmap::{IdMap, IdSet};
+pub use idmap::{DenseMap, IdMap, IdSet};
 pub use obs::{Obs, ObsConfig, TraceLevel};
 pub use rng::{DetRng, PoissonArrivals, ZipfKeys};
 pub use stats::{Ewma, Histogram, TailEstimator, Welford};

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Where one benchmark workload spends its host time, by sampling: for boxes
-# with no PMU, perf, valgrind or gdb. An LD_PRELOAD library takes a
-# backtrace() on every ITIMER_PROF tick of a benchmark repetition; the
-# addresses are symbolised with addr2line (inlined frames included) and
-# reduced to three tables over the samples under one root function.
+# Where one benchmark workload spends its host time, by sampling, with no
+# perf, valgrind or gdb. An LD_PRELOAD library takes a backtrace() on every
+# ITIMER_PROF tick of a benchmark repetition; the addresses are symbolised
+# with addr2line (inlined frames included) and reduced to four tables over
+# the samples under one root function.
 #   ./scripts/sample_profile.sh [--seconds S] <workload> [seed] [reps] [cut] [root]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
 # dse-grid), run at the size of benchmark/run.sh's `--seconds S` (default
@@ -11,8 +11,9 @@
 # be split by layer. The kernel ticks ITIMER_PROF every 4 ms on a 2-CPU
 # x86-64 VM, about 230 samples per 20 s repetition, hence 8 repetitions.
 # The third table charges each sample to the innermost frame whose demangled
-# name contains an entry of the cut list; [cut] = "a,b,..." replaces the list
-# ("" keeps the default). [root] (default Cluster::run_for) keeps the samples
+# name contains an entry of the cut list; the fourth counts, per entry, the
+# samples with such a frame anywhere in the stack. [cut] = "a,b,..."
+# replaces the list ("" keeps the default). [root] (default Cluster::run_for) keeps the samples
 # with a frame whose name ends in it and cuts each stack there; "-" keeps
 # every sample whole, set-up and work outside the cluster loop included (the
 # fig16 cells of dse-grid run under EventQueue::run_until, not run_for).
@@ -34,9 +35,10 @@ seed=${2:-11}
 reps=${3:-8}
 scale=$(awk -v s="$seconds" 'BEGIN { printf "%.7g", s / 240 }')
 # Layers of the request path and of the TCP transport (neither's names occur
-# in the other's workloads), plus two that cut across them: hash-table probes,
-# and "??", code outside the executable (libc's malloc, free, memcpy).
-cut=${4:-DmoSkipList::,DmoTable::,NicScheduler::evaluate_regrouping,NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,tcp::stream,TcpSender::,TcpReceiver::,nstack::,FaultPlan::,Histogram::,obs::,hashbrown::,??}
+# in the other's workloads), plus three that cut across them: the dense id
+# tables, hash-table probes, and "??", code outside the executable (libc's
+# malloc, free, memcpy).
+cut=${4:-DmoSkipList::,DmoTable::,NicScheduler::,EventQueue<,MergePool<,NetModel::,AggKvStream::,tcp::stream,TcpSender::,TcpReceiver::,nstack::,FaultPlan::,Histogram::,obs::,DenseMap<,hashbrown::,??}
 root=${5:-Cluster::run_for}
 dir=target/sample-profile
 mkdir -p "$dir"
@@ -166,4 +168,7 @@ for s in stacks:
     hit = next((c for n in s for c in cut if c in n), "(none of the cut list)")
     by_cut[hit] += 1
 table("innermost function of the cut list (each sample counted once)", by_cut)
+table("cut list, inclusive (an entry anywhere in the stack, once per sample)",
+      collections.Counter(c for s in stacks for c in cut if any(c in n for n in s)),
+      rows=len(cut))
 EOF
