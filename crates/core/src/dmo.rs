@@ -24,6 +24,8 @@
 //! new tenant under another generation and reads `NoSuchObject`; a slot
 //! whose generation is spent is retired rather than wrapped.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::actor::ActorId;
 use ipipe_sim::{IdMap, SimTime};
 
@@ -108,8 +110,15 @@ fn join(slot: usize, generation: u32) -> ObjectId {
 
 /// The slot and generation an id names; [`join`] undone.
 fn split(obj: ObjectId) -> (usize, u32) {
+    #[expect(clippy::cast_possible_truncation, reason = "keeps the id's low word")]
     let low = obj.0 as u32;
     (low.wrapping_sub(1) as usize, (obj.0 >> 32) as u32)
+}
+
+/// An offset or length within an object's held bytes as a host index: those
+/// bytes are (or are about to be) allocated, so it fits a `usize`.
+fn host_index(n: u64) -> usize {
+    usize::try_from(n).expect("held bytes fit the host's address space")
 }
 
 /// The live object `obj` names: its slot holds a tenant of its generation.
@@ -197,14 +206,9 @@ impl DmoTable {
         s.entry = None;
         if let Some(next) = s.generation.checked_add(1) {
             s.generation = next;
-            self.free.push(slot as u32);
+            self.free
+                .push(u32::try_from(slot).expect("vacant_slot keeps slots below 2^32"));
         }
-    }
-
-    /// The live objects with their ids.
-    fn objects(&self) -> impl Iterator<Item = (ObjectId, &DmoEntry)> {
-        let slots = self.slots.iter().enumerate();
-        slots.filter_map(|(slot, s)| Some((join(slot, s.generation), s.entry.as_ref()?)))
     }
 
     /// Register an actor's region of `capacity` bytes (§3.3 initialization:
@@ -289,11 +293,12 @@ impl DmoTable {
         self.traffic.bytes += len;
         let held = entry.data.len();
         if end > held as u64 {
-            let mut data = vec![0; end.max(2 * held as u64).min(entry.size) as usize];
+            let grown = end.max(2 * held as u64).min(entry.size);
+            let mut data = vec![0; host_index(grown)];
             data[..held].copy_from_slice(&entry.data);
             entry.data = data.into();
         }
-        Ok(&mut entry.data[offset as usize..end as usize])
+        Ok(&mut entry.data[host_index(offset)..host_index(end)])
     }
 
     /// Read `len` bytes at `offset`.
@@ -370,11 +375,12 @@ impl DmoTable {
         live(&self.slots, obj).map(|e| e.side)
     }
 
-    /// All objects owned by `actor` with their sizes (migration phase 3
-    /// collects these).
-    pub fn objects_of(&self, actor: ActorId) -> Vec<(ObjectId, u64)> {
-        let mut v: Vec<_> = self
-            .objects()
+    /// All objects owned by `actor` with their sizes, in id order.
+    #[cfg(test)]
+    pub(crate) fn objects_of(&self, actor: ActorId) -> Vec<(ObjectId, u64)> {
+        let slots = self.slots.iter().enumerate();
+        let mut v: Vec<_> = slots
+            .filter_map(|(slot, s)| Some((join(slot, s.generation), s.entry.as_ref()?)))
             .filter(|(_, e)| e.owner == actor)
             .map(|(id, e)| (id, e.size))
             .collect();
@@ -382,12 +388,18 @@ impl DmoTable {
         v
     }
 
+    /// How many objects `actor` owns and their total size, in one pass over
+    /// the slots (migration phase 3 moves these).
+    pub fn footprint(&self, actor: ActorId) -> (usize, u64) {
+        let entries = self.slots.iter().filter_map(|s| s.entry.as_ref());
+        entries
+            .filter(|e| e.owner == actor)
+            .fold((0, 0), |(n, bytes), e| (n + 1, bytes + e.size))
+    }
+
     /// Total bytes of `actor`'s objects.
     pub fn actor_state_bytes(&self, actor: ActorId) -> u64 {
-        self.objects()
-            .filter(|(_, e)| e.owner == actor)
-            .map(|(_, e)| e.size)
-            .sum()
+        self.footprint(actor).1
     }
 
     /// `dmo_migrate`: flip the side of every object of `actor`. Data moves
@@ -661,7 +673,7 @@ mod tests {
         t.write(1, o, 1024, b"y").unwrap();
         assert_eq!(t.held_bytes(o), 2048);
         t.write(1, o, 2048, b"z").unwrap();
-        assert_eq!(t.held_bytes(o), SIZE as usize);
+        assert_eq!(t.held_bytes(o) as u64, SIZE);
         assert_eq!(t.read(1, o, 1022, 4).unwrap(), [0, b'x', b'y', 0]);
         full_size(&t);
         assert_eq!(t.migrate_actor(1, Side::Host), SIZE);
@@ -844,7 +856,7 @@ mod tests {
                 }
             };
             self.traffic.bytes += len;
-            Ok(&mut data[offset as usize..end as usize])
+            Ok(&mut data[host_index(offset)..host_index(end)])
         }
 
         fn malloc(&mut self, actor: ActorId, size: u64) -> Result<ObjectId, DmoError> {
@@ -861,7 +873,7 @@ mod tests {
                 self.generations.len() - 1
             });
             let id = u64::from(self.generations[slot]) << 32 | (slot as u64 + 1);
-            self.objects.insert(id, (actor, vec![0; size as usize]));
+            self.objects.insert(id, (actor, vec![0; host_index(size)]));
             Ok(ObjectId(id))
         }
 
@@ -881,7 +893,8 @@ mod tests {
         /// for a free slot), the one before (freed) or the one after.
         fn handle(&self, rng: &mut ipipe_sim::DetRng) -> ObjectId {
             let low = rng.below(self.generations.len() as u64 + 2);
-            let current = (low as usize)
+            let current = usize::try_from(low)
+                .unwrap()
                 .checked_sub(1)
                 .and_then(|slot| self.generations.get(slot))
                 .copied()
@@ -930,7 +943,7 @@ mod tests {
             // lengths overshoot often, and an offset near `u64::MAX` wraps
             // `offset + len`.
             let actors = if rng.chance(0.02) { 3 } else { 2 };
-            let actor = 1 + rng.below(actors) as ActorId;
+            let actor = ActorId::try_from(1 + rng.below(actors)).unwrap();
             let obj = m.handle(&mut rng);
             let other = m.handle(&mut rng);
             let mut offset = || {
@@ -942,7 +955,7 @@ mod tests {
             };
             let (off, dst_off) = (offset(), offset());
             let len = rng.below(72);
-            let fill = rng.below(256) as u8;
+            let fill = u8::try_from(rng.below(256)).unwrap();
             // Every result is compared as bytes: ids and sizes little-endian,
             // unit results empty.
             let done = |()| Vec::new();
@@ -963,7 +976,7 @@ mod tests {
                     m.access(actor, obj, off, len).map(|b| b.to_vec()),
                 ),
                 4 => {
-                    let bytes = vec![fill; len as usize];
+                    let bytes = vec![fill; host_index(len)];
                     (
                         t.write(actor, obj, off, &bytes).map(done),
                         m.access(actor, obj, off, len)
@@ -1008,6 +1021,7 @@ mod tests {
                 let want = m.objects_of(actor);
                 let bytes: u64 = want.iter().map(|&(_, size)| size).sum();
                 assert_eq!(t.objects_of(actor), want, "step {step}");
+                assert_eq!(t.footprint(actor), (want.len(), bytes), "step {step}");
                 assert_eq!(t.actor_state_bytes(actor), bytes, "step {step}");
             }
             match got {

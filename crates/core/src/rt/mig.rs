@@ -62,9 +62,8 @@ impl ShardState {
             }
             3 => {
                 // Phase 3: move the DMOs.
-                let objs = n.dmo.objects_of(actor);
-                let bytes: u64 = objs.iter().map(|(_, s)| *s).sum();
-                Migration::phase3_duration(objs.len(), bytes)
+                let (objects, bytes) = n.dmo.footprint(actor);
+                Migration::phase3_duration(objects, bytes)
             }
             _ => {
                 n.dmo.migrate_actor(actor, dest);

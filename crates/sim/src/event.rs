@@ -12,8 +12,21 @@
 //! [`EventQueue::next_batch`] forms a new batch, advancing `now`, only when
 //! the head is outside the current one, so an event scheduled at the batch's
 //! own instant while it is served waits for a follow-up batch.
+//!
+//! A served event's key is not removed at once. [`EventQueue::pop_ready`]
+//! takes the body from the slab and leaves the key on top of the heap,
+//! marked served; the next [`EventQueue::schedule_at`] overwrites it and
+//! sifts down once, where a pop and a push would sift twice. Most schedules
+//! are a handler's follow-up to the event it serves (the "hold" pattern of
+//! event sets) with a near-future key, so that one sift is short. A pop
+//! that comes first removes the served key the usual way. While the top is
+//! served the head is the smaller of its two children, and `len`,
+//! `is_empty` and `for_each_pending` leave the served key out.
+//!
 //! `tests/queue_ref.rs` checks all of this against an ordered-map reference
 //! under arbitrary interleavings.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -81,6 +94,9 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry>>,
     /// Every pending event, at the index its [`Entry::body`] names.
     bodies: Slab<E>,
+    /// True when the heap's top has been served: its body has left the slab
+    /// and the next schedule overwrites its key (see [`EventQueue::head`]).
+    spent_top: bool,
     /// The batch being served: its instant, and `seq` when it formed.
     batch: (u64, u64),
     seq: u64,
@@ -100,6 +116,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             bodies: Slab::new(),
+            spent_top: false,
             batch: (0, 0),
             seq: 0,
             now: 0,
@@ -114,12 +131,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.spent_top)
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events fired so far.
@@ -140,11 +157,18 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let body = self.bodies.insert(event);
-        self.heap.push(Reverse(Entry {
+        let entry = Reverse(Entry {
             at: at.as_ns(),
             seq,
             body,
-        }));
+        });
+        if self.spent_top {
+            // One sift down from the root instead of a pop and a push.
+            self.spent_top = false;
+            *self.heap.peek_mut().expect("a served top") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Schedule `event` after a delay relative to `now`.
@@ -152,9 +176,25 @@ impl<E> EventQueue<E> {
         self.schedule_at(SimTime::from_ns(self.now) + delay, event);
     }
 
-    /// Timestamp of the next pending event, if any: the top of the heap.
+    /// The key of the next pending event: the top of the heap, or, while
+    /// the top is served, the smaller of its two children. `as_slice` is
+    /// the heap's array, whose root's children sit at 1 and 2; std does not
+    /// promise that layout, and `tests/queue_ref.rs` fails if it changes.
+    #[inline]
+    fn head(&self) -> Option<&Entry> {
+        if !self.spent_top {
+            return self.heap.peek().map(|top| &top.0);
+        }
+        match self.heap.as_slice() {
+            [_, Reverse(left), Reverse(right), ..] => Some(left.min(right)),
+            [_, Reverse(left)] => Some(left),
+            _ => None,
+        }
+    }
+
+    /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|head| SimTime::from_ns(head.0.at))
+        self.head().map(|head| SimTime::from_ns(head.at))
     }
 
     /// Advance `now` to `t` without firing anything. A no-op when `t` is not
@@ -170,13 +210,12 @@ impl<E> EventQueue<E> {
         self.now = t.as_ns();
     }
 
-    /// True when the head of the heap belongs to the batch being served.
+    /// True when the head belongs to the batch being served.
     #[inline]
     fn head_in_batch(&self) -> bool {
         let (at, formed) = self.batch;
-        self.heap
-            .peek()
-            .is_some_and(|head| head.0.at == at && head.0.seq < formed)
+        self.head()
+            .is_some_and(|head| head.at == at && head.seq < formed)
     }
 
     /// Make the next same-instant batch current, advancing `now` to its
@@ -190,7 +229,7 @@ impl<E> EventQueue<E> {
     /// instant while it is served wait for the next call.
     pub fn next_batch(&mut self) -> Option<SimTime> {
         if !self.head_in_batch() {
-            let at = self.heap.peek()?.0.at;
+            let at = self.head()?.at;
             self.batch = (at, self.seq);
             self.now = at;
         }
@@ -200,14 +239,22 @@ impl<E> EventQueue<E> {
     /// Take the next event of the current batch, in FIFO order, straight
     /// from the slab. `None` once the batch is exhausted: this never starts
     /// a new batch, [`EventQueue::next_batch`] does.
+    ///
+    /// The head's key stays on top of the heap, served, for the next
+    /// [`EventQueue::schedule_at`] to overwrite; a pop that comes first
+    /// removes it.
     #[inline]
     pub fn pop_ready(&mut self) -> Option<E> {
         if !self.head_in_batch() {
             return None;
         }
-        let Reverse(head) = self.heap.pop().expect("the head is in the batch");
+        if self.spent_top {
+            self.heap.pop();
+        }
+        let body = self.heap.peek().expect("the head is in the batch").0.body;
+        self.spent_top = true;
         self.popped += 1;
-        Some(self.bodies.take(head.body))
+        Some(self.bodies.take(body))
     }
 
     /// Pop the next event, advancing `now` to its timestamp.
@@ -254,7 +301,8 @@ impl<E> EventQueue<E> {
     /// they do not replay. Taking `&self`, a visit cannot reorder or
     /// renumber events.
     pub fn for_each_pending(&self, mut f: impl FnMut(SimTime, &E)) {
-        for Reverse(entry) in &self.heap {
+        let pending = &self.heap.as_slice()[usize::from(self.spent_top)..];
+        for Reverse(entry) in pending {
             f(SimTime::from_ns(entry.at), self.bodies.get(entry.body));
         }
     }
@@ -474,6 +522,54 @@ mod tests {
         assert_eq!(q.len(), 4); // the batch at 5 ns is served; later ones are not
         drop(q);
         assert_eq!(drops.get(), 7);
+        // A queue dropped while its top is served: the served event is the
+        // caller's, the pending ones go with the queue.
+        let mut q = EventQueue::new();
+        for at in [1, 2, 3] {
+            q.schedule_at(SimTime::from_ns(at), Counted(drops.clone()));
+        }
+        let popped = q.pop().expect("three pending");
+        assert_eq!((q.len(), drops.get()), (2, 7));
+        drop(q);
+        assert_eq!(drops.get(), 9);
+        drop(popped);
+        assert_eq!(drops.get(), 10);
+    }
+
+    /// A pop with no schedule after it leaves the served key on top of the
+    /// heap. The queue still reads as exactly what is pending, whichever of
+    /// the root's children is the head: here the right one, then the only
+    /// one, then none.
+    #[test]
+    fn a_served_top_is_not_pending() {
+        let at = SimTime::from_ns;
+        let mut q = EventQueue::new();
+        for (t, e) in [(10, "a"), (30, "b"), (20, "c")] {
+            q.schedule_at(at(t), e); // the heap: a, then b left and c right
+        }
+        let pending = |q: &EventQueue<&'static str>| {
+            let mut seen = Vec::new();
+            q.for_each_pending(|t, &e| seen.push((t, e)));
+            seen.sort_unstable();
+            seen
+        };
+        assert_eq!(q.pop(), Some((at(10), "a")));
+        assert_eq!((q.len(), q.is_empty()), (2, false));
+        assert_eq!(q.peek_time(), Some(at(20)));
+        assert_eq!(pending(&q), [(at(20), "c"), (at(30), "b")]);
+        q.advance_to(at(20));
+        assert_eq!(q.now(), at(20));
+        assert_eq!(q.pop(), Some((at(20), "c")));
+        assert_eq!((q.len(), q.is_empty()), (1, false));
+        assert_eq!(q.peek_time(), Some(at(30)));
+        assert_eq!(pending(&q), [(at(30), "b")]);
+        assert_eq!(q.pop(), Some((at(30), "b")));
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+        assert_eq!((q.peek_time(), q.next_batch()), (None, None));
+        assert_eq!(pending(&q), []);
+        q.advance_to(at(1 << 40)); // nothing pending to skip
+        assert_eq!(q.now(), at(1 << 40));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -247,6 +247,7 @@ fn queue_matches_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError
             }
         }
         prop_assert_eq!(queue.len(), model.pending.len());
+        prop_assert_eq!(queue.is_empty(), model.pending.is_empty());
         prop_assert_eq!(queue.peek_time(), model.peek_time());
         prop_assert_eq!(visited(&queue), model.pending());
     }

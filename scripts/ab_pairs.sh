@@ -15,14 +15,15 @@
 # every pair. Exits 1 when they did not, or when a digest differed. Needs
 # python3.
 #
-# --pmu also counts user-space instructions, cycles and cache misses: an
-# LD_PRELOAD library (built with cc, in the style of heap_census.sh) opens
-# perf_event_open counters in every benchmark process, its worker threads
-# included, and writes them at exit. A run's count is the median over its
+# --pmu also counts user-space instructions, cycles, cache misses and branch
+# misses: an LD_PRELOAD library (built with cc, in the style of
+# heap_census.sh) opens perf_event_open counters in every benchmark process,
+# its worker threads included, and writes them at exit. A run's count is the median over its
 # timed `--child rep` processes, each counted whole (set-up and the
 # calibration kernel too). Each counter's quartiles per side and the change's
 # delta print beside the wall-time ones. Instructions moved means the work
-# changed; only cycles moved means locality or layout. Where the kernel hides
+# changed; only cycles moved means locality or layout, and branch misses
+# moving with them means prediction. Where the kernel hides
 # the PMU a counter prints "unavailable" and the reason, never a zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -75,7 +76,7 @@ if ((pmu)); then
     mkdir -p "$pmu_dir"
     cat > "$pmu_dir/pmu.c" <<'EOF'
 /* Hardware event counters for one process and the threads it starts:
- * user-space instructions, cycles and cache misses, opened before main
+ * user-space instructions, cycles, cache misses and branch misses, opened before main
  * (perf_event_open, exclude_kernel, inherited by threads but not by child
  * processes, which count themselves) and written at exit to
  * $PMU_COUNT_DIR/<pid> as `name value` lines after a `cmd` line. A counter
@@ -100,6 +101,7 @@ static const struct {
     {"instructions", PERF_COUNT_HW_INSTRUCTIONS},
     {"cycles", PERF_COUNT_HW_CPU_CYCLES},
     {"cache_misses", PERF_COUNT_HW_CACHE_MISSES},
+    {"branch_misses", PERF_COUNT_HW_BRANCH_MISSES},
 };
 #define N_EVENTS (sizeof events / sizeof events[0])
 static int fds[N_EVENTS];
