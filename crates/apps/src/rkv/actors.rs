@@ -1140,17 +1140,10 @@ mod tests {
         // Single-replica group: proposals commit within the same exec.
         let mut a = test_consensus(0, 1);
         let first = exec_once(&mut a, 7, RkvMsg::Client(put_for(7)));
+        // The client sits on node 9; the memtable on this replica's node.
         let count = |emits: &[Emit]| {
-            (
-                emits
-                    .iter()
-                    .filter(|e| matches!(e, Emit::ToActor { .. }))
-                    .count(),
-                emits
-                    .iter()
-                    .filter(|e| matches!(e, Emit::ToClient { .. }))
-                    .count(),
-            )
+            let replies = emits.iter().filter(|e| e.dst.node == 9).count();
+            (emits.len() - replies, replies)
         };
         assert_eq!(count(&first), (1, 1), "one Apply, one client reply");
         // The client's reply was lost; it retransmits the same token. The
@@ -1174,18 +1167,15 @@ mod tests {
         // One past the cap: shed with a redirect toward the hinted leader.
         let out = exec_once(&mut a, 999, RkvMsg::Client(put_for(999)));
         assert_eq!(out.len(), 1);
-        match &out[0] {
-            Emit::ToClient { payload, token, .. } => {
-                assert_eq!(*token, 999);
-                let r = payload
-                    .as_ref()
-                    .expect("redirect payload")
-                    .downcast_ref::<Redirect>()
-                    .expect("Redirect type");
-                assert_eq!(r.0, Address { node: 0, actor: 0 });
-            }
-            other => panic!("expected ToClient, got {other:?}"),
-        }
+        let reply = &out[0];
+        assert_eq!((reply.dst.node, reply.token), (9, 999), "a reply to the client");
+        let r = reply
+            .payload
+            .as_ref()
+            .expect("redirect payload")
+            .downcast_ref::<Redirect>()
+            .expect("Redirect type");
+        assert_eq!(r.0, Address { node: 0, actor: 0 });
         assert_eq!(g.get(), PENDING_CAP as i64, "shed writes are not buffered");
     }
 

@@ -58,36 +58,23 @@ impl Request {
     }
 }
 
-/// A message an actor asked the runtime to emit.
+/// A message an actor asked the runtime to emit: to another actor or, as a
+/// reply, to a client's address. The runtime routes it by its destination.
 #[derive(Debug)]
-pub enum Emit {
-    /// Deliver to another actor (same node or remote — the runtime routes).
-    ToActor {
-        /// Destination address.
-        dst: Address,
-        /// Flow label for the carrying packet.
-        flow: u64,
-        /// Payload size on the wire.
-        wire_size: u32,
-        /// Typed payload.
-        payload: Payload,
-        /// Token threaded through.
-        token: u64,
-        /// Hold the message for this long before routing it — the actor
-        /// timer facility (heartbeats, timeouts). Zero sends immediately.
-        after: SimTime,
-    },
-    /// Reply toward a client (terminates a request's lifecycle).
-    ToClient {
-        /// Client address.
-        dst: Address,
-        /// Reply size on the wire.
-        wire_size: u32,
-        /// Token identifying the original request.
-        token: u64,
-        /// Optional payload.
-        payload: Payload,
-    },
+pub struct Emit {
+    /// Destination address (same node or remote — the runtime routes).
+    pub dst: Address,
+    /// Flow label for the carrying packet; a reply's is its token.
+    pub flow: u64,
+    /// Payload size on the wire.
+    pub wire_size: u32,
+    /// Token threaded through (a reply's identifies the original request).
+    pub token: u64,
+    /// Typed payload.
+    pub payload: Payload,
+    /// Hold the message for this long before routing it — the actor
+    /// timer facility (heartbeats, timeouts). Zero sends immediately.
+    pub after: SimTime,
 }
 
 /// Execution-side context handed to actor handlers: cost metering, message
@@ -189,14 +176,7 @@ impl<'a> ActorCtx<'a> {
 
     /// Send an asynchronous message to another actor.
     pub fn send(&mut self, dst: Address, flow: u64, wire_size: u32, token: u64, payload: Payload) {
-        self.outbox.push(Emit::ToActor {
-            dst,
-            flow,
-            wire_size,
-            payload,
-            token,
-            after: SimTime::ZERO,
-        });
+        self.send_after(SimTime::ZERO, dst, flow, wire_size, token, payload);
     }
 
     /// Send a message after a delay — the timer primitive. An actor arms a
@@ -211,12 +191,12 @@ impl<'a> ActorCtx<'a> {
         token: u64,
         payload: Payload,
     ) {
-        self.outbox.push(Emit::ToActor {
+        self.outbox.push(Emit {
             dst,
             flow,
             wire_size,
-            payload,
             token,
+            payload,
             after: delay,
         });
     }
@@ -228,22 +208,12 @@ impl<'a> ActorCtx<'a> {
             debug_assert!(false, "reply() on a request with no reply_to");
             return;
         };
-        self.outbox.push(Emit::ToClient {
-            dst,
-            wire_size,
-            token: req.token,
-            payload,
-        });
+        self.reply_to(dst, wire_size, req.token, payload);
     }
 
-    /// Reply toward an explicit client address.
+    /// Reply toward an explicit client address, flow-labelled by its token.
     pub fn reply_to(&mut self, dst: Address, wire_size: u32, token: u64, payload: Payload) {
-        self.outbox.push(Emit::ToClient {
-            dst,
-            wire_size,
-            token,
-            payload,
-        });
+        self.send(dst, token, wire_size, token, payload);
     }
 
     /// Consume the context, returning (charged cost, outbox).
@@ -300,13 +270,15 @@ mod tests {
         let (cost, outbox) = ctx.finish();
         assert_eq!(cost, SimTime::from_ns(2500));
         assert_eq!(outbox.len(), 2);
-        match &outbox[0] {
-            Emit::ToActor { dst: d, token, .. } => {
-                assert_eq!(*d, dst);
-                assert_eq!(*token, 42);
-            }
-            _ => panic!("expected ToActor"),
-        }
+        assert_eq!(
+            (outbox[0].dst, outbox[0].flow, outbox[0].token),
+            (dst, 3, 42)
+        );
+        assert_eq!(
+            (outbox[1].flow, outbox[1].token),
+            (43, 43),
+            "a reply's flow is its token"
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use super::*;
 use crate::dmo::Side;
+use ipipe_nicsim::host::cores_used;
 use ipipe_nicsim::spec::HOST_XEON;
 use ipipe_sim::obs::Snapshot;
 use ipipe_sim::MergePool;
@@ -154,9 +155,8 @@ impl ClusterBuilder {
                         actors: DenseMap::default(),
                         dmo: DmoTable::new(Side::Nic),
                         rng: std::mem::replace(&mut node_rngs[i], DetRng::new(0)),
-                        host_acct: HostCpuAccounting::new(),
+                        host_busy_total: SimTime::ZERO,
                         nic_busy_total: SimTime::ZERO,
-                        watchdog: Watchdog::new(self.spec.cores, SimTime::from_ms(5)),
                         migration_reports: Vec::new(),
                         admission: None,
                     })
@@ -270,10 +270,6 @@ impl Cluster {
     /// Runtime state of server `node`, through its owning shard.
     fn node(&self, node: u16) -> &NodeRt {
         self.shards[usize::from(self.shard_of[usize::from(node)])].node(node)
-    }
-
-    fn node_mut(&mut self, node: u16) -> &mut NodeRt {
-        self.shard_for_mut(node).node_mut(node)
     }
 
     /// Reserve the next actor id on server `node` and return the address the
@@ -429,7 +425,7 @@ impl Cluster {
         for s in &mut self.shards {
             s.measure_start = now;
             for n in &mut s.nodes {
-                n.host_acct = HostCpuAccounting::new();
+                n.host_busy_total = SimTime::ZERO;
                 n.nic_busy_total = SimTime::ZERO;
             }
         }
@@ -495,20 +491,19 @@ impl Cluster {
 
     /// Host cores kept busy on server `node` over the measurement window
     /// (Fig 13's y-axis).
-    pub fn host_cores_used(&mut self, node: usize) -> f64 {
-        let wall = self.measured_wall();
-        let acct = &mut self.node_mut(node_id(node)).host_acct;
-        acct.set_wall(wall);
-        acct.cores_used()
+    pub fn host_cores_used(&self, node: usize) -> f64 {
+        cores_used(
+            self.node(node_id(node)).host_busy_total,
+            self.measured_wall(),
+        )
     }
 
     /// NIC core utilization (0..cores) on server `node`.
     pub fn nic_cores_used(&self, node: usize) -> f64 {
-        let wall = self.measured_wall();
-        if wall == SimTime::ZERO {
-            return 0.0;
-        }
-        self.node(node_id(node)).nic_busy_total.as_secs_f64() / wall.as_secs_f64()
+        cores_used(
+            self.node(node_id(node)).nic_busy_total,
+            self.measured_wall(),
+        )
     }
 
     /// Where an actor currently lives.

@@ -96,15 +96,8 @@ pub(super) fn host_mem_time(host: &HostSpec, t: DmoTraffic) -> SimTime {
     l3 * t.lookups + l3 * lines
 }
 
-/// Wire size of an emitted message.
-pub(super) fn emit_size(e: &Emit) -> u32 {
-    match e {
-        Emit::ToActor { wire_size, .. } | Emit::ToClient { wire_size, .. } => *wire_size,
-    }
-}
-
 /// NIC core cost to emit a message: every emit is charged the shim stack's
 /// scatter-gather send.
 pub(super) fn nic_emit_cost(spec: &NicSpec, e: &Emit) -> SimTime {
-    crate::nstack::send_cost(spec, emit_size(e))
+    crate::nstack::send_cost(spec, e.wire_size)
 }

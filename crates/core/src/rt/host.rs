@@ -3,8 +3,8 @@
 //! (§3.2.6), and host-core actor execution with its cost model.
 
 use super::cost::{
-    dmo_translate_cost, emit_size, host_mem_time, ring_pop_cost, ring_to_host_latency,
-    BOOKKEEP_COST, MSG_HANDLE_COST, RING_PUSH_COST,
+    dmo_translate_cost, host_mem_time, ring_pop_cost, ring_to_host_latency, BOOKKEEP_COST,
+    MSG_HANDLE_COST, RING_PUSH_COST,
 };
 use super::*;
 use ipipe_nicsim::spec::HOST_XEON;
@@ -91,13 +91,13 @@ impl ShardState {
         let out_cost: SimTime = emits
             .iter()
             .map(|e| match mode {
-                RuntimeMode::HostDpdk => host.dpdk_send(emit_size(e)),
-                RuntimeMode::HostIPipe => host.dpdk_send(emit_size(e)) + SimTime::from_ns(60),
+                RuntimeMode::HostDpdk => host.dpdk_send(e.wire_size),
+                RuntimeMode::HostIPipe => host.dpdk_send(e.wire_size) + SimTime::from_ns(60),
                 RuntimeMode::IPipe => RING_PUSH_COST,
             })
             .sum();
         let busy = in_cost + handler + out_cost;
-        n.host_acct.charge(busy);
+        n.host_busy_total += busy;
         n.metrics.host_exec.inc();
         n.host_inflight[core as usize] = Some(InFlight {
             actor,

@@ -23,10 +23,10 @@
 //! | `cluster.rs` | builder, [`Cluster`] API, conservative-lookahead epoch driver | §5.1 testbed |
 //! | `shard.rs` | per-shard event loop, ingress merge pool, `send_frame` | — |
 //! | `client.rs` | client issue / retry / redirect / shed | §5.1 load generators |
-//! | `nic.rs` | NIC ingress + admission, FCFS/DRR dispatch, actor execution | §3.2, ALG 1/2, §3.4 |
+//! | `nic.rs` | NIC ingress + admission, FCFS/DRR dispatch, actor execution, watchdog budget | §3.2, ALG 1/2, §3.4 |
 //! | `host.rs` | host queues and execution behind the PCIe rings | §3.2.6, §3.5 |
 //! | `mig.rs` | four-phase migration driver | §3.2.5, App. B.3 |
-//! | `route.rs` | `route_emits`: actor message routing | §3.1, §3.5 |
+//! | `route.rs` | `route_emit`: one routing path for every actor message | §3.1, §3.5 |
 //! | `cost.rs` | ring, memory and emit cost formulas | §2.2, Fig 17 |
 //! | `audit.rs` | conservation audit sweep | DESIGN.md §11 |
 
@@ -49,11 +49,9 @@ pub use cluster::ClusterBuilder;
 use crate::actor::{ActorId, ActorLogic, Address, Emit, Payload, Request};
 use crate::admission::{AdmissionCfg, NodeAdmission};
 use crate::dmo::DmoTable;
-use crate::isolate::Watchdog;
 use crate::migrate::{Migration, MigrationReport};
 use crate::sched::{Action, Loc, NicScheduler, SchedConfig};
 use ipipe_netsim::{FaultPlan, NetModel, PacketKind};
-use ipipe_nicsim::host::HostCpuAccounting;
 use ipipe_nicsim::spec::NicSpec;
 use ipipe_sim::audit::AuditReport;
 use ipipe_sim::obs::{Counter, Gauge, HistHandle, Obs, TraceLevel};
@@ -346,9 +344,9 @@ struct NodeRt {
     actors: DenseMap<ActorSlot>,
     dmo: DmoTable,
     rng: DetRng,
-    host_acct: HostCpuAccounting,
+    /// Host and NIC core time charged since the measurement window opened.
+    host_busy_total: SimTime,
     nic_busy_total: SimTime,
-    watchdog: Watchdog,
     migration_reports: Vec<MigrationReport>,
     /// Ingress admission control; `None` admits everything (the default).
     admission: Option<NodeAdmission>,

@@ -7,6 +7,7 @@ use super::*;
 use crate::actor::ActorCtx;
 use crate::admission::Decision;
 use crate::dmo::{DmoTable, DmoTraffic};
+use crate::isolate::WATCHDOG_BUDGET;
 use crate::sched::Work;
 
 /// What one `exec` invocation charged and produced, plus the slot and
@@ -62,8 +63,15 @@ impl ShardState {
             if let Some(admission) = n.admission.as_mut() {
                 let verdict = admission.decide(now, class, n.sched.backlog());
                 if let Decision::Shed { retry_after } = verdict {
-                    let hint: Payload = Some(Box::new(Shed { retry_after }));
-                    self.send_response(now, node, reply_to, SHED_REPLY_WIRE, req.token, hint);
+                    let notice = Emit {
+                        dst: reply_to,
+                        flow: req.token,
+                        wire_size: SHED_REPLY_WIRE,
+                        token: req.token,
+                        payload: Some(Box::new(Shed { retry_after })),
+                        after: SimTime::ZERO,
+                    };
+                    self.route_emit(now, node, notice, true);
                     return;
                 }
             }
@@ -151,34 +159,31 @@ impl ShardState {
         let send_cost: SimTime = emits.iter().map(|e| nic_emit_cost(spec, e)).sum();
         let busy = dispatch + fwd.max(handler) + send_cost;
 
-        // DoS watchdog: a runaway handler gets its actor deregistered.
-        n.watchdog.arm(core, actor, now);
-        if let Some(offender) = n.watchdog.check_execution(core, now + busy) {
-            n.sched.deregister(offender);
-            n.actors.remove(offender);
-            n.dmo.drop_actor(offender);
+        // DoS watchdog (§3.4): a handler that outruns the budget gets its
+        // actor deregistered, and the core stalls for the whole budget.
+        if busy > WATCHDOG_BUDGET {
+            n.sched.deregister(actor);
+            n.actors.remove(actor);
+            n.dmo.drop_actor(actor);
             n.metrics.watchdog_kills.inc();
-            // The core is released after the timeout budget.
-            let timeout = n.watchdog.timeout();
             self.obs.instant(
                 "nic",
                 "watchdog.kill",
                 node,
                 core,
                 now,
-                Some(("actor", offender as i64)),
+                Some(("actor", actor as i64)),
             );
             let stalled = InFlight {
-                actor: offender,
+                actor,
                 arrived,
-                busy: timeout,
+                busy: WATCHDOG_BUDGET,
                 emits: Vec::new(),
                 forward_only: true,
             };
             self.occupy_nic_core(now, node, core, stalled);
             return;
         }
-        n.watchdog.disarm(core);
         n.metrics.nic_exec.inc();
         let work = InFlight {
             actor,

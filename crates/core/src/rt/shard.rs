@@ -198,7 +198,7 @@ impl ShardState {
                 node,
                 emit,
                 from_nic,
-            } => self.route_emits(now, node, vec![emit], from_nic),
+            } => self.route_emit(now, node, emit, from_nic),
         }
     }
 

@@ -389,6 +389,47 @@ fn watchdog_kills_runaway_actor_and_others_survive() {
     assert_eq!(c.actor_location(bad), None, "bad actor deregistered");
 }
 
+/// Charges a fixed cost and never replies.
+struct Spin(SimTime);
+impl ActorLogic for Spin {
+    fn exec(&mut self, ctx: &mut ActorCtx<'_>, _req: Request) {
+        ctx.charge(self.0);
+    }
+}
+
+#[test]
+fn watchdog_spares_the_budget_and_kills_one_ns_past_it() {
+    let mut c = Cluster::builder(CN2350)
+        .servers(1)
+        .clients(1)
+        .seed(5)
+        .build();
+    // With no emits and no DMO traffic an execution is priced at the
+    // dispatch overhead plus its charge (which outweighs the forward cost).
+    let dispatch = c.shards[0].node(0).sched.dispatch_overhead();
+    let budget = crate::isolate::WATCHDOG_BUDGET - dispatch;
+    let at = c.register_actor(0, "at", Box::new(Spin(budget)), Placement::Nic);
+    let over = SimTime::from_ns(1) + budget;
+    let over = c.register_actor(0, "over", Box::new(Spin(over)), Placement::Nic);
+    c.set_client(
+        0,
+        Box::new(move |_, token| ClientReq {
+            dst: if token == 0 { at } else { over },
+            wire_size: 256,
+            flow: token,
+            payload: None,
+        }),
+        2,
+    );
+    c.run_for(SimTime::from_ms(20));
+    let reg = c.obs().registry();
+    assert_eq!(reg.counter_on("rt.exec.nic", 0).get(), 1, "`at` ran");
+    assert_eq!(reg.counter_on("rt.watchdog.kills", 0).get(), 1);
+    // The survivor may since have been pushed to the host; it still exists.
+    assert!(c.actor_location(at).is_some(), "at the budget survives");
+    assert_eq!(c.actor_location(over), None, "1 ns over is killed");
+}
+
 /// Passes each request on to `next`, carrying the client's address.
 struct Relay {
     next: Address,

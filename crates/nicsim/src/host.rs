@@ -21,42 +21,14 @@ pub fn host_speedup(nic: &NicSpec, host: &HostSpec, profile: &ExecProfile) -> f6
     on_nic.as_ns() as f64 / on_host.as_ns() as f64
 }
 
-/// A host core pool accumulating busy time, from which the experiment harness
-/// derives "CPU cores used" (Fig 13), and from it Fig 17's "CPU usage %".
-#[derive(Debug, Clone, Default)]
-pub struct HostCpuAccounting {
-    busy: SimTime,
-    wall: SimTime,
-}
-
-impl HostCpuAccounting {
-    /// Empty accounting.
-    pub fn new() -> Self {
-        Self::default()
+/// Equivalent number of fully-busy cores a core pool kept over `wall`, given
+/// the core time `busy` it was charged: "CPU cores used" (Fig 13), and from
+/// it Fig 17's "CPU usage %". Zero over an empty interval.
+pub fn cores_used(busy: SimTime, wall: SimTime) -> f64 {
+    if wall == SimTime::ZERO {
+        return 0.0;
     }
-
-    /// Charge `t` of host core time.
-    pub fn charge(&mut self, t: SimTime) {
-        self.busy += t;
-    }
-
-    /// Set the wall-clock duration of the measured interval.
-    pub fn set_wall(&mut self, wall: SimTime) {
-        self.wall = wall;
-    }
-
-    /// Equivalent number of fully-busy cores over the interval.
-    pub fn cores_used(&self) -> f64 {
-        if self.wall == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / self.wall.as_secs_f64()
-    }
-
-    /// Total busy time charged.
-    pub fn busy(&self) -> SimTime {
-        self.busy
-    }
+    busy.as_secs_f64() / wall.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -90,17 +62,12 @@ mod tests {
 
     #[test]
     fn cpu_accounting() {
-        let mut acc = HostCpuAccounting::new();
-        acc.charge(SimTime::from_ms(500));
-        acc.charge(SimTime::from_ms(750));
-        acc.set_wall(SimTime::from_secs(1));
-        assert!((acc.cores_used() - 1.25).abs() < 1e-9);
-        assert_eq!(acc.busy(), SimTime::from_ms(1250));
+        let busy = SimTime::from_ms(500) + SimTime::from_ms(750);
+        assert!((cores_used(busy, SimTime::from_secs(1)) - 1.25).abs() < 1e-9);
     }
 
     #[test]
     fn empty_accounting_is_zero() {
-        let acc = HostCpuAccounting::new();
-        assert_eq!(acc.cores_used(), 0.0);
+        assert_eq!(cores_used(SimTime::from_ms(3), SimTime::ZERO), 0.0);
     }
 }
