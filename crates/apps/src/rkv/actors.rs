@@ -185,13 +185,13 @@ pub struct ConsensusActor {
     /// fresh slot.
     inflight_tokens: IdMap<u64, Slot>,
     /// `rkv.buffered_writes` gauge mirroring `pending.len()`.
-    buffered: Option<Gauge>,
+    buffered: Gauge,
     /// `rkv.dup.commits`: retransmitted commands that re-committed into a
     /// second slot and were absorbed at apply time (exactly-once evidence).
-    dup_commits: Option<Counter>,
-    /// Client operations (reads and writes) that entered through this
-    /// replica — the hotspot signal the multi-group rebalancer reads.
-    ops: Option<Counter>,
+    dup_commits: Counter,
+    /// `rkv.ops`: client operations (reads and writes) that entered through
+    /// this replica — the hotspot signal the multi-group rebalancer reads.
+    ops: Counter,
     /// Writes applied here: past the token filter and sent to the memtable,
     /// whose `Apply` may still be queued ([`RkvDeployment::applied`]).
     applied: Counter,
@@ -199,7 +199,8 @@ pub struct ConsensusActor {
 
 impl ConsensusActor {
     /// Replica `replica` of the group whose consensus actors are `peers`
-    /// (indexed by replica), applying to `memtable`.
+    /// (indexed by replica), applying to `memtable`. Its metric handles are
+    /// detached until a deployment attaches registered ones.
     pub fn new(replica: NodeIdx, peers: Vec<Address>, memtable: Address) -> ConsensusActor {
         ConsensusActor {
             paxos: PaxosNode::new(replica, peers.len() as u32),
@@ -211,9 +212,9 @@ impl ConsensusActor {
             last_heard: SimTime::ZERO,
             applied_tokens: IdSet::default(),
             inflight_tokens: IdMap::default(),
-            buffered: None,
-            dup_commits: None,
-            ops: None,
+            buffered: Gauge::default(),
+            dup_commits: Counter::default(),
+            ops: Counter::default(),
             applied: Counter::default(),
         }
     }
@@ -224,30 +225,8 @@ impl ConsensusActor {
         self
     }
 
-    /// Attach the `rkv.buffered_writes` gauge.
-    pub fn with_buffered_gauge(mut self, g: Gauge) -> ConsensusActor {
-        self.buffered = Some(g);
-        self
-    }
-
-    /// Attach the `rkv.dup.commits` counter.
-    pub fn with_dup_counter(mut self, c: Counter) -> ConsensusActor {
-        self.dup_commits = Some(c);
-        self
-    }
-
-    /// Attach a per-group client-operation counter (the rebalancer's
-    /// hotspot signal). Metric reads never perturb event or RNG order, so
-    /// deployments without it stay byte-identical.
-    pub fn with_ops_counter(mut self, c: Counter) -> ConsensusActor {
-        self.ops = Some(c);
-        self
-    }
-
     fn set_buffered_gauge(&self) {
-        if let Some(g) = &self.buffered {
-            g.set(self.pending.len() as i64);
-        }
+        self.buffered.set(self.pending.len() as i64);
     }
 
     /// Silence threshold for this replica: staggered by index so the
@@ -327,9 +306,7 @@ impl ConsensusActor {
                 // A retransmitted command that re-committed into a second
                 // slot: apply exactly once, but still re-answer the client —
                 // it only retried because the first reply was lost.
-                if let Some(c) = &self.dup_commits {
-                    c.inc();
-                }
+                self.dup_commits.inc();
                 if leader {
                     ctx.reply_to(client, 64, token, None);
                 }
@@ -370,9 +347,7 @@ impl ActorLogic for ConsensusActor {
         match *msg {
             RkvMsg::Client(op) => {
                 ctx.charge_work(700); // request parse + dispatch
-                if let Some(c) = &self.ops {
-                    c.inc();
-                }
+                self.ops.inc();
                 match op {
                     KvOp::Get { key } => {
                         // Fast-path reads go straight to the Memtable actor.
@@ -800,11 +775,12 @@ pub(super) fn deploy_group(
         let node = node as u16;
         let mut consensus =
             ConsensusActor::new(ri as u32, wiring.consensus.clone(), wiring.memtable[ri])
-                .with_heartbeat(heartbeat)
-                .with_buffered_gauge(reg.gauge_in("rkv.buffered_writes", group, node))
-                .with_dup_counter(reg.counter_in("rkv.dup.commits", group, node));
+                .with_heartbeat(heartbeat);
+        consensus.buffered = reg.gauge_in("rkv.buffered_writes", group, node);
+        consensus.dup_commits = reg.counter_in("rkv.dup.commits", group, node);
         if group.is_some() {
-            consensus = consensus.with_ops_counter(reg.counter_in("rkv.ops", group, node));
+            // Only a multi-group deployment has a rebalancer to read it.
+            consensus.ops = reg.counter_in("rkv.ops", group, node);
         }
         applied.push(consensus.applied.clone());
         let memtable =
@@ -1158,7 +1134,8 @@ mod tests {
         let obs = ipipe_sim::Obs::disabled();
         let g = obs.registry().gauge_on("rkv.buffered_writes", 1);
         // Replica 1 of 3 boots as a follower; leader hint is replica 0.
-        let mut a = test_consensus(1, 3).with_buffered_gauge(g.clone());
+        let mut a = test_consensus(1, 3);
+        a.buffered = g.clone();
         for t in 0..PENDING_CAP as u64 {
             let out = exec_once(&mut a, t, RkvMsg::Client(put_for(t)));
             assert!(out.is_empty(), "writes below the cap buffer silently");
@@ -1168,7 +1145,11 @@ mod tests {
         let out = exec_once(&mut a, 999, RkvMsg::Client(put_for(999)));
         assert_eq!(out.len(), 1);
         let reply = &out[0];
-        assert_eq!((reply.dst.node, reply.token), (9, 999), "a reply to the client");
+        assert_eq!(
+            (reply.dst.node, reply.token),
+            (9, 999),
+            "a reply to the client"
+        );
         let r = reply
             .payload
             .as_ref()

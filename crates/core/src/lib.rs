@@ -17,7 +17,7 @@
 //! | [`dmo`] — distributed memory objects + object tables | §3.3, Fig 12 |
 //! | [`skiplist`] — object-ID-indexed Skip List over DMOs | Fig 12b |
 //! | [`ring`] — host/NIC message rings with lazy pointer sync | §3.5 |
-//! | [`isolate`] — state protection and DoS watchdog | §3.4 |
+//! | [`isolate`] — state protection and the DoS watchdog's budget | §3.4 |
 //! | [`nstack`] — shim stack: Ethernet + IPv4 codec, UDP/TCP framing, send cost | App. B.1 |
 //! | [`rt`] — the runtime binding actors, scheduler and hardware | §3 |
 //!
@@ -30,7 +30,7 @@
 //! | `actor_create` | [`rt::Cluster::reserve_actor`]: the actor's address, before it exists |
 //! | `actor_register` | [`rt::Cluster::register_reserved`] (both at once: [`rt::Cluster::register_actor`]) |
 //! | `actor_init` | [`actor::ActorLogic::init`], run at registration |
-//! | `actor_delete` | no call: the isolation watchdog deletes an actor (§3.4) |
+//! | `actor_delete` | no call: an execution priced over [`isolate::WATCHDOG_BUDGET`] deletes its actor (§3.4) |
 //! | `actor_migrate` | [`rt::Cluster::force_migrate`] |
 //! | `dmo_malloc` / `dmo_free` | [`dmo::ActorDmo::malloc`] / [`dmo::ActorDmo::free`] |
 //! | `dmo_mmset` / `dmo_mmcpy` | [`dmo::ActorDmo::memset`] / [`dmo::ActorDmo::memcpy`] |

@@ -192,7 +192,7 @@ impl FaultPlan {
             // 1071 checksum (a one-byte xor can never shift a 16-bit word by
             // a multiple of 0xFFFF), so `parse_headers` is guaranteed to
             // reject the frame at the receiver.
-            let flip = rng.index(20) as u8;
+            let flip = u8::try_from(rng.index(20)).expect("an index below 20 fits a byte");
             return Verdict::Corrupt { flip };
         }
         Verdict::Deliver

@@ -10,6 +10,8 @@
 //! that matters for the evaluation (packet-rate arithmetic and queueing),
 //! without simulating individual symbols.
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod fault;
 pub mod net;
 pub mod packet;

@@ -482,9 +482,9 @@ mod tests {
                     .with_corruption(0.1)
                     .with_link_down(2, SimTime::from_us(10), SimTime::from_us(30)),
             );
-            (0..500)
+            (0..500u16)
                 .map(|i| {
-                    n.begin_transfer(SimTime::from_ns(40 * i), &pkt(0, (1 + i % 2) as u16, 800))
+                    n.begin_transfer(SimTime::from_ns(40 * u64::from(i)), &pkt(0, 1 + i % 2, 800))
                 })
                 .collect::<Vec<_>>()
         };

@@ -93,6 +93,7 @@ impl ExecProfile {
             * (l2_hits as f64 * core.ns_to_cycles(core.mem.l2)
                 + self.mem.l2_misses as f64 * core.ns_to_cycles(core.mem.dram));
         let cycles = base_cycles + stall_cycles;
+        #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
         let compute = SimTime::from_ns((cycles / core.freq_ghz).round() as u64);
         ExecResult {
             latency: compute + self.accel_wait,

@@ -146,7 +146,7 @@ mod tests {
     /// FIPS 197 Appendix C.3: AES-256 known-answer test.
     #[test]
     fn fips197_aes256_vector() {
-        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
+        let key: [u8; 32] = core::array::from_fn(|i| u8::try_from(i).unwrap());
         let mut block: [u8; 16] = [
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
@@ -163,9 +163,10 @@ mod tests {
 
     #[test]
     fn ctr_roundtrip_various_lengths() {
-        let key: [u8; 32] = core::array::from_fn(|i| (i * 7 + 3) as u8);
+        let key: [u8; 32] = core::array::from_fn(|i| u8::try_from(i * 7 + 3).unwrap());
         let aes = Aes::new_256(&key);
         for len in [0usize, 1, 15, 16, 17, 64, 100, 1024] {
+            #[expect(clippy::cast_possible_truncation, reason = "the pattern wraps a byte")]
             let original: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
             let mut data = original.clone();
             aes.ctr_transform(0xDEAD_BEEF, &mut data);

@@ -171,6 +171,10 @@ pub struct DesignPoint {
 impl DesignPoint {
     /// Stable identity derived from the spec alone:
     /// `c<cores>-f<MHz>-<onp|offp>-m<dram ns>-<acc|soft>`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a clock in MHz is a small whole number"
+    )]
     pub fn id(&self) -> String {
         let s = &self.spec;
         format!(
@@ -197,6 +201,7 @@ const TEMPLATE_FREQ_GHZ: f64 = 1.2;
 /// the CN2350's — PCIe Gen3 x8 for every design, as in the study.
 fn synthesize(cores: u32, freq_ghz: f64, kind: NicKind, mem: MemGeom, accels: bool) -> NicSpec {
     let scale = TEMPLATE_FREQ_GHZ / freq_ghz;
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     let scaled = |ns: f64| SimTime::from_ns((ns * scale).round() as u64);
     NicSpec {
         name: "dse-synth",

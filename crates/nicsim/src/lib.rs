@@ -20,6 +20,8 @@
 //! Every calibration constant lives in [`spec`] with a comment naming the
 //! figure or table it was fitted to.
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod accel;
 pub mod cpu;
 pub mod crypto;

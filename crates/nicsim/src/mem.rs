@@ -49,7 +49,8 @@ impl CacheLevel {
     /// Access the line containing `addr`; returns true on hit. Fills on miss.
     fn access(&mut self, addr: u64) -> bool {
         let tag = addr >> self.line_shift;
-        let set = &mut self.sets[(tag & self.set_mask) as usize];
+        let set = usize::try_from(tag & self.set_mask).expect("a set index is below the set count");
+        let set = &mut self.sets[set];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             let t = set.remove(pos);
             set.insert(0, t);
@@ -251,31 +252,27 @@ pub fn pointer_chase(
         state ^= state >> 27;
         (state.wrapping_mul(0x2545F491_4F6CDD1D)) % n
     };
-    for i in (1..slots as usize).rev() {
-        let j = rand_below(i as u64) as usize;
+    for i in (1..order.len()).rev() {
+        let j = usize::try_from(rand_below(i as u64)).expect("a draw below i fits a usize");
         order.swap(i, j);
     }
 
     // Warm the cache with one full traversal.
-    let mut idx = 0u64;
-    for _ in 0..slots {
-        cache.access(order[idx as usize] * line);
-        idx = (idx + 1) % slots;
+    for &slot in &order {
+        cache.access(slot * line);
     }
     cache.reset_counters();
 
     let mut total = SimTime::ZERO;
     let mut level_counts = [0u64; 3];
-    let mut idx = 0u64;
-    for _ in 0..steps {
-        let (lvl, t) = cache.access(order[idx as usize] * line);
+    for (&slot, _) in order.iter().cycle().zip(0..steps) {
+        let (lvl, t) = cache.access(slot * line);
         total += t;
         level_counts[match lvl {
             HitLevel::L1 => 0,
             HitLevel::L2 => 1,
             HitLevel::Dram => 2,
         }] += 1;
-        idx = (idx + 1) % slots;
     }
 
     let dominant = match level_counts

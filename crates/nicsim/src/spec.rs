@@ -45,6 +45,7 @@ pub struct ForwardCost {
 
 impl ForwardCost {
     /// Per-packet forwarding cost for a frame of `size` bytes.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn cost(&self, size: u32) -> SimTime {
         self.base + SimTime::from_ns((self.per_byte_ns * size as f64).round() as u64)
     }
@@ -155,11 +156,13 @@ pub struct NicSpec {
 
 impl NicSpec {
     /// Cycles-to-time conversion for this card's cores.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn cycles(&self, n: u64) -> SimTime {
         SimTime::from_ns((n as f64 / self.freq_ghz).round() as u64)
     }
 
     /// Hardware-assisted send cost for a payload of `size` bytes (Fig 6).
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn hw_send(&self, size: u32) -> SimTime {
         self.hw_send_base
             + SimTime::from_ns((self.hw_send_per_byte_ns * size as f64).round() as u64)
@@ -415,11 +418,13 @@ pub struct HostSpec {
 
 impl HostSpec {
     /// Cycles-to-time conversion.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn cycles(&self, n: u64) -> SimTime {
         SimTime::from_ns((n as f64 / self.freq_ghz).round() as u64)
     }
 
     /// DPDK send cost for a payload of `size` bytes (Fig 6).
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn dpdk_send(&self, size: u32) -> SimTime {
         self.dpdk_send_base
             + SimTime::from_ns((self.dpdk_send_per_byte_ns * size as f64).round() as u64)
@@ -431,6 +436,7 @@ impl HostSpec {
     }
 
     /// Host RDMA send cost (Fig 6).
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn rdma_send(&self, size: u32) -> SimTime {
         self.rdma_send_base
             + SimTime::from_ns((self.rdma_send_per_byte_ns * size as f64).round() as u64)
@@ -594,6 +600,7 @@ mod tests {
             if need > spec.hw_pps_limit {
                 return None;
             }
+            #[expect(clippy::cast_possible_truncation, reason = "a core count, rounded up")]
             let cores = (need * spec.fwd.cost(frame).as_ns() as f64 * 1e-9).ceil() as u32;
             (cores <= spec.cores).then_some(cores.max(1))
         };

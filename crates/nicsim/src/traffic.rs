@@ -53,6 +53,10 @@ pub fn compute_headroom(spec: &NicSpec, frame: u32) -> Option<SimTime> {
     }
     // occupancy may grow to cores/need before the core pool saturates.
     let limit_ns = spec.cores as f64 / need * 1e9;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "floors to whole ns, so the headroom never exceeds the limit"
+    )]
     Some(SimTime::from_ns(limit_ns as u64))
 }
 

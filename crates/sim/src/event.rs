@@ -26,8 +26,6 @@
 //! `tests/queue_ref.rs` checks all of this against an ordered-map reference
 //! under arbitrary interleavings.
 
-#![deny(clippy::cast_possible_truncation)]
-
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

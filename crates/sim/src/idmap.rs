@@ -309,7 +309,7 @@ mod tests {
             for (what, bits, shift) in [("bucket", 10, 0), ("tag", 7, 57)] {
                 let mut classes = vec![0u64; 1 << bits];
                 for h in hashes {
-                    classes[(h >> shift) as usize & ((1 << bits) - 1)] += 1;
+                    classes[usize::try_from((h >> shift) & ((1 << bits) - 1)).unwrap()] += 1;
                 }
                 let mean = hashes.len() as u64 >> bits;
                 let max = *classes.iter().max().unwrap();
@@ -321,7 +321,9 @@ mod tests {
         worst("dense request ids", &dense);
         // DMO regions are keyed by actor id, u32 and cluster-wide: one node
         // sees every 64th.
-        let sparse: Vec<u64> = (0..N as u32).map(|i| hash.hash_one(7 + 64 * i)).collect();
+        let sparse: Vec<u64> = (0..u32::try_from(N).unwrap())
+            .map(|i| hash.hash_one(7 + 64 * i))
+            .collect();
         worst("sparse actor ids", &sparse);
         // Request tokens: the client in the high bits, a counter below.
         let tokens: Vec<u64> = (0..N)

@@ -20,6 +20,8 @@
 //! assert!((a, b) == (0, 1) && t0 < t1);
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod audit;
 pub mod event;
 pub mod idmap;

@@ -73,6 +73,7 @@ impl DetRng {
     }
 
     /// Exponentially distributed span with the given mean.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn exp(&mut self, mean: SimTime) -> SimTime {
         let m = mean.as_ns() as f64;
         if m <= 0.0 {
@@ -117,6 +118,10 @@ impl ZipfKeys {
     }
 
     /// Draw a key.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a Zipf draw is a whole number in [1, n], exact in an f64"
+    )]
     pub fn sample(&self, rng: &mut DetRng) -> u64 {
         // rand_distr's Zipf yields values in [1, n].
         (self.dist.sample(&mut rng.inner) as u64)
@@ -163,6 +168,7 @@ impl ServiceDist {
     }
 
     /// Analytic mean of the distribution.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn mean(&self) -> SimTime {
         match *self {
             ServiceDist::Constant(t) => t,
@@ -248,11 +254,11 @@ mod tests {
     fn zipf_is_skewed_and_in_range() {
         let mut rng = DetRng::new(2);
         let n = 1000u64;
-        let mut counts = vec![0u64; n as usize];
+        let mut counts = vec![0u64; usize::try_from(n).unwrap()];
         for _ in 0..50_000 {
             let k = rng.zipf(n, 0.99);
             assert!(k < n);
-            counts[k as usize] += 1;
+            counts[usize::try_from(k).unwrap()] += 1;
         }
         // Key 0 should be far more popular than key 500.
         assert!(counts[0] > counts[500] * 10);

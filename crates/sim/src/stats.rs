@@ -1,7 +1,6 @@
 //! Statistics used by both the simulation harness and the iPipe runtime
 //! bookkeeper (§3.2.3): EWMA estimators, Welford running moments, and a
 //! log-bucketed latency histogram for exact-enough quantiles.
-#![deny(clippy::cast_possible_truncation)]
 
 use crate::time::SimTime;
 

@@ -42,6 +42,7 @@ impl SimTime {
 
     /// Construct from a floating-point number of microseconds (common unit in
     /// the paper's figures). Negative and NaN inputs clamp to zero.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn from_us_f64(us: f64) -> Self {
         if us.is_nan() || us <= 0.0 {
             return SimTime::ZERO;
@@ -50,6 +51,7 @@ impl SimTime {
     }
 
     /// Construct from a floating-point number of seconds.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn from_secs_f64(s: f64) -> Self {
         if s.is_nan() || s <= 0.0 {
             return SimTime::ZERO;
@@ -99,6 +101,7 @@ impl SimTime {
 
     /// Scale a span by a dimensionless factor (e.g. frequency ratios in the
     /// hardware model). Clamps negative/NaN factors to zero.
+    #[expect(clippy::cast_possible_truncation, reason = "rounds to whole ns")]
     pub fn scale(self, factor: f64) -> SimTime {
         if factor.is_nan() || factor <= 0.0 {
             return SimTime::ZERO;

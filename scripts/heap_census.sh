@@ -7,18 +7,18 @@
 # pointer is forgotten; the live bytes per stack are copied whenever the live
 # total reaches a new high-water mark (1% above the last copy), so the copy
 # that survives is the live set at the peak. The addresses are symbolised
-# with addr2line (inlined frames included), like sample_profile.sh, and
-# reduced to two tables: by site (the innermost frame of this workspace's
-# crates) and by the site with its two nearest callers. Beside the peak live
-# heap it prints the process's VmHWM (peak RSS, read from /proc/self/status
-# at exit) less the census's own tables (their pages resident at exit,
-# counted with mincore, printed beside it): a gap much larger than the
-# workload's non-heap memory is memory malloc keeps but the program no longer
-# holds, such as an idle thread's arena.
+# by scripts/symbolize.py (addr2line, inlined frames included), as in
+# sample_profile.sh, and reduced to two tables: by site (the innermost frame
+# of this workspace's crates) and by the site with its two nearest callers.
+# The same repetition runs once more without the census, and the
+# `peak_rss_mib` it reports (its VmHWM) is printed beside the peak live heap:
+# a gap much larger than the workload's non-heap memory is memory malloc
+# keeps but the program no longer holds, such as an idle thread's arena.
 #   ./scripts/heap_census.sh <workload> [seed]
 # <workload> is a benchmark/run.sh workload (rkv-steady, pod-par2, tcp-lossy,
-# dse-grid), run once at benchmark/run.sh's default size (20 s, `--scale` 20 /
-# 240). Needs cc, addr2line and python3; everything it writes goes under
+# dse-grid), run at benchmark/run.sh's default size (20 s, `--scale` 20 /
+# 240). Needs cc, addr2line and python3; it builds the benchmark with
+# scripts/symbolize.py (under target/symbolize) and writes the rest under
 # target/heap-census.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,23 +33,18 @@ cat > "$dir/census.c" <<'EOF'
 /* Live-heap census: malloc, calloc, realloc, free and the aligned
  * allocators forward to glibc's __libc_* entry points and keep the live
  * byte count (malloc_usable_size), its peak, and the sampled allocations'
- * live bytes per stack. The report goes to stderr at exit as `census` lines,
- * with the process's VmHWM (-1 when /proc/self/status has none) and the bytes
- * of the census's own tables resident at exit (-1 when mincore fails).
+ * live bytes per stack. The report goes to stderr at exit as `census` lines.
  * A thread-local guard keeps the census's own calls (backtrace() loads the
  * unwinder with malloc) out of the count. */
 #define _GNU_SOURCE
 #include <errno.h>
 #include <execinfo.h>
-#include <fcntl.h>
 #include <link.h>
 #include <malloc.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 extern void *__libc_malloc(size_t);
 extern void *__libc_calloc(size_t, size_t);
@@ -224,51 +219,12 @@ __attribute__((constructor)) static void start(void) {
     busy = 0;
 }
 
-/* VmHWM in bytes, read into a stack buffer (no malloc); -1 if absent. */
-static long long vm_hwm(void) {
-    char buf[8192];
-    size_t len = 0;
-    ssize_t n;
-    int fd = open("/proc/self/status", O_RDONLY);
-    if (fd < 0) return -1;
-    while (len < sizeof buf - 1 && (n = read(fd, buf + len, sizeof buf - 1 - len)) > 0)
-        len += (size_t)n;
-    close(fd);
-    buf[len] = 0;
-    char *p = strstr(buf, "VmHWM:");
-    return p ? strtoll(p + 6, NULL, 10) * 1024 : -1;
-}
-
-/* Bytes of the census's tables resident now, counted with mincore over the
- * pages from the lowest table to the end of the highest (all of it this
- * library's own data); -1 if mincore fails. */
-static long long tables_resident(void) {
-#define SPAN(x) {(uintptr_t)(x), (uintptr_t)(x) + sizeof(x)}
-    uintptr_t t[][2] = {SPAN(stack_frames), SPAN(stack_depth), SPAN(stack_slot),
-                        SPAN(stack_live),   SPAN(stack_peak),  SPAN(tab)};
-    uintptr_t lo = UINTPTR_MAX, hi = 0;
-    for (size_t i = 0; i < sizeof t / sizeof *t; i++) {
-        if (t[i][0] < lo) lo = t[i][0];
-        if (t[i][1] > hi) hi = t[i][1];
-    }
-    uintptr_t page = (uintptr_t)sysconf(_SC_PAGESIZE), chunk = 4096 * page;
-    unsigned char vec[4096];
-    long long pages = 0;
-    for (uintptr_t a = lo & ~(page - 1); a < hi; a += chunk) {
-        size_t len = hi - a < chunk ? hi - a : chunk;
-        if (mincore((void *)a, len, vec)) return -1;
-        for (size_t i = 0; i < (len + page - 1) / page; i++) pages += vec[i] & 1;
-    }
-    return pages * (long long)page;
-}
-
 __attribute__((destructor)) static void finish(void) {
     busy = 1;
     acquire();
     fprintf(stderr,
-            "census peak %lld copied %lld allocs %llu dropped %llu vmhwm %lld tables %lld\n",
-            (long long)peak, (long long)copied, (unsigned long long)allocs,
-            (unsigned long long)dropped, vm_hwm(), tables_resident());
+            "census peak %lld copied %lld allocs %llu dropped %llu\n", (long long)peak,
+            (long long)copied, (unsigned long long)allocs, (unsigned long long)dropped);
     for (int s = 0; s < stack_count; s++) {
         if (stack_peak[s] <= 0) continue;
         fprintf(stderr, "census stack %lld", (long long)stack_peak[s]);
@@ -281,18 +237,17 @@ __attribute__((destructor)) static void finish(void) {
 EOF
 cc -O2 -shared -fPIC -o "$dir/census.so" "$dir/census.c"
 
-# The benchmark as benchmark/run.sh builds it, plus line tables and inlining info.
-CARGO_PROFILE_RELEASE_DEBUG=1 cargo build --release --offline --quiet \
-    --manifest-path benchmark/Cargo.toml --target-dir "$dir/target"
-bin=$dir/target/release/ipipe-benchmark
+bin=$(python3 scripts/symbolize.py build)
+rep=("$bin" --child rep --workload "$workload" --seed "$seed" --scale "$scale")
 
-LD_PRELOAD=$PWD/$dir/census.so "$bin" --child rep --workload "$workload" --seed "$seed" \
-    --scale "$scale" > /dev/null 2> "$dir/census.txt"
+LD_PRELOAD=$PWD/$dir/census.so "${rep[@]}" > /dev/null 2> "$dir/census.txt"
+rss=$("${rep[@]}" | awk '$1 == "peak_rss_mib" { print $2 }')
 
-python3 - "$bin" "$dir/census.txt" <<'EOF'
-import collections, re, subprocess, sys
+PYTHONPATH=scripts python3 - "$bin" "$dir/census.txt" "$rss" <<'EOF'
+import collections, re, sys
+from symbolize import symbolize
 
-binary, path = sys.argv[1], sys.argv[2]
+binary, path, rss = sys.argv[1], sys.argv[2], float(sys.argv[3])
 head, stacks = None, []
 for line in open(path):
     f = line.split()
@@ -303,38 +258,19 @@ for line in open(path):
         stacks.append((int(f[2]), [int(a, 16) - 1 for a in f[3:]]))
 if head is None:
     sys.exit(f"no census in {path}: did the workload run? (stderr is there)")
-addrs = sorted({a for _, s in stacks for a in s})
-out = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
-                     input="".join(f"{a:x}\n" for a in addrs),
-                     capture_output=True, text=True, check=True).stdout.split("\n")
-names, cur = {}, None  # address -> its functions, innermost (inlined) first
-for line in out:  # per address: its 0x line, then (function, file:line) pairs
-    if re.fullmatch(r"0x[0-9a-f]+", line):
-        cur, is_function = names.setdefault(int(line, 16), []), True
-    elif cur is not None:
-        if is_function:
-            cur.append(line)
-        is_function = not is_function
-
-def short(name):  # rt::shard::<impl rt::ShardState>::run_slice -> rt::ShardState::run_slice
-    return re.sub(r"(?:\w+::)*<impl ([^<>]+)>", r"\1", name)
-
 # A site is a frame of this workspace's crates; std, alloc, core and
 # hashbrown frames (Vec::push, HashMap::insert, ...) are how it allocates, and
 # so is the benchmark's counting GlobalAlloc.
 ours = re.compile(r"^<?ipipe")
 by_site, by_chain = collections.Counter(), collections.Counter()
-for bytes, s in stacks:
-    frames = [short(n) for a in s for n in names.get(a, ["??"])]
+for (bytes, _), frames in zip(stacks, symbolize(binary, [s for _, s in stacks])):
     mine = [n for n in frames if ours.match(n) and "GlobalAlloc>" not in n]
     by_site[mine[0] if mine else "(no frame of this workspace)"] += bytes
     by_chain[" <- ".join(mine[:3]) if mine else "(no frame of this workspace)"] += bytes
 total = sum(by_site.values())
 mib = 1 << 20
-hwm = "not read" if min(head["vmhwm"], head["tables"]) < 0 else (
-    f"{(head['vmhwm'] - head['tables']) / mib:.2f} MiB (the census's own tables,"
-    f" {head['tables'] / mib:.2f} MiB resident, taken out)")
-print(f"peak live heap {head['peak'] / mib:.2f} MiB beside VmHWM {hwm} (census copied at"
+print(f"peak live heap {head['peak'] / mib:.2f} MiB beside peak_rss_mib {rss:.2f} MiB of the"
+      f" same run without the census (census copied at"
       f" {head['copied'] / mib:.2f} MiB), {head['allocs']} allocations, {head['dropped']} samples"
       f" dropped; sampled bytes live at the copy: {total / mib:.2f} MiB\n")
 

@@ -17,7 +17,8 @@
 # with a frame whose name ends in it and cuts each stack there; "-" keeps
 # every sample whole, set-up and work outside the cluster loop included (the
 # fig16 cells of dse-grid run under EventQueue::run_until, not run_for).
-# Needs cc, addr2line and python3; everything it writes goes under
+# Needs cc, addr2line and python3; it builds the benchmark with
+# scripts/symbolize.py (under target/symbolize) and writes the rest under
 # target/sample-profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -103,10 +104,7 @@ __attribute__((destructor)) static void finish(void) {
 EOF
 cc -O2 -shared -fPIC -o "$dir/sampler.so" "$dir/sampler.c"
 
-# The benchmark as the driver builds it, plus line tables and inlining info.
-CARGO_PROFILE_RELEASE_DEBUG=1 cargo build --release --offline --quiet \
-    --manifest-path benchmark/Cargo.toml --target-dir "$dir/target"
-bin=$dir/target/release/ipipe-benchmark
+bin=$(python3 scripts/symbolize.py build)
 
 rm -f "$dir"/samples.*
 for rep in $(seq "$reps"); do
@@ -114,33 +112,17 @@ for rep in $(seq "$reps"); do
         --child rep --workload "$workload" --seed "$seed" --scale "$scale" > /dev/null
 done
 
-python3 - "$bin" "$cut" "$root" "$dir"/samples.* <<'EOF'
-import collections, re, subprocess, sys
+PYTHONPATH=scripts python3 - "$bin" "$cut" "$root" "$dir"/samples.* <<'EOF'
+import collections, sys
+from symbolize import symbolize
 
 binary, cut, root, files = sys.argv[1], sys.argv[2].split(","), sys.argv[3], sys.argv[4:]
 samples = [l.split() for f in files for l in open(f) if l.strip()]
 # The interrupted pc is exact; every outer frame is a return address, which
 # belongs to the call one byte earlier.
 samples = [[int(a, 16) - (i > 0) for i, a in enumerate(s)] for s in samples]
-addrs = sorted({a for s in samples for a in s})
-out = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
-                     input="".join(f"{a:x}\n" for a in addrs),
-                     capture_output=True, text=True, check=True).stdout.split("\n")
-names, cur = {}, None  # address -> its functions, innermost (inlined) first
-for line in out:  # per address: its 0x line, then (function, file:line) pairs
-    if re.fullmatch(r"0x[0-9a-f]+", line):
-        cur, is_function = names.setdefault(int(line, 16), []), True
-    elif cur is not None:
-        if is_function:
-            cur.append(line)
-        is_function = not is_function
-
-def short(name):  # rt::shard::<impl rt::ShardState>::run_slice -> rt::ShardState::run_slice
-    return re.sub(r"(?:\w+::)*<impl ([^<>]+)>", r"\1", name)
-
 stacks = []
-for s in samples:
-    stack = [short(n) for a in s for n in names.get(a, ["??"])]
+for stack in symbolize(binary, samples):
     if root == "-":  # libc's thread and process start frames are "??" too
         stacks.append(stack[:1] + [n for n in stack[1:] if n != "??"])
         continue
