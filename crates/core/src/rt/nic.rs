@@ -7,7 +7,7 @@ use super::*;
 use crate::actor::ActorCtx;
 use crate::admission::Decision;
 use crate::dmo::{DmoTable, DmoTraffic};
-use crate::isolate::WATCHDOG_BUDGET;
+use crate::isolate::{watchdog_fires, WATCHDOG_BUDGET};
 use crate::sched::Work;
 
 /// What one `exec` invocation charged and produced, plus the slot and
@@ -161,7 +161,7 @@ impl ShardState {
 
         // DoS watchdog (§3.4): a handler that outruns the budget gets its
         // actor deregistered, and the core stalls for the whole budget.
-        if busy > WATCHDOG_BUDGET {
+        if watchdog_fires(busy) {
             n.sched.deregister(actor);
             n.actors.remove(actor);
             n.dmo.drop_actor(actor);
