@@ -38,7 +38,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use ipipe_sim::audit::{AuditReport, CLUSTER_WIDE};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Replica index within the group.
 pub type NodeIdx = u32;
@@ -159,8 +159,9 @@ pub struct PaxosNode {
     /// Highest truncation point known: every replica has applied every slot
     /// below it.
     trunc: Slot,
-    /// Election vote tracking (candidate side).
-    prepare_votes: HashSet<NodeIdx>,
+    /// Election votes (candidate side): bit `p` is set once replica `p`
+    /// promised.
+    prepare_votes: u32,
     /// Merged accepted state gathered during the election; emptied when the
     /// election is won.
     election_merge: BTreeMap<Slot, (Ballot, Vec<u8>)>,
@@ -192,7 +193,7 @@ impl PaxosNode {
             apply_index: 0,
             peer_applied: vec![0; n as usize],
             trunc: 0,
-            prepare_votes: HashSet::new(),
+            prepare_votes: 0,
             election_merge: BTreeMap::new(),
             election_from: 0,
             leader_hint: 0,
@@ -378,8 +379,7 @@ impl PaxosNode {
         let n = u64::from(self.n);
         self.ballot = (self.promised / n + 1) * n + u64::from(self.id);
         self.promised = self.ballot;
-        self.prepare_votes.clear();
-        self.prepare_votes.insert(self.id);
+        self.prepare_votes = 1 << self.id;
         self.election_from = self.commit_frontier();
         // Merge our own accepted suffix.
         let own = self
@@ -425,7 +425,9 @@ impl PaxosNode {
     ///   above the promise (acceptance always raises the promise first);
     /// - `paxos.committed.value` — every committed-and-unapplied entry holds
     ///   a value;
-    /// - `paxos.votes` — an accept-vote bitmask names no bit at or above `n`.
+    /// - `paxos.votes` — no accept-vote bitmask, nor the prepare-vote one,
+    ///   names a bit at or above `n` (the prepare votes are reported only
+    ///   as a violation, so a clean audit's check count is unchanged).
     pub fn audit_into(&self, r: &mut AuditReport, node: u16) {
         r.check("paxos.ballot", node, self.ballot <= self.promised, || {
             format!(
@@ -500,6 +502,13 @@ impl PaxosNode {
                     )
                 },
             );
+        }
+        if self.prepare_votes.checked_shr(self.n).unwrap_or(0) != 0 {
+            let detail = format!(
+                "prepare votes {:#x} name non-members (group of {})",
+                self.prepare_votes, self.n
+            );
+            r.violation("paxos.votes", node, detail);
         }
     }
 
@@ -597,8 +606,8 @@ impl PaxosNode {
                         }
                     }
                 }
-                self.prepare_votes.insert(from);
-                if self.prepare_votes.len() < self.majority() as usize {
+                self.prepare_votes |= 1 << from;
+                if self.prepare_votes.count_ones() < self.majority() {
                     return Vec::new();
                 }
                 // Won: become leader, re-propose merged values (gap learning:

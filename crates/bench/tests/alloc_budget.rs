@@ -150,7 +150,9 @@ const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 /// while every epoch took the outbox's buffer away and collected a fresh
 /// per-shard vector, 0.27 (2,377) since, 0.210 (1,843) with the one-heap
 /// event queue, 0.216 (1,900) with windowed histograms: their first octave
-/// is allocated while the run records, not while the grid builds. What is
+/// is allocated while the run records, not while the grid builds. 0.215
+/// (1,890) once every frame goes straight into its destination shard's
+/// pool and the shards share one copy of the testbed. What is
 /// left is mostly one emit `Vec` per actor execution; recycling it read 0.077
 /// per event on `pod-par2` and bought no host time, so it is not done.
 #[test]

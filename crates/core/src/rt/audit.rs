@@ -1,6 +1,6 @@
 //! The conservation audit sweep (DESIGN.md §11): cluster-wide ledgers in
-//! [`Cluster::audit`], the per-shard quiesce sweep and per-node checks in
-//! `audit_local`, and the test-only leak hook that proves the checker bites.
+//! [`Cluster::audit`], the pending-event sweep and per-node checks in
+//! `audit_nodes`, and the test-only leak hook that proves the checker bites.
 
 use super::*;
 use ipipe_sim::audit::CLUSTER_WIDE;
@@ -35,19 +35,21 @@ impl Cluster {
     /// * `actor.reserved` — no address is reserved and left without an actor
     pub fn audit(&self) -> AuditReport {
         let mut r = AuditReport::new(self.now());
-        let pending_frames: u64 = self.shards.iter().map(|s| s.audit_local(&mut r)).sum();
+        let pending_frames = self.audit_nodes(&mut r);
         for addr in &self.reserved {
             let detail = format!("{addr:?} was reserved but never registered");
             r.violation("actor.reserved", addr.node, detail);
         }
-        let total = |f: fn(&ShardState) -> u64| self.shards.iter().map(f).sum::<u64>();
-        let rx_frames = total(|s| s.rx_frames);
-        let issued = total(|s| s.completions.issued);
-        let completed = total(|s| s.completions.completed);
-        let inflight = total(|s| {
-            let n: usize = s.clients.iter().flatten().map(|c| c.inflight.len()).sum();
-            u64::try_from(n).expect("a count of requests fits u64")
-        });
+        let rx_frames = self.rx_frames;
+        let issued = self.completions.issued;
+        let completed = self.completions.completed;
+        let inflight: usize = self
+            .clients
+            .iter()
+            .flatten()
+            .map(|c| c.inflight.len())
+            .sum();
+        let inflight = u64::try_from(inflight).expect("a count of requests fits u64");
         let reg = self.obs().registry();
         let count = |name| reg.counter(name).get();
         let abandoned = count("client.retry.abandoned");
@@ -56,13 +58,12 @@ impl Cluster {
         let shed_remote = count("client.shed.remote");
         let shed = shed_remote + count("client.shed.source");
         // Zero when no admission control is installed.
-        let ingress_shed = total(|s| {
-            s.nodes
-                .iter()
-                .flat_map(|n| &n.admission)
-                .map(|a| a.shed())
-                .sum()
-        });
+        let ingress_shed: u64 = self
+            .nodes
+            .iter()
+            .flat_map(|n| &n.admission)
+            .map(|a| a.shed())
+            .sum();
 
         r.check(
             "client.conservation",
@@ -88,27 +89,10 @@ impl Cluster {
             ("ingress sheds", ingress_shed),
         );
 
-        // Measurement consistency: `reset_measurements` stamps every shard
-        // with one instant; throughput math assumes they never drift.
-        let start0 = self.shards[0].measure_start;
-        r.check(
-            "measure.start",
-            CLUSTER_WIDE,
-            self.shards.iter().all(|s| s.measure_start == start0),
-            || {
-                let starts: Vec<String> = self
-                    .shards
-                    .iter()
-                    .map(|s| s.measure_start.to_string())
-                    .collect();
-                format!("per-shard measure_start diverged: [{}]", starts.join(", "))
-            },
-        );
-
         // Frame ledger: every frame the network accounted (`net.packets`
         // counts serialized frames, including lossy and corrupted ones, but
         // not link/node-down drops) was either processed at an ingress,
-        // is still pending delivery (queued, pooled, or outboxed), or was
+        // is still pending delivery (queued or pooled), or was
         // dropped by the loss fault.
         r.check(
             "net.frames",
@@ -132,11 +116,7 @@ impl Cluster {
     /// Returns false when the client has nothing in flight.
     #[doc(hidden)]
     pub fn debug_drop_inflight(&mut self, client: usize) -> bool {
-        if client >= self.n_clients {
-            return false;
-        }
-        let shard = self.shard_for_mut(self.client_node(client));
-        let Some(Some(state)) = shard.clients.get_mut(client) else {
+        let Some(Some(state)) = self.clients.get_mut(client) else {
             return false;
         };
         // Smallest token for determinism across runs.
@@ -154,11 +134,7 @@ impl Cluster {
     /// has no armed request in flight.
     #[doc(hidden)]
     pub fn debug_hasten_retry_due(&mut self, client: usize) -> bool {
-        if client >= self.n_clients {
-            return false;
-        }
-        let shard = self.shard_for_mut(self.client_node(client));
-        let Some(Some(state)) = shard.clients.get_mut(client) else {
+        let Some(Some(state)) = self.clients.get_mut(client) else {
             return false;
         };
         let Some(at) = state.retry.as_ref().and_then(|retry| retry.timer.armed) else {
@@ -173,11 +149,11 @@ impl Cluster {
     }
 }
 
-impl ShardState {
-    /// Per-shard slice of the conservation audit: tally this shard's
-    /// pending events, run the per-node checks, and return how many frames
-    /// are still pending delivery here (queued, pooled, or outboxed).
-    pub(super) fn audit_local(&self, r: &mut AuditReport) -> u64 {
+impl Cluster {
+    /// Tally every shard's pending events, run the per-client and per-node
+    /// checks, and return how many frames are still pending delivery
+    /// (queued or pooled).
+    fn audit_nodes(&self, r: &mut AuditReport) -> u64 {
         let n_nodes = self.nodes.len();
         let mut ring_to_host = vec![0i64; n_nodes];
         let mut mig_steps = vec![0u64; n_nodes];
@@ -193,25 +169,23 @@ impl ShardState {
             .collect();
         let mut retry_due: Vec<Vec<SimTime>> = vec![Vec::new(); self.clients.len()];
         let mut pending_frames = 0u64;
-        let base = self.base;
-        let idx = |node: &u16| usize::from(*node - base);
+        let idx = |node: &u16| usize::from(*node);
         let core_idx = |core: &u32| usize::try_from(*core).expect("core indices fit usize");
-        self.events.for_each_pending(|at, ev| match ev {
-            Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
-            Ev::NicFree { node, core } => nic_free[idx(node)][core_idx(core)] += 1,
-            Ev::HostFree { node, core } => host_free[idx(node)][core_idx(core)] += 1,
-            Ev::MigStep { node } => mig_steps[idx(node)] += 1,
-            Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
-            Ev::RetryDue { client } => retry_due[usize::from(*client)].push(at),
-            _ => {}
-        });
-        pending_frames +=
-            u64::try_from(self.pool.len() + self.outbox.len()).expect("a count of frames fits u64");
+        for (s, shard) in self.shards.iter().enumerate() {
+            self.queue_of(s).for_each_pending(|at, ev| match ev {
+                Ev::RingToHost { node, .. } => ring_to_host[idx(node)] += 1,
+                Ev::NicFree { node, core } => nic_free[idx(node)][core_idx(core)] += 1,
+                Ev::HostFree { node, core } => host_free[idx(node)][core_idx(core)] += 1,
+                Ev::MigStep { node } => mig_steps[idx(node)] += 1,
+                Ev::Deliver { .. } | Ev::DeliverCorrupt { .. } => pending_frames += 1,
+                Ev::RetryDue { client } => retry_due[usize::from(*client)].push(at),
+                _ => {}
+            });
+            pending_frames += u64::try_from(shard.pool.len()).expect("a count of frames fits u64");
+        }
         for (client, state) in self.clients.iter().enumerate() {
             if let Some(state) = state {
-                let node = u16::try_from(self.n_servers + client)
-                    .expect("the builder caps node ids at u16::MAX");
-                state.audit_retry_timer(r, node, &retry_due[client]);
+                state.audit_retry_timer(r, self.client_node(client), &retry_due[client]);
             }
         }
 

@@ -44,10 +44,10 @@ impl Cluster {
         outstanding: u32,
         open: Option<OpenLoop>,
     ) {
-        assert!(client < self.n_clients);
+        assert!(client < self.clients.len());
         let rng = self.rng.fork();
         let seeds = if open.is_some() { 1 } else { outstanding };
-        let slot = &mut self.shard_for_mut(self.client_node(client)).clients[client];
+        let slot = &mut self.clients[client];
         assert!(slot.is_none(), "client {client} already has a generator");
         *slot = Some(ClientState {
             gen,
@@ -78,7 +78,8 @@ impl Cluster {
 
     /// Schedule `n` issues of client `client` at the current instant.
     fn schedule_issues(&mut self, client: usize, n: u32) {
-        let events = &mut self.shard_for_mut(self.client_node(client)).events;
+        self.serve(self.shard(self.client_node(client)));
+        let events = &mut self.events;
         let client = u16::try_from(client).expect("client nodes have u16 ids");
         for _ in 0..n {
             events.schedule_after(SimTime::ZERO, Ev::Issue { client });
@@ -106,19 +107,16 @@ impl Cluster {
 
     /// The installed state of client `client` (a generator must exist).
     fn client_mut(&mut self, client: usize) -> &mut ClientState {
-        self.shard_for_mut(self.client_node(client)).clients[client]
+        self.clients[client]
             .as_mut()
             .expect("install a generator first (set_client / set_client_open_loop)")
     }
 
     /// Assign client `client` to admission class `class` (an index into
-    /// [`AdmissionCfg::classes`]). The map is replicated into every shard so
-    /// any ingress can judge the client's traffic.
+    /// [`AdmissionCfg::classes`]), which every ingress judges the client's
+    /// traffic by.
     pub fn set_client_class(&mut self, client: usize, class: u8) {
-        assert!(client < self.n_clients);
-        for shard in &mut self.shards {
-            shard.client_class[client] = class;
-        }
+        self.client_class[client] = class;
     }
 
     /// Install a routing-refresh observer on client `client` (which must
@@ -291,7 +289,7 @@ impl RetryTimer {
     }
 }
 
-impl ShardState {
+impl Cluster {
     /// Send a client request frame over the (possibly faulted) network. A
     /// delivered frame becomes a `Deliver` event; a corrupted frame becomes
     /// a `DeliverCorrupt` (payload lost on the wire); a dropped frame
@@ -317,7 +315,7 @@ impl ShardState {
     /// re-arms for the earliest `due` still in flight; a superseded one does
     /// nothing.
     pub(super) fn handle_retry_due(&mut self, now: SimTime, client: u16) {
-        let client_node = self.client_node(client);
+        let client_node = self.client_node(usize::from(client));
         let state = self.clients[usize::from(client)].as_mut().expect("fired");
         let retry = state.retry.as_mut().expect("armed by a retry policy");
         if !retry.timer.fire(now) {
@@ -351,14 +349,8 @@ impl ShardState {
         }
     }
 
-    /// The node id of client `client`.
-    fn client_node(&self, client: u16) -> u16 {
-        let node = self.n_servers + usize::from(client);
-        u16::try_from(node).expect("the builder caps node ids at u16::MAX")
-    }
-
     pub(super) fn handle_issue(&mut self, now: SimTime, client: u16) {
-        let client_node = self.client_node(client);
+        let client_node = self.client_node(usize::from(client));
         let Some(state) = self.clients[usize::from(client)].as_mut() else {
             return;
         };

@@ -60,7 +60,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Share an observability handle: every shard's schedulers, network model
+    /// Share an observability handle: the cluster's schedulers, network model
     /// and completion stats publish into its registry, and runtime spans go
     /// to its trace ring, so a cluster has one of each at any shard count.
     /// Defaults to a metrics-only private handle.
@@ -70,12 +70,13 @@ impl ClusterBuilder {
     }
 
     /// Partition the cluster's nodes into `n` event shards (defaults to 1).
-    /// Each shard owns a contiguous block of node ids with its own event
-    /// queue and advances in conservative-lookahead epochs bounded by the
-    /// minimum cross-shard link latency; cross-shard frames are buffered
-    /// into outboxes and merged at epoch barriers in a deterministic total
-    /// order, so results are byte-identical to the single-shard run. The
-    /// calling thread runs every shard's slice of an epoch in turn.
+    /// Each shard is the clock of a contiguous block of node ids: its own
+    /// event queue and ingress merge pool, advancing in
+    /// conservative-lookahead epochs bounded by the minimum cross-shard link
+    /// latency. Every frame waits in its destination's pool, served in a
+    /// deterministic total order, so results are byte-identical to the
+    /// single-shard run. The calling thread runs every shard's slice of an
+    /// epoch in turn.
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
         self.shards = n;
@@ -112,20 +113,10 @@ impl ClusterBuilder {
 
         // Contiguous block partition of all node ids (servers then clients):
         // the first `total % n_shards` shards get one extra node.
-        let mut shard_starts: Vec<u16> = Vec::with_capacity(n_shards + 1);
         let (base_sz, extra) = (total / n_shards, total % n_shards);
-        let mut at = 0usize;
-        for s in 0..n_shards {
-            shard_starts.push(node_id(at));
-            at += base_sz + usize::from(s < extra);
-        }
-        shard_starts.push(node_id(total));
-        let mut shard_of: Vec<u16> = vec![0; total];
-        for s in 0..n_shards {
-            for n in shard_starts[s]..shard_starts[s + 1] {
-                shard_of[usize::from(n)] = node_id(s);
-            }
-        }
+        let shard_of: Vec<u16> = (0..n_shards)
+            .flat_map(|s| std::iter::repeat_n(node_id(s), base_sz + usize::from(s < extra)))
+            .collect();
 
         let mut net = NetModel::new(total, self.spec.link_gbps);
         if let Some((per_rack, extra_lat)) = self.racks {
@@ -134,71 +125,57 @@ impl ClusterBuilder {
         }
         let lookahead = net.min_cross_latency(&shard_of);
 
-        // Fork every server node's RNG in global node order so the streams
-        // are identical for every shard count.
-        let mut node_rngs: Vec<DetRng> = (0..self.servers).map(|_| rng.fork()).collect();
-
-        let shards: Vec<ShardState> = (0..n_shards)
-            .map(|s| {
-                let base = usize::from(shard_starts[s]);
-                let end = usize::from(shard_starts[s + 1]);
-                // Only the server slice of this shard's block gets a NodeRt.
-                let server_end = end.min(self.servers);
-                let nodes: Vec<NodeRt> = (base..server_end.max(base))
-                    .map(|i| NodeRt {
-                        id: node_id(i),
-                        sched: NicScheduler::with_obs(&self.spec, cfg, &obs, node_id(i)),
-                        metrics: RtMetrics::new(&obs, node_id(i)),
-                        nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
-                        host_queues: (0..HOST_XEON.cores).map(|_| Default::default()).collect(),
-                        host_inflight: (0..HOST_XEON.cores).map(|_| None).collect(),
-                        actors: DenseMap::default(),
-                        dmo: DmoTable::new(Side::Nic),
-                        rng: std::mem::replace(&mut node_rngs[i], DetRng::new(0)),
-                        host_busy_total: SimTime::ZERO,
-                        nic_busy_total: SimTime::ZERO,
-                        migration_reports: Vec::new(),
-                        admission: None,
-                    })
-                    .collect();
-                let mut snet = net.clone();
-                snet.attach_obs(obs.registry());
-                ShardState {
-                    shard_id: node_id(s),
-                    base: shard_starts[s],
-                    spec: self.spec,
-                    mode: self.mode,
-                    nodes,
-                    n_servers: self.servers,
-                    net: snet,
-                    events: EventQueue::new(),
-                    clients: (0..self.clients).map(|_| None).collect(),
-                    client_class: vec![0; self.clients],
-                    completions: CompletionStats {
-                        hist: obs.registry().hist("client.latency"),
-                        ..CompletionStats::default()
-                    },
-                    fault_metrics: FaultMetrics::new(&obs),
-                    obs: obs.clone(),
-                    measure_start: SimTime::ZERO,
-                    action_scratch: Vec::new(),
-                    retry_scratch: Vec::new(),
-                    rx_frames: 0,
-                    shard_of: shard_of.clone(),
-                    pool: MergePool::new(),
-                    outbox: Vec::new(),
-                    send_seq: vec![0; total],
-                    processed: 0,
-                }
+        let nodes: Vec<NodeRt> = (0..self.servers)
+            .map(|i| NodeRt {
+                id: node_id(i),
+                sched: NicScheduler::with_obs(&self.spec, cfg, &obs, node_id(i)),
+                metrics: RtMetrics::new(&obs, node_id(i)),
+                nic_inflight: (0..self.spec.cores).map(|_| None).collect(),
+                host_queues: (0..HOST_XEON.cores).map(|_| Default::default()).collect(),
+                host_inflight: (0..HOST_XEON.cores).map(|_| None).collect(),
+                actors: DenseMap::default(),
+                dmo: DmoTable::new(Side::Nic),
+                rng: rng.fork(),
+                host_busy_total: SimTime::ZERO,
+                nic_busy_total: SimTime::ZERO,
+                migration_reports: Vec::new(),
+                admission: None,
+            })
+            .collect();
+        net.attach_obs(obs.registry());
+        let shards = (0..n_shards)
+            .map(|_| Shard {
+                events: EventQueue::new(),
+                pool: MergePool::new(),
+                processed: 0,
             })
             .collect();
 
         Cluster {
+            spec: self.spec,
+            mode: self.mode,
+            nodes,
             n_servers: self.servers,
-            n_clients: self.clients,
+            net,
+            clients: (0..self.clients).map(|_| None).collect(),
+            client_class: vec![0; self.clients],
+            completions: CompletionStats {
+                hist: obs.registry().hist("client.latency"),
+                ..CompletionStats::default()
+            },
+            fault_metrics: FaultMetrics::new(&obs),
+            obs,
+            measure_start: SimTime::ZERO,
+            action_scratch: Vec::new(),
+            retry_scratch: Vec::new(),
+            rx_frames: 0,
+            send_seq: vec![0; total],
+            events: EventQueue::new(),
+            served: 0,
             shards,
             shard_of,
             lookahead,
+            horizon: None,
             epoch_stats: EpochStats::default(),
             shard_events: vec![0; n_shards],
             rng,
@@ -228,15 +205,15 @@ impl Cluster {
 
     /// The cluster's observability handle (registry + trace ring): the
     /// handle passed to [`ClusterBuilder::obs`] (or the builder's
-    /// metrics-only default), which every shard records into.
+    /// metrics-only default), which the whole cluster records into.
     pub fn obs(&self) -> &Obs {
-        &self.shards[0].obs
+        &self.obs
     }
 
     /// Current simulated time. Shards are mutually synchronized at every
     /// public API boundary, so shard 0's clock is the cluster clock.
     pub fn now(&self) -> SimTime {
-        self.shards[0].events.now()
+        self.events.now()
     }
 
     /// Number of server nodes (clients are numbered after them).
@@ -260,16 +237,6 @@ impl Cluster {
     /// balance behind [`EpochStats::speedup`].
     pub fn shard_events(&self) -> Vec<u64> {
         self.shard_events.clone()
-    }
-
-    pub(super) fn shard_for_mut(&mut self, node: u16) -> &mut ShardState {
-        let s = usize::from(self.shard_of[usize::from(node)]);
-        &mut self.shards[s]
-    }
-
-    /// Runtime state of server `node`, through its owning shard.
-    fn node(&self, node: u16) -> &NodeRt {
-        self.shards[usize::from(self.shard_of[usize::from(node)])].node(node)
     }
 
     /// Reserve the next actor id on server `node` and return the address the
@@ -305,8 +272,7 @@ impl Cluster {
         };
         let reserved = self.reserved.swap_remove(slot);
         assert!(reserved == addr, "{addr:?} was reserved as {reserved:?}");
-        self.shard_for_mut(addr.node)
-            .register_actor_local(addr, name, logic, placement);
+        self.install_actor(addr, name, logic, placement);
     }
 
     /// Register an actor on server `node`; returns its cluster address.
@@ -332,27 +298,22 @@ impl Cluster {
     /// server-to-server messages are never shed.
     pub fn set_admission(&mut self, cfg: AdmissionCfg) {
         let now = self.now();
-        for shard in &mut self.shards {
-            for n in &mut shard.nodes {
-                n.admission = Some(NodeAdmission::new(&cfg, &shard.obs, n.id, now));
-            }
+        for n in &mut self.nodes {
+            n.admission = Some(NodeAdmission::new(&cfg, &self.obs, n.id, now));
         }
     }
 
     /// Attach a seeded fault schedule to the cluster's network. Call before
     /// running; the plan's own RNG keeps faulted runs seed-deterministic.
-    /// Every shard judges the frames its own nodes send against its own
-    /// copy, and the plan draws per source node, so fault verdicts are
-    /// identical for every shard count.
+    /// The plan draws per source node, so fault verdicts are identical for
+    /// every shard count.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for s in &mut self.shards {
-            s.net.set_fault_plan(plan.clone());
-        }
+        self.net.set_fault_plan(plan);
     }
 
     /// True when `node` is inside a crash window of the attached fault plan.
     pub fn node_down(&self, node: u16) -> bool {
-        self.shards[0].net.node_down(node, self.now())
+        self.net.node_down(node, self.now())
     }
 
     /// Run the event loop for `dur` of simulated time.
@@ -361,11 +322,11 @@ impl Cluster {
     /// starts at the global minimum pending time `gmin` and lets each shard
     /// run its own events up to `gmin + lookahead` with no synchronization
     /// (a frame sent inside the epoch cannot arrive at another shard before
-    /// the horizon). Cross-shard frames buffered in outboxes are merged
-    /// into the destination pools at the barrier in `(port_ready, dst, src,
-    /// seq)` order, so the merged run is byte-identical to the single-shard
-    /// one. With one shard the horizon is unbounded and the loop degrades
-    /// to the classic serial sweep.
+    /// the horizon). Every frame goes straight into its destination shard's
+    /// merge pool, which serves it in `(port_ready, dst, src, seq)` order
+    /// whatever shard sent it and when, so the merged run is byte-identical
+    /// to the single-shard one. With one shard the horizon is unbounded and
+    /// the loop degrades to the classic serial sweep.
     pub fn run_for(&mut self, dur: SimTime) {
         assert!(
             self.reserved.is_empty(),
@@ -373,15 +334,16 @@ impl Cluster {
             self.reserved
         );
         let end = self.now() + dur;
-        // Setup-time sends (actor init emits) may be parked in outboxes.
-        self.flush_outboxes();
-        while let Some(gmin) = self.shards.iter().filter_map(|s| s.next_time()).min() {
+        while let Some(gmin) = (0..self.shards.len())
+            .filter_map(|s| self.next_time(s))
+            .min()
+        {
             if gmin > end {
                 break;
             }
-            let horizon = self.lookahead.map(|l| gmin + l);
-            for s in &mut self.shards {
-                s.run_slice(end, horizon);
+            self.horizon = self.lookahead.map(|l| gmin + l);
+            for s in 0..self.shards.len() {
+                self.run_slice(s, end);
             }
             let deltas = self.shards.iter_mut().zip(&mut self.shard_events);
             self.epoch_stats.note(deltas.map(|(s, total)| {
@@ -389,61 +351,37 @@ impl Cluster {
                 *total += delta;
                 delta
             }));
-            self.flush_outboxes();
-            if horizon.is_none() {
+            if self.horizon.is_none() {
                 break; // single shard: the slice ran straight to `end`
             }
         }
+        self.horizon = None;
+        self.events.advance_to(end);
         for s in &mut self.shards {
             s.events.advance_to(end);
-        }
-    }
-
-    /// Move cross-shard frames from every outbox into the destination
-    /// shard's merge pool. Transfer order is irrelevant — the pool orders
-    /// entries by `(port_ready, dst, src, seq)`. The emptied buffer goes
-    /// back to its shard, so an outbox grows once, not once per epoch.
-    fn flush_outboxes(&mut self) {
-        for s in 0..self.shards.len() {
-            if self.shards[s].outbox.is_empty() {
-                continue;
-            }
-            let mut moved = std::mem::take(&mut self.shards[s].outbox);
-            for (key, kind) in moved.drain(..) {
-                let dst = usize::from(self.shard_of[usize::from(key.1)]);
-                self.shards[dst].pool.push(key, kind);
-            }
-            self.shards[s].outbox = moved;
         }
     }
 
     /// Clear measurement state (after warmup): completion histogram, host
     /// CPU accounting, NIC busy accounting.
     pub fn reset_measurements(&mut self) {
-        let now = self.now();
-        self.shards[0].completions.hist.reset();
-        for s in &mut self.shards {
-            s.measure_start = now;
-            for n in &mut s.nodes {
-                n.host_busy_total = SimTime::ZERO;
-                n.nic_busy_total = SimTime::ZERO;
-            }
+        self.completions.hist.reset();
+        self.measure_start = self.now();
+        for n in &mut self.nodes {
+            n.host_busy_total = SimTime::ZERO;
+            n.nic_busy_total = SimTime::ZERO;
         }
     }
 
-    /// Client-side completion statistics: issued and completed summed over
-    /// the shards that own clients, and a copy of the one `client.latency`
-    /// histogram every shard records into.
+    /// Client-side completion statistics, with a copy of the one
+    /// `client.latency` histogram.
     pub fn completions(&self) -> CompletionStats {
-        let reg = self.obs().registry();
-        let total = |f: fn(&CompletionStats) -> u64| {
-            self.shards.iter().map(|s| f(&s.completions)).sum::<u64>()
-        };
+        let f = &self.fault_metrics;
         CompletionStats {
-            issued: total(|c| c.issued),
-            completed: total(|c| c.completed),
-            shed: reg.counter("client.shed.remote").get() + reg.counter("client.shed.source").get(),
-            hist: HistHandle::from(self.shards[0].completions.histogram()),
+            issued: self.completions.issued,
+            completed: self.completions.completed,
+            shed: f.shed_remote.get() + f.shed_source.get(),
+            hist: HistHandle::from(self.completions.histogram()),
         }
     }
 
@@ -465,19 +403,8 @@ impl Cluster {
     }
 
     /// Measured wall time since the last reset.
-    ///
-    /// `reset_measurements` stamps every shard with the same instant and
-    /// the audit's `measure.start` check enforces that they stay equal; the
-    /// max is taken here so a hypothetical drift shortens (never inflates)
-    /// the window, keeping `throughput_rps` conservative.
     pub fn measured_wall(&self) -> SimTime {
-        let start = self
-            .shards
-            .iter()
-            .map(|s| s.measure_start)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        self.now().saturating_sub(start)
+        self.now().saturating_sub(self.measure_start)
     }
 
     /// Completed requests per second over the measurement window.
@@ -486,34 +413,30 @@ impl Cluster {
         if wall == SimTime::ZERO {
             return 0.0;
         }
-        self.shards[0].completions.count() as f64 / wall.as_secs_f64()
+        self.completions.count() as f64 / wall.as_secs_f64()
     }
 
     /// Host cores kept busy on server `node` over the measurement window
     /// (Fig 13's y-axis).
     pub fn host_cores_used(&self, node: usize) -> f64 {
-        cores_used(
-            self.node(node_id(node)).host_busy_total,
-            self.measured_wall(),
-        )
+        cores_used(self.nodes[node].host_busy_total, self.measured_wall())
     }
 
     /// NIC core utilization (0..cores) on server `node`.
     pub fn nic_cores_used(&self, node: usize) -> f64 {
-        cores_used(
-            self.node(node_id(node)).nic_busy_total,
-            self.measured_wall(),
-        )
+        cores_used(self.nodes[node].nic_busy_total, self.measured_wall())
     }
 
     /// Where an actor currently lives.
     pub fn actor_location(&self, addr: Address) -> Option<Loc> {
-        self.node(addr.node).sched.location(addr.actor)
+        self.nodes[usize::from(addr.node)]
+            .sched
+            .location(addr.actor)
     }
 
     /// The name an actor was registered under.
     pub fn actor_name(&self, addr: Address) -> Option<&str> {
-        let slot = self.node(addr.node).actors.get(addr.actor)?;
+        let slot = self.nodes[usize::from(addr.node)].actors.get(addr.actor)?;
         Some(&slot.name)
     }
 
@@ -521,17 +444,19 @@ impl Cluster {
     /// the actor migration after the warm up"), through the scheduler's
     /// gate but not its cooldown ([`crate::sched::NicScheduler::force_push`]).
     pub fn force_migrate(&mut self, addr: Address) -> bool {
-        self.shard_for_mut(addr.node).force_migrate_local(addr)
+        self.serve(self.shard(addr.node));
+        let now = self.now();
+        self.force_push(now, addr)
     }
 
     /// Migration reports collected on a node (Fig 18).
     pub fn migration_reports(&self, node: usize) -> &[MigrationReport] {
-        &self.node(node_id(node)).migration_reports
+        &self.nodes[node].migration_reports
     }
 
     /// Messages that crossed `node`'s PCIe ring from the NIC to the host
     /// (`rt.ring.to_host`; host→NIC crossings are not counted here).
     pub fn ring_messages(&self, node: usize) -> u64 {
-        self.node(node_id(node)).metrics.ring_to_host.get()
+        self.nodes[node].metrics.ring_to_host.get()
     }
 }

@@ -29,7 +29,7 @@ impl NodeRt {
     }
 }
 
-impl ShardState {
+impl Cluster {
     /// A request crossed the PCIe ring toward the host.
     pub(super) fn handle_ring_to_host(&mut self, now: SimTime, node: u16, req: Request) {
         let depth = &self.node(node).metrics.ring_depth;
@@ -106,7 +106,7 @@ impl ShardState {
             emits,
             forward_only: false,
         });
-        self.events
+        self.queue(node)
             .schedule_at(now + busy, Ev::HostFree { node, core });
         self.obs.span(
             "host",

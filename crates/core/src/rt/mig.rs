@@ -8,11 +8,10 @@ use crate::dmo::Side;
 /// Trace lane for the migration timeline.
 const MIGRATION_LANE: u32 = 999;
 
-impl ShardState {
-    /// Force a push migration of an actor living on this shard.
-    pub(super) fn force_migrate_local(&mut self, addr: Address) -> bool {
+impl Cluster {
+    /// Force a push migration of the actor at `addr`, at `now`.
+    pub(super) fn force_push(&mut self, now: SimTime, addr: Address) -> bool {
         let Address { node, actor } = addr;
-        let now = self.events.now();
         if !self.node_mut(node).sched.force_push(now, actor) {
             return false;
         }
@@ -24,7 +23,7 @@ impl ShardState {
     /// already `Migrating` (a pull victim since the runtime took the
     /// command), its requests parked since the mark. Arm the first step.
     pub(super) fn arm_migration(&mut self, node: u16) {
-        self.events
+        self.queue(node)
             .schedule_after(Migration::phase1_duration(), Ev::MigStep { node });
     }
 
@@ -72,7 +71,7 @@ impl ShardState {
                 Migration::phase4_duration(parked)
             }
         };
-        self.events.schedule_after(next, Ev::MigStep { node });
+        self.queue(node).schedule_after(next, Ev::MigStep { node });
     }
 
     /// Tear down an in-progress migration: the actor resumes at its origin
@@ -92,7 +91,7 @@ impl ShardState {
             Some(("actor", actor as i64)),
         );
         if let Some(up) = self.net.down_until(node, now) {
-            self.events
+            self.queue(node)
                 .schedule_at(up + SimTime::from_us(1), Ev::MigRetry { node, actor });
         }
         self.kick_nic(now, node);
@@ -118,13 +117,13 @@ impl ShardState {
             let delay = crate::migrate::PHASE4_PER_REQUEST * i as u64;
             let (at, ev) = match mig.dir.dest() {
                 Side::Host => {
-                    let n = &mut self.nodes[usize::from(node - self.base)];
+                    let n = &mut self.nodes[usize::from(node)];
                     let xfer = n.push_to_host_ring(&self.spec, &req);
                     (delay + xfer, Ev::RingToHost { node, req })
                 }
                 Side::Nic => (delay, Ev::RingToNic { node, req }),
             };
-            self.events.schedule_after(at, ev);
+            self.queue(node).schedule_after(at, ev);
         }
         self.kick_nic(now, node);
     }

@@ -2,12 +2,13 @@
 //! deterministic cluster simulation (§3).
 //!
 //! A [`Cluster`] holds server nodes (each a SmartNIC + host pair), client
-//! nodes (pktgen-style load generators), and the ToR network. Applications
-//! register [`ActorLogic`] implementations with an initial [`Placement`];
-//! the runtime then does what the paper's runtime does — schedules actor
-//! executions across NIC FCFS/DRR cores and host cores, forwards requests
-//! over the message rings, migrates actors in four phases, keeps EWMA
-//! bookkeeping, and enforces isolation.
+//! nodes (pktgen-style load generators) and the ToR network, each once; its
+//! event shards are only clocks. Applications register [`ActorLogic`]
+//! implementations with an initial [`Placement`]; the runtime then does what
+//! the paper's runtime does — schedules actor executions across NIC
+//! FCFS/DRR cores and host cores, forwards requests over the message rings,
+//! migrates actors in four phases, keeps EWMA bookkeeping, and enforces
+//! isolation.
 //!
 //! Three runtime modes cover the evaluation's systems:
 //! * [`RuntimeMode::IPipe`] — the full framework (Figs 13–16, 18);
@@ -21,7 +22,7 @@
 //! |---|---|---|
 //! | `mod.rs` | shared types, the `Ev` event enum, re-exports | §3 |
 //! | `cluster.rs` | builder, [`Cluster`] API, conservative-lookahead epoch driver | §5.1 testbed |
-//! | `shard.rs` | per-shard event loop, ingress merge pool, `send_frame` | — |
+//! | `shard.rs` | shard clocks: an epoch slice's event loop, ingress merge pools, `send_frame`, event dispatch | — |
 //! | `client.rs` | client issue / retry / redirect / shed | §5.1 load generators |
 //! | `nic.rs` | NIC ingress + admission, FCFS/DRR dispatch, actor execution, watchdog budget | §3.2, ALG 1/2, §3.4 |
 //! | `host.rs` | host queues and execution behind the PCIe rings | §3.2.6, §3.5 |
@@ -453,30 +454,41 @@ impl FaultMetrics {
     }
 }
 
-/// One event shard: a contiguous block of node ids with its own event
-/// queue, network-occupancy view and ingress merge pool, recording into a
-/// clone of the cluster's one observability handle. All simulation handlers live here; [`Cluster`] routes API calls to
-/// the owning shard and drives shards in conservative-lookahead epochs.
-struct ShardState {
-    shard_id: u16,
-    /// First global node id this shard owns (nodes are contiguous).
-    base: u16,
+/// One event shard: the clock of a contiguous block of node ids. It holds
+/// only what orders its time — its event queue, the merge pool of frames
+/// bound for its nodes, and the events it ran since the last epoch sample.
+/// Every node's state lives once, on the [`Cluster`], which borrows the
+/// queue of the shard whose nodes it serves (`Cluster::serve`).
+struct Shard {
+    events: EventQueue<Ev>,
+    /// In-flight frames addressed to nodes this shard owns.
+    pool: MergePool<PoolKey, ArrivalKind>,
+    /// Work units executed since the last epoch-stats sample.
+    processed: u64,
+}
+
+/// The assembled testbed.
+///
+/// Internally the cluster always runs the sharded engine; the default
+/// single shard reproduces the classic serial behaviour, and
+/// [`ClusterBuilder::shards`] splits the same simulation across independent
+/// event queues with a byte-identical merge.
+pub struct Cluster {
     spec: NicSpec,
     mode: RuntimeMode,
-    /// Runtime state for the *server* nodes this shard owns; index is
-    /// `global_id` minus `base` (servers occupy the low ids of every block).
+    /// Runtime state of every server node, indexed by node id (servers
+    /// occupy ids `0..n_servers`).
     nodes: Vec<NodeRt>,
-    /// Cluster-wide server count (client node ids start here).
+    /// Server count (client node ids start here).
     n_servers: usize,
     net: NetModel,
-    events: EventQueue<Ev>,
-    /// Full-length client table; only slots this shard owns are populated.
+    /// Client table, indexed by client (node id minus `n_servers`); a slot
+    /// is `None` until its generator is installed.
     clients: Vec<Option<ClientState>>,
-    /// Full-length client → admission-class map, replicated in every shard
-    /// (server shards read it at ingress; class 0 is the default).
+    /// Client → admission class (class 0 is the default), read at ingress.
     client_class: Vec<u8>,
-    /// This shard's clients' `issued` / `completed`; `hist` is the
-    /// cluster's one `client.latency` histogram, shared by every shard.
+    /// The clients' `issued` / `completed` and the one `client.latency`
+    /// histogram.
     completions: CompletionStats,
     fault_metrics: FaultMetrics,
     obs: Obs,
@@ -490,35 +502,26 @@ struct ShardState {
     /// handled). One side of the audit's frame ledger: every frame the
     /// network accounted as delivered must be processed or still pending.
     rx_frames: u64,
-    /// Full-length node-id → shard-id map (same in every shard).
-    shard_of: Vec<u16>,
-    /// In-flight frames addressed to nodes this shard owns.
-    pool: MergePool<PoolKey, ArrivalKind>,
-    /// In-flight frames addressed to other shards; drained into their pools
-    /// at the next epoch barrier.
-    outbox: Vec<(PoolKey, ArrivalKind)>,
-    /// Per-source-node monotonic frame sequence numbers (full length; a
-    /// node's counter is only ever bumped by its owning shard).
+    /// Per-source-node monotonic frame sequence numbers: the merge pools'
+    /// total-order tiebreak.
     send_seq: Vec<u64>,
-    /// Work units executed since the last epoch-stats sample.
-    processed: u64,
-}
-
-/// The assembled testbed.
-///
-/// Internally the cluster always runs the sharded engine; the default
-/// single shard reproduces the classic serial behaviour, and
-/// [`ClusterBuilder::shards`] splits the same simulation across independent
-/// event queues with a byte-identical merge.
-pub struct Cluster {
-    n_servers: usize,
-    n_clients: usize,
-    shards: Vec<ShardState>,
-    /// Full-length node-id → shard-id map.
+    /// The event queue of shard `served`, lent to the cluster: handlers
+    /// schedule here, so they may only serve that shard's nodes. The
+    /// shard's own slot holds an empty queue meanwhile. `run_slice` lends
+    /// the queue of the shard it runs, and an API call that runs handler
+    /// code lends its node's (`serve`).
+    events: EventQueue<Ev>,
+    served: usize,
+    shards: Vec<Shard>,
+    /// Node id → shard id.
     shard_of: Vec<u16>,
     /// Conservative lookahead: minimum cross-shard frame latency. `None`
     /// when a single shard owns everything (no barrier needed).
     lookahead: Option<SimTime>,
+    /// The running epoch's horizon while `run_for` drives the shards
+    /// (`None` with one shard, and between runs): no slice reaches it, and
+    /// no cross-shard frame is ready before it.
+    horizon: Option<SimTime>,
     epoch_stats: EpochStats,
     /// Cumulative events processed per shard (load-balance diagnostics).
     shard_events: Vec<u64>,

@@ -46,7 +46,7 @@ impl NodeRt {
     }
 }
 
-impl ShardState {
+impl Cluster {
     /// A request frame reached server `node`'s NIC.
     pub(super) fn handle_ingress(&mut self, now: SimTime, node: u16, mut req: Request) {
         req.arrived = now;
@@ -109,7 +109,7 @@ impl ShardState {
 
     fn start_nic_work(&mut self, now: SimTime, node: u16, core: u32) {
         let spec = &self.spec;
-        let n = &mut self.nodes[usize::from(node - self.base)];
+        let n = &mut self.nodes[usize::from(node)];
         match n.sched.next_for_core(now, core) {
             None => {}
             Some(Work::Forward(req)) => {
@@ -132,7 +132,7 @@ impl ShardState {
                     now + push_cost,
                     Some(("actor", req.actor as i64)),
                 );
-                self.events
+                self.queue(node)
                     .schedule_at(now + xfer, Ev::RingToHost { node, req });
                 self.occupy_nic_core(now, node, core, work);
             }
@@ -143,7 +143,7 @@ impl ShardState {
     fn exec_on_nic(&mut self, now: SimTime, node: u16, core: u32, req: Request) {
         let spec = &self.spec;
         let (actor, arrived, wire) = (req.actor, req.arrived, req.wire_size);
-        let n = &mut self.nodes[usize::from(node - self.base)];
+        let n = &mut self.nodes[usize::from(node)];
         // The actor may have vanished between dispatch and execution
         // (watchdog kill); `run_actor` counts the drop.
         let Some(run) = n.run_actor(now, req) else {
@@ -210,7 +210,7 @@ impl ShardState {
         let n = self.node_mut(node);
         n.nic_inflight[core as usize] = Some(work);
         n.nic_busy_total += busy;
-        self.events
+        self.queue(node)
             .schedule_at(now + busy, Ev::NicFree { node, core });
     }
 

@@ -6,7 +6,7 @@
 use super::cost::{egress_delay, ring_to_nic_latency};
 use super::*;
 
-impl ShardState {
+impl Cluster {
     /// Route one handler run's emits, in emission order.
     pub(super) fn route_emits(
         &mut self,
@@ -33,7 +33,7 @@ impl ShardState {
                 emit: e,
                 from_nic,
             };
-            self.events.schedule_after(delay, timer);
+            self.queue(node).schedule_after(delay, timer);
             return;
         }
         let Emit {
@@ -67,17 +67,17 @@ impl ShardState {
         }
         // Local delivery: NIC-side actors go through the traffic manager;
         // host-side through the ring.
-        let n = &mut self.nodes[usize::from(node - self.base)];
+        let n = &mut self.nodes[usize::from(node)];
         if n.sched.location(dst.actor) == Some(Loc::Host) {
             let xfer = n.push_to_host_ring(&self.spec, &req);
-            self.events
+            self.queue(node)
                 .schedule_at(now + xfer, Ev::RingToHost { node, req });
         } else if from_nic {
             n.sched.on_arrival(now, req);
             self.kick_nic(now, node);
         } else {
             let xfer = ring_to_nic_latency(&self.spec, wire_size);
-            self.events
+            self.queue(node)
                 .schedule_at(now + xfer, Ev::RingToNic { node, req });
         }
     }

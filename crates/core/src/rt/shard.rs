@@ -1,7 +1,7 @@
-//! One event shard's loop: the batched dispatch sweep, the ingress merge
-//! pool that makes frame arrival order independent of the shard count,
-//! `send_frame` (the only way onto the wire), actor registration and the
-//! node accessors every handler goes through.
+//! Shard clocks and the event loop: the batched dispatch sweep of one
+//! shard's epoch slice, the ingress merge pools that make frame arrival
+//! order independent of the shard count, `send_frame` (the only way onto the
+//! wire), actor installation and the event dispatch every handler hangs off.
 
 use super::*;
 use crate::actor::{ActorCtx, ActorLogic};
@@ -16,48 +16,97 @@ pub(super) enum ArrivalKind {
     Corrupt { wire_size: u32, flip: u8 },
 }
 
+/// The earlier of two pending instants, either of which may be absent.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
 /// The order of frames parked at a destination's ingress merge pool, waiting
 /// for the port to drain: `(port_ready, dst, src, seq)`. `seq` is a
 /// per-source-node monotonic counter, so the order is total and identical
 /// for every shard count.
 pub(super) type PoolKey = (SimTime, u16, u16, u64);
 
-impl ShardState {
-    /// Runtime state of server `node`, which this shard must own.
+impl Cluster {
+    /// Runtime state of server `node`.
     pub(super) fn node(&self, node: u16) -> &NodeRt {
-        &self.nodes[usize::from(node - self.base)]
+        &self.nodes[usize::from(node)]
     }
 
     pub(super) fn node_mut(&mut self, node: u16) -> &mut NodeRt {
-        &mut self.nodes[usize::from(node - self.base)]
+        &mut self.nodes[usize::from(node)]
     }
 
-    /// Earliest pending instant in this shard: its own event queue or the
-    /// head of the ingress merge pool.
-    pub(super) fn next_time(&self) -> Option<SimTime> {
-        let q = self.events.peek_time();
-        let p = self.pool.peek().map(|&(port_ready, ..)| port_ready);
-        match (q, p) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
+    /// The shard that owns `node`.
+    pub(super) fn shard(&self, node: u16) -> usize {
+        usize::from(self.shard_of[usize::from(node)])
+    }
+
+    /// Lend shard `s`'s event queue to the cluster (see `Cluster::events`),
+    /// after returning the one lent before.
+    pub(super) fn serve(&mut self, s: usize) {
+        if s != self.served {
+            std::mem::swap(&mut self.events, &mut self.shards[self.served].events);
+            std::mem::swap(&mut self.events, &mut self.shards[s].events);
+            self.served = s;
         }
     }
 
-    /// Run this shard's events up to `end` (inclusive) and strictly below
-    /// `horizon`. At every instant, pooled frame arrivals are resolved
-    /// *before* queued handlers run — the rule that makes arrival order
-    /// independent of the shard count.
-    pub(super) fn run_slice(&mut self, end: SimTime, horizon: Option<SimTime>) {
-        while let Some(next) = self.next_time() {
-            if next > end {
+    /// The event queue of shard `s`, lent or not.
+    pub(super) fn queue_of(&self, s: usize) -> &EventQueue<Ev> {
+        if s == self.served {
+            &self.events
+        } else {
+            &self.shards[s].events
+        }
+    }
+
+    /// The event queue of the shard that owns `node`, which must be the
+    /// one lent: every event names a node, and is scheduled there.
+    pub(super) fn queue(&mut self, node: u16) -> &mut EventQueue<Ev> {
+        debug_assert_eq!(
+            self.shard(node),
+            self.served,
+            "node {node}'s queue is not lent"
+        );
+        &mut self.events
+    }
+
+    /// Earliest pending instant in shard `s`: its event queue or the head
+    /// of its ingress merge pool.
+    pub(super) fn next_time(&self, s: usize) -> Option<SimTime> {
+        let pooled = self.shards[s]
+            .pool
+            .peek()
+            .map(|&(port_ready, ..)| port_ready);
+        earliest(self.queue_of(s).peek_time(), pooled)
+    }
+
+    /// Run shard `s`'s events up to `end` (inclusive) and strictly below
+    /// the epoch's horizon. At every instant, pooled frame arrivals are
+    /// resolved *before* queued handlers run — the rule that makes arrival
+    /// order independent of the shard count.
+    pub(super) fn run_slice(&mut self, s: usize, end: SimTime) {
+        self.serve(s);
+        let horizon = self.horizon;
+        let mut processed = 0;
+        loop {
+            let pooled = self.shards[s]
+                .pool
+                .peek()
+                .map(|&(port_ready, ..)| port_ready);
+            let Some(next) = earliest(self.events.peek_time(), pooled) else {
+                break;
+            };
+            if next > end || horizon.is_some_and(|h| next >= h) {
                 break;
             }
-            if horizon.is_some_and(|h| next >= h) {
-                break;
-            }
-            if self.pool.peek().is_some_and(|key| key.0 == next) {
-                self.resolve_arrivals(next);
+            if pooled == Some(next) {
+                processed += self.resolve_arrivals(s, next);
                 continue;
             }
             // Dispatch is batched per distinct timestamp: one traversal of
@@ -67,19 +116,23 @@ impl ShardState {
             // larger sequence numbers.
             let now = self.events.next_batch().expect("peeked");
             while let Some(ev) = self.events.pop_ready() {
-                self.processed += 1;
+                processed += 1;
                 self.handle(now, ev);
             }
         }
+        self.shards[s].processed += processed;
     }
 
-    /// Pop every pool entry whose egress port drains at instant `t` — in
-    /// `(port_ready, dst, src, seq)` order — charge the receive queue, and
-    /// schedule the ingress event at the receive completion time.
-    fn resolve_arrivals(&mut self, t: SimTime) {
-        while self.pool.peek().is_some_and(|key| key.0 == t) {
-            let ((_, node, src, _), kind) = self.pool.pop().expect("peeked");
-            self.processed += 1;
+    /// Pop every entry of shard `s`'s pool whose egress port drains at
+    /// instant `t` — in `(port_ready, dst, src, seq)` order — charge the
+    /// receive queue, and schedule the ingress event at the receive
+    /// completion time. Returns how many it popped.
+    fn resolve_arrivals(&mut self, s: usize, t: SimTime) -> u64 {
+        let pool = &mut self.shards[s].pool;
+        let mut popped = 0;
+        while pool.peek().is_some_and(|key| key.0 == t) {
+            let ((_, node, src, _), kind) = pool.pop().expect("peeked");
+            popped += 1;
             let (wire_size, ev) = match kind {
                 ArrivalKind::Deliver { req } => (req.wire_size, Ev::Deliver { node, req }),
                 ArrivalKind::Corrupt { wire_size, flip } => {
@@ -95,15 +148,20 @@ impl ShardState {
             let rx_end = self.net.finish_transfer(t, node, wire_size);
             self.events.schedule_at(rx_end, ev);
         }
+        popped
     }
 
     /// Put `req` on the wire from node `src` to node `dst` at `depart`: the
     /// one place a frame's packet is built (flow label and size are the
     /// request's). Starts the network transfer (TX + fault judgement at send
-    /// time) and parks the arrival in the destination's merge pool — directly
-    /// when this shard owns the destination, via the outbox otherwise. A
+    /// time) and parks the arrival in the destination shard's merge pool. A
     /// delivered frame becomes a `Deliver` event; a corrupted one a
     /// `DeliverCorrupt` (payload lost on the wire); a dropped one vanishes.
+    ///
+    /// A frame to another shard may land in the pool of a shard whose slice
+    /// of this epoch is still to run, or already ran: both are sound because
+    /// its `port_ready` is at or past the epoch's horizon, which no slice
+    /// reaches. The lookahead guarantees that; the debug assertion checks it.
     pub(super) fn send_frame(
         &mut self,
         depart: SimTime,
@@ -123,18 +181,23 @@ impl ShardState {
             TxPhase::Dropped { .. } => return,
         };
         // Per-source-node monotonic sequence: the pool's total-order tiebreak.
-        self.send_seq[src as usize] += 1;
-        let key = (port_ready, dst, src, self.send_seq[src as usize]);
-        if self.shard_of[dst as usize] == self.shard_id {
-            self.pool.push(key, kind);
-        } else {
-            self.outbox.push((key, kind));
-        }
+        let seq = &mut self.send_seq[usize::from(src)];
+        *seq += 1;
+        let key = (port_ready, dst, src, *seq);
+        let to = self.shard(dst);
+        debug_assert!(
+            to == self.shard(src) || self.horizon.is_none_or(|h| port_ready >= h),
+            "frame {src} -> {dst} crosses shards ready at {port_ready}, before the epoch's \
+             horizon {:?}: the lookahead {:?} exceeds the minimum cross-shard latency",
+            self.horizon,
+            self.lookahead
+        );
+        self.shards[to].pool.push(key, kind);
     }
 
-    /// Install an actor at `addr`, a node this shard owns and a
-    /// cluster-wide actor id the caller allocated.
-    pub(super) fn register_actor_local(
+    /// Install an actor at `addr`, a server node and a cluster-wide actor id
+    /// the caller reserved, and route its `init` messages.
+    pub(super) fn install_actor(
         &mut self,
         addr: Address,
         name: &str,
@@ -142,11 +205,12 @@ impl ShardState {
         placement: Placement,
     ) {
         let Address { node, actor: id } = addr;
+        self.serve(self.shard(node));
         let pinned = logic.host_pinned();
         let host_only = self.mode != RuntimeMode::IPipe;
         let on_host = host_only || pinned || placement == Placement::Host;
-        let now = self.events.now();
-        let n = &mut self.nodes[usize::from(node - self.base)];
+        let now = self.now();
+        let n = &mut self.nodes[usize::from(node)];
         n.dmo.register_region(id, DMO_REGION_BYTES);
         let mut ctx = ActorCtx::new(now, id, node, &mut n.dmo, &mut n.rng);
         logic.init(&mut ctx);
@@ -185,7 +249,7 @@ impl ShardState {
             Ev::RingToNic { node, req } => self.handle_ring_to_nic(now, node, req),
             Ev::MigStep { node } => self.handle_mig_step(now, node),
             Ev::MigRetry { node, actor } => {
-                let _ = self.force_migrate_local(Address { node, actor });
+                let _ = self.force_push(now, Address { node, actor });
             }
             Ev::DeliverCorrupt {
                 node,

@@ -72,7 +72,7 @@ fn closed_loop_echo_completes_requests() {
 fn cluster_size_is_bounded_by_u16_node_ids() {
     let sized = |clients| Cluster::builder(CN2350).servers(1).clients(clients).build();
     let largest = sized(65_534);
-    assert_eq!(largest.shards[0].clients.len(), 65_534);
+    assert_eq!(largest.clients.len(), 65_534);
     sized(65_535);
 }
 
@@ -105,7 +105,7 @@ fn mid_run_depth_change_conserves_inflight_requests() {
     // And the deepening direction: 2 -> 64 tops the loop back up.
     c.set_client_depth(0, 64);
     c.run_for(SimTime::from_us(20));
-    let state = c.shards[0].clients[0].as_ref().expect("installed");
+    let state = c.clients[0].as_ref().expect("installed");
     assert_eq!(state.inflight.len(), 64);
     c.run_for(SimTime::from_ms(5));
     c.audit().assert_clean();
@@ -406,7 +406,7 @@ fn watchdog_spares_the_budget_and_kills_one_ns_past_it() {
         .build();
     // With no emits and no DMO traffic an execution is priced at the
     // dispatch overhead plus its charge (which outweighs the forward cost).
-    let dispatch = c.shards[0].node(0).sched.dispatch_overhead();
+    let dispatch = c.node(0).sched.dispatch_overhead();
     let budget = crate::isolate::WATCHDOG_BUDGET - dispatch;
     let at = c.register_actor(0, "at", Box::new(Spin(budget)), Placement::Nic);
     let over = SimTime::from_ns(1) + budget;
@@ -1460,10 +1460,23 @@ fn sharded_epochs_report_work_and_span() {
     assert_eq!(c.shard_events().len(), 4);
 }
 
-/// Pinned regression for the shard-aware audit sweep: the audit drains
-/// and re-schedules each shard's queue independently, so a mid-run
-/// audit must be invisible for any shard count — including events
-/// drained while their cross-shard replies sit in outboxes/pools.
+/// Frames go straight into their destination shard's pool, so only the
+/// lookahead bound keeps a slice from serving a cross-shard frame early:
+/// a lookahead ten times the real minimum cross-shard latency must trip
+/// `send_frame`'s check on the first such frame.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "before the epoch's horizon")]
+fn an_overstated_lookahead_trips_the_cross_shard_check() {
+    let mut c = sharded_cluster(2);
+    c.lookahead = c.lookahead.map(|l| l * 10);
+    c.run_for(SimTime::from_ms(1));
+}
+
+/// Pinned regression for the shard-aware audit sweep: the audit tallies
+/// each shard's queue in place, so a mid-run audit must be invisible for
+/// any shard count — including events whose cross-shard replies sit in
+/// merge pools.
 #[test]
 fn mid_run_audit_is_invisible_under_sharding() {
     let run = |audit: bool| {
@@ -1640,7 +1653,7 @@ fn a_shed_slot_reissues_once_at_the_hint() {
     // The shed reply arrived in (seen - 1us, seen]: its one re-issue is
     // pending at that instant plus the hint.
     let mut issues = Vec::new();
-    c.shards[0].events.for_each_pending(|at, ev| {
+    c.queue_of(0).for_each_pending(|at, ev| {
         if matches!(ev, Ev::Issue { .. }) {
             issues.push(at);
         }
@@ -1733,8 +1746,7 @@ fn pressure_shedding_protects_the_premium_class() {
 }
 
 /// `measured_wall`/`throughput_rps` must agree between serial and
-/// sharded runs of the same scenario — the audit's `measure.start`
-/// check plus this equality pin the cross-shard reset consistency.
+/// sharded runs of the same scenario.
 #[test]
 fn sharded_and_serial_agree_on_measured_throughput() {
     let run = |shards: usize| {
@@ -1773,7 +1785,7 @@ fn dmo_exhaustion_degrades_allocation_instead_of_panicking() {
         }),
         Placement::Nic,
     );
-    let usage = c.shards[0].node(0).dmo.region_usage(a.actor);
+    let usage = c.node(0).dmo.region_usage(a.actor);
     assert_eq!(usage, Some((DMO_REGION_BYTES, DMO_REGION_BYTES)));
     c.run_closed_loop(a, 8, 512, SimTime::from_ms(3));
     let done = c.completions().count();

@@ -61,8 +61,8 @@ pub(crate) enum Verdict {
 /// every `begin_transfer`. Probabilistic faults (loss, corruption) draw from
 /// the sending node's stream, so a node's verdicts are a function of its
 /// own send sequence alone, however sends from different nodes interleave
-/// — which is what keeps them identical across shard counts, each shard
-/// judging only the frames its own nodes send. Scheduled faults (link-down,
+/// — which is what keeps them identical across shard counts, whatever order
+/// the shards' slices send in. Scheduled faults (link-down,
 /// crash) are pure time-window lookups.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {

@@ -16,7 +16,9 @@
 //! layer byte-diff a grid run serially against the same grid run on a
 //! parallel sweep (DESIGN.md §15).
 
-use crate::spec::{CacheGeom, ForwardCost, HostPath, MemLatencies, NicKind, NicSpec, CN2350};
+use crate::spec::{
+    CacheGeom, ForwardCost, HostPath, MemLatencies, NicKind, NicSpec, CN2350, STINGRAY_PS225,
+};
 use ipipe_sim::SimTime;
 
 /// A named memory-hierarchy geometry preset (latencies + cache shape) used
@@ -32,38 +34,20 @@ pub struct MemGeom {
     pub cache: CacheGeom,
 }
 
-/// cnMIPS-class geometry: Table 2 row 1 (8/56/115 ns, 128 B lines, 4 MB L2).
+/// cnMIPS-class geometry: Table 2 row 1 (8/56/115 ns, 128 B lines, 4 MB L2),
+/// as [`CN2350`] carries it.
 pub const MEM_BASE: MemGeom = MemGeom {
     name: "base",
-    mem: MemLatencies {
-        l1: SimTime::from_ns(8),
-        l2: SimTime::from_ns(56),
-        l3: None,
-        dram: SimTime::from_ns(115),
-    },
-    cache: CacheGeom {
-        l1_bytes: 32 * 1024,
-        l2_bytes: 4 * 1024 * 1024,
-        line: 128,
-        ways: 8,
-    },
+    mem: CN2350.mem,
+    cache: CN2350.cache,
 };
 
-/// Stingray-class geometry: Table 2 row 3 (1/25/85 ns, 64 B lines, 16 MB L2).
+/// Stingray-class geometry: Table 2 row 3 (1/25/85 ns, 64 B lines, 16 MB L2),
+/// as [`STINGRAY_PS225`] carries it.
 pub const MEM_FAST: MemGeom = MemGeom {
     name: "fast",
-    mem: MemLatencies {
-        l1: SimTime::from_ns(1),
-        l2: SimTime::from_ns(25),
-        l3: None,
-        dram: SimTime::from_ns(85),
-    },
-    cache: CacheGeom {
-        l1_bytes: 32 * 1024,
-        l2_bytes: 16 * 1024 * 1024,
-        line: 64,
-        ways: 8,
-    },
+    mem: STINGRAY_PS225.mem,
+    cache: STINGRAY_PS225.cache,
 };
 
 /// The axes of the exploration grid. [`DesignAxes::enumerate`] takes the

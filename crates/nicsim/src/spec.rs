@@ -249,18 +249,8 @@ pub const CN2360: NicSpec = NicSpec {
     deployed_sw: "Firmware",
     nstack: "Raw packet",
     host_path: HostPath::NativeDma,
-    mem: MemLatencies {
-        l1: SimTime::from_ns(8),
-        l2: SimTime::from_ns(56),
-        l3: None,
-        dram: SimTime::from_ns(115),
-    },
-    cache: CacheGeom {
-        l1_bytes: 32 * 1024,
-        l2_bytes: 4 * 1024 * 1024,
-        line: 128,
-        ways: 8,
-    },
+    mem: CN2350.mem,
+    cache: CN2350.cache,
     fwd: ForwardCost {
         base: SimTime::from_ns(1520), // 1900 * 1.2/1.5
         per_byte_ns: 0.86,            // 1.08 * 1.2/1.5

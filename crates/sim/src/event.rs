@@ -309,7 +309,7 @@ impl<E> EventQueue<E> {
 /// A deterministic merge buffer: a min-heap of totally ordered keys, each
 /// carrying a value that takes no part in the order.
 ///
-/// The sharded cluster runtime parks in-flight cross-shard arrivals here,
+/// The sharded cluster runtime parks every in-flight frame arrival here,
 /// keyed by a total order (arrival time, destination, source, per-source
 /// sequence) so that draining the pool at each simulated instant resolves
 /// arrivals identically for every shard count. The heap sifts `(key, index)`

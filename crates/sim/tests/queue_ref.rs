@@ -209,7 +209,7 @@ fn queue_matches_reference(ops: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError
                 prop_assert_eq!(queue.now(), model.now);
                 prop_assert_eq!(queue.fired(), model.popped);
             }
-            // The runtime's shape (`ShardState::run_slice`): make a batch
+            // The runtime's shape (`Cluster::run_slice`): make a batch
             // current, then take up to seven events from it, scheduling at
             // its instant between takes. Those schedules wait for the
             // follow-up batch: no take of this step returns one.

@@ -4,9 +4,13 @@
 #   benchmark/run.sh --workload W --seed S --seconds 20 --trace 0
 # once per side per pair, the side that goes first alternating.
 #   ./scripts/ab_pairs.sh <workload> [--pairs N] [--seconds S] [--ref REF] [--pmu] [seed ...]
-# The change is this working tree; the parent is REF (default HEAD~1),
-# unpacked with `git archive` into target/ab/parent — no worktree is
-# registered, so nothing is left in .git. Pair i runs seed i mod the list
+# The parent is REF (default HEAD~1), unpacked with `git archive` into
+# target/ab/parent — no worktree is registered, so nothing is left in .git.
+# The change is this working tree, copied into target/ab/change: its tracked
+# files and the untracked ones git does not ignore, as they are on disk. Both
+# sides build and run from paths of the same shape, so the directory alone
+# moves no measurement (a build's paths end up in its binary and can shift
+# its code layout). Pair i runs seed i mod the list
 # (default 7 11 13). First, for each distinct seed the pairs use, prints both
 # sides' export digests, from
 #   ipipe-benchmark --child rep --workload W --seed S --scale 0.0833333
@@ -43,11 +47,14 @@ while (($#)); do
 done
 ((${#seeds[@]})) || seeds=(7 11 13)
 
-parent=target/ab/parent
-rm -rf "$parent"
-mkdir -p "$parent"
+parent=target/ab/parent change=target/ab/change
+rm -rf "$parent" "$change"
+mkdir -p "$parent" "$change"
 git archive "$ref" | tar -x -C "$parent"
-for side in "$parent" .; do
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do if [[ -e $f ]]; then printf '%s\0' "$f"; fi; done |
+    tar -c --null -T - | tar -x -C "$change"
+for side in "$parent" "$change"; do
     cargo build --release --offline --quiet \
         --manifest-path "$side/benchmark/Cargo.toml" --target-dir "$side/benchmark/target"
 done
@@ -61,7 +68,7 @@ for ((i = 0; i < pairs && i < ${#seeds[@]}; i++)); do
     seed=${seeds[i]}
     [[ $seen == *" $seed "* ]] && continue
     seen+="$seed "
-    a=$(digest "$parent" "$seed") b=$(digest . "$seed")
+    a=$(digest "$parent" "$seed") b=$(digest "$change" "$seed")
     if [[ -n $a && $a == "$b" ]]; then
         echo "seed $seed export digest: parent $a, change $b"
     else
@@ -174,11 +181,11 @@ run() { # <side name> <side dir> <pair> <seed>
 for ((i = 0; i < pairs; i++)); do
     seed=${seeds[i % ${#seeds[@]}]}
     if ((i % 2)); then
-        run change . "$i" "$seed"
+        run change "$change" "$i" "$seed"
         run parent "$parent" "$i" "$seed"
     else
         run parent "$parent" "$i" "$seed"
-        run change . "$i" "$seed"
+        run change "$change" "$i" "$seed"
     fi
 done
 

@@ -24,7 +24,7 @@ def build():
     return f"{TARGET}/release/ipipe-benchmark"
 
 
-def short(name):  # rt::shard::<impl rt::ShardState>::run_slice -> rt::ShardState::run_slice
+def short(name):  # rt::shard::<impl rt::Cluster>::run_slice -> rt::Cluster::run_slice
     return re.sub(r"(?:\w+::)*<impl ([^<>]+)>", r"\1", name)
 
 

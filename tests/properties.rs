@@ -330,7 +330,7 @@ proptest! {
                 st.1 += 1;
             }
         });
-        // The runtime's loop (`ShardState::run_slice`): peek, stop past the
+        // The runtime's loop (`Cluster::run_slice`): peek, stop past the
         // end, make the instant's batch current and take its events one at a
         // time. What a handler schedules at `t` must come back as a
         // follow-up batch at `t`, never be lost or reordered.
