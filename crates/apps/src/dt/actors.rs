@@ -40,17 +40,6 @@ pub fn client_gen(coordinator: Address, packet: u32, mut wl: TxnWorkload) -> Cli
     })
 }
 
-/// The addresses of a DT deployment, reserved before any actor exists.
-#[derive(Debug, Clone)]
-pub struct DtWiring {
-    /// Coordinator address.
-    pub coordinator: Address,
-    /// Participant addresses by index.
-    pub participants: Vec<Address>,
-    /// Host-pinned logging actor.
-    pub logger: Address,
-}
-
 /// The coordinator actor.
 pub struct CoordinatorActor {
     coord: Coordinator,
@@ -266,14 +255,14 @@ impl ActorLogic for LoggingActor {
     }
 }
 
-/// Handles to a deployed DT system.
+/// The addresses of a deployed DT system, reserved before any actor exists.
 pub struct DtDeployment {
     /// Client-facing coordinator.
     pub coordinator: Address,
-    /// Participants.
+    /// Participant addresses by index.
     pub participants: Vec<Address>,
-    /// Every address of the deployment.
-    pub wiring: DtWiring,
+    /// Host-pinned logging actor.
+    pub logger: Address,
 }
 
 /// Deploy DT: coordinator on `coord_node`, one participant per entry of
@@ -285,40 +274,36 @@ pub fn deploy_dt(
     log_limit: u64,
 ) -> DtDeployment {
     // Addresses before actors, in registration order.
-    let wiring = DtWiring {
+    let dep = DtDeployment {
         coordinator: c.reserve_actor(coord_node),
         participants: part_nodes.iter().map(|&n| c.reserve_actor(n)).collect(),
         logger: c.reserve_actor(coord_node),
     };
     c.register_reserved(
-        wiring.coordinator,
+        dep.coordinator,
         "dt-coordinator",
         Box::new(CoordinatorActor::new(
-            wiring.participants.clone(),
-            wiring.logger,
+            dep.participants.clone(),
+            dep.logger,
             log_limit,
         )),
         Placement::Nic,
     );
-    for (i, &addr) in wiring.participants.iter().enumerate() {
+    for (i, &addr) in dep.participants.iter().enumerate() {
         c.register_reserved(
             addr,
             &format!("dt-participant-{i}"),
-            Box::new(ParticipantActor::new(i as PartIdx, wiring.coordinator)),
+            Box::new(ParticipantActor::new(i as PartIdx, dep.coordinator)),
             Placement::Nic,
         );
     }
     c.register_reserved(
-        wiring.logger,
+        dep.logger,
         "dt-logger",
         Box::new(LoggingActor::default()),
         Placement::Host,
     );
-    DtDeployment {
-        coordinator: wiring.coordinator,
-        participants: wiring.participants.clone(),
-        wiring,
-    }
+    dep
 }
 
 #[cfg(test)]

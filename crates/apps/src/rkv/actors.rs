@@ -107,21 +107,6 @@ pub fn client_gen(leader: Address, packet: u32, mut wl: KvWorkload) -> ClientGen
     })
 }
 
-/// The addresses of one replicated group, every list indexed by replica. A
-/// deployment reserves them before any actor exists and hands each actor
-/// the few it sends to.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RkvWiring {
-    /// Consensus actors.
-    pub consensus: Vec<Address>,
-    /// Memtable actors.
-    pub memtable: Vec<Address>,
-    /// SSTable read actors.
-    pub sst_read: Vec<Address>,
-    /// Compaction actors.
-    pub compaction: Vec<Address>,
-}
-
 // --------------------------------------------------------------------
 // Consensus actor
 // --------------------------------------------------------------------
@@ -707,15 +692,20 @@ impl ActorLogic for CompactionActor {
 // Deployment
 // --------------------------------------------------------------------
 
-/// Handles to a deployed RKV group.
+/// Handles to a deployed RKV group, every list indexed by replica. The
+/// addresses are reserved before any actor exists, and each actor is handed
+/// the few it sends to.
+#[derive(Default)]
 pub struct RkvDeployment {
-    /// Consensus-actor address per replica (clients talk to `consensus[0]`,
-    /// the initial leader).
+    /// Consensus actors (clients talk to `consensus[0]`, the initial
+    /// leader).
     pub consensus: Vec<Address>,
-    /// Memtable actors (diagnostics).
+    /// Memtable actors.
     pub memtable: Vec<Address>,
-    /// Every address of the group.
-    pub wiring: RkvWiring,
+    /// SSTable read actors.
+    pub sst_read: Vec<Address>,
+    /// Compaction actors.
+    pub compaction: Vec<Address>,
     /// Per replica, the writes its consensus actor applied. The leader
     /// answers a write when it sends the `Apply` to its memtable, so a
     /// completion can reach the client while the `Apply` is still queued and
@@ -760,63 +750,55 @@ pub(super) fn deploy_group(
     group: Option<u16>,
 ) -> RkvDeployment {
     // Addresses before actors, in registration order.
-    let mut wiring = RkvWiring::default();
+    let mut dep = RkvDeployment::default();
     for &node in replicas {
-        wiring.consensus.push(c.reserve_actor(node));
-        wiring.memtable.push(c.reserve_actor(node));
-        wiring.sst_read.push(c.reserve_actor(node));
-        wiring.compaction.push(c.reserve_actor(node));
+        dep.consensus.push(c.reserve_actor(node));
+        dep.memtable.push(c.reserve_actor(node));
+        dep.sst_read.push(c.reserve_actor(node));
+        dep.compaction.push(c.reserve_actor(node));
     }
     let label = group.map(|g| format!("g{g:03}-")).unwrap_or_default();
-    let mut applied = Vec::new();
     for (ri, &node) in replicas.iter().enumerate() {
         let levels: SharedLevels = Rc::new(RefCell::new(Levels::leveldb_default()));
         let reg = c.obs().registry();
         let node = node as u16;
-        let mut consensus =
-            ConsensusActor::new(ri as u32, wiring.consensus.clone(), wiring.memtable[ri])
-                .with_heartbeat(heartbeat);
+        let mut consensus = ConsensusActor::new(ri as u32, dep.consensus.clone(), dep.memtable[ri])
+            .with_heartbeat(heartbeat);
         consensus.buffered = reg.gauge_in("rkv.buffered_writes", group, node);
         consensus.dup_commits = reg.counter_in("rkv.dup.commits", group, node);
         if group.is_some() {
             // Only a multi-group deployment has a rebalancer to read it.
             consensus.ops = reg.counter_in("rkv.ops", group, node);
         }
-        applied.push(consensus.applied.clone());
-        let memtable =
-            MemtableActor::new(wiring.sst_read[ri], wiring.compaction[ri], memtable_flush)
-                .with_applies_counter(reg.counter_in("rkv.applies", group, node));
+        dep.applied.push(consensus.applied.clone());
+        let memtable = MemtableActor::new(dep.sst_read[ri], dep.compaction[ri], memtable_flush)
+            .with_applies_counter(reg.counter_in("rkv.applies", group, node));
         c.register_reserved(
-            wiring.consensus[ri],
+            dep.consensus[ri],
             &format!("rkv-{label}consensus-{ri}"),
             Box::new(consensus),
             Placement::Nic,
         );
         c.register_reserved(
-            wiring.memtable[ri],
+            dep.memtable[ri],
             &format!("rkv-{label}memtable-{ri}"),
             Box::new(memtable),
             Placement::Nic,
         );
         c.register_reserved(
-            wiring.sst_read[ri],
+            dep.sst_read[ri],
             &format!("rkv-{label}sst-read-{ri}"),
             Box::new(SstReadActor::new(levels.clone())),
             Placement::Host,
         );
         c.register_reserved(
-            wiring.compaction[ri],
+            dep.compaction[ri],
             &format!("rkv-{label}compaction-{ri}"),
             Box::new(CompactionActor::new(levels)),
             Placement::Host,
         );
     }
-    RkvDeployment {
-        consensus: wiring.consensus.clone(),
-        memtable: wiring.memtable.clone(),
-        wiring,
-        applied,
-    }
+    dep
 }
 
 /// Exactly-once reconciliation at the end of a run (DESIGN.md §11): the

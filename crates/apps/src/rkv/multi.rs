@@ -53,8 +53,6 @@ pub struct MultiRkv {
     /// The canonical boot-time routing table. Clients clone it and refresh
     /// their copies from `Redirect` replies.
     pub table: RoutingTable,
-    /// Server nodes hosting each group's replicas.
-    pub group_nodes: Vec<Vec<u16>>,
 }
 
 impl MultiRkv {
@@ -62,9 +60,10 @@ impl MultiRkv {
     /// hotspot signal, summed over its replicas (ops land on whichever
     /// replica the client addressed).
     pub fn group_ops(&self, reg: &Registry, g: usize) -> u64 {
-        self.group_nodes[g]
+        self.groups[g]
+            .consensus
             .iter()
-            .map(|&n| reg.counter_in("rkv.ops", Some(g as u16), n).get())
+            .map(|a| reg.counter_in("rkv.ops", Some(g as u16), a.node).get())
             .sum()
     }
 }
@@ -86,7 +85,6 @@ pub fn deploy_multi_rkv(c: &mut Cluster, cfg: &MultiRkvCfg) -> MultiRkv {
         cfg.groups
     );
     let mut groups = Vec::with_capacity(cfg.groups);
-    let mut group_nodes = Vec::with_capacity(cfg.groups);
     for g in 0..cfg.groups {
         let nodes: Vec<usize> = (0..cfg.replicas)
             .map(|r| (g * cfg.replicas + r) % cfg.server_nodes)
@@ -98,15 +96,10 @@ pub fn deploy_multi_rkv(c: &mut Cluster, cfg: &MultiRkvCfg) -> MultiRkv {
             cfg.heartbeat,
             Some(g as u16),
         ));
-        group_nodes.push(nodes.into_iter().map(|n| n as u16).collect());
     }
     let leaders: Vec<Address> = groups.iter().map(|d| d.consensus[0]).collect();
     let table = RoutingTable::build(cfg.seed, cfg.buckets, leaders);
-    MultiRkv {
-        groups,
-        table,
-        group_nodes,
-    }
+    MultiRkv { groups, table }
 }
 
 /// Hotspot-rebalancing policy.
@@ -215,10 +208,10 @@ pub fn audit_multi_rkv_exactly_once(
     r: &mut AuditReport,
 ) {
     assert_eq!(writes_issued.len(), dep.groups.len());
-    for (g, nodes) in dep.group_nodes.iter().enumerate() {
+    for (g, group) in dep.groups.iter().enumerate() {
         let issued = writes_issued[g];
         let mut max_applies = 0u64;
-        for &node in nodes {
+        for &Address { node, .. } in &group.consensus {
             let applies = reg.counter_in("rkv.applies", Some(g as u16), node).get();
             max_applies = max_applies.max(applies);
             r.check_le(
@@ -272,9 +265,9 @@ mod tests {
         assert_eq!(dep.groups.len(), 4);
         assert_eq!(dep.table.groups(), 4);
         // Replicas of one group land on distinct nodes.
-        for nodes in &dep.group_nodes {
-            let set: std::collections::BTreeSet<_> = nodes.iter().collect();
-            assert_eq!(set.len(), nodes.len());
+        for d in &dep.groups {
+            let set: std::collections::BTreeSet<_> = d.consensus.iter().map(|a| a.node).collect();
+            assert_eq!(set.len(), d.consensus.len());
         }
         // The table routes every key to some group's leader.
         let t = &dep.table;
@@ -302,11 +295,16 @@ mod tests {
             ..small_cfg(1)
         };
         let many = deploy_multi_rkv(&mut multi, &cfg);
-        assert_eq!(many.group_nodes, [[0, 1, 2]]);
         // The same ids on the same nodes, role by role...
-        let w = &many.groups[0].wiring;
-        assert_eq!(&one.wiring, w);
+        let w = &many.groups[0];
         let roles = [&w.consensus, &w.memtable, &w.sst_read, &w.compaction];
+        let o = &one;
+        assert_eq!(
+            roles,
+            [&o.consensus, &o.memtable, &o.sst_read, &o.compaction]
+        );
+        let nodes: Vec<u16> = w.consensus.iter().map(|a| a.node).collect();
+        assert_eq!(nodes, [0, 1, 2]);
         for &addr in roles.into_iter().flatten() {
             // ...placed alike, and named alike but for the group label.
             assert!(single.actor_location(addr).is_some());
@@ -380,7 +378,7 @@ mod tests {
         // Synthesize a skewed window: group 2 is 10x hotter than the rest.
         let reg = c.obs().registry();
         for g in 0..4usize {
-            let n = dep.group_nodes[g][0];
+            let n = dep.groups[g].consensus[0].node;
             reg.counter_in("rkv.ops", Some(g as u16), n)
                 .add(if g == 2 { 10_000 } else { 1_000 });
         }

@@ -266,9 +266,7 @@ impl ActorLogic for RankerActor {
 pub struct RtaDeployment {
     /// Filter ingress per worker node (clients send tuple batches here).
     pub filters: Vec<Address>,
-    /// The aggregated ranker.
-    pub aggregator: Address,
-    /// The topology mapping table.
+    /// The topology mapping table (the aggregated ranker included).
     pub topo: Topology,
 }
 
@@ -345,11 +343,7 @@ pub fn deploy_pipeline(
         Stage::Aggregator,
         Box::new(RankerActor::aggregator()),
     );
-    RtaDeployment {
-        filters,
-        aggregator: topo.aggregator,
-        topo,
-    }
+    RtaDeployment { filters, topo }
 }
 
 #[cfg(test)]

@@ -275,15 +275,15 @@ pub fn fig18() -> Table {
         ("Parti.", dt.participants[0]),
         ("Consensus", rkv.consensus[0]),
         ("LSMmem.", rkv.memtable[0]),
-        ("Aggregator", rta.aggregator),
+        ("Aggregator", rta.topo.aggregator),
     ];
     let mut rows = Vec::new();
     for (name, addr) in targets {
         let ok = c.force_migrate(addr);
         c.run_for(SimTime::from_ms(60));
-        let reports = c.migration_reports(addr.node as usize);
         let mut row = vec![text(name)];
-        match reports.iter().rev().find(|r| r.actor == addr.actor) {
+        let last = c.last_migration(usize::from(addr.node));
+        match last.filter(|r| r.actor == addr.actor) {
             Some(r) => {
                 row.extend(r.phase_times.iter().map(|p| num(p.as_ms_f64(), 2)));
                 row.extend([

@@ -152,7 +152,9 @@ const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 /// event queue, 0.216 (1,900) with windowed histograms: their first octave
 /// is allocated while the run records, not while the grid builds. 0.215
 /// (1,890) once every frame goes straight into its destination shard's
-/// pool and the shards share one copy of the testbed. What is
+/// pool and the shards share one copy of the testbed. 0.212 (1,865) once a
+/// node keeps only its last migration's report: no actor-name `String` and
+/// no report-vector growth per completed migration. What is
 /// left is mostly one emit `Vec` per actor execution; recycling it read 0.077
 /// per event on `pod-par2` and bought no host time, so it is not done.
 #[test]

@@ -14,6 +14,10 @@
 //! Fig 18's breakdown shows phase 3 dominating (~68% on average — moving
 //! tens of MB of DMOs across PCIe) with phase 4 second (~27%, proportional
 //! to the requests buffered while phases 1–3 ran).
+//!
+//! A completed migration's [`MigrationReport`] goes into the registry and
+//! the trace; its node keeps only the last one
+//! ([`crate::rt::Cluster::last_migration`], read by Fig 18).
 
 use crate::actor::{ActorId, Request};
 use crate::dmo::{migration_transfer_time, Side};
@@ -145,10 +149,9 @@ impl Migration {
 
     /// Produce the report (call once done), `forwarded` requests having
     /// been parked and forwarded in phase 4.
-    pub fn report(&self, actor_name: &str, state_bytes: u64, forwarded: u64) -> MigrationReport {
+    pub fn report(&self, state_bytes: u64, forwarded: u64) -> MigrationReport {
         MigrationReport {
             actor: self.actor,
-            actor_name: actor_name.to_string(),
             dir: self.dir,
             state_bytes,
             requests_forwarded: forwarded,
@@ -160,10 +163,8 @@ impl Migration {
 /// The Fig 18 data point: one migration's per-phase elapsed time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationReport {
-    /// Migrated actor.
+    /// Migrated actor (its name: [`crate::rt::Cluster::actor_name`]).
     pub actor: ActorId,
-    /// Human-readable actor name.
-    pub actor_name: String,
     /// Push or pull.
     pub dir: MigrationDir,
     /// DMO bytes moved in phase 3.
@@ -255,7 +256,7 @@ mod tests {
         }
         assert_eq!(m.phase, 5);
         assert_eq!(m.phase_times[1], SimTime::from_us(640));
-        let r = m.report("lsm-memtable", 32 << 20, 7);
+        let r = m.report(32 << 20, 7);
         assert_eq!(r.actor, 5);
         assert_eq!(r.requests_forwarded, 7);
         assert!(r.total() > SimTime::from_ms(30));

@@ -41,8 +41,7 @@ impl Cluster {
             r.violation("actor.reserved", addr.node, detail);
         }
         let rx_frames = self.rx_frames;
-        let issued = self.completions.issued;
-        let completed = self.completions.completed;
+        let (issued, completed) = (self.issued, self.completed);
         let inflight: usize = self
             .clients
             .iter()
@@ -50,13 +49,12 @@ impl Cluster {
             .map(|c| c.inflight.len())
             .sum();
         let inflight = u64::try_from(inflight).expect("a count of requests fits u64");
+        let f = &self.fault_metrics;
+        let (abandoned, shed_remote) = (f.abandoned.get(), f.shed_remote.get());
+        let shed = shed_remote + f.shed_source.get();
         let reg = self.obs().registry();
-        let count = |name| reg.counter(name).get();
-        let abandoned = count("client.retry.abandoned");
-        let loss = count("fault.drop.loss");
-        let sent = count("net.packets");
-        let shed_remote = count("client.shed.remote");
-        let shed = shed_remote + count("client.shed.source");
+        let loss = reg.counter("fault.drop.loss").get();
+        let sent = reg.counter("net.packets").get();
         // Zero when no admission control is installed.
         let ingress_shed: u64 = self
             .nodes

@@ -369,7 +369,7 @@ impl Cluster {
                 // no token, no in-flight entry — so the
                 // ledgers stay bounded under sustained saturation instead
                 // of growing with every refused arrival.
-                self.completions.issued += 1;
+                self.issued += 1;
                 self.fault_metrics.shed_source.inc();
                 return;
             }
@@ -382,7 +382,7 @@ impl Cluster {
         if let Some(at) = state.track(now, token, &creq) {
             self.events.schedule_at(at, Ev::RetryDue { client });
         }
-        self.completions.issued += 1;
+        self.issued += 1;
         self.client_send(now, client_node, token, creq);
     }
 
@@ -459,9 +459,9 @@ impl Cluster {
         }
         if let Some(state) = self.clients[usize::from(client)].as_mut() {
             if let Some(Outstanding { issued, .. }) = state.inflight.remove(&req.token) {
-                self.completions.completed += 1;
+                self.completed += 1;
                 if issued >= self.measure_start {
-                    self.completions.hist.record(now.saturating_sub(issued));
+                    self.latency.record(now.saturating_sub(issued));
                     // Per-request client RTT spans are verbose-only.
                     if self.obs.traces(TraceLevel::Verbose) {
                         self.obs.span(

@@ -138,7 +138,7 @@ impl ClusterBuilder {
                 rng: rng.fork(),
                 host_busy_total: SimTime::ZERO,
                 nic_busy_total: SimTime::ZERO,
-                migration_reports: Vec::new(),
+                last_migration: None,
                 admission: None,
             })
             .collect();
@@ -159,10 +159,9 @@ impl ClusterBuilder {
             net,
             clients: (0..self.clients).map(|_| None).collect(),
             client_class: vec![0; self.clients],
-            completions: CompletionStats {
-                hist: obs.registry().hist("client.latency"),
-                ..CompletionStats::default()
-            },
+            issued: 0,
+            completed: 0,
+            latency: obs.registry().hist("client.latency"),
             fault_metrics: FaultMetrics::new(&obs),
             obs,
             measure_start: SimTime::ZERO,
@@ -365,7 +364,7 @@ impl Cluster {
     /// Clear measurement state (after warmup): completion histogram, host
     /// CPU accounting, NIC busy accounting.
     pub fn reset_measurements(&mut self) {
-        self.completions.hist.reset();
+        self.latency.reset();
         self.measure_start = self.now();
         for n in &mut self.nodes {
             n.host_busy_total = SimTime::ZERO;
@@ -378,10 +377,10 @@ impl Cluster {
     pub fn completions(&self) -> CompletionStats {
         let f = &self.fault_metrics;
         CompletionStats {
-            issued: self.completions.issued,
-            completed: self.completions.completed,
+            issued: self.issued,
+            completed: self.completed,
             shed: f.shed_remote.get() + f.shed_source.get(),
-            hist: HistHandle::from(self.completions.histogram()),
+            hist: HistHandle::from(self.latency.to_histogram()),
         }
     }
 
@@ -413,7 +412,7 @@ impl Cluster {
         if wall == SimTime::ZERO {
             return 0.0;
         }
-        self.completions.count() as f64 / wall.as_secs_f64()
+        self.latency.count() as f64 / wall.as_secs_f64()
     }
 
     /// Host cores kept busy on server `node` over the measurement window
@@ -449,9 +448,10 @@ impl Cluster {
         self.force_push(now, addr)
     }
 
-    /// Migration reports collected on a node (Fig 18).
-    pub fn migration_reports(&self, node: usize) -> &[MigrationReport] {
-        &self.nodes[node].migration_reports
+    /// The report of the last migration completed on a node (Fig 18); the
+    /// registry's `migrate.*` and the trace hold every one.
+    pub fn last_migration(&self, node: usize) -> Option<&MigrationReport> {
+        self.nodes[node].last_migration.as_ref()
     }
 
     /// Messages that crossed `node`'s PCIe ring from the NIC to the host

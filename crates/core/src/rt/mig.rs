@@ -102,13 +102,11 @@ impl Cluster {
         let Some(mig) = n.sched.finish_migration(now) else {
             return;
         };
-        let actor = mig.actor;
-        let name = n.actors.get(actor).map_or("", |s| s.name.as_str());
         let forwarded = mig.parked.len() as u64;
-        let report = mig.report(name, n.dmo.actor_state_bytes(actor), forwarded);
+        let report = mig.report(n.dmo.actor_state_bytes(mig.actor), forwarded);
         report.record_to(self.obs.registry(), node);
         report.trace_to(&self.obs, node, MIGRATION_LANE, mig.started);
-        self.node_mut(node).migration_reports.push(report);
+        self.node_mut(node).last_migration = Some(report);
         // Forward parked requests to wherever the actor now lives. Their
         // arrival stamps are rewritten so the migration pause does not
         // pollute the scheduler's sojourn statistics.

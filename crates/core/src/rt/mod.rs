@@ -26,7 +26,7 @@
 //! | `client.rs` | client issue / retry / redirect / shed | §5.1 load generators |
 //! | `nic.rs` | NIC ingress + admission, FCFS/DRR dispatch, actor execution, watchdog budget | §3.2, ALG 1/2, §3.4 |
 //! | `host.rs` | host queues and execution behind the PCIe rings | §3.2.6, §3.5 |
-//! | `mig.rs` | four-phase migration driver | §3.2.5, App. B.3 |
+//! | `mig.rs` | four-phase migration driver; a completed move goes to the registry and the trace, and its node keeps the last report | §3.2.5, App. B.3 |
 //! | `route.rs` | `route_emit`: one routing path for every actor message | §3.1, §3.5 |
 //! | `cost.rs` | ring, memory and emit cost formulas | §2.2, Fig 17 |
 //! | `audit.rs` | conservation audit sweep | DESIGN.md §11 |
@@ -216,22 +216,13 @@ struct RetryTimer {
     parked: Vec<SimTime>,
 }
 
-/// Completion statistics observed at the clients. The latency histogram
-/// lives in the cluster's metrics registry (as `client.latency`), so
-/// figure harnesses and trace exports read the same numbers; its sample
-/// count is the measurement window's completions.
-#[derive(Debug, Default)]
+/// The clients' completions as [`Cluster::completions`] snapshots them:
+/// the lifetime `issued`, `completed` and shed tallies, and a copy of the
+/// one `client.latency` histogram (the measurement window's completions).
+#[derive(Debug)]
 pub struct CompletionStats {
     issued: u64,
-    /// Lifetime completions, never reset by `reset_measurements` (unlike
-    /// the histogram, which only covers the measurement window). The
-    /// audit's client conservation ledger needs the lifetime figure:
-    /// `issued == completed + abandoned + shed + in-flight`.
     completed: u64,
-    /// Lifetime requests shed by admission control (refused at an ingress,
-    /// or suppressed at the source while a backoff hint is live): the
-    /// `client.shed.{remote,source}` counters, which
-    /// [`Cluster::completions`] sums.
     shed: u64,
     hist: HistHandle,
 }
@@ -348,7 +339,8 @@ struct NodeRt {
     /// Host and NIC core time charged since the measurement window opened.
     host_busy_total: SimTime,
     nic_busy_total: SimTime,
-    migration_reports: Vec<MigrationReport>,
+    /// The report of the node's most recent completed migration.
+    last_migration: Option<MigrationReport>,
     /// Ingress admission control; `None` admits everything (the default).
     admission: Option<NodeAdmission>,
 }
@@ -487,9 +479,12 @@ pub struct Cluster {
     clients: Vec<Option<ClientState>>,
     /// Client → admission class (class 0 is the default), read at ingress.
     client_class: Vec<u8>,
-    /// The clients' `issued` / `completed` and the one `client.latency`
-    /// histogram.
-    completions: CompletionStats,
+    /// Requests the clients issued and saw complete, lifetime (never reset
+    /// by `reset_measurements`), as the audit's `client.conservation` needs.
+    issued: u64,
+    completed: u64,
+    /// The one `client.latency` histogram: the measurement window's.
+    latency: HistHandle,
     fault_metrics: FaultMetrics,
     obs: Obs,
     measure_start: SimTime,

@@ -2,6 +2,7 @@ use super::client::Verdict;
 use super::*;
 use crate::actor::ActorCtx;
 use crate::admission::ClassCfg;
+use crate::migrate::MigrationDir;
 use ipipe_nicsim::CN2350;
 use proptest::prelude::{
     prop, prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError,
@@ -332,9 +333,7 @@ fn forced_migration_moves_actor_and_reports_phases() {
     assert!(c.force_migrate(a));
     c.run_for(SimTime::from_ms(15));
     assert_eq!(c.actor_location(a), Some(Loc::Host));
-    let reports = c.migration_reports(0);
-    assert!(!reports.is_empty());
-    let r = &reports[0];
+    let r = c.last_migration(0).unwrap();
     assert_eq!(r.actor, a.actor);
     assert!(r.total() > SimTime::ZERO);
     assert!(r.phase_times[2] > SimTime::ZERO, "phase 3 must take time");
@@ -350,6 +349,33 @@ impl ActorLogic for Malicious {
         // Infinite loop: occupies the core far past the watchdog budget.
         ctx.charge(SimTime::from_secs(10));
     }
+}
+
+/// A node keeps one report, the last move's, while the registry counts
+/// every move: a forced push, then ALG 1's pull back once the load drops.
+#[test]
+fn a_node_keeps_the_last_migrations_report_and_counts_every_move() {
+    let (mut c, a) = echo_cluster(3);
+    c.run_closed_loop(a, 8, 512, SimTime::from_ms(2));
+    assert!(c.force_migrate(a));
+    let mut moves = Vec::new();
+    for side in [Loc::Host, Loc::Nic] {
+        while c.actor_location(a) != Some(side) && c.now() < SimTime::from_ms(200) {
+            c.run_for(SimTime::from_ms(1));
+        }
+        assert_eq!(c.actor_location(a), Some(side));
+        moves.push(c.last_migration(0).unwrap().clone());
+    }
+    let [push, pull] = [&moves[0], &moves[1]];
+    assert_eq!((push.actor, push.dir), (a.actor, MigrationDir::Push));
+    assert_eq!((pull.actor, pull.dir), (a.actor, MigrationDir::Pull));
+    assert_eq!(c.snapshot().counter("migrate.completed", 0), 2);
+    let totals = c.obs().registry().hist_on("migrate.total", 0);
+    assert_eq!(totals.count(), 2);
+    let mut both = [push.total(), pull.total()];
+    both.sort();
+    assert_eq!(both, [totals.min(), totals.max()]);
+    c.audit().assert_clean();
 }
 
 #[test]
@@ -602,7 +628,7 @@ fn migration_aborts_on_crash_and_retries_after_restart() {
     assert_eq!(aborted, 1, "first attempt aborted");
     // The retry after restart completed the move.
     assert_eq!(c.actor_location(a), Some(Loc::Host));
-    assert_eq!(c.migration_reports(0).len(), 1);
+    assert_eq!(c.snapshot().counter("migrate.completed", 0), 1);
     c.audit().assert_clean();
 }
 
@@ -1010,7 +1036,7 @@ fn audit_stays_clean_across_forced_migration() {
         c.run_for(step);
         c.audit().assert_clean();
     }
-    let report = c.migration_reports(0)[0].clone();
+    let report = c.last_migration(0).unwrap().clone();
     assert!(report.phase_times.iter().all(|&t| t > step), "{report:?}");
     c.run_for(SimTime::from_ms(30));
     assert_eq!(c.actor_location(a), Some(Loc::Host));
@@ -1059,16 +1085,17 @@ fn migration_report_covers_exactly_the_time_the_migration_took() {
         c.run_for(SimTime::from_us(100));
         c.audit().assert_clean();
     }
-    let report = c.migration_reports(0)[0].clone();
+    let report = c.last_migration(0).unwrap().clone();
     assert!(report.phase_times[1] > crate::migrate::PHASE2_BASE);
     assert!(report.requests_forwarded > 1_000);
     // Same seed again: the migration finishes exactly `total()` after it
     // started — not a nanosecond earlier or later.
     let mut c = migrating();
     c.run_for(report.total().saturating_sub(SimTime::from_ns(1)));
-    assert!(c.migration_reports(0).is_empty(), "total() overshoots");
+    assert!(c.last_migration(0).is_none(), "total() overshoots");
     c.run_for(SimTime::from_ns(1));
-    assert_eq!(c.migration_reports(0).len(), 1, "total() falls short");
+    let completed = c.snapshot().counter("migrate.completed", 0);
+    assert_eq!(completed, 1, "total() falls short");
 }
 
 /// Every migration the scheduler begins is carried out, so its push and
@@ -1665,6 +1692,9 @@ fn a_shed_slot_reissues_once_at_the_hint() {
     assert_eq!(c.completions().issued(), 2, "nothing before the hint");
     c.run_for(SimTime::from_ns(1));
     assert_eq!(c.completions().issued(), 3, "one issue at the hint");
+    let source = c.obs().registry().counter("client.shed.source").get();
+    assert!(c.completions().shed() > 0);
+    assert_eq!(c.completions().shed(), shed.get() + source);
     c.audit().assert_clean();
 }
 
@@ -1870,6 +1900,10 @@ fn overload_shedding_is_byte_identical_across_shard_counts() {
         c.audit().assert_clean();
         let shed = c.completions().shed();
         assert!(shed > 0, "the spike must shed");
+        let reg = c.obs().registry();
+        let counted =
+            reg.counter("client.shed.remote").get() + reg.counter("client.shed.source").get();
+        assert_eq!(shed, counted);
         c.export_canonical_jsonl()
     };
     let serial = run(1);

@@ -47,7 +47,8 @@ fn main() {
     println!("  tuples/s batches : {:.0} req/s", c.throughput_rps());
     println!("  p99 latency      : {}", c.completions().p99());
     println!("  ranker location  : {:?}", c.actor_location(ranker0));
-    let report = &c.migration_reports(0)[0];
+    let report = c.last_migration(0).unwrap();
+    println!("  migrated actor   : {}", c.actor_name(ranker0).unwrap());
     println!(
         "  migration phases : p1={} p2={} p3={} p4={} (total {})",
         report.phase_times[0],

@@ -32,7 +32,7 @@ for size in --smoke ""; do
         # Every shard records into the cluster's one trace ring, so an
         # overflowing run records and drops as many records at any shard
         # count, but the ring keeps the newest in the order the shards pushed
-        # them and can differ at the retention boundary (ROADMAP item 20).
+        # them and can differ at the retention boundary (ROADMAP item 5(b)).
         # Its metric lines and its meta line must still match.
         echo "$name ${size:---full}: trace ring overflowed, comparing metric and meta lines only"
         diff <(metric_lines "$out/serial") <(metric_lines "$out/a")

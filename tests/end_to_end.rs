@@ -98,9 +98,8 @@ fn rta_pipeline_with_forced_ranker_migration() {
     assert!(c.completions().count() > before);
     // The migration produced a Fig 18-style report with non-trivial phases.
     let r = c
-        .migration_reports(0)
-        .iter()
-        .find(|r| r.actor == ranker.actor)
+        .last_migration(0)
+        .filter(|r| r.actor == ranker.actor)
         .expect("report recorded");
     assert!(r.total() > SimTime::from_us(500));
     assert!(
@@ -163,7 +162,7 @@ fn push_then_pull_migration_round_trip() {
         "idle NIC should pull the actor back"
     );
     // Both directions produced migration reports.
-    assert!(c.migration_reports(0).len() >= 2);
+    assert!(c.snapshot().counter("migrate.completed", 0) >= 2);
     c.audit().assert_clean();
 }
 
