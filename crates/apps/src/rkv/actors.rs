@@ -175,7 +175,7 @@ pub struct ConsensusActor {
     /// second slot and were absorbed at apply time (exactly-once evidence).
     dup_commits: Counter,
     /// `rkv.ops`: client operations (reads and writes) that entered through
-    /// this replica — the hotspot signal the multi-group rebalancer reads.
+    /// this replica — the per-group hotspot signal (`MultiRkv::group_ops`).
     ops: Counter,
     /// Writes applied here: past the token filter and sent to the memtable,
     /// whose `Apply` may still be queued ([`RkvDeployment::applied`]).
@@ -740,8 +740,8 @@ pub fn deploy_rkv_with(
 /// on the NIC, SSTable reader and compaction host-pinned over the LSM
 /// levels they share. What tells one group from another is its id: group 7
 /// names its actors `rkv-g007-…`, publishes `rkv.applies.g007` and the other
-/// per-group streams, and counts client operations per replica, where a
-/// rebalancer reads them. `None` is the lone group under the plain names.
+/// per-group streams, and counts client operations per replica
+/// (`MultiRkv::group_ops`). `None` is the lone group under the plain names.
 pub(super) fn deploy_group(
     c: &mut Cluster,
     replicas: &[usize],
@@ -767,7 +767,7 @@ pub(super) fn deploy_group(
         consensus.buffered = reg.gauge_in("rkv.buffered_writes", group, node);
         consensus.dup_commits = reg.counter_in("rkv.dup.commits", group, node);
         if group.is_some() {
-            // Only a multi-group deployment has a rebalancer to read it.
+            // Only a multi-group deployment has groups to compare.
             consensus.ops = reg.counter_in("rkv.ops", group, node);
         }
         dep.applied.push(consensus.applied.clone());

@@ -22,7 +22,7 @@ pub use actors::{
 };
 pub use bloom::BloomFilter;
 pub use lsm::{Levels, SsTable};
-pub use multi::{audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkv, RebalanceCfg};
+pub use multi::{audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkv};
 pub use paxos::{PaxosMsg, PaxosNode, Role};
 pub use placement::RoutingTable;
 pub use storm::{CompactionStorm, StormCfg};

@@ -1,7 +1,6 @@
 //! The multi-group RKV layer: many independent Paxos groups spread over
 //! many NIC+host nodes, a shared versioned [`RoutingTable`], per-group obs
-//! counters feeding a hotspot-driven [`Rebalancer`], and an exactly-once
-//! audit that holds across shard moves.
+//! counters, and an exactly-once audit that holds across shard moves.
 //!
 //! One group is exactly the PR-3 single-group deployment (consensus +
 //! memtable on the NIC, SSTable read + compaction host-pinned); this module
@@ -9,15 +8,18 @@
 //! `(g * replicas + r) % server_nodes`, so groups interleave over the fleet
 //! and every node carries a balanced mix of leaders and followers.
 //!
-//! **Rebalancing = core moves, not key moves.** A hot group's data never
-//! leaves its Paxos log; the [`Rebalancer`] reads the per-group
-//! `rkv.ops.gNNN` counters between observation windows and migrates the
-//! hottest groups' leader-side actors from NIC to host cores through the
-//! existing four-phase migration (the paper's mechanism). The routing table
-//! is untouched by such a move — the actor keeps its address — so no
+//! **A move is a core move, not a key move.** A group's data never leaves
+//! its Paxos log: migration (ALG 1 in every scenario) moves a leader-side
+//! actor between NIC and host cores through the four-phase protocol, and
+//! the routing table is untouched — the actor keeps its address — so no
 //! request, token, or key range can be orphaned mid-move; the
 //! [`audit_multi_rkv_exactly_once`] reconciliation and the cluster-wide
 //! conservation audit both hold across it.
+//!
+//! [`Rebalancer`] is a second migration policy beside ALG 1: it force-pushes
+//! hot groups' leaders whether or not any NIC is overloaded. No scenario
+//! runs it; the benchmark's `rkv-steady` (`benchmark/`) is its only caller,
+//! and ROADMAP item 7 deletes it with that loop.
 
 use super::actors::{deploy_group, HeartbeatCfg, RkvDeployment};
 use super::placement::RoutingTable;
@@ -102,7 +104,8 @@ pub fn deploy_multi_rkv(c: &mut Cluster, cfg: &MultiRkvCfg) -> MultiRkv {
     MultiRkv { groups, table }
 }
 
-/// Hotspot-rebalancing policy.
+/// Hotspot-rebalancing policy of [`Rebalancer`]; like it, only the
+/// benchmark's `rkv-steady` uses it.
 #[derive(Debug, Clone, Copy)]
 pub struct RebalanceCfg {
     /// A group is hot when its ops delta over the observation window
@@ -128,6 +131,11 @@ impl Default for RebalanceCfg {
 /// via the four-phase migration. Fully deterministic: counters are summed
 /// in group order, hot groups sort by `(delta desc, group asc)`, and no
 /// random draw is consumed.
+///
+/// A second policy beside ALG 1, which moves an actor only when the NIC's
+/// FCFS latency crosses its thresholds (§3.2.3); ALG 1 can pull a pushed
+/// leader straight back. No scenario runs it: the benchmark's `rkv-steady`
+/// (`benchmark/`) is its one caller, kept until ROADMAP item 7 deletes both.
 pub struct Rebalancer {
     cfg: RebalanceCfg,
     last: Vec<u64>,

@@ -196,10 +196,11 @@ mod tests {
     }
 
     /// The sharded engine's acceptance gate, one row per registered
-    /// scenario: crash + failover + retransmissions, rebalancer-driven
-    /// shard moves, a 10x spike with admission sheds, lossy TCP with RTO
-    /// timers, and the racked grid with its mid-run audit all export
-    /// byte-identical canonical results under every declared shard count.
+    /// scenario: a forced memtable move, crash + failover +
+    /// retransmissions, the 64-group keyspace, a 10x spike with admission
+    /// sheds, lossy TCP with RTO timers, and the racked grid with its
+    /// ALG 1 migrations and mid-run audit all export byte-identical
+    /// canonical results under every declared shard count.
     #[test]
     fn every_scenario_is_shard_invariant() {
         for s in crate::scenario::REGISTRY {

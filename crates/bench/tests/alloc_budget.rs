@@ -116,7 +116,9 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> Counted<T> {
 /// reached it and a skip-list node held all 128 bytes of its tower; 403,810
 /// since a request that ends drops the ended deadlines at the head and a DMO
 /// holds only the prefix its accesses reached; 399,962 since a retry
-/// deadline is a field of its in-flight request and leaves with it.
+/// deadline is a field of its in-flight request and leaves with it;
+/// 394,844 with the `Rebalancer`, 331,655 without it and with reused
+/// outboxes.
 const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 
 /// Build and deploy the smoke-size planetary scenario: at most 320 KiB
@@ -143,6 +145,13 @@ const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 /// accesses reach further in steps (a skip list's head among them)
 /// allocates once per doubling.
 ///
+/// 0.734 (13,957 over 19,014 events) once `rkv-scale` stopped running the
+/// `Rebalancer` and a node hands each drained emit outbox to its next actor
+/// run. 0.935 (21,328 over 22,812) with the `Rebalancer`; 1.037 (19,722
+/// over 19,014) with only its call removed: its 4 forced moves and their
+/// 261 retransmissions added 3,798 events at 0.42 allocations each, which
+/// had hidden that the request path was over the bound.
+///
 /// The same run must hold at most [`PEAK_LIVE_BUDGET`] bytes live.
 ///
 /// Then 5 ms of the smoke-size `pod` on two shards, the epoch engine alone
@@ -154,9 +163,9 @@ const PEAK_LIVE_BUDGET: i64 = 408 << 10;
 /// (1,890) once every frame goes straight into its destination shard's
 /// pool and the shards share one copy of the testbed. 0.212 (1,865) once a
 /// node keeps only its last migration's report: no actor-name `String` and
-/// no report-vector growth per completed migration. What is
-/// left is mostly one emit `Vec` per actor execution; recycling it read 0.077
-/// per event on `pod-par2` and bought no host time, so it is not done.
+/// no report-vector growth per completed migration. 0.073 (644) once a
+/// node reuses its actors' emit outboxes instead of allocating one per
+/// execution that emits.
 #[test]
 fn smoke_runs_stay_within_their_allocation_budgets() {
     let spec = ScaleSpec::smoke(7, 1);

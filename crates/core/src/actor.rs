@@ -116,6 +116,14 @@ impl<'a> ActorCtx<'a> {
         }
     }
 
+    /// Collect this invocation's emits into `outbox`, an emptied vector the
+    /// runtime reuses so that a handler that emits does not allocate one.
+    pub fn with_outbox(mut self, outbox: Vec<Emit>) -> ActorCtx<'a> {
+        debug_assert!(outbox.is_empty(), "a reused outbox must be empty");
+        self.outbox = outbox;
+        self
+    }
+
     /// Simulated time at handler entry.
     pub fn now(&self) -> SimTime {
         self.now

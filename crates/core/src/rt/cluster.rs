@@ -139,6 +139,7 @@ impl ClusterBuilder {
                 host_busy_total: SimTime::ZERO,
                 nic_busy_total: SimTime::ZERO,
                 last_migration: None,
+                spare_outboxes: Vec::new(),
                 admission: None,
             })
             .collect();
@@ -440,8 +441,9 @@ impl Cluster {
     }
 
     /// Force a push migration of an actor (Fig 18 methodology: "we force
-    /// the actor migration after the warm up"), through the scheduler's
-    /// gate but not its cooldown ([`crate::sched::NicScheduler::force_push`]).
+    /// the actor migration after the warm up"; also the `rkv` scenario's
+    /// scripted memtable move), through the scheduler's gate but not its
+    /// cooldown ([`crate::sched::NicScheduler::force_push`]).
     pub fn force_migrate(&mut self, addr: Address) -> bool {
         self.serve(self.shard(addr.node));
         let now = self.now();

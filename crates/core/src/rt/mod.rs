@@ -341,6 +341,9 @@ struct NodeRt {
     nic_busy_total: SimTime,
     /// The report of the node's most recent completed migration.
     last_migration: Option<MigrationReport>,
+    /// Emptied outboxes of this node's routed handler runs, each handed to
+    /// the next run so an actor that emits does not allocate its outbox.
+    spare_outboxes: Vec<Vec<Emit>>,
     /// Ingress admission control; `None` admits everything (the default).
     admission: Option<NodeAdmission>,
 }

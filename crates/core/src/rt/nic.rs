@@ -31,7 +31,9 @@ impl NodeRt {
             self.metrics.drop_no_actor.inc();
             return None;
         };
-        let mut ctx = ActorCtx::new(now, req.actor, self.id, &mut self.dmo, &mut self.rng);
+        let outbox = self.spare_outboxes.pop().unwrap_or_default();
+        let mut ctx = ActorCtx::new(now, req.actor, self.id, &mut self.dmo, &mut self.rng)
+            .with_outbox(outbox);
         slot.logic.exec(&mut ctx, req);
         let (charged, emits) = ctx.finish();
         let traffic = self.dmo.take_traffic();

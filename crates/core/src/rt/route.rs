@@ -7,16 +7,20 @@ use super::cost::{egress_delay, ring_to_nic_latency};
 use super::*;
 
 impl Cluster {
-    /// Route one handler run's emits, in emission order.
+    /// Route one handler run's emits, in emission order, and keep the
+    /// emptied outbox for `node`'s next run.
     pub(super) fn route_emits(
         &mut self,
         now: SimTime,
         node: u16,
-        emits: Vec<Emit>,
+        mut emits: Vec<Emit>,
         from_nic: bool,
     ) {
-        for e in emits {
+        for e in emits.drain(..) {
             self.route_emit(now, node, e, from_nic);
+        }
+        if emits.capacity() > 0 {
+            self.node_mut(node).spare_outboxes.push(emits);
         }
     }
 

@@ -492,10 +492,12 @@ impl NicScheduler {
         self.migration.as_mut()
     }
 
-    /// Begin a forced push of `actor` at `now` (Fig 18, the rebalancer, a
-    /// retry after an abort): no cooldown, and not counted. False, with
-    /// nothing changed, when another migration is in flight or the actor is
-    /// not on the NIC.
+    /// Begin a forced push of `actor` at `now`: no cooldown, and not
+    /// counted. ALG 1's own push begins here once [`decide`] has checked the
+    /// cooldown; every other caller skips it (DESIGN.md §7: Fig 18, the
+    /// `rkv` scenario's scripted move, the retry after an abort, and the
+    /// benchmark's `Rebalancer`). False, with nothing changed, when another
+    /// migration is in flight or the actor is not on the NIC.
     pub fn force_push(&mut self, now: SimTime, actor: ActorId) -> bool {
         if self.migration.is_some() || self.location(actor) != Some(Loc::Nic) {
             return false;

@@ -210,6 +210,16 @@ impl Registry {
         self.counters.borrow_mut().entry(key).or_default().clone()
     }
 
+    /// Counter `name` summed over every node, registering nothing.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.counters
+            .borrow()
+            .iter()
+            .filter(|(k, _)| k.name == name && k.group.is_none())
+            .map(|(_, v)| v.get())
+            .sum()
+    }
+
     /// Gauge `name` on node 0.
     pub fn gauge(&self, name: &'static str) -> Gauge {
         self.gauge_on(name, 0)

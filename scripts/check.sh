@@ -52,6 +52,22 @@ stage_scenarios() {
                  if ($1 ~ /^sched\.migrate\./) n++; else { print "unfiltered: " $0; bad = 1 }
              }
              END { exit bad || n == 0 }'
+    # ALG 1 is rkv-scale's only migration policy, and its fabric loses no
+    # frame: at full size no actor moves and no request is retransmitted.
+    # A second policy or a spurious retransmission path fails here
+    # (ROADMAP item 1). `client.retry.sent` is registered at build, so its
+    # rows must be present; `migrate.completed*` appear only once non-zero.
+    for counter in client.retry.sent migrate.completed; do
+        echo "==> rkv-scale --seed 11: $counter is 0"
+        cargo run --release -q -p ipipe-bench --bin traceview -- \
+            --scenario rkv-scale --seed 11 --grep "$counter" |
+            awk -v want="$counter" '/^== counters/ { on = 1; next } /^==/ { on = 0 }
+                 on && $1 != "name" {
+                     n++
+                     if ($3 != 0) { print "non-zero: " $0; bad = 1 }
+                 }
+                 END { exit bad || (want == "client.retry.sent" && n == 0) }'
+    done
 }
 
 stage_figures() {

@@ -89,13 +89,36 @@ fn rta_pipeline_with_forced_ranker_migration() {
     c.set_client(0, rta_client(dep.filters, 512, wl), 32);
     c.run_for(SimTime::from_ms(5));
     assert_eq!(c.actor_location(ranker), Some(Loc::Nic));
+    // Node 0's cores and ring over one window, before and after the move.
+    let window = |c: &mut Cluster| {
+        c.reset_measurements();
+        let crossed = c.ring_messages(0);
+        c.run_for(SimTime::from_ms(5));
+        (
+            c.nic_cores_used(0),
+            c.host_cores_used(0),
+            c.ring_messages(0) - crossed,
+        )
+    };
+    let (nic_before, host_before, ring_before) = window(&mut c);
     assert!(c.force_migrate(ranker));
     c.run_for(SimTime::from_ms(20));
     assert_eq!(c.actor_location(ranker), Some(Loc::Host));
     // The pipeline still flows after the move.
-    let before = c.completions().count();
-    c.run_for(SimTime::from_ms(5));
-    assert!(c.completions().count() > before);
+    let before = c.completions().completed();
+    let (nic_after, host_after, ring_after) = window(&mut c);
+    assert!(c.completions().completed() > before);
+    // The ranker's work left node 0's NIC cores for its host cores, and its
+    // input now crosses the ring.
+    assert!(nic_after < nic_before, "NIC {nic_before} -> {nic_after}");
+    assert!(
+        host_after > host_before,
+        "host {host_before} -> {host_after}"
+    );
+    assert!(
+        ring_after > ring_before,
+        "ring {ring_before} -> {ring_after}"
+    );
     // The migration produced a Fig 18-style report with non-trivial phases.
     let r = c
         .last_migration(0)

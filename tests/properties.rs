@@ -689,7 +689,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// A forced mid-run shard move (the rebalancer's primitive: four-phase
+    /// A forced mid-run shard move (`Cluster::force_migrate`: four-phase
     /// migration of a group's leader-side actors off the NIC) leaves both
     /// the cluster-wide conservation audit and the per-group exactly-once
     /// reconciliation clean, on the source and destination groups alike.
